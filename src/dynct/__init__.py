@@ -19,8 +19,8 @@ from .errors import ConfigError, DataIOError, NumericError
 from .filtering import (FilterResult, NoiseModel, initial_noise,
                         release_filter_result, run_filter, smw_apply,
                         static_init)
-from .linops import (Identity, LinearOperator, PatchRank1, Rank1, Scaled,
-                     SparseCSR, Warp)
+from .linops import (Identity, LinearOperator, PatchRank1, Rank1, SparseCSR,
+                     Warp)
 from .metrics import (MemoryTracker, PhaseTimer, memory_budget_bytes,
                       noise_level, read_metrics_csv, rre, write_metrics_csv)
 from .mmgks import MMGKSConfig, MMGKSResult, mmgks_solve
@@ -41,7 +41,7 @@ __all__ = [
     "FilterResult", "Identity", "LinearOperator", "MMGKSConfig",
     "MMGKSResult", "MemoryTracker", "MethodSpec", "MotionOptions",
     "NoiseModel", "NumericError", "PatchRank1", "PhaseTimer", "PriorConfig",
-    "ProjectionBasis", "Rank1", "RunRecord", "ScanGeometry", "Scaled",
+    "ProjectionBasis", "Rank1", "RunRecord", "ScanGeometry",
     "SinogramSet", "SmootherResult", "SparseCSR", "VelocityField", "Warp",
     "build_operator", "build_operators", "build_projection", "build_warp",
     "default_blocks_config", "dmd_patchwise", "dmd_rank1",

@@ -24,13 +24,6 @@ def row_chunks(n_rows: int, width: int):
         yield slice(lo, min(lo + step, n_rows))
 
 
-def col_chunks(n_cols: int, height: int):
-    """Yield column slices so each chunk holds at most CHUNK_ELEMS elements."""
-    step = max(1, CHUNK_ELEMS // max(height, 1))
-    for lo in range(0, n_cols, step):
-        yield slice(lo, min(lo + step, n_cols))
-
-
 def weighted_gram(X: np.ndarray, w: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
     """X^T diag(w) Y (Y defaults to X), accumulated over row chunks."""
     k = X.shape[1]

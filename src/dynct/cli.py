@@ -21,14 +21,6 @@ import os
 import sys
 from collections import defaultdict
 
-# must happen before the first numpy import anywhere in the process;
-# OpenBLAS/MKL read these once at load time
-_threads = os.environ.get("DYNCT_THREADS", "").strip()
-if _threads.isdigit() and int(_threads) >= 1:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 import numpy as np
 
 from .errors import ConfigError, DataIOError, NumericError

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._linalg import row_chunks, sym_solve, symmetrize
 from .errors import ConfigError, NumericError
-from .linops import DENSE_LIMIT, LinearOperator, to_dense
+from .linops import DENSE_LIMIT, LinearOperator
 
 FLOOR_REL = 1e-8
 FLOOR_ABS = 1e-30
@@ -168,7 +168,7 @@ def expected_loglik(y_frames, h_ops, motions, q_covs, r_covs,
 
     def _dense(op):
         return np.asarray(op, dtype=float) if isinstance(op, np.ndarray) \
-            else to_dense(op)
+            else op.to_dense()
 
     def _term(cov, second_moment, what):
         cov = np.asarray(cov, dtype=float)

@@ -30,7 +30,7 @@ import numpy as np
 from ._linalg import (motion_gram_triple, op_gram, psd_sqrt, row_chunks,
                       sym_inverse, sym_solve, symmetrize, weighted_gram)
 from .errors import ConfigError
-from .linops import LinearOperator
+from .linops import Identity, LinearOperator
 from .metrics import MemoryTracker, NullTracker
 from .prior import ProjectionBasis
 
@@ -94,19 +94,10 @@ def static_init(h0: LinearOperator, basis: ProjectionBasis, y0: np.ndarray):
     """
     P = basis.P
     r = P.shape[1]
-    lhs = op_gram(h0, P) + (basis.config.alpha ** -2) * op_gram_identity(P)
+    lhs = op_gram(h0, P) + (basis.config.alpha ** -2) * op_gram(Identity(len(P)), P)
     rhs = P.T @ h0.apply_transpose(np.asarray(y0, dtype=float))
     z = sym_solve(lhs, rhs, "static init")
     return P @ z, np.eye(r)
-
-
-def op_gram_identity(P: np.ndarray) -> np.ndarray:
-    """P^T P via the same row-chunk accumulation as the operator Gramians."""
-    r = P.shape[1]
-    out = np.zeros((r, r))
-    for rows in row_chunks(P.shape[0], r):
-        out += P[rows].T @ P[rows]
-    return out
 
 
 def smw_apply(q_inv_diag: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -144,10 +135,9 @@ def filter_step(x_prev: np.ndarray, psi_prev: np.ndarray, motion: LinearOperator
     x_pred = motion.apply(x_prev)
     A = psd_sqrt(psi_prev)
 
-    g_mm, g_mp, _ = motion_gram_triple(motion, P, q_inv)
+    g_mm, g_mp, g_pp = motion_gram_triple(motion, P, q_inv)
     S = symmetrize(A.T @ g_mm @ A) + np.eye(r)
     E = A.T @ g_mp
-    g_pp = weighted_gram(P, q_inv)
     pcp = symmetrize(g_pp - E.T @ sym_solve(S, E, "filter capacitance"))
 
     g_h = op_gram(h_op, P, r_inv)

@@ -1,11 +1,18 @@
 """Matrix-free linear operators used throughout the package.
 
-Every operator supports ``apply`` (forward), ``apply_transpose`` (exact
-adjoint of the same coefficients) and ``apply_block`` (column-by-column
-forward application; bitwise identical to looping ``apply`` over columns,
-which is exactly how it is implemented). Dense materialization is available
-through :func:`to_dense` for debugging and oracle tests only and refuses to
-build anything with more than ``DENSE_LIMIT`` state columns.
+The operator protocol is three methods, and every operator implements all
+three itself:
+
+- ``apply(x)``: forward product ``op @ x``.
+- ``apply_transpose(y)``: exact adjoint of the same coefficients.
+- ``apply_block_rows(X, rows)``: rows ``rows`` of ``op @ X``, formed by the
+  operator's own row kernel without the full product. The filter, smoother
+  and M-step fold these row chunks straight into r x r Gramians.
+
+There is no column-loop fallback: an operator without a row kernel raises
+``NotImplementedError``. ``to_dense`` is ``apply_block_rows`` on the
+identity, for debugging and oracle tests only; it refuses to build anything
+with more than ``DENSE_LIMIT`` rows or columns.
 
 All vectors are 1-D float64 arrays; blocks are (n, k) float64 arrays.
 """
@@ -28,8 +35,23 @@ def _as_vector(x, n, name="x"):
     return x
 
 
+def _as_block(X, n):
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] != n:
+        raise ConfigError(f"block must have shape ({n}, k), got shape {X.shape}")
+    return X
+
+
+def to_patches(x, n_x, n_y, z_x, z_y):
+    """(n_patches, z_x * z_y) patch rows of an image vector, patches in
+    row-major order over the (n_x // z_x, n_y // z_y) patch grid."""
+    bx, by = n_x // z_x, n_y // z_y
+    return x.reshape(bx, z_x, by, z_y).transpose(0, 2, 1, 3).reshape(
+        bx * by, z_x * z_y)
+
+
 class LinearOperator:
-    """Base class: shape (m, n), forward/adjoint application."""
+    """Base class: shape (m, n) and the three methods every operator implements."""
 
     shape: tuple[int, int]
 
@@ -39,50 +61,16 @@ class LinearOperator:
     def apply_transpose(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def apply_block(self, X: np.ndarray) -> np.ndarray:
-        """Forward-apply to each column of X. Implemented as a plain column
-        loop so the result is bitwise equal to per-column ``apply``."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] != self.shape[1]:
-            raise ConfigError(f"block must have shape ({self.shape[1]}, k), got {X.shape}")
-        out = np.empty((self.shape[0], X.shape[1]), dtype=np.float64)
-        for j in range(X.shape[1]):
-            out[:, j] = self.apply(X[:, j])
-        return out
-
-    def apply_transpose_block(self, Y: np.ndarray) -> np.ndarray:
-        """Adjoint-apply to each column of Y (column loop, like apply_block)."""
-        Y = np.asarray(Y, dtype=np.float64)
-        if Y.ndim != 2 or Y.shape[0] != self.shape[0]:
-            raise ConfigError(f"block must have shape ({self.shape[0]}, k), got {Y.shape}")
-        out = np.empty((self.shape[1], Y.shape[1]), dtype=np.float64)
-        for j in range(Y.shape[1]):
-            out[:, j] = self.apply_transpose(Y[:, j])
-        return out
-
     def apply_block_rows(self, X: np.ndarray, rows: slice) -> np.ndarray:
-        """Rows ``rows`` of ``op @ X`` without holding the full product.
-
-        The generic fallback materializes the product columnwise with one
-        output-length vector live at a time; structured operators override
-        this with direct row-slice kernels. This is what lets Gramians of
-        operator-times-basis products be accumulated chunk by chunk.
-        """
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] != self.shape[1]:
-            raise ConfigError(f"block must have shape ({self.shape[1]}, k), got {X.shape}")
-        n_rows = len(range(*rows.indices(self.shape[0])))
-        out = np.empty((n_rows, X.shape[1]), dtype=np.float64)
-        for j in range(X.shape[1]):
-            out[:, j] = self.apply(X[:, j])[rows]
-        return out
+        """Rows ``rows`` of ``op @ X`` without holding the full product."""
+        raise NotImplementedError(f"{type(self).__name__} has no row kernel")
 
     def to_dense(self) -> np.ndarray:
         if max(self.shape) > DENSE_LIMIT:
             raise ConfigError(
                 f"refusing to densify operator of shape {self.shape} (limit {DENSE_LIMIT})"
             )
-        return self.apply_block(np.eye(self.shape[1]))
+        return self.apply_block_rows(np.eye(self.shape[1]), slice(None))
 
 
 class SparseCSR(LinearOperator):
@@ -111,17 +99,7 @@ class SparseCSR(LinearOperator):
         return self._matrix_t @ y
 
     def apply_block_rows(self, X, rows):
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] != self.shape[1]:
-            raise ConfigError(f"block must have shape ({self.shape[1]}, k), got {X.shape}")
-        return np.asarray(self.matrix[rows] @ X)
-
-    @property
-    def nnz(self):
-        return self.matrix.nnz
-
-    def row_nnz(self):
-        return np.diff(self.matrix.indptr)
+        return np.asarray(self.matrix[rows] @ _as_block(X, self.shape[1]))
 
 
 class Identity(LinearOperator):
@@ -135,26 +113,7 @@ class Identity(LinearOperator):
         return _as_vector(y, self.shape[0], "y").copy()
 
     def apply_block_rows(self, X, rows):
-        X = np.asarray(X, dtype=np.float64)
-        return X[rows].copy()
-
-
-class Scaled(LinearOperator):
-    """gamma * base."""
-
-    def __init__(self, base: LinearOperator, gamma: float):
-        self.base = base
-        self.gamma = float(gamma)
-        self.shape = base.shape
-
-    def apply(self, x):
-        return self.gamma * self.base.apply(x)
-
-    def apply_transpose(self, y):
-        return self.gamma * self.base.apply_transpose(y)
-
-    def apply_block_rows(self, X, rows):
-        return self.gamma * self.base.apply_block_rows(X, rows)
+        return _as_block(X, self.shape[1])[rows].copy()
 
 
 class Rank1(LinearOperator):
@@ -177,10 +136,7 @@ class Rank1(LinearOperator):
         return self.v * (self.u @ y / self.denom)
 
     def apply_block_rows(self, X, rows):
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] != self.shape[1]:
-            raise ConfigError(f"block must have shape ({self.shape[1]}, k), got {X.shape}")
-        coef = (self.v @ X) / self.denom
+        coef = (self.v @ _as_block(X, self.shape[1])) / self.denom
         return self.u[rows, None] * coef[None, :]
 
 
@@ -211,11 +167,7 @@ class PatchRank1(LinearOperator):
         self.shape = (n_s, n_s)
 
     def _to_patches(self, x):
-        bx, by = self.n_x // self.z_x, self.n_y // self.z_y
-        img = x.reshape(self.n_x, self.n_y)
-        return img.reshape(bx, self.z_x, by, self.z_y).transpose(0, 2, 1, 3).reshape(
-            bx * by, self.z_x * self.z_y
-        )
+        return to_patches(x, self.n_x, self.n_y, self.z_x, self.z_y)
 
     def _from_patches(self, P):
         bx, by = self.n_x // self.z_x, self.n_y // self.z_y
@@ -236,6 +188,25 @@ class PatchRank1(LinearOperator):
         coef = np.einsum("ij,ij->i", self.U, P) / self.denoms
         return self._from_patches(self.V * coef[:, None])
 
+    def apply_block_rows(self, X, rows):
+        """Row i of op @ X is u[i] * (v_j @ X_j) / d_j, j the patch of row i.
+
+        The coefficients are formed only for the bands of patches that
+        ``rows`` touches, contracting over views of X (no copy of X).
+        """
+        X = _as_block(X, self.shape[1])
+        k = X.shape[1]
+        bx, by = self.n_x // self.z_x, self.n_y // self.z_y
+        ix, iy = np.divmod(np.arange(self.shape[0])[rows], self.n_y)
+        px, py = ix // self.z_x, iy // self.z_y
+        lo, hi = (px.min(), px.max() + 1) if px.size else (0, 0)
+        coef = np.einsum("abcd,acbdk->abk",
+                         self.V.reshape(bx, by, self.z_x, self.z_y)[lo:hi],
+                         X.reshape(bx, self.z_x, by, self.z_y, k)[lo:hi])
+        coef = coef.reshape((hi - lo) * by, k) / self.denoms[lo * by:hi * by, None]
+        u = self.U.reshape(bx, by, self.z_x, self.z_y)[px, py, ix % self.z_x, iy % self.z_y]
+        return u[:, None] * coef[(px - lo) * by + py]
+
 
 class Warp(SparseCSR):
     """Backward-warping interpolation operator (see motion.build_warp).
@@ -251,33 +222,12 @@ class Warp(SparseCSR):
             raise ConfigError("warp operator must be square over the image grid")
 
 
-# Module-level wrappers, convenient for call sites that treat operators
-# generically.
-
-def apply(op: LinearOperator, x):
-    return op.apply(x)
-
-
-def apply_transpose(op: LinearOperator, y):
-    return op.apply_transpose(y)
-
-
-def apply_block(op: LinearOperator, X):
-    return op.apply_block(X)
-
-
-def to_dense(op: LinearOperator):
-    return op.to_dense()
-
-
 def payload_nbytes(op: LinearOperator) -> int:
     """Bytes of array storage an operator instance owns.
 
     Used by run bookkeeping to charge motion operators against the working
-    set. Identity owns nothing; Scaled owns only its base.
+    set. Identity owns nothing.
     """
-    if isinstance(op, Scaled):
-        return payload_nbytes(op.base)
     if isinstance(op, SparseCSR):
         m, mt = op.matrix, op._matrix_t
         return int(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes +

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, NumericError
-from .linops import Identity, PatchRank1, Rank1, SparseCSR, Warp
+from .linops import Identity, PatchRank1, Rank1, SparseCSR, Warp, to_patches
 from .mmgks import MMGKSConfig, mmgks_solve
 
 
@@ -139,12 +139,6 @@ def dmd_rank1(x_prev, x_next, zeta: float = 0.0) -> Rank1:
     return Rank1(u=x_next, v=x_prev, denom=denom)
 
 
-def _to_patches(x, n_x, n_y, z_x, z_y):
-    bx, by = n_x // z_x, n_y // z_y
-    return x.reshape(n_x, n_y).reshape(bx, z_x, by, z_y).transpose(
-        0, 2, 1, 3).reshape(bx * by, z_x * z_y)
-
-
 def dmd_patchwise(x_prev, x_next, n_x: int, n_y: int, patch=(8, 8),
                   zeta: float = 0.0) -> PatchRank1:
     """Per-patch rank-1 transition fit on a non-overlapping tiling."""
@@ -155,8 +149,8 @@ def dmd_patchwise(x_prev, x_next, n_x: int, n_y: int, patch=(8, 8),
         raise ConfigError("dmd_patchwise: zeta must be nonnegative")
     x_prev = np.asarray(x_prev, dtype=float).ravel()
     x_next = np.asarray(x_next, dtype=float).ravel()
-    V = _to_patches(x_prev, n_x, n_y, z_x, z_y)
-    U = _to_patches(x_next, n_x, n_y, z_x, z_y)
+    V = to_patches(x_prev, n_x, n_y, z_x, z_y)
+    U = to_patches(x_next, n_x, n_y, z_x, z_y)
     denoms = np.einsum("ij,ij->i", V, V) + zeta
     if np.any(denoms <= 0.0):
         raise NumericError("dmd_patchwise: empty source patch with zeta = 0")

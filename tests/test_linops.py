@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from dynct._linalg import op_gram
 from dynct.errors import ConfigError
-from dynct.linops import (DENSE_LIMIT, Identity, PatchRank1, Rank1, Scaled,
-                          SparseCSR, Warp, payload_nbytes)
+from dynct.linops import (DENSE_LIMIT, Identity, LinearOperator, PatchRank1,
+                          Rank1, SparseCSR, Warp, payload_nbytes)
 
 
 def _sample_ops(rng):
@@ -17,11 +16,13 @@ def _sample_ops(rng):
     ops = [
         SparseCSR(mat),
         Identity(12),
-        Scaled(Identity(12), -2.5),
-        Scaled(SparseCSR(mat), 0.75),
         Rank1(rng.standard_normal(12), rng.standard_normal(12), 1.7),
         PatchRank1(4, 3, 2, 3, rng.standard_normal((2, 6)),
                    rng.standard_normal((2, 6)), np.array([1.3, 0.4])),
+        # 2 x 2 grid of non-square 3 x 2 patches: rows of one patch are not
+        # contiguous in the state vector, and slices cut through patches
+        PatchRank1(6, 4, 3, 2, rng.standard_normal((4, 6)),
+                   rng.standard_normal((4, 6)), np.array([1.3, 0.4, 2.1, 0.9])),
     ]
     warp_mat = sp.random(12, 12, density=0.4,
                          random_state=np.random.RandomState(3), format="csr")
@@ -57,20 +58,11 @@ def test_adjoint_identity(ops):
             assert abs(lhs - rhs) <= 1e-12 * max(scale, 1e-300)
 
 
-def test_apply_block_bitwise_columnwise(ops):
-    rng = np.random.default_rng(3)
-    for op in ops:
-        X = rng.standard_normal((op.shape[1], 5))
-        blk = op.apply_block(X)
-        for j in range(5):
-            assert np.array_equal(blk[:, j], op.apply(X[:, j])), type(op)
-
-
 def test_apply_block_rows_agrees_with_full(ops):
     rng = np.random.default_rng(4)
     for op in ops:
         X = rng.standard_normal((op.shape[1], 4))
-        full = op.to_dense() @ X
+        full = np.column_stack([op.apply(x) for x in X.T])
         m = op.shape[0]
         for rows in (slice(0, m), slice(2, 7), slice(m - 3, m), slice(0, 0)):
             got = op.apply_block_rows(X, rows)
@@ -86,7 +78,26 @@ def test_shape_validation(ops):
         with pytest.raises(ConfigError):
             op.apply(np.zeros(op.shape[1] + 1))
         with pytest.raises(ConfigError):
-            op.apply_block(np.zeros((op.shape[1] + 2, 3)))
+            op.apply_block_rows(np.zeros((op.shape[1] + 2, 3)), slice(None))
+        with pytest.raises(ConfigError):
+            op.apply_block_rows(np.zeros(op.shape[1]), slice(None))
+
+
+def test_operator_without_row_kernel_raises():
+    class NoRowKernel(LinearOperator):
+        shape = (3, 3)
+
+        def apply(self, x):
+            return x.copy()
+
+        def apply_transpose(self, y):
+            return y.copy()
+
+    op = NoRowKernel()
+    with pytest.raises(NotImplementedError):
+        op.to_dense()
+    with pytest.raises(NotImplementedError):
+        op_gram(op, np.eye(3))
 
 
 def test_to_dense_guard():
@@ -129,16 +140,3 @@ def test_payload_nbytes(ops):
             assert n == 0
         if isinstance(op, Rank1):
             assert n == op.u.nbytes + op.v.nbytes
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(2, 10), st.integers(2, 10), st.integers(0, 2 ** 32 - 1))
-def test_scaled_composes(m, n, seed):
-    rng = np.random.default_rng(seed)
-    base = SparseCSR(sp.random(m, n, density=0.5,
-                               random_state=np.random.RandomState(seed % 2**31),
-                               format="csr"))
-    gamma = float(rng.standard_normal() or 1.0)
-    op = Scaled(base, gamma)
-    x = rng.standard_normal(n)
-    np.testing.assert_allclose(op.apply(x), gamma * base.apply(x), atol=1e-12)

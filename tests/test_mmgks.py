@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dynct.errors import ConfigError, NumericError
-from dynct.linops import Identity, Scaled, SparseCSR
+from dynct.linops import Identity, SparseCSR
 from dynct.mmgks import (MMGKSConfig, _SingularProjected, expand_basis,
                          gkb_seed, majorant_value, mmgks_solve,
                          penalty_weights, solve_projected)
@@ -47,7 +47,7 @@ def test_gkb_breakdown_in_invariant_subspace():
 
 def test_gkb_zero_matrix_raises():
     with pytest.raises(NumericError):
-        gkb_seed(Scaled(Identity(3), 0.0), np.ones(3), 2)
+        gkb_seed(SparseCSR(np.zeros((3, 3))), np.ones(3), 2)
 
 
 def test_penalty_weights_values():
