@@ -25,14 +25,14 @@ from .metrics import (MemoryTracker, PhaseTimer, memory_budget_bytes,
                       noise_level, read_metrics_csv, rre, write_metrics_csv)
 from .mmgks import MMGKSConfig, MMGKSResult, mmgks_solve
 from .motion import (VelocityField, build_warp, dmd_patchwise, dmd_rank1,
-                     estimate_velocity, update_motions)
+                     estimate_velocity, fit_motion)
 from .phantom import BlocksConfig, default_blocks_config, generate_frames
 from .pipeline import (MethodSpec, MotionOptions, RunRecord, parse_method,
                        record_rows, run_emirkfs)
 from .prior import PriorConfig, ProjectionBasis, build_projection
 from .radon import (ScanGeometry, SinogramSet, build_operator, build_operators,
                     make_geometry, simulate_sinograms)
-from .smoothing import (SmootherResult, release_smoother_result, run_smoother)
+from .smoothing import run_smoother
 
 __version__ = "0.1.0"
 
@@ -42,13 +42,13 @@ __all__ = [
     "MMGKSResult", "MemoryTracker", "MethodSpec", "MotionOptions",
     "NoiseModel", "NumericError", "PatchRank1", "PhaseTimer", "PriorConfig",
     "ProjectionBasis", "Rank1", "RunRecord", "ScanGeometry",
-    "SinogramSet", "SmootherResult", "SparseCSR", "VelocityField", "Warp",
+    "SinogramSet", "SparseCSR", "VelocityField", "Warp",
     "build_operator", "build_operators", "build_projection", "build_warp",
     "default_blocks_config", "dmd_patchwise", "dmd_rank1",
-    "estimate_velocity", "generate_frames", "initial_noise", "make_geometry",
+    "estimate_velocity", "fit_motion", "generate_frames", "initial_noise", "make_geometry",
     "memory_budget_bytes", "mmgks_solve", "noise_level", "parse_method",
     "read_metrics_csv", "record_rows", "release_filter_result",
-    "release_smoother_result", "rre", "run_emirkfs", "run_filter",
+    "rre", "run_emirkfs", "run_filter",
     "run_smoother", "simulate_sinograms", "smw_apply", "static_init",
-    "update_motions", "write_metrics_csv",
+    "write_metrics_csv",
 ]

@@ -104,6 +104,10 @@ def cmd_reconstruct(args) -> int:
             f"sinogram shape {sino_stack.shape} does not match config "
             f"({cfg.n_frames}, {expected_rows})")
 
+    sino = SinogramSet(geometry=geom, sinograms=list(sino_stack),
+                       noise_level=float(data_manifest["params"].get("sigma", 0.0)),
+                       seed=int(data_manifest["params"].get("noise_seed", 0)))
+
     out = args.out or os.path.join(data_dir, cfg.method.name)
     _ensure_dir(out)
     h_ops = build_operators(geom)
@@ -122,9 +126,6 @@ def cmd_reconstruct(args) -> int:
                 write_pgm(path, x_sm[t].reshape(cfg.n_x, cfg.n_y))
                 files.append(path)
 
-    sino = SinogramSet(geometry=geom, sinograms=list(sino_stack),
-                       noise_level=float(data_manifest["params"].get("sigma", 0.0)),
-                       seed=int(data_manifest["params"].get("noise_seed", 0)))
     record = run_emirkfs(sino, h_ops, basis, cfg.method,
                          motion_opts=cfg.motion, truth=truth,
                          tracker=tracker, callback=dump_iteration)

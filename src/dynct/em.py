@@ -15,9 +15,9 @@ Psi_{i-1}^est, and everything is swept in row chunks.  The two cross terms
 have identical diagonals, so the sweep subtracts twice one of them.  A
 relative floor (1e-8 of the mean) keeps the next filter pass well posed.
 
-The dense variants and the expected complete-data log-likelihood are
-small-problem diagnostics used to cross-check the chunked path and to watch
-EM monotonicity.
+The dense diagonal variants and the expected complete-data log-likelihood
+are small-problem diagnostics used to cross-check the chunked path and to
+watch EM monotonicity.
 """
 
 from __future__ import annotations
@@ -135,23 +135,6 @@ def update_q_dense(x_sm_prev, x_sm_i, cov_sm_prev, cov_sm_i, cov_cross_i,
             + m_dense @ cov_sm_prev @ m_dense.T)
     return _apply_floor(_guard_negative(np.diag(full).copy(), "update_q_dense",
                                         float(pos.max())))
-
-
-def update_r_dense_full(y_i, h_dense, x_sm_i, cov_sm_i) -> np.ndarray:
-    """Full-matrix R update (no diagonal projection) for monotonicity runs."""
-    _guard_dense(h_dense.shape[1], "update_r_dense_full")
-    resid = np.asarray(y_i, dtype=float) - h_dense @ x_sm_i
-    return np.outer(resid, resid) + h_dense @ cov_sm_i @ h_dense.T
-
-
-def update_q_dense_full(x_sm_prev, x_sm_i, cov_sm_prev, cov_sm_i, cov_cross_i,
-                        m_dense) -> np.ndarray:
-    """Full-matrix Q update (no diagonal projection) for monotonicity runs."""
-    _guard_dense(m_dense.shape[0], "update_q_dense_full")
-    resid = x_sm_i - m_dense @ x_sm_prev
-    cm = cov_cross_i @ m_dense.T
-    return (np.outer(resid, resid) + cov_sm_i - cm - cm.T
-            + m_dense @ cov_sm_prev @ m_dense.T)
 
 
 def expected_loglik(y_frames, h_ops, motions, q_covs, r_covs,

@@ -66,9 +66,10 @@ class MemoryTracker:
     The budgeted category ("full") covers arrays proportional to the state
     or data dimension: trajectories, noise diagonals, motion payloads,
     residual vectors, and the chunked scratch allowance. The reduced
-    category covers r x r covariance bookkeeping (posterior/smoothed
-    covariance histories, gains); it is reported alongside but compared to
-    no budget, matching the storage analysis the budget formula comes from.
+    category covers r x r covariance bookkeeping (the filtered covariance
+    history, the smoother's current covariances and gain); it is reported
+    alongside but compared to no budget, matching the storage analysis the
+    budget formula comes from.
     """
 
     def __init__(self):
@@ -112,10 +113,6 @@ class MemoryTracker:
     def release_reduced_array(self, arr: np.ndarray) -> None:
         self.release_reduced(arr.nbytes)
 
-    def block(self, *arrays: np.ndarray) -> "_TrackedBlock":
-        """Context manager charging the given arrays for the `with` body."""
-        return _TrackedBlock(self, sum(a.nbytes for a in arrays))
-
     @property
     def current_bytes(self) -> int:
         return self._current
@@ -145,20 +142,6 @@ class NullTracker(MemoryTracker):
         pass
 
 
-class _TrackedBlock:
-    def __init__(self, tracker: MemoryTracker, nbytes: int):
-        self._tracker = tracker
-        self._nbytes = nbytes
-
-    def __enter__(self):
-        self._tracker.add(self._nbytes)
-        return self
-
-    def __exit__(self, *exc):
-        self._tracker.release(self._nbytes)
-        return False
-
-
 def memory_budget_bytes(n_s: int, r: int, n_steps: int, m_t: int,
                         slack: float = 0.5) -> int:
     """(1 + slack) * (n_s (r + T) + T m_t) doubles, in bytes."""
@@ -166,10 +149,16 @@ def memory_budget_bytes(n_s: int, r: int, n_steps: int, m_t: int,
 
 
 class PhaseTimer:
-    """Accumulates wall-clock seconds per named phase."""
+    """Accumulates wall-clock seconds per named phase.
+
+    Phases may nest; the time spent in an inner phase counts for it alone,
+    not also for the phase around it, so the recorded seconds never add up
+    to more than the wall time they cover.
+    """
 
     def __init__(self):
         self.seconds: dict[str, float] = {}
+        self._open: list[str] = []
 
     def phase(self, name: str) -> "_TimedPhase":
         return _TimedPhase(self, name)
@@ -184,11 +173,17 @@ class _TimedPhase:
         self._name = name
 
     def __enter__(self):
+        self._timer._open.append(self._name)
         self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc):
-        self._timer.record(self._name, time.perf_counter() - self._t0)
+        elapsed = time.perf_counter() - self._t0
+        open_phases = self._timer._open
+        open_phases.pop()
+        self._timer.record(self._name, elapsed)
+        if open_phases:
+            self._timer.record(open_phases[-1], -elapsed)
         return False
 
 

@@ -157,21 +157,15 @@ def dmd_patchwise(x_prev, x_next, n_x: int, n_y: int, patch=(8, 8),
     return PatchRank1(n_x, n_y, z_x, z_y, U, V, denoms)
 
 
-def update_motions(frames: np.ndarray, n_x: int, n_y: int, kind: str,
-                   zeta: float = 0.0, patch=(8, 8),
-                   flow_config: MMGKSConfig | None = None) -> list:
-    """Motion operators for transitions 1..T from a (T+1, n_s) trajectory."""
-    if kind not in ("off", "m1", "m2", "m3"):
-        raise ConfigError(f"update_motions: unknown motion kind {kind!r}")
+def fit_motion(prev, nxt, n_x: int, n_y: int, kind: str, zeta: float = 0.0,
+               patch=(8, 8), flow_config: MMGKSConfig | None = None):
+    """Motion operator for one transition, fitted so M prev ~ nxt."""
     if kind == "off":
-        return [Identity(n_x * n_y) for _ in range(frames.shape[0] - 1)]
-    ops = []
-    for i in range(1, frames.shape[0]):
-        prev, nxt = frames[i - 1], frames[i]
-        if kind == "m1":
-            ops.append(build_warp(estimate_velocity(prev, nxt, n_x, n_y, flow_config)))
-        elif kind == "m2":
-            ops.append(dmd_rank1(prev, nxt, zeta))
-        else:
-            ops.append(dmd_patchwise(prev, nxt, n_x, n_y, patch, zeta))
-    return ops
+        return Identity(n_x * n_y)
+    if kind == "m1":
+        return build_warp(estimate_velocity(prev, nxt, n_x, n_y, flow_config))
+    if kind == "m2":
+        return dmd_rank1(prev, nxt, zeta)
+    if kind == "m3":
+        return dmd_patchwise(prev, nxt, n_x, n_y, patch, zeta)
+    raise ConfigError(f"fit_motion: unknown motion kind {kind!r}")

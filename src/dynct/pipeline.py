@@ -1,12 +1,15 @@
 """Outer loop driving filter, smoother, motion re-estimation, and noise updates.
 
 One run executes n_iter passes. Each pass filters forward with the current
-transition operators and noise diagonals, smooths backward (with reduced
-covariances only when the noise update is enabled, since nothing else
-consumes them), rebuilds the motion operators from the smoothed trajectory,
-and then re-estimates the Q/R diagonals using those rebuilt operators. The
-pseudocode ordering matters: the noise update sees the new motion operators
-together with the moments computed under the previous parameters.
+transition operators and noise diagonals, then makes one backward sweep.
+At backward step i, as soon as x_{i-1}^sm exists, the sweep's hook refits
+the transition operator for step i from (x_{i-1}^sm, x_i^sm) and then
+re-estimates diag(R_i) and diag(Q_i) from the step's smoothed moments, using
+that new operator. The pseudocode ordering therefore holds: the noise update
+sees the new motion operators together with the moments computed under the
+previous parameters (the sweep itself runs on the previous motions at every
+step). Reduced covariances are formed only when the noise update is
+enabled, since nothing else consumes them.
 
 Method taxonomy: IRKFS (no updates), IRKFS-M1/M2/M3 (motion only),
 EMIRKFS (noise only), EMIRKFS-M1/M2/M3 (both). The (off, off) variant is a
@@ -14,10 +17,17 @@ fixed point: every pass reproduces the first bitwise.
 
 Memory protocol: all run-lifetime allocations are charged to a MemoryTracker.
 Full-space charges (trajectories, noise diagonals, motion payloads, the
-chunk scratch allowance) fall under the budgeted category; r x r covariance
-histories go to the reduced category, which is reported but not budgeted.
-Charges for arrays handed to the caller inside the RunRecord are released
-on return; the tracker keeps the peak.
+chunk scratch allowance) fall under the budgeted category; r x r charges
+(the filter's covariance history and the one step the smoother holds) go to
+the reduced category, which is reported but not budgeted. New motion
+operators and noise diagonals are charged as each backward step makes them,
+next to the previous set, which is released when the sweep ends. Charges
+for arrays handed to the caller inside the RunRecord are released on
+return; the tracker keeps the peak.
+
+Phase timing: the motion and em phases run inside the smoother phase;
+PhaseTimer keeps nested phases exclusive, so the phases of a pass add up to
+no more than its wall time.
 """
 
 from dataclasses import dataclass, field
@@ -35,7 +45,7 @@ from .linops import Identity, payload_nbytes
 from .metrics import (MemoryTracker, MetricsRow, NullTracker, PhaseTimer,
                       memory_budget_bytes, rre)
 from .mmgks import MMGKSConfig
-from .motion import update_motions
+from .motion import fit_motion
 from .prior import ProjectionBasis
 from .radon import SinogramSet
 from .smoothing import run_smoother
@@ -152,40 +162,6 @@ def record_rows(record: RunRecord) -> list:
     return rows
 
 
-def _charge_motions(ops, tracker) -> int:
-    total = sum(payload_nbytes(op) for op in ops)
-    tracker.add(total)
-    return total
-
-
-def _release_smoother_reduced(sm, tracker) -> None:
-    if sm.psi_sm is not None:
-        for p in sm.psi_sm:
-            tracker.release_reduced_array(p)
-    if sm.gains is not None:
-        for g in sm.gains:
-            tracker.release_reduced_array(g)
-
-
-def _em_pass(y_frames, h_ops, motions, filt, sm, basis, tracker) -> NoiseModel:
-    """Closed-form diagonal noise update from the smoothed moments."""
-    P = basis.P
-    q_new, r_new = [], []
-    for i in range(1, len(y_frames)):
-        try:
-            r_i = update_r_diag(y_frames[i], h_ops[i], sm.x_sm[i],
-                                sm.psi_sm[i], P)
-            q_i = update_q_diag(sm.x_sm[i - 1], sm.x_sm[i], sm.psi_sm[i - 1],
-                                sm.psi_sm[i], sm.gains[i - 1],
-                                filt.psi_est[i - 1], motions[i - 1], P)
-        except _WRAPPED as exc:
-            raise type(exc)(f"timestep {i}: {exc}") from exc
-        tracker.add(r_i.nbytes + q_i.nbytes)
-        r_new.append(r_i)
-        q_new.append(q_i)
-    return NoiseModel(q_diags=q_new, r_diags=r_new)
-
-
 def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
                 method: MethodSpec, motion_opts: MotionOptions | None = None,
                 truth: np.ndarray | None = None,
@@ -237,44 +213,62 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
     tracker.add_array(x0)
     tracker.add_reduced_array(psi0)
 
+    P = basis.P
     try:
         for j in range(1, method.n_iter + 1):
             timer = PhaseTimer()
+            new_motions = list(motions)
+            q_new = [None] * n_steps
+            r_new = [None] * n_steps
+
+            def refit(i, x_sm, psi_sm_prev, psi_sm_i, gain_i):
+                """Transition i's motion, then its noise, from the step's moments."""
+                try:
+                    if method.motion != "off":
+                        with timer.phase("motion"):
+                            new_motions[i - 1] = fit_motion(
+                                x_sm[i - 1], x_sm[i], n_x, n_y, method.motion,
+                                zeta=motion_opts.zeta, patch=motion_opts.patch,
+                                flow_config=motion_opts.flow)
+                        tracker.add(payload_nbytes(new_motions[i - 1]))
+                    if method.em:
+                        with timer.phase("em"):
+                            r_new[i - 1] = update_r_diag(
+                                y_frames[i], h_ops[i], x_sm[i], psi_sm_i, P)
+                            q_new[i - 1] = update_q_diag(
+                                x_sm[i - 1], x_sm[i], psi_sm_prev, psi_sm_i,
+                                gain_i, filt.psi_est[i - 1], new_motions[i - 1], P)
+                        tracker.add(r_new[i - 1].nbytes + q_new[i - 1].nbytes)
+                except _WRAPPED as exc:
+                    raise type(exc)(f"timestep {i}: {exc}") from exc
+
             try:
                 with timer.phase("filter"):
                     filt = run_filter(y_frames, h_ops, motions, noise, basis,
                                       x0, psi0, tracker)
                 with timer.phase("smoother"):
-                    sm = run_smoother(filt, motions, noise, basis,
-                                      with_covariance=method.em, tracker=tracker)
+                    x_sm = run_smoother(filt, motions, noise, basis,
+                                        with_covariance=method.em,
+                                        tracker=tracker, on_step=refit)
                 if method.motion != "off":
-                    with timer.phase("motion"):
-                        new_motions = update_motions(
-                            sm.x_sm, n_x, n_y, method.motion,
-                            zeta=motion_opts.zeta, patch=motion_opts.patch,
-                            flow_config=motion_opts.flow)
                     tracker.release(motion_bytes)
-                    motion_bytes = _charge_motions(new_motions, tracker)
+                    motion_bytes = sum(payload_nbytes(op) for op in new_motions)
                     motions = new_motions
                 if method.em:
-                    with timer.phase("em"):
-                        new_noise = _em_pass(y_frames, h_ops, motions, filt,
-                                             sm, basis, tracker)
                     tracker.release(noise.nbytes())
-                    noise = new_noise
+                    noise = NoiseModel(q_diags=q_new, r_diags=r_new)
             except _WRAPPED as exc:
                 raise type(exc)(f"outer iteration {j}: {exc}") from exc
 
             release_filter_result(filt, tracker)
-            _release_smoother_reduced(sm, tracker)
             # x_sm stays charged; the record owns it until the run returns.
-            record.trajectories.append(sm.x_sm)
+            record.trajectories.append(x_sm)
             record.phase_seconds.append(timer.seconds)
             if truth is not None:
                 record.rre.append(np.array(
-                    [rre(sm.x_sm[i], truth[i]) for i in range(n_steps + 1)]))
+                    [rre(x_sm[i], truth[i]) for i in range(n_steps + 1)]))
             if callback is not None:
-                callback(j, sm.x_sm)
+                callback(j, x_sm)
     finally:
         tracker.release(scratch + motion_bytes + noise.nbytes())
         tracker.release_array(x0)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .linops import SparseCSR
 
 _PARALLEL_EPS = 1e-12
@@ -158,7 +158,7 @@ def build_operators(geom: ScanGeometry) -> list[SparseCSR]:
 @dataclass
 class SinogramSet:
     """Stacked measurement data for one scan: sinograms[t] has length
-    |angles_t| * detector_count, ordered angle-major."""
+    |angles_t| * detector_count, ordered angle-major, with finite entries."""
 
     geometry: ScanGeometry
     sinograms: list[np.ndarray]
@@ -173,6 +173,8 @@ class SinogramSet:
                 raise ConfigError(
                     f"sinogram {t} has shape {y.shape}, expected ({self.geometry.frame_rows(t)},)"
                 )
+            if not np.isfinite(y).all():
+                raise NumericError(f"sinogram {t} has non-finite entries")
 
 
 def simulate_sinograms(frames, geom: ScanGeometry, noise_level, seed,

@@ -16,11 +16,15 @@ on r x r matrices with the same chunked Gramians the filter uses:
 
 The lag-one cross covariance is C_{i,i-1}^sm = P Psi_i^sm K_i Psi_{i-1}^est P^T,
 available in factored form and never assembled densely.
+
+No covariance history is kept.  Everything that consumes the smoothed
+moments of transition i (motion re-fit, M-step) needs only x_{i-1}^sm,
+x_i^sm, Psi_{i-1}^sm, Psi_i^sm and K_i, so run_smoother hands them to a
+per-step hook and then drops the step's two covariances and gain: the sweep
+holds O(r^2) reduced memory however long the sequence is.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,13 +34,6 @@ from .filtering import FilterResult, NoiseModel
 from .linops import LinearOperator
 from .metrics import MemoryTracker, NullTracker
 from .prior import ProjectionBasis
-
-
-@dataclass
-class SmootherResult:
-    x_sm: np.ndarray           # (T+1, n_s) smoothed means
-    psi_sm: list | None        # T+1 reduced covariances, or None
-    gains: list | None         # K_i for i = 1..T (gains[i-1]), or None
 
 
 def smooth_step(x_est_prev, psi_est_prev, x_pred_i, x_sm_i, psi_sm_i,
@@ -77,11 +74,16 @@ def smooth_step(x_est_prev, psi_est_prev, x_pred_i, x_sm_i, psi_sm_i,
 
 def run_smoother(filt: FilterResult, motions, noise: NoiseModel,
                  basis: ProjectionBasis, with_covariance: bool = False,
-                 tracker: MemoryTracker | None = None) -> SmootherResult:
-    """Backward pass from the last filtered state.
+                 tracker: MemoryTracker | None = None,
+                 on_step=None) -> np.ndarray:
+    """Backward pass from the last filtered state; returns the (T+1, n_s)
+    smoothed means.
 
-    Result arrays stay charged on the tracker; the caller releases them
-    (release_smoother_result) when it drops the SmootherResult.
+    on_step(i, x_sm, psi_sm_prev, psi_sm_i, K_i), when given, fires at each
+    backward step i = T..1 right after x_sm[i-1] is formed.  The covariance
+    arguments are None unless with_covariance is set; they are dropped once
+    the hook returns, so the hook copies what it keeps.  x_sm stays charged
+    on the tracker; the caller releases it when it drops the array.
     """
     tracker = tracker or NullTracker()
     n_steps = noise.n_steps
@@ -91,41 +93,22 @@ def run_smoother(filt: FilterResult, motions, noise: NoiseModel,
 
     x_sm = tracker.add_array(np.zeros_like(filt.x_est))
     x_sm[n_steps] = filt.x_est[n_steps]
-    psi_sm = None
-    gains = None
+    psi_i = None
     if with_covariance:
-        psi_sm = [None] * (n_steps + 1)
-        psi_sm[n_steps] = tracker.add_reduced_array(filt.psi_est[n_steps].copy())
-        gains = [None] * n_steps
+        psi_i = tracker.add_reduced_array(filt.psi_est[n_steps].copy())
 
     for i in range(n_steps, 0, -1):
-        psi_i = psi_sm[i] if with_covariance else None
-        xs, ps, K = smooth_step(
+        x_sm[i - 1], psi_prev, K = smooth_step(
             filt.x_est[i - 1], filt.psi_est[i - 1], filt.x_pred[i], x_sm[i],
             psi_i, motions[i - 1], noise.q_diags[i - 1], P, with_covariance)
-        x_sm[i - 1] = xs
         if with_covariance:
-            psi_sm[i - 1] = tracker.add_reduced_array(ps)
-            gains[i - 1] = tracker.add_reduced_array(K)
+            tracker.add_reduced(psi_prev.nbytes + K.nbytes)
+        if on_step is not None:
+            on_step(i, x_sm, psi_prev, psi_i, K)
+        if with_covariance:
+            tracker.release_reduced(psi_i.nbytes + K.nbytes)
+        psi_i = psi_prev
 
-    return SmootherResult(x_sm=x_sm, psi_sm=psi_sm, gains=gains)
-
-
-def release_smoother_result(sm: SmootherResult, tracker: MemoryTracker) -> None:
-    """Return the tracker charge taken out by run_smoother."""
-    tracker.release_array(sm.x_sm)
-    if sm.psi_sm is not None:
-        for p in sm.psi_sm:
-            tracker.release_reduced_array(p)
-    if sm.gains is not None:
-        for g in sm.gains:
-            tracker.release_reduced_array(g)
-
-
-def cross_covariance_factors(psi_sm_i, K_i, psi_est_prev, P):
-    """Factors (L, R) with C_{i,i-1}^sm = L @ R.T in full space.
-
-    Materializes two n_s x r blocks; intended for oracle-scale checks, not
-    the chunked EM path (which consumes the reduced factors directly).
-    """
-    return P @ psi_sm_i, P @ (psi_est_prev @ K_i.T)
+    if with_covariance:
+        tracker.release_reduced_array(psi_i)
+    return x_sm

@@ -1,11 +1,14 @@
 """Shared builders for the test suite."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from dynct.filtering import initial_noise, static_init
 from dynct.phantom import default_blocks_config, generate_frames
 from dynct.prior import PriorConfig, build_projection
 from dynct.radon import build_operators, make_geometry, simulate_sinograms
+from dynct.smoothing import run_smoother
 
 
 def build_problem(n_x=12, n_y=12, n_steps=4, n_angles=5, sigma=0.05,
@@ -35,6 +38,26 @@ def build_problem(n_x=12, n_y=12, n_steps=4, n_angles=5, sigma=0.05,
         "h_dense": [op.to_dense() for op in h_ops],
         "n_s": n_s, "n_steps": n_steps,
     }
+
+
+def smoothed_moments(filt, motions, noise, basis, tracker=None):
+    """run_smoother with covariances, keeping what its per-step hook sees.
+
+    Returns a namespace with x_sm, psi_sm (the T+1 smoothed reduced
+    covariances) and gains (gains[i-1] = K_i), for checks against the dense
+    oracles; the smoother itself keeps none of these histories.
+    """
+    psi_sm = [None] * (noise.n_steps + 1)
+    gains = [None] * noise.n_steps
+
+    def keep(i, x_sm, psi_sm_prev, psi_sm_i, gain_i):
+        psi_sm[i - 1] = psi_sm_prev.copy()
+        psi_sm[i] = psi_sm_i.copy()
+        gains[i - 1] = gain_i.copy()
+
+    x_sm = run_smoother(filt, motions, noise, basis, with_covariance=True,
+                        tracker=tracker, on_step=keep)
+    return SimpleNamespace(x_sm=x_sm, psi_sm=psi_sm, gains=gains)
 
 
 def dense_noise(problem):

@@ -128,3 +128,9 @@ def dense_se_covariance(n_x, n_y, alpha, ell):
 def projected_posterior_cov(P, psi):
     """Full-space covariance represented by a reduced factor pair."""
     return P @ psi @ P.T
+
+
+def cross_covariance_factors(psi_sm_i, K_i, psi_est_prev, P):
+    """Factors (L, R) with C_{i,i-1}^sm = L @ R.T in full space, from the
+    smoother's reduced quantities (Psi_i^sm K_i Psi_{i-1}^est)."""
+    return P @ psi_sm_i, P @ (psi_est_prev @ K_i.T)

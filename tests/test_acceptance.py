@@ -8,8 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from dynct.em import (update_q_dense_full, update_q_diag, update_r_dense_full,
-                      update_r_diag)
+from dynct.em import update_q_diag, update_r_diag
 from dynct.filtering import run_filter, smw_apply
 from dynct.linops import Identity, SparseCSR
 from dynct.metrics import MemoryTracker, memory_budget_bytes, noise_level
@@ -19,11 +18,11 @@ from dynct.phantom import default_blocks_config, generate_frames
 from dynct.pipeline import MotionOptions, parse_method, run_emirkfs
 from dynct.prior import PriorConfig, build_projection
 from dynct.radon import build_operators, make_geometry, simulate_sinograms
-from dynct.smoothing import cross_covariance_factors, run_smoother
 
-from helpers import build_problem, dense_noise, rel_err
-from oracles import (dense_expected_loglik, dense_irls, dense_kalman_filter,
-                     dense_q_update, dense_r_update, dense_rts_smoother,
+from helpers import build_problem, dense_noise, rel_err, smoothed_moments
+from oracles import (cross_covariance_factors, dense_expected_loglik,
+                     dense_irls, dense_kalman_filter, dense_q_update,
+                     dense_r_update, dense_rts_smoother,
                      dense_cross_covariances)
 
 
@@ -40,8 +39,7 @@ def small():
     motions = [Identity(prob["n_s"]) for _ in range(prob["n_steps"])]
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
                       prob["noise"], prob["basis"], prob["x0"], prob["psi0"])
-    sm = run_smoother(filt, motions, prob["noise"], prob["basis"],
-                      with_covariance=True)
+    sm = smoothed_moments(filt, motions, prob["noise"], prob["basis"])
     P = prob["basis"].P
     q_covs, r_covs = dense_noise(prob)
     c0 = P @ prob["psi0"] @ P.T
@@ -124,8 +122,7 @@ def test_criterion_04_em_mstep_oracle_and_monotone_objective():
     motions = [Identity(9) for _ in range(4)]
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
                       prob["noise"], prob["basis"], prob["x0"], prob["psi0"])
-    sm = run_smoother(filt, motions, prob["noise"], prob["basis"],
-                      with_covariance=True)
+    sm = smoothed_moments(filt, motions, prob["noise"], prob["basis"])
     P = prob["basis"].P
     for i in range(1, 5):
         cov_sm_i = P @ sm.psi_sm[i] @ P.T
@@ -174,11 +171,11 @@ def test_criterion_04_em_mstep_oracle_and_monotone_objective():
             assert g_now - g_prev >= -1e-9
         # M-step with the same moments; G evaluated at the new (Q, R) must
         # also not drop below the old value
-        q_covs = [update_q_dense_full(sm_means[i - 1], sm_means[i],
-                                      sm_covs[i - 1], sm_covs[i],
-                                      cross[i - 1], m_op)
+        q_covs = [dense_q_update(sm_means[i - 1], sm_means[i],
+                                 sm_covs[i - 1], sm_covs[i], cross[i - 1],
+                                 m_op)
                   for i in range(1, T + 1)]
-        r_covs = [update_r_dense_full(ys[i], h, sm_means[i], sm_covs[i])
+        r_covs = [dense_r_update(ys[i], h, sm_means[i], sm_covs[i])
                   for i in range(1, T + 1)]
         g_prev = dense_expected_loglik(ys, h_mats, motions, q_covs, r_covs,
                                        sm_means, sm_covs, cross, mu0, sigma0)

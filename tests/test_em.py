@@ -5,16 +5,14 @@ import numpy as np
 import pytest
 
 from dynct.em import (FLOOR_ABS, expected_loglik, update_q_dense,
-                      update_q_dense_full, update_q_diag, update_r_dense,
-                      update_r_dense_full, update_r_diag)
+                      update_q_diag, update_r_dense, update_r_diag)
 from dynct.errors import ConfigError, NumericError
 from dynct.filtering import run_filter
 from dynct.linops import Identity, SparseCSR
-from dynct.smoothing import cross_covariance_factors, run_smoother
-from helpers import build_problem, dense_noise, rel_err
-from oracles import (dense_cross_covariances, dense_kalman_filter,
-                     dense_q_update, dense_r_update, dense_rts_smoother,
-                     projected_posterior_cov)
+from helpers import build_problem, dense_noise, rel_err, smoothed_moments
+from oracles import (cross_covariance_factors, dense_cross_covariances,
+                     dense_kalman_filter, dense_q_update, dense_r_update,
+                     dense_rts_smoother, projected_posterior_cov)
 
 
 def _smoothed_problem(**kw):
@@ -26,8 +24,7 @@ def _smoothed_problem(**kw):
                for _ in range(prob["n_steps"])]
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
                       prob["noise"], prob["basis"], prob["x0"], prob["psi0"])
-    sm = run_smoother(filt, motions, prob["noise"], prob["basis"],
-                      with_covariance=True)
+    sm = smoothed_moments(filt, motions, prob["noise"], prob["basis"])
     return prob, motions, filt, sm
 
 
@@ -67,8 +64,7 @@ def test_q_update_matches_fully_dense_rts_chain():
     motions_op = [Identity(prob["n_s"])] * prob["n_steps"]
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions_op,
                       prob["noise"], prob["basis"], prob["x0"], prob["psi0"])
-    sm = run_smoother(filt, motions_op, prob["noise"], prob["basis"],
-                      with_covariance=True)
+    sm = smoothed_moments(filt, motions_op, prob["noise"], prob["basis"])
     q_covs, r_covs = dense_noise(prob)
     motions = [np.eye(prob["n_s"])] * prob["n_steps"]
     P = prob["basis"].P
@@ -221,11 +217,11 @@ def test_loglik_em_mstep_monotone_dense():
         g_old = expected_loglik(ys, h_mats, motions, q_covs, r_covs,
                                 np.asarray(sm_means), sm_covs, crosses,
                                 x0_mean, cov0)
-        q_new = [update_q_dense_full(sm_means[i - 1], sm_means[i],
-                                     sm_covs[i - 1], sm_covs[i],
-                                     crosses[i - 1], motions[i - 1])
+        q_new = [dense_q_update(sm_means[i - 1], sm_means[i],
+                                sm_covs[i - 1], sm_covs[i],
+                                crosses[i - 1], motions[i - 1])
                  for i in range(1, T + 1)]
-        r_new = [update_r_dense_full(ys[i], h, sm_means[i], sm_covs[i])
+        r_new = [dense_r_update(ys[i], h, sm_means[i], sm_covs[i])
                  for i in range(1, T + 1)]
         g_new = expected_loglik(ys, h_mats, motions, q_new, r_new,
                                 np.asarray(sm_means), sm_covs, crosses,

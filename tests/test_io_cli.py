@@ -233,6 +233,17 @@ def test_reconstruct_mismatched_config(sim_run, tmp_path, capsys):
     assert "does not match config" in capsys.readouterr().err
 
 
+def test_reconstruct_non_finite_sinogram_exits_4(sim_run, capsys):
+    cfg, data = sim_run
+    base = os.path.join(data, "sinograms")
+    sino = read_array(base)
+    sino[2, 5] = np.nan
+    write_array(base, sino)
+    assert main(["reconstruct", cfg, data]) == 4
+    assert "non-finite" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(data, "IRKFS"))
+
+
 def test_reconstruct_custom_out_dir(sim_run, tmp_path):
     cfg, data = sim_run
     out = str(tmp_path / "elsewhere")

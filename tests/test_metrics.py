@@ -1,5 +1,7 @@
 """Error metrics, tracker arithmetic, and the metrics CSV round-trip."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,14 +78,6 @@ def test_tracker_two_categories():
     assert tr.current_bytes == 0
 
 
-def test_tracker_block_context():
-    tr = MemoryTracker()
-    with tr.block(np.zeros(4), np.zeros(6)):
-        assert tr.current_bytes == 80
-    assert tr.current_bytes == 0
-    assert tr.peak_bytes == 80
-
-
 def test_null_tracker_counts_nothing():
     tr = NullTracker()
     tr.add(100)
@@ -111,6 +105,19 @@ def test_phase_timer_accumulates():
     timer.record("b", 0.25)
     assert timer.seconds["a"] >= 1.5
     assert timer.seconds["b"] == 0.25
+
+
+def test_phase_timer_nested_phases_are_exclusive():
+    timer = PhaseTimer()
+    t0 = time.perf_counter()
+    with timer.phase("outer"):
+        for _ in range(2):
+            with timer.phase("inner"):
+                time.sleep(0.02)
+    wall = time.perf_counter() - t0
+    assert timer.seconds["inner"] >= 0.04
+    assert 0.0 <= timer.seconds["outer"] < timer.seconds["inner"]
+    assert sum(timer.seconds.values()) <= wall
 
 
 def test_metrics_csv_round_trip(tmp_path):

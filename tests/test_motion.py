@@ -7,8 +7,8 @@ from dynct.errors import ConfigError, NumericError
 from dynct.linops import Identity
 from dynct.mmgks import MMGKSConfig
 from dynct.motion import (VelocityField, build_warp, dmd_patchwise, dmd_rank1,
-                          estimate_velocity, flow_regularizer, ofc_system,
-                          update_motions)
+                          estimate_velocity, fit_motion, flow_regularizer,
+                          ofc_system)
 from dynct.phantom import default_blocks_config, generate_frames
 from helpers import rel_err
 
@@ -214,17 +214,16 @@ def test_patchwise_validation():
 # -- trajectory-level construction -------------------------------------------
 
 def test_update_motions_off_gives_identity():
-    frames = np.zeros((4, 9))
-    ops = update_motions(frames, 3, 3, "off")
-    assert len(ops) == 3
-    assert all(isinstance(op, Identity) for op in ops)
+    op = fit_motion(np.zeros(9), np.ones(9), 3, 3, "off")
+    assert isinstance(op, Identity)
+    assert op.shape == (9, 9)
 
 
 def test_update_motions_m2_exact_on_phantom():
     frames = generate_frames(default_blocks_config(16, 16, n_steps=3, seed=0))
     flat = frames.reshape(4, -1)
-    ops = update_motions(flat, 16, 16, "m2", zeta=0.0)
-    for i, op in enumerate(ops, start=1):
+    for i in range(1, 4):
+        op = fit_motion(flat[i - 1], flat[i], 16, 16, "m2", zeta=0.0)
         assert rel_err(op.apply(flat[i - 1]), flat[i]) <= 1e-12
 
 
@@ -232,12 +231,12 @@ def test_update_motions_m1_tracks_shift_phantom():
     n, T = 16, 3
     base = _blob(n, 7, 5, width=2.5)
     flat = np.stack([np.roll(base, t, axis=1).ravel() for t in range(T + 1)])
-    ops = update_motions(flat, n, n, "m1")
-    for i, op in enumerate(ops, start=1):
+    for i in range(1, T + 1):
+        op = fit_motion(flat[i - 1], flat[i], n, n, "m1")
         err = rel_err(op.apply(flat[i - 1]), flat[i])
         assert err <= 0.3, (i, err)
 
 
 def test_update_motions_unknown_kind():
     with pytest.raises(ConfigError):
-        update_motions(np.zeros((2, 4)), 2, 2, "m9")
+        fit_motion(np.zeros(4), np.zeros(4), 2, 2, "m9")

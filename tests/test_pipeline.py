@@ -1,5 +1,7 @@
 """Outer-loop orchestration: method parsing, iteration protocol, records."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,17 @@ def test_phase_keys_follow_method():
     assert set(rec_all.phase_seconds[0]) == {"filter", "smoother", "motion", "em"}
 
 
+def test_phase_seconds_fit_in_the_pass():
+    # motion and em run inside the smoother sweep; counting them under
+    # "smoother" too would overstate the pass in metrics.csv and evaluate
+    stamps = []
+    _, record = _run("EMIRKFS-M1", n_iter=2,
+                     callback=lambda j, traj: stamps.append(time.perf_counter()))
+    pass_wall = stamps[1] - stamps[0]
+    assert min(record.phase_seconds[1].values()) >= 0.0
+    assert sum(record.phase_seconds[1].values()) <= pass_wall
+
+
 def test_callback_sees_each_iteration():
     seen = []
     _run("IRKFS-M2", n_iter=3, callback=lambda j, traj: seen.append((j, traj.shape)))
@@ -121,6 +134,14 @@ def test_tracker_balances_and_peaks():
     assert record.peak_bytes == tracker.peak_bytes > 0
     assert record.peak_reduced_bytes == tracker.peak_reduced_bytes > 0
     assert record.budget_bytes > 0
+
+
+def test_em_reduced_peak_holds_one_smoother_step():
+    # filter history (T+1), initial covariance (1), smoother step (3), plus
+    # one spare; histories of smoothed covariances and gains would not fit
+    prob, record = _run("EMIRKFS-M2", n_iter=2, tracker=MemoryTracker())
+    T, r = prob["n_steps"], prob["basis"].rank
+    assert 0 < record.peak_reduced_bytes <= (T + 6) * r * r * 8
 
 
 def test_truth_optional():

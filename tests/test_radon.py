@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from dynct.errors import ConfigError
+from dynct.errors import ConfigError, NumericError
 from dynct.metrics import noise_level
 from dynct.phantom import default_blocks_config, generate_frames
-from dynct.radon import (ScanGeometry, build_operator, build_operators,
-                         default_detector_count, make_geometry,
-                         simulate_sinograms)
+from dynct.radon import (ScanGeometry, SinogramSet, build_operator,
+                         build_operators, default_detector_count,
+                         make_geometry, simulate_sinograms)
 
 
 def test_geometry_shapes_and_rotation():
@@ -115,3 +115,13 @@ def test_geometry_validation():
         make_geometry(8, 8, 0, 2)
     with pytest.raises(ConfigError):
         make_geometry(8, 8, 3, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sinogram_set_rejects_non_finite(bad):
+    geom = make_geometry(8, 8, 3, 2)
+    sino = simulate_sinograms(np.ones((2, 64)), geom, 0.01, seed=0)
+    frames = [y.copy() for y in sino.sinograms]
+    frames[1][3] = bad
+    with pytest.raises(NumericError, match="sinogram 1"):
+        SinogramSet(geometry=geom, sinograms=frames, noise_level=0.01, seed=0)

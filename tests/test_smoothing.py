@@ -7,20 +7,19 @@ from dynct.errors import ConfigError
 from dynct.filtering import NoiseModel, run_filter
 from dynct.linops import Identity
 from dynct.metrics import MemoryTracker, rre
-from dynct.smoothing import (cross_covariance_factors, release_smoother_result,
-                             run_smoother, smooth_step)
-from helpers import build_problem, dense_noise, rel_err
-from oracles import (dense_cross_covariances, dense_kalman_filter,
-                     dense_rts_smoother, projected_posterior_cov)
+from dynct.smoothing import run_smoother, smooth_step
+from helpers import build_problem, dense_noise, rel_err, smoothed_moments
+from oracles import (cross_covariance_factors, dense_cross_covariances,
+                     dense_kalman_filter, dense_rts_smoother,
+                     projected_posterior_cov)
 
 
-def _smoothed(prob, with_covariance=True, tracker=None):
+def _smoothed(prob, tracker=None):
     motions = [Identity(prob["n_s"]) for _ in range(prob["n_steps"])]
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
                       prob["noise"], prob["basis"], prob["x0"], prob["psi0"])
-    sm = run_smoother(filt, motions, prob["noise"], prob["basis"],
-                      with_covariance=with_covariance, tracker=tracker)
-    return filt, sm
+    return filt, smoothed_moments(filt, motions, prob["noise"], prob["basis"],
+                                  tracker)
 
 
 def _dense(prob):
@@ -40,10 +39,13 @@ def prob():
 
 
 def test_means_match_dense_rts(prob):
-    _, sm = _smoothed(prob, with_covariance=False)
+    motions = [Identity(prob["n_s"]) for _ in range(prob["n_steps"])]
+    filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
+                      prob["noise"], prob["basis"], prob["x0"], prob["psi0"])
+    x_sm = run_smoother(filt, motions, prob["noise"], prob["basis"])
     sm_means, _, _ = _dense(prob)
     for i in range(prob["n_steps"] + 1):
-        assert rel_err(sm.x_sm[i], sm_means[i]) <= 1e-8, f"step {i}"
+        assert rel_err(x_sm[i], sm_means[i]) <= 1e-8, f"step {i}"
 
 
 def test_covariances_match_dense_rts(prob):
@@ -93,13 +95,30 @@ def test_large_q_decouples_cross_covariance():
     motions = [Identity(n_s) for _ in range(prob["n_steps"])]
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
                       noise, prob["basis"], prob["x0"], prob["psi0"])
-    sm = run_smoother(filt, motions, noise, prob["basis"], with_covariance=True)
+    sm = smoothed_moments(filt, motions, noise, prob["basis"])
     P = prob["basis"].P
     for i in range(1, prob["n_steps"] + 1):
         L, R = cross_covariance_factors(sm.psi_sm[i], sm.gains[i - 1],
                                         filt.psi_est[i - 1], P)
         c_sm = projected_posterior_cov(P, sm.psi_sm[i])
         assert np.linalg.norm(L @ R.T) <= 1e-4 * np.linalg.norm(c_sm), f"step {i}"
+
+
+def test_on_step_fires_backward_after_each_mean(prob):
+    motions = [Identity(prob["n_s"]) for _ in range(prob["n_steps"])]
+    filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
+                      prob["noise"], prob["basis"], prob["x0"], prob["psi0"])
+    seen = []
+
+    def hook(i, x_sm, psi_sm_prev, psi_sm_i, gain_i):
+        seen.append((i, x_sm[i - 1].copy(), psi_sm_prev, psi_sm_i, gain_i))
+
+    x_sm = run_smoother(filt, motions, prob["noise"], prob["basis"],
+                        on_step=hook)
+    assert [step[0] for step in seen] == list(range(prob["n_steps"], 0, -1))
+    for i, x_prev, *covariances in seen:
+        np.testing.assert_array_equal(x_prev, x_sm[i - 1])
+        assert covariances == [None, None, None]
 
 
 def test_zero_smoothing_innovation_keeps_filter_estimate(prob):
@@ -127,9 +146,9 @@ def test_smoother_does_not_worsen_consistent_data():
     from dynct.filtering import static_init
     x0, psi0 = static_init(h_ops[0], prob["basis"], ys[0])
     filt = run_filter(ys, h_ops, motions, noise, prob["basis"], x0, psi0)
-    sm = run_smoother(filt, motions, noise, prob["basis"])
+    x_sm = run_smoother(filt, motions, noise, prob["basis"])
     rre_est = sum(rre(filt.x_est[i], truth) for i in range(T + 1))
-    rre_sm = sum(rre(sm.x_sm[i], truth) for i in range(T + 1))
+    rre_sm = sum(rre(x_sm[i], truth) for i in range(T + 1))
     assert rre_sm <= rre_est + 1e-12
 
 
@@ -148,8 +167,10 @@ def test_count_validation(prob):
 
 def test_tracker_balance(prob):
     tracker = MemoryTracker()
-    _, sm = _smoothed(prob, with_covariance=True, tracker=tracker)
+    _, sm = _smoothed(prob, tracker=tracker)
     assert tracker.current_bytes == sm.x_sm.nbytes
-    release_smoother_result(sm, tracker)
+    tracker.release_array(sm.x_sm)
     assert tracker.current_bytes == 0
-    assert tracker.peak_reduced_bytes > 0
+    # one step at a time: Psi_i^sm, Psi_{i-1}^sm and K_i, never a history
+    r = prob["basis"].rank
+    assert tracker.peak_reduced_bytes == 3 * r * r * 8
