@@ -13,8 +13,9 @@ import csv
 import math
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dynct.metrics import MemoryTracker
 from dynct.phantom import default_blocks_config, generate_frames

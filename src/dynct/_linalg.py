@@ -36,23 +36,13 @@ def weighted_gram(X: np.ndarray, w: np.ndarray, Y: np.ndarray | None = None) -> 
 
 
 def motion_gram_triple(motion, P: np.ndarray, w: np.ndarray):
-    """(G_MM, G_MP, G_PP) for the weighted products of M P and P.
+    """(G_MM, G_MP, G_PP) for the weighted products of M P and P:
 
     G_MM = (MP)^T diag(w) (MP), G_MP = (MP)^T diag(w) P,
-    G_PP = P^T diag(w) P, with M P generated row-chunk by row-chunk via
-    ``apply_block_rows`` so no full n_s x r product is ever held.
+    G_PP = P^T diag(w) P, each formed by the motion operator's own
+    ``gram_triple`` (row-chunked or closed form, never a full M P).
     """
-    n_s, r = P.shape
-    g_mm = np.zeros((r, r))
-    g_mp = np.zeros((r, r))
-    g_pp = np.zeros((r, r))
-    for rows in row_chunks(n_s, r):
-        mp = motion.apply_block_rows(P, rows)
-        mpw = mp * w[rows, None]
-        g_mm += mpw.T @ mp
-        g_mp += mpw.T @ P[rows]
-        g_pp += (P[rows] * w[rows, None]).T @ P[rows]
-    return g_mm, g_mp, g_pp
+    return motion.gram_triple(P, w)
 
 
 def op_gram(op, P: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:

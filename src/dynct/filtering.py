@@ -2,14 +2,18 @@
 
 States live in the span of the basis columns P (n_s x r).  Every filter
 quantity that matters is an r x r matrix or an r vector, and the full-space
-products M_i P and H_i P are never materialized: the three weighted
-Gramians
+products M_i P and H_i P are never materialized. The motion operator forms
+the three weighted Gramians
 
     G_MM = (M P)^T Q^{-1} (M P),  G_MP = (M P)^T Q^{-1} P,  G_PP = P^T Q^{-1} P
 
-are accumulated row-chunk by row-chunk (``apply_block_rows``), and every
-vector contraction against M P or H P goes through the operator adjoint,
-e.g. (H P)^T v = P^T (H^T v).  Predicted covariances, which are
+itself (``gram_triple``): Identity computes one Gram and returns it for all
+three, Rank1 and PatchRank1 use closed forms in their (per-patch)
+coefficients, and sparse operators (SparseCSR, Warp) accumulate them
+row-chunk by row-chunk (``apply_block_rows``), as does G_H for the
+observation operator. Every vector contraction against M P or H P goes
+through the operator adjoint, e.g. (H P)^T v = P^T (H^T v).  Predicted
+covariances, which are
 C_i^p = B_i B_i^T + Q_i with B_i = M_i P A_{i-1} (A the PSD square root of
 the previous reduced covariance), thus never exist as arrays: with
 S = A^T G_MM A + I the Woodbury identity gives

@@ -1,13 +1,19 @@
 """Matrix-free linear operators used throughout the package.
 
-The operator protocol is three methods, and every operator implements all
+The operator protocol is four methods. Every operator implements the first
 three itself:
 
 - ``apply(x)``: forward product ``op @ x``.
 - ``apply_transpose(y)``: exact adjoint of the same coefficients.
 - ``apply_block_rows(X, rows)``: rows ``rows`` of ``op @ X``, formed by the
-  operator's own row kernel without the full product. The filter, smoother
-  and M-step fold these row chunks straight into r x r Gramians.
+  operator's own row kernel without the full product. The observation
+  Gramians and the M-step fold these row chunks straight into r x r
+  matrices.
+- ``gram_triple(P, w)``: the three weighted Gramians of ``op P`` and ``P``
+  that the filter and smoother need for a motion operator. The base class
+  folds row chunks of ``op P`` into them, which ``SparseCSR`` and ``Warp``
+  use. ``Identity`` forms one Gram and returns it three times; ``Rank1``
+  and ``PatchRank1`` use closed forms in their (per-patch) coefficients.
 
 There is no column-loop fallback: an operator without a row kernel raises
 ``NotImplementedError``. ``to_dense`` is ``apply_block_rows`` on the
@@ -22,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from ._linalg import row_chunks, weighted_gram
 from .errors import ConfigError
 
 # Largest state dimension for which dense materialization is permitted.
@@ -51,7 +58,8 @@ def to_patches(x, n_x, n_y, z_x, z_y):
 
 
 class LinearOperator:
-    """Base class: shape (m, n) and the three methods every operator implements."""
+    """Base class: shape (m, n), the three methods every operator implements
+    and the row-chunked Gram triple."""
 
     shape: tuple[int, int]
 
@@ -64,6 +72,25 @@ class LinearOperator:
     def apply_block_rows(self, X: np.ndarray, rows: slice) -> np.ndarray:
         """Rows ``rows`` of ``op @ X`` without holding the full product."""
         raise NotImplementedError(f"{type(self).__name__} has no row kernel")
+
+    def gram_triple(self, P: np.ndarray, w: np.ndarray):
+        """(G_MM, G_MP, G_PP) of a square operator M = op and weights w:
+
+        G_MM = (MP)^T diag(w) (MP), G_MP = (MP)^T diag(w) P,
+        G_PP = P^T diag(w) P, with M P generated row-chunk by row-chunk via
+        ``apply_block_rows`` so no full n_s x r product is ever held.
+        """
+        n_s, r = P.shape
+        g_mm = np.zeros((r, r))
+        g_mp = np.zeros((r, r))
+        g_pp = np.zeros((r, r))
+        for rows in row_chunks(n_s, r):
+            mp = self.apply_block_rows(P, rows)
+            mpw = mp * w[rows, None]
+            g_mm += mpw.T @ mp
+            g_mp += mpw.T @ P[rows]
+            g_pp += (P[rows] * w[rows, None]).T @ P[rows]
+        return g_mm, g_mp, g_pp
 
     def to_dense(self) -> np.ndarray:
         if max(self.shape) > DENSE_LIMIT:
@@ -115,6 +142,12 @@ class Identity(LinearOperator):
     def apply_block_rows(self, X, rows):
         return _as_block(X, self.shape[1])[rows].copy()
 
+    def gram_triple(self, P, w):
+        """M P = P, so all three Gramians are P^T diag(w) P: one Gram,
+        returned three times (the same array; callers must not mutate it)."""
+        g = weighted_gram(_as_block(P, self.shape[1]), w)
+        return g, g, g
+
 
 class Rank1(LinearOperator):
     """x -> u * (v @ x) / denom with denom > 0."""
@@ -138,6 +171,15 @@ class Rank1(LinearOperator):
     def apply_block_rows(self, X, rows):
         coef = (self.v @ _as_block(X, self.shape[1])) / self.denom
         return self.u[rows, None] * coef[None, :]
+
+    def gram_triple(self, P, w):
+        """M P = u c^T with c = P^T v / denom, so
+        G_MM = (sum w u^2) c c^T and G_MP = c ((w u)^T P)."""
+        P = _as_block(P, self.shape[1])
+        coef = (self.v @ P) / self.denom
+        wu = w * self.u
+        return ((wu @ self.u) * np.outer(coef, coef), np.outer(coef, wu @ P),
+                weighted_gram(P, w))
 
 
 class PatchRank1(LinearOperator):
@@ -188,24 +230,43 @@ class PatchRank1(LinearOperator):
         coef = np.einsum("ij,ij->i", self.U, P) / self.denoms
         return self._from_patches(self.V * coef[:, None])
 
+    def _patch_sums(self, W, X, lo, hi):
+        """Rows sum_{i in j} W[j, i] X_i for the patches j in patch-row bands
+        lo:hi, W in patch-row layout; contracts over views of X (no copy)."""
+        k = X.shape[1]
+        bx, by = self.n_x // self.z_x, self.n_y // self.z_y
+        sums = np.einsum("abcd,acbdk->abk",
+                         W.reshape(bx, by, self.z_x, self.z_y)[lo:hi],
+                         X.reshape(bx, self.z_x, by, self.z_y, k)[lo:hi])
+        return sums.reshape((hi - lo) * by, k)
+
     def apply_block_rows(self, X, rows):
         """Row i of op @ X is u[i] * (v_j @ X_j) / d_j, j the patch of row i.
 
         The coefficients are formed only for the bands of patches that
-        ``rows`` touches, contracting over views of X (no copy of X).
+        ``rows`` touches.
         """
         X = _as_block(X, self.shape[1])
-        k = X.shape[1]
         bx, by = self.n_x // self.z_x, self.n_y // self.z_y
         ix, iy = np.divmod(np.arange(self.shape[0])[rows], self.n_y)
         px, py = ix // self.z_x, iy // self.z_y
         lo, hi = (px.min(), px.max() + 1) if px.size else (0, 0)
-        coef = np.einsum("abcd,acbdk->abk",
-                         self.V.reshape(bx, by, self.z_x, self.z_y)[lo:hi],
-                         X.reshape(bx, self.z_x, by, self.z_y, k)[lo:hi])
-        coef = coef.reshape((hi - lo) * by, k) / self.denoms[lo * by:hi * by, None]
+        coef = self._patch_sums(self.V, X, lo, hi) / self.denoms[lo * by:hi * by, None]
         u = self.U.reshape(bx, by, self.z_x, self.z_y)[px, py, ix % self.z_x, iy % self.z_y]
         return u[:, None] * coef[(px - lo) * by + py]
+
+    def gram_triple(self, P, w):
+        """Row i of M P is u_i c_j, j the patch of row i and C the
+        (n_patches, r) coefficients, so with a_j = sum_{i in j} w_i u_i^2 and
+        B_j = sum_{i in j} w_i u_i P_i: G_MM = C^T diag(a) C, G_MP = C^T B.
+        That costs O(n_s r + n_patches r^2) on top of G_PP."""
+        P = _as_block(P, self.shape[1])
+        bx = self.n_x // self.z_x
+        coef = self._patch_sums(self.V, P, 0, bx) / self.denoms[:, None]
+        wu = self.U * self._to_patches(w)
+        a = np.einsum("ij,ij->i", wu, self.U)
+        return (coef.T @ (a[:, None] * coef), coef.T @ self._patch_sums(wu, P, 0, bx),
+                weighted_gram(P, w))
 
 
 class Warp(SparseCSR):

@@ -189,6 +189,8 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
         truth = np.asarray(truth, dtype=float)
         if truth.shape != (n_steps + 1, n_s):
             raise ConfigError("run_emirkfs: truth shape disagrees with the run")
+        if not np.all(np.isfinite(truth)):
+            raise NumericError("run_emirkfs: truth holds non-finite values")
 
     m_t = max((op.shape[0] for op in h_ops[1:]), default=0)
     record = RunRecord(

@@ -7,7 +7,7 @@ d = x_i^sm - x_i^p and the Woodbury expansion of (C_i^p)^{-1},
 
 where (M P)^T v = P^T (M^T v) and (C_i^p)^{-1} d unrolls to diagonal scalings
 plus r-vector solves.  Covariance quantities (needed by the EM updates) run
-on r x r matrices with the same chunked Gramians the filter uses:
+on r x r matrices with the same operator-formed Gramians the filter uses:
 
     gain                 K_i = P^T (C_i^p)^{-1} (M_i P)
     Psi_{i-1}^sm = Psi_{i-1}^est

@@ -244,6 +244,17 @@ def test_reconstruct_non_finite_sinogram_exits_4(sim_run, capsys):
     assert not os.path.exists(os.path.join(data, "IRKFS"))
 
 
+def test_reconstruct_non_finite_truth_exits_4(sim_run, capsys):
+    cfg, data = sim_run
+    base = os.path.join(data, "truth")
+    truth = read_array(base)
+    truth[1, 3] = np.nan
+    write_array(base, truth)
+    assert main(["reconstruct", cfg, data]) == 4
+    assert "non-finite" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(data, "IRKFS"))
+
+
 def test_reconstruct_custom_out_dir(sim_run, tmp_path):
     cfg, data = sim_run
     out = str(tmp_path / "elsewhere")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dynct._linalg import op_gram
+from dynct._linalg import motion_gram_triple, op_gram, weighted_gram
 from dynct.errors import ConfigError
 from dynct.linops import (DENSE_LIMIT, Identity, LinearOperator, PatchRank1,
                           Rank1, SparseCSR, Warp, payload_nbytes)
@@ -73,6 +73,25 @@ def test_apply_block_rows_agrees_with_full(ops):
         np.testing.assert_allclose(np.vstack(parts), full, atol=1e-12)
 
 
+def test_motion_gram_triple_matches_dense(ops):
+    rng = np.random.default_rng(5)
+    square = [op for op in ops if op.shape[0] == op.shape[1]]
+    assert {type(op).__name__ for op in square} == {
+        "Identity", "Rank1", "PatchRank1", "Warp"}
+    for op in square:
+        n = op.shape[0]
+        P = rng.standard_normal((n, 5))
+        w = rng.uniform(0.2, 3.0, n)
+        MP = op.to_dense() @ P
+        want = (MP.T @ (w[:, None] * MP), MP.T @ (w[:, None] * P),
+                P.T @ (w[:, None] * P))
+        got = motion_gram_triple(op, P, w)
+        for g, ref in zip(got, want):
+            np.testing.assert_allclose(g, ref, rtol=1e-12)
+        if isinstance(op, Identity):
+            assert all(np.array_equal(g, weighted_gram(P, w)) for g in got)
+
+
 def test_shape_validation(ops):
     for op in ops:
         with pytest.raises(ConfigError):
@@ -98,6 +117,8 @@ def test_operator_without_row_kernel_raises():
         op.to_dense()
     with pytest.raises(NotImplementedError):
         op_gram(op, np.eye(3))
+    with pytest.raises(NotImplementedError):
+        op.gram_triple(np.eye(3), np.ones(3))
 
 
 def test_to_dense_guard():

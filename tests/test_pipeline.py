@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from dynct.errors import ConfigError
+from dynct.errors import ConfigError, NumericError
 from dynct.metrics import MemoryTracker
 from dynct.pipeline import (MethodSpec, MotionOptions, parse_method,
                             record_rows, run_emirkfs)
@@ -177,6 +177,16 @@ def test_operator_count_validated_up_front():
     method = parse_method("IRKFS", n_iter=1)
     with pytest.raises(ConfigError, match="operator per frame"):
         run_emirkfs(prob["sino"], prob["h_ops"][:-1], prob["basis"], method)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_truth_raises(bad):
+    prob = build_problem(n_x=8, n_y=8, n_steps=3, sigma=0.02)
+    truth = prob["frames"].reshape(prob["n_steps"] + 1, -1).copy()
+    truth[2, 5] = bad
+    with pytest.raises(NumericError, match="non-finite"):
+        run_emirkfs(prob["sino"], prob["h_ops"], prob["basis"],
+                    parse_method("IRKFS", n_iter=1), truth=truth)
 
 
 def test_m3_patch_must_tile():
