@@ -24,25 +24,24 @@ def row_chunks(n_rows: int, width: int):
         yield slice(lo, min(lo + step, n_rows))
 
 
-def weighted_gram(X: np.ndarray, w: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
-    """X^T diag(w) Y (Y defaults to X), accumulated over row chunks."""
+def weighted_gram(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """X^T diag(w) X, accumulated over row chunks."""
     k = X.shape[1]
-    m = k if Y is None else Y.shape[1]
-    out = np.zeros((k, m))
+    out = np.zeros((k, k))
     for rows in row_chunks(X.shape[0], k):
-        Xw = X[rows] * w[rows, None]
-        out += Xw.T @ (X[rows] if Y is None else Y[rows])
+        out += (X[rows] * w[rows, None]).T @ X[rows]
     return out
 
 
-def motion_gram_triple(motion, P: np.ndarray, w: np.ndarray):
+def motion_gram_triple(motion, P: np.ndarray, w: np.ndarray, g_pp: np.ndarray):
     """(G_MM, G_MP, G_PP) for the weighted products of M P and P:
 
-    G_MM = (MP)^T diag(w) (MP), G_MP = (MP)^T diag(w) P,
-    G_PP = P^T diag(w) P, each formed by the motion operator's own
-    ``gram_triple`` (row-chunked or closed form, never a full M P).
+    G_MM = (MP)^T diag(w) (MP) and G_MP = (MP)^T diag(w) P, formed by the
+    motion operator's own ``gram_triple`` (row-chunked or closed form, never
+    a full M P), with the caller's G_PP = P^T diag(w) P, which
+    ``ProjectionBasis.gram`` forms (closed form under uniform w).
     """
-    return motion.gram_triple(P, w)
+    return motion.gram_triple(P, w, g_pp)
 
 
 def op_gram(op, P: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:

@@ -10,7 +10,8 @@ The exact conditional-expectation updates are full matrices
 only their diagonals are kept (the models are diagonal), computed without
 materializing any full covariance or any full n_s x r product: smoothed
 covariances enter through their reduced factors (C = (P A)(P A)^T with
-A = psd_sqrt(Psi^sm)), the cross term through Omega = Psi_i^sm K_i
+A = psd_factor(Psi^sm), which the caller makes once per covariance and
+hands to both updates), the cross term through Omega = Psi_i^sm K_i
 Psi_{i-1}^est, and everything is swept in row chunks.  The two cross terms
 have identical diagonals, so the sweep subtracts twice one of them.  A
 relative floor (1e-8 of the mean) keeps the next filter pass well posed.
@@ -42,8 +43,9 @@ def _apply_floor(diag: np.ndarray) -> np.ndarray:
     return np.maximum(diag, floor)
 
 
-def _checked_sqrt(psi: np.ndarray, what: str) -> np.ndarray:
-    """PSD square-root factor; rejects matrices negative beyond roundoff."""
+def psd_factor(psi: np.ndarray, what: str) -> np.ndarray:
+    """A with A A^T = psi (eigendecomposition square root); rejects
+    matrices negative beyond roundoff with NumericError."""
     vals, vecs = np.linalg.eigh(symmetrize(np.asarray(psi, dtype=float)))
     scale = max(float(vals.max()), 0.0)
     if vals.min() < -NEG_TOL_REL * max(scale, FLOOR_ABS):
@@ -72,39 +74,38 @@ def _guard_negative(diag: np.ndarray, what: str,
     return np.clip(diag, 0.0, None)
 
 
-def update_r_diag(y_i, h_op: LinearOperator, x_sm_i, psi_sm_i, P) -> np.ndarray:
-    """diag(R_i) from the smoothed state at frame i."""
+def update_r_diag(y_i, h_op: LinearOperator, x_sm_i, a_sm_i, P) -> np.ndarray:
+    """diag(R_i) from the smoothed state at frame i; a_sm_i is the
+    psd_factor of Psi_i^sm."""
     resid = np.asarray(y_i, dtype=float) - h_op.apply(x_sm_i)
     diag = resid ** 2
-    A = _checked_sqrt(psi_sm_i, "update_r_diag")
     r = P.shape[1]
     for rows in row_chunks(h_op.shape[0], r):
-        hpa = h_op.apply_block_rows(P, rows) @ A
+        hpa = h_op.apply_block_rows(P, rows) @ a_sm_i
         diag[rows] += np.einsum("ij,ij->i", hpa, hpa)
     return _apply_floor(diag)
 
 
-def update_q_diag(x_sm_prev, x_sm_i, psi_sm_prev, psi_sm_i, gain_i,
-                  psi_est_prev, motion: LinearOperator, P) -> np.ndarray:
+def update_q_diag(x_sm_prev, x_sm_i, a_sm_prev, a_sm_i, omega_i,
+                  motion: LinearOperator, P) -> np.ndarray:
     """diag(Q_i) from smoothed moments at frames i-1, i.
 
-    gain_i is the smoother's reduced gain K_i = P^T (C_i^p)^{-1} M_i P;
-    the lag-one cross covariance is P (Psi_i^sm K_i Psi_{i-1}^est) P^T.
+    a_sm_prev, a_sm_i are the psd_factors of Psi_{i-1}^sm and Psi_i^sm;
+    omega_i = Psi_i^sm K_i Psi_{i-1}^est, with K_i the smoother's reduced
+    gain P^T (C_i^p)^{-1} M_i P, gives the lag-one cross covariance
+    P omega_i P^T.
     """
     resid = x_sm_i - motion.apply(x_sm_prev)
     diag = resid ** 2
     pos_scale = float(diag.max()) if diag.size else 0.0
-    A_i = _checked_sqrt(psi_sm_i, "update_q_diag (current)")
-    A_prev = _checked_sqrt(psi_sm_prev, "update_q_diag (previous)")
-    omega = psi_sm_i @ gain_i @ psi_est_prev
     n_s, r = P.shape
     for rows in row_chunks(n_s, r):
-        pa = P[rows] @ A_i
+        pa = P[rows] @ a_sm_i
         mp = motion.apply_block_rows(P, rows)
-        mpa = mp @ A_prev
+        mpa = mp @ a_sm_prev
         pos = np.einsum("ij,ij->i", pa, pa) + np.einsum("ij,ij->i", mpa, mpa)
         pos_scale = max(pos_scale, float((diag[rows] + pos).max()))
-        cross = P[rows] @ omega
+        cross = P[rows] @ omega_i
         diag[rows] += pos - 2.0 * np.einsum("ij,ij->i", cross, mp)
     return _apply_floor(_guard_negative(diag, "update_q_diag", pos_scale))
 

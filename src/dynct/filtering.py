@@ -2,18 +2,21 @@
 
 States live in the span of the basis columns P (n_s x r).  Every filter
 quantity that matters is an r x r matrix or an r vector, and the full-space
-products M_i P and H_i P are never materialized. The motion operator forms
-the three weighted Gramians
+products M_i P and H_i P are never materialized. The three weighted
+Gramians
 
     G_MM = (M P)^T Q^{-1} (M P),  G_MP = (M P)^T Q^{-1} P,  G_PP = P^T Q^{-1} P
 
-itself (``gram_triple``): Identity computes one Gram and returns it for all
-three, Rank1 and PatchRank1 use closed forms in their (per-patch)
-coefficients, and sparse operators (SparseCSR, Warp) accumulate them
-row-chunk by row-chunk (``apply_block_rows``), as does G_H for the
-observation operator. Every vector contraction against M P or H P goes
-through the operator adjoint, e.g. (H P)^T v = P^T (H^T v).  Predicted
-covariances, which are
+come from two places. The basis forms G_PP once per step
+(``ProjectionBasis.gram``): because P^T P = diag(lambda), it is
+diag(lambda)/q with no n_s x r^2 product whenever Q = q I, as in every
+IRKFS step and every first pass. The motion operator forms the other two
+(``gram_triple``): Identity returns G_PP for all three, Rank1 and PatchRank1
+use closed forms in their (per-patch) coefficients, and sparse operators
+(SparseCSR, Warp) accumulate them row-chunk by row-chunk
+(``apply_block_rows``), as does G_H for the observation operator. Every
+vector contraction against M P or H P goes through the operator adjoint,
+e.g. (H P)^T v = P^T (H^T v).  Predicted covariances, which are
 C_i^p = B_i B_i^T + Q_i with B_i = M_i P A_{i-1} (A the PSD square root of
 the previous reduced covariance), thus never exist as arrays: with
 S = A^T G_MM A + I the Woodbury identity gives
@@ -34,7 +37,7 @@ import numpy as np
 from ._linalg import (motion_gram_triple, op_gram, psd_sqrt, row_chunks,
                       sym_inverse, sym_solve, symmetrize, weighted_gram)
 from .errors import ConfigError
-from .linops import Identity, LinearOperator
+from .linops import LinearOperator
 from .metrics import MemoryTracker, NullTracker
 from .prior import ProjectionBasis
 
@@ -94,11 +97,12 @@ def static_init(h0: LinearOperator, basis: ProjectionBasis, y0: np.ndarray):
     """Regularized least-squares fit of frame 0 in the basis span.
 
     Solves (G^T G + alpha^{-2} P^T P) z = G^T y0 with G = H_0 P, returns
-    x0 = P z and the identity reduced covariance.
+    x0 = P z and the identity reduced covariance. The prior term is the
+    basis Gram, alpha^{-2} diag(lambda).
     """
     P = basis.P
-    r = P.shape[1]
-    lhs = op_gram(h0, P) + (basis.config.alpha ** -2) * op_gram(Identity(len(P)), P)
+    n_s, r = P.shape
+    lhs = op_gram(h0, P) + basis.gram(np.full(n_s, basis.config.alpha ** -2))
     rhs = P.T @ h0.apply_transpose(np.asarray(y0, dtype=float))
     z = sym_solve(lhs, rhs, "static init")
     return P @ z, np.eye(r)
@@ -125,13 +129,14 @@ def smw_apply(q_inv_diag: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndarra
 class FilterResult:
     x_est: np.ndarray          # (T+1, n_s) filtered means
     x_pred: np.ndarray         # (T+1, n_s); row 0 duplicates x_est[0]
-    psi_est: list              # T+1 reduced covariances (r x r)
+    psi_est: list              # T+1 reduced covariances (r x r); [0] is psi0
 
 
 def filter_step(x_prev: np.ndarray, psi_prev: np.ndarray, motion: LinearOperator,
                 h_op: LinearOperator, q_diag: np.ndarray, r_diag: np.ndarray,
-                y_i: np.ndarray, P: np.ndarray):
+                y_i: np.ndarray, basis: ProjectionBasis):
     """One predict/update step; returns (x_pred, x_est, psi_est)."""
+    P = basis.P
     r = P.shape[1]
     q_inv = 1.0 / np.asarray(q_diag, dtype=float)
     r_inv = 1.0 / np.asarray(r_diag, dtype=float)
@@ -139,7 +144,7 @@ def filter_step(x_prev: np.ndarray, psi_prev: np.ndarray, motion: LinearOperator
     x_pred = motion.apply(x_prev)
     A = psd_sqrt(psi_prev)
 
-    g_mm, g_mp, g_pp = motion_gram_triple(motion, P, q_inv)
+    g_mm, g_mp, g_pp = motion_gram_triple(motion, P, q_inv, basis.gram(q_inv))
     S = symmetrize(A.T @ g_mm @ A) + np.eye(r)
     E = A.T @ g_mp
     pcp = symmetrize(g_pp - E.T @ sym_solve(S, E, "filter capacitance"))
@@ -161,21 +166,20 @@ def run_filter(y_frames, h_ops, motions, noise: NoiseModel, basis: ProjectionBas
     n_steps = noise.n_steps
     if not (len(y_frames) == len(h_ops) == n_steps + 1 and len(motions) == n_steps):
         raise ConfigError("run_filter: frame/operator/noise counts disagree")
-    P = basis.P
-    n_s = P.shape[0]
+    n_s = basis.P.shape[0]
 
     # Result arrays stay charged on return; the caller releases them when
-    # it drops the FilterResult.
+    # it drops the FilterResult. psi0 is the caller's array and charge.
     x_est = tracker.add_array(np.zeros((n_steps + 1, n_s)))
     x_pred = tracker.add_array(np.zeros((n_steps + 1, n_s)))
     x_est[0] = x0
     x_pred[0] = x0
-    psi_hist = [tracker.add_reduced_array(np.asarray(psi0, dtype=float))]
+    psi_hist = [np.asarray(psi0, dtype=float)]
 
     for i in range(1, n_steps + 1):
         xp, xe, psi = filter_step(
             x_est[i - 1], psi_hist[-1], motions[i - 1], h_ops[i],
-            noise.q_diags[i - 1], noise.r_diags[i - 1], y_frames[i], P)
+            noise.q_diags[i - 1], noise.r_diags[i - 1], y_frames[i], basis)
         x_pred[i] = xp
         x_est[i] = xe
         psi_hist.append(tracker.add_reduced_array(psi))
@@ -186,5 +190,5 @@ def release_filter_result(filt: FilterResult, tracker: MemoryTracker) -> None:
     """Return the tracker charge taken out by run_filter."""
     tracker.release_array(filt.x_est)
     tracker.release_array(filt.x_pred)
-    for psi in filt.psi_est:
+    for psi in filt.psi_est[1:]:
         tracker.release_reduced_array(psi)

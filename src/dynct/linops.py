@@ -9,11 +9,15 @@ three itself:
   operator's own row kernel without the full product. The observation
   Gramians and the M-step fold these row chunks straight into r x r
   matrices.
-- ``gram_triple(P, w)``: the three weighted Gramians of ``op P`` and ``P``
-  that the filter and smoother need for a motion operator. The base class
-  folds row chunks of ``op P`` into them, which ``SparseCSR`` and ``Warp``
-  use. ``Identity`` forms one Gram and returns it three times; ``Rank1``
-  and ``PatchRank1`` use closed forms in their (per-patch) coefficients.
+- ``gram_triple(P, w, g_pp)``: the weighted Gramians of ``op P`` against
+  itself and against ``P`` that the filter and smoother need for a motion
+  operator, returned with the basis Gram ``g_pp = P^T diag(w) P``. The
+  caller passes ``g_pp`` in: ``ProjectionBasis.gram`` forms it once, in
+  closed form under uniform weights, and no operator forms its own. The
+  base class folds row chunks of ``op P`` into the other two, which
+  ``SparseCSR`` and ``Warp`` use. ``Identity`` returns ``g_pp`` three
+  times; ``Rank1`` and ``PatchRank1`` use closed forms in their
+  (per-patch) coefficients.
 
 There is no column-loop fallback: an operator without a row kernel raises
 ``NotImplementedError``. ``to_dense`` is ``apply_block_rows`` on the
@@ -28,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ._linalg import row_chunks, weighted_gram
+from ._linalg import row_chunks
 from .errors import ConfigError
 
 # Largest state dimension for which dense materialization is permitted.
@@ -73,23 +77,21 @@ class LinearOperator:
         """Rows ``rows`` of ``op @ X`` without holding the full product."""
         raise NotImplementedError(f"{type(self).__name__} has no row kernel")
 
-    def gram_triple(self, P: np.ndarray, w: np.ndarray):
+    def gram_triple(self, P: np.ndarray, w: np.ndarray, g_pp: np.ndarray):
         """(G_MM, G_MP, G_PP) of a square operator M = op and weights w:
 
-        G_MM = (MP)^T diag(w) (MP), G_MP = (MP)^T diag(w) P,
+        G_MM = (MP)^T diag(w) (MP), G_MP = (MP)^T diag(w) P, and the given
         G_PP = P^T diag(w) P, with M P generated row-chunk by row-chunk via
         ``apply_block_rows`` so no full n_s x r product is ever held.
         """
         n_s, r = P.shape
         g_mm = np.zeros((r, r))
         g_mp = np.zeros((r, r))
-        g_pp = np.zeros((r, r))
         for rows in row_chunks(n_s, r):
             mp = self.apply_block_rows(P, rows)
             mpw = mp * w[rows, None]
             g_mm += mpw.T @ mp
             g_mp += mpw.T @ P[rows]
-            g_pp += (P[rows] * w[rows, None]).T @ P[rows]
         return g_mm, g_mp, g_pp
 
     def to_dense(self) -> np.ndarray:
@@ -142,11 +144,11 @@ class Identity(LinearOperator):
     def apply_block_rows(self, X, rows):
         return _as_block(X, self.shape[1])[rows].copy()
 
-    def gram_triple(self, P, w):
-        """M P = P, so all three Gramians are P^T diag(w) P: one Gram,
-        returned three times (the same array; callers must not mutate it)."""
-        g = weighted_gram(_as_block(P, self.shape[1]), w)
-        return g, g, g
+    def gram_triple(self, P, w, g_pp):
+        """M P = P, so all three Gramians are G_PP: the given array, returned
+        three times (callers must not mutate it)."""
+        _as_block(P, self.shape[1])
+        return g_pp, g_pp, g_pp
 
 
 class Rank1(LinearOperator):
@@ -172,14 +174,13 @@ class Rank1(LinearOperator):
         coef = (self.v @ _as_block(X, self.shape[1])) / self.denom
         return self.u[rows, None] * coef[None, :]
 
-    def gram_triple(self, P, w):
+    def gram_triple(self, P, w, g_pp):
         """M P = u c^T with c = P^T v / denom, so
         G_MM = (sum w u^2) c c^T and G_MP = c ((w u)^T P)."""
         P = _as_block(P, self.shape[1])
         coef = (self.v @ P) / self.denom
         wu = w * self.u
-        return ((wu @ self.u) * np.outer(coef, coef), np.outer(coef, wu @ P),
-                weighted_gram(P, w))
+        return (wu @ self.u) * np.outer(coef, coef), np.outer(coef, wu @ P), g_pp
 
 
 class PatchRank1(LinearOperator):
@@ -255,18 +256,18 @@ class PatchRank1(LinearOperator):
         u = self.U.reshape(bx, by, self.z_x, self.z_y)[px, py, ix % self.z_x, iy % self.z_y]
         return u[:, None] * coef[(px - lo) * by + py]
 
-    def gram_triple(self, P, w):
+    def gram_triple(self, P, w, g_pp):
         """Row i of M P is u_i c_j, j the patch of row i and C the
         (n_patches, r) coefficients, so with a_j = sum_{i in j} w_i u_i^2 and
         B_j = sum_{i in j} w_i u_i P_i: G_MM = C^T diag(a) C, G_MP = C^T B.
-        That costs O(n_s r + n_patches r^2) on top of G_PP."""
+        That costs O(n_s r + n_patches r^2)."""
         P = _as_block(P, self.shape[1])
         bx = self.n_x // self.z_x
         coef = self._patch_sums(self.V, P, 0, bx) / self.denoms[:, None]
         wu = self.U * self._to_patches(w)
         a = np.einsum("ij,ij->i", wu, self.U)
         return (coef.T @ (a[:, None] * coef), coef.T @ self._patch_sums(wu, P, 0, bx),
-                weighted_gram(P, w))
+                g_pp)
 
 
 class Warp(SparseCSR):

@@ -18,8 +18,9 @@ fixed point: every pass reproduces the first bitwise.
 Memory protocol: all run-lifetime allocations are charged to a MemoryTracker.
 Full-space charges (trajectories, noise diagonals, motion payloads, the
 chunk scratch allowance) fall under the budgeted category; r x r charges
-(the filter's covariance history and the one step the smoother holds) go to
-the reduced category, which is reported but not budgeted. New motion
+(the filter's covariance history, the one step the smoother holds and the
+M-step's PSD factors of that step's two smoothed covariances) go to the
+reduced category, which is reported but not budgeted. New motion
 operators and noise diagonals are charged as each backward step makes them,
 next to the previous set, which is released when the sweep ends. Charges
 for arrays handed to the caller inside the RunRecord are released on
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import CHUNK_ELEMS
-from .em import update_q_diag, update_r_diag
+from .em import psd_factor, update_q_diag, update_r_diag
 from .errors import ConfigError, DataIOError, NumericError
 
 _WRAPPED = (ConfigError, DataIOError, NumericError)
@@ -222,6 +223,16 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
             new_motions = list(motions)
             q_new = [None] * n_steps
             r_new = [None] * n_steps
+            # PSD factors of the smoothed covariances by frame; each is made
+            # once and kept for two steps (Psi_{i-1}^sm at step i is step
+            # i-1's Psi_i^sm).
+            factors = {}
+
+            def factor(k, psi_sm):
+                if k not in factors:
+                    factors[k] = tracker.add_reduced_array(
+                        psd_factor(psi_sm, f"smoothed covariance {k}"))
+                return factors[k]
 
             def refit(i, x_sm, psi_sm_prev, psi_sm_i, gain_i):
                 """Transition i's motion, then its noise, from the step's moments."""
@@ -235,11 +246,17 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
                         tracker.add(payload_nbytes(new_motions[i - 1]))
                     if method.em:
                         with timer.phase("em"):
+                            a_i = factor(i, psi_sm_i)
+                            a_prev = factor(i - 1, psi_sm_prev)
                             r_new[i - 1] = update_r_diag(
-                                y_frames[i], h_ops[i], x_sm[i], psi_sm_i, P)
+                                y_frames[i], h_ops[i], x_sm[i], a_i, P)
                             q_new[i - 1] = update_q_diag(
-                                x_sm[i - 1], x_sm[i], psi_sm_prev, psi_sm_i,
-                                gain_i, filt.psi_est[i - 1], new_motions[i - 1], P)
+                                x_sm[i - 1], x_sm[i], a_prev, a_i,
+                                psi_sm_i @ gain_i @ filt.psi_est[i - 1],
+                                new_motions[i - 1], P)
+                        tracker.release_reduced_array(factors.pop(i))
+                        if i == 1:
+                            tracker.release_reduced_array(factors.pop(0))
                         tracker.add(r_new[i - 1].nbytes + q_new[i - 1].nbytes)
                 except _WRAPPED as exc:
                     raise type(exc)(f"timestep {i}: {exc}") from exc

@@ -12,7 +12,12 @@ kernels (alpha^2 folded into the eigenvalue products once).
 The rank-r basis P (n_s x r) has columns sqrt(lambda_a * lambda_b) *
 kron(u_a, u_b) over the r largest eigenvalue products; it satisfies
 P P^T ~= Sigma (best rank-r approximation) and whitens the prior norm:
-||P w||_{Sigma^{-1}} = ||w||_2.
+||P w||_{Sigma^{-1}} = ||w||_2. The columns are orthogonal with squared
+norms equal to their eigenvalues, P^T P = diag(lambda); ProjectionBasis
+checks this on construction, so ``ProjectionBasis.gram`` can give the basis
+Gram P^T diag(w) P in closed form, diag(w_0 lambda), whenever w is uniform
+(every IRKFS step, and every first pass). It is the one place the filter,
+smoother and static initializer get that Gram from.
 
 Determinism: each 1-D eigenvector is sign-fixed so its first nonzero entry
 is positive; eigenvalue-product ties are broken lexicographically by
@@ -25,10 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import weighted_gram
 from .errors import ConfigError, NumericError
 
 # Products below this are numerically meaningless for whitening.
 EIG_UNDERFLOW = 1e-300
+# Relative tolerance of the P^T P = diag(eigenvalues) check.
+GRAM_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -47,7 +55,13 @@ class PriorConfig:
 @dataclass
 class ProjectionBasis:
     """P: (n_s, r); eigenvalues: descending products (including alpha^2);
-    index_pairs[k] = (axis-x eigenindex, axis-y eigenindex) of column k."""
+    index_pairs[k] = (axis-x eigenindex, axis-y eigenindex) of column k.
+
+    Construction rejects a basis whose shapes disagree or whose columns do
+    not satisfy P^T P = diag(eigenvalues) (ConfigError). The check applies
+    P and P^T to one fixed probe vector z, P^T (P z) ~= eigenvalues * z,
+    which costs O(n_s r) and forms no Gram.
+    """
 
     P: np.ndarray
     eigenvalues: np.ndarray
@@ -56,9 +70,37 @@ class ProjectionBasis:
     n_y: int
     config: PriorConfig
 
+    def __post_init__(self):
+        P, lam = self.P, self.eigenvalues
+        if P.ndim != 2 or P.shape[0] != self.n_x * self.n_y or P.shape[1] < 1:
+            raise ConfigError(f"basis P must have {self.n_x * self.n_y} rows "
+                              f"({self.n_x} x {self.n_y} grid), got shape {P.shape}")
+        if lam.shape != (P.shape[1],):
+            raise ConfigError(f"basis needs one eigenvalue per column: shape "
+                              f"{lam.shape} for {P.shape[1]} columns")
+        if not np.all(lam > 0) or not np.all(np.isfinite(lam)):
+            raise ConfigError("basis eigenvalues must be positive and finite")
+        z = 1.0 + np.arange(lam.size) / lam.size
+        err = np.linalg.norm(P.T @ (P @ z) - lam * z)
+        if not err <= GRAM_RTOL * lam.max() * np.linalg.norm(z):
+            raise ConfigError("basis columns are not orthogonal with squared "
+                              "norms equal to the eigenvalues (P^T P != "
+                              f"diag(eigenvalues); probe residual {err:.3e})")
+
     @property
     def rank(self) -> int:
         return self.P.shape[1]
+
+    def gram(self, w: np.ndarray) -> np.ndarray:
+        """P^T diag(w) P: diag(w_0 eigenvalues) when w is uniform, else the
+        row-chunked weighted Gram."""
+        w = np.asarray(w, dtype=np.float64)
+        if w.shape != (self.P.shape[0],):
+            raise ConfigError(f"basis Gram weights must have shape "
+                              f"({self.P.shape[0]},), got {w.shape}")
+        if w.min() == w.max():
+            return np.diag(w[0] * self.eigenvalues)
+        return weighted_gram(self.P, w)
 
 
 def se_covariance_entry(p, q, alpha, ell) -> float:

@@ -7,7 +7,8 @@ d = x_i^sm - x_i^p and the Woodbury expansion of (C_i^p)^{-1},
 
 where (M P)^T v = P^T (M^T v) and (C_i^p)^{-1} d unrolls to diagonal scalings
 plus r-vector solves.  Covariance quantities (needed by the EM updates) run
-on r x r matrices with the same operator-formed Gramians the filter uses:
+on r x r matrices with the same Gramians the filter uses (G_PP from the
+basis, the motion Gramians from the operator):
 
     gain                 K_i = P^T (C_i^p)^{-1} (M_i P)
     Psi_{i-1}^sm = Psi_{i-1}^est
@@ -37,18 +38,19 @@ from .prior import ProjectionBasis
 
 
 def smooth_step(x_est_prev, psi_est_prev, x_pred_i, x_sm_i, psi_sm_i,
-                motion: LinearOperator, q_diag, P,
+                motion: LinearOperator, q_diag, basis: ProjectionBasis,
                 with_covariance: bool = False):
     """One backward step; returns (x_sm_prev, psi_sm_prev, K_i).
 
     psi_sm_prev and K_i are None unless with_covariance is set.
     """
+    P = basis.P
     r = P.shape[1]
     q_inv = 1.0 / np.asarray(q_diag, dtype=float)
     A = psd_sqrt(psi_est_prev)
     d = x_sm_i - x_pred_i
 
-    g_mm, g_mp, _ = motion_gram_triple(motion, P, q_inv)
+    g_mm, g_mp, _ = motion_gram_triple(motion, P, q_inv, basis.gram(q_inv))
     S = symmetrize(A.T @ g_mm @ A) + np.eye(r)
 
     # v = (C^p)^{-1} d via the Woodbury identity, vectors only
@@ -89,7 +91,6 @@ def run_smoother(filt: FilterResult, motions, noise: NoiseModel,
     n_steps = noise.n_steps
     if len(motions) != n_steps or len(filt.psi_est) != n_steps + 1:
         raise ConfigError("run_smoother: step counts disagree with filter output")
-    P = basis.P
 
     x_sm = tracker.add_array(np.zeros_like(filt.x_est))
     x_sm[n_steps] = filt.x_est[n_steps]
@@ -100,7 +101,7 @@ def run_smoother(filt: FilterResult, motions, noise: NoiseModel,
     for i in range(n_steps, 0, -1):
         x_sm[i - 1], psi_prev, K = smooth_step(
             filt.x_est[i - 1], filt.psi_est[i - 1], filt.x_pred[i], x_sm[i],
-            psi_i, motions[i - 1], noise.q_diags[i - 1], P, with_covariance)
+            psi_i, motions[i - 1], noise.q_diags[i - 1], basis, with_covariance)
         if with_covariance:
             tracker.add_reduced(psi_prev.nbytes + K.nbytes)
         if on_step is not None:

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from dynct.em import update_q_diag, update_r_diag
+from dynct.em import psd_factor, update_q_diag, update_r_diag
 from dynct.filtering import run_filter, smw_apply
 from dynct.linops import Identity, SparseCSR
 from dynct.metrics import MemoryTracker, memory_budget_bytes, noise_level
@@ -132,14 +132,17 @@ def test_criterion_04_em_mstep_oracle_and_monotone_objective():
         h = prob["h_dense"][i]
         y = prob["sino"].sinograms[i]
         r_want = np.diag(dense_r_update(y, h, sm.x_sm[i], cov_sm_i))
-        r_got = update_r_diag(y, prob["h_ops"][i], sm.x_sm[i], sm.psi_sm[i], P)
+        r_got = update_r_diag(y, prob["h_ops"][i], sm.x_sm[i],
+                              psd_factor(sm.psi_sm[i], "psi"), P)
         assert rel_err(r_got, r_want) <= 1e-10
         q_want = np.diag(dense_q_update(sm.x_sm[i - 1], sm.x_sm[i],
                                         cov_sm_prev, cov_sm_i, L @ R.T,
                                         np.eye(9)))
-        q_got = update_q_diag(sm.x_sm[i - 1], sm.x_sm[i], sm.psi_sm[i - 1],
-                              sm.psi_sm[i], sm.gains[i - 1],
-                              filt.psi_est[i - 1], Identity(9), P)
+        q_got = update_q_diag(sm.x_sm[i - 1], sm.x_sm[i],
+                              psd_factor(sm.psi_sm[i - 1], "psi"),
+                              psd_factor(sm.psi_sm[i], "psi"),
+                              sm.psi_sm[i] @ sm.gains[i - 1] @ filt.psi_est[i - 1],
+                              Identity(9), P)
         assert rel_err(q_got, q_want) <= 1e-10
 
     # full-covariance EM on a dense toy: objective never decreases

@@ -4,7 +4,7 @@ expected complete-data log-likelihood diagnostics."""
 import numpy as np
 import pytest
 
-from dynct.em import (FLOOR_ABS, expected_loglik, update_q_dense,
+from dynct.em import (FLOOR_ABS, expected_loglik, psd_factor, update_q_dense,
                       update_q_diag, update_r_dense, update_r_diag)
 from dynct.errors import ConfigError, NumericError
 from dynct.filtering import run_filter
@@ -28,12 +28,21 @@ def _smoothed_problem(**kw):
     return prob, motions, filt, sm
 
 
+def _q_update(sm, filt, i, motion, P):
+    """update_q_diag at step i from the smoothed moments, factored here."""
+    return update_q_diag(sm.x_sm[i - 1], sm.x_sm[i],
+                         psd_factor(sm.psi_sm[i - 1], "psi"),
+                         psd_factor(sm.psi_sm[i], "psi"),
+                         sm.psi_sm[i] @ sm.gains[i - 1] @ filt.psi_est[i - 1],
+                         motion, P)
+
+
 def test_r_update_matches_dense_formula():
     prob, _, filt, sm = _smoothed_problem(n_x=3, n_y=3, n_steps=3, n_angles=2)
     P = prob["basis"].P
     for i in range(1, prob["n_steps"] + 1):
         got = update_r_diag(prob["sino"].sinograms[i], prob["h_ops"][i],
-                            sm.x_sm[i], sm.psi_sm[i], P)
+                            sm.x_sm[i], psd_factor(sm.psi_sm[i], "psi"), P)
         cov = projected_posterior_cov(P, sm.psi_sm[i])
         want = update_r_dense(prob["sino"].sinograms[i], prob["h_dense"][i],
                               sm.x_sm[i], cov)
@@ -45,9 +54,7 @@ def test_q_update_matches_dense_formula():
                                                 n_angles=2)
     P = prob["basis"].P
     for i in range(1, prob["n_steps"] + 1):
-        got = update_q_diag(sm.x_sm[i - 1], sm.x_sm[i], sm.psi_sm[i - 1],
-                            sm.psi_sm[i], sm.gains[i - 1], filt.psi_est[i - 1],
-                            motions[i - 1], P)
+        got = _q_update(sm, filt, i, motions[i - 1], P)
         L, R = cross_covariance_factors(sm.psi_sm[i], sm.gains[i - 1],
                                         filt.psi_est[i - 1], P)
         want = update_q_dense(sm.x_sm[i - 1], sm.x_sm[i],
@@ -74,9 +81,7 @@ def test_q_update_matches_fully_dense_rts_chain():
     sm_means, sm_covs, gains = dense_rts_smoother(*kf, motions)
     crosses = dense_cross_covariances(sm_covs, gains)
     for i in range(1, prob["n_steps"] + 1):
-        got = update_q_diag(sm.x_sm[i - 1], sm.x_sm[i], sm.psi_sm[i - 1],
-                            sm.psi_sm[i], sm.gains[i - 1], filt.psi_est[i - 1],
-                            motions_op[i - 1], P)
+        got = _q_update(sm, filt, i, motions_op[i - 1], P)
         want = dense_q_update(sm_means[i - 1], sm_means[i], sm_covs[i - 1],
                               sm_covs[i], crosses[i - 1], motions[i - 1])
         assert rel_err(got, np.maximum(np.diag(want), got.min())) <= 1e-9
@@ -99,6 +104,10 @@ def test_r_trivial_zero_cov_is_squared_residual():
     np.testing.assert_allclose(got, want, rtol=1e-15)
 
 
+# the cross term cancels both quadratics exactly up to roundoff, so the
+# documented clamp of roundoff-negative entries may fire
+@pytest.mark.filterwarnings(
+    "ignore:update_q_diag. clamping roundoff-negative:RuntimeWarning")
 def test_q_trivial_static_exact_dynamics():
     rng = np.random.default_rng(5)
     r = 3
@@ -107,7 +116,8 @@ def test_q_trivial_static_exact_dynamics():
     psi = A @ A.T + 0.1 * np.eye(r)
     x = rng.standard_normal(4)
     # omega = psi @ inv(psi) @ psi = psi, so cross cancels both quadratics
-    got = update_q_diag(x, x, psi, psi, np.linalg.inv(psi), psi,
+    a = psd_factor(psi, "psi")
+    got = update_q_diag(x, x, a, a, psi @ np.linalg.inv(psi) @ psi,
                         Identity(4), P)
     np.testing.assert_allclose(got, np.full(4, FLOOR_ABS), atol=1e-12)
 
@@ -116,7 +126,7 @@ def test_q_trivial_zero_covariances():
     x_prev = np.array([1.0, 0.0, 2.0])
     x_i = np.array([1.5, 0.0, 1.0])
     z = np.zeros((3, 3))
-    got = update_q_diag(x_prev, x_i, z, z, z, z, Identity(3), np.eye(3))
+    got = update_q_diag(x_prev, x_i, z, z, z, Identity(3), np.eye(3))
     resid2 = (x_i - x_prev) ** 2
     np.testing.assert_allclose(got, np.maximum(resid2, 1e-8 * resid2.mean()),
                                rtol=1e-15)
@@ -127,25 +137,24 @@ def test_q_negative_beyond_roundoff_raises():
     z = np.zeros((2, 2))
     x = np.zeros(2)
     with pytest.raises(NumericError):
-        update_q_diag(x, x, z, np.eye(2), np.eye(2), np.eye(2),
-                      Identity(2), np.eye(2))
+        update_q_diag(x, x, z, np.eye(2), np.eye(2), Identity(2), np.eye(2))
 
 
 def test_q_roundoff_negative_clamps_with_warning():
     x_prev = np.zeros(2)
     x_i = np.array([1.0, 0.0])
     z = np.zeros((2, 2))
-    omega_src = np.diag([0.0, 1e-13])  # psi_sm_i
+    psi_sm_i = np.diag([0.0, 1e-13])  # omega = psi_sm_i (K = Psi^est = I)
     with pytest.warns(RuntimeWarning):
-        got = update_q_diag(x_prev, x_i, z, omega_src, np.eye(2), np.eye(2),
-                            Identity(2), np.eye(2))
+        got = update_q_diag(x_prev, x_i, z, psd_factor(psi_sm_i, "psi"),
+                            psi_sm_i, Identity(2), np.eye(2))
     assert (got > 0).all()
 
 
 def test_r_rejects_non_psd_covariance():
+    # the M-step updates take factors; the PSD check sits in the factoring
     with pytest.raises(NumericError):
-        update_r_diag(np.zeros(3), Identity(3), np.zeros(3),
-                      np.diag([1.0, -1.0]), np.zeros((3, 2)))
+        psd_factor(np.diag([1.0, -1.0]), "psi")
 
 
 def test_loglik_prior_only_terms():
@@ -254,8 +263,7 @@ def test_outputs_respect_floor():
                                                 n_angles=2)
     P = prob["basis"].P
     r_diag = update_r_diag(prob["sino"].sinograms[1], prob["h_ops"][1],
-                           sm.x_sm[1], sm.psi_sm[1], P)
-    q_diag = update_q_diag(sm.x_sm[0], sm.x_sm[1], sm.psi_sm[0], sm.psi_sm[1],
-                           sm.gains[0], filt.psi_est[0], motions[0], P)
+                           sm.x_sm[1], psd_factor(sm.psi_sm[1], "psi"), P)
+    q_diag = _q_update(sm, filt, 1, motions[0], P)
     assert (r_diag >= 1e-8 * r_diag.mean() - 1e-30).all()
     assert (q_diag > 0).all()

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dynct.errors import ConfigError, NumericError
 from dynct.filtering import (NoiseModel, filter_step, initial_noise,
                              release_filter_result, run_filter, smw_apply,
                              static_init)
-from dynct.linops import Identity
+from dynct.linops import Identity, SparseCSR
 from dynct.metrics import MemoryTracker
 from dynct.prior import PriorConfig, ProjectionBasis, build_projection
 from helpers import build_problem, dense_noise, rel_err
@@ -61,14 +62,13 @@ def test_psi_symmetric_psd(reduced):
 
 
 def test_zero_innovation_keeps_prediction(prob):
-    P = prob["basis"].P
     motion = Identity(prob["n_s"])
     h = prob["h_ops"][1]
     x_prev, psi_prev = prob["x0"], prob["psi0"]
     y = h.apply(motion.apply(x_prev))  # exactly consistent data
     xp, xe, _ = filter_step(x_prev, psi_prev, motion, h,
                             prob["noise"].q_diags[0], prob["noise"].r_diags[0],
-                            y, P)
+                            y, prob["basis"])
     np.testing.assert_allclose(xe, xp, atol=1e-10 * np.linalg.norm(xp))
 
 
@@ -83,7 +83,7 @@ def test_inflated_q_recovers_static_solve():
     r = np.ones(prob["h_ops"][1].shape[0])
     xp, xe, _ = filter_step(prob["x0"], np.eye(n_s), Identity(n_s),
                             prob["h_ops"][1], q, r,
-                            prob["sino"].sinograms[1], prob["basis"].P)
+                            prob["sino"].sinograms[1], prob["basis"])
     x_static, _ = static_init(prob["h_ops"][1], prob["basis"],
                               prob["sino"].sinograms[1])
     assert rel_err(xe, x_static) <= 1e-6
@@ -226,10 +226,19 @@ def test_tracker_charges_released(prob):
 
 
 def test_singular_observation_system_raises():
-    # R effectively zero-information and degenerate reduced system
-    basis = ProjectionBasis(P=np.zeros((4, 2)), eigenvalues=np.ones(2),
+    # a zero basis cannot carry unit eigenvalues: rejected before any solve
+    with pytest.raises(ConfigError):
+        ProjectionBasis(P=np.zeros((4, 2)), eigenvalues=np.ones(2),
+                        index_pairs=np.zeros((2, 2), dtype=int),
+                        n_x=2, n_y=2,
+                        config=PriorConfig(alpha=1.0, ell=1.0, rank=2))
+    # a consistent basis with a zero-information observation (H = 0) and a
+    # prior weight alpha^-2 that underflows to 0: the reduced system is
+    # exactly singular
+    basis = ProjectionBasis(P=np.eye(4, 2), eigenvalues=np.ones(2),
                             index_pairs=np.zeros((2, 2), dtype=int),
                             n_x=2, n_y=2,
-                            config=PriorConfig(alpha=1.0, ell=1.0, rank=2))
+                            config=PriorConfig(alpha=1e200, ell=1.0, rank=2))
+    assert basis.config.alpha ** -2 == 0.0
     with pytest.raises(NumericError):
-        static_init(Identity(4), basis, np.ones(4))
+        static_init(SparseCSR(sp.csr_matrix((3, 4))), basis, np.ones(3))

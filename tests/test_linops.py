@@ -85,11 +85,14 @@ def test_motion_gram_triple_matches_dense(ops):
         MP = op.to_dense() @ P
         want = (MP.T @ (w[:, None] * MP), MP.T @ (w[:, None] * P),
                 P.T @ (w[:, None] * P))
-        got = motion_gram_triple(op, P, w)
+        g_pp = weighted_gram(P, w)
+        got = motion_gram_triple(op, P, w, g_pp)
         for g, ref in zip(got, want):
             np.testing.assert_allclose(g, ref, rtol=1e-12)
+        # the basis Gram is the caller's, handed back untouched
+        assert got[2] is g_pp
         if isinstance(op, Identity):
-            assert all(np.array_equal(g, weighted_gram(P, w)) for g in got)
+            assert all(g is g_pp for g in got)
 
 
 def test_shape_validation(ops):
@@ -118,7 +121,7 @@ def test_operator_without_row_kernel_raises():
     with pytest.raises(NotImplementedError):
         op_gram(op, np.eye(3))
     with pytest.raises(NotImplementedError):
-        op.gram_triple(np.eye(3), np.ones(3))
+        op.gram_triple(np.eye(3), np.ones(3), np.eye(3))
 
 
 def test_to_dense_guard():

@@ -1,10 +1,12 @@
 """Outer-loop orchestration: method parsing, iteration protocol, records."""
 
+import sys
 import time
 
 import numpy as np
 import pytest
 
+from dynct import _linalg
 from dynct.errors import ConfigError, NumericError
 from dynct.metrics import MemoryTracker
 from dynct.pipeline import (MethodSpec, MotionOptions, parse_method,
@@ -137,11 +139,34 @@ def test_tracker_balances_and_peaks():
 
 
 def test_em_reduced_peak_holds_one_smoother_step():
-    # filter history (T+1), initial covariance (1), smoother step (3), plus
-    # one spare; histories of smoothed covariances and gains would not fit
+    # filter history (T+1, the initial covariance its first entry), smoother
+    # step (3) and the M-step's two covariance factors (2); histories of
+    # smoothed covariances, gains or factors would not fit
     prob, record = _run("EMIRKFS-M2", n_iter=2, tracker=MemoryTracker())
     T, r = prob["n_steps"], prob["basis"].rank
     assert 0 < record.peak_reduced_bytes <= (T + 6) * r * r * 8
+
+
+def test_irkfs_forms_no_weighted_gram(monkeypatch):
+    # under uniform Q (every IRKFS step) the basis Gram is diag(lambda)/q:
+    # no n_s x r^2 weighted Gram anywhere in the run
+    original = _linalg.weighted_gram
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("dynct"):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    _run("IRKFS", n_iter=2)
+    assert calls == []
+    # the count does see the Gram: EMIRKFS's second pass has non-uniform Q
+    _run("EMIRKFS", n_iter=2)
+    assert calls
 
 
 def test_truth_optional():

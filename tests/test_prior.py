@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynct.errors import ConfigError, NumericError
-from dynct.prior import (PriorConfig, build_projection, dense_covariance,
-                         se_covariance_entry, se_kernel_1d)
+from dynct.prior import (PriorConfig, ProjectionBasis, build_projection,
+                         dense_covariance, se_covariance_entry, se_kernel_1d)
+from helpers import rel_err
 from oracles import dense_se_covariance
 
 
@@ -121,3 +122,63 @@ def test_1d_kernel_unit_diagonal():
     k = se_kernel_1d(9, 1.7)
     np.testing.assert_allclose(np.diag(k), 1.0, atol=1e-15)
     assert k.max() <= 1.0 + 1e-15
+
+
+@pytest.mark.parametrize("n_x, n_y", [(6, 10), (9, 4)])
+def test_basis_gram_is_diagonal_eigenvalues(n_x, n_y):
+    n_s = n_x * n_y
+    for r in (1, n_s // 2, n_s):
+        basis = build_projection(n_x, n_y, PriorConfig(alpha=1.3, ell=1.1, rank=r))
+        lam = basis.eigenvalues
+        np.testing.assert_allclose(basis.P.T @ basis.P, np.diag(lam),
+                                   rtol=0, atol=1e-12 * lam.max())
+
+
+def _rebuilt(basis, P=None, eigenvalues=None):
+    return ProjectionBasis(P=basis.P if P is None else P,
+                           eigenvalues=basis.eigenvalues if eigenvalues is None
+                           else eigenvalues,
+                           index_pairs=basis.index_pairs, n_x=basis.n_x,
+                           n_y=basis.n_y, config=basis.config)
+
+
+def test_basis_rejects_columns_that_are_not_orthogonal():
+    basis = build_projection(6, 5, PriorConfig(alpha=1.2, ell=1.3, rank=8))
+    lam = basis.eigenvalues
+    assert lam[0] > lam[1]
+    _rebuilt(basis)  # the basis itself passes
+    # turn column 0's direction toward column 1 by a plane rotation: every
+    # column norm is still sqrt(eigenvalue), but P^T P is no longer diagonal
+    u = basis.P / np.sqrt(lam)
+    theta = 0.3
+    P = basis.P.copy()
+    P[:, 0] = np.sqrt(lam[0]) * (np.cos(theta) * u[:, 0] + np.sin(theta) * u[:, 1])
+    np.testing.assert_allclose(np.sum(P ** 2, axis=0), lam, rtol=1e-12)
+    with pytest.raises(ConfigError):
+        _rebuilt(basis, P=P)
+    # mis-scaled column: orthogonal, but its squared norm is not its eigenvalue
+    P = basis.P.copy()
+    P[:, 5] *= 1.01
+    with pytest.raises(ConfigError):
+        _rebuilt(basis, P=P)
+
+
+def test_basis_rejects_inconsistent_shapes():
+    basis = build_projection(4, 3, PriorConfig(alpha=1.0, ell=1.0, rank=5))
+    with pytest.raises(ConfigError):
+        _rebuilt(basis, eigenvalues=basis.eigenvalues[:4])
+    with pytest.raises(ConfigError):
+        _rebuilt(basis, P=basis.P[:-1])
+    with pytest.raises(ConfigError):
+        _rebuilt(basis, eigenvalues=-basis.eigenvalues)
+
+
+def test_basis_gram_matches_dense():
+    basis = build_projection(7, 5, PriorConfig(alpha=0.8, ell=1.4, rank=20))
+    P = basis.P
+    rng = np.random.default_rng(4)
+    for w in (np.full(35, 2.5), rng.uniform(0.1, 3.0, 35)):
+        want = P.T @ (w[:, None] * P)
+        assert rel_err(basis.gram(w), want) <= 1e-12
+    with pytest.raises(ConfigError):
+        basis.gram(np.ones(34))

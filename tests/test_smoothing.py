@@ -126,7 +126,7 @@ def test_zero_smoothing_innovation_keeps_filter_estimate(prob):
     filt, _ = _smoothed(prob)
     xs, _, _ = smooth_step(filt.x_est[0], filt.psi_est[0], filt.x_pred[1],
                            filt.x_pred[1], None, motions[0],
-                           prob["noise"].q_diags[0], prob["basis"].P)
+                           prob["noise"].q_diags[0], prob["basis"])
     np.testing.assert_array_equal(xs, filt.x_est[0])
 
 
