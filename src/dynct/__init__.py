@@ -17,8 +17,7 @@ if _threads.isdigit() and int(_threads) > 0:
 
 from .errors import ConfigError, DataIOError, NumericError
 from .filtering import (FilterResult, NoiseModel, initial_noise,
-                        release_filter_result, run_filter, smw_apply,
-                        static_init)
+                        release_filter_result, run_filter, static_init)
 from .linops import (Identity, LinearOperator, PatchRank1, Rank1, SparseCSR,
                      Warp)
 from .metrics import (MemoryTracker, PhaseTimer, memory_budget_bytes,
@@ -49,6 +48,6 @@ __all__ = [
     "memory_budget_bytes", "mmgks_solve", "noise_level", "parse_method",
     "read_metrics_csv", "record_rows", "release_filter_result",
     "rre", "run_emirkfs", "run_filter",
-    "run_smoother", "simulate_sinograms", "smw_apply", "static_init",
+    "run_smoother", "simulate_sinograms", "static_init",
     "write_metrics_csv",
 ]

@@ -1,9 +1,11 @@
-"""Shared dense kernels: PSD square roots, guarded symmetric solves, and
-chunked weighted Gramians.
+"""Shared dense kernels: guarded Cholesky solves and inverse factors, and
+weighted Gramians.
 
-The chunked routines let the filter/smoother form r x r projections of
-diagonally-weighted products without ever holding more than one n_s x r
-block plus O(CHUNK_ELEMS) scratch.
+``weighted_gram`` and the operators' row-chunked Gram loops form r x r
+projections of diagonally-weighted n_s x r products without holding more
+than one n_s x r block plus O(CHUNK_ELEMS) scratch. ``op_gram`` forms the
+observation's H P whole (m_t x r, small next to n_s x r) in one
+column-order pass over P.
 """
 
 from __future__ import annotations
@@ -33,29 +35,31 @@ def weighted_gram(X: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def motion_gram_triple(motion, P: np.ndarray, w: np.ndarray, g_pp: np.ndarray):
-    """(G_MM, G_MP, G_PP) for the weighted products of M P and P:
+def motion_gram_triple(motion, P: np.ndarray, w: np.ndarray, g_pp):
+    """(G_MM, G_MP), the motion part of the weighted Gram triple of M P and P:
 
     G_MM = (MP)^T diag(w) (MP) and G_MP = (MP)^T diag(w) P, formed by the
-    motion operator's own ``gram_triple`` (row-chunked or closed form, never
-    a full M P), with the caller's G_PP = P^T diag(w) P, which
-    ``ProjectionBasis.gram`` forms (closed form under uniform w).
+    motion operator's own ``gram_pair`` (row-chunked or closed form, never
+    a full M P). g_pp() returns the triple's third Gram, G_PP =
+    P^T diag(w) P (``ProjectionBasis.gram``, closed form under uniform w);
+    only an operator whose Gramians are G_PP itself (Identity) calls it.
     """
-    return motion.gram_triple(P, w, g_pp)
+    return motion.gram_pair(P, w, g_pp)
 
 
 def op_gram(op, P: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-    """(op P)^T diag(w) (op P) accumulated over row chunks of op P."""
-    r = P.shape[1]
-    out = np.zeros((r, r))
-    for rows in row_chunks(op.shape[0], r):
-        hp = op.apply_block_rows(P, rows)
-        out += (hp * w[rows, None]).T @ hp if w is not None else hp.T @ hp
-    return out
+    """(op P)^T diag(w) (op P), with op P formed whole by one
+    ``apply_block_rows`` call (for SparseCSR, one column-order pass that
+    reads each row of P once) and then one symmetric product."""
+    hp = op.apply_block_rows(P, slice(None))
+    if w is not None:
+        hp *= np.sqrt(w)[:, None]
+    return hp.T @ hp
 
 
 def symmetrize(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.T)
+
 
 def _cond_estimate(A: np.ndarray) -> float:
     try:
@@ -66,27 +70,32 @@ def _cond_estimate(A: np.ndarray) -> float:
         return np.inf
 
 
-def sym_solve(A: np.ndarray, B: np.ndarray, what: str = "system"):
-    """Solve A X = B for symmetric positive definite A (Cholesky).
+def _cholesky(A: np.ndarray, what: str):
+    """Lower Cholesky factor of symmetric positive definite A, in
+    ``cho_factor`` form (the upper triangle holds leftovers of A).
 
     Raises NumericError with a condition estimate when A is not PD.
     """
     try:
-        c = sla.cho_factor(A, lower=True, check_finite=False)
+        return sla.cho_factor(A, lower=True, check_finite=False)
     except (sla.LinAlgError, ValueError) as exc:
         raise NumericError(
-            f"{what}: symmetric solve failed (condition estimate "
+            f"{what}: Cholesky factorization failed (condition estimate "
             f"{_cond_estimate(A):.3e})"
         ) from exc
-    return sla.cho_solve(c, B, check_finite=False)
 
 
-def sym_inverse(A: np.ndarray, what: str = "matrix") -> np.ndarray:
-    return symmetrize(sym_solve(A, np.eye(A.shape[0]), what))
+def sym_solve(A: np.ndarray, B: np.ndarray, what: str = "system"):
+    """Solve A X = B for symmetric positive definite A (Cholesky)."""
+    return sla.cho_solve(_cholesky(A, what), B, check_finite=False)
 
 
-def psd_sqrt(S: np.ndarray) -> np.ndarray:
-    """Factor A with A A^T = S (eigendecomposition square root; negative
-    eigenvalues from roundoff are clipped to zero)."""
-    vals, vecs = np.linalg.eigh(symmetrize(S))
-    return vecs * np.sqrt(np.clip(vals, 0.0, None))
+def inverse_factor(A: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """Upper-triangular U with U U^T = A^{-1} for symmetric positive
+    definite A: with A = L L^T, U = L^{-T}, one Cholesky and one triangular
+    inverse (LAPACK dtrtri). Raises NumericError when A is not PD."""
+    c, _ = _cholesky(A, what)
+    l_inv, info = sla.lapack.dtrtri(c, lower=1)
+    if info != 0:
+        raise NumericError(f"{what}: Cholesky factor is singular")
+    return np.tril(l_inv).T

@@ -6,18 +6,19 @@ three itself:
 - ``apply(x)``: forward product ``op @ x``.
 - ``apply_transpose(y)``: exact adjoint of the same coefficients.
 - ``apply_block_rows(X, rows)``: rows ``rows`` of ``op @ X``, formed by the
-  operator's own row kernel without the full product. The observation
-  Gramians and the M-step fold these row chunks straight into r x r
-  matrices.
-- ``gram_triple(P, w, g_pp)``: the weighted Gramians of ``op P`` against
+  operator's own row kernel without the full product. The M-step folds
+  row chunks of motion products straight into diagonals; the observation
+  Gramians ask for the whole (m_t x r) H P with ``rows = slice(None)``,
+  which ``SparseCSR`` forms in one column-order pass over X.
+- ``gram_pair(P, w, g_pp)``: the weighted Gramians of ``op P`` against
   itself and against ``P`` that the filter and smoother need for a motion
-  operator, returned with the basis Gram ``g_pp = P^T diag(w) P``. The
-  caller passes ``g_pp`` in: ``ProjectionBasis.gram`` forms it once, in
-  closed form under uniform weights, and no operator forms its own. The
-  base class folds row chunks of ``op P`` into the other two, which
-  ``SparseCSR`` and ``Warp`` use. ``Identity`` returns ``g_pp`` three
-  times; ``Rank1`` and ``PatchRank1`` use closed forms in their
-  (per-patch) coefficients.
+  operator. ``g_pp()`` returns the basis Gram ``P^T diag(w) P``, which
+  ``ProjectionBasis.gram`` forms (closed form under uniform weights); only
+  ``Identity``, whose two Gramians are that Gram, calls it, so a caller
+  that has no other use for it never pays for it. The base class folds
+  row chunks of ``op P`` into the pair, which ``SparseCSR`` and ``Warp``
+  use; ``Rank1`` and ``PatchRank1`` use closed forms in their (per-patch)
+  coefficients.
 
 There is no column-loop fallback: an operator without a row kernel raises
 ``NotImplementedError``. ``to_dense`` is ``apply_block_rows`` on the
@@ -63,7 +64,7 @@ def to_patches(x, n_x, n_y, z_x, z_y):
 
 class LinearOperator:
     """Base class: shape (m, n), the three methods every operator implements
-    and the row-chunked Gram triple."""
+    and the row-chunked Gram pair."""
 
     shape: tuple[int, int]
 
@@ -77,12 +78,13 @@ class LinearOperator:
         """Rows ``rows`` of ``op @ X`` without holding the full product."""
         raise NotImplementedError(f"{type(self).__name__} has no row kernel")
 
-    def gram_triple(self, P: np.ndarray, w: np.ndarray, g_pp: np.ndarray):
-        """(G_MM, G_MP, G_PP) of a square operator M = op and weights w:
+    def gram_pair(self, P: np.ndarray, w: np.ndarray, g_pp):
+        """(G_MM, G_MP) of a square operator M = op and weights w:
 
-        G_MM = (MP)^T diag(w) (MP), G_MP = (MP)^T diag(w) P, and the given
-        G_PP = P^T diag(w) P, with M P generated row-chunk by row-chunk via
-        ``apply_block_rows`` so no full n_s x r product is ever held.
+        G_MM = (MP)^T diag(w) (MP) and G_MP = (MP)^T diag(w) P, with M P
+        generated row-chunk by row-chunk via ``apply_block_rows`` so no full
+        n_s x r product is ever held. g_pp() would return P^T diag(w) P;
+        this and every operator but Identity leave it uncalled.
         """
         n_s, r = P.shape
         g_mm = np.zeros((r, r))
@@ -92,7 +94,7 @@ class LinearOperator:
             mpw = mp * w[rows, None]
             g_mm += mpw.T @ mp
             g_mp += mpw.T @ P[rows]
-        return g_mm, g_mp, g_pp
+        return g_mm, g_mp
 
     def to_dense(self) -> np.ndarray:
         if max(self.shape) > DENSE_LIMIT:
@@ -128,7 +130,15 @@ class SparseCSR(LinearOperator):
         return self._matrix_t @ y
 
     def apply_block_rows(self, X, rows):
-        return np.asarray(self.matrix[rows] @ _as_block(X, self.shape[1]))
+        """A row slice runs the CSR row kernel on those rows. The whole
+        product (rows = slice(None)) goes through the CSC view of the stored
+        transpose, which reads each row of X once in place of once per
+        nonzero of its column; per output row both sum the same terms in
+        the same order."""
+        X = _as_block(X, self.shape[1])
+        if rows == slice(None):
+            return np.asarray(self._matrix_t.T @ X)
+        return np.asarray(self.matrix[rows] @ X)
 
 
 class Identity(LinearOperator):
@@ -144,11 +154,12 @@ class Identity(LinearOperator):
     def apply_block_rows(self, X, rows):
         return _as_block(X, self.shape[1])[rows].copy()
 
-    def gram_triple(self, P, w, g_pp):
-        """M P = P, so all three Gramians are G_PP: the given array, returned
-        three times (callers must not mutate it)."""
+    def gram_pair(self, P, w, g_pp):
+        """M P = P, so both Gramians are G_PP: the one array g_pp() returns,
+        twice (callers must not mutate it)."""
         _as_block(P, self.shape[1])
-        return g_pp, g_pp, g_pp
+        g = g_pp()
+        return g, g
 
 
 class Rank1(LinearOperator):
@@ -174,13 +185,13 @@ class Rank1(LinearOperator):
         coef = (self.v @ _as_block(X, self.shape[1])) / self.denom
         return self.u[rows, None] * coef[None, :]
 
-    def gram_triple(self, P, w, g_pp):
+    def gram_pair(self, P, w, g_pp):
         """M P = u c^T with c = P^T v / denom, so
         G_MM = (sum w u^2) c c^T and G_MP = c ((w u)^T P)."""
         P = _as_block(P, self.shape[1])
         coef = (self.v @ P) / self.denom
         wu = w * self.u
-        return (wu @ self.u) * np.outer(coef, coef), np.outer(coef, wu @ P), g_pp
+        return (wu @ self.u) * np.outer(coef, coef), np.outer(coef, wu @ P)
 
 
 class PatchRank1(LinearOperator):
@@ -256,7 +267,7 @@ class PatchRank1(LinearOperator):
         u = self.U.reshape(bx, by, self.z_x, self.z_y)[px, py, ix % self.z_x, iy % self.z_y]
         return u[:, None] * coef[(px - lo) * by + py]
 
-    def gram_triple(self, P, w, g_pp):
+    def gram_pair(self, P, w, g_pp):
         """Row i of M P is u_i c_j, j the patch of row i and C the
         (n_patches, r) coefficients, so with a_j = sum_{i in j} w_i u_i^2 and
         B_j = sum_{i in j} w_i u_i P_i: G_MM = C^T diag(a) C, G_MP = C^T B.
@@ -266,8 +277,7 @@ class PatchRank1(LinearOperator):
         coef = self._patch_sums(self.V, P, 0, bx) / self.denoms[:, None]
         wu = self.U * self._to_patches(w)
         a = np.einsum("ij,ij->i", wu, self.U)
-        return (coef.T @ (a[:, None] * coef), coef.T @ self._patch_sums(wu, P, 0, bx),
-                g_pp)
+        return coef.T @ (a[:, None] * coef), coef.T @ self._patch_sums(wu, P, 0, bx)
 
 
 class Warp(SparseCSR):

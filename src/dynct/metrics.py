@@ -4,7 +4,7 @@ metrics CSV format shared by the pipeline and the CLI.
 Memory accounting counts full-space (n_s-sized) and data-space (m_t-sized)
 arrays allocated while a reconstruction runs: motion-applied basis blocks,
 projected measurement blocks, per-frame trajectories and noise diagonals,
-plus a fixed scratch allowance for chunked temporaries.  Small reduced-space
+plus a scratch allowance for chunked temporaries and one whole H P.  Small reduced-space
 (r x r) bookkeeping, caller-owned inputs, and returned results are not
 charged; the point of the tracker is to bound the allocations the algorithm
 itself adds on top of its inputs.

@@ -17,10 +17,11 @@ fixed point: every pass reproduces the first bitwise.
 
 Memory protocol: all run-lifetime allocations are charged to a MemoryTracker.
 Full-space charges (trajectories, noise diagonals, motion payloads, the
-chunk scratch allowance) fall under the budgeted category; r x r charges
-(the filter's covariance history, the one step the smoother holds and the
-M-step's PSD factors of that step's two smoothed covariances) go to the
-reduced category, which is reported but not budgeted. New motion
+scratch allowance for chunk transients and one whole m_t x r observation
+product H P) fall under the budgeted category; r x r charges (the
+filter's history of covariance factors, the one step the smoother holds
+and the M-step's PSD factors of that step's two smoothed covariances) go
+to the reduced category, which is reported but not budgeted. New motion
 operators and noise diagonals are charged as each backward step makes them,
 next to the previous set, which is released when the sweep ends. Charges
 for arrays handed to the caller inside the RunRecord are released on
@@ -201,8 +202,9 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
     )
 
     # Scratch allowance for untracked transients: a few chunk-sized blocks
-    # inside the Gramian loops plus a handful of state-length vectors.
-    scratch = (4 * CHUNK_ELEMS + 8 * n_s) * 8
+    # inside the Gramian loops, a handful of state-length vectors and the
+    # whole H P that op_gram and update_r_diag form.
+    scratch = (4 * CHUNK_ELEMS + 8 * n_s + m_t * basis.rank) * 8
     tracker.add(scratch)
 
     alpha = basis.config.alpha
@@ -212,9 +214,9 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
     motions = [Identity(n_s) for _ in range(n_steps)]
     motion_bytes = 0
 
-    x0, psi0 = static_init(h_ops[0], basis, y_frames[0])
+    x0, a0 = static_init(h_ops[0], basis, y_frames[0])
     tracker.add_array(x0)
-    tracker.add_reduced_array(psi0)
+    tracker.add_reduced_array(a0)
 
     P = basis.P
     try:
@@ -250,9 +252,10 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
                             a_prev = factor(i - 1, psi_sm_prev)
                             r_new[i - 1] = update_r_diag(
                                 y_frames[i], h_ops[i], x_sm[i], a_i, P)
+                            a_est = filt.a_est[i - 1]
                             q_new[i - 1] = update_q_diag(
                                 x_sm[i - 1], x_sm[i], a_prev, a_i,
-                                psi_sm_i @ gain_i @ filt.psi_est[i - 1],
+                                psi_sm_i @ gain_i @ (a_est @ a_est.T),
                                 new_motions[i - 1], P)
                         tracker.release_reduced_array(factors.pop(i))
                         if i == 1:
@@ -264,7 +267,7 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
             try:
                 with timer.phase("filter"):
                     filt = run_filter(y_frames, h_ops, motions, noise, basis,
-                                      x0, psi0, tracker)
+                                      x0, a0, tracker)
                 with timer.phase("smoother"):
                     x_sm = run_smoother(filt, motions, noise, basis,
                                         with_covariance=method.em,
@@ -291,7 +294,7 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
     finally:
         tracker.release(scratch + motion_bytes + noise.nbytes())
         tracker.release_array(x0)
-        tracker.release_reduced_array(psi0)
+        tracker.release_reduced_array(a0)
         for traj in record.trajectories:
             tracker.release_array(traj)
         record.peak_bytes = tracker.peak_bytes

@@ -1,21 +1,27 @@
-"""Backward (RTS-type) smoother on the reduced filter output.
+"""Backward (RTS-type) smoother on the reduced square-root filter output.
 
-The mean recursion needs only operator-vector products: with
-d = x_i^sm - x_i^p and the Woodbury expansion of (C_i^p)^{-1},
+The filter hands over means and factors A_i (Psi_i^est = A_i A_i^T); the
+smoother uses A_{i-1} directly as the Woodbury factor of the predicted
+covariance, as the filter did, and recomputes the prediction
+x_i^p = M_i x_{i-1}^est with one operator apply. The mean recursion needs
+only operator-vector products: with d = x_i^sm - x_i^p and the Woodbury
+expansion of (C_i^p)^{-1},
 
-    x_{i-1}^sm = x_{i-1}^est + P Psi_{i-1}^est (M P)^T (C_i^p)^{-1} d,
+    x_{i-1}^sm = x_{i-1}^est + P A_{i-1} A_{i-1}^T (M P)^T (C_i^p)^{-1} d,
 
 where (M P)^T v = P^T (M^T v) and (C_i^p)^{-1} d unrolls to diagonal scalings
 plus r-vector solves.  Covariance quantities (needed by the EM updates) run
-on r x r matrices with the same Gramians the filter uses (G_PP from the
-basis, the motion Gramians from the operator):
+on r x r matrices with the Gramians the filter uses (the motion Gramians
+from the operator; G_PP from the basis only for an Identity motion, whose
+Gramians it is):
 
     gain                 K_i = P^T (C_i^p)^{-1} (M_i P)
     Psi_{i-1}^sm = Psi_{i-1}^est
         + Psi_{i-1}^est (K_i^T Psi_i^sm K_i - N_i) Psi_{i-1}^est,
-    N_i = (M_i P)^T (C_i^p)^{-1} (M_i P).
+    N_i = (M_i P)^T (C_i^p)^{-1} (M_i P),
 
-The lag-one cross covariance is C_{i,i-1}^sm = P Psi_i^sm K_i Psi_{i-1}^est P^T,
+with Psi_{i-1}^est = A_{i-1} A_{i-1}^T formed once for the step. The
+lag-one cross covariance is C_{i,i-1}^sm = P Psi_i^sm K_i Psi_{i-1}^est P^T,
 available in factored form and never assembled densely.
 
 No covariance history is kept.  Everything that consumes the smoothed
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import motion_gram_triple, psd_sqrt, sym_solve, symmetrize
+from ._linalg import motion_gram_triple, sym_solve, symmetrize
 from .errors import ConfigError
 from .filtering import FilterResult, NoiseModel
 from .linops import LinearOperator
@@ -37,20 +43,23 @@ from .metrics import MemoryTracker, NullTracker
 from .prior import ProjectionBasis
 
 
-def smooth_step(x_est_prev, psi_est_prev, x_pred_i, x_sm_i, psi_sm_i,
+def smooth_step(x_est_prev, a_est_prev, x_sm_i, psi_sm_i,
                 motion: LinearOperator, q_diag, basis: ProjectionBasis,
                 with_covariance: bool = False):
-    """One backward step; returns (x_sm_prev, psi_sm_prev, K_i).
+    """One backward step from the filtered mean and factor at frame i-1
+    (Psi_{i-1}^est = a_est_prev a_est_prev^T); returns
+    (x_sm_prev, psi_sm_prev, K_i).
 
     psi_sm_prev and K_i are None unless with_covariance is set.
     """
     P = basis.P
     r = P.shape[1]
     q_inv = 1.0 / np.asarray(q_diag, dtype=float)
-    A = psd_sqrt(psi_est_prev)
-    d = x_sm_i - x_pred_i
+    A = a_est_prev
+    d = x_sm_i - motion.apply(x_est_prev)
 
-    g_mm, g_mp, _ = motion_gram_triple(motion, P, q_inv, basis.gram(q_inv))
+    g_mm, g_mp = motion_gram_triple(motion, P, q_inv,
+                                    lambda: basis.gram(q_inv))
     S = symmetrize(A.T @ g_mm @ A) + np.eye(r)
 
     # v = (C^p)^{-1} d via the Woodbury identity, vectors only
@@ -58,11 +67,12 @@ def smooth_step(x_est_prev, psi_est_prev, x_pred_i, x_sm_i, psi_sm_i,
     z = A @ sym_solve(S, A.T @ w, "smoother capacitance")
     v = q_inv * d - q_inv * motion.apply(P @ z)
 
-    x_sm_prev = x_est_prev + P @ (psi_est_prev @ (P.T @ motion.apply_transpose(v)))
+    x_sm_prev = x_est_prev + P @ (A @ (A.T @ (P.T @ motion.apply_transpose(v))))
 
     psi_sm_prev = None
     K = None
     if with_covariance:
+        psi_est_prev = A @ A.T
         E = A.T @ g_mp
         F = A.T @ g_mm
         S_inv_F = sym_solve(S, F, "smoother gain")
@@ -89,19 +99,20 @@ def run_smoother(filt: FilterResult, motions, noise: NoiseModel,
     """
     tracker = tracker or NullTracker()
     n_steps = noise.n_steps
-    if len(motions) != n_steps or len(filt.psi_est) != n_steps + 1:
+    if len(motions) != n_steps or len(filt.a_est) != n_steps + 1:
         raise ConfigError("run_smoother: step counts disagree with filter output")
 
     x_sm = tracker.add_array(np.zeros_like(filt.x_est))
     x_sm[n_steps] = filt.x_est[n_steps]
     psi_i = None
     if with_covariance:
-        psi_i = tracker.add_reduced_array(filt.psi_est[n_steps].copy())
+        a_T = filt.a_est[n_steps]
+        psi_i = tracker.add_reduced_array(a_T @ a_T.T)
 
     for i in range(n_steps, 0, -1):
         x_sm[i - 1], psi_prev, K = smooth_step(
-            filt.x_est[i - 1], filt.psi_est[i - 1], filt.x_pred[i], x_sm[i],
-            psi_i, motions[i - 1], noise.q_diags[i - 1], basis, with_covariance)
+            filt.x_est[i - 1], filt.a_est[i - 1], x_sm[i], psi_i,
+            motions[i - 1], noise.q_diags[i - 1], basis, with_covariance)
         if with_covariance:
             tracker.add_reduced(psi_prev.nbytes + K.nbytes)
         if on_step is not None:

@@ -31,10 +31,10 @@ def build_problem(n_x=12, n_y=12, n_steps=4, n_angles=5, sigma=0.05,
                                                    rank=rank))
     noise = initial_noise(alpha, n_s, [op.shape[0] for op in h_ops[1:]],
                           q_scale=q_scale, r_scale=r_scale)
-    x0, psi0 = static_init(h_ops[0], basis, sino.sinograms[0])
+    x0, a0 = static_init(h_ops[0], basis, sino.sinograms[0])
     return {
         "frames": frames, "geom": geom, "h_ops": h_ops, "sino": sino,
-        "basis": basis, "noise": noise, "x0": x0, "psi0": psi0,
+        "basis": basis, "noise": noise, "x0": x0, "a0": a0,
         "h_dense": [op.to_dense() for op in h_ops],
         "n_s": n_s, "n_steps": n_steps,
     }
@@ -58,6 +58,11 @@ def smoothed_moments(filt, motions, noise, basis, tracker=None):
     x_sm = run_smoother(filt, motions, noise, basis, with_covariance=True,
                         tracker=tracker, on_step=keep)
     return SimpleNamespace(x_sm=x_sm, psi_sm=psi_sm, gains=gains)
+
+
+def psi_of(a):
+    """Reduced covariance Psi = A A^T from a filter factor A."""
+    return a @ a.T
 
 
 def dense_noise(problem):

@@ -1,11 +1,20 @@
 """Dense reference implementations the test suite checks against.
 
-Everything here is written in the most literal textbook form possible:
-full covariances, explicit inverses, gain-form recursions. Nothing is
-shared with the package internals, so agreement is meaningful.
+Everything above the last section is written in the most literal textbook
+form possible: full covariances, explicit inverses, gain-form recursions.
+Nothing there is shared with the package internals, so agreement is
+meaningful. The last section holds reference routines in the package's own
+conventions (the Woodbury apply, the diagonal M-step with its floor and
+roundoff guard, the expected log-likelihood on diagonal or full noise); no
+pipeline path calls them, so they live with the tests.
 """
 
 import numpy as np
+
+from dynct._linalg import row_chunks, sym_solve, weighted_gram
+from dynct.em import _apply_floor, _guard_negative
+from dynct.errors import ConfigError, NumericError
+from dynct.linops import DENSE_LIMIT
 
 
 def dense_kalman_filter(x0, c0, motions, q_covs, h_mats, r_covs, ys):
@@ -134,3 +143,94 @@ def cross_covariance_factors(psi_sm_i, K_i, psi_est_prev, P):
     """Factors (L, R) with C_{i,i-1}^sm = L @ R.T in full space, from the
     smoother's reduced quantities (Psi_i^sm K_i Psi_{i-1}^est)."""
     return P @ psi_sm_i, P @ (psi_est_prev @ K_i.T)
+
+
+# ---------------------------------------------------------------------------
+# Reference routines in the package's conventions (small problems only).
+
+def _guard_dense(n: int, what: str) -> None:
+    if n > DENSE_LIMIT:
+        raise ConfigError(f"{what}: dense path refused for dimension {n}")
+
+
+def update_r_dense(y_i, h_dense: np.ndarray, x_sm_i, cov_sm_i) -> np.ndarray:
+    _guard_dense(h_dense.shape[1], "update_r_dense")
+    resid = np.asarray(y_i, dtype=float) - h_dense @ x_sm_i
+    full = np.outer(resid, resid) + h_dense @ cov_sm_i @ h_dense.T
+    return _apply_floor(np.diag(full).copy())
+
+
+def update_q_dense(x_sm_prev, x_sm_i, cov_sm_prev, cov_sm_i, cov_cross_i,
+                   m_dense: np.ndarray) -> np.ndarray:
+    _guard_dense(m_dense.shape[0], "update_q_dense")
+    resid = x_sm_i - m_dense @ x_sm_prev
+    cm = cov_cross_i @ m_dense.T
+    pos = (resid ** 2 + np.diag(cov_sm_i)
+           + np.einsum("ij,jk,ik->i", m_dense, cov_sm_prev, m_dense))
+    full = (np.outer(resid, resid) + cov_sm_i - cm - cm.T
+            + m_dense @ cov_sm_prev @ m_dense.T)
+    return _apply_floor(_guard_negative(np.diag(full).copy(), "update_q_dense",
+                                        float(pos.max())))
+
+
+def expected_loglik(y_frames, h_ops, motions, q_covs, r_covs,
+                    x_sm, cov_sm, cov_cross, x0_mean, cov0) -> float:
+    """Expected complete-data log-likelihood (up to the constant term).
+
+    Dense diagnostic; q_covs/r_covs entries may be 1-D diagonals or full
+    matrices; cov_cross[i-1] is the full lag-one cross covariance
+    C_{i,i-1}^sm.  The frame-0 prior uses (x0_mean, cov0).
+    """
+    n_s = x_sm.shape[1]
+    _guard_dense(n_s, "expected_loglik")
+    n_steps = len(motions)
+
+    def _dense(op):
+        return np.asarray(op, dtype=float) if isinstance(op, np.ndarray) \
+            else op.to_dense()
+
+    def _term(cov, second_moment, what):
+        cov = np.asarray(cov, dtype=float)
+        if cov.ndim == 1:
+            if np.any(cov <= 0):
+                raise NumericError(f"expected_loglik: non-positive {what}")
+            return float(np.sum(np.log(cov)) + np.sum(np.diag(second_moment) / cov))
+        sign, logdet = np.linalg.slogdet(cov)
+        if sign <= 0:
+            raise NumericError(f"expected_loglik: {what} not PD")
+        return float(logdet + np.trace(sym_solve(cov, second_moment, what)))
+
+    d0 = x_sm[0] - x0_mean
+    total = -0.5 * _term(cov0, cov_sm[0] + np.outer(d0, d0), "prior covariance")
+
+    for i in range(1, n_steps + 1):
+        m_dense = _dense(motions[i - 1])
+        h_dense = _dense(h_ops[i])
+
+        resid_q = x_sm[i] - m_dense @ x_sm[i - 1]
+        cm = cov_cross[i - 1] @ m_dense.T
+        sq = (np.outer(resid_q, resid_q) + cov_sm[i] - cm - cm.T
+              + m_dense @ cov_sm[i - 1] @ m_dense.T)
+        total -= 0.5 * _term(q_covs[i - 1], sq, f"Q_{i}")
+
+        resid_r = np.asarray(y_frames[i], dtype=float) - h_dense @ x_sm[i]
+        sr = np.outer(resid_r, resid_r) + h_dense @ cov_sm[i] @ h_dense.T
+        total -= 0.5 * _term(r_covs[i - 1], sr, f"R_{i}")
+    return total
+
+
+def smw_apply(q_inv_diag: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(B B^T + Q)^{-1} X for diagonal Q, via the Woodbury identity.
+
+    Allocates one array of X's shape; the correction term is folded in
+    row-chunk by row-chunk.
+    """
+    q_inv_diag = np.asarray(q_inv_diag, dtype=float)
+    vec = X.ndim == 1
+    Xm = X[:, None] if vec else X
+    out = q_inv_diag[:, None] * Xm
+    S = weighted_gram(B, q_inv_diag) + np.eye(B.shape[1])
+    Z = sym_solve(S, B.T @ out, "smw capacitance")
+    for rows in row_chunks(B.shape[0], B.shape[1]):
+        out[rows] -= q_inv_diag[rows, None] * (B[rows] @ Z)
+    return out[:, 0] if vec else out

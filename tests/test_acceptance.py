@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dynct.em import psd_factor, update_q_diag, update_r_diag
-from dynct.filtering import run_filter, smw_apply
+from dynct.filtering import run_filter
 from dynct.linops import Identity, SparseCSR
 from dynct.metrics import MemoryTracker, memory_budget_bytes, noise_level
 from dynct.mmgks import MMGKSConfig, mmgks_solve
@@ -19,11 +19,12 @@ from dynct.pipeline import MotionOptions, parse_method, run_emirkfs
 from dynct.prior import PriorConfig, build_projection
 from dynct.radon import build_operators, make_geometry, simulate_sinograms
 
-from helpers import build_problem, dense_noise, rel_err, smoothed_moments
+from helpers import (build_problem, dense_noise, psi_of, rel_err,
+                     smoothed_moments)
 from oracles import (cross_covariance_factors, dense_expected_loglik,
                      dense_irls, dense_kalman_filter, dense_q_update,
                      dense_r_update, dense_rts_smoother,
-                     dense_cross_covariances)
+                     dense_cross_covariances, smw_apply)
 
 
 def _ok(n: int, label: str) -> None:
@@ -38,11 +39,11 @@ def small():
     prob = build_problem(n_x=12, n_y=12, n_steps=4, n_angles=5)
     motions = [Identity(prob["n_s"]) for _ in range(prob["n_steps"])]
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
-                      prob["noise"], prob["basis"], prob["x0"], prob["psi0"])
+                      prob["noise"], prob["basis"], prob["x0"], prob["a0"])
     sm = smoothed_moments(filt, motions, prob["noise"], prob["basis"])
     P = prob["basis"].P
     q_covs, r_covs = dense_noise(prob)
-    c0 = P @ prob["psi0"] @ P.T
+    c0 = P @ psi_of(prob["a0"]) @ P.T
     dm = [np.eye(prob["n_s"])] * prob["n_steps"]
     means, covs, pmeans, pcovs = dense_kalman_filter(
         prob["x0"], c0, dm, q_covs, prob["h_dense"], r_covs,
@@ -81,7 +82,7 @@ def test_criterion_01_reduced_filter_matches_dense_kalman(small):
     P = small["prob"]["basis"].P
     for i in range(small["prob"]["n_steps"] + 1):
         assert rel_err(small["filt"].x_est[i], small["means"][i]) <= 1e-8
-        cov = P @ small["filt"].psi_est[i] @ P.T
+        cov = P @ psi_of(small["filt"].a_est[i]) @ P.T
         assert rel_err(cov, small["covs"][i]) <= 1e-8
     assert small["built"] + time.perf_counter() - t0 < 10.0
     _ok(1, "reduced filter == dense Kalman filter to 1e-8")
@@ -121,14 +122,14 @@ def test_criterion_04_em_mstep_oracle_and_monotone_objective():
     assert prob["h_ops"][1].shape[0] == 3  # m_t = 3 measurement rows
     motions = [Identity(9) for _ in range(4)]
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
-                      prob["noise"], prob["basis"], prob["x0"], prob["psi0"])
+                      prob["noise"], prob["basis"], prob["x0"], prob["a0"])
     sm = smoothed_moments(filt, motions, prob["noise"], prob["basis"])
     P = prob["basis"].P
     for i in range(1, 5):
         cov_sm_i = P @ sm.psi_sm[i] @ P.T
         cov_sm_prev = P @ sm.psi_sm[i - 1] @ P.T
         L, R = cross_covariance_factors(sm.psi_sm[i], sm.gains[i - 1],
-                                        filt.psi_est[i - 1], P)
+                                        psi_of(filt.a_est[i - 1]), P)
         h = prob["h_dense"][i]
         y = prob["sino"].sinograms[i]
         r_want = np.diag(dense_r_update(y, h, sm.x_sm[i], cov_sm_i))
@@ -141,7 +142,7 @@ def test_criterion_04_em_mstep_oracle_and_monotone_objective():
         q_got = update_q_diag(sm.x_sm[i - 1], sm.x_sm[i],
                               psd_factor(sm.psi_sm[i - 1], "psi"),
                               psd_factor(sm.psi_sm[i], "psi"),
-                              sm.psi_sm[i] @ sm.gains[i - 1] @ filt.psi_est[i - 1],
+                              sm.psi_sm[i] @ sm.gains[i - 1] @ psi_of(filt.a_est[i - 1]),
                               Identity(9), P)
         assert rel_err(q_got, q_want) <= 1e-10
 

@@ -4,15 +4,16 @@ expected complete-data log-likelihood diagnostics."""
 import numpy as np
 import pytest
 
-from dynct.em import (FLOOR_ABS, expected_loglik, psd_factor, update_q_dense,
-                      update_q_diag, update_r_dense, update_r_diag)
+from dynct.em import FLOOR_ABS, psd_factor, update_q_diag, update_r_diag
 from dynct.errors import ConfigError, NumericError
 from dynct.filtering import run_filter
 from dynct.linops import Identity, SparseCSR
-from helpers import build_problem, dense_noise, rel_err, smoothed_moments
+from helpers import (build_problem, dense_noise, psi_of, rel_err,
+                     smoothed_moments)
 from oracles import (cross_covariance_factors, dense_cross_covariances,
                      dense_kalman_filter, dense_q_update, dense_r_update,
-                     dense_rts_smoother, projected_posterior_cov)
+                     dense_rts_smoother, expected_loglik,
+                     projected_posterior_cov, update_q_dense, update_r_dense)
 
 
 def _smoothed_problem(**kw):
@@ -23,7 +24,7 @@ def _smoothed_problem(**kw):
                          + 0.05 * (rng.random((n_s, n_s)) < 0.15))
                for _ in range(prob["n_steps"])]
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
-                      prob["noise"], prob["basis"], prob["x0"], prob["psi0"])
+                      prob["noise"], prob["basis"], prob["x0"], prob["a0"])
     sm = smoothed_moments(filt, motions, prob["noise"], prob["basis"])
     return prob, motions, filt, sm
 
@@ -33,7 +34,7 @@ def _q_update(sm, filt, i, motion, P):
     return update_q_diag(sm.x_sm[i - 1], sm.x_sm[i],
                          psd_factor(sm.psi_sm[i - 1], "psi"),
                          psd_factor(sm.psi_sm[i], "psi"),
-                         sm.psi_sm[i] @ sm.gains[i - 1] @ filt.psi_est[i - 1],
+                         sm.psi_sm[i] @ sm.gains[i - 1] @ psi_of(filt.a_est[i - 1]),
                          motion, P)
 
 
@@ -56,7 +57,7 @@ def test_q_update_matches_dense_formula():
     for i in range(1, prob["n_steps"] + 1):
         got = _q_update(sm, filt, i, motions[i - 1], P)
         L, R = cross_covariance_factors(sm.psi_sm[i], sm.gains[i - 1],
-                                        filt.psi_est[i - 1], P)
+                                        psi_of(filt.a_est[i - 1]), P)
         want = update_q_dense(sm.x_sm[i - 1], sm.x_sm[i],
                               projected_posterior_cov(P, sm.psi_sm[i - 1]),
                               projected_posterior_cov(P, sm.psi_sm[i]),
@@ -70,12 +71,12 @@ def test_q_update_matches_fully_dense_rts_chain():
     prob = build_problem(n_x=3, n_y=3, n_steps=3, n_angles=2)
     motions_op = [Identity(prob["n_s"])] * prob["n_steps"]
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions_op,
-                      prob["noise"], prob["basis"], prob["x0"], prob["psi0"])
+                      prob["noise"], prob["basis"], prob["x0"], prob["a0"])
     sm = smoothed_moments(filt, motions_op, prob["noise"], prob["basis"])
     q_covs, r_covs = dense_noise(prob)
     motions = [np.eye(prob["n_s"])] * prob["n_steps"]
     P = prob["basis"].P
-    kf = dense_kalman_filter(prob["x0"], P @ prob["psi0"] @ P.T, motions,
+    kf = dense_kalman_filter(prob["x0"], P @ psi_of(prob["a0"]) @ P.T, motions,
                              q_covs, prob["h_dense"], r_covs,
                              prob["sino"].sinograms)
     sm_means, sm_covs, gains = dense_rts_smoother(*kf, motions)

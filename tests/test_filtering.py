@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from dynct._linalg import inverse_factor
 from dynct.errors import ConfigError, NumericError
 from dynct.filtering import (NoiseModel, filter_step, initial_noise,
-                             release_filter_result, run_filter, smw_apply,
-                             static_init)
+                             release_filter_result, run_filter, static_init)
 from dynct.linops import Identity, SparseCSR
 from dynct.metrics import MemoryTracker
 from dynct.prior import PriorConfig, ProjectionBasis, build_projection
-from helpers import build_problem, dense_noise, rel_err
-from oracles import dense_kalman_filter, projected_posterior_cov
+from helpers import build_problem, dense_noise, psi_of, rel_err
+from oracles import dense_kalman_filter, projected_posterior_cov, smw_apply
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +24,7 @@ def prob():
 def reduced(prob):
     motions = [Identity(prob["n_s"]) for _ in range(prob["n_steps"])]
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
-                      prob["noise"], prob["basis"], prob["x0"], prob["psi0"])
+                      prob["noise"], prob["basis"], prob["x0"], prob["a0"])
     return filt
 
 
@@ -33,7 +33,7 @@ def dense(prob):
     q_covs, r_covs = dense_noise(prob)
     motions = [np.eye(prob["n_s"]) for _ in range(prob["n_steps"])]
     P = prob["basis"].P
-    c0 = P @ prob["psi0"] @ P.T
+    c0 = P @ psi_of(prob["a0"]) @ P.T
     return dense_kalman_filter(prob["x0"], c0, motions, q_covs,
                                prob["h_dense"], r_covs,
                                prob["sino"].sinograms)
@@ -41,32 +41,51 @@ def dense(prob):
 
 def test_means_match_dense_oracle(prob, reduced, dense):
     means, _, pred_means, _ = dense
+    motion = Identity(prob["n_s"])
     for i in range(prob["n_steps"] + 1):
         assert rel_err(reduced.x_est[i], means[i]) <= 1e-8, f"step {i}"
-        assert rel_err(reduced.x_pred[i], pred_means[i]) <= 1e-8, f"step {i}"
+    # the prediction M_i x_{i-1}^est, as the smoother recomputes it
+    for i in range(1, prob["n_steps"] + 1):
+        assert rel_err(motion.apply(reduced.x_est[i - 1]),
+                       pred_means[i]) <= 1e-8, f"step {i}"
 
 
 def test_covariances_match_dense_oracle(prob, reduced, dense):
     _, covs, _, _ = dense
     P = prob["basis"].P
     for i in range(prob["n_steps"] + 1):
-        full = projected_posterior_cov(P, reduced.psi_est[i])
+        full = projected_posterior_cov(P, psi_of(reduced.a_est[i]))
         assert rel_err(full, covs[i]) <= 1e-8, f"step {i}"
 
 
 def test_psi_symmetric_psd(reduced):
-    for psi in reduced.psi_est:
+    for a in reduced.a_est:
+        # the filter's factors are upper triangular (L^{-T}, identity at 0)
+        np.testing.assert_array_equal(a, np.triu(a))
+        psi = psi_of(a)
         assert np.max(np.abs(psi - psi.T)) <= 1e-12 * max(np.abs(psi).max(), 1.0)
         vals = np.linalg.eigvalsh(psi)
         assert vals.min() >= -1e-10 * np.linalg.norm(psi)
 
 
+def test_inverse_factor_of_spd_and_indefinite():
+    rng = np.random.default_rng(8)
+    for n in (1, 5, 40):
+        B = rng.standard_normal((n, n))
+        A = B @ B.T + n * np.eye(n)
+        U = inverse_factor(A)
+        np.testing.assert_array_equal(U, np.triu(U))
+        assert rel_err(U @ U.T, np.linalg.inv(A)) <= 1e-12
+    with pytest.raises(NumericError):
+        inverse_factor(np.diag([1.0, -1.0]))
+
+
 def test_zero_innovation_keeps_prediction(prob):
     motion = Identity(prob["n_s"])
     h = prob["h_ops"][1]
-    x_prev, psi_prev = prob["x0"], prob["psi0"]
+    x_prev, a_prev = prob["x0"], prob["a0"]
     y = h.apply(motion.apply(x_prev))  # exactly consistent data
-    xp, xe, _ = filter_step(x_prev, psi_prev, motion, h,
+    xp, xe, _ = filter_step(x_prev, a_prev, motion, h,
                             prob["noise"].q_diags[0], prob["noise"].r_diags[0],
                             y, prob["basis"])
     np.testing.assert_allclose(xe, xp, atol=1e-10 * np.linalg.norm(xp))
@@ -134,10 +153,10 @@ def test_smw_vector_input():
 
 
 def test_static_init_zero_data(prob):
-    x0, psi0 = static_init(prob["h_ops"][0], prob["basis"],
-                           np.zeros(prob["h_ops"][0].shape[0]))
+    x0, a0 = static_init(prob["h_ops"][0], prob["basis"],
+                         np.zeros(prob["h_ops"][0].shape[0]))
     np.testing.assert_allclose(x0, 0.0, atol=1e-15)
-    np.testing.assert_allclose(psi0, np.eye(prob["basis"].rank), atol=0)
+    np.testing.assert_allclose(a0, np.eye(prob["basis"].rank), atol=0)
 
 
 def test_static_init_identity_h_orthonormal_basis():
@@ -178,8 +197,9 @@ def test_innovation_whiteness_on_true_model():
                       xs[0], np.eye(P.shape[1]))
     scores = []
     for i in range(1, 31):
-        innov = ys[i] - hd @ filt.x_pred[i]
-        cp = hd @ (P @ filt.psi_est[i - 1] @ P.T + np.diag(noise.q_diags[i - 1])) @ hd.T
+        innov = ys[i] - hd @ motions[i - 1].apply(filt.x_est[i - 1])
+        cp = hd @ (P @ psi_of(filt.a_est[i - 1]) @ P.T
+                   + np.diag(noise.q_diags[i - 1])) @ hd.T
         s = cp + np.diag(noise.r_diags[i - 1])
         scores.append(innov @ np.linalg.solve(s, innov) / m)
     avg = float(np.mean(scores))
@@ -189,7 +209,7 @@ def test_innovation_whiteness_on_true_model():
 def test_run_filter_t0_is_initialization(prob):
     noise = NoiseModel(q_diags=[], r_diags=[])
     filt = run_filter([prob["sino"].sinograms[0]], [prob["h_ops"][0]], [],
-                      noise, prob["basis"], prob["x0"], prob["psi0"])
+                      noise, prob["basis"], prob["x0"], prob["a0"])
     assert filt.x_est.shape == (1, prob["n_s"])
     np.testing.assert_array_equal(filt.x_est[0], prob["x0"])
 
@@ -198,7 +218,7 @@ def test_run_filter_count_validation(prob):
     with pytest.raises(ConfigError):
         run_filter(prob["sino"].sinograms[:-1], prob["h_ops"],
                    [Identity(prob["n_s"])] * prob["n_steps"], prob["noise"],
-                   prob["basis"], prob["x0"], prob["psi0"])
+                   prob["basis"], prob["x0"], prob["a0"])
 
 
 def test_noise_model_validation():
@@ -217,10 +237,13 @@ def test_tracker_charges_released(prob):
     tracker = MemoryTracker()
     motions = [Identity(prob["n_s"]) for _ in range(prob["n_steps"])]
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
-                      prob["noise"], prob["basis"], prob["x0"], prob["psi0"],
+                      prob["noise"], prob["basis"], prob["x0"], prob["a0"],
                       tracker)
-    assert tracker.current_bytes == filt.x_est.nbytes + filt.x_pred.nbytes
+    assert tracker.current_bytes == filt.x_est.nbytes
     assert tracker.peak_bytes >= tracker.current_bytes
+    # one r x r factor per filtered step; the initial factor is the caller's
+    r = prob["basis"].rank
+    assert tracker.peak_reduced_bytes == prob["n_steps"] * r * r * 8
     release_filter_result(filt, tracker)
     assert tracker.current_bytes == 0
 

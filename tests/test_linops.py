@@ -83,16 +83,38 @@ def test_motion_gram_triple_matches_dense(ops):
         P = rng.standard_normal((n, 5))
         w = rng.uniform(0.2, 3.0, n)
         MP = op.to_dense() @ P
-        want = (MP.T @ (w[:, None] * MP), MP.T @ (w[:, None] * P),
-                P.T @ (w[:, None] * P))
-        g_pp = weighted_gram(P, w)
+        want = (MP.T @ (w[:, None] * MP), MP.T @ (w[:, None] * P))
+        calls = []
+
+        def g_pp():
+            calls.append(1)
+            return weighted_gram(P, w)
+
         got = motion_gram_triple(op, P, w, g_pp)
+        assert len(got) == 2
         for g, ref in zip(got, want):
             np.testing.assert_allclose(g, ref, rtol=1e-12)
-        # the basis Gram is the caller's, handed back untouched
-        assert got[2] is g_pp
+        # only Identity, whose Gramians are the basis Gram, asks for it
         if isinstance(op, Identity):
-            assert all(g is g_pp for g in got)
+            assert len(calls) == 1 and got[0] is got[1]
+            np.testing.assert_array_equal(got[0], weighted_gram(P, w))
+        else:
+            assert calls == []
+
+
+def test_sparse_whole_block_matches_dense_and_row_path(ops):
+    rng = np.random.default_rng(6)
+    sparse = [op for op in ops if isinstance(op, SparseCSR)]
+    assert {type(op).__name__ for op in sparse} == {"SparseCSR", "Warp"}
+    for op in sparse:
+        X = rng.standard_normal((op.shape[1], 7))
+        got = op.apply_block_rows(X, slice(None))
+        np.testing.assert_allclose(got, op.matrix.toarray() @ X, rtol=1e-12,
+                                   atol=1e-12 * np.abs(X).max())
+        rows = op.apply_block_rows(X, slice(0, op.shape[0]))
+        np.testing.assert_array_equal(got, rows)
+        np.testing.assert_allclose(got, op.to_dense() @ X, rtol=1e-12,
+                                   atol=1e-12 * np.abs(X).max())
 
 
 def test_shape_validation(ops):
@@ -121,7 +143,7 @@ def test_operator_without_row_kernel_raises():
     with pytest.raises(NotImplementedError):
         op_gram(op, np.eye(3))
     with pytest.raises(NotImplementedError):
-        op.gram_triple(np.eye(3), np.ones(3), np.eye(3))
+        op.gram_pair(np.eye(3), np.ones(3), lambda: np.eye(3))
 
 
 def test_to_dense_guard():

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from dynct import _linalg
+from dynct import _linalg, pipeline
 from dynct.errors import ConfigError, NumericError
 from dynct.metrics import MemoryTracker
 from dynct.pipeline import (MethodSpec, MotionOptions, parse_method,
@@ -147,14 +147,14 @@ def test_em_reduced_peak_holds_one_smoother_step():
     assert 0 < record.peak_reduced_bytes <= (T + 6) * r * r * 8
 
 
-def test_irkfs_forms_no_weighted_gram(monkeypatch):
-    # under uniform Q (every IRKFS step) the basis Gram is diag(lambda)/q:
-    # no n_s x r^2 weighted Gram anywhere in the run
+def _count_weighted_grams(monkeypatch, tag=lambda: None):
+    """Record tag() at each weighted_gram call, under every dynct-module
+    name bound to the function."""
     original = _linalg.weighted_gram
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[0].shape)
+        calls.append(tag())
         return original(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
@@ -162,11 +162,41 @@ def test_irkfs_forms_no_weighted_gram(monkeypatch):
             for attr, value in list(vars(mod).items()):
                 if value is original:
                     monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_irkfs_forms_no_weighted_gram(monkeypatch):
+    # under uniform Q (every IRKFS step) the basis Gram is diag(lambda)/q:
+    # no n_s x r^2 weighted Gram anywhere in the run
+    calls = _count_weighted_grams(monkeypatch)
     _run("IRKFS", n_iter=2)
     assert calls == []
     # the count does see the Gram: EMIRKFS's second pass has non-uniform Q
     _run("EMIRKFS", n_iter=2)
     assert calls
+
+
+def test_smoother_forms_basis_gram_only_for_identity(monkeypatch):
+    # pass 2 has non-uniform Q; the filter needs G_PP at every step, the
+    # smoother only for an Identity motion, whose Gramians it is
+    phase = ["filter"]
+    calls = _count_weighted_grams(monkeypatch, lambda: phase[0])
+    original = pipeline.run_smoother
+
+    def smoother(*args, **kwargs):
+        phase[0] = "smoother"
+        try:
+            return original(*args, **kwargs)
+        finally:
+            phase[0] = "filter"
+
+    monkeypatch.setattr(pipeline, "run_smoother", smoother)
+    prob, _ = _run("EMIRKFS-M3", n_iter=2)
+    T = prob["n_steps"]
+    assert calls == ["filter"] * T
+    calls.clear()
+    _run("EMIRKFS", n_iter=2, prob=prob)
+    assert calls == ["filter"] * T + ["smoother"] * T
 
 
 def test_truth_optional():

@@ -8,7 +8,8 @@ from dynct.filtering import NoiseModel, run_filter
 from dynct.linops import Identity
 from dynct.metrics import MemoryTracker, rre
 from dynct.smoothing import run_smoother, smooth_step
-from helpers import build_problem, dense_noise, rel_err, smoothed_moments
+from helpers import (build_problem, dense_noise, psi_of, rel_err,
+                     smoothed_moments)
 from oracles import (cross_covariance_factors, dense_cross_covariances,
                      dense_kalman_filter, dense_rts_smoother,
                      projected_posterior_cov)
@@ -17,7 +18,7 @@ from oracles import (cross_covariance_factors, dense_cross_covariances,
 def _smoothed(prob, tracker=None):
     motions = [Identity(prob["n_s"]) for _ in range(prob["n_steps"])]
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
-                      prob["noise"], prob["basis"], prob["x0"], prob["psi0"])
+                      prob["noise"], prob["basis"], prob["x0"], prob["a0"])
     return filt, smoothed_moments(filt, motions, prob["noise"], prob["basis"],
                                   tracker)
 
@@ -26,7 +27,7 @@ def _dense(prob):
     q_covs, r_covs = dense_noise(prob)
     motions = [np.eye(prob["n_s"]) for _ in range(prob["n_steps"])]
     P = prob["basis"].P
-    c0 = P @ prob["psi0"] @ P.T
+    c0 = P @ psi_of(prob["a0"]) @ P.T
     kf = dense_kalman_filter(prob["x0"], c0, motions, q_covs,
                              prob["h_dense"], r_covs, prob["sino"].sinograms)
     sm_means, sm_covs, gains = dense_rts_smoother(*kf, motions)
@@ -41,7 +42,7 @@ def prob():
 def test_means_match_dense_rts(prob):
     motions = [Identity(prob["n_s"]) for _ in range(prob["n_steps"])]
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
-                      prob["noise"], prob["basis"], prob["x0"], prob["psi0"])
+                      prob["noise"], prob["basis"], prob["x0"], prob["a0"])
     x_sm = run_smoother(filt, motions, prob["noise"], prob["basis"])
     sm_means, _, _ = _dense(prob)
     for i in range(prob["n_steps"] + 1):
@@ -61,7 +62,7 @@ def test_terminal_conditions_exact(prob):
     filt, sm = _smoothed(prob)
     T = prob["n_steps"]
     assert np.array_equal(sm.x_sm[T], filt.x_est[T])
-    assert np.array_equal(sm.psi_sm[T], filt.psi_est[T])
+    assert np.array_equal(sm.psi_sm[T], psi_of(filt.a_est[T]))
 
 
 def test_cross_covariance_matches_dense_formula():
@@ -72,7 +73,7 @@ def test_cross_covariance_matches_dense_formula():
     P = prob["basis"].P
     for i in range(1, prob["n_steps"] + 1):
         L, R = cross_covariance_factors(sm.psi_sm[i], sm.gains[i - 1],
-                                        filt.psi_est[i - 1], P)
+                                        psi_of(filt.a_est[i - 1]), P)
         assert rel_err(L @ R.T, want[i - 1]) <= 1e-9, f"step {i}"
 
 
@@ -80,7 +81,7 @@ def test_cross_covariance_zero_smoothed_cov(prob):
     filt, sm = _smoothed(prob)
     r = prob["basis"].rank
     L, _ = cross_covariance_factors(np.zeros((r, r)), sm.gains[0],
-                                    filt.psi_est[0], prob["basis"].P)
+                                    psi_of(filt.a_est[0]), prob["basis"].P)
     assert not L.any()
 
 
@@ -94,12 +95,12 @@ def test_large_q_decouples_cross_covariance():
         r_diags=list(prob["noise"].r_diags))
     motions = [Identity(n_s) for _ in range(prob["n_steps"])]
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
-                      noise, prob["basis"], prob["x0"], prob["psi0"])
+                      noise, prob["basis"], prob["x0"], prob["a0"])
     sm = smoothed_moments(filt, motions, noise, prob["basis"])
     P = prob["basis"].P
     for i in range(1, prob["n_steps"] + 1):
         L, R = cross_covariance_factors(sm.psi_sm[i], sm.gains[i - 1],
-                                        filt.psi_est[i - 1], P)
+                                        psi_of(filt.a_est[i - 1]), P)
         c_sm = projected_posterior_cov(P, sm.psi_sm[i])
         assert np.linalg.norm(L @ R.T) <= 1e-4 * np.linalg.norm(c_sm), f"step {i}"
 
@@ -107,7 +108,7 @@ def test_large_q_decouples_cross_covariance():
 def test_on_step_fires_backward_after_each_mean(prob):
     motions = [Identity(prob["n_s"]) for _ in range(prob["n_steps"])]
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
-                      prob["noise"], prob["basis"], prob["x0"], prob["psi0"])
+                      prob["noise"], prob["basis"], prob["x0"], prob["a0"])
     seen = []
 
     def hook(i, x_sm, psi_sm_prev, psi_sm_i, gain_i):
@@ -124,9 +125,9 @@ def test_on_step_fires_backward_after_each_mean(prob):
 def test_zero_smoothing_innovation_keeps_filter_estimate(prob):
     motions = [Identity(prob["n_s"]) for _ in range(prob["n_steps"])]
     filt, _ = _smoothed(prob)
-    xs, _, _ = smooth_step(filt.x_est[0], filt.psi_est[0], filt.x_pred[1],
-                           filt.x_pred[1], None, motions[0],
-                           prob["noise"].q_diags[0], prob["basis"])
+    x_pred = motions[0].apply(filt.x_est[0])
+    xs, _, _ = smooth_step(filt.x_est[0], filt.a_est[0], x_pred, None,
+                           motions[0], prob["noise"].q_diags[0], prob["basis"])
     np.testing.assert_array_equal(xs, filt.x_est[0])
 
 
@@ -144,8 +145,8 @@ def test_smoother_does_not_worsen_consistent_data():
                                 for i in range(T)])
     motions = [Identity(n_s) for _ in range(T)]
     from dynct.filtering import static_init
-    x0, psi0 = static_init(h_ops[0], prob["basis"], ys[0])
-    filt = run_filter(ys, h_ops, motions, noise, prob["basis"], x0, psi0)
+    x0, a0 = static_init(h_ops[0], prob["basis"], ys[0])
+    filt = run_filter(ys, h_ops, motions, noise, prob["basis"], x0, a0)
     x_sm = run_smoother(filt, motions, noise, prob["basis"])
     rre_est = sum(rre(filt.x_est[i], truth) for i in range(T + 1))
     rre_sm = sum(rre(x_sm[i], truth) for i in range(T + 1))
