@@ -1,5 +1,5 @@
-"""Shared dense kernels: guarded Cholesky solves and inverse factors, and
-weighted Gramians.
+"""Shared dense kernels: guarded Cholesky solves and inverse factors, the
+PSD guard on formed covariances, and weighted Gramians.
 
 ``weighted_gram`` and the operators' row-chunked Gram loops form r x r
 projections of diagonally-weighted n_s x r products without holding more
@@ -17,6 +17,9 @@ from .errors import NumericError
 
 # Target element count for chunked scratch buffers (doubles).
 CHUNK_ELEMS = 65536
+# Negative values down to this fraction of the largest positive one count
+# as roundoff (covariance eigenvalues, M-step diagonals).
+NEG_TOL_REL = 1e-8
 
 
 def row_chunks(n_rows: int, width: int):
@@ -59,6 +62,15 @@ def op_gram(op, P: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
 
 def symmetrize(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + A.T)
+
+
+def check_psd(A: np.ndarray, what: str) -> None:
+    """Raise NumericError when symmetric A has an eigenvalue below
+    -NEG_TOL_REL * max(lambda_max, 1e-30); forms eigenvalues only."""
+    vals = np.linalg.eigvalsh(A)
+    if vals[0] < -NEG_TOL_REL * max(float(vals[-1]), 1e-30):
+        raise NumericError(f"{what}: covariance not PSD "
+                           f"(min eigenvalue {vals[0]:.3e})")
 
 
 def _cond_estimate(A: np.ndarray) -> float:

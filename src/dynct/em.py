@@ -8,15 +8,16 @@ The exact conditional-expectation updates are full matrices
           - C_{i,i-1}^sm M_i^T - M_i (C_{i,i-1}^sm)^T + M_i C_{i-1}^sm M_i^T;
 
 only their diagonals are kept (the models are diagonal), computed without
-materializing any full covariance or any full n_s x r product: smoothed
-covariances enter through their reduced factors (C = (P A)(P A)^T with
-A = psd_factor(Psi^sm), which the caller makes once per covariance and
-hands to both updates), the cross term through Omega = Psi_i^sm K_i
-Psi_{i-1}^est, and the Q update is swept in row chunks.  The R update forms
-H_i P whole (m_t x r, one column-order pass over P) and folds it with A in
-row chunks.  The two cross terms have identical diagonals, so the sweep
-subtracts twice one of them.  A relative floor (1e-8 of the mean) keeps the
-next filter pass well posed.
+materializing any full covariance or any full n_s x r product.  The updates
+take the smoother's reduced covariances as formed (C^sm = P Psi^sm P^T, the
+cross covariance P omega_i P^T with omega_i = Psi_i^sm K_i Psi_{i-1}^est) and
+factor nothing: diag(X Psi X^T) is the row sums of (X Psi) o X, swept in row
+chunks of X = P, M_i P or H_i P.  The R update forms H_i P whole (m_t x r,
+one column-order pass over P).  The two cross terms have identical
+diagonals, so the sweep subtracts twice one of them.  The smoother rejects
+covariances that are not PSD beyond roundoff; here roundoff-negative
+diagonal entries are clamped and larger ones rejected, and a relative floor
+(1e-8 of the mean) keeps the next filter pass well posed.
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ import warnings
 
 import numpy as np
 
-from ._linalg import row_chunks, symmetrize
+from ._linalg import NEG_TOL_REL, row_chunks
 from .errors import NumericError
 from .linops import LinearOperator
 
 FLOOR_REL = 1e-8
 FLOOR_ABS = 1e-30
-NEG_TOL_REL = 1e-8
 
 
 def _apply_floor(diag: np.ndarray) -> np.ndarray:
@@ -39,17 +39,6 @@ def _apply_floor(diag: np.ndarray) -> np.ndarray:
     if not floor > 0.0:
         floor = FLOOR_ABS
     return np.maximum(diag, floor)
-
-
-def psd_factor(psi: np.ndarray, what: str) -> np.ndarray:
-    """A with A A^T = psi (eigendecomposition square root); rejects
-    matrices negative beyond roundoff with NumericError."""
-    vals, vecs = np.linalg.eigh(symmetrize(np.asarray(psi, dtype=float)))
-    scale = max(float(vals.max()), 0.0)
-    if vals.min() < -NEG_TOL_REL * max(scale, FLOOR_ABS):
-        raise NumericError(f"{what}: covariance not PSD "
-                           f"(min eigenvalue {vals.min():.3e})")
-    return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
 def _guard_negative(diag: np.ndarray, what: str,
@@ -72,25 +61,29 @@ def _guard_negative(diag: np.ndarray, what: str,
     return np.clip(diag, 0.0, None)
 
 
-def update_r_diag(y_i, h_op: LinearOperator, x_sm_i, a_sm_i, P) -> np.ndarray:
-    """diag(R_i) from the smoothed state at frame i; a_sm_i is the
-    psd_factor of Psi_i^sm."""
+def _quad_diag(X: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """diag(X psi X^T) as the row sums of (X psi) o X."""
+    return np.einsum("ij,ij->i", X @ psi, X)
+
+
+def update_r_diag(y_i, h_op: LinearOperator, x_sm_i, psi_sm_i, P) -> np.ndarray:
+    """diag(R_i) from the smoothed state and reduced covariance Psi_i^sm
+    at frame i."""
     resid = np.asarray(y_i, dtype=float) - h_op.apply(x_sm_i)
     diag = resid ** 2
     hp = h_op.apply_block_rows(P, slice(None))
     for rows in row_chunks(hp.shape[0], hp.shape[1]):
-        hpa = hp[rows] @ a_sm_i
-        diag[rows] += np.einsum("ij,ij->i", hpa, hpa)
+        diag[rows] += _quad_diag(hp[rows], psi_sm_i)
     return _apply_floor(diag)
 
 
-def update_q_diag(x_sm_prev, x_sm_i, a_sm_prev, a_sm_i, omega_i,
+def update_q_diag(x_sm_prev, x_sm_i, psi_sm_prev, psi_sm_i, omega_i,
                   motion: LinearOperator, P) -> np.ndarray:
     """diag(Q_i) from smoothed moments at frames i-1, i.
 
-    a_sm_prev, a_sm_i are the psd_factors of Psi_{i-1}^sm and Psi_i^sm;
-    omega_i = Psi_i^sm K_i Psi_{i-1}^est, with K_i the smoother's reduced
-    gain P^T (C_i^p)^{-1} M_i P, gives the lag-one cross covariance
+    psi_sm_prev, psi_sm_i are Psi_{i-1}^sm and Psi_i^sm; omega_i =
+    Psi_i^sm K_i Psi_{i-1}^est, with K_i the smoother's reduced gain
+    P^T (C_i^p)^{-1} M_i P, gives the lag-one cross covariance
     P omega_i P^T.
     """
     resid = x_sm_i - motion.apply(x_sm_prev)
@@ -98,11 +91,9 @@ def update_q_diag(x_sm_prev, x_sm_i, a_sm_prev, a_sm_i, omega_i,
     pos_scale = float(diag.max()) if diag.size else 0.0
     n_s, r = P.shape
     for rows in row_chunks(n_s, r):
-        pa = P[rows] @ a_sm_i
         mp = motion.apply_block_rows(P, rows)
-        mpa = mp @ a_sm_prev
-        pos = np.einsum("ij,ij->i", pa, pa) + np.einsum("ij,ij->i", mpa, mpa)
+        pos = _quad_diag(P[rows], psi_sm_i) + _quad_diag(mp, psi_sm_prev)
         pos_scale = max(pos_scale, float((diag[rows] + pos).max()))
-        cross = P[rows] @ omega_i
-        diag[rows] += pos - 2.0 * np.einsum("ij,ij->i", cross, mp)
+        cross = np.einsum("ij,ij->i", P[rows] @ omega_i, mp)
+        diag[rows] += pos - 2.0 * cross
     return _apply_floor(_guard_negative(diag, "update_q_diag", pos_scale))

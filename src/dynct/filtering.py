@@ -126,7 +126,7 @@ def filter_step(x_prev: np.ndarray, a_prev: np.ndarray, motion: LinearOperator,
                 h_op: LinearOperator, q_diag: np.ndarray, r_diag: np.ndarray,
                 y_i: np.ndarray, basis: ProjectionBasis):
     """One predict/update step from the previous mean and covariance factor
-    (Psi_{i-1} = a_prev a_prev^T); returns (x_pred, x_est, a_est)."""
+    (Psi_{i-1} = a_prev a_prev^T); returns (x_est, a_est)."""
     P = basis.P
     r = P.shape[1]
     q_inv = 1.0 / np.asarray(q_diag, dtype=float)
@@ -147,7 +147,7 @@ def filter_step(x_prev: np.ndarray, a_prev: np.ndarray, motion: LinearOperator,
 
     a_est = inverse_factor(symmetrize(g_h) + pcp, "filter covariance")
     x_est = x_pred + P @ (a_est @ (a_est.T @ proj))
-    return x_pred, x_est, a_est
+    return x_est, a_est
 
 
 def run_filter(y_frames, h_ops, motions, noise: NoiseModel, basis: ProjectionBasis,
@@ -168,7 +168,7 @@ def run_filter(y_frames, h_ops, motions, noise: NoiseModel, basis: ProjectionBas
     a_hist = [np.asarray(a0, dtype=float)]
 
     for i in range(1, n_steps + 1):
-        _, x_est[i], a_est = filter_step(
+        x_est[i], a_est = filter_step(
             x_est[i - 1], a_hist[-1], motions[i - 1], h_ops[i],
             noise.q_diags[i - 1], noise.r_diags[i - 1], y_frames[i], basis)
         a_hist.append(tracker.add_reduced_array(a_est))

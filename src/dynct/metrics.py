@@ -66,10 +66,10 @@ class MemoryTracker:
     The budgeted category ("full") covers arrays proportional to the state
     or data dimension: trajectories, noise diagonals, motion payloads,
     residual vectors, and the chunked scratch allowance. The reduced
-    category covers r x r covariance bookkeeping (the filtered covariance
-    history, the smoother's current covariances and gain); it is reported
-    alongside but compared to no budget, matching the storage analysis the
-    budget formula comes from.
+    category covers r x r covariance bookkeeping (the filter's history of
+    covariance factors, the smoother's current covariance pair and lag-one
+    cross covariance); it is reported alongside but compared to no budget,
+    matching the storage analysis the budget formula comes from.
     """
 
     def __init__(self):

@@ -44,20 +44,21 @@ def smoothed_moments(filt, motions, noise, basis, tracker=None):
     """run_smoother with covariances, keeping what its per-step hook sees.
 
     Returns a namespace with x_sm, psi_sm (the T+1 smoothed reduced
-    covariances) and gains (gains[i-1] = K_i), for checks against the dense
-    oracles; the smoother itself keeps none of these histories.
+    covariances) and omegas (omegas[i-1] = omega_i, the reduced lag-one
+    cross covariance: C_{i,i-1}^sm = P omega_i P^T), for checks against the
+    dense oracles; the smoother itself keeps none of these histories.
     """
     psi_sm = [None] * (noise.n_steps + 1)
-    gains = [None] * noise.n_steps
+    omegas = [None] * noise.n_steps
 
-    def keep(i, x_sm, psi_sm_prev, psi_sm_i, gain_i):
+    def keep(i, x_sm, psi_sm_prev, psi_sm_i, omega_i):
         psi_sm[i - 1] = psi_sm_prev.copy()
         psi_sm[i] = psi_sm_i.copy()
-        gains[i - 1] = gain_i.copy()
+        omegas[i - 1] = omega_i.copy()
 
     x_sm = run_smoother(filt, motions, noise, basis, with_covariance=True,
                         tracker=tracker, on_step=keep)
-    return SimpleNamespace(x_sm=x_sm, psi_sm=psi_sm, gains=gains)
+    return SimpleNamespace(x_sm=x_sm, psi_sm=psi_sm, omegas=omegas)
 
 
 def psi_of(a):

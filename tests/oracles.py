@@ -139,12 +139,6 @@ def projected_posterior_cov(P, psi):
     return P @ psi @ P.T
 
 
-def cross_covariance_factors(psi_sm_i, K_i, psi_est_prev, P):
-    """Factors (L, R) with C_{i,i-1}^sm = L @ R.T in full space, from the
-    smoother's reduced quantities (Psi_i^sm K_i Psi_{i-1}^est)."""
-    return P @ psi_sm_i, P @ (psi_est_prev @ K_i.T)
-
-
 # ---------------------------------------------------------------------------
 # Reference routines in the package's conventions (small problems only).
 

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from dynct.em import psd_factor, update_q_diag, update_r_diag
+from dynct.em import update_q_diag, update_r_diag
 from dynct.filtering import run_filter
 from dynct.linops import Identity, SparseCSR
 from dynct.metrics import MemoryTracker, memory_budget_bytes, noise_level
@@ -21,8 +21,7 @@ from dynct.radon import build_operators, make_geometry, simulate_sinograms
 
 from helpers import (build_problem, dense_noise, psi_of, rel_err,
                      smoothed_moments)
-from oracles import (cross_covariance_factors, dense_expected_loglik,
-                     dense_irls, dense_kalman_filter, dense_q_update,
+from oracles import (dense_expected_loglik, dense_irls, dense_kalman_filter, dense_q_update,
                      dense_r_update, dense_rts_smoother,
                      dense_cross_covariances, smw_apply)
 
@@ -128,22 +127,18 @@ def test_criterion_04_em_mstep_oracle_and_monotone_objective():
     for i in range(1, 5):
         cov_sm_i = P @ sm.psi_sm[i] @ P.T
         cov_sm_prev = P @ sm.psi_sm[i - 1] @ P.T
-        L, R = cross_covariance_factors(sm.psi_sm[i], sm.gains[i - 1],
-                                        psi_of(filt.a_est[i - 1]), P)
         h = prob["h_dense"][i]
         y = prob["sino"].sinograms[i]
         r_want = np.diag(dense_r_update(y, h, sm.x_sm[i], cov_sm_i))
-        r_got = update_r_diag(y, prob["h_ops"][i], sm.x_sm[i],
-                              psd_factor(sm.psi_sm[i], "psi"), P)
+        r_got = update_r_diag(y, prob["h_ops"][i], sm.x_sm[i], sm.psi_sm[i],
+                              P)
         assert rel_err(r_got, r_want) <= 1e-10
         q_want = np.diag(dense_q_update(sm.x_sm[i - 1], sm.x_sm[i],
-                                        cov_sm_prev, cov_sm_i, L @ R.T,
+                                        cov_sm_prev, cov_sm_i,
+                                        P @ sm.omegas[i - 1] @ P.T,
                                         np.eye(9)))
-        q_got = update_q_diag(sm.x_sm[i - 1], sm.x_sm[i],
-                              psd_factor(sm.psi_sm[i - 1], "psi"),
-                              psd_factor(sm.psi_sm[i], "psi"),
-                              sm.psi_sm[i] @ sm.gains[i - 1] @ psi_of(filt.a_est[i - 1]),
-                              Identity(9), P)
+        q_got = update_q_diag(sm.x_sm[i - 1], sm.x_sm[i], sm.psi_sm[i - 1],
+                              sm.psi_sm[i], sm.omegas[i - 1], Identity(9), P)
         assert rel_err(q_got, q_want) <= 1e-10
 
     # full-covariance EM on a dense toy: objective never decreases

@@ -4,16 +4,16 @@ expected complete-data log-likelihood diagnostics."""
 import numpy as np
 import pytest
 
-from dynct.em import FLOOR_ABS, psd_factor, update_q_diag, update_r_diag
+from dynct.em import FLOOR_ABS, update_q_diag, update_r_diag
 from dynct.errors import ConfigError, NumericError
 from dynct.filtering import run_filter
 from dynct.linops import Identity, SparseCSR
 from helpers import (build_problem, dense_noise, psi_of, rel_err,
                      smoothed_moments)
-from oracles import (cross_covariance_factors, dense_cross_covariances,
-                     dense_kalman_filter, dense_q_update, dense_r_update,
-                     dense_rts_smoother, expected_loglik,
-                     projected_posterior_cov, update_q_dense, update_r_dense)
+from oracles import (dense_cross_covariances, dense_kalman_filter,
+                     dense_q_update, dense_r_update, dense_rts_smoother,
+                     expected_loglik, projected_posterior_cov, update_q_dense,
+                     update_r_dense)
 
 
 def _smoothed_problem(**kw):
@@ -26,24 +26,21 @@ def _smoothed_problem(**kw):
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
                       prob["noise"], prob["basis"], prob["x0"], prob["a0"])
     sm = smoothed_moments(filt, motions, prob["noise"], prob["basis"])
-    return prob, motions, filt, sm
+    return prob, motions, sm
 
 
-def _q_update(sm, filt, i, motion, P):
-    """update_q_diag at step i from the smoothed moments, factored here."""
-    return update_q_diag(sm.x_sm[i - 1], sm.x_sm[i],
-                         psd_factor(sm.psi_sm[i - 1], "psi"),
-                         psd_factor(sm.psi_sm[i], "psi"),
-                         sm.psi_sm[i] @ sm.gains[i - 1] @ psi_of(filt.a_est[i - 1]),
-                         motion, P)
+def _q_update(sm, i, motion, P):
+    """update_q_diag at step i from the smoothed moments."""
+    return update_q_diag(sm.x_sm[i - 1], sm.x_sm[i], sm.psi_sm[i - 1],
+                         sm.psi_sm[i], sm.omegas[i - 1], motion, P)
 
 
 def test_r_update_matches_dense_formula():
-    prob, _, filt, sm = _smoothed_problem(n_x=3, n_y=3, n_steps=3, n_angles=2)
+    prob, _, sm = _smoothed_problem(n_x=3, n_y=3, n_steps=3, n_angles=2)
     P = prob["basis"].P
     for i in range(1, prob["n_steps"] + 1):
         got = update_r_diag(prob["sino"].sinograms[i], prob["h_ops"][i],
-                            sm.x_sm[i], psd_factor(sm.psi_sm[i], "psi"), P)
+                            sm.x_sm[i], sm.psi_sm[i], P)
         cov = projected_posterior_cov(P, sm.psi_sm[i])
         want = update_r_dense(prob["sino"].sinograms[i], prob["h_dense"][i],
                               sm.x_sm[i], cov)
@@ -51,17 +48,16 @@ def test_r_update_matches_dense_formula():
 
 
 def test_q_update_matches_dense_formula():
-    prob, motions, filt, sm = _smoothed_problem(n_x=3, n_y=3, n_steps=3,
-                                                n_angles=2)
+    prob, motions, sm = _smoothed_problem(n_x=3, n_y=3, n_steps=3,
+                                          n_angles=2)
     P = prob["basis"].P
     for i in range(1, prob["n_steps"] + 1):
-        got = _q_update(sm, filt, i, motions[i - 1], P)
-        L, R = cross_covariance_factors(sm.psi_sm[i], sm.gains[i - 1],
-                                        psi_of(filt.a_est[i - 1]), P)
+        got = _q_update(sm, i, motions[i - 1], P)
         want = update_q_dense(sm.x_sm[i - 1], sm.x_sm[i],
                               projected_posterior_cov(P, sm.psi_sm[i - 1]),
                               projected_posterior_cov(P, sm.psi_sm[i]),
-                              L @ R.T, motions[i - 1].to_dense())
+                              P @ sm.omegas[i - 1] @ P.T,
+                              motions[i - 1].to_dense())
         assert rel_err(got, want) <= 1e-10, f"step {i}"
 
 
@@ -82,7 +78,7 @@ def test_q_update_matches_fully_dense_rts_chain():
     sm_means, sm_covs, gains = dense_rts_smoother(*kf, motions)
     crosses = dense_cross_covariances(sm_covs, gains)
     for i in range(1, prob["n_steps"] + 1):
-        got = _q_update(sm, filt, i, motions_op[i - 1], P)
+        got = _q_update(sm, i, motions_op[i - 1], P)
         want = dense_q_update(sm_means[i - 1], sm_means[i], sm_covs[i - 1],
                               sm_covs[i], crosses[i - 1], motions[i - 1])
         assert rel_err(got, np.maximum(np.diag(want), got.min())) <= 1e-9
@@ -117,8 +113,7 @@ def test_q_trivial_static_exact_dynamics():
     psi = A @ A.T + 0.1 * np.eye(r)
     x = rng.standard_normal(4)
     # omega = psi @ inv(psi) @ psi = psi, so cross cancels both quadratics
-    a = psd_factor(psi, "psi")
-    got = update_q_diag(x, x, a, a, psi @ np.linalg.inv(psi) @ psi,
+    got = update_q_diag(x, x, psi, psi, psi @ np.linalg.inv(psi) @ psi,
                         Identity(4), P)
     np.testing.assert_allclose(got, np.full(4, FLOOR_ABS), atol=1e-12)
 
@@ -147,15 +142,9 @@ def test_q_roundoff_negative_clamps_with_warning():
     z = np.zeros((2, 2))
     psi_sm_i = np.diag([0.0, 1e-13])  # omega = psi_sm_i (K = Psi^est = I)
     with pytest.warns(RuntimeWarning):
-        got = update_q_diag(x_prev, x_i, z, psd_factor(psi_sm_i, "psi"),
-                            psi_sm_i, Identity(2), np.eye(2))
+        got = update_q_diag(x_prev, x_i, z, psi_sm_i, psi_sm_i, Identity(2),
+                            np.eye(2))
     assert (got > 0).all()
-
-
-def test_r_rejects_non_psd_covariance():
-    # the M-step updates take factors; the PSD check sits in the factoring
-    with pytest.raises(NumericError):
-        psd_factor(np.diag([1.0, -1.0]), "psi")
 
 
 def test_loglik_prior_only_terms():
@@ -260,11 +249,11 @@ def test_loglik_scale_guard():
 
 
 def test_outputs_respect_floor():
-    prob, motions, filt, sm = _smoothed_problem(n_x=3, n_y=3, n_steps=2,
-                                                n_angles=2)
+    prob, motions, sm = _smoothed_problem(n_x=3, n_y=3, n_steps=2,
+                                          n_angles=2)
     P = prob["basis"].P
     r_diag = update_r_diag(prob["sino"].sinograms[1], prob["h_ops"][1],
-                           sm.x_sm[1], psd_factor(sm.psi_sm[1], "psi"), P)
-    q_diag = _q_update(sm, filt, 1, motions[0], P)
+                           sm.x_sm[1], sm.psi_sm[1], P)
+    q_diag = _q_update(sm, 1, motions[0], P)
     assert (r_diag >= 1e-8 * r_diag.mean() - 1e-30).all()
     assert (q_diag > 0).all()

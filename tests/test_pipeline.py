@@ -11,6 +11,7 @@ from dynct.errors import ConfigError, NumericError
 from dynct.metrics import MemoryTracker
 from dynct.pipeline import (MethodSpec, MotionOptions, parse_method,
                             record_rows, run_emirkfs)
+from dynct.prior import PriorConfig, build_projection
 from helpers import build_problem
 
 
@@ -139,30 +140,36 @@ def test_tracker_balances_and_peaks():
 
 
 def test_em_reduced_peak_holds_one_smoother_step():
-    # filter history (T+1, the initial covariance its first entry), smoother
-    # step (3) and the M-step's two covariance factors (2); histories of
-    # smoothed covariances, gains or factors would not fit
+    # filter history (T+1, the initial covariance its first entry) and one
+    # smoother step (3: Psi_i^sm, Psi_{i-1}^sm, omega_i), which the M-step
+    # takes as formed; a history of smoothed covariances or any M-step copy
+    # of them would not fit
     prob, record = _run("EMIRKFS-M2", n_iter=2, tracker=MemoryTracker())
     T, r = prob["n_steps"], prob["basis"].rank
-    assert 0 < record.peak_reduced_bytes <= (T + 6) * r * r * 8
+    assert 0 < record.peak_reduced_bytes <= (T + 4) * r * r * 8
 
 
-def _count_weighted_grams(monkeypatch, tag=lambda: None):
-    """Record tag() at each weighted_gram call, under every dynct-module
-    name bound to the function."""
-    original = _linalg.weighted_gram
+def _count_calls(monkeypatch, owner, attr, tag=lambda: None):
+    """Record tag() at each call of owner.attr, under that name and every
+    dynct-module name bound to the function."""
+    original = getattr(owner, attr)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(tag())
         return original(*args, **kwargs)
 
+    monkeypatch.setattr(owner, attr, counted)
     for name, mod in list(sys.modules.items()):
         if name.startswith("dynct"):
-            for attr, value in list(vars(mod).items()):
+            for bound, value in list(vars(mod).items()):
                 if value is original:
-                    monkeypatch.setattr(mod, attr, counted)
+                    monkeypatch.setattr(mod, bound, counted)
     return calls
+
+
+def _count_weighted_grams(monkeypatch, tag=lambda: None):
+    return _count_calls(monkeypatch, _linalg, "weighted_gram", tag)
 
 
 def test_irkfs_forms_no_weighted_gram(monkeypatch):
@@ -247,3 +254,16 @@ def test_non_finite_truth_raises(bad):
 def test_m3_patch_must_tile():
     with pytest.raises(ConfigError, match="outer iteration 1"):
         _run("IRKFS-M3", n_iter=1, motion_opts=MotionOptions(patch=(3, 8)))
+
+
+def test_em_variants_make_no_eigh_call(monkeypatch):
+    # the M-step takes the smoothed covariances as formed and the smoother
+    # guards them with eigenvalues only: no eigendecomposition in the run
+    prob = build_problem(n_x=8, n_y=8, n_steps=3, sigma=0.02)
+    calls = _count_calls(monkeypatch, np.linalg, "eigh")
+    for name in ("EMIRKFS-M3", "EMIRKFS"):
+        _run(name, n_iter=2, prob=prob)
+        assert calls == [], name
+    # the count does see eigh: the prior basis is built with it
+    build_projection(4, 4, PriorConfig(alpha=1.0, ell=0.7, rank=4))
+    assert calls

@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
-from dynct.errors import ConfigError
+from dynct import smoothing
+from dynct._linalg import check_psd
+from dynct.errors import ConfigError, NumericError
 from dynct.filtering import NoiseModel, run_filter
 from dynct.linops import Identity
 from dynct.metrics import MemoryTracker, rre
 from dynct.smoothing import run_smoother, smooth_step
 from helpers import (build_problem, dense_noise, psi_of, rel_err,
                      smoothed_moments)
-from oracles import (cross_covariance_factors, dense_cross_covariances,
-                     dense_kalman_filter, dense_rts_smoother,
-                     projected_posterior_cov)
+from oracles import (dense_cross_covariances, dense_kalman_filter,
+                     dense_rts_smoother, projected_posterior_cov)
 
 
 def _smoothed(prob, tracker=None):
@@ -67,22 +68,24 @@ def test_terminal_conditions_exact(prob):
 
 def test_cross_covariance_matches_dense_formula():
     prob = build_problem(n_x=10, n_y=10, n_steps=3, sigma=0.03)
-    filt, sm = _smoothed(prob)
+    _, sm = _smoothed(prob)
     _, sm_covs, gains = _dense(prob)
     want = dense_cross_covariances(sm_covs, gains)
     P = prob["basis"].P
     for i in range(1, prob["n_steps"] + 1):
-        L, R = cross_covariance_factors(sm.psi_sm[i], sm.gains[i - 1],
-                                        psi_of(filt.a_est[i - 1]), P)
-        assert rel_err(L @ R.T, want[i - 1]) <= 1e-9, f"step {i}"
+        got = P @ sm.omegas[i - 1] @ P.T
+        assert rel_err(got, want[i - 1]) <= 1e-9, f"step {i}"
 
 
 def test_cross_covariance_zero_smoothed_cov(prob):
-    filt, sm = _smoothed(prob)
+    # omega_i = Psi_i^sm K_i Psi_{i-1}^est vanishes exactly with Psi_i^sm
+    filt, _ = _smoothed(prob)
     r = prob["basis"].rank
-    L, _ = cross_covariance_factors(np.zeros((r, r)), sm.gains[0],
-                                    psi_of(filt.a_est[0]), prob["basis"].P)
-    assert not L.any()
+    _, _, omega = smooth_step(filt.x_est[0], filt.a_est[0], filt.x_est[1],
+                              np.zeros((r, r)), Identity(prob["n_s"]),
+                              prob["noise"].q_diags[0], prob["basis"],
+                              with_covariance=True)
+    assert omega.shape == (r, r) and not omega.any()
 
 
 def test_large_q_decouples_cross_covariance():
@@ -99,10 +102,9 @@ def test_large_q_decouples_cross_covariance():
     sm = smoothed_moments(filt, motions, noise, prob["basis"])
     P = prob["basis"].P
     for i in range(1, prob["n_steps"] + 1):
-        L, R = cross_covariance_factors(sm.psi_sm[i], sm.gains[i - 1],
-                                        psi_of(filt.a_est[i - 1]), P)
+        cross = P @ sm.omegas[i - 1] @ P.T
         c_sm = projected_posterior_cov(P, sm.psi_sm[i])
-        assert np.linalg.norm(L @ R.T) <= 1e-4 * np.linalg.norm(c_sm), f"step {i}"
+        assert np.linalg.norm(cross) <= 1e-4 * np.linalg.norm(c_sm), f"step {i}"
 
 
 def test_on_step_fires_backward_after_each_mean(prob):
@@ -111,8 +113,8 @@ def test_on_step_fires_backward_after_each_mean(prob):
                       prob["noise"], prob["basis"], prob["x0"], prob["a0"])
     seen = []
 
-    def hook(i, x_sm, psi_sm_prev, psi_sm_i, gain_i):
-        seen.append((i, x_sm[i - 1].copy(), psi_sm_prev, psi_sm_i, gain_i))
+    def hook(i, x_sm, psi_sm_prev, psi_sm_i, omega_i):
+        seen.append((i, x_sm[i - 1].copy(), psi_sm_prev, psi_sm_i, omega_i))
 
     x_sm = run_smoother(filt, motions, prob["noise"], prob["basis"],
                         on_step=hook)
@@ -172,6 +174,37 @@ def test_tracker_balance(prob):
     assert tracker.current_bytes == sm.x_sm.nbytes
     tracker.release_array(sm.x_sm)
     assert tracker.current_bytes == 0
-    # one step at a time: Psi_i^sm, Psi_{i-1}^sm and K_i, never a history
+    # one step at a time: Psi_i^sm, Psi_{i-1}^sm and omega_i, never a history
     r = prob["basis"].rank
     assert tracker.peak_reduced_bytes == 3 * r * r * 8
+
+
+def test_check_psd_rejects_only_beyond_roundoff():
+    # the tolerance is -1e-8 of the largest eigenvalue
+    check_psd(np.diag([2.0, -0.5e-8 * 2.0]), "psi")
+    with pytest.raises(NumericError, match="psi: covariance not PSD"):
+        check_psd(np.diag([2.0, -2e-8 * 2.0]), "psi")
+
+
+def test_run_smoother_rejects_indefinite_smoothed_covariance(prob,
+                                                            monkeypatch):
+    motions = [Identity(prob["n_s"]) for _ in range(prob["n_steps"])]
+    filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
+                      prob["noise"], prob["basis"], prob["x0"], prob["a0"])
+    original = smoothing.smooth_step
+    calls = []
+
+    def step(*args, **kwargs):
+        # the second backward step (i = T-1) forms Psi_{T-2}^sm indefinite
+        x_sm_prev, psi_sm_prev, omega = original(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 2:
+            psi_sm_prev = np.diag(np.r_[1.0, -np.ones(len(psi_sm_prev) - 1)])
+        return x_sm_prev, psi_sm_prev, omega
+
+    monkeypatch.setattr(smoothing, "smooth_step", step)
+    T = prob["n_steps"]
+    with pytest.raises(NumericError,
+                       match=f"smoothed covariance {T - 2}: covariance not PSD"):
+        run_smoother(filt, motions, prob["noise"], prob["basis"],
+                     with_covariance=True)
