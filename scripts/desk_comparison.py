@@ -17,7 +17,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dynct.metrics import MemoryTracker
 from dynct.phantom import default_blocks_config, generate_frames
 from dynct.pipeline import MotionOptions, parse_method, run_emirkfs
 from dynct.prior import PriorConfig, build_projection
@@ -63,10 +62,8 @@ def main():
     rows = []
     for name in args.methods:
         method = parse_method(name, n_iter=args.n_iter)
-        tracker = MemoryTracker()
         t0 = time.perf_counter()
-        rec = run_emirkfs(sino, h_ops, basis, method, opts, truth=frames,
-                          tracker=tracker)
+        rec = run_emirkfs(sino, h_ops, basis, method, opts, truth=frames)
         wall = time.perf_counter() - t0
         for j in range(1, rec.n_iter + 1):
             rows.append({

@@ -16,8 +16,8 @@ if _threads.isdigit() and int(_threads) > 0:
         _os.environ.setdefault(_var, _threads)
 
 from .errors import ConfigError, DataIOError, NumericError
-from .filtering import (FilterResult, NoiseModel, initial_noise,
-                        release_filter_result, run_filter, static_init)
+from .filtering import (FilterResult, NoiseModel, initial_noise, run_filter,
+                        static_init)
 from .linops import (Identity, LinearOperator, PatchRank1, Rank1, SparseCSR,
                      Warp)
 from .metrics import (MemoryTracker, PhaseTimer, memory_budget_bytes,
@@ -46,8 +46,7 @@ __all__ = [
     "default_blocks_config", "dmd_patchwise", "dmd_rank1",
     "estimate_velocity", "fit_motion", "generate_frames", "initial_noise", "make_geometry",
     "memory_budget_bytes", "mmgks_solve", "noise_level", "parse_method",
-    "read_metrics_csv", "record_rows", "release_filter_result",
-    "rre", "run_emirkfs", "run_filter",
+    "read_metrics_csv", "record_rows", "rre", "run_emirkfs", "run_filter",
     "run_smoother", "simulate_sinograms", "static_init",
     "write_metrics_csv",
 ]

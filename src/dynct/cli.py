@@ -26,8 +26,8 @@ import numpy as np
 from .errors import ConfigError, DataIOError, NumericError
 from .io_formats import (load_config, read_array, read_manifest, write_array,
                          write_manifest, write_pgm)
-from .metrics import (CSV_FIELDS, MemoryTracker, MetricsRow, noise_level,
-                      read_metrics_csv, write_metrics_csv)
+from .metrics import (CSV_FIELDS, MetricsRow, noise_level, read_metrics_csv,
+                      write_metrics_csv)
 from .phantom import generate_frames
 from .pipeline import record_rows, run_emirkfs
 from .prior import build_projection
@@ -114,8 +114,6 @@ def cmd_reconstruct(args) -> int:
     _ensure_dir(out)
     h_ops = build_operators(geom)
     basis = build_projection(cfg.n_x, cfg.n_y, cfg.prior)
-    tracker = MemoryTracker()
-
     files = []
 
     def dump_iteration(j, x_sm):
@@ -130,7 +128,7 @@ def cmd_reconstruct(args) -> int:
 
     record = run_emirkfs(sino, h_ops, basis, cfg.method,
                          motion_opts=cfg.motion, truth=truth,
-                         tracker=tracker, callback=dump_iteration)
+                         callback=dump_iteration)
 
     csv_path = os.path.join(out, _METRICS)
     write_metrics_csv(csv_path, record_rows(record))

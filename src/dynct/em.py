@@ -41,18 +41,15 @@ def _apply_floor(diag: np.ndarray) -> np.ndarray:
     return np.maximum(diag, floor)
 
 
-def _guard_negative(diag: np.ndarray, what: str,
-                    scale: float | None = None) -> np.ndarray:
+def _guard_negative(diag: np.ndarray, what: str, scale: float) -> np.ndarray:
     """Clamp small negative diagonal entries (roundoff); reject large ones.
 
-    scale should be the size of the positive terms that were summed; when the
-    whole diagonal cancels, the output magnitude says nothing about roundoff.
+    scale is the size of the positive terms that were summed; when the whole
+    diagonal cancels, the output magnitude says nothing about roundoff.
     """
     low = float(diag.min())
     if low >= 0.0:
         return diag
-    if scale is None:
-        scale = float(np.max(np.abs(diag)))
     if low < -NEG_TOL_REL * max(scale, FLOOR_ABS):
         raise NumericError(f"{what}: diagonal entry {low:.3e} is negative "
                            "beyond roundoff tolerance")

@@ -37,7 +37,7 @@ definite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from ._linalg import (inverse_factor, motion_gram_triple, op_gram, sym_solve,
                       symmetrize)
 from .errors import ConfigError
 from .linops import LinearOperator
-from .metrics import MemoryTracker, NullTracker
 from .prior import ProjectionBasis
 
 
@@ -56,27 +55,19 @@ class NoiseModel:
     q_diags[i-1] is diag(Q_i) for the transition into frame i (length n_s);
     r_diags[i-1] is diag(R_i) for the measurement at frame i (length m_i),
     i = 1..T.  Frame 0 has no transition and its measurement enters only
-    through the static initializer.  ``floor`` is the smallest variance the
-    model guarantees (re-estimation never drops below its own floor).
+    through the static initializer.
     """
 
     q_diags: list
     r_diags: list
-    floor: float = field(default=0.0)
 
     def __post_init__(self):
         if len(self.q_diags) != len(self.r_diags):
             raise ConfigError("NoiseModel: q/r diagonal counts differ")
-        smallest = np.inf
         for d in list(self.q_diags) + list(self.r_diags):
             d = np.asarray(d)
             if d.size == 0 or np.any(d <= 0.0):
                 raise ConfigError("NoiseModel: noise variances must be positive")
-            smallest = min(smallest, float(d.min()))
-        if self.floor <= 0.0:
-            self.floor = smallest if np.isfinite(smallest) else 1e-30
-        elif np.isfinite(smallest) and smallest < self.floor:
-            raise ConfigError("NoiseModel: entries below the declared floor")
 
     @property
     def n_steps(self) -> int:
@@ -151,19 +142,15 @@ def filter_step(x_prev: np.ndarray, a_prev: np.ndarray, motion: LinearOperator,
 
 
 def run_filter(y_frames, h_ops, motions, noise: NoiseModel, basis: ProjectionBasis,
-               x0: np.ndarray, a0: np.ndarray,
-               tracker: MemoryTracker | None = None) -> FilterResult:
+               x0: np.ndarray, a0: np.ndarray) -> FilterResult:
     """Forward pass over frames 1..T from the initial mean x0 and covariance
     factor a0 (Psi_0 = a0 a0^T; ``static_init`` gives the identity)."""
-    tracker = tracker or NullTracker()
     n_steps = noise.n_steps
     if not (len(y_frames) == len(h_ops) == n_steps + 1 and len(motions) == n_steps):
         raise ConfigError("run_filter: frame/operator/noise counts disagree")
     n_s = basis.P.shape[0]
 
-    # Result arrays stay charged on return; the caller releases them when
-    # it drops the FilterResult. a0 is the caller's array and charge.
-    x_est = tracker.add_array(np.zeros((n_steps + 1, n_s)))
+    x_est = np.zeros((n_steps + 1, n_s))
     x_est[0] = x0
     a_hist = [np.asarray(a0, dtype=float)]
 
@@ -171,12 +158,5 @@ def run_filter(y_frames, h_ops, motions, noise: NoiseModel, basis: ProjectionBas
         x_est[i], a_est = filter_step(
             x_est[i - 1], a_hist[-1], motions[i - 1], h_ops[i],
             noise.q_diags[i - 1], noise.r_diags[i - 1], y_frames[i], basis)
-        a_hist.append(tracker.add_reduced_array(a_est))
+        a_hist.append(a_est)
     return FilterResult(x_est=x_est, a_est=a_hist)
-
-
-def release_filter_result(filt: FilterResult, tracker: MemoryTracker) -> None:
-    """Return the tracker charge taken out by run_filter."""
-    tracker.release_array(filt.x_est)
-    for a in filt.a_est[1:]:
-        tracker.release_reduced_array(a)

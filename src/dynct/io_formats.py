@@ -119,7 +119,8 @@ def _parse_bool(raw: str, where: str) -> bool:
 
 
 class RunConfig:
-    """Validated run parameters; see docs/config.md for the schema."""
+    """Validated run parameters; the README's CLI section documents the
+    config schema."""
 
     def __init__(self, sections: dict):
         for sect, keys in sections.items():

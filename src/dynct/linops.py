@@ -9,7 +9,8 @@ three itself:
   operator's own row kernel without the full product. The M-step folds
   row chunks of motion products straight into diagonals; the observation
   Gramians ask for the whole (m_t x r) H P with ``rows = slice(None)``,
-  which ``SparseCSR`` forms in one column-order pass over X.
+  which ``SparseCSR`` forms in one column-order pass over X: it stores one
+  CSC matrix, whose transpose view is the CSR matrix of the adjoint.
 - ``gram_pair(P, w, g_pp)``: the weighted Gramians of ``op P`` against
   itself and against ``P`` that the filter and smoother need for a motion
   operator. ``g_pp()`` returns the basis Gram ``P^T diag(w) P``, which
@@ -105,20 +106,23 @@ class LinearOperator:
 
 
 class SparseCSR(LinearOperator):
-    """CSR-backed sparse operator.
+    """Sparse operator over one stored matrix.
 
-    Invariants enforced at construction: canonical CSR (sorted indices, no
-    duplicates, no stored zeros), float64 data. The transpose is converted to
-    CSR once so repeated adjoint applications reuse the same kernel.
+    The matrix is kept once, in canonical CSC form (sorted indices, no
+    duplicates, no stored zeros, float64 data). The adjoint runs on its
+    transpose, a CSR view of the same arrays made once here (making it per
+    call costs more than the product at 32 x 32), so no second copy is held.
+    Every product sums the terms of each output entry in ascending index
+    order.
     """
 
     def __init__(self, matrix):
-        m = sp.csr_matrix(matrix, dtype=np.float64)
+        m = sp.csc_matrix(matrix, dtype=np.float64)
         m.sum_duplicates()
         m.eliminate_zeros()
         m.sort_indices()
         self.matrix = m
-        self._matrix_t = m.T.tocsr()
+        self._adjoint = m.T
         self.shape = m.shape
 
     def apply(self, x):
@@ -127,17 +131,15 @@ class SparseCSR(LinearOperator):
 
     def apply_transpose(self, y):
         y = _as_vector(y, self.shape[0], "y")
-        return self._matrix_t @ y
+        return self._adjoint @ y
 
     def apply_block_rows(self, X, rows):
-        """A row slice runs the CSR row kernel on those rows. The whole
-        product (rows = slice(None)) goes through the CSC view of the stored
-        transpose, which reads each row of X once in place of once per
-        nonzero of its column; per output row both sum the same terms in
-        the same order."""
+        """The whole product (rows = slice(None)) is one column-order pass,
+        which reads each row of X once in place of once per nonzero of its
+        column; a row slice multiplies the sliced rows."""
         X = _as_block(X, self.shape[1])
         if rows == slice(None):
-            return np.asarray(self._matrix_t.T @ X)
+            return np.asarray(self.matrix @ X)
         return np.asarray(self.matrix[rows] @ X)
 
 
@@ -301,9 +303,8 @@ def payload_nbytes(op: LinearOperator) -> int:
     set. Identity owns nothing.
     """
     if isinstance(op, SparseCSR):
-        m, mt = op.matrix, op._matrix_t
-        return int(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes +
-                   mt.data.nbytes + mt.indices.nbytes + mt.indptr.nbytes)
+        m = op.matrix
+        return int(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
     if isinstance(op, Rank1):
         return int(op.u.nbytes + op.v.nbytes)
     if isinstance(op, PatchRank1):

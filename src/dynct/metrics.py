@@ -1,19 +1,18 @@
 """Error metrics, phase timing, run-level memory accounting, and the
 metrics CSV format shared by the pipeline and the CLI.
 
-Memory accounting counts full-space (n_s-sized) and data-space (m_t-sized)
-arrays allocated while a reconstruction runs: motion-applied basis blocks,
-projected measurement blocks, per-frame trajectories and noise diagonals,
-plus a scratch allowance for chunked temporaries and one whole H P.  Small reduced-space
-(r x r) bookkeeping, caller-owned inputs, and returned results are not
-charged; the point of the tracker is to bound the allocations the algorithm
-itself adds on top of its inputs.
+Memory accounting is a byte counter with two categories: full-space
+(n_s- or m_t-sized) arrays, which the budget bounds, and reduced-space
+(r x r) arrays, which are reported next to it. The tracker only counts;
+``pipeline.run_emirkfs`` decides what a run charges and when (see its
+module docstring). Caller-owned inputs (operators, sinograms, the basis)
+are not charged: the point is to bound what the algorithm adds on top of
+its inputs.
 """
 
 from __future__ import annotations
 
 import csv
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -37,23 +36,18 @@ def rre(x_hat: np.ndarray, x_ref: np.ndarray) -> float:
     return float(np.linalg.norm(x_hat - x_ref) / denom)
 
 
-def noise_level(y, h_op, x_true) -> float:
-    """Realized noise level ||y - H x_true|| / ||H x_true||.
+def noise_level(y, h_ops, x_true) -> float:
+    """Realized noise level ||y - H x_true|| / ||H x_true|| of a sequence.
 
-    Accepts a single frame (vector, operator, vector) or a whole sequence
-    (list of vectors, list of operators, (T+1, n_s) truth); the sequence
-    form measures the global level over all stacked frames, which is the
-    quantity the simulator's rescaling pins down.
+    y and h_ops hold one sinogram and one operator per frame, x_true one
+    frame per row; the level is global over all stacked frames, which is
+    the quantity the simulator's rescaling pins down.
     """
-    if isinstance(y, (list, tuple)):
-        if not (len(y) == len(h_op) == len(x_true)):
-            raise ConfigError("noise_level: sequence lengths disagree")
-        clean = np.concatenate([op.apply(np.asarray(x, dtype=float).ravel())
-                                for op, x in zip(h_op, x_true)])
-        noisy = np.concatenate([np.asarray(v, dtype=float).ravel() for v in y])
-    else:
-        clean = h_op.apply(np.asarray(x_true, dtype=float).ravel())
-        noisy = np.asarray(y, dtype=float).ravel()
+    if not (len(y) == len(h_ops) == len(x_true)):
+        raise ConfigError("noise_level: sequence lengths disagree")
+    clean = np.concatenate([op.apply(np.asarray(x, dtype=float).ravel())
+                            for op, x in zip(h_ops, x_true)])
+    noisy = np.concatenate([np.asarray(v, dtype=float).ravel() for v in y])
     denom = np.linalg.norm(clean)
     if denom == 0.0:
         raise ConfigError("noise_level: clean signal has zero norm")
@@ -61,14 +55,12 @@ def noise_level(y, h_op, x_true) -> float:
 
 
 class MemoryTracker:
-    """Byte counter for run-allocated working arrays, in two categories.
+    """Current and peak bytes in two categories.
 
-    The budgeted category ("full") covers arrays proportional to the state
-    or data dimension: trajectories, noise diagonals, motion payloads,
-    residual vectors, and the chunked scratch allowance. The reduced
-    category covers r x r covariance bookkeeping (the filter's history of
-    covariance factors, the smoother's current covariance pair and lag-one
-    cross covariance); it is reported alongside but compared to no budget,
+    The full category holds arrays proportional to the state or data
+    dimension and is what ``memory_budget_bytes`` bounds. The reduced
+    category holds r x r arrays (covariance factors and smoothed
+    covariances); it is reported alongside but compared to no budget,
     matching the storage analysis the budget formula comes from.
     """
 
@@ -77,27 +69,20 @@ class MemoryTracker:
         self._peak = 0
         self._current_reduced = 0
         self._peak_reduced = 0
-        self._lock = threading.Lock()
 
     def add(self, nbytes: int) -> None:
-        with self._lock:
-            self._current += int(nbytes)
-            if self._current > self._peak:
-                self._peak = self._current
+        self._current += int(nbytes)
+        self._peak = max(self._peak, self._current)
 
     def release(self, nbytes: int) -> None:
-        with self._lock:
-            self._current -= int(nbytes)
+        self._current -= int(nbytes)
 
     def add_reduced(self, nbytes: int) -> None:
-        with self._lock:
-            self._current_reduced += int(nbytes)
-            if self._current_reduced > self._peak_reduced:
-                self._peak_reduced = self._current_reduced
+        self._current_reduced += int(nbytes)
+        self._peak_reduced = max(self._peak_reduced, self._current_reduced)
 
     def release_reduced(self, nbytes: int) -> None:
-        with self._lock:
-            self._current_reduced -= int(nbytes)
+        self._current_reduced -= int(nbytes)
 
     def add_array(self, arr: np.ndarray) -> np.ndarray:
         self.add(arr.nbytes)
@@ -124,22 +109,6 @@ class MemoryTracker:
     @property
     def peak_reduced_bytes(self) -> int:
         return self._peak_reduced
-
-
-class NullTracker(MemoryTracker):
-    """Tracker that ignores everything; lets call sites skip None checks."""
-
-    def add(self, nbytes: int) -> None:
-        pass
-
-    def release(self, nbytes: int) -> None:
-        pass
-
-    def add_reduced(self, nbytes: int) -> None:
-        pass
-
-    def release_reduced(self, nbytes: int) -> None:
-        pass
 
 
 def memory_budget_bytes(n_s: int, r: int, n_steps: int, m_t: int,
@@ -203,14 +172,13 @@ class MetricsRow:
 
 
 def write_metrics_csv(path, rows) -> None:
-    """Write metric rows (MetricsRow or 7-element sequences)."""
+    """Write MetricsRow rows under the CSV_FIELDS header."""
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_FIELDS)
             for row in rows:
-                writer.writerow(row.as_list() if isinstance(row, MetricsRow)
-                                else list(row))
+                writer.writerow(row.as_list())
     except OSError as exc:
         raise DataIOError(f"cannot write metrics csv {path}: {exc}") from exc
 

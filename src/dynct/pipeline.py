@@ -15,17 +15,26 @@ Method taxonomy: IRKFS (no updates), IRKFS-M1/M2/M3 (motion only),
 EMIRKFS (noise only), EMIRKFS-M1/M2/M3 (both). The (off, off) variant is a
 fixed point: every pass reproduces the first bitwise.
 
-Memory protocol: all run-lifetime allocations are charged to a MemoryTracker.
-Full-space charges (trajectories, noise diagonals, motion payloads, the
-scratch allowance for chunk transients and one whole m_t x r observation
-product H P) fall under the budgeted category; r x r charges (the
-filter's history of covariance factors and the one step the smoother
-holds: Psi_i^sm, Psi_{i-1}^sm and omega_i, which the M-step takes as
-formed) go to the reduced category, which is reported but not budgeted.
-New motion operators and noise diagonals are charged as each backward step
-makes them, next to the previous set, which is released when the sweep
-ends. Charges for arrays handed to the caller inside the RunRecord are
-released on return; the tracker keeps the peak.
+Memory protocol: run_emirkfs is the one place that charges the
+MemoryTracker; the filter, smoother and M-step allocate, compute and
+return. What it charges:
+
+- Full space (budgeted), for the whole run: the scratch allowance for
+  chunk transients and one whole m_t x r observation product H P, the
+  noise diagonals, the motion payloads and the initial mean x_0. New
+  motion operators and noise diagonals are charged as each backward step
+  makes them, next to the previous set, which is released when the sweep
+  ends.
+- Full space, per pass: the filtered means x_est from the filter's return
+  to the end of the pass, and the smoothed means x_sm (x_est's shape) from
+  just before the sweep until the run returns inside the RunRecord.
+- Reduced (r x r; reported, not budgeted): the initial factor A_0 for the
+  whole run, the filter's factors A_1..A_T from its return to the end of
+  the pass, and, while the M-step at step i runs, the one step the
+  smoother holds: Psi_{i-1}^sm, Psi_i^sm and omega_i.
+
+Every charge is released by the time the run returns; the tracker keeps
+the peaks.
 
 Phase timing: the motion and em phases run inside the smoother phase;
 PhaseTimer keeps nested phases exclusive, so the phases of a pass add up to
@@ -41,10 +50,9 @@ from .em import update_q_diag, update_r_diag
 from .errors import ConfigError, DataIOError, NumericError
 
 _WRAPPED = (ConfigError, DataIOError, NumericError)
-from .filtering import (NoiseModel, initial_noise, release_filter_result,
-                        run_filter, static_init)
+from .filtering import NoiseModel, initial_noise, run_filter, static_init
 from .linops import Identity, payload_nbytes
-from .metrics import (MemoryTracker, MetricsRow, NullTracker, PhaseTimer,
+from .metrics import (MemoryTracker, MetricsRow, PhaseTimer,
                       memory_budget_bytes, rre)
 from .mmgks import MMGKSConfig
 from .motion import fit_motion
@@ -177,7 +185,7 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
     after each pass with the stored smoothed trajectory (do not mutate).
     """
     motion_opts = motion_opts or MotionOptions()
-    tracker = tracker or NullTracker()
+    tracker = tracker or MemoryTracker()
     geom = data.geometry
     n_x, n_y = geom.n_x, geom.n_y
     n_s = n_x * n_y
@@ -237,12 +245,16 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
                                 flow_config=motion_opts.flow)
                         tracker.add(payload_nbytes(new_motions[i - 1]))
                     if method.em:
+                        step_bytes = (psi_sm_prev.nbytes + psi_sm_i.nbytes
+                                      + omega_i.nbytes)
+                        tracker.add_reduced(step_bytes)
                         with timer.phase("em"):
                             r_new[i - 1] = update_r_diag(
                                 y_frames[i], h_ops[i], x_sm[i], psi_sm_i, P)
                             q_new[i - 1] = update_q_diag(
                                 x_sm[i - 1], x_sm[i], psi_sm_prev, psi_sm_i,
                                 omega_i, new_motions[i - 1], P)
+                        tracker.release_reduced(step_bytes)
                         tracker.add(r_new[i - 1].nbytes + q_new[i - 1].nbytes)
                 except _WRAPPED as exc:
                     raise type(exc)(f"timestep {i}: {exc}") from exc
@@ -250,11 +262,15 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
             try:
                 with timer.phase("filter"):
                     filt = run_filter(y_frames, h_ops, motions, noise, basis,
-                                      x0, a0, tracker)
+                                      x0, a0)
+                history_bytes = sum(a.nbytes for a in filt.a_est[1:])
+                tracker.add(filt.x_est.nbytes)
+                tracker.add_reduced(history_bytes)
+                tracker.add(filt.x_est.nbytes)  # x_sm, which has x_est's shape
                 with timer.phase("smoother"):
                     x_sm = run_smoother(filt, motions, noise, basis,
                                         with_covariance=method.em,
-                                        tracker=tracker, on_step=refit)
+                                        on_step=refit)
                 if method.motion != "off":
                     tracker.release(motion_bytes)
                     motion_bytes = sum(payload_nbytes(op) for op in new_motions)
@@ -265,7 +281,8 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
             except _WRAPPED as exc:
                 raise type(exc)(f"outer iteration {j}: {exc}") from exc
 
-            release_filter_result(filt, tracker)
+            tracker.release(filt.x_est.nbytes)
+            tracker.release_reduced(history_bytes)
             # x_sm stays charged; the record owns it until the run returns.
             record.trajectories.append(x_sm)
             record.phase_seconds.append(timer.seconds)

@@ -42,7 +42,6 @@ from ._linalg import check_psd, motion_gram_triple, sym_solve, symmetrize
 from .errors import ConfigError
 from .filtering import FilterResult, NoiseModel
 from .linops import LinearOperator
-from .metrics import MemoryTracker, NullTracker
 from .prior import ProjectionBasis
 
 
@@ -87,7 +86,6 @@ def smooth_step(x_est_prev, a_est_prev, x_sm_i, psi_sm_i,
 
 def run_smoother(filt: FilterResult, motions, noise: NoiseModel,
                  basis: ProjectionBasis, with_covariance: bool = False,
-                 tracker: MemoryTracker | None = None,
                  on_step=None) -> np.ndarray:
     """Backward pass from the last filtered state; returns the (T+1, n_s)
     smoothed means.
@@ -97,20 +95,18 @@ def run_smoother(filt: FilterResult, motions, noise: NoiseModel,
     covariance arguments are None unless with_covariance is set; they are
     dropped once the hook returns, so the hook copies what it keeps.  Each
     Psi_{i-1}^sm that is not PSD beyond roundoff raises NumericError naming
-    its frame.  x_sm stays charged on the tracker; the caller releases it
-    when it drops the array.
+    its frame.
     """
-    tracker = tracker or NullTracker()
     n_steps = noise.n_steps
     if len(motions) != n_steps or len(filt.a_est) != n_steps + 1:
         raise ConfigError("run_smoother: step counts disagree with filter output")
 
-    x_sm = tracker.add_array(np.zeros_like(filt.x_est))
+    x_sm = np.zeros_like(filt.x_est)
     x_sm[n_steps] = filt.x_est[n_steps]
     psi_i = None
     if with_covariance:
         a_T = filt.a_est[n_steps]
-        psi_i = tracker.add_reduced_array(a_T @ a_T.T)
+        psi_i = a_T @ a_T.T
 
     for i in range(n_steps, 0, -1):
         x_sm[i - 1], psi_prev, omega = smooth_step(
@@ -118,13 +114,7 @@ def run_smoother(filt: FilterResult, motions, noise: NoiseModel,
             motions[i - 1], noise.q_diags[i - 1], basis, with_covariance)
         if with_covariance:
             check_psd(psi_prev, f"smoothed covariance {i - 1}")
-            tracker.add_reduced(psi_prev.nbytes + omega.nbytes)
         if on_step is not None:
             on_step(i, x_sm, psi_prev, psi_i, omega)
-        if with_covariance:
-            tracker.release_reduced(psi_i.nbytes + omega.nbytes)
         psi_i = psi_prev
-
-    if with_covariance:
-        tracker.release_reduced_array(psi_i)
     return x_sm

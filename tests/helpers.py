@@ -40,7 +40,7 @@ def build_problem(n_x=12, n_y=12, n_steps=4, n_angles=5, sigma=0.05,
     }
 
 
-def smoothed_moments(filt, motions, noise, basis, tracker=None):
+def smoothed_moments(filt, motions, noise, basis):
     """run_smoother with covariances, keeping what its per-step hook sees.
 
     Returns a namespace with x_sm, psi_sm (the T+1 smoothed reduced
@@ -57,7 +57,7 @@ def smoothed_moments(filt, motions, noise, basis, tracker=None):
         omegas[i - 1] = omega_i.copy()
 
     x_sm = run_smoother(filt, motions, noise, basis, with_covariance=True,
-                        tracker=tracker, on_step=keep)
+                        on_step=keep)
     return SimpleNamespace(x_sm=x_sm, psi_sm=psi_sm, omegas=omegas)
 
 

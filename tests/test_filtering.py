@@ -7,9 +7,8 @@ import scipy.sparse as sp
 from dynct._linalg import inverse_factor
 from dynct.errors import ConfigError, NumericError
 from dynct.filtering import (NoiseModel, filter_step, initial_noise,
-                             release_filter_result, run_filter, static_init)
+                             run_filter, static_init)
 from dynct.linops import Identity, SparseCSR
-from dynct.metrics import MemoryTracker
 from dynct.prior import PriorConfig, ProjectionBasis, build_projection
 from helpers import build_problem, dense_noise, psi_of, rel_err
 from oracles import dense_kalman_filter, projected_posterior_cov, smw_apply
@@ -226,26 +225,8 @@ def test_noise_model_validation():
         NoiseModel(q_diags=[np.ones(4)], r_diags=[])
     with pytest.raises(ConfigError):
         NoiseModel(q_diags=[np.array([1.0, 0.0])], r_diags=[np.ones(2)])
-    with pytest.raises(ConfigError):
-        NoiseModel(q_diags=[np.ones(2)], r_diags=[np.ones(2)], floor=2.0)
     nm = NoiseModel(q_diags=[np.full(3, 0.5)], r_diags=[np.full(2, 2.0)])
-    assert nm.floor == 0.5
     assert nm.n_steps == 1
-
-
-def test_tracker_charges_released(prob):
-    tracker = MemoryTracker()
-    motions = [Identity(prob["n_s"]) for _ in range(prob["n_steps"])]
-    filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
-                      prob["noise"], prob["basis"], prob["x0"], prob["a0"],
-                      tracker)
-    assert tracker.current_bytes == filt.x_est.nbytes
-    assert tracker.peak_bytes >= tracker.current_bytes
-    # one r x r factor per filtered step; the initial factor is the caller's
-    r = prob["basis"].rank
-    assert tracker.peak_reduced_bytes == prob["n_steps"] * r * r * 8
-    release_filter_result(filt, tracker)
-    assert tracker.current_bytes == 0
 
 
 def test_singular_observation_system_raises():

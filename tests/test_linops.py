@@ -186,3 +186,8 @@ def test_payload_nbytes(ops):
             assert n == 0
         if isinstance(op, Rank1):
             assert n == op.u.nbytes + op.v.nbytes
+        if isinstance(op, SparseCSR):
+            # one stored matrix: the adjoint is a view of its arrays
+            m = op.matrix
+            assert n == m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+            assert np.shares_memory(op._adjoint.data, m.data)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from dynct.errors import ConfigError, DataIOError
 from dynct.linops import Identity
-from dynct.metrics import (CSV_FIELDS, MemoryTracker, MetricsRow, NullTracker,
-                           PhaseTimer, memory_budget_bytes, noise_level,
+from dynct.metrics import (CSV_FIELDS, MemoryTracker, MetricsRow, PhaseTimer,
+                           memory_budget_bytes, noise_level,
                            read_metrics_csv, rre, write_metrics_csv)
 from dynct.phantom import default_blocks_config, generate_frames
 from dynct.radon import build_operators, make_geometry, simulate_sinograms
@@ -41,10 +41,10 @@ def test_rre_domain_errors():
 def test_noise_level_trivials():
     x = np.array([1.0, 2.0, 2.0])
     h = Identity(3)
-    assert noise_level(h.apply(x), h, x) == 0.0
-    assert noise_level(np.zeros(3), h, x) == 1.0
+    assert noise_level([h.apply(x)], [h], [x]) == 0.0
+    assert noise_level([np.zeros(3)], [h], [x]) == 1.0
     with pytest.raises(ConfigError):
-        noise_level(np.ones(3), h, np.zeros(3))
+        noise_level([np.ones(3)], [h], [np.zeros(3)])
 
 
 def test_noise_level_matches_requested_sigma():
@@ -76,15 +76,6 @@ def test_tracker_two_categories():
     tr.release_array(b)
     tr.release_reduced(48)
     assert tr.current_bytes == 0
-
-
-def test_null_tracker_counts_nothing():
-    tr = NullTracker()
-    tr.add(100)
-    tr.add_reduced(100)
-    assert tr.current_bytes == 0
-    assert tr.peak_bytes == 0
-    assert tr.peak_reduced_bytes == 0
 
 
 def test_memory_budget_formula():

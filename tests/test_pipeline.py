@@ -140,13 +140,14 @@ def test_tracker_balances_and_peaks():
 
 
 def test_em_reduced_peak_holds_one_smoother_step():
-    # filter history (T+1, the initial covariance its first entry) and one
-    # smoother step (3: Psi_i^sm, Psi_{i-1}^sm, omega_i), which the M-step
-    # takes as formed; a history of smoothed covariances or any M-step copy
-    # of them would not fit
-    prob, record = _run("EMIRKFS-M2", n_iter=2, tracker=MemoryTracker())
+    # the filter's factor history (T+1, the initial factor its first entry)
+    # plus one smoother step (3: Psi_i^sm, Psi_{i-1}^sm, omega_i), which the
+    # M-step takes as formed; without EM only the history is held
+    prob, record = _run("EMIRKFS-M2", n_iter=2)
     T, r = prob["n_steps"], prob["basis"].rank
-    assert 0 < record.peak_reduced_bytes <= (T + 4) * r * r * 8
+    assert record.peak_reduced_bytes == (T + 4) * r * r * 8
+    _, record = _run("IRKFS-M2", n_iter=2, prob=prob)
+    assert record.peak_reduced_bytes == (T + 1) * r * r * 8
 
 
 def _count_calls(monkeypatch, owner, attr, tag=lambda: None):

@@ -8,7 +8,7 @@ from dynct._linalg import check_psd
 from dynct.errors import ConfigError, NumericError
 from dynct.filtering import NoiseModel, run_filter
 from dynct.linops import Identity
-from dynct.metrics import MemoryTracker, rre
+from dynct.metrics import rre
 from dynct.smoothing import run_smoother, smooth_step
 from helpers import (build_problem, dense_noise, psi_of, rel_err,
                      smoothed_moments)
@@ -16,12 +16,11 @@ from oracles import (dense_cross_covariances, dense_kalman_filter,
                      dense_rts_smoother, projected_posterior_cov)
 
 
-def _smoothed(prob, tracker=None):
+def _smoothed(prob):
     motions = [Identity(prob["n_s"]) for _ in range(prob["n_steps"])]
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
                       prob["noise"], prob["basis"], prob["x0"], prob["a0"])
-    return filt, smoothed_moments(filt, motions, prob["noise"], prob["basis"],
-                                  tracker)
+    return filt, smoothed_moments(filt, motions, prob["noise"], prob["basis"])
 
 
 def _dense(prob):
@@ -166,17 +165,6 @@ def test_count_validation(prob):
     with pytest.raises(ConfigError):
         run_smoother(filt, [Identity(prob["n_s"])], prob["noise"],
                      prob["basis"])
-
-
-def test_tracker_balance(prob):
-    tracker = MemoryTracker()
-    _, sm = _smoothed(prob, tracker=tracker)
-    assert tracker.current_bytes == sm.x_sm.nbytes
-    tracker.release_array(sm.x_sm)
-    assert tracker.current_bytes == 0
-    # one step at a time: Psi_i^sm, Psi_{i-1}^sm and omega_i, never a history
-    r = prob["basis"].rank
-    assert tracker.peak_reduced_bytes == 3 * r * r * 8
 
 
 def test_check_psd_rejects_only_beyond_roundoff():
