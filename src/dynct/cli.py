@@ -59,7 +59,9 @@ def cmd_simulate(args) -> int:
     _ensure_dir(out)
     frames = generate_frames(cfg.phantom)
     geom = _geometry(cfg)
-    sino = simulate_sinograms(frames, geom, cfg.sigma, cfg.noise_seed)
+    h_ops = build_operators(geom)
+    sino = simulate_sinograms(frames, geom, cfg.sigma, cfg.noise_seed,
+                              operators=h_ops)
 
     files = []
     base = os.path.join(out, _TRUTH)
@@ -76,8 +78,7 @@ def cmd_simulate(args) -> int:
             files.append(path)
 
     params = cfg.manifest_params()
-    params["realized_noise_level"] = noise_level(
-        sino.sinograms, build_operators(geom), frames)
+    params["realized_noise_level"] = noise_level(sino.sinograms, h_ops, frames)
     write_manifest(os.path.join(out, _MANIFEST), params, files)
     print(f"simulate: wrote {len(files) + 1} files to {out}")
     return 0

@@ -12,12 +12,16 @@ materializing any full covariance or any full n_s x r product.  The updates
 take the smoother's reduced covariances as formed (C^sm = P Psi^sm P^T, the
 cross covariance P omega_i P^T with omega_i = Psi_i^sm K_i Psi_{i-1}^est) and
 factor nothing: diag(X Psi X^T) is the row sums of (X Psi) o X, swept in row
-chunks of X = P, M_i P or H_i P.  The R update forms H_i P whole (m_t x r,
-one column-order pass over P).  The two cross terms have identical
-diagonals, so the sweep subtracts twice one of them.  The smoother rejects
-covariances that are not PSD beyond roundoff; here roundoff-negative
-diagonal entries are clamped and larger ones rejected, and a relative floor
-(1e-8 of the mean) keeps the next filter pass well posed.
+chunks of X = P or H_i P.  The R update forms H_i P whole (m_t x r, one
+column-order pass over P).  The two cross terms have identical diagonals,
+so the Q update subtracts twice one of them.  Its two terms in M_i,
+diag(M_i P Psi_{i-1}^sm (M_i P)^T) and diag(P omega_i (M_i P)^T), come from
+the motion operator's ``q_terms``: closed forms for Rank1 and PatchRank1
+(no n_s x r product), row chunks of M_i P for the other kinds.  The
+smoother rejects covariances that are not PSD beyond roundoff; here
+roundoff-negative diagonal entries are clamped and larger ones rejected,
+and a relative floor (1e-8 of the mean) keeps the next filter pass well
+posed.
 """
 
 from __future__ import annotations
@@ -85,12 +89,10 @@ def update_q_diag(x_sm_prev, x_sm_i, psi_sm_prev, psi_sm_i, omega_i,
     """
     resid = x_sm_i - motion.apply(x_sm_prev)
     diag = resid ** 2
-    pos_scale = float(diag.max()) if diag.size else 0.0
-    n_s, r = P.shape
-    for rows in row_chunks(n_s, r):
-        mp = motion.apply_block_rows(P, rows)
-        pos = _quad_diag(P[rows], psi_sm_i) + _quad_diag(mp, psi_sm_prev)
-        pos_scale = max(pos_scale, float((diag[rows] + pos).max()))
-        cross = np.einsum("ij,ij->i", P[rows] @ omega_i, mp)
-        diag[rows] += pos - 2.0 * cross
+    pos, cross = motion.q_terms(P, psi_sm_prev, omega_i)
+    for rows in row_chunks(*P.shape):
+        pos[rows] += _quad_diag(P[rows], psi_sm_i)
+    # the roundoff scale: the largest row of resid^2 plus both positive terms
+    pos_scale = float(np.maximum(diag, diag + pos).max()) if diag.size else 0.0
+    diag += pos - 2.0 * cross
     return _apply_floor(_guard_negative(diag, "update_q_diag", pos_scale))

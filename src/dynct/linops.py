@@ -1,13 +1,14 @@
 """Matrix-free linear operators used throughout the package.
 
-The operator protocol is four methods. Every operator implements the first
+The operator protocol is five methods. Every operator implements the first
 three itself:
 
 - ``apply(x)``: forward product ``op @ x``.
 - ``apply_transpose(y)``: exact adjoint of the same coefficients.
 - ``apply_block_rows(X, rows)``: rows ``rows`` of ``op @ X``, formed by the
-  operator's own row kernel without the full product. The M-step folds
-  row chunks of motion products straight into diagonals; the observation
+  operator's own row kernel without the full product. The base-class
+  Gram pair and Q-update terms fold row chunks of motion products straight
+  into r x r Gramians and diagonals; the observation
   Gramians ask for the whole (m_t x r) H P with ``rows = slice(None)``,
   which ``SparseCSR`` forms in one column-order pass over X: it stores one
   CSC matrix, whose transpose view is the CSR matrix of the adjoint.
@@ -20,6 +21,12 @@ three itself:
   row chunks of ``op P`` into the pair, which ``SparseCSR`` and ``Warp``
   use; ``Rank1`` and ``PatchRank1`` use closed forms in their (per-patch)
   coefficients.
+- ``q_terms(P, psi_prev, omega)``: the two motion terms of the M-step's
+  diag(Q_i), diag(MP psi_prev (MP)^T) and diag(P omega (MP)^T), as
+  n_s-vectors. The base class folds row chunks of ``op P`` into them, which
+  ``SparseCSR``, ``Warp`` and ``Identity`` use; ``Rank1`` and
+  ``PatchRank1`` use closed forms in the same coefficients as their
+  ``gram_pair``, so they never form an n_s x r product.
 
 There is no column-loop fallback: an operator without a row kernel raises
 ``NotImplementedError``. ``to_dense`` is ``apply_block_rows`` on the
@@ -65,7 +72,7 @@ def to_patches(x, n_x, n_y, z_x, z_y):
 
 class LinearOperator:
     """Base class: shape (m, n), the three methods every operator implements
-    and the row-chunked Gram pair."""
+    and the row-chunked Gram pair and Q-update terms."""
 
     shape: tuple[int, int]
 
@@ -96,6 +103,22 @@ class LinearOperator:
             g_mm += mpw.T @ mp
             g_mp += mpw.T @ P[rows]
         return g_mm, g_mp
+
+    def q_terms(self, P: np.ndarray, psi_prev: np.ndarray, omega: np.ndarray):
+        """(diag(MP psi_prev (MP)^T), diag(P omega (MP)^T)) of a square
+        operator M = op, the two motion terms of the Q-update diagonal.
+
+        Each diagonal is the row sums of (X Psi) o Y over row chunks of
+        M P from ``apply_block_rows``: two n_s x r^2 products per call.
+        """
+        n_s, r = P.shape
+        quad = np.empty(n_s)
+        cross = np.empty(n_s)
+        for rows in row_chunks(n_s, r):
+            mp = self.apply_block_rows(P, rows)
+            quad[rows] = np.einsum("ij,ij->i", mp @ psi_prev, mp)
+            cross[rows] = np.einsum("ij,ij->i", P[rows] @ omega, mp)
+        return quad, cross
 
     def to_dense(self) -> np.ndarray:
         if max(self.shape) > DENSE_LIMIT:
@@ -183,17 +206,24 @@ class Rank1(LinearOperator):
         y = _as_vector(y, self.shape[0], "y")
         return self.v * (self.u @ y / self.denom)
 
+    def _coef(self, X):
+        """c = X^T v / denom, so op X = u c^T."""
+        return (self.v @ _as_block(X, self.shape[1])) / self.denom
+
     def apply_block_rows(self, X, rows):
-        coef = (self.v @ _as_block(X, self.shape[1])) / self.denom
-        return self.u[rows, None] * coef[None, :]
+        return self.u[rows, None] * self._coef(X)[None, :]
 
     def gram_pair(self, P, w, g_pp):
-        """M P = u c^T with c = P^T v / denom, so
-        G_MM = (sum w u^2) c c^T and G_MP = c ((w u)^T P)."""
-        P = _as_block(P, self.shape[1])
-        coef = (self.v @ P) / self.denom
+        """M P = u c^T, so G_MM = (sum w u^2) c c^T and G_MP = c ((w u)^T P)."""
+        coef = self._coef(P)
         wu = w * self.u
         return (wu @ self.u) * np.outer(coef, coef), np.outer(coef, wu @ P)
+
+    def q_terms(self, P, psi_prev, omega):
+        """M P = u c^T, so diag(MP psi_prev (MP)^T) = u^2 (c^T psi_prev c)
+        and diag(P omega (MP)^T) = u (P omega c): O(n_s r + r^2)."""
+        coef = self._coef(P)
+        return self.u * self.u * (coef @ psi_prev @ coef), self.u * (P @ (omega @ coef))
 
 
 class PatchRank1(LinearOperator):
@@ -269,17 +299,38 @@ class PatchRank1(LinearOperator):
         u = self.U.reshape(bx, by, self.z_x, self.z_y)[px, py, ix % self.z_x, iy % self.z_y]
         return u[:, None] * coef[(px - lo) * by + py]
 
+    def _coef(self, P):
+        """The (n_patches, r) coefficients C, c_j = P_j^T v_j / d_j with P_j
+        the rows of patch j: row i of M P is u_i c_j, j the patch of row i."""
+        bx = self.n_x // self.z_x
+        return self._patch_sums(self.V, P, 0, bx) / self.denoms[:, None]
+
     def gram_pair(self, P, w, g_pp):
-        """Row i of M P is u_i c_j, j the patch of row i and C the
-        (n_patches, r) coefficients, so with a_j = sum_{i in j} w_i u_i^2 and
+        """With C the coefficients, a_j = sum_{i in j} w_i u_i^2 and
         B_j = sum_{i in j} w_i u_i P_i: G_MM = C^T diag(a) C, G_MP = C^T B.
         That costs O(n_s r + n_patches r^2)."""
         P = _as_block(P, self.shape[1])
-        bx = self.n_x // self.z_x
-        coef = self._patch_sums(self.V, P, 0, bx) / self.denoms[:, None]
+        coef = self._coef(P)
         wu = self.U * self._to_patches(w)
         a = np.einsum("ij,ij->i", wu, self.U)
-        return coef.T @ (a[:, None] * coef), coef.T @ self._patch_sums(wu, P, 0, bx)
+        return (coef.T @ (a[:, None] * coef),
+                coef.T @ self._patch_sums(wu, P, 0, self.n_x // self.z_x))
+
+    def q_terms(self, P, psi_prev, omega):
+        """With C the coefficients and j the patch of row i:
+        diag(MP psi_prev (MP)^T)_i = u_i^2 (C psi_prev C^T)_jj and
+        diag(P omega (MP)^T)_i = u_i P_i (omega C^T)_{:, j}, the latter
+        contracted over views of P in image order. That costs
+        O(n_s r + n_patches r^2)."""
+        P = _as_block(P, self.shape[1])
+        coef = self._coef(P)
+        bx, by = self.n_x // self.z_x, self.n_y // self.z_y
+        c_quad = np.einsum("jk,jk->j", coef @ psi_prev, coef)
+        sums = np.einsum("acbdk,abk->acbd",
+                         P.reshape(bx, self.z_x, by, self.z_y, P.shape[1]),
+                         (coef @ omega.T).reshape(bx, by, -1))
+        return (self._from_patches(self.U * self.U * c_quad[:, None]),
+                self._from_patches(self.U) * sums.reshape(-1))
 
 
 class Warp(SparseCSR):

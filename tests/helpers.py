@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -76,3 +77,22 @@ def dense_noise(problem):
 def rel_err(a, b):
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b))
                  / max(np.linalg.norm(np.asarray(b)), 1e-300))
+
+
+def count_calls(monkeypatch, owner, attr, tag=lambda: None):
+    """Record tag() at each call of owner.attr, under that name and every
+    dynct-module name bound to the function."""
+    original = getattr(owner, attr)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(tag())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("dynct"):
+            for bound, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, bound, counted)
+    return calls

@@ -6,12 +6,14 @@ import os
 import numpy as np
 import pytest
 
+from dynct import radon
 from dynct.cli import main
 from dynct.errors import ConfigError, DataIOError
 from dynct.io_formats import (DEFAULT_NOISE_LEVEL, content_hash, load_config,
                               read_array, read_manifest, write_array,
                               write_manifest, write_pgm)
 from dynct.metrics import read_metrics_csv
+from helpers import count_calls
 
 
 def _write_config(path, out_dir, **overrides):
@@ -178,6 +180,14 @@ def test_simulate_outputs_and_determinism(tmp_path):
     m2 = read_manifest(str(data2 / "manifest.json"))
     assert m1["content_sha256"] == m2["content_sha256"]
     assert abs(m1["params"]["realized_noise_level"] - 0.02) <= 1e-12
+
+
+def test_simulate_builds_operators_once(tmp_path, monkeypatch):
+    # the sinograms and the realized noise level share one operator set
+    calls = count_calls(monkeypatch, radon, "build_operators")
+    cfg = _write_config(tmp_path / "c.cfg", tmp_path / "d")
+    assert main(["simulate", cfg]) == 0
+    assert len(calls) == 1
 
 
 def test_simulate_records_default_sigma(tmp_path):

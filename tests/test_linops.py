@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dynct import _linalg
 from dynct._linalg import motion_gram_triple, op_gram, weighted_gram
 from dynct.errors import ConfigError
 from dynct.linops import (DENSE_LIMIT, Identity, LinearOperator, PatchRank1,
@@ -102,6 +105,49 @@ def test_motion_gram_triple_matches_dense(ops):
             assert calls == []
 
 
+def _q_terms_dense(op, P, psi, omega):
+    MP = op.to_dense() @ P
+    return (np.diag(MP @ psi @ MP.T), np.diag(P @ omega @ MP.T))
+
+
+def _q_inputs(rng, n, r):
+    A = rng.standard_normal((r, r))
+    return rng.standard_normal((n, r)), A @ A.T, rng.standard_normal((r, r))
+
+
+def _assert_q_terms(op, P, psi, omega):
+    got = op.q_terms(P, psi, omega)
+    assert len(got) == 2
+    for g, ref in zip(got, _q_terms_dense(op, P, psi, omega)):
+        np.testing.assert_allclose(g, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
+
+
+def test_q_terms_match_dense(ops, monkeypatch):
+    # several row chunks, so the base-class loop stitches its diagonals
+    monkeypatch.setattr(_linalg, "CHUNK_ELEMS", 20)
+    rng = np.random.default_rng(8)
+    square = [op for op in ops if op.shape[0] == op.shape[1]]
+    square.append(SparseCSR(sp.random(12, 12, density=0.3,
+                                      random_state=np.random.RandomState(9))))
+    assert {type(op).__name__ for op in square} == {
+        "Identity", "SparseCSR", "Warp", "Rank1", "PatchRank1"}
+    for op in square:
+        _assert_q_terms(op, *_q_inputs(rng, op.shape[0], 5))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 3), st.integers(1, 6), st.integers(0, 2 ** 16))
+def test_patch_rank1_q_terms_any_tiling(bx, by, z_x, z_y, r, seed):
+    # non-square grids and patches, one patch, one-pixel patches
+    rng = np.random.default_rng(seed)
+    n_p, z = bx * by, z_x * z_y
+    op = PatchRank1(bx * z_x, by * z_y, z_x, z_y, rng.standard_normal((n_p, z)),
+                    rng.standard_normal((n_p, z)), rng.uniform(0.5, 2.0, n_p))
+    _assert_q_terms(op, *_q_inputs(rng, op.shape[0], r))
+
+
 def test_sparse_whole_block_matches_dense_and_row_path(ops):
     rng = np.random.default_rng(6)
     sparse = [op for op in ops if isinstance(op, SparseCSR)]
@@ -144,6 +190,8 @@ def test_operator_without_row_kernel_raises():
         op_gram(op, np.eye(3))
     with pytest.raises(NotImplementedError):
         op.gram_pair(np.eye(3), np.ones(3), lambda: np.eye(3))
+    with pytest.raises(NotImplementedError):
+        op.q_terms(np.eye(3), np.eye(3), np.eye(3))
 
 
 def test_to_dense_guard():

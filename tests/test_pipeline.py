@@ -1,6 +1,5 @@
 """Outer-loop orchestration: method parsing, iteration protocol, records."""
 
-import sys
 import time
 
 import numpy as np
@@ -12,7 +11,7 @@ from dynct.metrics import MemoryTracker
 from dynct.pipeline import (MethodSpec, MotionOptions, parse_method,
                             record_rows, run_emirkfs)
 from dynct.prior import PriorConfig, build_projection
-from helpers import build_problem
+from helpers import build_problem, count_calls
 
 
 def _run(method_name, n_iter=2, prob=None, tracker=None, callback=None,
@@ -150,27 +149,8 @@ def test_em_reduced_peak_holds_one_smoother_step():
     assert record.peak_reduced_bytes == (T + 1) * r * r * 8
 
 
-def _count_calls(monkeypatch, owner, attr, tag=lambda: None):
-    """Record tag() at each call of owner.attr, under that name and every
-    dynct-module name bound to the function."""
-    original = getattr(owner, attr)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(tag())
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, attr, counted)
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("dynct"):
-            for bound, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, bound, counted)
-    return calls
-
-
 def _count_weighted_grams(monkeypatch, tag=lambda: None):
-    return _count_calls(monkeypatch, _linalg, "weighted_gram", tag)
+    return count_calls(monkeypatch, _linalg, "weighted_gram", tag)
 
 
 def test_irkfs_forms_no_weighted_gram(monkeypatch):
@@ -261,7 +241,7 @@ def test_em_variants_make_no_eigh_call(monkeypatch):
     # the M-step takes the smoothed covariances as formed and the smoother
     # guards them with eigenvalues only: no eigendecomposition in the run
     prob = build_problem(n_x=8, n_y=8, n_steps=3, sigma=0.02)
-    calls = _count_calls(monkeypatch, np.linalg, "eigh")
+    calls = count_calls(monkeypatch, np.linalg, "eigh")
     for name in ("EMIRKFS-M3", "EMIRKFS"):
         _run(name, n_iter=2, prob=prob)
         assert calls == [], name
