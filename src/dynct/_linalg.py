@@ -1,11 +1,12 @@
 """Shared dense kernels: guarded Cholesky solves and inverse factors, the
-PSD guard on formed covariances, and weighted Gramians.
+PSD guard on formed covariances, weighted Gramians and quadratic-form
+diagonals.
 
-``weighted_gram`` and the operators' row-chunked Gram loops form r x r
-projections of diagonally-weighted n_s x r products without holding more
-than one n_s x r block plus O(CHUNK_ELEMS) scratch. ``op_gram`` forms the
-observation's H P whole (m_t x r, small next to n_s x r) in one
-column-order pass over P.
+``weighted_gram``, ``quad_diag`` and the sparse operators' row-chunked
+loops form r x r projections and n-vector diagonals of n x r products
+without holding more than one n x r block plus O(CHUNK_ELEMS) scratch.
+``op_gram`` forms the observation's H P whole (m_t x r, small next to
+n_s x r) with one ``apply_block`` call.
 """
 
 from __future__ import annotations
@@ -38,23 +39,19 @@ def weighted_gram(X: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def motion_gram_triple(motion, P: np.ndarray, w: np.ndarray, g_pp):
-    """(G_MM, G_MP), the motion part of the weighted Gram triple of M P and P:
-
-    G_MM = (MP)^T diag(w) (MP) and G_MP = (MP)^T diag(w) P, formed by the
-    motion operator's own ``gram_pair`` (row-chunked or closed form, never
-    a full M P). g_pp() returns the triple's third Gram, G_PP =
-    P^T diag(w) P (``ProjectionBasis.gram``, closed form under uniform w);
-    only an operator whose Gramians are G_PP itself (Identity) calls it.
-    """
-    return motion.gram_pair(P, w, g_pp)
+def quad_diag(X: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """diag(X psi X^T), the row sums of (X psi) o X, over row chunks of X."""
+    out = np.empty(X.shape[0])
+    for rows in row_chunks(*X.shape):
+        out[rows] = np.einsum("ij,ij->i", X[rows] @ psi, X[rows])
+    return out
 
 
 def op_gram(op, P: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     """(op P)^T diag(w) (op P), with op P formed whole by one
-    ``apply_block_rows`` call (for SparseCSR, one column-order pass that
-    reads each row of P once) and then one symmetric product."""
-    hp = op.apply_block_rows(P, slice(None))
+    ``apply_block`` call (for SparseCSR, one column-order pass that reads
+    each row of P once) and then one symmetric product."""
+    hp = op.apply_block(P)
     if w is not None:
         hp *= np.sqrt(w)[:, None]
     return hp.T @ hp

@@ -8,17 +8,18 @@ The exact conditional-expectation updates are full matrices
           - C_{i,i-1}^sm M_i^T - M_i (C_{i,i-1}^sm)^T + M_i C_{i-1}^sm M_i^T;
 
 only their diagonals are kept (the models are diagonal), computed without
-materializing any full covariance or any full n_s x r product.  The updates
+materializing any full covariance or any full n_s x r product. The updates
 take the smoother's reduced covariances as formed (C^sm = P Psi^sm P^T, the
-cross covariance P omega_i P^T with omega_i = Psi_i^sm K_i Psi_{i-1}^est) and
-factor nothing: diag(X Psi X^T) is the row sums of (X Psi) o X, swept in row
-chunks of X = P or H_i P.  The R update forms H_i P whole (m_t x r, one
-column-order pass over P).  The two cross terms have identical diagonals,
-so the Q update subtracts twice one of them.  Its two terms in M_i,
-diag(M_i P Psi_{i-1}^sm (M_i P)^T) and diag(P omega_i (M_i P)^T), come from
-the motion operator's ``q_terms``: closed forms for Rank1 and PatchRank1
-(no n_s x r product), row chunks of M_i P for the other kinds.  The
-smoother rejects covariances that are not PSD beyond roundoff; here
+cross covariance P omega_i P^T with omega_i = Psi_i^sm K_i Psi_{i-1}^est)
+and factor nothing: diag(X Psi X^T) is the row sums of (X Psi) o X, swept
+in row chunks of X = P or H_i P by ``_linalg.quad_diag``. The R update
+forms H_i P whole (m_t x r, one ``apply_block`` pass over P). The two cross
+terms have identical diagonals, so the Q update subtracts twice one of
+them. Its two terms in M_i, diag(M_i P Psi_{i-1}^sm (M_i P)^T) and
+diag(P omega_i (M_i P)^T), come from the motion operator's ``q_terms``: closed
+forms for Rank1 and PatchRank1 (no n_s x r product), ``quad_diag`` of P for
+Identity and row chunks of M_i P for SparseCSR and Warp. The smoother
+rejects covariances that are not PSD beyond roundoff; here
 roundoff-negative diagonal entries are clamped and larger ones rejected,
 and a relative floor (1e-8 of the mean) keeps the next filter pass well
 posed.
@@ -30,7 +31,7 @@ import warnings
 
 import numpy as np
 
-from ._linalg import NEG_TOL_REL, row_chunks
+from ._linalg import NEG_TOL_REL, quad_diag
 from .errors import NumericError
 from .linops import LinearOperator
 
@@ -62,19 +63,12 @@ def _guard_negative(diag: np.ndarray, what: str, scale: float) -> np.ndarray:
     return np.clip(diag, 0.0, None)
 
 
-def _quad_diag(X: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """diag(X psi X^T) as the row sums of (X psi) o X."""
-    return np.einsum("ij,ij->i", X @ psi, X)
-
-
 def update_r_diag(y_i, h_op: LinearOperator, x_sm_i, psi_sm_i, P) -> np.ndarray:
     """diag(R_i) from the smoothed state and reduced covariance Psi_i^sm
     at frame i."""
     resid = np.asarray(y_i, dtype=float) - h_op.apply(x_sm_i)
     diag = resid ** 2
-    hp = h_op.apply_block_rows(P, slice(None))
-    for rows in row_chunks(hp.shape[0], hp.shape[1]):
-        diag[rows] += _quad_diag(hp[rows], psi_sm_i)
+    diag += quad_diag(h_op.apply_block(P), psi_sm_i)
     return _apply_floor(diag)
 
 
@@ -90,8 +84,7 @@ def update_q_diag(x_sm_prev, x_sm_i, psi_sm_prev, psi_sm_i, omega_i,
     resid = x_sm_i - motion.apply(x_sm_prev)
     diag = resid ** 2
     pos, cross = motion.q_terms(P, psi_sm_prev, omega_i)
-    for rows in row_chunks(*P.shape):
-        pos[rows] += _quad_diag(P[rows], psi_sm_i)
+    pos += quad_diag(P, psi_sm_i)
     # the roundoff scale: the largest row of resid^2 plus both positive terms
     pos_scale = float(np.maximum(diag, diag + pos).max()) if diag.size else 0.0
     diag += pos - 2.0 * cross

@@ -13,9 +13,10 @@ diag(lambda)/q with no n_s x r^2 product whenever Q = q I, as in every
 IRKFS step and every first pass. The motion operator forms the other two
 (``gram_pair``): Identity returns G_PP for both, Rank1 and PatchRank1 use
 closed forms in their (per-patch) coefficients, and sparse operators
-(SparseCSR, Warp) accumulate them row-chunk by row-chunk
-(``apply_block_rows``). G_H = (H P)^T R^{-1} (H P) comes from one
-column-order pass of H over P (``op_gram``). Every vector contraction
+(SparseCSR, Warp) accumulate them over row chunks of M P, each formed by
+the chunk's rows of the matrix. G_H = (H P)^T R^{-1} (H P) comes from the
+whole H P, which ``apply_block`` forms in one column-order pass over P
+(``op_gram``). Every vector contraction
 against M P or H P goes through the operator adjoint, e.g.
 (H P)^T v = P^T (H^T v).
 
@@ -41,8 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (inverse_factor, motion_gram_triple, op_gram, sym_solve,
-                      symmetrize)
+from ._linalg import inverse_factor, op_gram, sym_solve, symmetrize
 from .errors import ConfigError
 from .linops import LinearOperator
 from .prior import ProjectionBasis
@@ -127,7 +127,7 @@ def filter_step(x_prev: np.ndarray, a_prev: np.ndarray, motion: LinearOperator,
     A = a_prev
 
     g_pp = basis.gram(q_inv)
-    g_mm, g_mp = motion_gram_triple(motion, P, q_inv, lambda: g_pp)
+    g_mm, g_mp = motion.gram_pair(P, q_inv, lambda: g_pp)
     S = symmetrize(A.T @ g_mm @ A) + np.eye(r)
     E = A.T @ g_mp
     pcp = symmetrize(g_pp - E.T @ sym_solve(S, E, "filter capacitance"))

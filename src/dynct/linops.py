@@ -1,37 +1,35 @@
 """Matrix-free linear operators used throughout the package.
 
-The operator protocol is five methods. Every operator implements the first
-three itself:
+The operator protocol is the products the filter, smoother and M-step
+make. Every operator implements the first two; the other three exist only
+where a caller makes them:
 
 - ``apply(x)``: forward product ``op @ x``.
 - ``apply_transpose(y)``: exact adjoint of the same coefficients.
-- ``apply_block_rows(X, rows)``: rows ``rows`` of ``op @ X``, formed by the
-  operator's own row kernel without the full product. The base-class
-  Gram pair and Q-update terms fold row chunks of motion products straight
-  into r x r Gramians and diagonals; the observation
-  Gramians ask for the whole (m_t x r) H P with ``rows = slice(None)``,
-  which ``SparseCSR`` forms in one column-order pass over X: it stores one
-  CSC matrix, whose transpose view is the CSR matrix of the adjoint.
+- ``apply_block(X)``: the whole product ``op @ X``. Only ``SparseCSR`` (the
+  observations' H P in ``op_gram`` and the R update, and the flow solver's
+  operands) and ``Identity`` define it. ``SparseCSR`` stores one CSC
+  matrix, whose transpose view is the CSR matrix of the adjoint, so the
+  product is one column-order pass that reads each row of X once.
 - ``gram_pair(P, w, g_pp)``: the weighted Gramians of ``op P`` against
   itself and against ``P`` that the filter and smoother need for a motion
   operator. ``g_pp()`` returns the basis Gram ``P^T diag(w) P``, which
   ``ProjectionBasis.gram`` forms (closed form under uniform weights); only
   ``Identity``, whose two Gramians are that Gram, calls it, so a caller
-  that has no other use for it never pays for it. The base class folds
-  row chunks of ``op P`` into the pair, which ``SparseCSR`` and ``Warp``
-  use; ``Rank1`` and ``PatchRank1`` use closed forms in their (per-patch)
-  coefficients.
+  that has no other use for it never pays for it. ``SparseCSR`` and
+  ``Warp`` fold row chunks of ``op P`` into the pair; ``Rank1`` and
+  ``PatchRank1`` use closed forms in their (per-patch) coefficients.
 - ``q_terms(P, psi_prev, omega)``: the two motion terms of the M-step's
   diag(Q_i), diag(MP psi_prev (MP)^T) and diag(P omega (MP)^T), as
-  n_s-vectors. The base class folds row chunks of ``op P`` into them, which
-  ``SparseCSR``, ``Warp`` and ``Identity`` use; ``Rank1`` and
+  n_s-vectors. ``SparseCSR`` and ``Warp`` fold row chunks of ``op P`` into
+  them, ``Identity`` gives both as ``quad_diag`` of P, and ``Rank1`` and
   ``PatchRank1`` use closed forms in the same coefficients as their
   ``gram_pair``, so they never form an n_s x r product.
 
-There is no column-loop fallback: an operator without a row kernel raises
-``NotImplementedError``. ``to_dense`` is ``apply_block_rows`` on the
-identity, for debugging and oracle tests only; it refuses to build anything
-with more than ``DENSE_LIMIT`` rows or columns.
+There is no column-loop fallback: an operator without one of the last three
+raises ``NotImplementedError``. ``to_dense`` applies the operator to the
+identity's columns, for debugging and oracle tests only; it refuses to
+build anything with more than ``DENSE_LIMIT`` rows or columns.
 
 All vectors are 1-D float64 arrays; blocks are (n, k) float64 arrays.
 """
@@ -41,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ._linalg import row_chunks
+from ._linalg import quad_diag, row_chunks
 from .errors import ConfigError
 
 # Largest state dimension for which dense materialization is permitted.
@@ -71,8 +69,8 @@ def to_patches(x, n_x, n_y, z_x, z_y):
 
 
 class LinearOperator:
-    """Base class: shape (m, n), the three methods every operator implements
-    and the row-chunked Gram pair and Q-update terms."""
+    """Base class: shape (m, n), the two methods every operator implements
+    and stubs for the three that only some define."""
 
     shape: tuple[int, int]
 
@@ -82,50 +80,26 @@ class LinearOperator:
     def apply_transpose(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def apply_block_rows(self, X: np.ndarray, rows: slice) -> np.ndarray:
-        """Rows ``rows`` of ``op @ X`` without holding the full product."""
-        raise NotImplementedError(f"{type(self).__name__} has no row kernel")
+    def apply_block(self, X: np.ndarray) -> np.ndarray:
+        """The whole product ``op @ X``."""
+        raise NotImplementedError(f"{type(self).__name__} has no block product")
 
     def gram_pair(self, P: np.ndarray, w: np.ndarray, g_pp):
         """(G_MM, G_MP) of a square operator M = op and weights w:
-
-        G_MM = (MP)^T diag(w) (MP) and G_MP = (MP)^T diag(w) P, with M P
-        generated row-chunk by row-chunk via ``apply_block_rows`` so no full
-        n_s x r product is ever held. g_pp() would return P^T diag(w) P;
-        this and every operator but Identity leave it uncalled.
-        """
-        n_s, r = P.shape
-        g_mm = np.zeros((r, r))
-        g_mp = np.zeros((r, r))
-        for rows in row_chunks(n_s, r):
-            mp = self.apply_block_rows(P, rows)
-            mpw = mp * w[rows, None]
-            g_mm += mpw.T @ mp
-            g_mp += mpw.T @ P[rows]
-        return g_mm, g_mp
+        G_MM = (MP)^T diag(w) (MP) and G_MP = (MP)^T diag(w) P."""
+        raise NotImplementedError(f"{type(self).__name__} has no Gram pair")
 
     def q_terms(self, P: np.ndarray, psi_prev: np.ndarray, omega: np.ndarray):
         """(diag(MP psi_prev (MP)^T), diag(P omega (MP)^T)) of a square
-        operator M = op, the two motion terms of the Q-update diagonal.
-
-        Each diagonal is the row sums of (X Psi) o Y over row chunks of
-        M P from ``apply_block_rows``: two n_s x r^2 products per call.
-        """
-        n_s, r = P.shape
-        quad = np.empty(n_s)
-        cross = np.empty(n_s)
-        for rows in row_chunks(n_s, r):
-            mp = self.apply_block_rows(P, rows)
-            quad[rows] = np.einsum("ij,ij->i", mp @ psi_prev, mp)
-            cross[rows] = np.einsum("ij,ij->i", P[rows] @ omega, mp)
-        return quad, cross
+        operator M = op, the two motion terms of the Q-update diagonal."""
+        raise NotImplementedError(f"{type(self).__name__} has no Q-update terms")
 
     def to_dense(self) -> np.ndarray:
         if max(self.shape) > DENSE_LIMIT:
             raise ConfigError(
                 f"refusing to densify operator of shape {self.shape} (limit {DENSE_LIMIT})"
             )
-        return self.apply_block_rows(np.eye(self.shape[1]), slice(None))
+        return np.column_stack([self.apply(e) for e in np.eye(self.shape[1])])
 
 
 class SparseCSR(LinearOperator):
@@ -156,14 +130,38 @@ class SparseCSR(LinearOperator):
         y = _as_vector(y, self.shape[0], "y")
         return self._adjoint @ y
 
-    def apply_block_rows(self, X, rows):
-        """The whole product (rows = slice(None)) is one column-order pass,
-        which reads each row of X once in place of once per nonzero of its
-        column; a row slice multiplies the sliced rows."""
-        X = _as_block(X, self.shape[1])
-        if rows == slice(None):
-            return np.asarray(self.matrix @ X)
-        return np.asarray(self.matrix[rows] @ X)
+    def apply_block(self, X):
+        """One column-order pass, which reads each row of X once in place of
+        once per nonzero of its column."""
+        return np.asarray(self.matrix @ _as_block(X, self.shape[1]))
+
+    def gram_pair(self, P, w, g_pp):
+        """Row chunks of M P, each formed by the chunk's rows of the matrix,
+        fold into the pair, so no full n_s x r product is held; g_pp is
+        left uncalled."""
+        P = _as_block(P, self.shape[1])
+        n_s, r = P.shape
+        g_mm = np.zeros((r, r))
+        g_mp = np.zeros((r, r))
+        for rows in row_chunks(n_s, r):
+            mp = np.asarray(self.matrix[rows] @ P)
+            mpw = mp * w[rows, None]
+            g_mm += mpw.T @ mp
+            g_mp += mpw.T @ P[rows]
+        return g_mm, g_mp
+
+    def q_terms(self, P, psi_prev, omega):
+        """Each diagonal is the row sums of (X Psi) o Y over the row chunks
+        of M P that ``gram_pair`` forms: two n_s x r^2 products per call."""
+        P = _as_block(P, self.shape[1])
+        n_s, r = P.shape
+        quad = np.empty(n_s)
+        cross = np.empty(n_s)
+        for rows in row_chunks(n_s, r):
+            mp = np.asarray(self.matrix[rows] @ P)
+            quad[rows] = np.einsum("ij,ij->i", mp @ psi_prev, mp)
+            cross[rows] = np.einsum("ij,ij->i", P[rows] @ omega, mp)
+        return quad, cross
 
 
 class Identity(LinearOperator):
@@ -176,8 +174,8 @@ class Identity(LinearOperator):
     def apply_transpose(self, y):
         return _as_vector(y, self.shape[0], "y").copy()
 
-    def apply_block_rows(self, X, rows):
-        return _as_block(X, self.shape[1])[rows].copy()
+    def apply_block(self, X):
+        return _as_block(X, self.shape[1]).copy()
 
     def gram_pair(self, P, w, g_pp):
         """M P = P, so both Gramians are G_PP: the one array g_pp() returns,
@@ -185,6 +183,11 @@ class Identity(LinearOperator):
         _as_block(P, self.shape[1])
         g = g_pp()
         return g, g
+
+    def q_terms(self, P, psi_prev, omega):
+        """M P = P, so the terms are diag(P psi_prev P^T), diag(P omega P^T)."""
+        P = _as_block(P, self.shape[1])
+        return quad_diag(P, psi_prev), quad_diag(P, omega)
 
 
 class Rank1(LinearOperator):
@@ -209,9 +212,6 @@ class Rank1(LinearOperator):
     def _coef(self, X):
         """c = X^T v / denom, so op X = u c^T."""
         return (self.v @ _as_block(X, self.shape[1])) / self.denom
-
-    def apply_block_rows(self, X, rows):
-        return self.u[rows, None] * self._coef(X)[None, :]
 
     def gram_pair(self, P, w, g_pp):
         """M P = u c^T, so G_MM = (sum w u^2) c c^T and G_MP = c ((w u)^T P)."""
@@ -274,36 +274,20 @@ class PatchRank1(LinearOperator):
         coef = np.einsum("ij,ij->i", self.U, P) / self.denoms
         return self._from_patches(self.V * coef[:, None])
 
-    def _patch_sums(self, W, X, lo, hi):
-        """Rows sum_{i in j} W[j, i] X_i for the patches j in patch-row bands
-        lo:hi, W in patch-row layout; contracts over views of X (no copy)."""
+    def _patch_sums(self, W, X):
+        """Rows sum_{i in j} W[j, i] X_i over the patches j, W in patch-row
+        layout; contracts over views of X (no copy)."""
         k = X.shape[1]
         bx, by = self.n_x // self.z_x, self.n_y // self.z_y
         sums = np.einsum("abcd,acbdk->abk",
-                         W.reshape(bx, by, self.z_x, self.z_y)[lo:hi],
-                         X.reshape(bx, self.z_x, by, self.z_y, k)[lo:hi])
-        return sums.reshape((hi - lo) * by, k)
-
-    def apply_block_rows(self, X, rows):
-        """Row i of op @ X is u[i] * (v_j @ X_j) / d_j, j the patch of row i.
-
-        The coefficients are formed only for the bands of patches that
-        ``rows`` touches.
-        """
-        X = _as_block(X, self.shape[1])
-        bx, by = self.n_x // self.z_x, self.n_y // self.z_y
-        ix, iy = np.divmod(np.arange(self.shape[0])[rows], self.n_y)
-        px, py = ix // self.z_x, iy // self.z_y
-        lo, hi = (px.min(), px.max() + 1) if px.size else (0, 0)
-        coef = self._patch_sums(self.V, X, lo, hi) / self.denoms[lo * by:hi * by, None]
-        u = self.U.reshape(bx, by, self.z_x, self.z_y)[px, py, ix % self.z_x, iy % self.z_y]
-        return u[:, None] * coef[(px - lo) * by + py]
+                         W.reshape(bx, by, self.z_x, self.z_y),
+                         X.reshape(bx, self.z_x, by, self.z_y, k))
+        return sums.reshape(bx * by, k)
 
     def _coef(self, P):
         """The (n_patches, r) coefficients C, c_j = P_j^T v_j / d_j with P_j
         the rows of patch j: row i of M P is u_i c_j, j the patch of row i."""
-        bx = self.n_x // self.z_x
-        return self._patch_sums(self.V, P, 0, bx) / self.denoms[:, None]
+        return self._patch_sums(self.V, P) / self.denoms[:, None]
 
     def gram_pair(self, P, w, g_pp):
         """With C the coefficients, a_j = sum_{i in j} w_i u_i^2 and
@@ -314,7 +298,7 @@ class PatchRank1(LinearOperator):
         wu = self.U * self._to_patches(w)
         a = np.einsum("ij,ij->i", wu, self.U)
         return (coef.T @ (a[:, None] * coef),
-                coef.T @ self._patch_sums(wu, P, 0, self.n_x // self.z_x))
+                coef.T @ self._patch_sums(wu, P))
 
     def q_terms(self, P, psi_prev, omega):
         """With C the coefficients and j the patch of row i:

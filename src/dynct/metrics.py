@@ -84,20 +84,6 @@ class MemoryTracker:
     def release_reduced(self, nbytes: int) -> None:
         self._current_reduced -= int(nbytes)
 
-    def add_array(self, arr: np.ndarray) -> np.ndarray:
-        self.add(arr.nbytes)
-        return arr
-
-    def release_array(self, arr: np.ndarray) -> None:
-        self.release(arr.nbytes)
-
-    def add_reduced_array(self, arr: np.ndarray) -> np.ndarray:
-        self.add_reduced(arr.nbytes)
-        return arr
-
-    def release_reduced_array(self, arr: np.ndarray) -> None:
-        self.release_reduced(arr.nbytes)
-
     @property
     def current_bytes(self) -> int:
         return self._current

@@ -183,8 +183,8 @@ def mmgks_solve(a_op: LinearOperator, theta_op: LinearOperator, b: np.ndarray,
                            n_iters=0, converged=True, basis_size=0)
 
     W, _, _ = gkb_seed(a_op, b, cfg.seed_vectors)
-    AW = a_op.apply_block_rows(W, slice(None))
-    TW = theta_op.apply_block_rows(W, slice(None))
+    AW = a_op.apply_block(W)
+    TW = theta_op.apply_block(W)
 
     # Unit-weight pilot solve fixes the smoothing width and, if requested,
     # the balance parameter.

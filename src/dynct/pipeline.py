@@ -223,8 +223,8 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
     motion_bytes = 0
 
     x0, a0 = static_init(h_ops[0], basis, y_frames[0])
-    tracker.add_array(x0)
-    tracker.add_reduced_array(a0)
+    tracker.add(x0.nbytes)
+    tracker.add_reduced(a0.nbytes)
 
     P = basis.P
     try:
@@ -293,10 +293,10 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
                 callback(j, x_sm)
     finally:
         tracker.release(scratch + motion_bytes + noise.nbytes())
-        tracker.release_array(x0)
-        tracker.release_reduced_array(a0)
+        tracker.release(x0.nbytes)
+        tracker.release_reduced(a0.nbytes)
         for traj in record.trajectories:
-            tracker.release_array(traj)
+            tracker.release(traj.nbytes)
         record.peak_bytes = tracker.peak_bytes
         record.peak_reduced_bytes = tracker.peak_reduced_bytes
 

@@ -11,8 +11,8 @@ recursion is
     (M P)^T (C_i^p)^{-1} d = w - G_MM A S^{-1} A^T w,  w = P^T M^T Q^{-1} d,
 
 one adjoint apply and r x r work on the Gramians the filter uses (the
-motion Gramians from the operator; G_PP from the basis only for an Identity
-motion, whose Gramians it is).  Covariance quantities (needed by the EM
+motion Gramians from the operator's ``gram_pair``; G_PP from the basis only
+for an Identity motion, whose Gramians it is).  Covariance quantities (needed by the EM
 updates) run on r x r matrices, with the one Cholesky of S solving for
 A^T w and A^T G_MM together:
 
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import check_psd, motion_gram_triple, sym_solve, symmetrize
+from ._linalg import check_psd, sym_solve, symmetrize
 from .errors import ConfigError
 from .filtering import FilterResult, NoiseModel
 from .linops import LinearOperator
@@ -60,8 +60,7 @@ def smooth_step(x_est_prev, a_est_prev, x_sm_i, psi_sm_i,
     A = a_est_prev
     d = x_sm_i - motion.apply(x_est_prev)
 
-    g_mm, g_mp = motion_gram_triple(motion, P, q_inv,
-                                    lambda: basis.gram(q_inv))
+    g_mm, g_mp = motion.gram_pair(P, q_inv, lambda: basis.gram(q_inv))
     F = A.T @ g_mm
     S = symmetrize(F @ A) + np.eye(r)
     w = P.T @ motion.apply_transpose(q_inv * d)

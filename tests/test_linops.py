@@ -1,4 +1,4 @@
-"""Operator abstraction: dense agreement, adjointness, block kernels."""
+"""Operator abstraction: dense agreement, adjointness, block products."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynct import _linalg
-from dynct._linalg import motion_gram_triple, op_gram, weighted_gram
+from dynct._linalg import op_gram, row_chunks, weighted_gram
 from dynct.errors import ConfigError
 from dynct.linops import (DENSE_LIMIT, Identity, LinearOperator, PatchRank1,
-                          Rank1, SparseCSR, Warp, payload_nbytes)
+                          Rank1, SparseCSR, Warp, payload_nbytes, to_patches)
 
 
 def _sample_ops(rng):
@@ -38,10 +38,38 @@ def ops():
     return _sample_ops(np.random.default_rng(0))
 
 
+@pytest.fixture(scope="module")
+def square_ops(ops):
+    """The square sample operators and a square SparseCSR: every kind that
+    serves as a motion."""
+    square = [op for op in ops if op.shape[0] == op.shape[1]]
+    square.append(SparseCSR(sp.random(12, 12, density=0.3,
+                                      random_state=np.random.RandomState(9))))
+    assert {type(op).__name__ for op in square} == {
+        "Identity", "SparseCSR", "Warp", "Rank1", "PatchRank1"}
+    return square
+
+
+def _dense_reference(op):
+    """The operator's matrix, built from its definition, not its products."""
+    if isinstance(op, SparseCSR):
+        return op.matrix.toarray()
+    if isinstance(op, Identity):
+        return np.eye(op.shape[0])
+    if isinstance(op, Rank1):
+        return np.outer(op.u, op.v) / op.denom
+    dense = np.zeros(op.shape)
+    idx = to_patches(np.arange(op.shape[0]), op.n_x, op.n_y, op.z_x, op.z_y)
+    for j, rows in enumerate(idx):
+        dense[np.ix_(rows, rows)] += np.outer(op.U[j], op.V[j]) / op.denoms[j]
+    return dense
+
+
 def test_apply_matches_dense(ops):
     rng = np.random.default_rng(1)
     for op in ops:
-        dense = op.to_dense()
+        dense = _dense_reference(op)
+        np.testing.assert_allclose(op.to_dense(), dense, atol=1e-12)
         x = rng.standard_normal(op.shape[1])
         y = rng.standard_normal(op.shape[0])
         np.testing.assert_allclose(op.apply(x), dense @ x, atol=1e-12)
@@ -61,31 +89,30 @@ def test_adjoint_identity(ops):
             assert abs(lhs - rhs) <= 1e-12 * max(scale, 1e-300)
 
 
-def test_apply_block_rows_agrees_with_full(ops):
+def _block_ops(ops):
+    block = [op for op in ops if isinstance(op, (SparseCSR, Identity))]
+    assert {type(op).__name__ for op in block} == {
+        "SparseCSR", "Warp", "Identity"}
+    return block
+
+
+def test_apply_block_matches_columnwise_apply(ops):
     rng = np.random.default_rng(4)
-    for op in ops:
+    for op in _block_ops(ops):
         X = rng.standard_normal((op.shape[1], 4))
         full = np.column_stack([op.apply(x) for x in X.T])
-        m = op.shape[0]
-        for rows in (slice(0, m), slice(2, 7), slice(m - 3, m), slice(0, 0)):
-            got = op.apply_block_rows(X, rows)
-            np.testing.assert_allclose(got, full[rows], atol=1e-12)
-        # chunked concatenation reproduces the whole product
-        parts = [op.apply_block_rows(X, slice(a, min(a + 5, m)))
-                 for a in range(0, m, 5)]
-        np.testing.assert_allclose(np.vstack(parts), full, atol=1e-12)
+        np.testing.assert_allclose(op.apply_block(X), full, atol=1e-12)
 
 
-def test_motion_gram_triple_matches_dense(ops):
+def test_gram_pair_matches_dense(square_ops, monkeypatch):
+    # several row chunks, so the sparse loop stitches its Gramians
+    monkeypatch.setattr(_linalg, "CHUNK_ELEMS", 20)
     rng = np.random.default_rng(5)
-    square = [op for op in ops if op.shape[0] == op.shape[1]]
-    assert {type(op).__name__ for op in square} == {
-        "Identity", "Rank1", "PatchRank1", "Warp"}
-    for op in square:
+    for op in square_ops:
         n = op.shape[0]
         P = rng.standard_normal((n, 5))
         w = rng.uniform(0.2, 3.0, n)
-        MP = op.to_dense() @ P
+        MP = _dense_reference(op) @ P
         want = (MP.T @ (w[:, None] * MP), MP.T @ (w[:, None] * P))
         calls = []
 
@@ -93,7 +120,7 @@ def test_motion_gram_triple_matches_dense(ops):
             calls.append(1)
             return weighted_gram(P, w)
 
-        got = motion_gram_triple(op, P, w, g_pp)
+        got = op.gram_pair(P, w, g_pp)
         assert len(got) == 2
         for g, ref in zip(got, want):
             np.testing.assert_allclose(g, ref, rtol=1e-12)
@@ -106,7 +133,7 @@ def test_motion_gram_triple_matches_dense(ops):
 
 
 def _q_terms_dense(op, P, psi, omega):
-    MP = op.to_dense() @ P
+    MP = _dense_reference(op) @ P
     return (np.diag(MP @ psi @ MP.T), np.diag(P @ omega @ MP.T))
 
 
@@ -123,16 +150,12 @@ def _assert_q_terms(op, P, psi, omega):
                                    atol=1e-12 * np.abs(ref).max())
 
 
-def test_q_terms_match_dense(ops, monkeypatch):
-    # several row chunks, so the base-class loop stitches its diagonals
+def test_q_terms_match_dense(square_ops, monkeypatch):
+    # several row chunks, so the sparse loop and quad_diag stitch their
+    # diagonals
     monkeypatch.setattr(_linalg, "CHUNK_ELEMS", 20)
     rng = np.random.default_rng(8)
-    square = [op for op in ops if op.shape[0] == op.shape[1]]
-    square.append(SparseCSR(sp.random(12, 12, density=0.3,
-                                      random_state=np.random.RandomState(9))))
-    assert {type(op).__name__ for op in square} == {
-        "Identity", "SparseCSR", "Warp", "Rank1", "PatchRank1"}
-    for op in square:
+    for op in square_ops:
         _assert_q_terms(op, *_q_inputs(rng, op.shape[0], 5))
 
 
@@ -148,29 +171,39 @@ def test_patch_rank1_q_terms_any_tiling(bx, by, z_x, z_y, r, seed):
     _assert_q_terms(op, *_q_inputs(rng, op.shape[0], r))
 
 
-def test_sparse_whole_block_matches_dense_and_row_path(ops):
+def test_sparse_whole_block_matches_dense_and_row_path(ops, monkeypatch):
+    # gram_pair and q_terms form M P in row chunks of the matrix, op_gram and
+    # the R update form H P whole: the two must agree bit for bit
+    monkeypatch.setattr(_linalg, "CHUNK_ELEMS", 20)
     rng = np.random.default_rng(6)
     sparse = [op for op in ops if isinstance(op, SparseCSR)]
     assert {type(op).__name__ for op in sparse} == {"SparseCSR", "Warp"}
     for op in sparse:
         X = rng.standard_normal((op.shape[1], 7))
-        got = op.apply_block_rows(X, slice(None))
+        got = op.apply_block(X)
         np.testing.assert_allclose(got, op.matrix.toarray() @ X, rtol=1e-12,
                                    atol=1e-12 * np.abs(X).max())
-        rows = op.apply_block_rows(X, slice(0, op.shape[0]))
-        np.testing.assert_array_equal(got, rows)
-        np.testing.assert_allclose(got, op.to_dense() @ X, rtol=1e-12,
-                                   atol=1e-12 * np.abs(X).max())
+        chunks = [np.asarray(op.matrix[rows] @ X)
+                  for rows in row_chunks(op.shape[0], X.shape[1])]
+        assert len(chunks) > 1
+        np.testing.assert_array_equal(got, np.vstack(chunks))
 
 
 def test_shape_validation(ops):
     for op in ops:
         with pytest.raises(ConfigError):
             op.apply(np.zeros(op.shape[1] + 1))
+        if op.shape[0] == op.shape[1]:
+            bad = np.zeros((op.shape[1] + 2, 3))
+            with pytest.raises(ConfigError):
+                op.gram_pair(bad, np.ones(bad.shape[0]), lambda: np.eye(3))
+            with pytest.raises(ConfigError):
+                op.q_terms(bad, np.eye(3), np.eye(3))
+    for op in _block_ops(ops):
         with pytest.raises(ConfigError):
-            op.apply_block_rows(np.zeros((op.shape[1] + 2, 3)), slice(None))
+            op.apply_block(np.zeros((op.shape[1] + 2, 3)))
         with pytest.raises(ConfigError):
-            op.apply_block_rows(np.zeros(op.shape[1]), slice(None))
+            op.apply_block(np.zeros(op.shape[1]))
 
 
 def test_operator_without_row_kernel_raises():
@@ -184,8 +217,6 @@ def test_operator_without_row_kernel_raises():
             return y.copy()
 
     op = NoRowKernel()
-    with pytest.raises(NotImplementedError):
-        op.to_dense()
     with pytest.raises(NotImplementedError):
         op_gram(op, np.eye(3))
     with pytest.raises(NotImplementedError):

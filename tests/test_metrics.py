@@ -64,16 +64,17 @@ def test_noise_level_sequence_validation():
 
 def test_tracker_two_categories():
     tr = MemoryTracker()
-    a = tr.add_array(np.zeros(10))          # 80 bytes full
+    a, b = np.zeros(10), np.zeros(5)
+    tr.add(a.nbytes)                        # 80 bytes full
     tr.add_reduced(48)
     assert tr.current_bytes == 80
     assert tr.peak_bytes == 80
     assert tr.peak_reduced_bytes == 48
-    b = tr.add_array(np.zeros(5))           # peak 120
-    tr.release_array(a)
+    tr.add(b.nbytes)                        # peak 120
+    tr.release(a.nbytes)
     assert tr.current_bytes == 40
     assert tr.peak_bytes == 120
-    tr.release_array(b)
+    tr.release(b.nbytes)
     tr.release_reduced(48)
     assert tr.current_bytes == 0
 

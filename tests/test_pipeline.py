@@ -123,6 +123,20 @@ def test_phase_seconds_fit_in_the_pass():
     assert sum(record.phase_seconds[1].values()) <= pass_wall
 
 
+@pytest.mark.parametrize("method_name", ["IRKFS", "EMIRKFS", "EMIRKFS-M1",
+                                         "EMIRKFS-M2", "EMIRKFS-M3"])
+def test_edge_run_shapes_stay_finite(method_name):
+    # one transition (two frames), a non-square 12 x 8 grid and a full-rank
+    # basis (r = n_s) at once
+    prob = build_problem(n_x=12, n_y=8, n_steps=1, sigma=0.02)
+    assert prob["basis"].rank == prob["n_s"] == 96
+    _, record = _run(method_name, n_iter=2, prob=prob,
+                     motion_opts=MotionOptions(patch=(4, 4)))
+    for traj, rres in zip(record.trajectories, record.rre):
+        assert traj.shape == (2, 96) and np.isfinite(traj).all()
+        assert rres.shape == (2,) and np.isfinite(rres).all()
+
+
 def test_callback_sees_each_iteration():
     seen = []
     _run("IRKFS-M2", n_iter=3, callback=lambda j, traj: seen.append((j, traj.shape)))
