@@ -18,12 +18,11 @@ if _threads.isdigit() and int(_threads) > 0:
 from .errors import ConfigError, DataIOError, NumericError
 from .filtering import (FilterResult, NoiseModel, initial_noise, run_filter,
                         static_init)
-from .linops import (Identity, LinearOperator, PatchRank1, Rank1, SparseCSR,
-                     Warp)
+from .linops import Identity, LinearOperator, PatchRank1, SparseCSR
 from .metrics import (MemoryTracker, PhaseTimer, memory_budget_bytes,
                       noise_level, read_metrics_csv, rre, write_metrics_csv)
 from .mmgks import MMGKSConfig, MMGKSResult, mmgks_solve
-from .motion import (VelocityField, build_warp, dmd_patchwise, dmd_rank1,
+from .motion import (VelocityField, build_warp, dmd_patchwise,
                      estimate_velocity, fit_motion)
 from .phantom import BlocksConfig, default_blocks_config, generate_frames
 from .pipeline import (MethodSpec, MotionOptions, RunRecord, parse_method,
@@ -40,10 +39,10 @@ __all__ = [
     "FilterResult", "Identity", "LinearOperator", "MMGKSConfig",
     "MMGKSResult", "MemoryTracker", "MethodSpec", "MotionOptions",
     "NoiseModel", "NumericError", "PatchRank1", "PhaseTimer", "PriorConfig",
-    "ProjectionBasis", "Rank1", "RunRecord", "ScanGeometry",
-    "SinogramSet", "SparseCSR", "VelocityField", "Warp",
+    "ProjectionBasis", "RunRecord", "ScanGeometry",
+    "SinogramSet", "SparseCSR", "VelocityField",
     "build_operator", "build_operators", "build_projection", "build_warp",
-    "default_blocks_config", "dmd_patchwise", "dmd_rank1",
+    "default_blocks_config", "dmd_patchwise",
     "estimate_velocity", "fit_motion", "generate_frames", "initial_noise", "make_geometry",
     "memory_budget_bytes", "mmgks_solve", "noise_level", "parse_method",
     "read_metrics_csv", "record_rows", "rre", "run_emirkfs", "run_filter",

@@ -17,8 +17,8 @@ forms H_i P whole (m_t x r, one ``apply_block`` pass over P). The two cross
 terms have identical diagonals, so the Q update subtracts twice one of
 them. Its two terms in M_i, diag(M_i P Psi_{i-1}^sm (M_i P)^T) and
 diag(P omega_i (M_i P)^T), come from the motion operator's ``q_terms``: closed
-forms for Rank1 and PatchRank1 (no n_s x r product), ``quad_diag`` of P for
-Identity and row chunks of M_i P for SparseCSR and Warp. The smoother
+forms for PatchRank1 (M2 and M3; no n_s x r product), ``quad_diag`` of P for
+Identity and row chunks of M_i P for SparseCSR (the M1 warp). The smoother
 rejects covariances that are not PSD beyond roundoff; here
 roundoff-negative diagonal entries are clamped and larger ones rejected,
 and a relative floor (1e-8 of the mean) keeps the next filter pass well

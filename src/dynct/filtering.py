@@ -11,14 +11,13 @@ come from two places. The basis forms G_PP once per step
 (``ProjectionBasis.gram``): because P^T P = diag(lambda), it is
 diag(lambda)/q with no n_s x r^2 product whenever Q = q I, as in every
 IRKFS step and every first pass. The motion operator forms the other two
-(``gram_pair``): Identity returns G_PP for both, Rank1 and PatchRank1 use
-closed forms in their (per-patch) coefficients, and sparse operators
-(SparseCSR, Warp) accumulate them over row chunks of M P, each formed by
-the chunk's rows of the matrix. G_H = (H P)^T R^{-1} (H P) comes from the
-whole H P, which ``apply_block`` forms in one column-order pass over P
-(``op_gram``). Every vector contraction
-against M P or H P goes through the operator adjoint, e.g.
-(H P)^T v = P^T (H^T v).
+(``gram_pair``): Identity returns G_PP for both, PatchRank1 (M2 is its
+one-patch case) uses closed forms in its per-patch coefficients, and
+SparseCSR (the M1 warp) accumulates them over row chunks of M P, each
+formed by the chunk's rows of the matrix. G_H = (H P)^T R^{-1} (H P) comes
+from the whole H P, which ``apply_block`` forms in one column-order pass
+over P (``op_gram``). Every vector contraction against M P or H P goes
+through the operator adjoint, e.g. (H P)^T v = P^T (H^T v).
 
 Reduced covariances are carried as square-root factors: the filter keeps
 A_i with Psi_i = A_i A_i^T, never Psi_i itself, and applies Psi only as

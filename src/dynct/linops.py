@@ -1,5 +1,11 @@
 """Matrix-free linear operators used throughout the package.
 
+There are three kinds. ``SparseCSR`` holds one sparse matrix: the
+observation operators H, the flow solver's operands and the M1 flow warp.
+``Identity`` is the motion of runs without motion refits. ``PatchRank1`` is
+a rank-1 map on each patch of a non-overlapping image tiling: the M3 fit,
+and the M2 fit as its one-patch case (the whole image as a single patch).
+
 The operator protocol is the products the filter, smoother and M-step
 make. Every operator implements the first two; the other three exist only
 where a caller makes them:
@@ -16,15 +22,15 @@ where a caller makes them:
   operator. ``g_pp()`` returns the basis Gram ``P^T diag(w) P``, which
   ``ProjectionBasis.gram`` forms (closed form under uniform weights); only
   ``Identity``, whose two Gramians are that Gram, calls it, so a caller
-  that has no other use for it never pays for it. ``SparseCSR`` and
-  ``Warp`` fold row chunks of ``op P`` into the pair; ``Rank1`` and
-  ``PatchRank1`` use closed forms in their (per-patch) coefficients.
+  that has no other use for it never pays for it. ``SparseCSR`` folds row
+  chunks of ``op P`` into the pair; ``PatchRank1`` uses closed forms in its
+  per-patch coefficients.
 - ``q_terms(P, psi_prev, omega)``: the two motion terms of the M-step's
   diag(Q_i), diag(MP psi_prev (MP)^T) and diag(P omega (MP)^T), as
-  n_s-vectors. ``SparseCSR`` and ``Warp`` fold row chunks of ``op P`` into
-  them, ``Identity`` gives both as ``quad_diag`` of P, and ``Rank1`` and
-  ``PatchRank1`` use closed forms in the same coefficients as their
-  ``gram_pair``, so they never form an n_s x r product.
+  n_s-vectors. ``SparseCSR`` folds row chunks of ``op P`` into them,
+  ``Identity`` gives both as ``quad_diag`` of P, and ``PatchRank1`` uses
+  closed forms in the same coefficients as its ``gram_pair``, so it never
+  forms an n_s x r product.
 
 There is no column-loop fallback: an operator without one of the last three
 raises ``NotImplementedError``. ``to_dense`` applies the operator to the
@@ -190,50 +196,16 @@ class Identity(LinearOperator):
         return quad_diag(P, psi_prev), quad_diag(P, omega)
 
 
-class Rank1(LinearOperator):
-    """x -> u * (v @ x) / denom with denom > 0."""
-
-    def __init__(self, u: np.ndarray, v: np.ndarray, denom: float):
-        self.u = np.asarray(u, dtype=np.float64).ravel()
-        self.v = np.asarray(v, dtype=np.float64).ravel()
-        if not np.isfinite(denom) or denom <= 0.0:
-            raise ConfigError(f"rank-1 denominator must be positive, got {denom}")
-        self.denom = float(denom)
-        self.shape = (self.u.size, self.v.size)
-
-    def apply(self, x):
-        x = _as_vector(x, self.shape[1])
-        return self.u * (self.v @ x / self.denom)
-
-    def apply_transpose(self, y):
-        y = _as_vector(y, self.shape[0], "y")
-        return self.v * (self.u @ y / self.denom)
-
-    def _coef(self, X):
-        """c = X^T v / denom, so op X = u c^T."""
-        return (self.v @ _as_block(X, self.shape[1])) / self.denom
-
-    def gram_pair(self, P, w, g_pp):
-        """M P = u c^T, so G_MM = (sum w u^2) c c^T and G_MP = c ((w u)^T P)."""
-        coef = self._coef(P)
-        wu = w * self.u
-        return (wu @ self.u) * np.outer(coef, coef), np.outer(coef, wu @ P)
-
-    def q_terms(self, P, psi_prev, omega):
-        """M P = u c^T, so diag(MP psi_prev (MP)^T) = u^2 (c^T psi_prev c)
-        and diag(P omega (MP)^T) = u (P omega c): O(n_s r + r^2)."""
-        coef = self._coef(P)
-        return self.u * self.u * (coef @ psi_prev @ coef), self.u * (P @ (omega @ coef))
-
-
 class PatchRank1(LinearOperator):
     """Block-diagonal rank-1 action on non-overlapping image patches.
 
     The image grid (n_x, n_y) is tiled by (z_x, z_y) patches (z_x | n_x,
     z_y | n_y). Patch j carries vectors u_j, v_j (flattened patch contents)
-    and a positive denominator d_j; the operator maps patch content p_j to
-    u_j * (v_j @ p_j) / d_j. Equivalent to sum_j S_j u_j (S_j v_j)^T / d_j
-    with S_j the patch scatter maps.
+    and a positive, finite denominator d_j; the operator maps patch content
+    p_j to u_j * (v_j @ p_j) / d_j. Equivalent to
+    sum_j S_j u_j (S_j v_j)^T / d_j with S_j the patch scatter maps. ``grid``
+    is the (n_x // z_x, n_y // z_y) patch grid; with one patch
+    (z_x, z_y) = (n_x, n_y) the operator is the plain rank-1 map u v^T / d.
     """
 
     def __init__(self, n_x, n_y, z_x, z_y, U, V, denoms):
@@ -241,14 +213,15 @@ class PatchRank1(LinearOperator):
             raise ConfigError(f"patch ({z_x},{z_y}) must tile image ({n_x},{n_y}) exactly")
         self.n_x, self.n_y = int(n_x), int(n_y)
         self.z_x, self.z_y = int(z_x), int(z_y)
-        n_patches = (n_x // z_x) * (n_y // z_y)
+        self.grid = (self.n_x // self.z_x, self.n_y // self.z_y)
+        n_patches = self.grid[0] * self.grid[1]
         self.U = np.asarray(U, dtype=np.float64).reshape(n_patches, z_x * z_y)
         self.V = np.asarray(V, dtype=np.float64).reshape(n_patches, z_x * z_y)
         self.denoms = np.asarray(denoms, dtype=np.float64).ravel()
         if self.denoms.shape != (n_patches,):
             raise ConfigError("one denominator per patch required")
-        if not np.all(self.denoms > 0):
-            raise ConfigError("patch denominators must be positive")
+        if not np.all(np.isfinite(self.denoms) & (self.denoms > 0)):
+            raise ConfigError("patch denominators must be positive and finite")
         n_s = self.n_x * self.n_y
         self.shape = (n_s, n_s)
 
@@ -256,7 +229,7 @@ class PatchRank1(LinearOperator):
         return to_patches(x, self.n_x, self.n_y, self.z_x, self.z_y)
 
     def _from_patches(self, P):
-        bx, by = self.n_x // self.z_x, self.n_y // self.z_y
+        bx, by = self.grid
         img = P.reshape(bx, by, self.z_x, self.z_y).transpose(0, 2, 1, 3).reshape(
             self.n_x, self.n_y
         )
@@ -278,7 +251,7 @@ class PatchRank1(LinearOperator):
         """Rows sum_{i in j} W[j, i] X_i over the patches j, W in patch-row
         layout; contracts over views of X (no copy)."""
         k = X.shape[1]
-        bx, by = self.n_x // self.z_x, self.n_y // self.z_y
+        bx, by = self.grid
         sums = np.einsum("abcd,acbdk->abk",
                          W.reshape(bx, by, self.z_x, self.z_y),
                          X.reshape(bx, self.z_x, by, self.z_y, k))
@@ -308,27 +281,13 @@ class PatchRank1(LinearOperator):
         O(n_s r + n_patches r^2)."""
         P = _as_block(P, self.shape[1])
         coef = self._coef(P)
-        bx, by = self.n_x // self.z_x, self.n_y // self.z_y
+        bx, by = self.grid
         c_quad = np.einsum("jk,jk->j", coef @ psi_prev, coef)
         sums = np.einsum("acbdk,abk->acbd",
                          P.reshape(bx, self.z_x, by, self.z_y, P.shape[1]),
                          (coef @ omega.T).reshape(bx, by, -1))
         return (self._from_patches(self.U * self.U * c_quad[:, None]),
                 self._from_patches(self.U) * sums.reshape(-1))
-
-
-class Warp(SparseCSR):
-    """Backward-warping interpolation operator (see motion.build_warp).
-
-    A SparseCSR whose rows are bilinear interpolation stencils: at most four
-    nonnegative entries per row summing exactly to one.
-    """
-
-    def __init__(self, matrix, n_x, n_y):
-        super().__init__(matrix)
-        self.n_x, self.n_y = int(n_x), int(n_y)
-        if self.shape != (n_x * n_y, n_x * n_y):
-            raise ConfigError("warp operator must be square over the image grid")
 
 
 def payload_nbytes(op: LinearOperator) -> int:
@@ -340,8 +299,6 @@ def payload_nbytes(op: LinearOperator) -> int:
     if isinstance(op, SparseCSR):
         m = op.matrix
         return int(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
-    if isinstance(op, Rank1):
-        return int(op.u.nbytes + op.v.nbytes)
     if isinstance(op, PatchRank1):
         return int(op.U.nbytes + op.V.nbytes + op.denoms.nbytes)
     return 0

@@ -20,6 +20,9 @@ import numpy as np
 
 from .errors import ConfigError, DataIOError
 
+# Headroom of the run memory budget over its n_s (r + T) + T m_t doubles.
+BUDGET_SLACK = 0.5
+
 CSV_FIELDS = ["method", "iteration", "timestep", "rre", "phase", "seconds", "bytes"]
 
 
@@ -97,10 +100,9 @@ class MemoryTracker:
         return self._peak_reduced
 
 
-def memory_budget_bytes(n_s: int, r: int, n_steps: int, m_t: int,
-                        slack: float = 0.5) -> int:
-    """(1 + slack) * (n_s (r + T) + T m_t) doubles, in bytes."""
-    return int((1.0 + slack) * (n_s * (r + n_steps) + n_steps * m_t) * 8)
+def memory_budget_bytes(n_s: int, r: int, n_steps: int, m_t: int) -> int:
+    """(1 + BUDGET_SLACK) * (n_s (r + T) + T m_t) doubles, in bytes."""
+    return int((1.0 + BUDGET_SLACK) * (n_s * (r + n_steps) + n_steps * m_t) * 8)
 
 
 class PhaseTimer:

@@ -2,13 +2,14 @@
 
 Three estimators, all producing operators M with M x_prev ~ x_next:
 
-* optical flow: the brightness-constancy system V s = -(x_next - x_prev)
+* optical flow (M1): the brightness-constancy system V s = -(x_next - x_prev)
   is solved for a velocity field s with an edge-preserving smoothness
   penalty (mmgks), then turned into a backward-warping interpolation
-  matrix;
-* rank-1 data-driven: M = x_next x_prev^T / (||x_prev||^2 + zeta);
-* patchwise rank-1: the same closed form independently on non-overlapping
-  image patches.
+  matrix, a ``SparseCSR``;
+* patchwise rank-1 (M3): M = x_next x_prev^T / (||x_prev||^2 + zeta)
+  independently on non-overlapping image patches, a ``PatchRank1``;
+* rank-1 (M2): the same closed form over the whole image, which is the
+  patchwise fit with one patch.
 
 Axis convention for flow: images are (n_x, n_y) arrays flattened row-major;
 s_x displaces along the second array axis (columns), s_y along the first
@@ -24,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, NumericError
-from .linops import Identity, PatchRank1, Rank1, SparseCSR, Warp, to_patches
+from .linops import Identity, PatchRank1, SparseCSR, to_patches
 from .mmgks import MMGKSConfig, mmgks_solve
 
 
@@ -92,7 +93,7 @@ def estimate_velocity(x_prev, x_next, n_x: int, n_y: int,
     return VelocityField(s_x=res.s[:n_s], s_y=res.s[n_s:], n_x=n_x, n_y=n_y)
 
 
-def build_warp(field: VelocityField) -> Warp:
+def build_warp(field: VelocityField) -> SparseCSR:
     """Backward-warping matrix: row (i, j) interpolates the source point
     (i - s_y, j - s_x), clamped to the image rectangle, bilinearly.
 
@@ -124,19 +125,7 @@ def build_warp(field: VelocityField) -> Warp:
     data = np.stack([w00, w01, w10, w11], axis=1).reshape(-1)
     keep = data != 0.0
     mat = sp.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(n_s, n_s))
-    return Warp(mat, n_x, n_y)
-
-
-def dmd_rank1(x_prev, x_next, zeta: float = 0.0) -> Rank1:
-    """Closed-form rank-1 transition fit with ridge term zeta >= 0."""
-    x_prev = np.asarray(x_prev, dtype=float).ravel()
-    x_next = np.asarray(x_next, dtype=float).ravel()
-    if zeta < 0:
-        raise ConfigError("dmd_rank1: zeta must be nonnegative")
-    denom = float(x_prev @ x_prev) + zeta
-    if denom <= 0.0:
-        raise NumericError("dmd_rank1: zero source frame with zeta = 0")
-    return Rank1(u=x_next, v=x_prev, denom=denom)
+    return SparseCSR(mat)
 
 
 def dmd_patchwise(x_prev, x_next, n_x: int, n_y: int, patch=(8, 8),
@@ -165,7 +154,7 @@ def fit_motion(prev, nxt, n_x: int, n_y: int, kind: str, zeta: float = 0.0,
     if kind == "m1":
         return build_warp(estimate_velocity(prev, nxt, n_x, n_y, flow_config))
     if kind == "m2":
-        return dmd_rank1(prev, nxt, zeta)
+        return dmd_patchwise(prev, nxt, n_x, n_y, (n_x, n_y), zeta)
     if kind == "m3":
         return dmd_patchwise(prev, nxt, n_x, n_y, patch, zeta)
     raise ConfigError(f"fit_motion: unknown motion kind {kind!r}")

@@ -112,7 +112,11 @@ def parse_method(name: str, n_iter: int = 1, q_scale: float = 1.0,
 
 @dataclass(frozen=True)
 class MotionOptions:
-    """Knobs for the motion estimators; ignored when motion is off."""
+    """Knobs for the motion estimators; ignored when motion is off.
+
+    ``patch`` is the M3 tiling; M2 ignores it and fits the whole image as
+    one patch.
+    """
 
     zeta: float = 0.0
     patch: tuple = (8, 8)

@@ -103,23 +103,10 @@ class ProjectionBasis:
         return weighted_gram(self.P, w)
 
 
-def se_covariance_entry(p, q, alpha, ell) -> float:
-    """Covariance between pixels p = (ix, iy) and q = (jx, jy)."""
-    d2 = float((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2)
-    return alpha ** 2 * np.exp(-d2 / (2.0 * ell ** 2))
-
-
 def se_kernel_1d(n: int, ell: float) -> np.ndarray:
     idx = np.arange(n, dtype=np.float64)
     d2 = (idx[:, None] - idx[None, :]) ** 2
     return np.exp(-d2 / (2.0 * ell ** 2))
-
-
-def dense_covariance(n_x, n_y, alpha, ell) -> np.ndarray:
-    """Full Sigma, for oracles and small problems only."""
-    if n_x * n_y > 4096:
-        raise ConfigError("dense covariance restricted to n_s <= 4096")
-    return alpha ** 2 * np.kron(se_kernel_1d(n_x, ell), se_kernel_1d(n_y, ell))
 
 
 def _eigh_descending(K: np.ndarray):

@@ -5,8 +5,9 @@ form possible: full covariances, explicit inverses, gain-form recursions.
 Nothing there is shared with the package internals, so agreement is
 meaningful. The last section holds reference routines in the package's own
 conventions (the Woodbury apply, the diagonal M-step with its floor and
-roundoff guard, the expected log-likelihood on diagonal or full noise); no
-pipeline path calls them, so they live with the tests.
+roundoff guard, the expected log-likelihood on diagonal or full noise, the
+Kronecker-form prior covariance); no pipeline path calls them, so they live
+with the tests.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from dynct._linalg import row_chunks, sym_solve, weighted_gram
 from dynct.em import _apply_floor, _guard_negative
 from dynct.errors import ConfigError, NumericError
 from dynct.linops import DENSE_LIMIT
+from dynct.prior import se_kernel_1d
 
 
 def dense_kalman_filter(x0, c0, motions, q_covs, h_mats, r_covs, ys):
@@ -228,3 +230,16 @@ def smw_apply(q_inv_diag: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndarra
     for rows in row_chunks(B.shape[0], B.shape[1]):
         out[rows] -= q_inv_diag[rows, None] * (B[rows] @ Z)
     return out[:, 0] if vec else out
+
+
+def se_covariance_entry(p, q, alpha, ell) -> float:
+    """Prior covariance between pixels p = (ix, iy) and q = (jx, jy)."""
+    d2 = float((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2)
+    return alpha ** 2 * np.exp(-d2 / (2.0 * ell ** 2))
+
+
+def dense_covariance(n_x, n_y, alpha, ell) -> np.ndarray:
+    """Full prior Sigma as kron(Sigma_x, Sigma_y) of the package's 1-D
+    kernels, small problems only."""
+    _guard_dense(n_x * n_y, "dense covariance")
+    return alpha ** 2 * np.kron(se_kernel_1d(n_x, ell), se_kernel_1d(n_y, ell))

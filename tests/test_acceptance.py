@@ -13,7 +13,7 @@ from dynct.filtering import run_filter
 from dynct.linops import Identity, SparseCSR
 from dynct.metrics import MemoryTracker, memory_budget_bytes, noise_level
 from dynct.mmgks import MMGKSConfig, mmgks_solve
-from dynct.motion import build_warp, dmd_patchwise, dmd_rank1, VelocityField
+from dynct.motion import build_warp, fit_motion, VelocityField
 from dynct.phantom import default_blocks_config, generate_frames
 from dynct.pipeline import MotionOptions, parse_method, run_emirkfs
 from dynct.prior import PriorConfig, build_projection
@@ -225,13 +225,13 @@ def test_criterion_07_motion_model_algebra():
     rng = np.random.default_rng(5)
     x_prev = rng.uniform(0.5, 2.0, 64)
     x_next = rng.uniform(0.5, 2.0, 64)
-    m2 = dmd_rank1(x_prev, x_next, zeta=0.0)
+    m2 = fit_motion(x_prev, x_next, 8, 8, "m2", zeta=0.0)
     assert rel_err(m2.apply(x_prev), x_next) <= 1e-12
 
-    m3 = dmd_patchwise(x_prev, x_next, 8, 8, patch=(8, 8), zeta=0.3)
-    m2z = dmd_rank1(x_prev, x_next, zeta=0.3)
+    m2z = fit_motion(x_prev, x_next, 8, 8, "m2", zeta=0.3)
+    dense = np.outer(x_next, x_prev) / (x_prev @ x_prev + 0.3)
     probe = rng.standard_normal(64)
-    assert rel_err(m3.apply(probe), m2z.apply(probe)) <= 1e-14
+    assert rel_err(m2z.apply(probe), dense @ probe) <= 1e-14
 
     img = rng.uniform(0.0, 1.0, (10, 10))
     field = VelocityField(s_x=np.full(100, 2.0), s_y=np.full(100, -1.0),
@@ -241,7 +241,7 @@ def test_criterion_07_motion_model_algebra():
     err = np.abs(warped[:9, 2:] - img[1:, :8]).max()
     assert err <= 1e-14
     assert time.perf_counter() - t0 < 5.0
-    _ok(7, "M2/M3/warp algebraic identities hold")
+    _ok(7, "M2 closed form and warp algebraic identities hold")
 
 
 def test_criterion_08_mmgks_matches_dense_irls():

@@ -7,7 +7,7 @@ import pytest
 from dynct.em import FLOOR_ABS, update_q_diag, update_r_diag
 from dynct.errors import ConfigError, NumericError
 from dynct.filtering import run_filter
-from dynct.linops import Identity, PatchRank1, Rank1, SparseCSR
+from dynct.linops import Identity, PatchRank1, SparseCSR
 from helpers import (build_problem, dense_noise, psi_of, rel_err,
                      smoothed_moments)
 from oracles import (dense_cross_covariances, dense_kalman_filter,
@@ -17,17 +17,18 @@ from oracles import (dense_cross_covariances, dense_kalman_filter,
 
 
 def _motion(kind, n_x, n_y, rng):
-    """A transition operator of the given kind; PatchRank1 uses 2 x 2
-    patches, so n_x and n_y must be even for it."""
+    """A transition operator of the given kind. PatchRank1 uses 2 x 2
+    patches, so n_x and n_y must be even for it; PatchRank1-whole is one
+    patch over the whole image, the M2 rank-1 map."""
     n_s = n_x * n_y
     if kind == "Identity":
         return Identity(n_s)
     if kind == "SparseCSR":
         return SparseCSR(np.eye(n_s) * 0.9
                          + 0.05 * (rng.random((n_s, n_s)) < 0.15))
-    if kind == "Rank1":
-        return Rank1(rng.uniform(0.5, 1.5, n_s), rng.uniform(0.5, 1.5, n_s),
-                     float(n_s))
+    if kind == "PatchRank1-whole":
+        return PatchRank1(n_x, n_y, n_x, n_y, rng.uniform(0.5, 1.5, n_s),
+                          rng.uniform(0.5, 1.5, n_s), np.array([float(n_s)]))
     n_p = (n_x // 2) * (n_y // 2)
     return PatchRank1(n_x, n_y, 2, 2, rng.uniform(0.5, 1.5, (n_p, 4)),
                       rng.uniform(0.5, 1.5, (n_p, 4)), np.full(n_p, 4.0))
@@ -63,7 +64,7 @@ def test_r_update_matches_dense_formula():
         assert rel_err(got, want) <= 1e-12, f"step {i}"
 
 
-@pytest.mark.parametrize("kind", ["SparseCSR", "Identity", "Rank1",
+@pytest.mark.parametrize("kind", ["SparseCSR", "Identity", "PatchRank1-whole",
                                   "PatchRank1"])
 def test_q_update_matches_dense_formula(kind):
     n = 4 if kind == "PatchRank1" else 3  # a grid the 2 x 2 patches tile

@@ -10,7 +10,7 @@ from dynct import _linalg
 from dynct._linalg import op_gram, row_chunks, weighted_gram
 from dynct.errors import ConfigError
 from dynct.linops import (DENSE_LIMIT, Identity, LinearOperator, PatchRank1,
-                          Rank1, SparseCSR, Warp, payload_nbytes, to_patches)
+                          SparseCSR, payload_nbytes, to_patches)
 
 
 def _sample_ops(rng):
@@ -19,7 +19,9 @@ def _sample_ops(rng):
     ops = [
         SparseCSR(mat),
         Identity(12),
-        Rank1(rng.standard_normal(12), rng.standard_normal(12), 1.7),
+        # one patch over the whole 4 x 3 image: the M2 rank-1 map u v^T / d
+        PatchRank1(4, 3, 4, 3, rng.standard_normal(12), rng.standard_normal(12),
+                   np.array([1.7])),
         PatchRank1(4, 3, 2, 3, rng.standard_normal((2, 6)),
                    rng.standard_normal((2, 6)), np.array([1.3, 0.4])),
         # 2 x 2 grid of non-square 3 x 2 patches: rows of one patch are not
@@ -29,7 +31,7 @@ def _sample_ops(rng):
     ]
     warp_mat = sp.random(12, 12, density=0.4,
                          random_state=np.random.RandomState(3), format="csr")
-    ops.append(Warp(warp_mat, 4, 3))
+    ops.append(SparseCSR(warp_mat))
     return ops
 
 
@@ -46,7 +48,9 @@ def square_ops(ops):
     square.append(SparseCSR(sp.random(12, 12, density=0.3,
                                       random_state=np.random.RandomState(9))))
     assert {type(op).__name__ for op in square} == {
-        "Identity", "SparseCSR", "Warp", "Rank1", "PatchRank1"}
+        "Identity", "SparseCSR", "PatchRank1"}
+    assert {op.grid for op in square if isinstance(op, PatchRank1)} == {
+        (1, 1), (2, 1), (2, 2)}
     return square
 
 
@@ -56,8 +60,6 @@ def _dense_reference(op):
         return op.matrix.toarray()
     if isinstance(op, Identity):
         return np.eye(op.shape[0])
-    if isinstance(op, Rank1):
-        return np.outer(op.u, op.v) / op.denom
     dense = np.zeros(op.shape)
     idx = to_patches(np.arange(op.shape[0]), op.n_x, op.n_y, op.z_x, op.z_y)
     for j, rows in enumerate(idx):
@@ -91,8 +93,7 @@ def test_adjoint_identity(ops):
 
 def _block_ops(ops):
     block = [op for op in ops if isinstance(op, (SparseCSR, Identity))]
-    assert {type(op).__name__ for op in block} == {
-        "SparseCSR", "Warp", "Identity"}
+    assert {type(op).__name__ for op in block} == {"SparseCSR", "Identity"}
     return block
 
 
@@ -177,7 +178,7 @@ def test_sparse_whole_block_matches_dense_and_row_path(ops, monkeypatch):
     monkeypatch.setattr(_linalg, "CHUNK_ELEMS", 20)
     rng = np.random.default_rng(6)
     sparse = [op for op in ops if isinstance(op, SparseCSR)]
-    assert {type(op).__name__ for op in sparse} == {"SparseCSR", "Warp"}
+    assert len(sparse) == 2
     for op in sparse:
         X = rng.standard_normal((op.shape[1], 7))
         got = op.apply_block(X)
@@ -242,8 +243,10 @@ def test_sparse_csr_canonicalizes_duplicates():
 
 
 def test_rank1_denominator_guard():
-    with pytest.raises(ConfigError):
-        Rank1(np.ones(3), np.ones(3), 0.0)
+    # one whole-image patch, as M2 builds it
+    for denom in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            PatchRank1(3, 1, 3, 1, np.ones(3), np.ones(3), np.array([denom]))
 
 
 def test_patch_rank1_tiling_guard():
@@ -252,19 +255,14 @@ def test_patch_rank1_tiling_guard():
                    np.ones(2))
 
 
-def test_warp_requires_square_grid_operator():
-    with pytest.raises(ConfigError):
-        Warp(sp.eye(12, 10, format="csr"), 4, 3)
-
-
 def test_payload_nbytes(ops):
     for op in ops:
         n = payload_nbytes(op)
         assert n >= 0
         if isinstance(op, Identity):
             assert n == 0
-        if isinstance(op, Rank1):
-            assert n == op.u.nbytes + op.v.nbytes
+        if isinstance(op, PatchRank1):
+            assert n == op.U.nbytes + op.V.nbytes + op.denoms.nbytes
         if isinstance(op, SparseCSR):
             # one stored matrix: the adjoint is a view of its arrays
             m = op.matrix

@@ -6,7 +6,7 @@ import pytest
 from dynct.errors import ConfigError, NumericError
 from dynct.linops import Identity
 from dynct.mmgks import MMGKSConfig
-from dynct.motion import (VelocityField, build_warp, dmd_patchwise, dmd_rank1,
+from dynct.motion import (VelocityField, build_warp, dmd_patchwise,
                           estimate_velocity, fit_motion, flow_regularizer,
                           ofc_system)
 from dynct.phantom import default_blocks_config, generate_frames
@@ -131,10 +131,17 @@ def test_warp_rows_stochastic_even_with_wild_velocities():
 
 # -- rank-1 and patchwise DMD -------------------------------------------------
 
+def _m2(prev, nxt, zeta, n_x=5, n_y=6, **kw):
+    return fit_motion(prev, nxt, n_x, n_y, "m2", zeta=zeta, **kw)
+
+
 def test_dmd_rank1_exact_fit_at_zero_zeta():
     rng = np.random.default_rng(3)
     prev, nxt = rng.random(30), rng.random(30)
-    m = dmd_rank1(prev, nxt, zeta=0.0)
+    # M2 fits the whole image as one patch and ignores the M3 tiling, even
+    # one that does not tile the image
+    m = _m2(prev, nxt, 0.0, patch=(2, 4))
+    assert m.grid == (1, 1)
     np.testing.assert_allclose(m.apply(prev), nxt, rtol=1e-12, atol=0)
 
 
@@ -142,39 +149,38 @@ def test_dmd_rank1_unit_norm_shrinkage():
     prev = np.zeros(9)
     prev[4] = 1.0
     nxt = np.arange(9.0)
-    m = dmd_rank1(prev, nxt, zeta=1.0)
+    m = _m2(prev, nxt, 1.0, n_x=3, n_y=3)
     np.testing.assert_allclose(m.apply(prev), nxt / 2.0, rtol=1e-15)
 
 
 def test_dmd_rank1_null_space_and_transpose():
     rng = np.random.default_rng(4)
-    prev = rng.random(12)
-    nxt = rng.random(12)
-    m = dmd_rank1(prev, nxt, zeta=0.3)
-    v = rng.random(12)
+    prev = rng.random(30)
+    nxt = rng.random(30)
+    m = _m2(prev, nxt, 0.3)
+    v = rng.random(30)
     v -= prev * (prev @ v) / (prev @ prev)  # orthogonal to prev
     assert np.max(np.abs(m.apply(v))) <= 1e-13
-    y = rng.random(12)
+    y = rng.random(30)
     want = prev * (nxt @ y) / float(prev @ prev + 0.3)
     np.testing.assert_allclose(m.apply_transpose(y), want, rtol=1e-14)
 
 
 def test_dmd_rank1_degenerate_input():
     with pytest.raises(NumericError):
-        dmd_rank1(np.zeros(4), np.ones(4), zeta=0.0)
+        _m2(np.zeros(4), np.ones(4), 0.0, n_x=2, n_y=2)
     with pytest.raises(ConfigError):
-        dmd_rank1(np.ones(4), np.ones(4), zeta=-1.0)
+        _m2(np.ones(4), np.ones(4), -1.0, n_x=2, n_y=2)
 
 
 def test_patchwise_single_patch_reduces_to_rank1():
     rng = np.random.default_rng(5)
     prev, nxt = rng.random(24), rng.random(24)
     m3 = dmd_patchwise(prev, nxt, 4, 6, patch=(4, 6), zeta=0.2)
-    m2 = dmd_rank1(prev, nxt, zeta=0.2)
+    m2 = np.outer(nxt, prev) / (prev @ prev + 0.2)
     x = rng.random(24)
-    np.testing.assert_allclose(m3.apply(x), m2.apply(x), atol=1e-14)
-    np.testing.assert_allclose(m3.apply_transpose(x), m2.apply_transpose(x),
-                               atol=1e-14)
+    np.testing.assert_allclose(m3.apply(x), m2 @ x, atol=1e-14)
+    np.testing.assert_allclose(m3.apply_transpose(x), m2.T @ x, atol=1e-14)
 
 
 def test_patchwise_zero_patch_maps_to_zero():

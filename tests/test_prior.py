@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from dynct.errors import ConfigError, NumericError
 from dynct.prior import (PriorConfig, ProjectionBasis, build_projection,
-                         dense_covariance, se_covariance_entry, se_kernel_1d)
+                         se_kernel_1d)
 from helpers import rel_err
-from oracles import dense_se_covariance
+from oracles import dense_covariance, dense_se_covariance, se_covariance_entry
 
 
 def test_dense_covariance_matches_pairwise_oracle():
