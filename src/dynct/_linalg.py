@@ -1,12 +1,14 @@
 """Shared dense kernels: guarded Cholesky solves and inverse factors, the
-PSD guard on formed covariances, weighted Gramians and quadratic-form
-diagonals.
+PSD guard on formed covariances, the observation Gram and the row-chunked
+quadratic-form diagonal.
 
-``weighted_gram``, ``quad_diag`` and the sparse operators' row-chunked
-loops form r x r projections and n-vector diagonals of n x r products
-without holding more than one n x r block plus O(CHUNK_ELEMS) scratch.
-``op_gram`` forms the observation's H P whole (m_t x r, small next to
-n_s x r) with one ``apply_block`` call.
+``quad_diag`` and the sparse operators' row-chunked loops form n-vector
+diagonals and r x r projections of n x r products without holding more
+than one n x r block plus O(CHUNK_ELEMS) scratch; the R update applies
+``quad_diag`` to H P. ``op_gram`` forms the observation's H P whole
+(m_t x r, small next to n_s x r) with one ``apply_block`` call. The two
+reductions over the basis P itself, its weighted Gram and diag(P Psi P^T),
+are not here: ``ProjectionBasis`` forms them from its 1-D factor blocks.
 """
 
 from __future__ import annotations
@@ -28,15 +30,6 @@ def row_chunks(n_rows: int, width: int):
     step = max(1, CHUNK_ELEMS // max(width, 1))
     for lo in range(0, n_rows, step):
         yield slice(lo, min(lo + step, n_rows))
-
-
-def weighted_gram(X: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """X^T diag(w) X, accumulated over row chunks."""
-    k = X.shape[1]
-    out = np.zeros((k, k))
-    for rows in row_chunks(X.shape[0], k):
-        out += (X[rows] * w[rows, None]).T @ X[rows]
-    return out
 
 
 def quad_diag(X: np.ndarray, psi: np.ndarray) -> np.ndarray:

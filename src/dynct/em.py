@@ -11,18 +11,20 @@ only their diagonals are kept (the models are diagonal), computed without
 materializing any full covariance or any full n_s x r product. The updates
 take the smoother's reduced covariances as formed (C^sm = P Psi^sm P^T, the
 cross covariance P omega_i P^T with omega_i = Psi_i^sm K_i Psi_{i-1}^est)
-and factor nothing: diag(X Psi X^T) is the row sums of (X Psi) o X, swept
-in row chunks of X = P or H_i P by ``_linalg.quad_diag``. The R update
-forms H_i P whole (m_t x r, one ``apply_block`` pass over P). The two cross
-terms have identical diagonals, so the Q update subtracts twice one of
-them. Its two terms in M_i, diag(M_i P Psi_{i-1}^sm (M_i P)^T) and
-diag(P omega_i (M_i P)^T), come from the motion operator's ``q_terms``: closed
-forms for PatchRank1 (M2 and M3; no n_s x r product), ``quad_diag`` of P for
-Identity and row chunks of M_i P for SparseCSR (the M1 warp). The smoother
-rejects covariances that are not PSD beyond roundoff; here
-roundoff-negative diagonal entries are clamped and larger ones rejected,
-and a relative floor (1e-8 of the mean) keeps the next filter pass well
-posed.
+and factor nothing. The R update forms H_i P whole (m_t x r, one
+``apply_block`` pass over P) and takes diag(H_i P Psi (H_i P)^T) as the row
+sums of (X Psi) o X over row chunks of X = H_i P (``_linalg.quad_diag``).
+The Q update gets diag(P Psi P^T) from the basis
+(``ProjectionBasis.quad_diag``, from its 1-D factor blocks with no
+n_s x r^2 product). The two cross terms have identical diagonals, so the Q
+update subtracts twice one of them. Its two terms in M_i,
+diag(M_i P Psi_{i-1}^sm (M_i P)^T) and diag(P omega_i (M_i P)^T), come from
+the motion operator's ``q_terms``: closed forms for PatchRank1 (M2 and M3;
+no n_s x r product), the basis' ``quad_diag`` for Identity and row chunks
+of M_i P for SparseCSR (the M1 warp). The smoother rejects covariances that
+are not PSD beyond roundoff; here roundoff-negative diagonal entries are
+clamped and larger ones rejected, and a relative floor (1e-8 of the mean)
+keeps the next filter pass well posed.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import numpy as np
 from ._linalg import NEG_TOL_REL, quad_diag
 from .errors import NumericError
 from .linops import LinearOperator
+from .prior import ProjectionBasis
 
 FLOOR_REL = 1e-8
 FLOOR_ABS = 1e-30
@@ -73,7 +76,7 @@ def update_r_diag(y_i, h_op: LinearOperator, x_sm_i, psi_sm_i, P) -> np.ndarray:
 
 
 def update_q_diag(x_sm_prev, x_sm_i, psi_sm_prev, psi_sm_i, omega_i,
-                  motion: LinearOperator, P) -> np.ndarray:
+                  motion: LinearOperator, basis: ProjectionBasis) -> np.ndarray:
     """diag(Q_i) from smoothed moments at frames i-1, i.
 
     psi_sm_prev, psi_sm_i are Psi_{i-1}^sm and Psi_i^sm; omega_i =
@@ -83,8 +86,9 @@ def update_q_diag(x_sm_prev, x_sm_i, psi_sm_prev, psi_sm_i, omega_i,
     """
     resid = x_sm_i - motion.apply(x_sm_prev)
     diag = resid ** 2
-    pos, cross = motion.q_terms(P, psi_sm_prev, omega_i)
-    pos += quad_diag(P, psi_sm_i)
+    pos, cross = motion.q_terms(basis.P, psi_sm_prev, omega_i,
+                                basis.quad_diag)
+    pos += basis.quad_diag(psi_sm_i)
     # the roundoff scale: the largest row of resid^2 plus both positive terms
     pos_scale = float(np.maximum(diag, diag + pos).max()) if diag.size else 0.0
     diag += pos - 2.0 * cross

@@ -10,7 +10,8 @@ whole only inside ``op_gram``). The three weighted Gramians
 come from two places. The basis forms G_PP once per step
 (``ProjectionBasis.gram``): because P^T P = diag(lambda), it is
 diag(lambda)/q with no n_s x r^2 product whenever Q = q I, as in every
-IRKFS step and every first pass. The motion operator forms the other two
+IRKFS step and every first pass, and otherwise a gather over products of
+its 1-D factor blocks. The motion operator forms the other two
 (``gram_pair``): Identity returns G_PP for both, PatchRank1 (M2 is its
 one-patch case) uses closed forms in its per-patch coefficients, and
 SparseCSR (the M1 warp) accumulates them over row chunks of M P, each

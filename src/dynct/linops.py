@@ -25,12 +25,14 @@ where a caller makes them:
   that has no other use for it never pays for it. ``SparseCSR`` folds row
   chunks of ``op P`` into the pair; ``PatchRank1`` uses closed forms in its
   per-patch coefficients.
-- ``q_terms(P, psi_prev, omega)``: the two motion terms of the M-step's
-  diag(Q_i), diag(MP psi_prev (MP)^T) and diag(P omega (MP)^T), as
-  n_s-vectors. ``SparseCSR`` folds row chunks of ``op P`` into them,
-  ``Identity`` gives both as ``quad_diag`` of P, and ``PatchRank1`` uses
-  closed forms in the same coefficients as its ``gram_pair``, so it never
-  forms an n_s x r product.
+- ``q_terms(P, psi_prev, omega, quad)``: the two motion terms of the
+  M-step's diag(Q_i), diag(MP psi_prev (MP)^T) and diag(P omega (MP)^T), as
+  n_s-vectors. ``quad(psi)`` returns diag(P psi P^T), which
+  ``ProjectionBasis.quad_diag`` forms from the basis' 1-D factor blocks;
+  only ``Identity``, whose terms are two such diagonals, calls it.
+  ``SparseCSR`` folds row chunks of ``op P`` into them, and ``PatchRank1``
+  uses closed forms in the same coefficients as its ``gram_pair``, so it
+  never forms an n_s x r product.
 
 There is no column-loop fallback: an operator without one of the last three
 raises ``NotImplementedError``. ``to_dense`` applies the operator to the
@@ -45,7 +47,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ._linalg import quad_diag, row_chunks
+from ._linalg import row_chunks
 from .errors import ConfigError
 
 # Largest state dimension for which dense materialization is permitted.
@@ -95,9 +97,11 @@ class LinearOperator:
         G_MM = (MP)^T diag(w) (MP) and G_MP = (MP)^T diag(w) P."""
         raise NotImplementedError(f"{type(self).__name__} has no Gram pair")
 
-    def q_terms(self, P: np.ndarray, psi_prev: np.ndarray, omega: np.ndarray):
+    def q_terms(self, P: np.ndarray, psi_prev: np.ndarray, omega: np.ndarray,
+                quad):
         """(diag(MP psi_prev (MP)^T), diag(P omega (MP)^T)) of a square
-        operator M = op, the two motion terms of the Q-update diagonal."""
+        operator M = op, the two motion terms of the Q-update diagonal;
+        quad(psi) gives diag(P psi P^T)."""
         raise NotImplementedError(f"{type(self).__name__} has no Q-update terms")
 
     def to_dense(self) -> np.ndarray:
@@ -156,18 +160,19 @@ class SparseCSR(LinearOperator):
             g_mp += mpw.T @ P[rows]
         return g_mm, g_mp
 
-    def q_terms(self, P, psi_prev, omega):
+    def q_terms(self, P, psi_prev, omega, quad):
         """Each diagonal is the row sums of (X Psi) o Y over the row chunks
-        of M P that ``gram_pair`` forms: two n_s x r^2 products per call."""
+        of M P that ``gram_pair`` forms: two n_s x r^2 products per call;
+        quad is left uncalled."""
         P = _as_block(P, self.shape[1])
         n_s, r = P.shape
-        quad = np.empty(n_s)
+        quad_mp = np.empty(n_s)
         cross = np.empty(n_s)
         for rows in row_chunks(n_s, r):
             mp = np.asarray(self.matrix[rows] @ P)
-            quad[rows] = np.einsum("ij,ij->i", mp @ psi_prev, mp)
+            quad_mp[rows] = np.einsum("ij,ij->i", mp @ psi_prev, mp)
             cross[rows] = np.einsum("ij,ij->i", P[rows] @ omega, mp)
-        return quad, cross
+        return quad_mp, cross
 
 
 class Identity(LinearOperator):
@@ -190,10 +195,11 @@ class Identity(LinearOperator):
         g = g_pp()
         return g, g
 
-    def q_terms(self, P, psi_prev, omega):
-        """M P = P, so the terms are diag(P psi_prev P^T), diag(P omega P^T)."""
-        P = _as_block(P, self.shape[1])
-        return quad_diag(P, psi_prev), quad_diag(P, omega)
+    def q_terms(self, P, psi_prev, omega, quad):
+        """M P = P, so the terms are diag(P psi_prev P^T) and
+        diag(P omega P^T): quad(psi_prev) and quad(omega)."""
+        _as_block(P, self.shape[1])
+        return quad(psi_prev), quad(omega)
 
 
 class PatchRank1(LinearOperator):
@@ -273,12 +279,12 @@ class PatchRank1(LinearOperator):
         return (coef.T @ (a[:, None] * coef),
                 coef.T @ self._patch_sums(wu, P))
 
-    def q_terms(self, P, psi_prev, omega):
+    def q_terms(self, P, psi_prev, omega, quad):
         """With C the coefficients and j the patch of row i:
         diag(MP psi_prev (MP)^T)_i = u_i^2 (C psi_prev C^T)_jj and
         diag(P omega (MP)^T)_i = u_i P_i (omega C^T)_{:, j}, the latter
         contracted over views of P in image order. That costs
-        O(n_s r + n_patches r^2)."""
+        O(n_s r + n_patches r^2); quad is left uncalled."""
         P = _as_block(P, self.shape[1])
         coef = self._coef(P)
         bx, by = self.grid

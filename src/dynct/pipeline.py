@@ -20,11 +20,13 @@ MemoryTracker; the filter, smoother and M-step allocate, compute and
 return. What it charges:
 
 - Full space (budgeted), for the whole run: the scratch allowance for
-  chunk transients and one whole m_t x r observation product H P, the
-  noise diagonals, the motion payloads and the initial mean x_0. New
-  motion operators and noise diagonals are charged as each backward step
-  makes them, next to the previous set, which is released when the sweep
-  ends.
+  chunk transients, one whole m_t x r observation product H P and, when
+  the run has an M-step (the only source of non-uniform Q), the A^2 x B^2
+  intermediate of the basis' non-uniform Gram and diag(P Psi P^T)
+  ((A, B) = ``basis.box``); the noise diagonals, the motion payloads and
+  the initial mean x_0. New motion operators and noise diagonals are
+  charged as each backward step makes them, next to the previous set,
+  which is released when the sweep ends.
 - Full space, per pass: the filtered means x_est from the filter's return
   to the end of the pass, and the smoothed means x_sm (x_est's shape) from
   just before the sweep until the run returns inside the RunRecord.
@@ -214,9 +216,12 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
     )
 
     # Scratch allowance for untracked transients: a few chunk-sized blocks
-    # inside the Gramian loops, a handful of state-length vectors and the
-    # whole H P that op_gram and update_r_diag form.
-    scratch = (4 * CHUNK_ELEMS + 8 * n_s + m_t * basis.rank) * 8
+    # inside the Gramian loops, a handful of state-length vectors, the
+    # whole H P that op_gram and update_r_diag form and, under EM, the
+    # basis' A^2 x B^2 Kronecker intermediate.
+    box_a, box_b = basis.box
+    kron_elems = (box_a * box_b) ** 2 if method.em else 0
+    scratch = (4 * CHUNK_ELEMS + 8 * n_s + m_t * basis.rank + kron_elems) * 8
     tracker.add(scratch)
 
     alpha = basis.config.alpha
@@ -257,7 +262,7 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
                                 y_frames[i], h_ops[i], x_sm[i], psi_sm_i, P)
                             q_new[i - 1] = update_q_diag(
                                 x_sm[i - 1], x_sm[i], psi_sm_prev, psi_sm_i,
-                                omega_i, new_motions[i - 1], P)
+                                omega_i, new_motions[i - 1], basis)
                         tracker.release_reduced(step_bytes)
                         tracker.add(r_new[i - 1].nbytes + q_new[i - 1].nbytes)
                 except _WRAPPED as exc:

@@ -7,9 +7,10 @@ import numpy as np
 
 from dynct.filtering import initial_noise, static_init
 from dynct.phantom import default_blocks_config, generate_frames
-from dynct.prior import PriorConfig, build_projection
+from dynct.prior import PriorConfig, ProjectionBasis, build_projection
 from dynct.radon import build_operators, make_geometry, simulate_sinograms
 from dynct.smoothing import run_smoother
+from oracles import column_loop_projection
 
 
 def build_problem(n_x=12, n_y=12, n_steps=4, n_angles=5, sigma=0.05,
@@ -39,6 +40,23 @@ def build_problem(n_x=12, n_y=12, n_steps=4, n_angles=5, sigma=0.05,
         "h_dense": [op.to_dense() for op in h_ops],
         "n_s": n_s, "n_steps": n_steps,
     }
+
+
+def kron_basis(factor_x, factor_y, eigenvalues=None, alpha=1.0):
+    """A ProjectionBasis built by hand from 1-D factor blocks, one column per
+    (a, b) of the factor box in row-major order; unit eigenvalues unless
+    given. With a one-column factor_y of [1] the basis is factor_x itself
+    on an (n, 1) grid."""
+    factor_x = np.asarray(factor_x, dtype=float)
+    factor_y = np.asarray(factor_y, dtype=float)
+    n_a, n_b = factor_x.shape[1], factor_y.shape[1]
+    pairs = np.stack(np.divmod(np.arange(n_a * n_b), n_b), axis=1)
+    lam = np.ones(n_a * n_b) if eigenvalues is None else eigenvalues
+    return ProjectionBasis(
+        P=column_loop_projection(factor_x, factor_y, pairs, lam),
+        eigenvalues=lam, index_pairs=pairs, factor_x=factor_x,
+        factor_y=factor_y, n_x=factor_x.shape[0], n_y=factor_y.shape[0],
+        config=PriorConfig(alpha=alpha, ell=1.0, rank=n_a * n_b))
 
 
 def smoothed_moments(filt, motions, noise, basis):

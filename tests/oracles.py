@@ -4,15 +4,16 @@ Everything above the last section is written in the most literal textbook
 form possible: full covariances, explicit inverses, gain-form recursions.
 Nothing there is shared with the package internals, so agreement is
 meaningful. The last section holds reference routines in the package's own
-conventions (the Woodbury apply, the diagonal M-step with its floor and
-roundoff guard, the expected log-likelihood on diagonal or full noise, the
-Kronecker-form prior covariance); no pipeline path calls them, so they live
-with the tests.
+conventions (the row-chunked weighted Gram, the Woodbury apply, the
+diagonal M-step with its floor and roundoff guard, the expected
+log-likelihood on diagonal or full noise, the Kronecker-form prior
+covariance and its basis assembled column by column); no pipeline path
+calls them, so they live with the tests.
 """
 
 import numpy as np
 
-from dynct._linalg import row_chunks, sym_solve, weighted_gram
+from dynct._linalg import row_chunks, sym_solve
 from dynct.em import _apply_floor, _guard_negative
 from dynct.errors import ConfigError, NumericError
 from dynct.linops import DENSE_LIMIT
@@ -215,6 +216,15 @@ def expected_loglik(y_frames, h_ops, motions, q_covs, r_covs,
     return total
 
 
+def weighted_gram(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """X^T diag(w) X, accumulated over row chunks."""
+    k = X.shape[1]
+    out = np.zeros((k, k))
+    for rows in row_chunks(X.shape[0], k):
+        out += (X[rows] * w[rows, None]).T @ X[rows]
+    return out
+
+
 def smw_apply(q_inv_diag: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndarray:
     """(B B^T + Q)^{-1} X for diagonal Q, via the Woodbury identity.
 
@@ -243,3 +253,13 @@ def dense_covariance(n_x, n_y, alpha, ell) -> np.ndarray:
     kernels, small problems only."""
     _guard_dense(n_x * n_y, "dense covariance")
     return alpha ** 2 * np.kron(se_kernel_1d(n_x, ell), se_kernel_1d(n_y, ell))
+
+
+def column_loop_projection(factor_x, factor_y, index_pairs, eigenvalues):
+    """The basis P one column at a time: column k is
+    sqrt(eigenvalues[k]) * kron(factor_x[:, a_k], factor_y[:, b_k])."""
+    P = np.empty((factor_x.shape[0] * factor_y.shape[0], len(eigenvalues)))
+    for k, (a, b) in enumerate(index_pairs):
+        P[:, k] = np.sqrt(eigenvalues[k]) * np.outer(factor_x[:, a],
+                                                     factor_y[:, b]).reshape(-1)
+    return P

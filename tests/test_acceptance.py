@@ -138,7 +138,8 @@ def test_criterion_04_em_mstep_oracle_and_monotone_objective():
                                         P @ sm.omegas[i - 1] @ P.T,
                                         np.eye(9)))
         q_got = update_q_diag(sm.x_sm[i - 1], sm.x_sm[i], sm.psi_sm[i - 1],
-                              sm.psi_sm[i], sm.omegas[i - 1], Identity(9), P)
+                              sm.psi_sm[i], sm.omegas[i - 1], Identity(9),
+                              prob["basis"])
         assert rel_err(q_got, q_want) <= 1e-10
 
     # full-covariance EM on a dense toy: objective never decreases

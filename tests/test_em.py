@@ -8,7 +8,7 @@ from dynct.em import FLOOR_ABS, update_q_diag, update_r_diag
 from dynct.errors import ConfigError, NumericError
 from dynct.filtering import run_filter
 from dynct.linops import Identity, PatchRank1, SparseCSR
-from helpers import (build_problem, dense_noise, psi_of, rel_err,
+from helpers import (build_problem, dense_noise, kron_basis, psi_of, rel_err,
                      smoothed_moments)
 from oracles import (dense_cross_covariances, dense_kalman_filter,
                      dense_q_update, dense_r_update, dense_rts_smoother,
@@ -46,10 +46,10 @@ def _smoothed_problem(kind="SparseCSR", **kw):
     return prob, motions, sm
 
 
-def _q_update(sm, i, motion, P):
+def _q_update(sm, i, motion, basis):
     """update_q_diag at step i from the smoothed moments."""
     return update_q_diag(sm.x_sm[i - 1], sm.x_sm[i], sm.psi_sm[i - 1],
-                         sm.psi_sm[i], sm.omegas[i - 1], motion, P)
+                         sm.psi_sm[i], sm.omegas[i - 1], motion, basis)
 
 
 def test_r_update_matches_dense_formula():
@@ -72,7 +72,7 @@ def test_q_update_matches_dense_formula(kind):
                                           n_angles=2)
     P = prob["basis"].P
     for i in range(1, prob["n_steps"] + 1):
-        got = _q_update(sm, i, motions[i - 1], P)
+        got = _q_update(sm, i, motions[i - 1], prob["basis"])
         want = update_q_dense(sm.x_sm[i - 1], sm.x_sm[i],
                               projected_posterior_cov(P, sm.psi_sm[i - 1]),
                               projected_posterior_cov(P, sm.psi_sm[i]),
@@ -98,7 +98,7 @@ def test_q_update_matches_fully_dense_rts_chain():
     sm_means, sm_covs, gains = dense_rts_smoother(*kf, motions)
     crosses = dense_cross_covariances(sm_covs, gains)
     for i in range(1, prob["n_steps"] + 1):
-        got = _q_update(sm, i, motions_op[i - 1], P)
+        got = _q_update(sm, i, motions_op[i - 1], prob["basis"])
         want = dense_q_update(sm_means[i - 1], sm_means[i], sm_covs[i - 1],
                               sm_covs[i], crosses[i - 1], motions[i - 1])
         assert rel_err(got, np.maximum(np.diag(want), got.min())) <= 1e-9
@@ -128,13 +128,13 @@ def test_r_trivial_zero_cov_is_squared_residual():
 def test_q_trivial_static_exact_dynamics():
     rng = np.random.default_rng(5)
     r = 3
-    P = np.eye(4, 3)
+    basis = kron_basis(np.eye(4, 3), np.ones((1, 1)))  # P = np.eye(4, 3)
     A = rng.standard_normal((r, r))
     psi = A @ A.T + 0.1 * np.eye(r)
     x = rng.standard_normal(4)
     # omega = psi @ inv(psi) @ psi = psi, so cross cancels both quadratics
     got = update_q_diag(x, x, psi, psi, psi @ np.linalg.inv(psi) @ psi,
-                        Identity(4), P)
+                        Identity(4), basis)
     np.testing.assert_allclose(got, np.full(4, FLOOR_ABS), atol=1e-12)
 
 
@@ -142,7 +142,8 @@ def test_q_trivial_zero_covariances():
     x_prev = np.array([1.0, 0.0, 2.0])
     x_i = np.array([1.5, 0.0, 1.0])
     z = np.zeros((3, 3))
-    got = update_q_diag(x_prev, x_i, z, z, z, Identity(3), np.eye(3))
+    got = update_q_diag(x_prev, x_i, z, z, z, Identity(3),
+                        kron_basis(np.eye(3), np.ones((1, 1))))
     resid2 = (x_i - x_prev) ** 2
     np.testing.assert_allclose(got, np.maximum(resid2, 1e-8 * resid2.mean()),
                                rtol=1e-15)
@@ -153,7 +154,8 @@ def test_q_negative_beyond_roundoff_raises():
     z = np.zeros((2, 2))
     x = np.zeros(2)
     with pytest.raises(NumericError):
-        update_q_diag(x, x, z, np.eye(2), np.eye(2), Identity(2), np.eye(2))
+        update_q_diag(x, x, z, np.eye(2), np.eye(2), Identity(2),
+                      kron_basis(np.eye(2), np.ones((1, 1))))
 
 
 def test_q_roundoff_negative_clamps_with_warning():
@@ -163,7 +165,7 @@ def test_q_roundoff_negative_clamps_with_warning():
     psi_sm_i = np.diag([0.0, 1e-13])  # omega = psi_sm_i (K = Psi^est = I)
     with pytest.warns(RuntimeWarning):
         got = update_q_diag(x_prev, x_i, z, psi_sm_i, psi_sm_i, Identity(2),
-                            np.eye(2))
+                            kron_basis(np.eye(2), np.ones((1, 1))))
     assert (got > 0).all()
 
 
@@ -274,6 +276,6 @@ def test_outputs_respect_floor():
     P = prob["basis"].P
     r_diag = update_r_diag(prob["sino"].sinograms[1], prob["h_ops"][1],
                            sm.x_sm[1], sm.psi_sm[1], P)
-    q_diag = _q_update(sm, 1, motions[0], P)
+    q_diag = _q_update(sm, 1, motions[0], prob["basis"])
     assert (r_diag >= 1e-8 * r_diag.mean() - 1e-30).all()
     assert (q_diag > 0).all()

@@ -10,7 +10,7 @@ from dynct.filtering import (NoiseModel, filter_step, initial_noise,
                              run_filter, static_init)
 from dynct.linops import Identity, SparseCSR
 from dynct.prior import PriorConfig, ProjectionBasis, build_projection
-from helpers import build_problem, dense_noise, psi_of, rel_err
+from helpers import build_problem, dense_noise, kron_basis, psi_of, rel_err
 from oracles import dense_kalman_filter, projected_posterior_cov, smw_apply
 
 
@@ -160,12 +160,12 @@ def test_static_init_zero_data(prob):
 
 def test_static_init_identity_h_orthonormal_basis():
     rng = np.random.default_rng(3)
-    n_s, r = 25, 8
-    Q, _ = np.linalg.qr(rng.standard_normal((n_s, r)))
-    basis = ProjectionBasis(P=Q, eigenvalues=np.ones(r),
-                            index_pairs=np.zeros((r, 2), dtype=int),
-                            n_x=5, n_y=5,
-                            config=PriorConfig(alpha=1e8, ell=1.0, rank=r))
+    n_s = 25
+    # orthonormal 1-D blocks give orthonormal Kronecker columns: r = 4 * 2
+    q_x, _ = np.linalg.qr(rng.standard_normal((5, 4)))
+    q_y, _ = np.linalg.qr(rng.standard_normal((5, 2)))
+    basis = kron_basis(q_x, q_y, alpha=1e8)
+    Q = basis.P
     y = rng.standard_normal(n_s)
     x0, _ = static_init(Identity(n_s), basis, y)
     want = Q @ np.linalg.solve(Q.T @ Q, Q.T @ y)  # dense normal equations
@@ -233,16 +233,15 @@ def test_singular_observation_system_raises():
     # a zero basis cannot carry unit eigenvalues: rejected before any solve
     with pytest.raises(ConfigError):
         ProjectionBasis(P=np.zeros((4, 2)), eigenvalues=np.ones(2),
-                        index_pairs=np.zeros((2, 2), dtype=int),
+                        index_pairs=np.array([[0, 0], [0, 1]]),
+                        factor_x=np.eye(2, 1), factor_y=np.eye(2),
                         n_x=2, n_y=2,
                         config=PriorConfig(alpha=1.0, ell=1.0, rank=2))
     # a consistent basis with a zero-information observation (H = 0) and a
     # prior weight alpha^-2 that underflows to 0: the reduced system is
     # exactly singular
-    basis = ProjectionBasis(P=np.eye(4, 2), eigenvalues=np.ones(2),
-                            index_pairs=np.zeros((2, 2), dtype=int),
-                            n_x=2, n_y=2,
-                            config=PriorConfig(alpha=1e200, ell=1.0, rank=2))
+    basis = kron_basis(np.eye(2, 1), np.eye(2), alpha=1e200)
+    np.testing.assert_array_equal(basis.P, np.eye(4, 2))
     assert basis.config.alpha ** -2 == 0.0
     with pytest.raises(NumericError):
         static_init(SparseCSR(sp.csr_matrix((3, 4))), basis, np.ones(3))

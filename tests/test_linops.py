@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynct import _linalg
-from dynct._linalg import op_gram, row_chunks, weighted_gram
+from dynct._linalg import op_gram, row_chunks
 from dynct.errors import ConfigError
 from dynct.linops import (DENSE_LIMIT, Identity, LinearOperator, PatchRank1,
                           SparseCSR, payload_nbytes, to_patches)
+from oracles import weighted_gram
 
 
 def _sample_ops(rng):
@@ -144,16 +145,23 @@ def _q_inputs(rng, n, r):
 
 
 def _assert_q_terms(op, P, psi, omega):
-    got = op.q_terms(P, psi, omega)
+    calls = []
+
+    def quad(x):
+        calls.append(1)
+        return np.diag(P @ x @ P.T)
+
+    got = op.q_terms(P, psi, omega, quad)
     assert len(got) == 2
     for g, ref in zip(got, _q_terms_dense(op, P, psi, omega)):
         np.testing.assert_allclose(g, ref, rtol=1e-12,
                                    atol=1e-12 * np.abs(ref).max())
+    # only Identity, whose terms are two diagonals over P, asks for them
+    assert len(calls) == (2 if isinstance(op, Identity) else 0)
 
 
 def test_q_terms_match_dense(square_ops, monkeypatch):
-    # several row chunks, so the sparse loop and quad_diag stitch their
-    # diagonals
+    # several row chunks, so the sparse loop stitches its diagonals
     monkeypatch.setattr(_linalg, "CHUNK_ELEMS", 20)
     rng = np.random.default_rng(8)
     for op in square_ops:
@@ -199,7 +207,7 @@ def test_shape_validation(ops):
             with pytest.raises(ConfigError):
                 op.gram_pair(bad, np.ones(bad.shape[0]), lambda: np.eye(3))
             with pytest.raises(ConfigError):
-                op.q_terms(bad, np.eye(3), np.eye(3))
+                op.q_terms(bad, np.eye(3), np.eye(3), lambda psi: None)
     for op in _block_ops(ops):
         with pytest.raises(ConfigError):
             op.apply_block(np.zeros((op.shape[1] + 2, 3)))
@@ -223,7 +231,7 @@ def test_operator_without_row_kernel_raises():
     with pytest.raises(NotImplementedError):
         op.gram_pair(np.eye(3), np.ones(3), lambda: np.eye(3))
     with pytest.raises(NotImplementedError):
-        op.q_terms(np.eye(3), np.eye(3), np.eye(3))
+        op.q_terms(np.eye(3), np.eye(3), np.eye(3), lambda psi: None)
 
 
 def test_to_dense_guard():

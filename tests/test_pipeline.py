@@ -5,12 +5,12 @@ import time
 import numpy as np
 import pytest
 
-from dynct import _linalg, pipeline
+from dynct import pipeline
 from dynct.errors import ConfigError, NumericError
 from dynct.metrics import MemoryTracker
 from dynct.pipeline import (MethodSpec, MotionOptions, parse_method,
                             record_rows, run_emirkfs)
-from dynct.prior import PriorConfig, build_projection
+from dynct.prior import PriorConfig, ProjectionBasis, build_projection
 from helpers import build_problem, count_calls
 
 
@@ -164,7 +164,19 @@ def test_em_reduced_peak_holds_one_smoother_step():
 
 
 def _count_weighted_grams(monkeypatch, tag=lambda: None):
-    return count_calls(monkeypatch, _linalg, "weighted_gram", tag)
+    """Record tag() at each basis Gram under non-uniform weights, the one
+    that forms a product over the basis (uniform weights give
+    diag(w_0 lambda))."""
+    original = ProjectionBasis.gram
+    calls = []
+
+    def counted(self, w):
+        if np.min(w) != np.max(w):
+            calls.append(tag())
+        return original(self, w)
+
+    monkeypatch.setattr(ProjectionBasis, "gram", counted)
+    return calls
 
 
 def test_irkfs_forms_no_weighted_gram(monkeypatch):

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynct.errors import ConfigError, NumericError
-from dynct.prior import (PriorConfig, ProjectionBasis, build_projection,
-                         se_kernel_1d)
+from dynct.prior import (PriorConfig, ProjectionBasis, _eigh_descending,
+                         build_projection, se_kernel_1d)
 from helpers import rel_err
-from oracles import dense_covariance, dense_se_covariance, se_covariance_entry
+from oracles import (column_loop_projection, dense_covariance,
+                     dense_se_covariance, se_covariance_entry)
 
 
 def test_dense_covariance_matches_pairwise_oracle():
@@ -134,12 +135,17 @@ def test_basis_gram_is_diagonal_eigenvalues(n_x, n_y):
                                    rtol=0, atol=1e-12 * lam.max())
 
 
-def _rebuilt(basis, P=None, eigenvalues=None):
-    return ProjectionBasis(P=basis.P if P is None else P,
-                           eigenvalues=basis.eigenvalues if eigenvalues is None
-                           else eigenvalues,
-                           index_pairs=basis.index_pairs, n_x=basis.n_x,
-                           n_y=basis.n_y, config=basis.config)
+def _rebuilt(basis, P=None, eigenvalues=None, index_pairs=None,
+             factor_x=None, factor_y=None):
+    def pick(given, own):
+        return own if given is None else given
+
+    return ProjectionBasis(P=pick(P, basis.P),
+                           eigenvalues=pick(eigenvalues, basis.eigenvalues),
+                           index_pairs=pick(index_pairs, basis.index_pairs),
+                           factor_x=pick(factor_x, basis.factor_x),
+                           factor_y=pick(factor_y, basis.factor_y),
+                           n_x=basis.n_x, n_y=basis.n_y, config=basis.config)
 
 
 def test_basis_rejects_columns_that_are_not_orthogonal():
@@ -182,3 +188,69 @@ def test_basis_gram_matches_dense():
         assert rel_err(basis.gram(w), want) <= 1e-12
     with pytest.raises(ConfigError):
         basis.gram(np.ones(34))
+
+
+@pytest.mark.parametrize("n_x, n_y, ell, rank", [(12, 8, 1.1, 96), (9, 7, 1.3, 23),
+                                                 (64, 64, 2.0, 300)])
+def test_assembly_matches_column_loop_bitwise(n_x, n_y, ell, rank):
+    basis = build_projection(n_x, n_y, PriorConfig(alpha=1.3, ell=ell, rank=rank))
+    n_a, n_b = basis.box
+    # the factor blocks are the leading 1-D eigenvectors, as few as the
+    # retained pairs reach
+    for block, n, top in ((basis.factor_x, n_x, basis.index_pairs[:, 0].max()),
+                          (basis.factor_y, n_y, basis.index_pairs[:, 1].max())):
+        assert block.shape == (n, top + 1)
+        _, vecs = _eigh_descending(se_kernel_1d(n, ell))
+        np.testing.assert_array_equal(block, vecs[:, :top + 1])
+    want = column_loop_projection(basis.factor_x, basis.factor_y,
+                                  basis.index_pairs, basis.eigenvalues)
+    np.testing.assert_array_equal(basis.P, want)
+    # row-major, like the column loop's output, so products sum alike
+    assert basis.P.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n_x, n_y, ell, rank", [(12, 8, 1.1, 96), (9, 7, 1.3, 23)])
+def test_basis_reductions_match_dense(n_x, n_y, ell, rank):
+    # (12, 8) at r = n_s fills the whole factor box (A B = n_s); (9, 7) at
+    # r = 23 cuts the eigenvalue staircase unevenly, so the box is not full
+    basis = build_projection(n_x, n_y, PriorConfig(alpha=0.9, ell=ell, rank=rank))
+    n_a, n_b = basis.box
+    if rank == n_x * n_y:
+        assert (n_a, n_b) == (n_x, n_y)
+    else:
+        assert n_a * n_b > rank
+    P, n_s = basis.P, n_x * n_y
+    rng = np.random.default_rng(12)
+    w = rng.uniform(0.1, 3.0, n_s)
+    assert rel_err(basis.gram(w), P.T @ (w[:, None] * P)) <= 1e-12
+    np.testing.assert_array_equal(basis.gram(np.full(n_s, 0.7)),
+                                  np.diag(0.7 * basis.eigenvalues))
+    A = rng.standard_normal((rank, rank))
+    for psi in (A @ A.T, rng.standard_normal((rank, rank))):
+        assert rel_err(basis.quad_diag(psi), np.diag(P @ psi @ P.T)) <= 1e-12
+
+
+def test_basis_rejects_p_that_disagrees_with_factors():
+    basis = build_projection(6, 5, PriorConfig(alpha=1.2, ell=1.3, rank=8))
+    # a negated column keeps P^T P = diag(lambda) but is not
+    # sqrt(lambda) kron(u_a, v_b)
+    P = basis.P.copy()
+    P[:, 3] *= -1.0
+    np.testing.assert_allclose(P.T @ P, np.diag(basis.eigenvalues), rtol=0,
+                               atol=1e-12 * basis.eigenvalues.max())
+    with pytest.raises(ConfigError, match="factor blocks"):
+        _rebuilt(basis, P=P)
+    # so do swapped factor columns under the same P
+    fx = basis.factor_x[:, ::-1].copy()
+    with pytest.raises(ConfigError, match="factor blocks"):
+        _rebuilt(basis, factor_x=fx)
+    n_a, n_b = basis.box
+    bad_pairs = (basis.index_pairs.copy(), basis.index_pairs.copy(),
+                 basis.index_pairs[:-1], basis.index_pairs.astype(float))
+    bad_pairs[0][1] = bad_pairs[0][0]       # a repeated pair
+    bad_pairs[1][-1] = (n_a, 0)             # a pair outside the box
+    for pairs in bad_pairs:
+        with pytest.raises(ConfigError, match="index pair"):
+            _rebuilt(basis, index_pairs=pairs)
+    with pytest.raises(ConfigError, match="factor blocks"):
+        _rebuilt(basis, factor_y=basis.factor_y[:-1])
