@@ -12,11 +12,11 @@ where a caller makes them:
 
 - ``apply(x)``: forward product ``op @ x``.
 - ``apply_transpose(y)``: exact adjoint of the same coefficients.
-- ``apply_block(X)``: the whole product ``op @ X``. Only ``SparseCSR`` (the
-  observations' H P in ``op_gram`` and the R update, and the flow solver's
-  operands) and ``Identity`` define it. ``SparseCSR`` stores one CSC
-  matrix, whose transpose view is the CSR matrix of the adjoint, so the
-  product is one column-order pass that reads each row of X once.
+- ``apply_block(X)``: the whole product ``op @ X``. Only ``SparseCSR``
+  defines it: its callers are the observations' H P in ``op_gram`` and the
+  R update, and the flow solver's operands, all sparse matrices. It stores
+  one CSC matrix, whose transpose view is the CSR matrix of the adjoint, so
+  the product is one column-order pass that reads each row of X once.
 - ``gram_pair(P, w, g_pp)``: the weighted Gramians of ``op P`` against
   itself and against ``P`` that the filter and smoother need for a motion
   operator. ``g_pp()`` returns the basis Gram ``P^T diag(w) P``, which
@@ -184,9 +184,6 @@ class Identity(LinearOperator):
 
     def apply_transpose(self, y):
         return _as_vector(y, self.shape[0], "y").copy()
-
-    def apply_block(self, X):
-        return _as_block(X, self.shape[1]).copy()
 
     def gram_pair(self, P, w, g_pp):
         """M P = P, so both Gramians are G_PP: the one array g_pp() returns,

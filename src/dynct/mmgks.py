@@ -5,7 +5,9 @@ Solves min_s ||A s - b||_2^2 + lam * ||Theta s||_1-like, with the l1 term
 smoothed as phi_eps(z) = sqrt(z^2 + eps^2).  At each outer iteration the
 nonsmooth term is majorized at the current iterate by a weighted quadratic
 lam * ||P Theta s||^2 with diagonal P = diag((z^2 + eps^2)^(-1/4)), and the
-quadratic is minimized over span(W).  The basis W starts from a few
+quadratic is minimized over span(W) through its l x l projected normal
+equations, formed directly from the tall products A W and Theta W (l is the
+basis size, at most seed_vectors + max_iters).  The basis W starts from a few
 Golub-Kahan bidiagonalization vectors of (A, b) and is expanded each
 iteration with the reorthogonalized residual of the full normal equations,
 so the subspace adapts to the reweighting.
@@ -116,13 +118,14 @@ def solve_projected(AW: np.ndarray, TW: np.ndarray, pdiag: np.ndarray,
                     lam: float, b: np.ndarray) -> np.ndarray:
     """Minimize ||AW z - b||^2 + lam ||diag(pdiag) TW z||^2 over z.
 
-    Economic QR of both tall factors reduces this to an l x l system
-    (R_A^T R_A + lam R_T^T R_T) z = R_A^T Q_A^T b.
+    Solves the l x l normal equations
+    (AW^T AW + lam (P TW)^T (P TW)) z = AW^T b, P = diag(pdiag), by
+    Cholesky. An economic QR of either tall factor would give this same
+    matrix, at the same conditioning, once R^T R is formed, so none is taken.
     """
-    QA, RA = np.linalg.qr(AW)
-    RT = np.linalg.qr(pdiag[:, None] * TW, mode="r")
-    lhs = RA.T @ RA + lam * (RT.T @ RT)
-    rhs = RA.T @ (QA.T @ b)
+    PT = pdiag[:, None] * TW
+    lhs = AW.T @ AW + lam * (PT.T @ PT)
+    rhs = AW.T @ b
     try:
         c = sla.cho_factor(lhs, lower=True, check_finite=False)
         z = sla.cho_solve(c, rhs, check_finite=False)

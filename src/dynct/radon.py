@@ -13,14 +13,19 @@ and theta = pi/2 along axis 1. Detector cells have unit spacing and offsets
 t_k = k - (D - 1)/2 for k = 0..D-1.
 
 Each operator row holds the exact intersection lengths of one ray with the
-pixel grid (Siddon-style traversal): nonnegative weights, at most
-n_x + n_y nonzeros per row. Rows are ordered angle-major: row = a * D + k.
+pixel grid (Siddon, Med. Phys. 12(2), 1985): nonnegative weights, at most
+n_x + n_y nonzeros per row. The rays of one angle are parallel, so they are
+traced together in one array pass (``_trace_angle``): the crossing
+parameters of every ray with the grid lines, clipped to the ray's slab and
+sorted along it, bound its segments, and each segment's midpoint names its
+pixel. Rows are ordered angle-major, row = a * D + k, with each row's
+entries in order along the ray, the same order a ray-by-ray trace gives.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,7 +52,9 @@ class ScanGeometry:
             raise ConfigError("detector_count must be positive")
         if not self.angles_per_frame:
             raise ConfigError("at least one frame of angles is required")
-        for angles in self.angles_per_frame:
+        for t, angles in enumerate(self.angles_per_frame):
+            if not angles:
+                raise ConfigError(f"frame {t} has no angles")
             for a in angles:
                 if not (0.0 <= a < math.pi):
                     raise ConfigError(f"angles must lie in [0, pi), got {a}")
@@ -83,71 +90,59 @@ def make_geometry(n_x, n_y, n_angles, n_frames, angle_offset=0.0,
                         detector_count=int(detector_count))
 
 
-def _trace_ray(theta, t, n_x, n_y):
-    """Pixel indices and intersection lengths for one ray.
+def _trace_angle(theta, offsets, n_x, n_y):
+    """(ray, flat pixel, length) of every segment of the rays at one angle.
 
-    Returns (flat_cols, lengths); both empty when the ray misses the grid.
+    All rays of an angle are parallel, so they share which axes they cross;
+    an axis they run along only decides which rays hit the grid. Each ray's
+    crossings of the grid lines of every crossed axis, clipped to its slab
+    [s_lo, s_hi] and sorted, bound its segments. Clipped and duplicate
+    crossings leave zero-length segments, which are dropped; so is every
+    segment of a ray that misses the box (s_lo >= s_hi), since clipping
+    sets all its crossings to s_hi. Entries come ray by ray, in ascending s
+    along each ray.
     """
-    o = np.array([t * math.sin(theta), t * math.cos(theta)])
-    d = np.array([math.cos(theta), -math.sin(theta)])
-    half = np.array([n_x / 2.0, n_y / 2.0])
+    o = (offsets * math.sin(theta), offsets * math.cos(theta))
+    d = (math.cos(theta), -math.sin(theta))
+    half = (n_x / 2.0, n_y / 2.0)
 
-    # Slab clipping to the bounding box.
-    s_lo, s_hi = -np.inf, np.inf
-    for a in range(2):
+    hit = np.ones(offsets.size, dtype=bool)
+    s_lo, s_hi, crossings = -np.inf, np.inf, []
+    for a, n in enumerate((n_x, n_y)):
         if abs(d[a]) < _PARALLEL_EPS:
-            if not (-half[a] <= o[a] <= half[a]):
-                return np.empty(0, dtype=np.int64), np.empty(0)
-        else:
-            sa = (-half[a] - o[a]) / d[a]
-            sb = (half[a] - o[a]) / d[a]
-            s_lo = max(s_lo, min(sa, sb))
-            s_hi = min(s_hi, max(sa, sb))
-    if not (s_lo < s_hi):
-        return np.empty(0, dtype=np.int64), np.empty(0)
-
-    crossings = [np.array([s_lo, s_hi])]
-    for a, n in zip(range(2), (n_x, n_y)):
-        if abs(d[a]) >= _PARALLEL_EPS:
-            bounds = np.arange(n + 1) - half[a]
-            s = (bounds - o[a]) / d[a]
-            crossings.append(s[(s > s_lo) & (s < s_hi)])
-    s_all = np.unique(np.concatenate(crossings))
-    lengths = np.diff(s_all)
-    keep = lengths > _PARALLEL_EPS
-    if not np.any(keep):
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    mids = 0.5 * (s_all[:-1] + s_all[1:])[keep]
-    lengths = lengths[keep]
-    i = np.clip(np.floor(o[0] + mids * d[0] + half[0]).astype(np.int64), 0, n_x - 1)
-    j = np.clip(np.floor(o[1] + mids * d[1] + half[1]).astype(np.int64), 0, n_y - 1)
-    return i * n_y + j, lengths
+            hit &= (-half[a] <= o[a]) & (o[a] <= half[a])
+            continue
+        s = (np.arange(n + 1) - half[a] - o[a][:, None]) / d[a]
+        s_lo = np.maximum(s_lo, np.minimum(s[:, 0], s[:, -1]))
+        s_hi = np.minimum(s_hi, np.maximum(s[:, 0], s[:, -1]))
+        crossings.append(s)
+    s = np.sort(np.clip(np.hstack(crossings), s_lo[:, None], s_hi[:, None]),
+                axis=1)
+    lengths = np.diff(s, axis=1)
+    keep = (lengths > _PARALLEL_EPS) & hit[:, None]
+    ray = np.nonzero(keep)[0]
+    mids = 0.5 * (s[:, :-1] + s[:, 1:])[keep]
+    i = np.clip(np.floor(o[0][ray] + mids * d[0] + half[0]).astype(np.int64), 0, n_x - 1)
+    j = np.clip(np.floor(o[1][ray] + mids * d[1] + half[1]).astype(np.int64), 0, n_y - 1)
+    return ray, i * n_y + j, lengths[keep]
 
 
 def build_operator(geom: ScanGeometry, t: int) -> SparseCSR:
     """Sparse Radon operator for frame t: (|angles_t| * D) x (n_x * n_y)."""
     if not (0 <= t < geom.n_frames):
         raise ConfigError(f"frame index {t} out of range [0, {geom.n_frames})")
-    angles = geom.angles_per_frame[t]
     D = geom.detector_count
     offsets = np.arange(D) - (D - 1) / 2.0
     rows, cols, vals = [], [], []
-    for a, theta in enumerate(angles):
-        for k, off in enumerate(offsets):
-            c, w = _trace_ray(theta, off, geom.n_x, geom.n_y)
-            if c.size:
-                rows.append(np.full(c.size, a * D + k, dtype=np.int64))
-                cols.append(c)
-                vals.append(w)
-    n_rows = len(angles) * D
-    n_cols = geom.n_x * geom.n_y
-    if rows:
-        m = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_rows, n_cols),
-        )
-    else:
-        m = sp.csr_matrix((n_rows, n_cols))
+    for a, theta in enumerate(geom.angles_per_frame[t]):
+        ray, c, w = _trace_angle(theta, offsets, geom.n_x, geom.n_y)
+        rows.append(a * D + ray)
+        cols.append(c)
+        vals.append(w)
+    m = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(geom.frame_rows(t), geom.n_x * geom.n_y),
+    )
     return SparseCSR(m)
 
 

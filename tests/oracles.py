@@ -7,17 +7,22 @@ meaningful. The last section holds reference routines in the package's own
 conventions (the row-chunked weighted Gram, the Woodbury apply, the
 diagonal M-step with its floor and roundoff guard, the expected
 log-likelihood on diagonal or full noise, the Kronecker-form prior
-covariance and its basis assembled column by column); no pipeline path
-calls them, so they live with the tests.
+covariance and its basis assembled column by column, the Radon operator
+traced ray by ray); no pipeline path calls them, so they live with the
+tests.
 """
 
+import math
+
 import numpy as np
+import scipy.sparse as sp
 
 from dynct._linalg import row_chunks, sym_solve
 from dynct.em import _apply_floor, _guard_negative
 from dynct.errors import ConfigError, NumericError
 from dynct.linops import DENSE_LIMIT
 from dynct.prior import se_kernel_1d
+from dynct.radon import _PARALLEL_EPS
 
 
 def dense_kalman_filter(x0, c0, motions, q_covs, h_mats, r_covs, ys):
@@ -263,3 +268,56 @@ def column_loop_projection(factor_x, factor_y, index_pairs, eigenvalues):
         P[:, k] = np.sqrt(eigenvalues[k]) * np.outer(factor_x[:, a],
                                                      factor_y[:, b]).reshape(-1)
     return P
+
+
+def _trace_ray(theta, t, n_x, n_y):
+    """Pixel indices and intersection lengths for one ray, in order along
+    it; both empty when the ray misses the grid."""
+    o = np.array([t * math.sin(theta), t * math.cos(theta)])
+    d = np.array([math.cos(theta), -math.sin(theta)])
+    half = np.array([n_x / 2.0, n_y / 2.0])
+
+    # Slab clipping to the bounding box.
+    s_lo, s_hi = -np.inf, np.inf
+    for a in range(2):
+        if abs(d[a]) < _PARALLEL_EPS:
+            if not (-half[a] <= o[a] <= half[a]):
+                return np.empty(0, dtype=np.int64), np.empty(0)
+        else:
+            sa = (-half[a] - o[a]) / d[a]
+            sb = (half[a] - o[a]) / d[a]
+            s_lo = max(s_lo, min(sa, sb))
+            s_hi = min(s_hi, max(sa, sb))
+    if not (s_lo < s_hi):
+        return np.empty(0, dtype=np.int64), np.empty(0)
+
+    crossings = [np.array([s_lo, s_hi])]
+    for a, n in zip(range(2), (n_x, n_y)):
+        if abs(d[a]) >= _PARALLEL_EPS:
+            bounds = np.arange(n + 1) - half[a]
+            s = (bounds - o[a]) / d[a]
+            crossings.append(s[(s > s_lo) & (s < s_hi)])
+    s_all = np.unique(np.concatenate(crossings))
+    lengths = np.diff(s_all)
+    keep = lengths > _PARALLEL_EPS
+    mids = 0.5 * (s_all[:-1] + s_all[1:])[keep]
+    i = np.clip(np.floor(o[0] + mids * d[0] + half[0]).astype(np.int64), 0, n_x - 1)
+    j = np.clip(np.floor(o[1] + mids * d[1] + half[1]).astype(np.int64), 0, n_y - 1)
+    return i * n_y + j, lengths[keep]
+
+
+def ray_by_ray_operator(geom, t) -> sp.csr_matrix:
+    """Frame t's Radon matrix traced one ray at a time, entries in row
+    order and along each ray."""
+    D = geom.detector_count
+    offsets = np.arange(D) - (D - 1) / 2.0
+    rows, cols, vals = [], [], []
+    for a, theta in enumerate(geom.angles_per_frame[t]):
+        for k, off in enumerate(offsets):
+            c, w = _trace_ray(theta, off, geom.n_x, geom.n_y)
+            rows.append(np.full(c.size, a * D + k, dtype=np.int64))
+            cols.append(c)
+            vals.append(w)
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(geom.frame_rows(t), geom.n_x * geom.n_y))

@@ -105,7 +105,7 @@ def test_q_update_matches_fully_dense_rts_chain():
 
 
 def test_r_trivial_perfect_fit_zero_cov():
-    h = Identity(4)
+    h = SparseCSR(np.eye(4))
     x = np.array([1.0, 2.0, 3.0, 4.0])
     got = update_r_diag(h.apply(x), h, x, np.zeros((2, 2)),
                         np.zeros((4, 2)))
@@ -113,7 +113,7 @@ def test_r_trivial_perfect_fit_zero_cov():
 
 
 def test_r_trivial_zero_cov_is_squared_residual():
-    h = Identity(3)
+    h = SparseCSR(np.eye(3))
     x = np.zeros(3)
     y = np.array([0.5, -2.0, 1.0])
     got = update_r_diag(y, h, x, np.zeros((3, 3)), np.eye(3))

@@ -167,7 +167,7 @@ def test_static_init_identity_h_orthonormal_basis():
     basis = kron_basis(q_x, q_y, alpha=1e8)
     Q = basis.P
     y = rng.standard_normal(n_s)
-    x0, _ = static_init(Identity(n_s), basis, y)
+    x0, _ = static_init(SparseCSR(sp.eye(n_s)), basis, y)
     want = Q @ np.linalg.solve(Q.T @ Q, Q.T @ y)  # dense normal equations
     assert rel_err(x0, want) <= 1e-10
 

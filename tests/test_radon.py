@@ -8,9 +8,11 @@ import pytest
 from dynct.errors import ConfigError, NumericError
 from dynct.metrics import noise_level
 from dynct.phantom import default_blocks_config, generate_frames
+from dynct.linops import SparseCSR
 from dynct.radon import (ScanGeometry, SinogramSet, build_operator,
                          build_operators, default_detector_count,
                          make_geometry, simulate_sinograms)
+from oracles import ray_by_ray_operator
 
 
 def test_geometry_shapes_and_rotation():
@@ -64,6 +66,49 @@ def test_adjoint_inner_products():
                 lhs, rhs = float(hx @ y), float(x @ op.apply_transpose(y))
                 assert abs(lhs - rhs) <= 1e-12 * max(
                     np.linalg.norm(hx) * np.linalg.norm(y), 1e-300)
+
+
+def _scan(n):
+    """The 11-frame, 5-angle scan the benchmark workloads run at n x n."""
+    return make_geometry(n, n, 5, 11, angle_offset=math.pi / 25)
+
+
+@pytest.mark.parametrize("geom, frames", [
+    (_scan(32), range(11)),
+    (_scan(64), range(11)),
+    (_scan(128), (0, 10)),      # frame 0 has theta = 0 with rays off the grid
+    (make_geometry(48, 40, 5, 2, angle_offset=0.3), range(2)),
+    (make_geometry(12, 10, 5, 2, angle_offset=0.3), range(2)),
+    (make_geometry(7, 13, 4, 2, angle_offset=0.3), range(2)),
+    (make_geometry(10, 10, 1, 1, detector_count=10), range(1)),
+    (make_geometry(16, 16, 6, 1), range(1)),
+    (make_geometry(9, 9, 4, 2, angle_offset=0.2, detector_count=30), range(2)),
+], ids=["32", "64", "128", "48x40", "12x10", "7x13", "theta0", "16-6ang",
+        "9x9-D30"])
+def test_operator_bitwise_equals_ray_by_ray_trace(geom, frames):
+    for t in frames:
+        got = build_operator(geom, t).matrix
+        want = SparseCSR(ray_by_ray_operator(geom, t)).matrix
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), (t, part)
+
+
+def test_diagonal_ray_through_pixel_corners():
+    # the theta = pi/4 ray through the centre meets the lines of both axes
+    # at the same points: n segments of length sqrt(2) on the anti-diagonal
+    n = 8
+    op = build_operator(ScanGeometry(n, n, ((math.pi / 4,),), 1), 0)
+    row = op.matrix.getrow(0)
+    assert row.nnz == n
+    np.testing.assert_array_equal(np.sort(row.indices),
+                                  np.sort(np.arange(n) * n + n - 1 - np.arange(n)))
+    assert abs(row.sum() - n * math.sqrt(2)) <= 1e-12
+
+
+def test_frame_without_angles_rejected():
+    with pytest.raises(ConfigError, match="frame 1 has no angles"):
+        ScanGeometry(n_x=4, n_y=4, angles_per_frame=((0.0,), (), (1.0,)),
+                     detector_count=6)
 
 
 def test_rows_are_angle_major():
