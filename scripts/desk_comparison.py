@@ -53,7 +53,8 @@ def main():
     geom = make_geometry(n, n, args.angles, args.frames,
                          angle_offset=args.rotate)
     h_ops = build_operators(geom)
-    sino = simulate_sinograms(frames, geom, args.sigma, seed=1)
+    sino = simulate_sinograms(frames, geom, args.sigma, seed=1,
+                              operators=h_ops)
     basis = build_projection(n, n, PriorConfig(alpha=args.alpha, ell=args.ell,
                                                rank=args.rank))
     patch = (8, 8) if n % 8 == 0 else (n, n)

@@ -107,17 +107,17 @@ def cmd_reconstruct(args) -> int:
             f"sinogram shape {sino_stack.shape} does not match config "
             f"({cfg.n_frames}, {expected_rows})")
 
-    sino = SinogramSet(geometry=geom, sinograms=list(sino_stack),
-                       noise_level=float(data_manifest["params"].get("sigma", 0.0)),
-                       seed=int(data_manifest["params"].get("noise_seed", 0)))
+    sino = SinogramSet(geometry=geom, sinograms=list(sino_stack))
 
     out = args.out or os.path.join(data_dir, cfg.method.name)
     _ensure_dir(out)
     h_ops = build_operators(geom)
     basis = build_projection(cfg.n_x, cfg.n_y, cfg.prior)
-    files = []
+    record = run_emirkfs(sino, h_ops, basis, cfg.method,
+                         motion_opts=cfg.motion, truth=truth)
 
-    def dump_iteration(j, x_sm):
+    files = []
+    for j, x_sm in enumerate(record.trajectories, start=1):
         for t in range(x_sm.shape[0]):
             base = os.path.join(out, f"recon_i{j}_t{t:03d}")
             write_array(base, x_sm[t])
@@ -126,10 +126,6 @@ def cmd_reconstruct(args) -> int:
                 path = base + ".pgm"
                 write_pgm(path, x_sm[t].reshape(cfg.n_x, cfg.n_y))
                 files.append(path)
-
-    record = run_emirkfs(sino, h_ops, basis, cfg.method,
-                         motion_opts=cfg.motion, truth=truth,
-                         callback=dump_iteration)
 
     csv_path = os.path.join(out, _METRICS)
     write_metrics_csv(csv_path, record_rows(record))

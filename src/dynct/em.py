@@ -20,7 +20,8 @@ n_s x r^2 product). The two cross terms have identical diagonals, so the Q
 update subtracts twice one of them. Its two terms in M_i,
 diag(M_i P Psi_{i-1}^sm (M_i P)^T) and diag(P omega_i (M_i P)^T), come from
 the motion operator's ``q_terms``: closed forms for PatchRank1 (M2 and M3;
-no n_s x r product), the basis' ``quad_diag`` for Identity and row chunks
+per-patch sums over a reshaped view of the image-order P, no n_s x r
+product), the basis' ``quad_diag`` for Identity and row chunks
 of M_i P for SparseCSR (the M1 warp). The smoother rejects covariances that
 are not PSD beyond roundoff; here roundoff-negative diagonal entries are
 clamped and larger ones rejected, and a relative floor (1e-8 of the mean)

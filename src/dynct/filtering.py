@@ -13,7 +13,8 @@ diag(lambda)/q with no n_s x r^2 product whenever Q = q I, as in every
 IRKFS step and every first pass, and otherwise a gather over products of
 its 1-D factor blocks. The motion operator forms the other two
 (``gram_pair``): Identity returns G_PP for both, PatchRank1 (M2 is its
-one-patch case) uses closed forms in its per-patch coefficients, and
+one-patch case) uses closed forms in its per-patch coefficients, which it
+sums over a reshaped view of the image-order P with no copy, and
 SparseCSR (the M1 warp) accumulates them over row chunks of M P, each
 formed by the chunk's rows of the matrix. G_H = (H P)^T R^{-1} (H P) comes
 from the whole H P, which ``apply_block`` forms in one column-order pass

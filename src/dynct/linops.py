@@ -5,6 +5,8 @@ observation operators H, the flow solver's operands and the M1 flow warp.
 ``Identity`` is the motion of runs without motion refits. ``PatchRank1`` is
 a rank-1 map on each patch of a non-overlapping image tiling: the M3 fit,
 and the M2 fit as its one-patch case (the whole image as a single patch).
+Every operator keeps its vectors in image order (row-major over the
+(n_x, n_y) grid); ``PatchRank1`` reaches its patches through reshaped views.
 
 The operator protocol is the products the filter, smoother and M-step
 make. Every operator implements the first two; the other three exist only
@@ -35,9 +37,7 @@ where a caller makes them:
   never forms an n_s x r product.
 
 There is no column-loop fallback: an operator without one of the last three
-raises ``NotImplementedError``. ``to_dense`` applies the operator to the
-identity's columns, for debugging and oracle tests only; it refuses to
-build anything with more than ``DENSE_LIMIT`` rows or columns.
+raises ``NotImplementedError``.
 
 All vectors are 1-D float64 arrays; blocks are (n, k) float64 arrays.
 """
@@ -49,9 +49,6 @@ import scipy.sparse as sp
 
 from ._linalg import row_chunks
 from .errors import ConfigError
-
-# Largest state dimension for which dense materialization is permitted.
-DENSE_LIMIT = 4096
 
 
 def _as_vector(x, n, name="x"):
@@ -66,14 +63,6 @@ def _as_block(X, n):
     if X.ndim != 2 or X.shape[0] != n:
         raise ConfigError(f"block must have shape ({n}, k), got shape {X.shape}")
     return X
-
-
-def to_patches(x, n_x, n_y, z_x, z_y):
-    """(n_patches, z_x * z_y) patch rows of an image vector, patches in
-    row-major order over the (n_x // z_x, n_y // z_y) patch grid."""
-    bx, by = n_x // z_x, n_y // z_y
-    return x.reshape(bx, z_x, by, z_y).transpose(0, 2, 1, 3).reshape(
-        bx * by, z_x * z_y)
 
 
 class LinearOperator:
@@ -103,13 +92,6 @@ class LinearOperator:
         operator M = op, the two motion terms of the Q-update diagonal;
         quad(psi) gives diag(P psi P^T)."""
         raise NotImplementedError(f"{type(self).__name__} has no Q-update terms")
-
-    def to_dense(self) -> np.ndarray:
-        if max(self.shape) > DENSE_LIMIT:
-            raise ConfigError(
-                f"refusing to densify operator of shape {self.shape} (limit {DENSE_LIMIT})"
-            )
-        return np.column_stack([self.apply(e) for e in np.eye(self.shape[1])])
 
 
 class SparseCSR(LinearOperator):
@@ -203,67 +185,61 @@ class PatchRank1(LinearOperator):
     """Block-diagonal rank-1 action on non-overlapping image patches.
 
     The image grid (n_x, n_y) is tiled by (z_x, z_y) patches (z_x | n_x,
-    z_y | n_y). Patch j carries vectors u_j, v_j (flattened patch contents)
-    and a positive, finite denominator d_j; the operator maps patch content
-    p_j to u_j * (v_j @ p_j) / d_j. Equivalent to
-    sum_j S_j u_j (S_j v_j)^T / d_j with S_j the patch scatter maps. ``grid``
-    is the (n_x // z_x, n_y // z_y) patch grid; with one patch
-    (z_x, z_y) = (n_x, n_y) the operator is the plain rank-1 map u v^T / d.
+    z_y | n_y). The operator holds (does not copy) image-order vectors u, v
+    and keeps one positive, finite denominator d_j per patch on the
+    (n_x // z_x, n_y // z_y) patch grid (``denoms``); it maps x to
+    u_i (v_j . x_j) / d_j at each pixel i of patch j, x_j being x on patch j.
+    With one patch (z_x, z_y) = (n_x, n_y) it is the plain rank-1 map
+    u v^T / d. Per-patch sums contract over the ``tiles`` view
+    (n_x // z_x, z_x, n_y // z_y, z_y) of their image-order operands, and
+    per-patch values spread back by broadcasting over it.
     """
 
-    def __init__(self, n_x, n_y, z_x, z_y, U, V, denoms):
-        if n_x % z_x or n_y % z_y:
+    def __init__(self, n_x, n_y, z_x, z_y, u, v, denoms):
+        if z_x < 1 or z_y < 1 or n_x % z_x or n_y % z_y:
             raise ConfigError(f"patch ({z_x},{z_y}) must tile image ({n_x},{n_y}) exactly")
-        self.n_x, self.n_y = int(n_x), int(n_y)
-        self.z_x, self.z_y = int(z_x), int(z_y)
-        self.grid = (self.n_x // self.z_x, self.n_y // self.z_y)
-        n_patches = self.grid[0] * self.grid[1]
-        self.U = np.asarray(U, dtype=np.float64).reshape(n_patches, z_x * z_y)
-        self.V = np.asarray(V, dtype=np.float64).reshape(n_patches, z_x * z_y)
-        self.denoms = np.asarray(denoms, dtype=np.float64).ravel()
-        if self.denoms.shape != (n_patches,):
+        self.tiles = (n_x // z_x, z_x, n_y // z_y, z_y)
+        n_s = n_x * n_y
+        self.shape = (n_s, n_s)
+        self.u = _as_vector(u, n_s, "u")
+        self.v = _as_vector(v, n_s, "v")
+        denoms = np.asarray(denoms, dtype=np.float64)
+        if denoms.size != self.tiles[0] * self.tiles[2]:
             raise ConfigError("one denominator per patch required")
+        self.denoms = denoms.reshape(self.tiles[0], self.tiles[2])
         if not np.all(np.isfinite(self.denoms) & (self.denoms > 0)):
             raise ConfigError("patch denominators must be positive and finite")
-        n_s = self.n_x * self.n_y
-        self.shape = (n_s, n_s)
 
-    def _to_patches(self, x):
-        return to_patches(x, self.n_x, self.n_y, self.z_x, self.z_y)
+    def _dots(self, a, b):
+        """The patch-grid sums sum_{i in j} a_i b_i of two image-order
+        vectors."""
+        return np.einsum("acbd,acbd->ab", a.reshape(self.tiles),
+                         b.reshape(self.tiles))
 
-    def _from_patches(self, P):
-        bx, by = self.grid
-        img = P.reshape(bx, by, self.z_x, self.z_y).transpose(0, 2, 1, 3).reshape(
-            self.n_x, self.n_y
-        )
-        return img.reshape(-1)
+    def _sums(self, w, X):
+        """The (n_patches, k) rows sum_{i in j} w_i X_i of an image-order
+        vector w and block X."""
+        k = X.shape[1]
+        return np.einsum("acbd,acbdk->abk", w.reshape(self.tiles),
+                         X.reshape(*self.tiles, k)).reshape(-1, k)
+
+    def _spread(self, w, vals):
+        """The image-order vector w_i vals_j, j the patch of pixel i and
+        vals on the patch grid."""
+        return (w.reshape(self.tiles) * vals[:, None, :, None]).reshape(-1)
 
     def apply(self, x):
         x = _as_vector(x, self.shape[1])
-        P = self._to_patches(x)
-        coef = np.einsum("ij,ij->i", self.V, P) / self.denoms
-        return self._from_patches(self.U * coef[:, None])
+        return self._spread(self.u, self._dots(self.v, x) / self.denoms)
 
     def apply_transpose(self, y):
         y = _as_vector(y, self.shape[0], "y")
-        P = self._to_patches(y)
-        coef = np.einsum("ij,ij->i", self.U, P) / self.denoms
-        return self._from_patches(self.V * coef[:, None])
-
-    def _patch_sums(self, W, X):
-        """Rows sum_{i in j} W[j, i] X_i over the patches j, W in patch-row
-        layout; contracts over views of X (no copy)."""
-        k = X.shape[1]
-        bx, by = self.grid
-        sums = np.einsum("abcd,acbdk->abk",
-                         W.reshape(bx, by, self.z_x, self.z_y),
-                         X.reshape(bx, self.z_x, by, self.z_y, k))
-        return sums.reshape(bx * by, k)
+        return self._spread(self.v, self._dots(self.u, y) / self.denoms)
 
     def _coef(self, P):
         """The (n_patches, r) coefficients C, c_j = P_j^T v_j / d_j with P_j
         the rows of patch j: row i of M P is u_i c_j, j the patch of row i."""
-        return self._patch_sums(self.V, P) / self.denoms[:, None]
+        return self._sums(self.v, P) / self.denoms.reshape(-1, 1)
 
     def gram_pair(self, P, w, g_pp):
         """With C the coefficients, a_j = sum_{i in j} w_i u_i^2 and
@@ -271,26 +247,24 @@ class PatchRank1(LinearOperator):
         That costs O(n_s r + n_patches r^2)."""
         P = _as_block(P, self.shape[1])
         coef = self._coef(P)
-        wu = self.U * self._to_patches(w)
-        a = np.einsum("ij,ij->i", wu, self.U)
-        return (coef.T @ (a[:, None] * coef),
-                coef.T @ self._patch_sums(wu, P))
+        wu = w * self.u
+        a = self._dots(wu, self.u).reshape(-1)
+        return coef.T @ (a[:, None] * coef), coef.T @ self._sums(wu, P)
 
     def q_terms(self, P, psi_prev, omega, quad):
         """With C the coefficients and j the patch of row i:
         diag(MP psi_prev (MP)^T)_i = u_i^2 (C psi_prev C^T)_jj and
         diag(P omega (MP)^T)_i = u_i P_i (omega C^T)_{:, j}, the latter
-        contracted over views of P in image order. That costs
-        O(n_s r + n_patches r^2); quad is left uncalled."""
+        contracted over the view of P. That costs O(n_s r + n_patches r^2);
+        quad is left uncalled."""
         P = _as_block(P, self.shape[1])
+        grid = self.denoms.shape
         coef = self._coef(P)
-        bx, by = self.grid
         c_quad = np.einsum("jk,jk->j", coef @ psi_prev, coef)
-        sums = np.einsum("acbdk,abk->acbd",
-                         P.reshape(bx, self.z_x, by, self.z_y, P.shape[1]),
-                         (coef @ omega.T).reshape(bx, by, -1))
-        return (self._from_patches(self.U * self.U * c_quad[:, None]),
-                self._from_patches(self.U) * sums.reshape(-1))
+        sums = np.einsum("acbdk,abk->acbd", P.reshape(*self.tiles, P.shape[1]),
+                         (coef @ omega.T).reshape(*grid, -1))
+        return (self._spread(self.u * self.u, c_quad.reshape(grid)),
+                self.u * sums.reshape(-1))
 
 
 def payload_nbytes(op: LinearOperator) -> int:
@@ -303,5 +277,5 @@ def payload_nbytes(op: LinearOperator) -> int:
         m = op.matrix
         return int(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
     if isinstance(op, PatchRank1):
-        return int(op.U.nbytes + op.V.nbytes + op.denoms.nbytes)
+        return int(op.u.nbytes + op.v.nbytes + op.denoms.nbytes)
     return 0

@@ -7,7 +7,8 @@ Three estimators, all producing operators M with M x_prev ~ x_next:
   penalty (mmgks), then turned into a backward-warping interpolation
   matrix, a ``SparseCSR``;
 * patchwise rank-1 (M3): M = x_next x_prev^T / (||x_prev||^2 + zeta)
-  independently on non-overlapping image patches, a ``PatchRank1``;
+  independently on non-overlapping image patches, a ``PatchRank1`` that
+  holds x_next and x_prev in image order as they come;
 * rank-1 (M2): the same closed form over the whole image, which is the
   patchwise fit with one patch.
 
@@ -25,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, NumericError
-from .linops import Identity, PatchRank1, SparseCSR, to_patches
+from .linops import Identity, PatchRank1, SparseCSR
 from .mmgks import MMGKSConfig, mmgks_solve
 
 
@@ -130,7 +131,9 @@ def build_warp(field: VelocityField) -> SparseCSR:
 
 def dmd_patchwise(x_prev, x_next, n_x: int, n_y: int, patch=(8, 8),
                   zeta: float = 0.0) -> PatchRank1:
-    """Per-patch rank-1 transition fit on a non-overlapping tiling."""
+    """Per-patch rank-1 transition fit on a non-overlapping tiling: u = x_next
+    and v = x_prev in image order, d_j = ||x_prev on patch j||^2 + zeta.
+    Raises NumericError when a source patch is all zero and zeta = 0."""
     z_x, z_y = int(patch[0]), int(patch[1])
     if z_x < 1 or z_y < 1 or n_x % z_x or n_y % z_y:
         raise ConfigError(f"dmd_patchwise: patch ({z_x},{z_y}) must tile ({n_x},{n_y})")
@@ -138,12 +141,11 @@ def dmd_patchwise(x_prev, x_next, n_x: int, n_y: int, patch=(8, 8),
         raise ConfigError("dmd_patchwise: zeta must be nonnegative")
     x_prev = np.asarray(x_prev, dtype=float).ravel()
     x_next = np.asarray(x_next, dtype=float).ravel()
-    V = to_patches(x_prev, n_x, n_y, z_x, z_y)
-    U = to_patches(x_next, n_x, n_y, z_x, z_y)
-    denoms = np.einsum("ij,ij->i", V, V) + zeta
+    view = x_prev.reshape(n_x // z_x, z_x, n_y // z_y, z_y)
+    denoms = np.einsum("acbd,acbd->ab", view, view) + zeta
     if np.any(denoms <= 0.0):
         raise NumericError("dmd_patchwise: empty source patch with zeta = 0")
-    return PatchRank1(n_x, n_y, z_x, z_y, U, V, denoms)
+    return PatchRank1(n_x, n_y, z_x, z_y, x_next, x_prev, denoms)
 
 
 def fit_motion(prev, nxt, n_x: int, n_y: int, kind: str, zeta: float = 0.0,

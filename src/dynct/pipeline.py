@@ -181,14 +181,12 @@ def record_rows(record: RunRecord) -> list:
 def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
                 method: MethodSpec, motion_opts: MotionOptions | None = None,
                 truth: np.ndarray | None = None,
-                tracker: MemoryTracker | None = None,
-                callback=None) -> RunRecord:
+                tracker: MemoryTracker | None = None) -> RunRecord:
     """Run one method variant over a sinogram set.
 
     h_ops[i] is the forward operator for frame i (frame 0 included; it only
     feeds the static initializer). truth, when given, is the (T+1, n_s)
-    ground-truth trajectory used for per-frame RRE. callback(j, x_sm) fires
-    after each pass with the stored smoothed trajectory (do not mutate).
+    ground-truth trajectory used for per-frame RRE.
     """
     motion_opts = motion_opts or MotionOptions()
     tracker = tracker or MemoryTracker()
@@ -298,8 +296,6 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
             if truth is not None:
                 record.rre.append(np.array(
                     [rre(x_sm[i], truth[i]) for i in range(n_steps + 1)]))
-            if callback is not None:
-                callback(j, x_sm)
     finally:
         tracker.release(scratch + motion_bytes + noise.nbytes())
         tracker.release(x0.nbytes)

@@ -157,8 +157,6 @@ class SinogramSet:
 
     geometry: ScanGeometry
     sinograms: list[np.ndarray]
-    noise_level: float
-    seed: int
 
     def __post_init__(self):
         if len(self.sinograms) != self.geometry.n_frames:
@@ -199,5 +197,4 @@ def simulate_sinograms(frames, geom: ScanGeometry, noise_level, seed,
     else:
         scale = noise_level * clean_norm / noise_norm
     y = [c + scale * e for c, e in zip(clean, noise)]
-    return SinogramSet(geometry=geom, sinograms=y, noise_level=float(noise_level),
-                       seed=int(seed))
+    return SinogramSet(geometry=geom, sinograms=y)

@@ -10,7 +10,7 @@ from dynct.phantom import default_blocks_config, generate_frames
 from dynct.prior import PriorConfig, ProjectionBasis, build_projection
 from dynct.radon import build_operators, make_geometry, simulate_sinograms
 from dynct.smoothing import run_smoother
-from oracles import column_loop_projection
+from oracles import column_loop_projection, dense
 
 
 def build_problem(n_x=12, n_y=12, n_steps=4, n_angles=5, sigma=0.05,
@@ -37,7 +37,7 @@ def build_problem(n_x=12, n_y=12, n_steps=4, n_angles=5, sigma=0.05,
     return {
         "frames": frames, "geom": geom, "h_ops": h_ops, "sino": sino,
         "basis": basis, "noise": noise, "x0": x0, "a0": a0,
-        "h_dense": [op.to_dense() for op in h_ops],
+        "h_dense": [dense(op) for op in h_ops],
         "n_s": n_s, "n_steps": n_steps,
     }
 

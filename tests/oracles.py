@@ -4,12 +4,12 @@ Everything above the last section is written in the most literal textbook
 form possible: full covariances, explicit inverses, gain-form recursions.
 Nothing there is shared with the package internals, so agreement is
 meaningful. The last section holds reference routines in the package's own
-conventions (the row-chunked weighted Gram, the Woodbury apply, the
-diagonal M-step with its floor and roundoff guard, the expected
-log-likelihood on diagonal or full noise, the Kronecker-form prior
-covariance and its basis assembled column by column, the Radon operator
-traced ray by ray); no pipeline path calls them, so they live with the
-tests.
+conventions (an operator's dense matrix, the row-chunked weighted Gram,
+the Woodbury apply, the diagonal M-step with its floor and roundoff guard,
+the expected log-likelihood on diagonal or full noise, the Kronecker-form
+prior covariance and its basis assembled column by column, the Radon
+operator traced ray by ray); no pipeline path calls them, so they live
+with the tests.
 """
 
 import math
@@ -20,7 +20,6 @@ import scipy.sparse as sp
 from dynct._linalg import row_chunks, sym_solve
 from dynct.em import _apply_floor, _guard_negative
 from dynct.errors import ConfigError, NumericError
-from dynct.linops import DENSE_LIMIT
 from dynct.prior import se_kernel_1d
 from dynct.radon import _PARALLEL_EPS
 
@@ -150,6 +149,19 @@ def projected_posterior_cov(P, psi):
 # ---------------------------------------------------------------------------
 # Reference routines in the package's conventions (small problems only).
 
+# Largest dimension a dense reference here is allowed to build.
+DENSE_LIMIT = 4096
+
+
+def dense(op) -> np.ndarray:
+    """An operator's matrix, its products with the identity's columns;
+    refuses anything with more than DENSE_LIMIT rows or columns."""
+    if max(op.shape) > DENSE_LIMIT:
+        raise ConfigError(
+            f"refusing to densify operator of shape {op.shape} (limit {DENSE_LIMIT})")
+    return np.column_stack([op.apply(e) for e in np.eye(op.shape[1])])
+
+
 def _guard_dense(n: int, what: str) -> None:
     if n > DENSE_LIMIT:
         raise ConfigError(f"{what}: dense path refused for dimension {n}")
@@ -189,7 +201,7 @@ def expected_loglik(y_frames, h_ops, motions, q_covs, r_covs,
 
     def _dense(op):
         return np.asarray(op, dtype=float) if isinstance(op, np.ndarray) \
-            else op.to_dense()
+            else dense(op)
 
     def _term(cov, second_moment, what):
         cov = np.asarray(cov, dtype=float)

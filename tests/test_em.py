@@ -10,7 +10,7 @@ from dynct.filtering import run_filter
 from dynct.linops import Identity, PatchRank1, SparseCSR
 from helpers import (build_problem, dense_noise, kron_basis, psi_of, rel_err,
                      smoothed_moments)
-from oracles import (dense_cross_covariances, dense_kalman_filter,
+from oracles import (dense, dense_cross_covariances, dense_kalman_filter,
                      dense_q_update, dense_r_update, dense_rts_smoother,
                      expected_loglik, projected_posterior_cov, update_q_dense,
                      update_r_dense)
@@ -30,8 +30,8 @@ def _motion(kind, n_x, n_y, rng):
         return PatchRank1(n_x, n_y, n_x, n_y, rng.uniform(0.5, 1.5, n_s),
                           rng.uniform(0.5, 1.5, n_s), np.array([float(n_s)]))
     n_p = (n_x // 2) * (n_y // 2)
-    return PatchRank1(n_x, n_y, 2, 2, rng.uniform(0.5, 1.5, (n_p, 4)),
-                      rng.uniform(0.5, 1.5, (n_p, 4)), np.full(n_p, 4.0))
+    return PatchRank1(n_x, n_y, 2, 2, rng.uniform(0.5, 1.5, n_s),
+                      rng.uniform(0.5, 1.5, n_s), np.full(n_p, 4.0))
 
 
 def _smoothed_problem(kind="SparseCSR", **kw):
@@ -77,7 +77,7 @@ def test_q_update_matches_dense_formula(kind):
                               projected_posterior_cov(P, sm.psi_sm[i - 1]),
                               projected_posterior_cov(P, sm.psi_sm[i]),
                               P @ sm.omegas[i - 1] @ P.T,
-                              motions[i - 1].to_dense())
+                              dense(motions[i - 1]))
         assert rel_err(got, want) <= 1e-10, f"step {i}"
 
 

@@ -182,7 +182,7 @@ def test_innovation_whiteness_on_true_model():
     h = prob["h_ops"][1]
     m = h.shape[0]
     h_ops = [prob["h_ops"][0]] + [h] * 30
-    hd = h.to_dense()
+    hd = prob["h_dense"][1]
     x = P @ rng.standard_normal(P.shape[1])  # draw from the prior
     xs, ys = [x], [np.zeros(prob["h_ops"][0].shape[0])]
     for _ in range(30):

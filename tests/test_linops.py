@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from dynct import _linalg
 from dynct._linalg import op_gram, row_chunks
 from dynct.errors import ConfigError
-from dynct.linops import (DENSE_LIMIT, Identity, LinearOperator, PatchRank1,
-                          SparseCSR, payload_nbytes, to_patches)
-from oracles import weighted_gram
+from dynct.linops import (Identity, LinearOperator, PatchRank1, SparseCSR,
+                          payload_nbytes)
+from oracles import DENSE_LIMIT, dense, weighted_gram
 
 
 def _sample_ops(rng):
@@ -23,12 +23,12 @@ def _sample_ops(rng):
         # one patch over the whole 4 x 3 image: the M2 rank-1 map u v^T / d
         PatchRank1(4, 3, 4, 3, rng.standard_normal(12), rng.standard_normal(12),
                    np.array([1.7])),
-        PatchRank1(4, 3, 2, 3, rng.standard_normal((2, 6)),
-                   rng.standard_normal((2, 6)), np.array([1.3, 0.4])),
+        PatchRank1(4, 3, 2, 3, rng.standard_normal(12), rng.standard_normal(12),
+                   np.array([1.3, 0.4])),
         # 2 x 2 grid of non-square 3 x 2 patches: rows of one patch are not
         # contiguous in the state vector, and slices cut through patches
-        PatchRank1(6, 4, 3, 2, rng.standard_normal((4, 6)),
-                   rng.standard_normal((4, 6)), np.array([1.3, 0.4, 2.1, 0.9])),
+        PatchRank1(6, 4, 3, 2, rng.standard_normal(24), rng.standard_normal(24),
+                   np.array([1.3, 0.4, 2.1, 0.9])),
     ]
     warp_mat = sp.random(12, 12, density=0.4,
                          random_state=np.random.RandomState(3), format="csr")
@@ -50,7 +50,7 @@ def square_ops(ops):
                                       random_state=np.random.RandomState(9))))
     assert {type(op).__name__ for op in square} == {
         "Identity", "SparseCSR", "PatchRank1"}
-    assert {op.grid for op in square if isinstance(op, PatchRank1)} == {
+    assert {op.denoms.shape for op in square if isinstance(op, PatchRank1)} == {
         (1, 1), (2, 1), (2, 2)}
     return square
 
@@ -61,22 +61,26 @@ def _dense_reference(op):
         return op.matrix.toarray()
     if isinstance(op, Identity):
         return np.eye(op.shape[0])
-    dense = np.zeros(op.shape)
-    idx = to_patches(np.arange(op.shape[0]), op.n_x, op.n_y, op.z_x, op.z_y)
-    for j, rows in enumerate(idx):
-        dense[np.ix_(rows, rows)] += np.outer(op.U[j], op.V[j]) / op.denoms[j]
-    return dense
+    bx, z_x, by, z_y = op.tiles
+    pixels = np.arange(op.shape[0]).reshape(bx * z_x, by * z_y)
+    ref = np.zeros(op.shape)
+    for a in range(bx):
+        for b in range(by):
+            rows = pixels[a * z_x:(a + 1) * z_x, b * z_y:(b + 1) * z_y].ravel()
+            ref[np.ix_(rows, rows)] += (np.outer(op.u[rows], op.v[rows])
+                                        / op.denoms[a, b])
+    return ref
 
 
 def test_apply_matches_dense(ops):
     rng = np.random.default_rng(1)
     for op in ops:
-        dense = _dense_reference(op)
-        np.testing.assert_allclose(op.to_dense(), dense, atol=1e-12)
+        ref = _dense_reference(op)
+        np.testing.assert_allclose(dense(op), ref, atol=1e-12)
         x = rng.standard_normal(op.shape[1])
         y = rng.standard_normal(op.shape[0])
-        np.testing.assert_allclose(op.apply(x), dense @ x, atol=1e-12)
-        np.testing.assert_allclose(op.apply_transpose(y), dense.T @ y,
+        np.testing.assert_allclose(op.apply(x), ref @ x, atol=1e-12)
+        np.testing.assert_allclose(op.apply_transpose(y), ref.T @ y,
                                    atol=1e-12)
 
 
@@ -174,9 +178,9 @@ def test_q_terms_match_dense(square_ops, monkeypatch):
 def test_patch_rank1_q_terms_any_tiling(bx, by, z_x, z_y, r, seed):
     # non-square grids and patches, one patch, one-pixel patches
     rng = np.random.default_rng(seed)
-    n_p, z = bx * by, z_x * z_y
-    op = PatchRank1(bx * z_x, by * z_y, z_x, z_y, rng.standard_normal((n_p, z)),
-                    rng.standard_normal((n_p, z)), rng.uniform(0.5, 2.0, n_p))
+    n_p, n_s = bx * by, bx * z_x * by * z_y
+    op = PatchRank1(bx * z_x, by * z_y, z_x, z_y, rng.standard_normal(n_s),
+                    rng.standard_normal(n_s), rng.uniform(0.5, 2.0, n_p))
     _assert_q_terms(op, *_q_inputs(rng, op.shape[0], r))
 
 
@@ -235,7 +239,7 @@ def test_operator_without_row_kernel_raises():
 def test_to_dense_guard():
     big = Identity(DENSE_LIMIT + 1)
     with pytest.raises(ConfigError):
-        big.to_dense()
+        dense(big)
 
 
 def test_sparse_csr_canonicalizes_duplicates():
@@ -245,7 +249,7 @@ def test_sparse_csr_canonicalizes_duplicates():
     vals = np.array([2.0, 3.0, 1.0])
     m = sp.coo_matrix((vals, (rows, cols)), shape=(2, 2))
     op = SparseCSR(m)
-    np.testing.assert_allclose(op.to_dense(), [[0.0, 5.0], [1.0, 0.0]])
+    np.testing.assert_allclose(dense(op), [[0.0, 5.0], [1.0, 0.0]])
 
 
 def test_rank1_denominator_guard():
@@ -256,9 +260,11 @@ def test_rank1_denominator_guard():
 
 
 def test_patch_rank1_tiling_guard():
-    with pytest.raises(ConfigError):
-        PatchRank1(5, 3, 2, 3, np.zeros((2, 6)), np.zeros((2, 6)),
-                   np.ones(2))
+    # a patch that does not tile the image, and patch sizes below one
+    for n_x, n_y, z_x, z_y in ((5, 3, 2, 3), (4, 4, 0, 2), (4, 4, 2, 0)):
+        with pytest.raises(ConfigError):
+            PatchRank1(n_x, n_y, z_x, z_y, np.zeros(n_x * n_y),
+                       np.zeros(n_x * n_y), np.ones(2))
 
 
 def test_payload_nbytes(ops):
@@ -268,7 +274,7 @@ def test_payload_nbytes(ops):
         if isinstance(op, Identity):
             assert n == 0
         if isinstance(op, PatchRank1):
-            assert n == op.U.nbytes + op.V.nbytes + op.denoms.nbytes
+            assert n == op.u.nbytes + op.v.nbytes + op.denoms.nbytes
         if isinstance(op, SparseCSR):
             # one stored matrix: the adjoint is a view of its arrays
             m = op.matrix

@@ -9,7 +9,7 @@ from dynct.mmgks import (MMGKSConfig, _SingularProjected, expand_basis,
                          gkb_seed, majorant_value, mmgks_solve,
                          penalty_weights, solve_projected)
 from helpers import rel_err
-from oracles import dense_irls
+from oracles import dense, dense_irls
 
 
 def _first_difference(n):
@@ -79,7 +79,7 @@ def test_matches_dense_irls_fixed_point():
     cfg = MMGKSConfig(seed_vectors=5, max_iters=150, tol=1e-12, lam=lam,
                       eps=eps)
     res = mmgks_solve(SparseCSR(a), theta, b, cfg)
-    want = dense_irls(a, theta.to_dense(), b, lam, eps)
+    want = dense_irls(a, dense(theta), b, lam, eps)
     assert rel_err(res.s, want) <= 1e-5
 
 
@@ -110,7 +110,7 @@ def test_projected_residual_monotone_in_subspace():
     b = rng.standard_normal(20)
     W, _, _ = gkb_seed(op, b, 6)
     AW_full = a @ W
-    TW_full = theta.to_dense() @ W
+    TW_full = dense(theta) @ W
     wts = np.ones(TW_full.shape[0])
     vals = []
     for ell in range(1, W.shape[1] + 1):
@@ -128,7 +128,7 @@ def test_expand_basis_keeps_orthonormality():
     b = rng.standard_normal(15)
     W, _, _ = gkb_seed(op, b, 3)
     AW = a @ W
-    TW = theta.to_dense() @ W
+    TW = dense(theta) @ W
     for k in range(4):
         v = rng.standard_normal(9)
         W, AW, TW, _ = expand_basis(W, AW, TW, op, theta, v)

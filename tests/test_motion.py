@@ -11,6 +11,7 @@ from dynct.motion import (VelocityField, build_warp, dmd_patchwise,
                           ofc_system)
 from dynct.phantom import default_blocks_config, generate_frames
 from helpers import rel_err
+from oracles import dense
 
 
 def _blob(n, ci, cj, width=2.5):
@@ -23,7 +24,7 @@ def _blob(n, ci, cj, width=2.5):
 def test_ofc_constant_image():
     x = np.full(12, 3.0)
     V, b = ofc_system(x, x + 1.0, 3, 4)
-    assert not V.to_dense().any()
+    assert not dense(V).any()
     np.testing.assert_array_equal(b, -np.ones(12))
 
 
@@ -92,7 +93,7 @@ def test_flow_regularizer_shape():
 def test_warp_zero_velocity_is_identity():
     z = np.zeros(20)
     w = build_warp(VelocityField(s_x=z, s_y=z, n_x=4, n_y=5))
-    assert np.array_equal(w.to_dense(), np.eye(20))
+    assert np.array_equal(dense(w), np.eye(20))
 
 
 def test_warp_integer_shift_exact_on_interior():
@@ -110,8 +111,8 @@ def test_warp_half_pixel_averages_neighbors():
     n = 6
     half = np.full(n * n, 0.5)
     w = build_warp(VelocityField(s_x=half, s_y=np.zeros(n * n), n_x=n, n_y=n))
-    dense = w.to_dense()
-    row = dense[2 * n + 3]  # pixel (2, 3) sources (2, 2.5)
+    mat = dense(w)
+    row = mat[2 * n + 3]  # pixel (2, 3) sources (2, 2.5)
     want = np.zeros(n * n)
     want[2 * n + 2] = 0.5
     want[2 * n + 3] = 0.5
@@ -124,9 +125,9 @@ def test_warp_rows_stochastic_even_with_wild_velocities():
     s_x = rng.uniform(-12, 12, n * n)
     s_y = rng.uniform(-12, 12, n * n)
     w = build_warp(VelocityField(s_x=s_x, s_y=s_y, n_x=n, n_y=n))
-    dense = w.to_dense()
-    assert (dense >= 0).all()
-    np.testing.assert_allclose(dense.sum(axis=1), 1.0, atol=1e-14)
+    mat = dense(w)
+    assert (mat >= 0).all()
+    np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-14)
 
 
 # -- rank-1 and patchwise DMD -------------------------------------------------
@@ -141,7 +142,7 @@ def test_dmd_rank1_exact_fit_at_zero_zeta():
     # M2 fits the whole image as one patch and ignores the M3 tiling, even
     # one that does not tile the image
     m = _m2(prev, nxt, 0.0, patch=(2, 4))
-    assert m.grid == (1, 1)
+    assert m.denoms.shape == (1, 1)
     np.testing.assert_allclose(m.apply(prev), nxt, rtol=1e-12, atol=0)
 
 
@@ -207,7 +208,7 @@ def test_patchwise_matches_dense_summation_oracle():
                             for a in range(z) for c in range(z)])
             u, v = nxt[idx], prev[idx]
             want[np.ix_(idx, idx)] += np.outer(u, v) / (v @ v + zeta)
-    np.testing.assert_allclose(m.to_dense(), want, atol=1e-13)
+    np.testing.assert_allclose(dense(m), want, atol=1e-13)
 
 
 def test_patchwise_validation():
@@ -215,6 +216,9 @@ def test_patchwise_validation():
         dmd_patchwise(np.ones(16), np.ones(16), 4, 4, patch=(3, 2))
     with pytest.raises(NumericError):
         dmd_patchwise(np.zeros(16), np.ones(16), 4, 4, patch=(2, 2), zeta=0.0)
+    # M2 with zeta = 0 has no fit from an all-zero source frame
+    with pytest.raises(NumericError):
+        fit_motion(np.zeros(16), np.ones(16), 4, 4, "m2", zeta=0.0)
 
 
 # -- trajectory-level construction -------------------------------------------

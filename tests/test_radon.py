@@ -169,4 +169,4 @@ def test_sinogram_set_rejects_non_finite(bad):
     frames = [y.copy() for y in sino.sinograms]
     frames[1][3] = bad
     with pytest.raises(NumericError, match="sinogram 1"):
-        SinogramSet(geometry=geom, sinograms=frames, noise_level=0.01, seed=0)
+        SinogramSet(geometry=geom, sinograms=frames)
