@@ -1,6 +1,6 @@
-"""Shared dense kernels: guarded Cholesky solves and inverse factors, the
-PSD guard on formed covariances, the observation Gram and the row-chunked
-quadratic-form diagonal.
+"""Shared dense kernels: guarded Cholesky solves, inverse and capacitance
+factors, the PSD guard on formed covariances, the observation Gram and the
+row-chunked quadratic-form diagonal.
 
 ``quad_diag`` and the sparse operators' row-chunked loops form n-vector
 diagonals and r x r projections of n x r products without holding more
@@ -85,6 +85,13 @@ def _cholesky(A: np.ndarray, what: str):
             f"{what}: Cholesky factorization failed (condition estimate "
             f"{_cond_estimate(A):.3e})"
         ) from exc
+
+
+def capacitance_factor(A: np.ndarray, g_mm: np.ndarray, what: str):
+    """Lower Cholesky factor L (upper triangle: leftovers) of the Woodbury
+    capacitance S = A^T G_MM A + I, formed only here; NumericError unless PD."""
+    S = symmetrize(A.T @ g_mm @ A) + np.eye(A.shape[1])
+    return _cholesky(S, what)[0]
 
 
 def sym_solve(A: np.ndarray, B: np.ndarray, what: str = "system"):

@@ -24,14 +24,15 @@ through the operator adjoint, e.g. (H P)^T v = P^T (H^T v).
 Reduced covariances are carried as square-root factors: the filter keeps
 A_i with Psi_i = A_i A_i^T, never Psi_i itself, and applies Psi only as
 A (A^T v). Predicted covariances, which are C_i^p = B_i B_i^T + Q_i with
-B_i = M_i P A_{i-1}, thus never exist as arrays: with S = A^T G_MM A + I
-the Woodbury identity gives
+B_i = M_i P A_{i-1}, thus never exist as arrays: with the capacitance
+S = A^T G_MM A + I = L L^T (``capacitance_factor``, shared with the
+smoother) and V = L^{-1} A^T G_MP, the Woodbury identity gives
 
-    P^T (C^p)^{-1} P = G_PP - (A^T G_MP)^T S^{-1} (A^T G_MP).
+    P^T (C^p)^{-1} P = G_PP - V^T V.
 
 The measurement update is the standard information form on the reduced
 coordinates: Psi_i = (G_H + P^T (C^p)^{-1} P)^{-1}. One Cholesky factor
-L L^T = G_H + P^T (C^p)^{-1} P gives A_i = L^{-T} (one triangular
+J J^T = G_H + P^T (C^p)^{-1} P gives A_i = J^{-T} (one triangular
 inverse), an upper-triangular factor of Psi_i; the Cholesky is also the
 guard, raising NumericError when the information matrix is not positive
 definite.
@@ -42,8 +43,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
-from ._linalg import inverse_factor, op_gram, sym_solve, symmetrize
+from ._linalg import (capacitance_factor, inverse_factor, op_gram, sym_solve,
+                      symmetrize)
 from .errors import ConfigError
 from .linops import LinearOperator
 from .prior import ProjectionBasis
@@ -120,7 +123,6 @@ def filter_step(x_prev: np.ndarray, a_prev: np.ndarray, motion: LinearOperator,
     """One predict/update step from the previous mean and covariance factor
     (Psi_{i-1} = a_prev a_prev^T); returns (x_est, a_est)."""
     P = basis.P
-    r = P.shape[1]
     q_inv = 1.0 / np.asarray(q_diag, dtype=float)
     r_inv = 1.0 / np.asarray(r_diag, dtype=float)
 
@@ -129,9 +131,9 @@ def filter_step(x_prev: np.ndarray, a_prev: np.ndarray, motion: LinearOperator,
 
     g_pp = basis.gram(q_inv)
     g_mm, g_mp = motion.gram_pair(P, q_inv, lambda: g_pp)
-    S = symmetrize(A.T @ g_mm @ A) + np.eye(r)
-    E = A.T @ g_mp
-    pcp = symmetrize(g_pp - E.T @ sym_solve(S, E, "filter capacitance"))
+    L = capacitance_factor(A, g_mm, "filter capacitance")
+    V = sla.solve_triangular(L, A.T @ g_mp, lower=True, check_finite=False)
+    pcp = symmetrize(g_pp - V.T @ V)
 
     g_h = op_gram(h_op, P, r_inv)
     innov = np.asarray(y_i, dtype=float) - h_op.apply(x_pred)

@@ -141,6 +141,8 @@ def dmd_patchwise(x_prev, x_next, n_x: int, n_y: int, patch=(8, 8),
         raise ConfigError("dmd_patchwise: zeta must be nonnegative")
     x_prev = np.asarray(x_prev, dtype=float).ravel()
     x_next = np.asarray(x_next, dtype=float).ravel()
+    if x_prev.size != n_x * n_y or x_next.size != n_x * n_y:
+        raise ConfigError("dmd_patchwise: frames must have length n_x*n_y")
     view = x_prev.reshape(n_x // z_x, z_x, n_y // z_y, z_y)
     denoms = np.einsum("acbd,acbd->ab", view, view) + zeta
     if np.any(denoms <= 0.0):

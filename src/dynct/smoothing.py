@@ -1,31 +1,26 @@
 """Backward (RTS-type) smoother on the reduced square-root filter output.
 
-The filter hands over means and factors A_i (Psi_i^est = A_i A_i^T); the
-smoother uses A_{i-1} directly as the Woodbury factor of the predicted
-covariance, as the filter did, and recomputes the prediction
-x_i^p = M_i x_{i-1}^est with one operator apply.  With d = x_i^sm - x_i^p,
-S = A^T G_MM A + I and the Woodbury expansion of (C_i^p)^{-1}, the mean
-recursion is
+The filter hands over means and factors A_i (Psi_i^est = A_i A_i^T).  With
+A = A_{i-1}, the motion's Gramians G_MM and G_MP (``gram_pair``) and the
+filter's own capacitance factor L L^T = S = A^T G_MM A + I
+(``capacitance_factor``), the textbook gain K_i = P^T (C_i^p)^{-1} (M_i P),
+information term N_i = (M_i P)^T (C_i^p)^{-1} (M_i P) and
+Psi^est = Psi_{i-1}^est cancel through three exact identities:
 
-    x_{i-1}^sm = x_{i-1}^est + P A A^T (M P)^T (C_i^p)^{-1} d,
-    (M P)^T (C_i^p)^{-1} d = w - G_MM A S^{-1} A^T w,  w = P^T M^T Q^{-1} d,
+    A^T N_i A = I - S^{-1},  so  Psi^est - Psi^est N_i Psi^est = A S^{-1} A^T,
+    K_i Psi^est = (A^T G_MP)^T S^{-1} A^T,
+    x_{i-1}^sm = x_{i-1}^est + P A S^{-1} A^T w,  w = P^T M_i^T Q_i^{-1} d,
 
-one adjoint apply and r x r work on the Gramians the filter uses (the
-motion Gramians from the operator's ``gram_pair``; G_PP from the basis only
-for an Identity motion, whose Gramians it is).  Covariance quantities (needed by the EM
-updates) run on r x r matrices, with the one Cholesky of S solving for
-A^T w and A^T G_MM together:
+with d = x_i^sm - M_i x_{i-1}^est: the mean takes one apply, one adjoint
+apply and two triangular solves against L on the r-vector A^T w; with
+U = L^{-1} A^T and V = L^{-1} A^T G_MP, the covariances (for EM) are
 
-    gain                 K_i = P^T (C_i^p)^{-1} (M_i P)
-    cross                omega_i = Psi_i^sm K_i Psi_{i-1}^est
-    Psi_{i-1}^sm = Psi_{i-1}^est + (K_i Psi_{i-1}^est)^T omega_i
-        - Psi_{i-1}^est N_i Psi_{i-1}^est,
-    N_i = (M_i P)^T (C_i^p)^{-1} (M_i P),
+    omega_i = Psi_i^sm V^T U,    Psi_{i-1}^sm = U^T U + (V^T U)^T omega_i,
 
-with Psi_{i-1}^est = A_{i-1} A_{i-1}^T formed once for the step.  The
-lag-one cross covariance is C_{i,i-1}^sm = P omega_i P^T, never assembled
-densely.  Each Psi_{i-1}^sm is checked PSD (eigenvalues only) as it is
-formed; Psi_T^sm = A_T A_T^T is PSD by construction.
+two congruences, each PSD when Psi_i^sm is.  The lag-one cross covariance
+is C_{i,i-1}^sm = P omega_i P^T, never assembled densely.  Each
+Psi_{i-1}^sm is checked PSD (eigenvalues only) as it is formed;
+Psi_T^sm = A_T A_T^T is PSD by construction.
 
 No covariance history is kept.  Everything that consumes the smoothed
 moments of transition i (motion re-fit, M-step) needs only x_{i-1}^sm,
@@ -37,8 +32,9 @@ O(r^2) reduced memory however long the sequence is.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as sla
 
-from ._linalg import check_psd, sym_solve, symmetrize
+from ._linalg import capacitance_factor, check_psd, symmetrize
 from .errors import ConfigError
 from .filtering import FilterResult, NoiseModel
 from .linops import LinearOperator
@@ -55,31 +51,23 @@ def smooth_step(x_est_prev, a_est_prev, x_sm_i, psi_sm_i,
     psi_sm_prev and omega_i are None unless with_covariance is set.
     """
     P = basis.P
-    r = P.shape[1]
     q_inv = 1.0 / np.asarray(q_diag, dtype=float)
     A = a_est_prev
     d = x_sm_i - motion.apply(x_est_prev)
 
     g_mm, g_mp = motion.gram_pair(P, q_inv, lambda: basis.gram(q_inv))
-    F = A.T @ g_mm
-    S = symmetrize(F @ A) + np.eye(r)
+    L = capacitance_factor(A, g_mm, "smoother capacitance")
     w = P.T @ motion.apply_transpose(q_inv * d)
-    rhs = (A.T @ w)[:, None]
-    if with_covariance:
-        rhs = np.hstack([rhs, F])
-    sol = sym_solve(S, rhs, "smoother capacitance")
-    x_sm_prev = x_est_prev + P @ (A @ (A.T @ (w - F.T @ sol[:, 0])))
+    coef = sla.cho_solve((L, True), A.T @ w, check_finite=False)
+    x_sm_prev = x_est_prev + P @ (A @ coef)
     if not with_covariance:
         return x_sm_prev, None, None
 
-    S_inv_F = sol[:, 1:]
-    K = g_mp.T - (A.T @ g_mp).T @ S_inv_F
-    N = symmetrize(g_mm - F.T @ S_inv_F)
-    psi_est_prev = A @ A.T
-    k_psi = K @ psi_est_prev
+    U = sla.solve_triangular(L, A.T, lower=True, check_finite=False)
+    V = sla.solve_triangular(L, A.T @ g_mp, lower=True, check_finite=False)
+    k_psi = V.T @ U
     omega = psi_sm_i @ k_psi
-    psi_sm_prev = symmetrize(psi_est_prev + k_psi.T @ omega
-                             - psi_est_prev @ N @ psi_est_prev)
+    psi_sm_prev = symmetrize(U.T @ U + k_psi.T @ omega)
     return x_sm_prev, psi_sm_prev, omega
 
 

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from dynct.filtering import initial_noise, static_init
+from dynct.linops import Identity, SparseCSR
+from dynct.motion import dmd_patchwise
 from dynct.phantom import default_blocks_config, generate_frames
 from dynct.prior import PriorConfig, ProjectionBasis, build_projection
 from dynct.radon import build_operators, make_geometry, simulate_sinograms
@@ -40,6 +42,23 @@ def build_problem(n_x=12, n_y=12, n_steps=4, n_angles=5, sigma=0.05,
         "h_dense": [dense(op) for op in h_ops],
         "n_s": n_s, "n_steps": n_steps,
     }
+
+
+def transition_motions(kind, n_x, n_y, n_steps, seed=0):
+    """One transition operator of the given kind per step: Identity, a
+    SparseCSR 0.9 I + 0.05 superdiagonal, or a PatchRank1 on 2 x 2 patches
+    fitted by ``dmd_patchwise`` to seeded positive frames (n_x, n_y even).
+    Only the last two have G_MM != G_MP."""
+    n_s = n_x * n_y
+    if kind == "Identity":
+        return [Identity(n_s) for _ in range(n_steps)]
+    if kind == "SparseCSR":
+        mat = 0.9 * np.eye(n_s) + 0.05 * np.eye(n_s, k=1)
+        return [SparseCSR(mat) for _ in range(n_steps)]
+    rng = np.random.default_rng(seed)
+    return [dmd_patchwise(rng.uniform(0.5, 1.5, n_s), rng.uniform(0.5, 1.5, n_s),
+                          n_x, n_y, patch=(2, 2), zeta=0.1)
+            for _ in range(n_steps)]
 
 
 def kron_basis(factor_x, factor_y, eigenvalues=None, alpha=1.0):

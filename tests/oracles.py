@@ -242,23 +242,6 @@ def weighted_gram(X: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def smw_apply(q_inv_diag: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """(B B^T + Q)^{-1} X for diagonal Q, via the Woodbury identity.
-
-    Allocates one array of X's shape; the correction term is folded in
-    row-chunk by row-chunk.
-    """
-    q_inv_diag = np.asarray(q_inv_diag, dtype=float)
-    vec = X.ndim == 1
-    Xm = X[:, None] if vec else X
-    out = q_inv_diag[:, None] * Xm
-    S = weighted_gram(B, q_inv_diag) + np.eye(B.shape[1])
-    Z = sym_solve(S, B.T @ out, "smw capacitance")
-    for rows in row_chunks(B.shape[0], B.shape[1]):
-        out[rows] -= q_inv_diag[rows, None] * (B[rows] @ Z)
-    return out[:, 0] if vec else out
-
-
 def se_covariance_entry(p, q, alpha, ell) -> float:
     """Prior covariance between pixels p = (ix, iy) and q = (jx, jy)."""
     d2 = float((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2)

@@ -7,7 +7,9 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+from dynct._linalg import capacitance_factor
 from dynct.em import update_q_diag, update_r_diag
 from dynct.filtering import run_filter
 from dynct.linops import Identity, SparseCSR
@@ -23,7 +25,7 @@ from helpers import (build_problem, dense_noise, psi_of, rel_err,
                      smoothed_moments)
 from oracles import (dense_expected_loglik, dense_irls, dense_kalman_filter, dense_q_update,
                      dense_r_update, dense_rts_smoother,
-                     dense_cross_covariances, smw_apply)
+                     dense_cross_covariances)
 
 
 def _ok(n: int, label: str) -> None:
@@ -99,18 +101,30 @@ def test_criterion_02_reduced_smoother_matches_dense_rts(small):
 
 
 def test_criterion_03_smw_matches_dense_inversion():
+    # the filter's Woodbury form P^T (C^p)^{-1} P = G_PP - V^T V, with
+    # C^p = M P A A^T P^T M^T + Q and V = L^{-1} A^T G_MP from the shared
+    # capacitance factor L, against a dense solve
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
+    worst = 0.0
     for _ in range(200):
         n_s = int(rng.integers(2, 65))
         r = int(rng.integers(1, 9))
         q = rng.uniform(0.2, 4.0, n_s)
-        B = rng.standard_normal((n_s, r))
-        X = rng.standard_normal((n_s, min(r + 2, n_s)))
-        want = np.linalg.solve(B @ B.T + np.diag(q), X)
-        assert rel_err(smw_apply(1.0 / q, B, X), want) <= 1e-10
+        M = rng.standard_normal((n_s, n_s))
+        P = rng.standard_normal((n_s, r))
+        A = rng.standard_normal((r, r))
+        MP = M @ P
+        L = capacitance_factor(A, MP.T @ (MP / q[:, None]), "criterion 3")
+        V = sla.solve_triangular(L, A.T @ (MP.T @ (P / q[:, None])),
+                                 lower=True)
+        got = P.T @ (P / q[:, None]) - V.T @ V
+        B = MP @ A
+        want = P.T @ np.linalg.solve(B @ B.T + np.diag(q), P)
+        worst = max(worst, rel_err(got, want))
+    assert worst <= 1e-10, worst
     assert time.perf_counter() - t0 < 5.0
-    _ok(3, "SMW apply == dense inversion over 200 trials to 1e-10")
+    _ok(3, "filter Woodbury form == dense inversion over 200 trials to 1e-10")
 
 
 def test_criterion_04_em_mstep_oracle_and_monotone_objective():

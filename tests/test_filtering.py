@@ -10,8 +10,9 @@ from dynct.filtering import (NoiseModel, filter_step, initial_noise,
                              run_filter, static_init)
 from dynct.linops import Identity, SparseCSR
 from dynct.prior import PriorConfig, ProjectionBasis, build_projection
-from helpers import build_problem, dense_noise, kron_basis, psi_of, rel_err
-from oracles import dense_kalman_filter, projected_posterior_cov, smw_apply
+from helpers import (build_problem, dense_noise, kron_basis, psi_of, rel_err,
+                     transition_motions)
+from oracles import dense, dense_kalman_filter, projected_posterior_cov
 
 
 @pytest.fixture(scope="module")
@@ -19,42 +20,70 @@ def prob():
     return build_problem()
 
 
-@pytest.fixture(scope="module")
-def reduced(prob):
-    motions = [Identity(prob["n_s"]) for _ in range(prob["n_steps"])]
-    filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
+def _reduced(prob, motions):
+    return run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
                       prob["noise"], prob["basis"], prob["x0"], prob["a0"])
-    return filt
 
 
-@pytest.fixture(scope="module")
-def dense(prob):
+def _dense(prob, motions):
     q_covs, r_covs = dense_noise(prob)
-    motions = [np.eye(prob["n_s"]) for _ in range(prob["n_steps"])]
     P = prob["basis"].P
     c0 = P @ psi_of(prob["a0"]) @ P.T
-    return dense_kalman_filter(prob["x0"], c0, motions, q_covs,
-                               prob["h_dense"], r_covs,
+    return dense_kalman_filter(prob["x0"], c0, [dense(m) for m in motions],
+                               q_covs, prob["h_dense"], r_covs,
                                prob["sino"].sinograms)
 
 
-def test_means_match_dense_oracle(prob, reduced, dense):
-    means, _, pred_means, _ = dense
-    motion = Identity(prob["n_s"])
+@pytest.fixture(scope="module")
+def identity_motions(prob):
+    return transition_motions("Identity", prob["geom"].n_x, prob["geom"].n_y,
+                              prob["n_steps"])
+
+
+@pytest.fixture(scope="module")
+def reduced(prob, identity_motions):
+    return _reduced(prob, identity_motions)
+
+
+@pytest.fixture(scope="module")
+def dense_kf(prob, identity_motions):
+    return _dense(prob, identity_motions)
+
+
+def _assert_means_match(prob, filt, dense_kf, motions):
+    means, _, pred_means, _ = dense_kf
     for i in range(prob["n_steps"] + 1):
-        assert rel_err(reduced.x_est[i], means[i]) <= 1e-8, f"step {i}"
+        assert rel_err(filt.x_est[i], means[i]) <= 1e-8, f"step {i}"
     # the prediction M_i x_{i-1}^est, as the smoother recomputes it
     for i in range(1, prob["n_steps"] + 1):
-        assert rel_err(motion.apply(reduced.x_est[i - 1]),
+        assert rel_err(motions[i - 1].apply(filt.x_est[i - 1]),
                        pred_means[i]) <= 1e-8, f"step {i}"
 
 
-def test_covariances_match_dense_oracle(prob, reduced, dense):
-    _, covs, _, _ = dense
+def _assert_covariances_match(prob, filt, dense_kf):
+    _, covs, _, _ = dense_kf
     P = prob["basis"].P
     for i in range(prob["n_steps"] + 1):
-        full = projected_posterior_cov(P, psi_of(reduced.a_est[i]))
+        full = projected_posterior_cov(P, psi_of(filt.a_est[i]))
         assert rel_err(full, covs[i]) <= 1e-8, f"step {i}"
+
+
+def test_means_match_dense_oracle(prob, reduced, dense_kf, identity_motions):
+    _assert_means_match(prob, reduced, dense_kf, identity_motions)
+
+
+def test_covariances_match_dense_oracle(prob, reduced, dense_kf):
+    _assert_covariances_match(prob, reduced, dense_kf)
+
+
+@pytest.mark.parametrize("kind", ["SparseCSR", "PatchRank1"])
+def test_moving_motion_matches_dense_oracle(prob, kind):
+    # G_MM != G_MP here, unlike under an Identity motion
+    motions = transition_motions(kind, prob["geom"].n_x, prob["geom"].n_y,
+                                 prob["n_steps"])
+    filt, dense_kf = _reduced(prob, motions), _dense(prob, motions)
+    _assert_means_match(prob, filt, dense_kf, motions)
+    _assert_covariances_match(prob, filt, dense_kf)
 
 
 def test_psi_symmetric_psd(reduced):
@@ -105,50 +134,6 @@ def test_inflated_q_recovers_static_solve():
     x_static, _ = static_init(prob["h_ops"][1], prob["basis"],
                               prob["sino"].sinograms[1])
     assert rel_err(xe, x_static) <= 1e-6
-
-
-def test_smw_matches_dense_inversion():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        n_s = int(rng.integers(4, 65))
-        r = int(rng.integers(1, 9))
-        q = rng.uniform(0.5, 3.0, n_s)
-        B = rng.standard_normal((n_s, r))
-        P = rng.standard_normal((n_s, min(r + 2, n_s)))
-        want = np.linalg.solve(B @ B.T + np.diag(q), P)
-        got = smw_apply(1.0 / q, B, P)
-        assert rel_err(got, want) <= 1e-10
-
-
-def test_smw_zero_lowrank_part():
-    rng = np.random.default_rng(1)
-    q = rng.uniform(0.1, 2.0, 12)
-    P = rng.standard_normal((12, 3))
-    got = smw_apply(1.0 / q, np.zeros((12, 2)), P)
-    np.testing.assert_allclose(got, P / q[:, None], atol=1e-14)
-
-
-def test_smw_rank1_analytic():
-    # Q = I, B = e1: (I + e1 e1^T)^{-1} = I - e1 e1^T / 2
-    n = 6
-    B = np.zeros((n, 1))
-    B[0, 0] = 1.0
-    P = np.eye(n)
-    got = smw_apply(np.ones(n), B, P)
-    want = np.eye(n)
-    want[0, 0] = 0.5
-    np.testing.assert_allclose(got, want, atol=1e-14)
-
-
-def test_smw_vector_input():
-    rng = np.random.default_rng(2)
-    q = rng.uniform(0.5, 1.5, 10)
-    B = rng.standard_normal((10, 3))
-    v = rng.standard_normal(10)
-    got = smw_apply(1.0 / q, B, v)
-    want = np.linalg.solve(B @ B.T + np.diag(q), v)
-    assert got.shape == (10,)
-    assert rel_err(got, want) <= 1e-10
 
 
 def test_static_init_zero_data(prob):

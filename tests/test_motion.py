@@ -219,6 +219,11 @@ def test_patchwise_validation():
     # M2 with zeta = 0 has no fit from an all-zero source frame
     with pytest.raises(NumericError):
         fit_motion(np.zeros(16), np.ones(16), 4, 4, "m2", zeta=0.0)
+    # a frame that is not n_x * n_y long, either one, for M2 and M3
+    for kind in ("m2", "m3"):
+        for prev, nxt in ((np.ones(63), np.ones(64)), (np.ones(64), np.ones(63))):
+            with pytest.raises(ConfigError, match="length n_x\\*n_y"):
+                fit_motion(prev, nxt, 8, 8, kind, patch=(4, 4))
 
 
 # -- trajectory-level construction -------------------------------------------

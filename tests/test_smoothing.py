@@ -11,27 +11,53 @@ from dynct.linops import Identity
 from dynct.metrics import rre
 from dynct.smoothing import run_smoother, smooth_step
 from helpers import (build_problem, dense_noise, psi_of, rel_err,
-                     smoothed_moments)
-from oracles import (dense_cross_covariances, dense_kalman_filter,
+                     smoothed_moments, transition_motions)
+from oracles import (dense, dense_cross_covariances, dense_kalman_filter,
                      dense_rts_smoother, projected_posterior_cov)
 
 
-def _smoothed(prob):
-    motions = [Identity(prob["n_s"]) for _ in range(prob["n_steps"])]
+def _motions(prob, kind="Identity"):
+    return transition_motions(kind, prob["geom"].n_x, prob["geom"].n_y,
+                              prob["n_steps"])
+
+
+def _smoothed(prob, motions=None):
+    motions = _motions(prob) if motions is None else motions
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
                       prob["noise"], prob["basis"], prob["x0"], prob["a0"])
     return filt, smoothed_moments(filt, motions, prob["noise"], prob["basis"])
 
 
-def _dense(prob):
+def _dense(prob, motions=None):
+    motions = _motions(prob) if motions is None else motions
     q_covs, r_covs = dense_noise(prob)
-    motions = [np.eye(prob["n_s"]) for _ in range(prob["n_steps"])]
+    mats = [dense(m) for m in motions]
     P = prob["basis"].P
     c0 = P @ psi_of(prob["a0"]) @ P.T
-    kf = dense_kalman_filter(prob["x0"], c0, motions, q_covs,
+    kf = dense_kalman_filter(prob["x0"], c0, mats, q_covs,
                              prob["h_dense"], r_covs, prob["sino"].sinograms)
-    sm_means, sm_covs, gains = dense_rts_smoother(*kf, motions)
+    sm_means, sm_covs, gains = dense_rts_smoother(*kf, mats)
     return sm_means, sm_covs, gains
+
+
+def _assert_means_match(prob, x_sm, sm_means):
+    for i in range(prob["n_steps"] + 1):
+        assert rel_err(x_sm[i], sm_means[i]) <= 1e-8, f"step {i}"
+
+
+def _assert_covariances_match(prob, sm, sm_covs):
+    P = prob["basis"].P
+    for i in range(prob["n_steps"] + 1):
+        full = projected_posterior_cov(P, sm.psi_sm[i])
+        assert rel_err(full, sm_covs[i]) <= 1e-8, f"step {i}"
+
+
+def _assert_cross_covariances_match(prob, sm, sm_covs, gains):
+    want = dense_cross_covariances(sm_covs, gains)
+    P = prob["basis"].P
+    for i in range(1, prob["n_steps"] + 1):
+        got = P @ sm.omegas[i - 1] @ P.T
+        assert rel_err(got, want[i - 1]) <= 1e-9, f"step {i}"
 
 
 @pytest.fixture(scope="module")
@@ -40,22 +66,30 @@ def prob():
 
 
 def test_means_match_dense_rts(prob):
-    motions = [Identity(prob["n_s"]) for _ in range(prob["n_steps"])]
+    motions = _motions(prob)
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
                       prob["noise"], prob["basis"], prob["x0"], prob["a0"])
     x_sm = run_smoother(filt, motions, prob["noise"], prob["basis"])
-    sm_means, _, _ = _dense(prob)
-    for i in range(prob["n_steps"] + 1):
-        assert rel_err(x_sm[i], sm_means[i]) <= 1e-8, f"step {i}"
+    _assert_means_match(prob, x_sm, _dense(prob)[0])
 
 
 def test_covariances_match_dense_rts(prob):
     _, sm = _smoothed(prob)
-    _, sm_covs, _ = _dense(prob)
-    P = prob["basis"].P
-    for i in range(prob["n_steps"] + 1):
-        full = projected_posterior_cov(P, sm.psi_sm[i])
-        assert rel_err(full, sm_covs[i]) <= 1e-8, f"step {i}"
+    _assert_covariances_match(prob, sm, _dense(prob)[1])
+
+
+@pytest.mark.parametrize("kind", ["SparseCSR", "PatchRank1"])
+def test_moving_motion_matches_dense_rts(prob, kind):
+    # G_MM != G_MP here, unlike under an Identity motion
+    motions = _motions(prob, kind)
+    filt, sm = _smoothed(prob, motions)
+    sm_means, sm_covs, gains = _dense(prob, motions)
+    # the mean-only sweep and the covariance sweep give the same means
+    x_sm = run_smoother(filt, motions, prob["noise"], prob["basis"])
+    np.testing.assert_array_equal(x_sm, sm.x_sm)
+    _assert_means_match(prob, x_sm, sm_means)
+    _assert_covariances_match(prob, sm, sm_covs)
+    _assert_cross_covariances_match(prob, sm, sm_covs, gains)
 
 
 def test_terminal_conditions_exact(prob):
@@ -69,11 +103,7 @@ def test_cross_covariance_matches_dense_formula():
     prob = build_problem(n_x=10, n_y=10, n_steps=3, sigma=0.03)
     _, sm = _smoothed(prob)
     _, sm_covs, gains = _dense(prob)
-    want = dense_cross_covariances(sm_covs, gains)
-    P = prob["basis"].P
-    for i in range(1, prob["n_steps"] + 1):
-        got = P @ sm.omegas[i - 1] @ P.T
-        assert rel_err(got, want[i - 1]) <= 1e-9, f"step {i}"
+    _assert_cross_covariances_match(prob, sm, sm_covs, gains)
 
 
 def test_cross_covariance_zero_smoothed_cov(prob):
