@@ -1,4 +1,4 @@
-"""Shared dense kernels: guarded Cholesky solves, inverse and capacitance
+"""Shared dense kernels: the guarded Cholesky, inverse and capacitance
 factors, the PSD guard on formed covariances, the observation Gram and the
 row-chunked quadratic-form diagonal.
 
@@ -55,8 +55,11 @@ def symmetrize(A: np.ndarray) -> np.ndarray:
 
 
 def check_psd(A: np.ndarray, what: str) -> None:
-    """Raise NumericError when symmetric A has an eigenvalue below
-    -NEG_TOL_REL * max(lambda_max, 1e-30); forms eigenvalues only."""
+    """Raise NumericError when symmetric A has a non-finite entry or an
+    eigenvalue below -NEG_TOL_REL * max(lambda_max, 1e-30); forms
+    eigenvalues only."""
+    if not np.isfinite(A).all():
+        raise NumericError(f"{what}: covariance has non-finite entries")
     vals = np.linalg.eigvalsh(A)
     if vals[0] < -NEG_TOL_REL * max(float(vals[-1]), 1e-30):
         raise NumericError(f"{what}: covariance not PSD "
@@ -92,11 +95,6 @@ def capacitance_factor(A: np.ndarray, g_mm: np.ndarray, what: str):
     capacitance S = A^T G_MM A + I, formed only here; NumericError unless PD."""
     S = symmetrize(A.T @ g_mm @ A) + np.eye(A.shape[1])
     return _cholesky(S, what)[0]
-
-
-def sym_solve(A: np.ndarray, B: np.ndarray, what: str = "system"):
-    """Solve A X = B for symmetric positive definite A (Cholesky)."""
-    return sla.cho_solve(_cholesky(A, what), B, check_finite=False)
 
 
 def inverse_factor(A: np.ndarray, what: str = "matrix") -> np.ndarray:

@@ -21,12 +21,13 @@ from the whole H P, which ``apply_block`` forms in one column-order pass
 over P (``op_gram``). Every vector contraction against M P or H P goes
 through the operator adjoint, e.g. (H P)^T v = P^T (H^T v).
 
-Reduced covariances are carried as square-root factors: the filter keeps
-A_i with Psi_i = A_i A_i^T, never Psi_i itself, and applies Psi only as
-A (A^T v). Predicted covariances, which are C_i^p = B_i B_i^T + Q_i with
-B_i = M_i P A_{i-1}, thus never exist as arrays: with the capacitance
-S = A^T G_MM A + I = L L^T (``capacitance_factor``, shared with the
-smoother) and V = L^{-1} A^T G_MP, the Woodbury identity gives
+Reduced covariances are carried as square-root factors: the filter starts
+from Psi_0 = I, keeps A_i with Psi_i = A_i A_i^T, never Psi_i itself, and
+applies Psi only as A (A^T v). Predicted covariances, which are
+C_i^p = B_i B_i^T + Q_i with B_i = M_i P A_{i-1}, thus never exist as
+arrays: with the capacitance S = A^T G_MM A + I = L L^T
+(``capacitance_factor``), U = L^{-1} A^T and V = U G_MP, the Woodbury
+identity gives
 
     P^T (C^p)^{-1} P = G_PP - V^T V.
 
@@ -35,17 +36,19 @@ coordinates: Psi_i = (G_H + P^T (C^p)^{-1} P)^{-1}. One Cholesky factor
 J J^T = G_H + P^T (C^p)^{-1} P gives A_i = J^{-T} (one triangular
 inverse), an upper-triangular factor of Psi_i; the Cholesky is also the
 guard, raising NumericError when the information matrix is not positive
-definite.
+definite. Step i hands the smoother U_i (lower triangular) in place of
+A_{i-1}, so the filter keeps U_1..U_T and A_T.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from ._linalg import (capacitance_factor, inverse_factor, op_gram, sym_solve,
+from ._linalg import (_cholesky, capacitance_factor, inverse_factor, op_gram,
                       symmetrize)
 from .errors import ConfigError
 from .linops import LinearOperator
@@ -85,8 +88,8 @@ class NoiseModel:
 def initial_noise(alpha: float, n_s: int, row_counts, q_scale: float = 1.0,
                   r_scale: float = 1.0) -> NoiseModel:
     """Flat starting covariances: Q_i = q_scale*alpha^2 I, R_i = r_scale*alpha^2 I."""
-    if q_scale <= 0 or r_scale <= 0:
-        raise ConfigError("initial_noise: scales must be positive")
+    if not all(math.isfinite(s) and s > 0 for s in (q_scale, r_scale)):
+        raise ConfigError("initial_noise: scales must be finite and positive")
     qv = q_scale * alpha ** 2
     rv = r_scale * alpha ** 2
     return NoiseModel(
@@ -98,41 +101,41 @@ def initial_noise(alpha: float, n_s: int, row_counts, q_scale: float = 1.0,
 def static_init(h0: LinearOperator, basis: ProjectionBasis, y0: np.ndarray):
     """Regularized least-squares fit of frame 0 in the basis span.
 
-    Solves (G^T G + alpha^{-2} P^T P) z = G^T y0 with G = H_0 P, returns
-    x0 = P z and the identity as the factor of the reduced covariance (also
-    the identity). The prior term is the basis Gram, alpha^{-2} diag(lambda).
+    Solves (G^T G + alpha^{-2} P^T P) z = G^T y0 with G = H_0 P by Cholesky
+    and returns x0 = P z; the filter starts from it with Psi_0 = I. The
+    prior term is the basis Gram, alpha^{-2} diag(lambda).
     """
     P = basis.P
-    n_s, r = P.shape
-    lhs = op_gram(h0, P) + basis.gram(np.full(n_s, basis.config.alpha ** -2))
+    lhs = op_gram(h0, P) + basis.gram(np.full(P.shape[0], basis.config.alpha ** -2))
     rhs = P.T @ h0.apply_transpose(np.asarray(y0, dtype=float))
-    z = sym_solve(lhs, rhs, "static init")
-    return P @ z, np.eye(r)
+    z = sla.cho_solve(_cholesky(lhs, "static init"), rhs, check_finite=False)
+    return P @ z
 
 
 @dataclass
 class FilterResult:
     x_est: np.ndarray          # (T+1, n_s) filtered means
-    a_est: list                # T+1 factors A_i (r x r), Psi_i = A_i A_i^T;
-                               # [0] is the caller's initial factor
+    u_steps: list              # U_1..U_T (r x r, lower triangular),
+                               # U_i = L_i^{-1} A_{i-1}^T
+    a_last: np.ndarray         # A_T, Psi_T = A_T A_T^T
 
 
 def filter_step(x_prev: np.ndarray, a_prev: np.ndarray, motion: LinearOperator,
                 h_op: LinearOperator, q_diag: np.ndarray, r_diag: np.ndarray,
                 y_i: np.ndarray, basis: ProjectionBasis):
     """One predict/update step from the previous mean and covariance factor
-    (Psi_{i-1} = a_prev a_prev^T); returns (x_est, a_est)."""
+    (Psi_{i-1} = a_prev a_prev^T); returns (x_est, a_est, U)."""
     P = basis.P
     q_inv = 1.0 / np.asarray(q_diag, dtype=float)
     r_inv = 1.0 / np.asarray(r_diag, dtype=float)
 
     x_pred = motion.apply(x_prev)
-    A = a_prev
 
     g_pp = basis.gram(q_inv)
     g_mm, g_mp = motion.gram_pair(P, q_inv, lambda: g_pp)
-    L = capacitance_factor(A, g_mm, "filter capacitance")
-    V = sla.solve_triangular(L, A.T @ g_mp, lower=True, check_finite=False)
+    L = capacitance_factor(a_prev, g_mm, "filter capacitance")
+    U = sla.solve_triangular(L, a_prev.T, lower=True, check_finite=False)
+    V = U @ g_mp
     pcp = symmetrize(g_pp - V.T @ V)
 
     g_h = op_gram(h_op, P, r_inv)
@@ -141,25 +144,25 @@ def filter_step(x_prev: np.ndarray, a_prev: np.ndarray, motion: LinearOperator,
 
     a_est = inverse_factor(symmetrize(g_h) + pcp, "filter covariance")
     x_est = x_pred + P @ (a_est @ (a_est.T @ proj))
-    return x_est, a_est
+    return x_est, a_est, U
 
 
 def run_filter(y_frames, h_ops, motions, noise: NoiseModel, basis: ProjectionBasis,
-               x0: np.ndarray, a0: np.ndarray) -> FilterResult:
-    """Forward pass over frames 1..T from the initial mean x0 and covariance
-    factor a0 (Psi_0 = a0 a0^T; ``static_init`` gives the identity)."""
+               x0: np.ndarray) -> FilterResult:
+    """Forward pass over frames 1..T from the initial mean x0 and Psi_0 = I."""
     n_steps = noise.n_steps
     if not (len(y_frames) == len(h_ops) == n_steps + 1 and len(motions) == n_steps):
         raise ConfigError("run_filter: frame/operator/noise counts disagree")
-    n_s = basis.P.shape[0]
+    n_s, r = basis.P.shape
 
     x_est = np.zeros((n_steps + 1, n_s))
     x_est[0] = x0
-    a_hist = [np.asarray(a0, dtype=float)]
+    a_est = np.eye(r)
+    u_steps = []
 
     for i in range(1, n_steps + 1):
-        x_est[i], a_est = filter_step(
-            x_est[i - 1], a_hist[-1], motions[i - 1], h_ops[i],
+        x_est[i], a_est, u = filter_step(
+            x_est[i - 1], a_est, motions[i - 1], h_ops[i],
             noise.q_diags[i - 1], noise.r_diags[i - 1], y_frames[i], basis)
-        a_hist.append(a_est)
-    return FilterResult(x_est=x_est, a_est=a_hist)
+        u_steps.append(u)
+    return FilterResult(x_est=x_est, u_steps=u_steps, a_last=a_est)

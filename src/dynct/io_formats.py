@@ -11,6 +11,7 @@ content hash over the written binaries.
 import configparser
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -186,8 +187,8 @@ class RunConfig:
         self.output_dir = get("output", "directory")
         self.write_pgm = get("output", "pgm", False)
 
-        if self.sigma < 0:
-            raise ConfigError("config: noise.sigma must be >= 0")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ConfigError("config: noise.sigma must be finite and >= 0")
         if self.method.motion == "m3":
             zx, zy = self.motion.patch
             if self.n_x % zx:

@@ -271,11 +271,13 @@ def payload_nbytes(op: LinearOperator) -> int:
     """Bytes of array storage an operator instance owns.
 
     Used by run bookkeeping to charge motion operators against the working
-    set. Identity owns nothing.
+    set. Identity owns nothing; PatchRank1 owns its denominators only, since
+    it holds u and v without copying them (in a run they are rows of the
+    smoothed trajectory, which is charged already).
     """
     if isinstance(op, SparseCSR):
         m = op.matrix
         return int(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
     if isinstance(op, PatchRank1):
-        return int(op.u.nbytes + op.v.nbytes + op.denoms.nbytes)
+        return int(op.denoms.nbytes)
     return 0

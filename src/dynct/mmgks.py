@@ -18,6 +18,7 @@ the quadratic majorant; across cycles the usual MM argument applies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,12 +42,12 @@ class MMGKSConfig:
     def __post_init__(self):
         if self.seed_vectors < 1 or self.max_iters < 1:
             raise ConfigError("MMGKSConfig: seed_vectors and max_iters must be >= 1")
-        if self.tol <= 0:
-            raise ConfigError("MMGKSConfig: tol must be positive")
-        if self.eps is not None and self.eps <= 0:
-            raise ConfigError("MMGKSConfig: eps must be positive")
-        if self.lam is not None and self.lam < 0:
-            raise ConfigError("MMGKSConfig: lam must be nonnegative")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError("MMGKSConfig: tol must be finite and positive")
+        if self.eps is not None and not (math.isfinite(self.eps) and self.eps > 0):
+            raise ConfigError("MMGKSConfig: eps must be finite and positive")
+        if self.lam is not None and not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError("MMGKSConfig: lam must be finite and nonnegative")
 
 
 @dataclass

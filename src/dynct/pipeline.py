@@ -23,17 +23,18 @@ return. What it charges:
   chunk transients, one whole m_t x r observation product H P and, when
   the run has an M-step (the only source of non-uniform Q), the A^2 x B^2
   intermediate of the basis' non-uniform Gram and diag(P Psi P^T)
-  ((A, B) = ``basis.box``); the noise diagonals, the motion payloads and
-  the initial mean x_0. New motion operators and noise diagonals are
-  charged as each backward step makes them, next to the previous set,
-  which is released when the sweep ends.
+  ((A, B) = ``basis.box``); the noise diagonals, what the motion operators
+  own (M2/M3 hold rows of x_sm as u and v) and the initial mean x_0. New
+  motion operators and noise diagonals are charged as each backward step
+  makes them, next to the previous set, which is released when the sweep
+  ends.
 - Full space, per pass: the filtered means x_est from the filter's return
   to the end of the pass, and the smoothed means x_sm (x_est's shape) from
   just before the sweep until the run returns inside the RunRecord.
-- Reduced (r x r; reported, not budgeted): the initial factor A_0 for the
-  whole run, the filter's factors A_1..A_T from its return to the end of
-  the pass, and, while the M-step at step i runs, the one step the
-  smoother holds: Psi_{i-1}^sm, Psi_i^sm and omega_i.
+- Reduced (r x r; reported, not budgeted): the filter's handover U_1..U_T
+  and last factor A_T from its return to the end of the pass, and, while
+  the M-step at step i runs, the one step the smoother holds:
+  Psi_{i-1}^sm, Psi_i^sm and omega_i.
 
 Every charge is released by the time the run returns; the tracker keeps
 the peaks.
@@ -43,6 +44,7 @@ PhaseTimer keeps nested phases exclusive, so the phases of a pass add up to
 no more than its wall time.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,8 +82,8 @@ class MethodSpec:
             raise ConfigError(f"MethodSpec: motion must be one of {MOTION_KINDS}")
         if self.n_iter < 1:
             raise ConfigError("MethodSpec: n_iter must be >= 1")
-        if self.q_scale <= 0 or self.r_scale <= 0:
-            raise ConfigError("MethodSpec: noise scales must be positive")
+        if not all(math.isfinite(s) and s > 0 for s in (self.q_scale, self.r_scale)):
+            raise ConfigError("MethodSpec: noise scales must be finite and positive")
 
     @property
     def name(self) -> str:
@@ -125,8 +127,8 @@ class MotionOptions:
     flow: MMGKSConfig | None = None
 
     def __post_init__(self):
-        if self.zeta < 0:
-            raise ConfigError("MotionOptions: zeta must be >= 0")
+        if not (math.isfinite(self.zeta) and self.zeta >= 0):
+            raise ConfigError("MotionOptions: zeta must be finite and >= 0")
         if len(self.patch) != 2 or min(self.patch) < 1:
             raise ConfigError("MotionOptions: patch must be two positive ints")
 
@@ -229,9 +231,8 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
     motions = [Identity(n_s) for _ in range(n_steps)]
     motion_bytes = 0
 
-    x0, a0 = static_init(h_ops[0], basis, y_frames[0])
+    x0 = static_init(h_ops[0], basis, y_frames[0])
     tracker.add(x0.nbytes)
-    tracker.add_reduced(a0.nbytes)
 
     P = basis.P
     try:
@@ -268,9 +269,8 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
 
             try:
                 with timer.phase("filter"):
-                    filt = run_filter(y_frames, h_ops, motions, noise, basis,
-                                      x0, a0)
-                history_bytes = sum(a.nbytes for a in filt.a_est[1:])
+                    filt = run_filter(y_frames, h_ops, motions, noise, basis, x0)
+                history_bytes = sum(a.nbytes for a in filt.u_steps + [filt.a_last])
                 tracker.add(filt.x_est.nbytes)
                 tracker.add_reduced(history_bytes)
                 tracker.add(filt.x_est.nbytes)  # x_sm, which has x_est's shape
@@ -290,6 +290,7 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
 
             tracker.release(filt.x_est.nbytes)
             tracker.release_reduced(history_bytes)
+            del filt  # as charged: the next pass filters without it
             # x_sm stays charged; the record owns it until the run returns.
             record.trajectories.append(x_sm)
             record.phase_seconds.append(timer.seconds)
@@ -299,7 +300,6 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
     finally:
         tracker.release(scratch + motion_bytes + noise.nbytes())
         tracker.release(x0.nbytes)
-        tracker.release_reduced(a0.nbytes)
         for traj in record.trajectories:
             tracker.release(traj.nbytes)
         record.peak_bytes = tracker.peak_bytes

@@ -40,6 +40,7 @@ is positive; eigenvalue-product ties are broken lexicographically by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +60,8 @@ class PriorConfig:
     rank: int
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.ell <= 0:
-            raise ConfigError("prior alpha and ell must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.alpha, self.ell)):
+            raise ConfigError("prior alpha and ell must be finite and positive")
         if self.rank < 1:
             raise ConfigError("prior rank must be at least 1")
 

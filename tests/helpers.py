@@ -5,7 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from dynct.filtering import initial_noise, static_init
+from dynct.filtering import (filter_step, initial_noise, run_filter,
+                             static_init)
 from dynct.linops import Identity, SparseCSR
 from dynct.motion import dmd_patchwise
 from dynct.phantom import default_blocks_config, generate_frames
@@ -35,10 +36,10 @@ def build_problem(n_x=12, n_y=12, n_steps=4, n_angles=5, sigma=0.05,
                                                    rank=rank))
     noise = initial_noise(alpha, n_s, [op.shape[0] for op in h_ops[1:]],
                           q_scale=q_scale, r_scale=r_scale)
-    x0, a0 = static_init(h_ops[0], basis, sino.sinograms[0])
+    x0 = static_init(h_ops[0], basis, sino.sinograms[0])
     return {
         "frames": frames, "geom": geom, "h_ops": h_ops, "sino": sino,
-        "basis": basis, "noise": noise, "x0": x0, "a0": a0,
+        "basis": basis, "noise": noise, "x0": x0,
         "h_dense": [dense(op) for op in h_ops],
         "n_s": n_s, "n_steps": n_steps,
     }
@@ -76,6 +77,30 @@ def kron_basis(factor_x, factor_y, eigenvalues=None, alpha=1.0):
         eigenvalues=lam, index_pairs=pairs, factor_x=factor_x,
         factor_y=factor_y, n_x=factor_x.shape[0], n_y=factor_y.shape[0],
         config=PriorConfig(alpha=alpha, ell=1.0, rank=n_a * n_b))
+
+
+def filter_factors(y_frames, h_ops, motions, noise, basis, x0):
+    """run_filter's result and every filter factor A_0..A_T (A_0 = I, the
+    whitened prior), from stepping ``filter_step`` as run_filter does; the
+    filter itself keeps only A_T. Asserts that the stepped means and last
+    factor equal run_filter's bitwise."""
+    filt = run_filter(y_frames, h_ops, motions, noise, basis, x0)
+    x, a = np.asarray(x0, dtype=float), np.eye(basis.rank)
+    a_est = [a]
+    for i in range(1, noise.n_steps + 1):
+        x, a, _ = filter_step(x, a, motions[i - 1], h_ops[i],
+                              noise.q_diags[i - 1], noise.r_diags[i - 1],
+                              y_frames[i], basis)
+        np.testing.assert_array_equal(x, filt.x_est[i])
+        a_est.append(a)
+    np.testing.assert_array_equal(a, filt.a_last)
+    return filt, a_est
+
+
+def problem_filter(prob, motions):
+    """``filter_factors`` on a ``build_problem`` problem."""
+    return filter_factors(prob["sino"].sinograms, prob["h_ops"], motions,
+                          prob["noise"], prob["basis"], prob["x0"])
 
 
 def smoothed_moments(filt, motions, noise, basis):

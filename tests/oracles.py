@@ -15,9 +15,10 @@ with the tests.
 import math
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
-from dynct._linalg import row_chunks, sym_solve
+from dynct._linalg import row_chunks
 from dynct.em import _apply_floor, _guard_negative
 from dynct.errors import ConfigError, NumericError
 from dynct.prior import se_kernel_1d
@@ -212,7 +213,8 @@ def expected_loglik(y_frames, h_ops, motions, q_covs, r_covs,
         sign, logdet = np.linalg.slogdet(cov)
         if sign <= 0:
             raise NumericError(f"expected_loglik: {what} not PD")
-        return float(logdet + np.trace(sym_solve(cov, second_moment, what)))
+        solved = sla.cho_solve(sla.cho_factor(cov), second_moment)
+        return float(logdet + np.trace(solved))
 
     d0 = x_sm[0] - x0_mean
     total = -0.5 * _term(cov0, cov_sm[0] + np.outer(d0, d0), "prior covariance")

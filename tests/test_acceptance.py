@@ -21,8 +21,8 @@ from dynct.pipeline import MotionOptions, parse_method, run_emirkfs
 from dynct.prior import PriorConfig, build_projection
 from dynct.radon import build_operators, make_geometry, simulate_sinograms
 
-from helpers import (build_problem, dense_noise, psi_of, rel_err,
-                     smoothed_moments)
+from helpers import (build_problem, dense_noise, problem_filter, psi_of,
+                     rel_err, smoothed_moments)
 from oracles import (dense_expected_loglik, dense_irls, dense_kalman_filter, dense_q_update,
                      dense_r_update, dense_rts_smoother,
                      dense_cross_covariances)
@@ -39,21 +39,20 @@ def small():
     t0 = time.perf_counter()
     prob = build_problem(n_x=12, n_y=12, n_steps=4, n_angles=5)
     motions = [Identity(prob["n_s"]) for _ in range(prob["n_steps"])]
-    filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
-                      prob["noise"], prob["basis"], prob["x0"], prob["a0"])
+    filt, a_est = problem_filter(prob, motions)
     sm = smoothed_moments(filt, motions, prob["noise"], prob["basis"])
     P = prob["basis"].P
     q_covs, r_covs = dense_noise(prob)
-    c0 = P @ psi_of(prob["a0"]) @ P.T
+    c0 = P @ P.T  # Psi_0 = I
     dm = [np.eye(prob["n_s"])] * prob["n_steps"]
     means, covs, pmeans, pcovs = dense_kalman_filter(
         prob["x0"], c0, dm, q_covs, prob["h_dense"], r_covs,
         list(prob["sino"].sinograms))
     sm_means, sm_covs, gains = dense_rts_smoother(means, covs, pmeans, pcovs,
                                                   dm)
-    return {"prob": prob, "filt": filt, "sm": sm, "means": means,
-            "covs": covs, "sm_means": sm_means, "sm_covs": sm_covs,
-            "built": time.perf_counter() - t0}
+    return {"prob": prob, "filt": filt, "a_est": a_est, "sm": sm,
+            "means": means, "covs": covs, "sm_means": sm_means,
+            "sm_covs": sm_covs, "built": time.perf_counter() - t0}
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +82,7 @@ def test_criterion_01_reduced_filter_matches_dense_kalman(small):
     P = small["prob"]["basis"].P
     for i in range(small["prob"]["n_steps"] + 1):
         assert rel_err(small["filt"].x_est[i], small["means"][i]) <= 1e-8
-        cov = P @ psi_of(small["filt"].a_est[i]) @ P.T
+        cov = P @ psi_of(small["a_est"][i]) @ P.T
         assert rel_err(cov, small["covs"][i]) <= 1e-8
     assert small["built"] + time.perf_counter() - t0 < 10.0
     _ok(1, "reduced filter == dense Kalman filter to 1e-8")
@@ -102,8 +101,8 @@ def test_criterion_02_reduced_smoother_matches_dense_rts(small):
 
 def test_criterion_03_smw_matches_dense_inversion():
     # the filter's Woodbury form P^T (C^p)^{-1} P = G_PP - V^T V, with
-    # C^p = M P A A^T P^T M^T + Q and V = L^{-1} A^T G_MP from the shared
-    # capacitance factor L, against a dense solve
+    # C^p = M P A A^T P^T M^T + Q and V = U G_MP, U = L^{-1} A^T from the
+    # shared capacitance factor L, against a dense solve
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
     worst = 0.0
@@ -116,8 +115,8 @@ def test_criterion_03_smw_matches_dense_inversion():
         A = rng.standard_normal((r, r))
         MP = M @ P
         L = capacitance_factor(A, MP.T @ (MP / q[:, None]), "criterion 3")
-        V = sla.solve_triangular(L, A.T @ (MP.T @ (P / q[:, None])),
-                                 lower=True)
+        U = sla.solve_triangular(L, A.T, lower=True)
+        V = U @ (MP.T @ (P / q[:, None]))
         got = P.T @ (P / q[:, None]) - V.T @ V
         B = MP @ A
         want = P.T @ np.linalg.solve(B @ B.T + np.diag(q), P)
@@ -135,7 +134,7 @@ def test_criterion_04_em_mstep_oracle_and_monotone_objective():
     assert prob["h_ops"][1].shape[0] == 3  # m_t = 3 measurement rows
     motions = [Identity(9) for _ in range(4)]
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
-                      prob["noise"], prob["basis"], prob["x0"], prob["a0"])
+                      prob["noise"], prob["basis"], prob["x0"])
     sm = smoothed_moments(filt, motions, prob["noise"], prob["basis"])
     P = prob["basis"].P
     for i in range(1, 5):

@@ -8,7 +8,7 @@ from dynct.em import FLOOR_ABS, update_q_diag, update_r_diag
 from dynct.errors import ConfigError, NumericError
 from dynct.filtering import run_filter
 from dynct.linops import Identity, PatchRank1, SparseCSR
-from helpers import (build_problem, dense_noise, kron_basis, psi_of, rel_err,
+from helpers import (build_problem, dense_noise, kron_basis, rel_err,
                      smoothed_moments)
 from oracles import (dense, dense_cross_covariances, dense_kalman_filter,
                      dense_q_update, dense_r_update, dense_rts_smoother,
@@ -41,7 +41,7 @@ def _smoothed_problem(kind="SparseCSR", **kw):
     motions = [_motion(kind, geom.n_x, geom.n_y, rng)
                for _ in range(prob["n_steps"])]
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
-                      prob["noise"], prob["basis"], prob["x0"], prob["a0"])
+                      prob["noise"], prob["basis"], prob["x0"])
     sm = smoothed_moments(filt, motions, prob["noise"], prob["basis"])
     return prob, motions, sm
 
@@ -87,12 +87,12 @@ def test_q_update_matches_fully_dense_rts_chain():
     prob = build_problem(n_x=3, n_y=3, n_steps=3, n_angles=2)
     motions_op = [Identity(prob["n_s"])] * prob["n_steps"]
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions_op,
-                      prob["noise"], prob["basis"], prob["x0"], prob["a0"])
+                      prob["noise"], prob["basis"], prob["x0"])
     sm = smoothed_moments(filt, motions_op, prob["noise"], prob["basis"])
     q_covs, r_covs = dense_noise(prob)
     motions = [np.eye(prob["n_s"])] * prob["n_steps"]
     P = prob["basis"].P
-    kf = dense_kalman_filter(prob["x0"], P @ psi_of(prob["a0"]) @ P.T, motions,
+    kf = dense_kalman_filter(prob["x0"], P @ P.T, motions,
                              q_covs, prob["h_dense"], r_covs,
                              prob["sino"].sinograms)
     sm_means, sm_covs, gains = dense_rts_smoother(*kf, motions)

@@ -10,8 +10,8 @@ from dynct.filtering import (NoiseModel, filter_step, initial_noise,
                              run_filter, static_init)
 from dynct.linops import Identity, SparseCSR
 from dynct.prior import PriorConfig, ProjectionBasis, build_projection
-from helpers import (build_problem, dense_noise, kron_basis, psi_of, rel_err,
-                     transition_motions)
+from helpers import (build_problem, dense_noise, filter_factors, kron_basis,
+                     problem_filter, psi_of, rel_err, transition_motions)
 from oracles import dense, dense_kalman_filter, projected_posterior_cov
 
 
@@ -20,15 +20,10 @@ def prob():
     return build_problem()
 
 
-def _reduced(prob, motions):
-    return run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
-                      prob["noise"], prob["basis"], prob["x0"], prob["a0"])
-
-
 def _dense(prob, motions):
     q_covs, r_covs = dense_noise(prob)
     P = prob["basis"].P
-    c0 = P @ psi_of(prob["a0"]) @ P.T
+    c0 = P @ P.T  # Psi_0 = I
     return dense_kalman_filter(prob["x0"], c0, [dense(m) for m in motions],
                                q_covs, prob["h_dense"], r_covs,
                                prob["sino"].sinograms)
@@ -42,7 +37,7 @@ def identity_motions(prob):
 
 @pytest.fixture(scope="module")
 def reduced(prob, identity_motions):
-    return _reduced(prob, identity_motions)
+    return problem_filter(prob, identity_motions)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +45,8 @@ def dense_kf(prob, identity_motions):
     return _dense(prob, identity_motions)
 
 
-def _assert_means_match(prob, filt, dense_kf, motions):
+def _assert_means_match(prob, reduced, dense_kf, motions):
+    filt, _ = reduced
     means, _, pred_means, _ = dense_kf
     for i in range(prob["n_steps"] + 1):
         assert rel_err(filt.x_est[i], means[i]) <= 1e-8, f"step {i}"
@@ -60,11 +56,12 @@ def _assert_means_match(prob, filt, dense_kf, motions):
                        pred_means[i]) <= 1e-8, f"step {i}"
 
 
-def _assert_covariances_match(prob, filt, dense_kf):
+def _assert_covariances_match(prob, reduced, dense_kf):
+    _, a_est = reduced
     _, covs, _, _ = dense_kf
     P = prob["basis"].P
     for i in range(prob["n_steps"] + 1):
-        full = projected_posterior_cov(P, psi_of(filt.a_est[i]))
+        full = projected_posterior_cov(P, psi_of(a_est[i]))
         assert rel_err(full, covs[i]) <= 1e-8, f"step {i}"
 
 
@@ -81,13 +78,17 @@ def test_moving_motion_matches_dense_oracle(prob, kind):
     # G_MM != G_MP here, unlike under an Identity motion
     motions = transition_motions(kind, prob["geom"].n_x, prob["geom"].n_y,
                                  prob["n_steps"])
-    filt, dense_kf = _reduced(prob, motions), _dense(prob, motions)
-    _assert_means_match(prob, filt, dense_kf, motions)
-    _assert_covariances_match(prob, filt, dense_kf)
+    reduced, dense_kf = problem_filter(prob, motions), _dense(prob, motions)
+    _assert_means_match(prob, reduced, dense_kf, motions)
+    _assert_covariances_match(prob, reduced, dense_kf)
 
 
 def test_psi_symmetric_psd(reduced):
-    for a in reduced.a_est:
+    filt, a_est = reduced
+    # the handover U_i = L_i^{-1} A_{i-1}^T is lower triangular
+    for u in filt.u_steps:
+        np.testing.assert_array_equal(u, np.tril(u))
+    for a in a_est:
         # the filter's factors are upper triangular (L^{-T}, identity at 0)
         np.testing.assert_array_equal(a, np.triu(a))
         psi = psi_of(a)
@@ -111,11 +112,12 @@ def test_inverse_factor_of_spd_and_indefinite():
 def test_zero_innovation_keeps_prediction(prob):
     motion = Identity(prob["n_s"])
     h = prob["h_ops"][1]
-    x_prev, a_prev = prob["x0"], prob["a0"]
+    x_prev, a_prev = prob["x0"], np.eye(prob["basis"].rank)
     xp = motion.apply(x_prev)
     y = h.apply(xp)  # exactly consistent data
-    xe, _ = filter_step(x_prev, a_prev, motion, h, prob["noise"].q_diags[0],
-                        prob["noise"].r_diags[0], y, prob["basis"])
+    xe, _, _ = filter_step(x_prev, a_prev, motion, h,
+                           prob["noise"].q_diags[0], prob["noise"].r_diags[0],
+                           y, prob["basis"])
     np.testing.assert_allclose(xe, xp, atol=1e-10 * np.linalg.norm(xp))
 
 
@@ -128,19 +130,18 @@ def test_inflated_q_recovers_static_solve():
     n_s = prob["n_s"]
     q = np.full(n_s, 1e16)
     r = np.ones(prob["h_ops"][1].shape[0])
-    xe, _ = filter_step(prob["x0"], np.eye(n_s), Identity(n_s),
-                        prob["h_ops"][1], q, r, prob["sino"].sinograms[1],
-                        prob["basis"])
-    x_static, _ = static_init(prob["h_ops"][1], prob["basis"],
-                              prob["sino"].sinograms[1])
+    xe, _, _ = filter_step(prob["x0"], np.eye(n_s), Identity(n_s),
+                           prob["h_ops"][1], q, r, prob["sino"].sinograms[1],
+                           prob["basis"])
+    x_static = static_init(prob["h_ops"][1], prob["basis"],
+                           prob["sino"].sinograms[1])
     assert rel_err(xe, x_static) <= 1e-6
 
 
 def test_static_init_zero_data(prob):
-    x0, a0 = static_init(prob["h_ops"][0], prob["basis"],
-                         np.zeros(prob["h_ops"][0].shape[0]))
+    x0 = static_init(prob["h_ops"][0], prob["basis"],
+                     np.zeros(prob["h_ops"][0].shape[0]))
     np.testing.assert_allclose(x0, 0.0, atol=1e-15)
-    np.testing.assert_allclose(a0, np.eye(prob["basis"].rank), atol=0)
 
 
 def test_static_init_identity_h_orthonormal_basis():
@@ -152,7 +153,7 @@ def test_static_init_identity_h_orthonormal_basis():
     basis = kron_basis(q_x, q_y, alpha=1e8)
     Q = basis.P
     y = rng.standard_normal(n_s)
-    x0, _ = static_init(SparseCSR(sp.eye(n_s)), basis, y)
+    x0 = static_init(SparseCSR(sp.eye(n_s)), basis, y)
     want = Q @ np.linalg.solve(Q.T @ Q, Q.T @ y)  # dense normal equations
     assert rel_err(x0, want) <= 1e-10
 
@@ -177,12 +178,12 @@ def test_innovation_whiteness_on_true_model():
     noise = NoiseModel(q_diags=[np.full(n_s, q_sd ** 2)] * 30,
                        r_diags=[np.full(m, r_sd ** 2)] * 30)
     motions = [Identity(n_s)] * 30
-    filt = run_filter(ys, h_ops, motions, noise, prob["basis"],
-                      xs[0], np.eye(P.shape[1]))
+    filt, a_est = filter_factors(ys, h_ops, motions, noise, prob["basis"],
+                                 xs[0])
     scores = []
     for i in range(1, 31):
         innov = ys[i] - hd @ motions[i - 1].apply(filt.x_est[i - 1])
-        cp = hd @ (P @ psi_of(filt.a_est[i - 1]) @ P.T
+        cp = hd @ (P @ psi_of(a_est[i - 1]) @ P.T
                    + np.diag(noise.q_diags[i - 1])) @ hd.T
         s = cp + np.diag(noise.r_diags[i - 1])
         scores.append(innov @ np.linalg.solve(s, innov) / m)
@@ -193,16 +194,25 @@ def test_innovation_whiteness_on_true_model():
 def test_run_filter_t0_is_initialization(prob):
     noise = NoiseModel(q_diags=[], r_diags=[])
     filt = run_filter([prob["sino"].sinograms[0]], [prob["h_ops"][0]], [],
-                      noise, prob["basis"], prob["x0"], prob["a0"])
+                      noise, prob["basis"], prob["x0"])
     assert filt.x_est.shape == (1, prob["n_s"])
     np.testing.assert_array_equal(filt.x_est[0], prob["x0"])
+    assert filt.u_steps == []
+    np.testing.assert_array_equal(filt.a_last, np.eye(prob["basis"].rank))
 
 
 def test_run_filter_count_validation(prob):
     with pytest.raises(ConfigError):
         run_filter(prob["sino"].sinograms[:-1], prob["h_ops"],
                    [Identity(prob["n_s"])] * prob["n_steps"], prob["noise"],
-                   prob["basis"], prob["x0"], prob["a0"])
+                   prob["basis"], prob["x0"])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_initial_noise_rejects_non_finite_scales(bad):
+    for field in ("q_scale", "r_scale"):
+        with pytest.raises(ConfigError, match="finite"):
+            initial_noise(1.0, 4, [3], **{field: bad})
 
 
 def test_noise_model_validation():

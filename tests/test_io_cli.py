@@ -111,6 +111,14 @@ def test_config_sigma_defaults(tmp_path):
     assert cfg.sigma == DEFAULT_NOISE_LEVEL == 0.01
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_config_non_finite_sigma_rejected(tmp_path, bad):
+    path = _write_config(tmp_path / "c.cfg", tmp_path / "o",
+                         **{"noise.sigma": bad})
+    with pytest.raises(ConfigError, match="noise.sigma"):
+        load_config(path)
+
+
 def test_config_unknown_key_rejected(tmp_path):
     path = _write_config(tmp_path / "c.cfg", tmp_path / "o",
                          **{"phantom.n_z": 4})
@@ -203,6 +211,13 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys):
                         **{"method.name": "IRKFS-M3", "motion.z_x": 3})
     assert main(["simulate", cfg]) == 2
     assert "z_x" in capsys.readouterr().err
+
+
+def test_non_finite_q_scale_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "c.cfg", tmp_path / "d",
+                        **{"method.name": "EMIRKFS", "method.q_scale": "nan"})
+    assert main(["simulate", cfg]) == 2
+    assert "noise scales must be finite" in capsys.readouterr().err
 
 
 def test_simulate_pgm_export(tmp_path):

@@ -155,6 +155,13 @@ def test_auto_parameters_are_recorded():
     assert res.basis_size >= 5
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_config_rejected(bad):
+    for field in ("tol", "eps", "lam"):
+        with pytest.raises(ConfigError, match="finite"):
+            MMGKSConfig(**{field: bad})
+
+
 def test_operand_validation():
     with pytest.raises(ConfigError):
         mmgks_solve(Identity(4), _first_difference(5), np.ones(4))

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from dynct import pipeline
+from dynct._linalg import CHUNK_ELEMS
 from dynct.errors import ConfigError, NumericError
+from dynct.linops import payload_nbytes
 from dynct.metrics import MemoryTracker, PhaseTimer
 from dynct.pipeline import (MethodSpec, MotionOptions, parse_method,
                             record_rows, run_emirkfs)
@@ -58,6 +60,17 @@ def test_method_spec_validation():
         MethodSpec(motion="off", em=False, n_iter=1, q_scale=0.0)
     with pytest.raises(ConfigError):
         MethodSpec(motion="off", em=False, n_iter=1, r_scale=-2.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_settings_rejected(bad):
+    for field in ("q_scale", "r_scale"):
+        with pytest.raises(ConfigError, match="finite"):
+            MethodSpec(**{field: bad})
+        with pytest.raises(ConfigError, match="finite"):
+            parse_method("EMIRKFS", **{field: bad})
+    with pytest.raises(ConfigError, match="finite"):
+        MotionOptions(zeta=bad)
 
 
 def test_motion_options_validation():
@@ -160,6 +173,36 @@ def test_em_reduced_peak_holds_one_smoother_step():
     assert record.peak_reduced_bytes == (T + 4) * r * r * 8
     _, record = _run("IRKFS-M2", n_iter=2, prob=prob)
     assert record.peak_reduced_bytes == (T + 1) * r * r * 8
+
+
+def test_m3_charges_its_motion_vectors_once(monkeypatch):
+    # an M3 operator holds its u and v as rows of the pass's smoothed means,
+    # charged until the run returns, and owns only its denominators; the
+    # full peak is reached as the last sweep ends, with both motion and
+    # noise sets, x_0, x_est and both passes' x_sm charged
+    original = pipeline.fit_motion
+    ops = []
+
+    def fit(*args, **kwargs):
+        ops.append(original(*args, **kwargs))
+        return ops[-1]
+
+    monkeypatch.setattr(pipeline, "fit_motion", fit)
+    prob, record = _run("EMIRKFS-M3", n_iter=2,
+                        motion_opts=MotionOptions(patch=(4, 4)))
+    T, n_s, r = prob["n_steps"], prob["n_s"], prob["basis"].rank
+    assert len(ops) == 2 * T
+    for k, op in enumerate(ops):
+        x_sm = record.trajectories[k // T]
+        assert np.shares_memory(op.u, x_sm) and np.shares_memory(op.v, x_sm)
+        assert payload_nbytes(op) == op.denoms.nbytes == 4 * 8  # 2 x 2 patches
+    m_t = max(op.shape[0] for op in prob["h_ops"][1:])
+    box_a, box_b = prob["basis"].box
+    scratch = 4 * CHUNK_ELEMS + 8 * n_s + m_t * r + (box_a * box_b) ** 2
+    noise = sum(n_s + op.shape[0] for op in prob["h_ops"][1:])
+    traj = (T + 1) * n_s
+    want = scratch + 2 * noise + 2 * T * 4 + n_s + 3 * traj
+    assert record.peak_bytes == want * 8
 
 
 def _count_weighted_grams(monkeypatch, tag=lambda: None):

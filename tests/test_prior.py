@@ -109,6 +109,14 @@ def test_rank_validation():
         PriorConfig(alpha=1.0, ell=1.0, rank=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_prior_rejected(bad):
+    with pytest.raises(ConfigError, match="finite"):
+        PriorConfig(alpha=bad, ell=1.0, rank=4)
+    with pytest.raises(ConfigError, match="finite"):
+        PriorConfig(alpha=1.0, ell=bad, rank=4)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 7), st.integers(2, 7),
        st.floats(0.2, 3.0), st.floats(0.3, 4.0))

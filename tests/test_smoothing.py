@@ -2,15 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from dynct import smoothing
+from dynct import _linalg, smoothing
 from dynct._linalg import check_psd
 from dynct.errors import ConfigError, NumericError
-from dynct.filtering import NoiseModel, run_filter
+from dynct.filtering import NoiseModel, run_filter, static_init
 from dynct.linops import Identity
 from dynct.metrics import rre
 from dynct.smoothing import run_smoother, smooth_step
-from helpers import (build_problem, dense_noise, psi_of, rel_err,
+from helpers import (build_problem, count_calls, dense_noise, psi_of, rel_err,
                      smoothed_moments, transition_motions)
 from oracles import (dense, dense_cross_covariances, dense_kalman_filter,
                      dense_rts_smoother, projected_posterior_cov)
@@ -24,7 +25,7 @@ def _motions(prob, kind="Identity"):
 def _smoothed(prob, motions=None):
     motions = _motions(prob) if motions is None else motions
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
-                      prob["noise"], prob["basis"], prob["x0"], prob["a0"])
+                      prob["noise"], prob["basis"], prob["x0"])
     return filt, smoothed_moments(filt, motions, prob["noise"], prob["basis"])
 
 
@@ -33,7 +34,7 @@ def _dense(prob, motions=None):
     q_covs, r_covs = dense_noise(prob)
     mats = [dense(m) for m in motions]
     P = prob["basis"].P
-    c0 = P @ psi_of(prob["a0"]) @ P.T
+    c0 = P @ P.T  # Psi_0 = I
     kf = dense_kalman_filter(prob["x0"], c0, mats, q_covs,
                              prob["h_dense"], r_covs, prob["sino"].sinograms)
     sm_means, sm_covs, gains = dense_rts_smoother(*kf, mats)
@@ -68,7 +69,7 @@ def prob():
 def test_means_match_dense_rts(prob):
     motions = _motions(prob)
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
-                      prob["noise"], prob["basis"], prob["x0"], prob["a0"])
+                      prob["noise"], prob["basis"], prob["x0"])
     x_sm = run_smoother(filt, motions, prob["noise"], prob["basis"])
     _assert_means_match(prob, x_sm, _dense(prob)[0])
 
@@ -92,11 +93,36 @@ def test_moving_motion_matches_dense_rts(prob, kind):
     _assert_cross_covariances_match(prob, sm, sm_covs, gains)
 
 
+@pytest.mark.parametrize("kind", ["Identity", "SparseCSR", "PatchRank1"])
+def test_smoother_works_from_the_filter_handover(prob, monkeypatch, kind):
+    # the filter hands over U_i = L_i^{-1} A_{i-1}^T: the sweep forms no
+    # capacitance, Cholesky or triangular solve, the mean-only sweep no
+    # Gramian, and the covariance sweep one gram_pair (for G_MP) per step
+    motions = _motions(prob, kind)
+    calls = {name: count_calls(monkeypatch, owner, name) for owner, name in (
+        (_linalg, "capacitance_factor"), (sla, "cho_factor"),
+        (sla, "cho_solve"), (sla, "solve_triangular"),
+        (type(motions[0]), "gram_pair"))}
+    filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
+                      prob["noise"], prob["basis"], prob["x0"])
+    # the counts do see the filter's capacitance, Cholesky, solve and Gramians
+    assert {name for name, seen in calls.items() if seen} == {
+        "capacitance_factor", "cho_factor", "solve_triangular", "gram_pair"}
+    for seen in calls.values():
+        seen.clear()
+    run_smoother(filt, motions, prob["noise"], prob["basis"])
+    assert all(seen == [] for seen in calls.values())
+    run_smoother(filt, motions, prob["noise"], prob["basis"],
+                 with_covariance=True)
+    assert len(calls.pop("gram_pair")) == prob["n_steps"]
+    assert all(seen == [] for seen in calls.values())
+
+
 def test_terminal_conditions_exact(prob):
     filt, sm = _smoothed(prob)
     T = prob["n_steps"]
     assert np.array_equal(sm.x_sm[T], filt.x_est[T])
-    assert np.array_equal(sm.psi_sm[T], psi_of(filt.a_est[T]))
+    assert np.array_equal(sm.psi_sm[T], psi_of(filt.a_last))
 
 
 def test_cross_covariance_matches_dense_formula():
@@ -110,7 +136,7 @@ def test_cross_covariance_zero_smoothed_cov(prob):
     # omega_i = Psi_i^sm K_i Psi_{i-1}^est vanishes exactly with Psi_i^sm
     filt, _ = _smoothed(prob)
     r = prob["basis"].rank
-    _, _, omega = smooth_step(filt.x_est[0], filt.a_est[0], filt.x_est[1],
+    _, _, omega = smooth_step(filt.x_est[0], filt.u_steps[0], filt.x_est[1],
                               np.zeros((r, r)), Identity(prob["n_s"]),
                               prob["noise"].q_diags[0], prob["basis"],
                               with_covariance=True)
@@ -127,7 +153,7 @@ def test_large_q_decouples_cross_covariance():
         r_diags=list(prob["noise"].r_diags))
     motions = [Identity(n_s) for _ in range(prob["n_steps"])]
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
-                      noise, prob["basis"], prob["x0"], prob["a0"])
+                      noise, prob["basis"], prob["x0"])
     sm = smoothed_moments(filt, motions, noise, prob["basis"])
     P = prob["basis"].P
     for i in range(1, prob["n_steps"] + 1):
@@ -139,7 +165,7 @@ def test_large_q_decouples_cross_covariance():
 def test_on_step_fires_backward_after_each_mean(prob):
     motions = [Identity(prob["n_s"]) for _ in range(prob["n_steps"])]
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
-                      prob["noise"], prob["basis"], prob["x0"], prob["a0"])
+                      prob["noise"], prob["basis"], prob["x0"])
     seen = []
 
     def hook(i, x_sm, psi_sm_prev, psi_sm_i, omega_i):
@@ -157,7 +183,7 @@ def test_zero_smoothing_innovation_keeps_filter_estimate(prob):
     motions = [Identity(prob["n_s"]) for _ in range(prob["n_steps"])]
     filt, _ = _smoothed(prob)
     x_pred = motions[0].apply(filt.x_est[0])
-    xs, _, _ = smooth_step(filt.x_est[0], filt.a_est[0], x_pred, None,
+    xs, _, _ = smooth_step(filt.x_est[0], filt.u_steps[0], x_pred, None,
                            motions[0], prob["noise"].q_diags[0], prob["basis"])
     np.testing.assert_array_equal(xs, filt.x_est[0])
 
@@ -175,9 +201,8 @@ def test_smoother_does_not_worsen_consistent_data():
                        r_diags=[np.full(h_ops[i + 1].shape[0], 1e-6)
                                 for i in range(T)])
     motions = [Identity(n_s) for _ in range(T)]
-    from dynct.filtering import static_init
-    x0, a0 = static_init(h_ops[0], prob["basis"], ys[0])
-    filt = run_filter(ys, h_ops, motions, noise, prob["basis"], x0, a0)
+    x0 = static_init(h_ops[0], prob["basis"], ys[0])
+    filt = run_filter(ys, h_ops, motions, noise, prob["basis"], x0)
     x_sm = run_smoother(filt, motions, noise, prob["basis"])
     rre_est = sum(rre(filt.x_est[i], truth) for i in range(T + 1))
     rre_sm = sum(rre(x_sm[i], truth) for i in range(T + 1))
@@ -204,11 +229,17 @@ def test_check_psd_rejects_only_beyond_roundoff():
         check_psd(np.diag([2.0, -2e-8 * 2.0]), "psi")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_check_psd_rejects_non_finite(bad):
+    with pytest.raises(NumericError, match="psi: covariance has non-finite"):
+        check_psd(np.array([[1.0, bad], [bad, 1.0]]), "psi")
+
+
 def test_run_smoother_rejects_indefinite_smoothed_covariance(prob,
                                                             monkeypatch):
     motions = [Identity(prob["n_s"]) for _ in range(prob["n_steps"])]
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
-                      prob["noise"], prob["basis"], prob["x0"], prob["a0"])
+                      prob["noise"], prob["basis"], prob["x0"])
     original = smoothing.smooth_step
     calls = []
 
