@@ -1,14 +1,13 @@
 """Shared dense kernels: the guarded Cholesky, inverse and capacitance
-factors, the PSD guard on formed covariances, the observation Gram and the
-row-chunked quadratic-form diagonal.
+factors, the PSD guard on formed covariances and the row-chunked
+quadratic-form diagonal.
 
 ``quad_diag`` and the sparse operators' row-chunked loops form n-vector
 diagonals and r x r projections of n x r products without holding more
 than one n x r block plus O(CHUNK_ELEMS) scratch; the R update applies
-``quad_diag`` to H P. ``op_gram`` forms the observation's H P whole
-(m_t x r, small next to n_s x r) with one ``apply_block`` call. The two
-reductions over the basis P itself, its weighted Gram and diag(P Psi P^T),
-are not here: ``ProjectionBasis`` forms them from its 1-D factor blocks.
+``quad_diag`` to H P (m_t x r, small next to n_s x r). Every product with
+the basis P itself, H P included, is ``ProjectionBasis``'s: it forms them
+from its 1-D factor blocks.
 """
 
 from __future__ import annotations
@@ -38,16 +37,6 @@ def quad_diag(X: np.ndarray, psi: np.ndarray) -> np.ndarray:
     for rows in row_chunks(*X.shape):
         out[rows] = np.einsum("ij,ij->i", X[rows] @ psi, X[rows])
     return out
-
-
-def op_gram(op, P: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-    """(op P)^T diag(w) (op P), with op P formed whole by one
-    ``apply_block`` call (for SparseCSR, one column-order pass that reads
-    each row of P once) and then one symmetric product."""
-    hp = op.apply_block(P)
-    if w is not None:
-        hp *= np.sqrt(w)[:, None]
-    return hp.T @ hp
 
 
 def symmetrize(A: np.ndarray) -> np.ndarray:

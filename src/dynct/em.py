@@ -11,16 +11,17 @@ only their diagonals are kept (the models are diagonal), computed without
 materializing any full covariance or any full n_s x r product. The updates
 take the smoother's reduced covariances as formed (C^sm = P Psi^sm P^T, the
 cross covariance P omega_i P^T with omega_i = Psi_i^sm K_i Psi_{i-1}^est)
-and factor nothing. The R update forms H_i P whole (m_t x r, one
-``apply_block`` pass over P) and takes diag(H_i P Psi (H_i P)^T) as the row
-sums of (X Psi) o X over row chunks of X = H_i P (``_linalg.quad_diag``).
-The Q update gets diag(P Psi P^T) from the basis
-(``ProjectionBasis.quad_diag``, from its 1-D factor blocks with no
-n_s x r^2 product). The two cross terms have identical diagonals, so the Q
-update subtracts twice one of them. Its two terms in M_i,
+and factor nothing. The R update forms H_i P whole (m_t x r, the basis'
+``premultiply``, again after the filter did: a cheap product from the 1-D
+factor blocks beats keeping T of them) and takes
+diag(H_i P Psi (H_i P)^T) as the row sums of (X Psi) o X over row chunks
+of X = H_i P (``_linalg.quad_diag``). The Q update gets diag(P Psi P^T)
+from the basis (``ProjectionBasis.quad_diag``, from its 1-D factor blocks
+with no n_s x r^2 product). The two cross terms have identical diagonals,
+so the Q update subtracts twice one of them. Its two terms in M_i,
 diag(M_i P Psi_{i-1}^sm (M_i P)^T) and diag(P omega_i (M_i P)^T), come from
 the motion operator's ``q_terms``: closed forms for PatchRank1 (M2 and M3;
-per-patch sums over a reshaped view of the image-order P, no n_s x r
+per-patch sums and spreads through the basis' tile products, no n_s x r
 product), the basis' ``quad_diag`` for Identity and row chunks
 of M_i P for SparseCSR (the M1 warp). The smoother rejects covariances that
 are not PSD beyond roundoff; here roundoff-negative diagonal entries are
@@ -67,12 +68,13 @@ def _guard_negative(diag: np.ndarray, what: str, scale: float) -> np.ndarray:
     return np.clip(diag, 0.0, None)
 
 
-def update_r_diag(y_i, h_op: LinearOperator, x_sm_i, psi_sm_i, P) -> np.ndarray:
+def update_r_diag(y_i, h_op: LinearOperator, x_sm_i, psi_sm_i,
+                  basis: ProjectionBasis) -> np.ndarray:
     """diag(R_i) from the smoothed state and reduced covariance Psi_i^sm
     at frame i."""
     resid = np.asarray(y_i, dtype=float) - h_op.apply(x_sm_i)
     diag = resid ** 2
-    diag += quad_diag(h_op.apply_block(P), psi_sm_i)
+    diag += quad_diag(basis.premultiply(h_op.matrix), psi_sm_i)
     return _apply_floor(diag)
 
 
@@ -87,8 +89,7 @@ def update_q_diag(x_sm_prev, x_sm_i, psi_sm_prev, psi_sm_i, omega_i,
     """
     resid = x_sm_i - motion.apply(x_sm_prev)
     diag = resid ** 2
-    pos, cross = motion.q_terms(basis.P, psi_sm_prev, omega_i,
-                                basis.quad_diag)
+    pos, cross = motion.q_terms(basis, psi_sm_prev, omega_i)
     pos += basis.quad_diag(psi_sm_i)
     # the roundoff scale: the largest row of resid^2 plus both positive terms
     pos_scale = float(np.maximum(diag, diag + pos).max()) if diag.size else 0.0

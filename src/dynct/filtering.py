@@ -1,9 +1,10 @@
 """Dimension-reduced square-root Kalman filter over a fixed projection basis.
 
-States live in the span of the basis columns P (n_s x r).  Every filter
-quantity that matters is an r x r matrix or an r vector, and the full-space
-products M_i P and H_i P are never materialized (H_i P, m_t x r, is formed
-whole only inside ``op_gram``). The three weighted Gramians
+States live in the span of the basis columns P (n_s x r), which the basis
+holds as Kronecker factors and never forms. Every filter quantity that
+matters is an r x r matrix or an r vector; the full-space products M_i P
+are never materialized and H_i P (m_t x r) only as the basis'
+``premultiply``. The three weighted Gramians
 
     G_MM = (M P)^T Q^{-1} (M P),  G_MP = (M P)^T Q^{-1} P,  G_PP = P^T Q^{-1} P
 
@@ -12,14 +13,15 @@ come from two places. The basis forms G_PP once per step
 diag(lambda)/q with no n_s x r^2 product whenever Q = q I, as in every
 IRKFS step and every first pass, and otherwise a gather over products of
 its 1-D factor blocks. The motion operator forms the other two
-(``gram_pair``): Identity returns G_PP for both, PatchRank1 (M2 is its
-one-patch case) uses closed forms in its per-patch coefficients, which it
-sums over a reshaped view of the image-order P with no copy, and
-SparseCSR (the M1 warp) accumulates them over row chunks of M P, each
-formed by the chunk's rows of the matrix. G_H = (H P)^T R^{-1} (H P) comes
-from the whole H P, which ``apply_block`` forms in one column-order pass
-over P (``op_gram``). Every vector contraction against M P or H P goes
-through the operator adjoint, e.g. (H P)^T v = P^T (H^T v).
+(``gram_pair``): Identity returns G_PP for both (the filter then takes
+G_PP from it), PatchRank1 (M2 is its one-patch case) uses closed forms in
+its per-patch coefficients, which the basis sums tile by tile from its
+factor blocks, and SparseCSR (the M1 warp) accumulates them over row chunks
+of M P, each formed by the chunk's rows of the matrix against the basis
+rows they reference. G_H = (H P)^T R^{-1} (H P) comes from the whole H P.
+Every vector contraction against M P or H P goes through the operator
+adjoint and the basis, e.g. (H P)^T v = P^T (H^T v) = ``apply_t(H^T v)``,
+and every P z is ``apply(z)``.
 
 Reduced covariances are carried as square-root factors: the filter starts
 from Psi_0 = I, keeps A_i with Psi_i = A_i A_i^T, never Psi_i itself, and
@@ -48,10 +50,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._linalg import (_cholesky, capacitance_factor, inverse_factor, op_gram,
-                      symmetrize)
+from ._linalg import _cholesky, capacitance_factor, inverse_factor, symmetrize
 from .errors import ConfigError
-from .linops import LinearOperator
+from .linops import Identity, LinearOperator
 from .prior import ProjectionBasis
 
 
@@ -73,8 +74,9 @@ class NoiseModel:
             raise ConfigError("NoiseModel: q/r diagonal counts differ")
         for d in list(self.q_diags) + list(self.r_diags):
             d = np.asarray(d)
-            if d.size == 0 or np.any(d <= 0.0):
-                raise ConfigError("NoiseModel: noise variances must be positive")
+            if d.size == 0 or not np.all(np.isfinite(d) & (d > 0.0)):
+                raise ConfigError("NoiseModel: noise variances must be finite "
+                                  "and positive")
 
     @property
     def n_steps(self) -> int:
@@ -98,6 +100,16 @@ def initial_noise(alpha: float, n_s: int, row_counts, q_scale: float = 1.0,
     )
 
 
+def _obs_gram(h_op: LinearOperator, basis: ProjectionBasis,
+              w: np.ndarray | None = None) -> np.ndarray:
+    """(H P)^T diag(w) (H P), from the whole H P the basis forms; one
+    symmetric product."""
+    hp = basis.premultiply(h_op.matrix)
+    if w is not None:
+        hp *= np.sqrt(w)[:, None]
+    return hp.T @ hp
+
+
 def static_init(h0: LinearOperator, basis: ProjectionBasis, y0: np.ndarray):
     """Regularized least-squares fit of frame 0 in the basis span.
 
@@ -105,11 +117,10 @@ def static_init(h0: LinearOperator, basis: ProjectionBasis, y0: np.ndarray):
     and returns x0 = P z; the filter starts from it with Psi_0 = I. The
     prior term is the basis Gram, alpha^{-2} diag(lambda).
     """
-    P = basis.P
-    lhs = op_gram(h0, P) + basis.gram(np.full(P.shape[0], basis.config.alpha ** -2))
-    rhs = P.T @ h0.apply_transpose(np.asarray(y0, dtype=float))
+    lhs = _obs_gram(h0, basis) + basis.gram(np.full(basis.n_s, basis.config.alpha ** -2))
+    rhs = basis.apply_t(h0.apply_transpose(np.asarray(y0, dtype=float)))
     z = sla.cho_solve(_cholesky(lhs, "static init"), rhs, check_finite=False)
-    return P @ z
+    return basis.apply(z)
 
 
 @dataclass
@@ -125,25 +136,25 @@ def filter_step(x_prev: np.ndarray, a_prev: np.ndarray, motion: LinearOperator,
                 y_i: np.ndarray, basis: ProjectionBasis):
     """One predict/update step from the previous mean and covariance factor
     (Psi_{i-1} = a_prev a_prev^T); returns (x_est, a_est, U)."""
-    P = basis.P
     q_inv = 1.0 / np.asarray(q_diag, dtype=float)
     r_inv = 1.0 / np.asarray(r_diag, dtype=float)
 
     x_pred = motion.apply(x_prev)
 
-    g_pp = basis.gram(q_inv)
-    g_mm, g_mp = motion.gram_pair(P, q_inv, lambda: g_pp)
+    g_mm, g_mp = motion.gram_pair(basis, q_inv)
+    # M P = P: an Identity's G_MP is G_PP, formed once
+    g_pp = g_mp if isinstance(motion, Identity) else basis.gram(q_inv)
     L = capacitance_factor(a_prev, g_mm, "filter capacitance")
     U = sla.solve_triangular(L, a_prev.T, lower=True, check_finite=False)
     V = U @ g_mp
     pcp = symmetrize(g_pp - V.T @ V)
 
-    g_h = op_gram(h_op, P, r_inv)
+    g_h = _obs_gram(h_op, basis, r_inv)
     innov = np.asarray(y_i, dtype=float) - h_op.apply(x_pred)
-    proj = P.T @ h_op.apply_transpose(r_inv * innov)
+    proj = basis.apply_t(h_op.apply_transpose(r_inv * innov))
 
     a_est = inverse_factor(symmetrize(g_h) + pcp, "filter covariance")
-    x_est = x_pred + P @ (a_est @ (a_est.T @ proj))
+    x_est = x_pred + basis.apply(a_est @ (a_est.T @ proj))
     return x_est, a_est, U
 
 
@@ -153,11 +164,9 @@ def run_filter(y_frames, h_ops, motions, noise: NoiseModel, basis: ProjectionBas
     n_steps = noise.n_steps
     if not (len(y_frames) == len(h_ops) == n_steps + 1 and len(motions) == n_steps):
         raise ConfigError("run_filter: frame/operator/noise counts disagree")
-    n_s, r = basis.P.shape
-
-    x_est = np.zeros((n_steps + 1, n_s))
+    x_est = np.zeros((n_steps + 1, basis.n_s))
     x_est[0] = x0
-    a_est = np.eye(r)
+    a_est = np.eye(basis.rank)
     u_steps = []
 
     for i in range(1, n_steps + 1):

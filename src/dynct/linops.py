@@ -9,35 +9,35 @@ Every operator keeps its vectors in image order (row-major over the
 (n_x, n_y) grid); ``PatchRank1`` reaches its patches through reshaped views.
 
 The operator protocol is the products the filter, smoother and M-step
-make. Every operator implements the first two; the other three exist only
+make. Every operator implements the first two; the others exist only
 where a caller makes them:
 
 - ``apply(x)``: forward product ``op @ x``.
 - ``apply_transpose(y)``: exact adjoint of the same coefficients.
 - ``apply_block(X)``: the whole product ``op @ X``. Only ``SparseCSR``
-  defines it: its callers are the observations' H P in ``op_gram`` and the
-  R update, and the flow solver's operands, all sparse matrices. It stores
-  one CSC matrix, whose transpose view is the CSR matrix of the adjoint, so
-  the product is one column-order pass that reads each row of X once.
-- ``gram_pair(P, w, g_pp)``: the weighted Gramians of ``op P`` against
-  itself and against ``P`` that the filter and smoother need for a motion
-  operator. ``g_pp()`` returns the basis Gram ``P^T diag(w) P``, which
-  ``ProjectionBasis.gram`` forms (closed form under uniform weights); only
-  ``Identity``, whose two Gramians are that Gram, calls it, so a caller
-  that has no other use for it never pays for it. ``SparseCSR`` folds row
-  chunks of ``op P`` into the pair; ``PatchRank1`` uses closed forms in its
-  per-patch coefficients.
-- ``q_terms(P, psi_prev, omega, quad)``: the two motion terms of the
+  defines it, for the flow solver's operands. It stores one CSC matrix,
+  whose transpose view is the CSR matrix of the adjoint, so the product is
+  one column-order pass that reads each row of X once. (The observations'
+  H P is the basis' ``premultiply``.)
+- ``gram_pair(basis, w)``: the weighted Gramians G_MM = (M P)^T diag(w)
+  (M P) and G_MP = (M P)^T diag(w) P that the filter needs for a motion
+  operator M, and ``gram_mp(basis, w)``, G_MP alone, which is all the
+  smoother needs. ``Identity``, whose Gramians are the basis Gram, asks
+  ``basis.gram``; ``SparseCSR`` folds row chunks of ``M P`` into them, each
+  the chunk's rows of the matrix against ``basis.rows`` over the column
+  band they reference; ``PatchRank1`` uses closed forms in its per-patch
+  coefficients, which ``basis.tile_sums`` forms.
+- ``q_terms(basis, psi_prev, omega)``: the two motion terms of the
   M-step's diag(Q_i), diag(MP psi_prev (MP)^T) and diag(P omega (MP)^T), as
-  n_s-vectors. ``quad(psi)`` returns diag(P psi P^T), which
-  ``ProjectionBasis.quad_diag`` forms from the basis' 1-D factor blocks;
-  only ``Identity``, whose terms are two such diagonals, calls it.
-  ``SparseCSR`` folds row chunks of ``op P`` into them, and ``PatchRank1``
-  uses closed forms in the same coefficients as its ``gram_pair``, so it
-  never forms an n_s x r product.
+  n_s-vectors. ``Identity`` asks ``basis.quad_diag`` for both;
+  ``SparseCSR`` folds the same row chunks of ``M P`` into them, and
+  ``PatchRank1`` uses closed forms in the same coefficients as its
+  ``gram_pair`` and ``basis.tile_apply``, so it never forms an n_s x r
+  product.
 
-There is no column-loop fallback: an operator without one of the last three
-raises ``NotImplementedError``.
+The basis is a ``prior.ProjectionBasis`` on the operator's image grid
+(ConfigError otherwise). There is no column-loop fallback: an operator
+without one of the last four raises ``NotImplementedError``.
 
 All vectors are 1-D float64 arrays; blocks are (n, k) float64 arrays.
 """
@@ -81,17 +81,26 @@ class LinearOperator:
         """The whole product ``op @ X``."""
         raise NotImplementedError(f"{type(self).__name__} has no block product")
 
-    def gram_pair(self, P: np.ndarray, w: np.ndarray, g_pp):
-        """(G_MM, G_MP) of a square operator M = op and weights w:
+    def gram_pair(self, basis, w: np.ndarray):
+        """(G_MM, G_MP) of a square operator M = op, basis P and weights w:
         G_MM = (MP)^T diag(w) (MP) and G_MP = (MP)^T diag(w) P."""
         raise NotImplementedError(f"{type(self).__name__} has no Gram pair")
 
-    def q_terms(self, P: np.ndarray, psi_prev: np.ndarray, omega: np.ndarray,
-                quad):
+    def gram_mp(self, basis, w: np.ndarray) -> np.ndarray:
+        """G_MP = (MP)^T diag(w) P alone."""
+        raise NotImplementedError(f"{type(self).__name__} has no Gram pair")
+
+    def q_terms(self, basis, psi_prev: np.ndarray, omega: np.ndarray):
         """(diag(MP psi_prev (MP)^T), diag(P omega (MP)^T)) of a square
-        operator M = op, the two motion terms of the Q-update diagonal;
-        quad(psi) gives diag(P psi P^T)."""
+        operator M = op and basis P, the two motion terms of the Q-update
+        diagonal."""
         raise NotImplementedError(f"{type(self).__name__} has no Q-update terms")
+
+
+def _check_basis(op: LinearOperator, basis) -> None:
+    if basis.n_s != op.shape[1]:
+        raise ConfigError(f"basis grid {basis.n_x} x {basis.n_y} does not match "
+                          f"an operator of shape {op.shape}")
 
 
 class SparseCSR(LinearOperator):
@@ -127,33 +136,66 @@ class SparseCSR(LinearOperator):
         once per nonzero of its column."""
         return np.asarray(self.matrix @ _as_block(X, self.shape[1]))
 
-    def gram_pair(self, P, w, g_pp):
-        """Row chunks of M P, each formed by the chunk's rows of the matrix,
-        fold into the pair, so no full n_s x r product is held; g_pp is
-        left uncalled."""
-        P = _as_block(P, self.shape[1])
-        n_s, r = P.shape
+    def _chunks(self, basis):
+        """Yield (rows, M P rows, P rows) over row chunks of M P, so no
+        n_s x r product is formed. The chunk's rows of the matrix (a slice
+        of its CSR form) multiply ``basis.rows`` over the span of the
+        columns they reference and of the chunk itself, in pieces of twice
+        the chunk's length, skipping pieces they reference nothing in. A
+        banded matrix such as the flow warp (about 2 n_y columns past the
+        chunk) takes one piece, whose rows also give the chunk's rows of P;
+        each output row then sums its terms in ascending column order, as a
+        product with a stored P would."""
+        _check_basis(self, basis)
+        csr = self.matrix.tocsr()
+        for rows in row_chunks(self.shape[0], basis.rank):
+            p0, p1 = csr.indptr[rows.start], csr.indptr[rows.stop]
+            cols = csr.indices[p0:p1]
+            lo = cols.min(initial=rows.start)
+            hi = cols.max(initial=rows.stop - 1) + 1
+            sub = sp.csr_matrix((csr.data[p0:p1], cols - lo,
+                                 csr.indptr[rows.start:rows.stop + 1] - p0),
+                                shape=(rows.stop - rows.start, hi - lo))
+            width = 2 * (rows.stop - rows.start)
+            if hi - lo <= width:
+                p = basis.rows(slice(lo, hi))
+                yield rows, sub @ p, p[rows.start - lo:rows.stop - lo]
+                continue
+            sub = sub.tocsc()
+            mp = np.zeros((rows.stop - rows.start, basis.rank))
+            for start in range(lo, hi, width):
+                stop = min(start + width, hi)
+                if sub.indptr[stop - lo] > sub.indptr[start - lo]:
+                    mp += sub[:, start - lo:stop - lo] @ basis.rows(slice(start, stop))
+            yield rows, mp, basis.rows(rows)
+
+    def gram_pair(self, basis, w):
+        """Row chunks of M P fold into the pair."""
+        r = basis.rank
         g_mm = np.zeros((r, r))
         g_mp = np.zeros((r, r))
-        for rows in row_chunks(n_s, r):
-            mp = np.asarray(self.matrix[rows] @ P)
+        for rows, mp, p_rows in self._chunks(basis):
             mpw = mp * w[rows, None]
             g_mm += mpw.T @ mp
-            g_mp += mpw.T @ P[rows]
+            g_mp += mpw.T @ p_rows
         return g_mm, g_mp
 
-    def q_terms(self, P, psi_prev, omega, quad):
+    def gram_mp(self, basis, w):
+        """Row chunks of M P fold into G_MP."""
+        r = basis.rank
+        g_mp = np.zeros((r, r))
+        for rows, mp, p_rows in self._chunks(basis):
+            g_mp += (mp * w[rows, None]).T @ p_rows
+        return g_mp
+
+    def q_terms(self, basis, psi_prev, omega):
         """Each diagonal is the row sums of (X Psi) o Y over the row chunks
-        of M P that ``gram_pair`` forms: two n_s x r^2 products per call;
-        quad is left uncalled."""
-        P = _as_block(P, self.shape[1])
-        n_s, r = P.shape
-        quad_mp = np.empty(n_s)
-        cross = np.empty(n_s)
-        for rows in row_chunks(n_s, r):
-            mp = np.asarray(self.matrix[rows] @ P)
+        of M P that ``gram_pair`` forms: two n_s x r^2 products per call."""
+        quad_mp = np.empty(self.shape[0])
+        cross = np.empty(self.shape[0])
+        for rows, mp, p_rows in self._chunks(basis):
             quad_mp[rows] = np.einsum("ij,ij->i", mp @ psi_prev, mp)
-            cross[rows] = np.einsum("ij,ij->i", P[rows] @ omega, mp)
+            cross[rows] = np.einsum("ij,ij->i", p_rows @ omega, mp)
         return quad_mp, cross
 
 
@@ -167,18 +209,21 @@ class Identity(LinearOperator):
     def apply_transpose(self, y):
         return _as_vector(y, self.shape[0], "y").copy()
 
-    def gram_pair(self, P, w, g_pp):
-        """M P = P, so both Gramians are G_PP: the one array g_pp() returns,
-        twice (callers must not mutate it)."""
-        _as_block(P, self.shape[1])
-        g = g_pp()
+    def gram_pair(self, basis, w):
+        """M P = P, so both Gramians are G_PP = ``basis.gram(w)``: one
+        array, twice (callers must not mutate it)."""
+        g = self.gram_mp(basis, w)
         return g, g
 
-    def q_terms(self, P, psi_prev, omega, quad):
+    def gram_mp(self, basis, w):
+        _check_basis(self, basis)
+        return basis.gram(w)
+
+    def q_terms(self, basis, psi_prev, omega):
         """M P = P, so the terms are diag(P psi_prev P^T) and
-        diag(P omega P^T): quad(psi_prev) and quad(omega)."""
-        _as_block(P, self.shape[1])
-        return quad(psi_prev), quad(omega)
+        diag(P omega P^T), both ``basis.quad_diag``."""
+        _check_basis(self, basis)
+        return basis.quad_diag(psi_prev), basis.quad_diag(omega)
 
 
 class PatchRank1(LinearOperator):
@@ -192,7 +237,8 @@ class PatchRank1(LinearOperator):
     With one patch (z_x, z_y) = (n_x, n_y) it is the plain rank-1 map
     u v^T / d. Per-patch sums contract over the ``tiles`` view
     (n_x // z_x, z_x, n_y // z_y, z_y) of their image-order operands, and
-    per-patch values spread back by broadcasting over it.
+    per-patch values spread back by broadcasting over it; the per-patch
+    sums against the basis are ``basis.tile_sums`` over the same tiling.
     """
 
     def __init__(self, n_x, n_y, z_x, z_y, u, v, denoms):
@@ -216,13 +262,6 @@ class PatchRank1(LinearOperator):
         return np.einsum("acbd,acbd->ab", a.reshape(self.tiles),
                          b.reshape(self.tiles))
 
-    def _sums(self, w, X):
-        """The (n_patches, k) rows sum_{i in j} w_i X_i of an image-order
-        vector w and block X."""
-        k = X.shape[1]
-        return np.einsum("acbd,acbdk->abk", w.reshape(self.tiles),
-                         X.reshape(*self.tiles, k)).reshape(-1, k)
-
     def _spread(self, w, vals):
         """The image-order vector w_i vals_j, j the patch of pixel i and
         vals on the patch grid."""
@@ -236,35 +275,37 @@ class PatchRank1(LinearOperator):
         y = _as_vector(y, self.shape[0], "y")
         return self._spread(self.v, self._dots(self.u, y) / self.denoms)
 
-    def _coef(self, P):
+    def _coef(self, basis):
         """The (n_patches, r) coefficients C, c_j = P_j^T v_j / d_j with P_j
-        the rows of patch j: row i of M P is u_i c_j, j the patch of row i."""
-        return self._sums(self.v, P) / self.denoms.reshape(-1, 1)
+        the rows of patch j: row i of M P is u_i c_j, j the patch of row i.
+        A basis on another grid raises ConfigError (``tile_sums``)."""
+        return basis.tile_sums(self.v, self.tiles) / self.denoms.reshape(-1, 1)
 
-    def gram_pair(self, P, w, g_pp):
+    def gram_pair(self, basis, w):
         """With C the coefficients, a_j = sum_{i in j} w_i u_i^2 and
         B_j = sum_{i in j} w_i u_i P_i: G_MM = C^T diag(a) C, G_MP = C^T B.
-        That costs O(n_s r + n_patches r^2)."""
-        P = _as_block(P, self.shape[1])
-        coef = self._coef(P)
+        That costs O(n_s B + n_x g_y A B + n_patches r^2)."""
+        coef = self._coef(basis)
         wu = w * self.u
         a = self._dots(wu, self.u).reshape(-1)
-        return coef.T @ (a[:, None] * coef), coef.T @ self._sums(wu, P)
+        return (coef.T @ (a[:, None] * coef),
+                coef.T @ basis.tile_sums(wu, self.tiles))
 
-    def q_terms(self, P, psi_prev, omega, quad):
+    def gram_mp(self, basis, w):
+        """G_MP = C^T B alone."""
+        return self._coef(basis).T @ basis.tile_sums(w * self.u, self.tiles)
+
+    def q_terms(self, basis, psi_prev, omega):
         """With C the coefficients and j the patch of row i:
         diag(MP psi_prev (MP)^T)_i = u_i^2 (C psi_prev C^T)_jj and
-        diag(P omega (MP)^T)_i = u_i P_i (omega C^T)_{:, j}, the latter
-        contracted over the view of P. That costs O(n_s r + n_patches r^2);
-        quad is left uncalled."""
-        P = _as_block(P, self.shape[1])
+        diag(P omega (MP)^T)_i = u_i P_i (C omega^T)_j, the latter
+        ``basis.tile_apply`` of C omega^T. That costs
+        O(n_s A + n_patches r^2) and forms no n_s x r product."""
         grid = self.denoms.shape
-        coef = self._coef(P)
+        coef = self._coef(basis)
         c_quad = np.einsum("jk,jk->j", coef @ psi_prev, coef)
-        sums = np.einsum("acbdk,abk->acbd", P.reshape(*self.tiles, P.shape[1]),
-                         (coef @ omega.T).reshape(*grid, -1))
         return (self._spread(self.u * self.u, c_quad.reshape(grid)),
-                self.u * sums.reshape(-1))
+                self.u * basis.tile_apply(coef @ omega.T, self.tiles))
 
 
 def payload_nbytes(op: LinearOperator) -> int:

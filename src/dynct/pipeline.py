@@ -20,14 +20,15 @@ MemoryTracker; the filter, smoother and M-step allocate, compute and
 return. What it charges:
 
 - Full space (budgeted), for the whole run: the scratch allowance for
-  chunk transients, one whole m_t x r observation product H P and, when
-  the run has an M-step (the only source of non-uniform Q), the A^2 x B^2
-  intermediate of the basis' non-uniform Gram and diag(P Psi P^T)
-  ((A, B) = ``basis.box``); the noise diagonals, what the motion operators
-  own (M2/M3 hold rows of x_sm as u and v) and the initial mean x_0. New
-  motion operators and noise diagonals are charged as each backward step
-  makes them, next to the previous set, which is released when the sweep
-  ends.
+  chunk transients, one whole m_t x r observation product H P, the
+  regrouped copy of the largest H that ``basis.premultiply`` forms it from
+  and, when the run has an M-step (the only source of non-uniform Q), the
+  A^2 x B^2 intermediate of the basis' non-uniform Gram and
+  diag(P Psi P^T) ((A, B) = ``basis.box``); the noise diagonals, what the
+  motion operators own (M2/M3 hold rows of x_sm as u and v) and the
+  initial mean x_0. New motion operators and noise diagonals are charged
+  as each backward step makes them, next to the previous set, which is
+  released when the sweep ends.
 - Full space, per pass: the filtered means x_est from the filter's return
   to the end of the pass, and the smoothed means x_sm (x_est's shape) from
   just before the sweep until the run returns inside the RunRecord.
@@ -37,7 +38,9 @@ return. What it charges:
   Psi_{i-1}^sm, Psi_i^sm and omega_i.
 
 Every charge is released by the time the run returns; the tracker keeps
-the peaks.
+the peaks. The basis is the caller's and is not charged: it holds its 1-D
+factor blocks and their columns per basis column, (n_x + n_y)(r + 1)
+doubles at most, never the n_s x r matrix P.
 
 Phase timing: the motion and em phases run inside the smoother phase;
 PhaseTimer keeps nested phases exclusive, so the phases of a pass add up to
@@ -199,8 +202,9 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
     y_frames = data.sinograms
     if len(h_ops) != n_steps + 1:
         raise ConfigError("run_emirkfs: one forward operator per frame required")
-    if basis.P.shape[0] != n_s:
-        raise ConfigError("run_emirkfs: basis rows disagree with the image grid")
+    if (basis.n_x, basis.n_y) != (n_x, n_y):
+        raise ConfigError(f"run_emirkfs: basis grid {basis.n_x} x {basis.n_y} "
+                          f"disagrees with the {n_x} x {n_y} image grid")
     if truth is not None:
         truth = np.asarray(truth, dtype=float)
         if truth.shape != (n_steps + 1, n_s):
@@ -216,12 +220,17 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
     )
 
     # Scratch allowance for untracked transients: a few chunk-sized blocks
-    # inside the Gramian loops, a handful of state-length vectors, the
-    # whole H P that op_gram and update_r_diag form and, under EM, the
-    # basis' A^2 x B^2 Kronecker intermediate.
+    # inside the Gramian loops and the basis products, a handful of
+    # state-length vectors, the whole H P that the filter and
+    # update_r_diag form, premultiply's regrouping of the largest H (its
+    # CSR copy, column indices and (ray, x) keys, 3 nnz doubles, and two
+    # (ray, x) pointer arrays) and, under EM, the basis' A^2 x B^2
+    # Kronecker intermediate.
     box_a, box_b = basis.box
     kron_elems = (box_a * box_b) ** 2 if method.em else 0
-    scratch = (4 * CHUNK_ELEMS + 8 * n_s + m_t * basis.rank + kron_elems) * 8
+    regroup = max(3 * op.matrix.nnz + 2 * op.shape[0] * n_x for op in h_ops)
+    scratch = (4 * CHUNK_ELEMS + 8 * n_s + m_t * basis.rank + regroup
+               + kron_elems) * 8
     tracker.add(scratch)
 
     alpha = basis.config.alpha
@@ -234,7 +243,6 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
     x0 = static_init(h_ops[0], basis, y_frames[0])
     tracker.add(x0.nbytes)
 
-    P = basis.P
     try:
         for j in range(1, method.n_iter + 1):
             timer = PhaseTimer()
@@ -258,7 +266,7 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
                         tracker.add_reduced(step_bytes)
                         with timer.phase("em"):
                             r_new[i - 1] = update_r_diag(
-                                y_frames[i], h_ops[i], x_sm[i], psi_sm_i, P)
+                                y_frames[i], h_ops[i], x_sm[i], psi_sm_i, basis)
                             q_new[i - 1] = update_q_diag(
                                 x_sm[i - 1], x_sm[i], psi_sm_prev, psi_sm_i,
                                 omega_i, new_motions[i - 1], basis)

@@ -14,12 +14,24 @@ kron(u_a, v_b) over the r largest eigenvalue products; it satisfies
 P P^T ~= Sigma (best rank-r approximation) and whitens the prior norm:
 ||P w||_{Sigma^{-1}} = ||w||_2. The columns are orthogonal with squared
 norms equal to their eigenvalues, P^T P = diag(lambda). The retained index
-pairs (a_k, b_k) fall in a small A x B box (A B ~ 1.3 r), and the basis
-keeps the two 1-D factor blocks U_x = [u_0 .. u_{A-1}] (n_x x A) and
-U_y = [v_0 .. v_{B-1}] (n_y x B) next to P. ProjectionBasis checks both
-facts on construction and is the one owner of the two P-sized reductions
-the filter, smoother and M-step need:
+pairs (a_k, b_k) fall in a small A x B box (A B ~ 1.3 r), and
+ProjectionBasis keeps only the two orthonormal 1-D factor blocks
+U_x = [u_0 .. u_{A-1}] (n_x x A) and U_y = [v_0 .. v_{B-1}] (n_y x B), the
+pairs and the eigenvalues: P is never stored, and no product below forms
+an n_s x r array. The basis is the one owner of every product with P that
+the filter, smoother, motion operators and M-step make:
 
+- ``apply(z)`` = P z = vec(U_x Z U_y^T), with Z[a_k, b_k] = sqrt(lambda_k)
+  z_k, and ``apply_t(x)`` = P^T x, the gather of U_x^T X U_y at (a_k, b_k);
+  each two GEMMs, O(n_s B + n_x A B);
+- ``tile_sums``/``tile_apply``, the same two products restricted to each
+  tile of a non-overlapping image tiling (PatchRank1's per-patch sums),
+  as batched GEMMs on the tiles' slices of U_x and U_y;
+- ``rows(sl)``, a slice of P's rows formed on demand (the M1 warp's row
+  chunks);
+- ``premultiply(S)``, S P for a sparse S (the observations' H P), from a
+  regrouping of S's nonzeros by (ray, x), one sparse product with U_y and
+  one batched GEMM with U_x per chunk of rays;
 - ``gram(w)``, the basis Gram P^T diag(w) P: diag(w_0 lambda) whenever w is
   uniform (every IRKFS step, and every first pass), else a gather of
   X^T W Y scaled by sqrt(lambda_k lambda_l), with W the weights as an
@@ -29,9 +41,10 @@ the filter, smoother and M-step need:
   A^2 x B^2 array holding sqrt(lambda_k lambda_l) psi_kl at
   ((a_k, a_l), (b_k, b_l)).
 
-Both cost O(n_s B^2 + n_x A^2 B^2) in place of the dense n_s r^2 (the
-Kronecker-structured algebra of Saatci, PhD thesis, Cambridge, 2012, and of
-Gilboa, Saatci & Cunningham, IEEE TPAMI 37(2), 2015).
+The last two cost O(n_s B^2 + n_x A^2 B^2) in place of the dense n_s r^2
+(the Kronecker-structured algebra of Saatci, PhD thesis, Cambridge, 2012,
+and of Gilboa, Saatci & Cunningham, IEEE TPAMI 37(2), 2015; Van Loan, J.
+Comput. Appl. Math. 123, 2000).
 
 Determinism: each 1-D eigenvector is sign-fixed so its first nonzero entry
 is positive; eigenvalue-product ties are broken lexicographically by
@@ -44,12 +57,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
+from ._linalg import row_chunks
 from .errors import ConfigError, NumericError
 
 # Products below this are numerically meaningless for whitening.
 EIG_UNDERFLOW = 1e-300
-# Relative tolerance of the P^T P = diag(eigenvalues) and factor-block checks.
+# Tolerance of the factor blocks' orthonormality check, max |U^T U - I|.
 GRAM_RTOL = 1e-10
 
 
@@ -73,22 +88,20 @@ def _pair_products(U: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ProjectionBasis:
-    """P: (n_s, r); eigenvalues: descending products (including alpha^2);
-    index_pairs[k] = (a_k, b_k), the axis-x and axis-y eigenindices of
-    column k; factor_x: (n_x, A) and factor_y: (n_y, B), the 1-D
-    eigenvectors the pairs index, so that column k of P is
-    sqrt(eigenvalues[k]) * kron(factor_x[:, a_k], factor_y[:, b_k]).
+    """The rank-r basis P, held as its Kronecker factors: eigenvalues, the
+    descending products (including alpha^2); index_pairs[k] = (a_k, b_k),
+    the axis-x and axis-y eigenindices of column k; factor_x: (n_x, A) and
+    factor_y: (n_y, B), the orthonormal 1-D eigenvectors the pairs index.
+    Column k of P is sqrt(eigenvalues[k]) * kron(factor_x[:, a_k],
+    factor_y[:, b_k]); P itself is never formed.
 
-    Construction rejects a basis whose shapes disagree, whose index pairs
-    repeat or leave the A x B box, whose columns do not satisfy
-    P^T P = diag(eigenvalues), or whose P disagrees with its factor blocks
-    (ConfigError). The checks apply P and P^T to one fixed probe vector z:
-    P^T (P z) ~= eigenvalues * z, and P z ~= vec(U_x Z U_y^T) with
-    Z[a_k, b_k] = sqrt(eigenvalues[k]) z_k. That costs O(n_s r) and forms
-    no Gram.
+    Construction rejects a basis whose shapes disagree, whose eigenvalues
+    are not positive and finite, whose index pairs repeat or leave the
+    A x B box, or whose factor blocks are not orthonormal (U^T U = I within
+    GRAM_RTOL), all with ConfigError. Distinct pairs of orthonormal blocks
+    give P^T P = diag(eigenvalues).
     """
 
-    P: np.ndarray
     eigenvalues: np.ndarray
     index_pairs: np.ndarray
     factor_x: np.ndarray
@@ -98,14 +111,11 @@ class ProjectionBasis:
     config: PriorConfig
 
     def __post_init__(self):
-        P, lam = self.P, self.eigenvalues
-        if P.ndim != 2 or P.shape[0] != self.n_x * self.n_y or P.shape[1] < 1:
-            raise ConfigError(f"basis P must have {self.n_x * self.n_y} rows "
-                              f"({self.n_x} x {self.n_y} grid), got shape {P.shape}")
-        r = P.shape[1]
-        if lam.shape != (r,):
-            raise ConfigError(f"basis needs one eigenvalue per column: shape "
-                              f"{lam.shape} for {r} columns")
+        lam = self.eigenvalues
+        if lam.ndim != 1 or lam.size < 1:
+            raise ConfigError(f"basis needs a 1-D array of eigenvalues, got "
+                              f"shape {lam.shape}")
+        r = lam.size
         if not np.all(lam > 0) or not np.all(np.isfinite(lam)):
             raise ConfigError("basis eigenvalues must be positive and finite")
         fx, fy = self.factor_x, self.factor_y
@@ -123,23 +133,24 @@ class ProjectionBasis:
                 or np.unique(a * n_b + b).size != r):
             raise ConfigError(f"basis index pairs must be distinct and lie in "
                               f"the {n_a} x {n_b} factor box")
-        z = 1.0 + np.arange(r) / r
-        pz = P @ z
-        err = np.linalg.norm(P.T @ pz - lam * z)
-        if not err <= GRAM_RTOL * lam.max() * np.linalg.norm(z):
-            raise ConfigError("basis columns are not orthogonal with squared "
-                              "norms equal to the eigenvalues (P^T P != "
-                              f"diag(eigenvalues); probe residual {err:.3e})")
-        coef = np.zeros((n_a, n_b))
-        coef[a, b] = np.sqrt(lam) * z
-        err = np.linalg.norm(pz - (fx @ coef @ fy.T).reshape(-1))
-        if not err <= GRAM_RTOL * np.sqrt(lam.max()) * np.linalg.norm(z):
-            raise ConfigError("basis P disagrees with its factor blocks "
-                              f"(probe residual {err:.3e})")
+        for name, block in (("factor_x", fx), ("factor_y", fy)):
+            err = np.abs(block.T @ block - np.eye(block.shape[1])).max()
+            if not err <= GRAM_RTOL:
+                raise ConfigError(f"basis factor blocks are not orthonormal "
+                                  f"({name}: max |U^T U - I| = {err:.3e})")
+        self._scale = np.sqrt(lam)
+        # the factor columns each basis column takes, (n_x, r) and (n_y, r),
+        # which ``rows`` broadcasts
+        self._cols_x = np.ascontiguousarray(fx[:, a])
+        self._cols_y = np.ascontiguousarray(fy[:, b])
 
     @property
     def rank(self) -> int:
-        return self.P.shape[1]
+        return self.eigenvalues.size
+
+    @property
+    def n_s(self) -> int:
+        return self.n_x * self.n_y
 
     @property
     def box(self) -> tuple[int, int]:
@@ -153,26 +164,131 @@ class ProjectionBasis:
         a, b = self.index_pairs[:, 0], self.index_pairs[:, 1]
         return a[:, None], a[None, :], b[:, None], b[None, :]
 
+    def _tile_blocks(self, tiles):
+        """The factor blocks cut along the tiling (g_x, z_x, g_y, z_y):
+        (g_x, z_x, A) and (g_y, z_y, B)."""
+        g_x, z_x, g_y, z_y = tiles
+        if (g_x * z_x, g_y * z_y) != (self.n_x, self.n_y):
+            raise ConfigError(f"tiling {tiles} does not cover the "
+                              f"{self.n_x} x {self.n_y} basis grid")
+        return (self.factor_x.reshape(g_x, z_x, -1),
+                self.factor_y.reshape(g_y, z_y, -1))
+
+    def tile_sums(self, x: np.ndarray, tiles) -> np.ndarray:
+        """The (g_x g_y, r) rows sum_{i in tile j} x_i P_i of an image-order
+        x over the tiling (g_x, z_x, g_y, z_y), tiles in row-major order:
+        row j gathers U_x[tile]^T X_j U_y[tile] at (a_k, b_k), scaled by
+        sqrt(lambda_k), with X_j the z_x x z_y tile of x. Two batched GEMMs,
+        O(n_s B + n_x g_y A B); with one tile it is P^T x."""
+        u_x, u_y = self._tile_blocks(tiles)
+        g_x, z_x, g_y, z_y = tiles
+        img = np.asarray(x, dtype=np.float64).reshape(tiles)
+        # contract y inside each tile column, then x inside each tile
+        xy = img.transpose(2, 0, 1, 3).reshape(g_y, self.n_x, z_y) @ u_y
+        xy = xy.reshape(g_y, g_x, z_x, -1).transpose(1, 0, 2, 3)
+        full = u_x.transpose(0, 2, 1)[:, None] @ xy
+        a, b = self.index_pairs[:, 0], self.index_pairs[:, 1]
+        return (full[:, :, a, b] * self._scale).reshape(g_x * g_y, -1)
+
+    def tile_apply(self, c: np.ndarray, tiles) -> np.ndarray:
+        """The image-order vector whose value at pixel i of tile j is
+        P_i c_j, for c of shape (g_x g_y, r) over the tiling
+        (g_x, z_x, g_y, z_y): U_x[tile] C_j U_y[tile]^T per tile, with C_j
+        the A x B array holding sqrt(lambda_k) c_jk at (a_k, b_k). The
+        adjoint of ``tile_sums``; with one tile it is P c."""
+        u_x, u_y = self._tile_blocks(tiles)
+        g_x, z_x, g_y, z_y = tiles
+        n_a, n_b = self.box
+        coef = np.zeros((g_x, g_y, n_a, n_b))
+        a, b = self.index_pairs[:, 0], self.index_pairs[:, 1]
+        coef[:, :, a, b] = np.reshape(c, (g_x, g_y, -1)) * self._scale
+        img = u_x[:, None] @ (coef @ u_y.transpose(0, 2, 1)[None])
+        return img.transpose(0, 2, 1, 3).reshape(-1)
+
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        """P z = vec(U_x Z U_y^T), Z[a_k, b_k] = sqrt(lambda_k) z_k."""
+        return self.tile_apply(z, (1, self.n_x, 1, self.n_y))
+
+    def apply_t(self, x: np.ndarray) -> np.ndarray:
+        """P^T x, the gather of U_x^T X U_y at (a_k, b_k) scaled by
+        sqrt(lambda_k), with X the n_x x n_y image of x."""
+        return self.tile_sums(x, (1, self.n_x, 1, self.n_y))[0]
+
+    def rows(self, sl: slice) -> np.ndarray:
+        """Rows sl (a unit-step slice) of P, (len, r), formed on demand: row
+        i of P is sqrt(lambda_k) U_x[i // n_y, a_k] U_y[i % n_y, b_k]. The
+        rows of whole image rows x0..x1 are formed in one array by
+        broadcasting, and sl is a view into it."""
+        lo, hi, _ = sl.indices(self.n_s)
+        x0, x1 = lo // self.n_y, -(-hi // self.n_y)
+        out = np.empty((x1 - x0, self.n_y, self.rank))
+        out[...] = self._cols_y
+        out *= self._cols_x[x0:x1, None, :]
+        out *= self._scale
+        return out.reshape(-1, self.rank)[lo - x0 * self.n_y:hi - x0 * self.n_y]
+
+    def premultiply(self, S) -> np.ndarray:
+        """S P, (m, r), for a scipy sparse S with n_s columns.
+
+        The nonzeros of S, ray-major with columns ascending (its CSR form),
+        are regrouped without sorting into a CSR matrix K with rows
+        (ray, x) and columns y (row pointers by ``bincount``). Over chunks
+        of rays, each a slice of K's row pointers, W = K U_y holds
+        sum_y S[ray, (x, y)] U_y[y, :] as a (rays, n_x, B) block; one
+        batched GEMM with U_x^T contracts x, and the A x B result is
+        gathered at (a_k, b_k) and scaled by sqrt(lambda_k). That costs
+        O(nnz B + m n_x A B) against the O(nnz r) of a product with P; the
+        chunk's W stays within CHUNK_ELEMS elements.
+        """
+        csr = sp.csr_matrix(S, dtype=np.float64)
+        if csr.shape[1] != self.n_s:
+            raise ConfigError(f"left factor must have {self.n_s} columns, "
+                              f"got shape {csr.shape}")
+        if not csr.has_sorted_indices:
+            csr = csr.sorted_indices()
+        m, n_x = csr.shape[0], self.n_x
+        n_b = self.box[1]
+        x, y = np.divmod(csr.indices, self.n_y)
+        key = np.repeat(np.arange(m, dtype=np.int64) * n_x, np.diff(csr.indptr))
+        key += x
+        del x
+        ptr = np.zeros(m * n_x + 1, dtype=csr.indptr.dtype)
+        np.cumsum(np.bincount(key, minlength=m * n_x), out=ptr[1:])
+        del key
+        u_xt = self.factor_x.T
+        flat = self.index_pairs[:, 0] * n_b + self.index_pairs[:, 1]
+        out = np.empty((m, self.rank))
+        for rays in row_chunks(m, n_x * n_b):
+            row_lo, row_hi = rays.start * n_x, rays.stop * n_x
+            lo, hi = ptr[row_lo], ptr[row_hi]
+            k = sp.csr_matrix((csr.data[lo:hi], y[lo:hi], ptr[row_lo:row_hi + 1] - lo),
+                              shape=(row_hi - row_lo, self.n_y))
+            w = (k @ self.factor_y).reshape(-1, n_x, n_b)
+            full = (u_xt @ w).reshape(len(w), -1)
+            np.take(full, flat, axis=1, out=out[rays])
+        out *= self._scale
+        return out
+
     def gram(self, w: np.ndarray) -> np.ndarray:
         """P^T diag(w) P: diag(w_0 eigenvalues) when w is uniform, else the
         gather of X^T W Y at ((a_k, a_l), (b_k, b_l)), scaled by
         sqrt(lambda_k lambda_l)."""
         w = np.asarray(w, dtype=np.float64)
-        if w.shape != (self.P.shape[0],):
+        if w.shape != (self.n_s,):
             raise ConfigError(f"basis Gram weights must have shape "
-                              f"({self.P.shape[0]},), got {w.shape}")
+                              f"({self.n_s},), got {w.shape}")
         if w.min() == w.max():
             return np.diag(w[0] * self.eigenvalues)
         n_a, n_b = self.box
         wy = w.reshape(self.n_x, self.n_y) @ _pair_products(self.factor_y)
         full = (_pair_products(self.factor_x).T @ wy).reshape(n_a, n_a, n_b, n_b)
-        s = np.sqrt(self.eigenvalues)
+        s = self._scale
         return s[:, None] * full[self._box_index()] * s[None, :]
 
     def quad_diag(self, psi: np.ndarray) -> np.ndarray:
         """diag(P psi P^T) for any r x r psi, as vec(X Psi^ Y^T)."""
         n_a, n_b = self.box
-        s = np.sqrt(self.eigenvalues)
+        s = self._scale
         hat = np.zeros((n_a, n_a, n_b, n_b))
         hat[self._box_index()] = s[:, None] * psi * s[None, :]
         xh = _pair_products(self.factor_x) @ hat.reshape(n_a * n_a, n_b * n_b)
@@ -203,9 +319,9 @@ def _eigh_descending(K: np.ndarray):
 def build_projection(n_x: int, n_y: int, cfg: PriorConfig) -> ProjectionBasis:
     """Construct the rank-r whitening basis from the two 1-D kernels.
 
-    Costs two n-point eigendecompositions plus one broadcast product of the
-    factor blocks for the n_s x r assembly; the full n_s x n_s covariance is
-    never formed.
+    Costs two n-point eigendecompositions and one sort of the n_s
+    eigenvalue products; neither the n_s x n_s covariance nor the n_s x r
+    basis is formed.
     """
     n_s = n_x * n_y
     if cfg.rank > n_s:
@@ -227,13 +343,7 @@ def build_projection(n_x: int, n_y: int, cfg: PriorConfig) -> ProjectionBasis:
             f"(smallest retained product: {top.min():.3e})"
         )
     a, b = ix[order], iy[order]
-    u_x = np.ascontiguousarray(vecs_x[:, : a.max() + 1])
-    u_y = np.ascontiguousarray(vecs_y[:, : b.max() + 1])
-    # row-major (n_x, n_y, r) from row-major column gathers: the product
-    # runs along r, and BLAS products with P sum in the same order as over a
-    # column-by-column assembly
-    P = (u_x.take(a, axis=1)[:, None, :] * u_y.take(b, axis=1)[None, :, :])
-    P = P.reshape(n_s, cfg.rank)
-    P *= np.sqrt(top)
-    return ProjectionBasis(P=P, eigenvalues=top, index_pairs=np.stack([a, b], axis=1),
-                           factor_x=u_x, factor_y=u_y, n_x=n_x, n_y=n_y, config=cfg)
+    return ProjectionBasis(eigenvalues=top, index_pairs=np.stack([a, b], axis=1),
+                           factor_x=np.ascontiguousarray(vecs_x[:, : a.max() + 1]),
+                           factor_y=np.ascontiguousarray(vecs_y[:, : b.max() + 1]),
+                           n_x=n_x, n_y=n_y, config=cfg)

@@ -12,10 +12,11 @@ through three exact identities (A = A_{i-1}):
     K_i Psi^est = (A^T G_MP)^T S^{-1} A^T = G_MP^T U_i^T U_i,
     x_{i-1}^sm = x_{i-1}^est + P U_i^T (U_i w).
 
-The mean takes one apply, one adjoint apply and two r-vector products
-with U_i: no Gramian, capacitance or solve. The covariances (for EM) take
-the motion's G_MP (``gram_pair``): with Phi = U_i^T U_i and
-K~ = G_MP^T Phi,
+The mean takes one apply and one adjoint apply of the motion, one
+``apply_t`` and one ``apply`` of the basis and two r-vector products with
+U_i: no Gramian, capacitance or solve. The covariances (for EM) take the
+motion's G_MP alone (``gram_mp``; G_MM is not formed): with
+Phi = U_i^T U_i and K~ = G_MP^T Phi,
 
     omega_i = Psi_i^sm K~,    Psi_{i-1}^sm = Phi + K~^T omega_i,
 
@@ -50,15 +51,14 @@ def smooth_step(x_est_prev, u_i, x_sm_i, psi_sm_i, motion: LinearOperator,
 
     psi_sm_prev and omega_i are None unless with_covariance is set.
     """
-    P = basis.P
     q_inv = 1.0 / np.asarray(q_diag, dtype=float)
     d = x_sm_i - motion.apply(x_est_prev)
-    w = P.T @ motion.apply_transpose(q_inv * d)
-    x_sm_prev = x_est_prev + P @ (u_i.T @ (u_i @ w))
+    w = basis.apply_t(motion.apply_transpose(q_inv * d))
+    x_sm_prev = x_est_prev + basis.apply(u_i.T @ (u_i @ w))
     if not with_covariance:
         return x_sm_prev, None, None
 
-    _, g_mp = motion.gram_pair(P, q_inv, lambda: basis.gram(q_inv))
+    g_mp = motion.gram_mp(basis, q_inv)
     phi = u_i.T @ u_i
     k_psi = g_mp.T @ phi
     omega = psi_sm_i @ k_psi

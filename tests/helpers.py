@@ -13,7 +13,7 @@ from dynct.phantom import default_blocks_config, generate_frames
 from dynct.prior import PriorConfig, ProjectionBasis, build_projection
 from dynct.radon import build_operators, make_geometry, simulate_sinograms
 from dynct.smoothing import run_smoother
-from oracles import column_loop_projection, dense
+from oracles import dense
 
 
 def build_problem(n_x=12, n_y=12, n_steps=4, n_angles=5, sigma=0.05,
@@ -63,20 +63,35 @@ def transition_motions(kind, n_x, n_y, n_steps, seed=0):
 
 
 def kron_basis(factor_x, factor_y, eigenvalues=None, alpha=1.0):
-    """A ProjectionBasis built by hand from 1-D factor blocks, one column per
-    (a, b) of the factor box in row-major order; unit eigenvalues unless
-    given. With a one-column factor_y of [1] the basis is factor_x itself
-    on an (n, 1) grid."""
+    """A ProjectionBasis built by hand from orthonormal 1-D factor blocks,
+    one column per (a, b) of the factor box in row-major order; unit
+    eigenvalues unless given. With a one-column factor_y of [1] the basis
+    is factor_x itself on an (n, 1) grid."""
     factor_x = np.asarray(factor_x, dtype=float)
     factor_y = np.asarray(factor_y, dtype=float)
     n_a, n_b = factor_x.shape[1], factor_y.shape[1]
     pairs = np.stack(np.divmod(np.arange(n_a * n_b), n_b), axis=1)
     lam = np.ones(n_a * n_b) if eigenvalues is None else eigenvalues
     return ProjectionBasis(
-        P=column_loop_projection(factor_x, factor_y, pairs, lam),
         eigenvalues=lam, index_pairs=pairs, factor_x=factor_x,
         factor_y=factor_y, n_x=factor_x.shape[0], n_y=factor_y.shape[0],
         config=PriorConfig(alpha=alpha, ell=1.0, rank=n_a * n_b))
+
+
+def random_basis(n_x, n_y, rank, rng, box=None):
+    """A ProjectionBasis on an n_x x n_y grid with random orthonormal factor
+    blocks (box = (A, B) columns, the whole grid unless given), rank
+    distinct random index pairs in the box and random eigenvalues in
+    [0.5, 2]."""
+    n_a, n_b = (n_x, n_y) if box is None else box
+    factor_x = np.linalg.qr(rng.standard_normal((n_x, n_a)))[0]
+    factor_y = np.linalg.qr(rng.standard_normal((n_y, n_b)))[0]
+    flat = rng.choice(n_a * n_b, size=rank, replace=False)
+    return ProjectionBasis(
+        eigenvalues=rng.uniform(0.5, 2.0, rank),
+        index_pairs=np.stack(np.divmod(flat, n_b), axis=1),
+        factor_x=factor_x, factor_y=factor_y, n_x=n_x, n_y=n_y,
+        config=PriorConfig(alpha=1.0, ell=1.0, rank=rank))
 
 
 def filter_factors(y_frames, h_ops, motions, noise, basis, x0):

@@ -4,12 +4,11 @@ Everything above the last section is written in the most literal textbook
 form possible: full covariances, explicit inverses, gain-form recursions.
 Nothing there is shared with the package internals, so agreement is
 meaningful. The last section holds reference routines in the package's own
-conventions (an operator's dense matrix, the row-chunked weighted Gram,
-the Woodbury apply, the diagonal M-step with its floor and roundoff guard,
-the expected log-likelihood on diagonal or full noise, the Kronecker-form
-prior covariance and its basis assembled column by column, the Radon
-operator traced ray by ray); no pipeline path calls them, so they live
-with the tests.
+conventions (an operator's dense matrix, the Woodbury apply, the diagonal
+M-step with its floor and roundoff guard, the expected log-likelihood on
+diagonal or full noise, the Kronecker-form prior covariance and the basis
+P assembled column by column, the Radon operator traced ray by ray); no
+pipeline path calls them, so they live with the tests.
 """
 
 import math
@@ -18,7 +17,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from dynct._linalg import row_chunks
 from dynct.em import _apply_floor, _guard_negative
 from dynct.errors import ConfigError, NumericError
 from dynct.prior import se_kernel_1d
@@ -235,15 +233,6 @@ def expected_loglik(y_frames, h_ops, motions, q_covs, r_covs,
     return total
 
 
-def weighted_gram(X: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """X^T diag(w) X, accumulated over row chunks."""
-    k = X.shape[1]
-    out = np.zeros((k, k))
-    for rows in row_chunks(X.shape[0], k):
-        out += (X[rows] * w[rows, None]).T @ X[rows]
-    return out
-
-
 def se_covariance_entry(p, q, alpha, ell) -> float:
     """Prior covariance between pixels p = (ix, iy) and q = (jx, jy)."""
     d2 = float((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2)
@@ -257,13 +246,15 @@ def dense_covariance(n_x, n_y, alpha, ell) -> np.ndarray:
     return alpha ** 2 * np.kron(se_kernel_1d(n_x, ell), se_kernel_1d(n_y, ell))
 
 
-def column_loop_projection(factor_x, factor_y, index_pairs, eigenvalues):
-    """The basis P one column at a time: column k is
-    sqrt(eigenvalues[k]) * kron(factor_x[:, a_k], factor_y[:, b_k])."""
-    P = np.empty((factor_x.shape[0] * factor_y.shape[0], len(eigenvalues)))
-    for k, (a, b) in enumerate(index_pairs):
-        P[:, k] = np.sqrt(eigenvalues[k]) * np.outer(factor_x[:, a],
-                                                     factor_y[:, b]).reshape(-1)
+def dense_basis(basis) -> np.ndarray:
+    """The basis P (n_s x r) assembled one column at a time: column k is
+    sqrt(eigenvalues[k]) * kron(factor_x[:, a_k], factor_y[:, b_k]). The
+    package never forms it; small problems only."""
+    _guard_dense(basis.n_s, "dense basis")
+    P = np.empty((basis.n_s, basis.rank))
+    for k, (a, b) in enumerate(basis.index_pairs):
+        P[:, k] = np.sqrt(basis.eigenvalues[k]) * np.outer(
+            basis.factor_x[:, a], basis.factor_y[:, b]).reshape(-1)
     return P
 
 

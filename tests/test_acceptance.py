@@ -23,7 +23,8 @@ from dynct.radon import build_operators, make_geometry, simulate_sinograms
 
 from helpers import (build_problem, dense_noise, problem_filter, psi_of,
                      rel_err, smoothed_moments)
-from oracles import (dense_expected_loglik, dense_irls, dense_kalman_filter, dense_q_update,
+from oracles import (dense_basis, dense_expected_loglik, dense_irls,
+                     dense_kalman_filter, dense_q_update,
                      dense_r_update, dense_rts_smoother,
                      dense_cross_covariances)
 
@@ -41,7 +42,7 @@ def small():
     motions = [Identity(prob["n_s"]) for _ in range(prob["n_steps"])]
     filt, a_est = problem_filter(prob, motions)
     sm = smoothed_moments(filt, motions, prob["noise"], prob["basis"])
-    P = prob["basis"].P
+    P = dense_basis(prob["basis"])
     q_covs, r_covs = dense_noise(prob)
     c0 = P @ P.T  # Psi_0 = I
     dm = [np.eye(prob["n_s"])] * prob["n_steps"]
@@ -79,7 +80,7 @@ def desk():
 
 def test_criterion_01_reduced_filter_matches_dense_kalman(small):
     t0 = time.perf_counter()
-    P = small["prob"]["basis"].P
+    P = dense_basis(small["prob"]["basis"])
     for i in range(small["prob"]["n_steps"] + 1):
         assert rel_err(small["filt"].x_est[i], small["means"][i]) <= 1e-8
         cov = P @ psi_of(small["a_est"][i]) @ P.T
@@ -90,7 +91,7 @@ def test_criterion_01_reduced_filter_matches_dense_kalman(small):
 
 def test_criterion_02_reduced_smoother_matches_dense_rts(small):
     t0 = time.perf_counter()
-    P = small["prob"]["basis"].P
+    P = dense_basis(small["prob"]["basis"])
     for i in range(small["prob"]["n_steps"] + 1):
         assert rel_err(small["sm"].x_sm[i], small["sm_means"][i]) <= 1e-8
         cov = P @ small["sm"].psi_sm[i] @ P.T
@@ -136,7 +137,7 @@ def test_criterion_04_em_mstep_oracle_and_monotone_objective():
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
                       prob["noise"], prob["basis"], prob["x0"])
     sm = smoothed_moments(filt, motions, prob["noise"], prob["basis"])
-    P = prob["basis"].P
+    P = dense_basis(prob["basis"])
     for i in range(1, 5):
         cov_sm_i = P @ sm.psi_sm[i] @ P.T
         cov_sm_prev = P @ sm.psi_sm[i - 1] @ P.T
@@ -144,7 +145,7 @@ def test_criterion_04_em_mstep_oracle_and_monotone_objective():
         y = prob["sino"].sinograms[i]
         r_want = np.diag(dense_r_update(y, h, sm.x_sm[i], cov_sm_i))
         r_got = update_r_diag(y, prob["h_ops"][i], sm.x_sm[i], sm.psi_sm[i],
-                              P)
+                              prob["basis"])
         assert rel_err(r_got, r_want) <= 1e-10
         q_want = np.diag(dense_q_update(sm.x_sm[i - 1], sm.x_sm[i],
                                         cov_sm_prev, cov_sm_i,

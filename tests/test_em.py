@@ -10,8 +10,8 @@ from dynct.filtering import run_filter
 from dynct.linops import Identity, PatchRank1, SparseCSR
 from helpers import (build_problem, dense_noise, kron_basis, rel_err,
                      smoothed_moments)
-from oracles import (dense, dense_cross_covariances, dense_kalman_filter,
-                     dense_q_update, dense_r_update, dense_rts_smoother,
+from oracles import (dense, dense_basis, dense_cross_covariances,
+                     dense_kalman_filter, dense_q_update, dense_r_update, dense_rts_smoother,
                      expected_loglik, projected_posterior_cov, update_q_dense,
                      update_r_dense)
 
@@ -54,10 +54,10 @@ def _q_update(sm, i, motion, basis):
 
 def test_r_update_matches_dense_formula():
     prob, _, sm = _smoothed_problem(n_x=3, n_y=3, n_steps=3, n_angles=2)
-    P = prob["basis"].P
+    P = dense_basis(prob["basis"])
     for i in range(1, prob["n_steps"] + 1):
         got = update_r_diag(prob["sino"].sinograms[i], prob["h_ops"][i],
-                            sm.x_sm[i], sm.psi_sm[i], P)
+                            sm.x_sm[i], sm.psi_sm[i], prob["basis"])
         cov = projected_posterior_cov(P, sm.psi_sm[i])
         want = update_r_dense(prob["sino"].sinograms[i], prob["h_dense"][i],
                               sm.x_sm[i], cov)
@@ -70,7 +70,7 @@ def test_q_update_matches_dense_formula(kind):
     n = 4 if kind == "PatchRank1" else 3  # a grid the 2 x 2 patches tile
     prob, motions, sm = _smoothed_problem(kind, n_x=n, n_y=n, n_steps=3,
                                           n_angles=2)
-    P = prob["basis"].P
+    P = dense_basis(prob["basis"])
     for i in range(1, prob["n_steps"] + 1):
         got = _q_update(sm, i, motions[i - 1], prob["basis"])
         want = update_q_dense(sm.x_sm[i - 1], sm.x_sm[i],
@@ -91,7 +91,7 @@ def test_q_update_matches_fully_dense_rts_chain():
     sm = smoothed_moments(filt, motions_op, prob["noise"], prob["basis"])
     q_covs, r_covs = dense_noise(prob)
     motions = [np.eye(prob["n_s"])] * prob["n_steps"]
-    P = prob["basis"].P
+    P = dense_basis(prob["basis"])
     kf = dense_kalman_filter(prob["x0"], P @ P.T, motions,
                              q_covs, prob["h_dense"], r_covs,
                              prob["sino"].sinograms)
@@ -108,7 +108,7 @@ def test_r_trivial_perfect_fit_zero_cov():
     h = SparseCSR(np.eye(4))
     x = np.array([1.0, 2.0, 3.0, 4.0])
     got = update_r_diag(h.apply(x), h, x, np.zeros((2, 2)),
-                        np.zeros((4, 2)))
+                        kron_basis(np.eye(4, 2), np.ones((1, 1))))
     np.testing.assert_array_equal(got, np.full(4, FLOOR_ABS))
 
 
@@ -116,7 +116,8 @@ def test_r_trivial_zero_cov_is_squared_residual():
     h = SparseCSR(np.eye(3))
     x = np.zeros(3)
     y = np.array([0.5, -2.0, 1.0])
-    got = update_r_diag(y, h, x, np.zeros((3, 3)), np.eye(3))
+    got = update_r_diag(y, h, x, np.zeros((3, 3)),
+                        kron_basis(np.eye(3), np.ones((1, 1))))
     want = np.maximum(y ** 2, 1e-8 * np.mean(y ** 2))
     np.testing.assert_allclose(got, want, rtol=1e-15)
 
@@ -273,9 +274,8 @@ def test_loglik_scale_guard():
 def test_outputs_respect_floor():
     prob, motions, sm = _smoothed_problem(n_x=3, n_y=3, n_steps=2,
                                           n_angles=2)
-    P = prob["basis"].P
     r_diag = update_r_diag(prob["sino"].sinograms[1], prob["h_ops"][1],
-                           sm.x_sm[1], sm.psi_sm[1], P)
+                           sm.x_sm[1], sm.psi_sm[1], prob["basis"])
     q_diag = _q_update(sm, 1, motions[0], prob["basis"])
     assert (r_diag >= 1e-8 * r_diag.mean() - 1e-30).all()
     assert (q_diag > 0).all()

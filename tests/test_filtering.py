@@ -12,7 +12,8 @@ from dynct.linops import Identity, SparseCSR
 from dynct.prior import PriorConfig, ProjectionBasis, build_projection
 from helpers import (build_problem, dense_noise, filter_factors, kron_basis,
                      problem_filter, psi_of, rel_err, transition_motions)
-from oracles import dense, dense_kalman_filter, projected_posterior_cov
+from oracles import (dense, dense_basis, dense_kalman_filter,
+                     projected_posterior_cov)
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +23,7 @@ def prob():
 
 def _dense(prob, motions):
     q_covs, r_covs = dense_noise(prob)
-    P = prob["basis"].P
+    P = dense_basis(prob["basis"])
     c0 = P @ P.T  # Psi_0 = I
     return dense_kalman_filter(prob["x0"], c0, [dense(m) for m in motions],
                                q_covs, prob["h_dense"], r_covs,
@@ -59,7 +60,7 @@ def _assert_means_match(prob, reduced, dense_kf, motions):
 def _assert_covariances_match(prob, reduced, dense_kf):
     _, a_est = reduced
     _, covs, _, _ = dense_kf
-    P = prob["basis"].P
+    P = dense_basis(prob["basis"])
     for i in range(prob["n_steps"] + 1):
         full = projected_posterior_cov(P, psi_of(a_est[i]))
         assert rel_err(full, covs[i]) <= 1e-8, f"step {i}"
@@ -151,7 +152,7 @@ def test_static_init_identity_h_orthonormal_basis():
     q_x, _ = np.linalg.qr(rng.standard_normal((5, 4)))
     q_y, _ = np.linalg.qr(rng.standard_normal((5, 2)))
     basis = kron_basis(q_x, q_y, alpha=1e8)
-    Q = basis.P
+    Q = dense_basis(basis)
     y = rng.standard_normal(n_s)
     x0 = static_init(SparseCSR(sp.eye(n_s)), basis, y)
     want = Q @ np.linalg.solve(Q.T @ Q, Q.T @ y)  # dense normal equations
@@ -163,7 +164,7 @@ def test_innovation_whiteness_on_true_model():
     # time-averaged normalized innovations should have variance near 1
     prob = build_problem(n_x=10, n_y=10, n_steps=30, n_angles=6, ell=1.2)
     rng = np.random.default_rng(7)
-    n_s, P = prob["n_s"], prob["basis"].P
+    n_s, P = prob["n_s"], dense_basis(prob["basis"])
     q_sd, r_sd = 0.05, 0.1
     h = prob["h_ops"][1]
     m = h.shape[0]
@@ -224,19 +225,28 @@ def test_noise_model_validation():
     assert nm.n_steps == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["q_diags", "r_diags"])
+def test_noise_model_rejects_non_finite_variances(field, bad):
+    diags = {"q_diags": [np.full(3, 0.5)], "r_diags": [np.full(2, 2.0)]}
+    diags[field][0][1] = bad
+    with pytest.raises(ConfigError, match="finite"):
+        NoiseModel(**diags)
+
+
 def test_singular_observation_system_raises():
-    # a zero basis cannot carry unit eigenvalues: rejected before any solve
+    # a zero factor block is not orthonormal: rejected before any solve
     with pytest.raises(ConfigError):
-        ProjectionBasis(P=np.zeros((4, 2)), eigenvalues=np.ones(2),
+        ProjectionBasis(eigenvalues=np.ones(2),
                         index_pairs=np.array([[0, 0], [0, 1]]),
-                        factor_x=np.eye(2, 1), factor_y=np.eye(2),
+                        factor_x=np.zeros((2, 1)), factor_y=np.eye(2),
                         n_x=2, n_y=2,
                         config=PriorConfig(alpha=1.0, ell=1.0, rank=2))
     # a consistent basis with a zero-information observation (H = 0) and a
     # prior weight alpha^-2 that underflows to 0: the reduced system is
     # exactly singular
     basis = kron_basis(np.eye(2, 1), np.eye(2), alpha=1e200)
-    np.testing.assert_array_equal(basis.P, np.eye(4, 2))
+    np.testing.assert_array_equal(dense_basis(basis), np.eye(4, 2))
     assert basis.config.alpha ** -2 == 0.0
     with pytest.raises(NumericError):
         static_init(SparseCSR(sp.csr_matrix((3, 4))), basis, np.ones(3))

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from dynct import radon
+from dynct import cli, radon
 from dynct.cli import main
 from dynct.errors import ConfigError, DataIOError
 from dynct.io_formats import (DEFAULT_NOISE_LEVEL, content_hash, load_config,
@@ -256,6 +256,23 @@ def test_reconstruct_mismatched_config(sim_run, tmp_path, capsys):
                           **{"phantom.n_frames": 5})
     assert main(["reconstruct", other, data]) == 2
     assert "does not match config" in capsys.readouterr().err
+
+
+def test_reconstruct_basis_grid_mismatch_exits_2(tmp_path, monkeypatch,
+                                                 capsys):
+    # a basis on the transposed grid has the 16 x 8 image's pixel count but
+    # not its grid: a config error, not a run on the wrong algebra
+    data = tmp_path / "data"
+    cfg = _write_config(tmp_path / "run.cfg", data, **{"phantom.n_y": 8})
+    assert main(["simulate", cfg]) == 0
+    original = cli.build_projection
+
+    def transposed(n_x, n_y, prior_cfg):
+        return original(n_y, n_x, prior_cfg)
+
+    monkeypatch.setattr(cli, "build_projection", transposed)
+    assert main(["reconstruct", cfg, str(data)]) == 2
+    assert "basis grid 8 x 16" in capsys.readouterr().err
 
 
 def test_reconstruct_non_finite_sinogram_exits_4(sim_run, capsys):

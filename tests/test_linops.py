@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynct import _linalg
-from dynct._linalg import op_gram, row_chunks
+from dynct._linalg import row_chunks
 from dynct.errors import ConfigError
 from dynct.linops import (Identity, LinearOperator, PatchRank1, SparseCSR,
                           payload_nbytes)
-from oracles import DENSE_LIMIT, dense, weighted_gram
+from helpers import random_basis
+from oracles import DENSE_LIMIT, dense, dense_basis
 
 
 def _sample_ops(rng):
@@ -110,32 +111,37 @@ def test_apply_block_matches_columnwise_apply(ops):
         np.testing.assert_allclose(op.apply_block(X), full, atol=1e-12)
 
 
+def _grid(op):
+    """The image grid of a square sample operator: its patch tiling for
+    PatchRank1, else 4 x 3 (n = 12)."""
+    if isinstance(op, PatchRank1):
+        g_x, z_x, g_y, z_y = op.tiles
+        return g_x * z_x, g_y * z_y
+    assert op.shape[0] == 12
+    return 4, 3
+
+
 def test_gram_pair_matches_dense(square_ops, monkeypatch):
     # several row chunks, so the sparse loop stitches its Gramians
     monkeypatch.setattr(_linalg, "CHUNK_ELEMS", 20)
     rng = np.random.default_rng(5)
     for op in square_ops:
         n = op.shape[0]
-        P = rng.standard_normal((n, 5))
+        basis = random_basis(*_grid(op), 5, rng)
+        P = dense_basis(basis)
         w = rng.uniform(0.2, 3.0, n)
         MP = _dense_reference(op) @ P
         want = (MP.T @ (w[:, None] * MP), MP.T @ (w[:, None] * P))
-        calls = []
-
-        def g_pp():
-            calls.append(1)
-            return weighted_gram(P, w)
-
-        got = op.gram_pair(P, w, g_pp)
+        got = op.gram_pair(basis, w)
         assert len(got) == 2
         for g, ref in zip(got, want):
             np.testing.assert_allclose(g, ref, rtol=1e-12)
-        # only Identity, whose Gramians are the basis Gram, asks for it
+        # G_MP alone is the pair's second Gramian
+        np.testing.assert_allclose(op.gram_mp(basis, w), got[1], rtol=1e-13)
+        # Identity's two Gramians are the basis Gram, one array
         if isinstance(op, Identity):
-            assert len(calls) == 1 and got[0] is got[1]
-            np.testing.assert_array_equal(got[0], weighted_gram(P, w))
-        else:
-            assert calls == []
+            assert got[0] is got[1]
+            np.testing.assert_array_equal(got[0], basis.gram(w))
 
 
 def _q_terms_dense(op, P, psi, omega):
@@ -143,25 +149,18 @@ def _q_terms_dense(op, P, psi, omega):
     return (np.diag(MP @ psi @ MP.T), np.diag(P @ omega @ MP.T))
 
 
-def _q_inputs(rng, n, r):
-    A = rng.standard_normal((r, r))
-    return rng.standard_normal((n, r)), A @ A.T, rng.standard_normal((r, r))
+def _q_inputs(rng, op, r):
+    basis = random_basis(*_grid(op), r, rng)
+    A = rng.standard_normal((basis.rank, basis.rank))
+    return basis, A @ A.T, rng.standard_normal((basis.rank, basis.rank))
 
 
-def _assert_q_terms(op, P, psi, omega):
-    calls = []
-
-    def quad(x):
-        calls.append(1)
-        return np.diag(P @ x @ P.T)
-
-    got = op.q_terms(P, psi, omega, quad)
+def _assert_q_terms(op, basis, psi, omega):
+    got = op.q_terms(basis, psi, omega)
     assert len(got) == 2
-    for g, ref in zip(got, _q_terms_dense(op, P, psi, omega)):
+    for g, ref in zip(got, _q_terms_dense(op, dense_basis(basis), psi, omega)):
         np.testing.assert_allclose(g, ref, rtol=1e-12,
                                    atol=1e-12 * np.abs(ref).max())
-    # only Identity, whose terms are two diagonals over P, asks for them
-    assert len(calls) == (2 if isinstance(op, Identity) else 0)
 
 
 def test_q_terms_match_dense(square_ops, monkeypatch):
@@ -169,7 +168,7 @@ def test_q_terms_match_dense(square_ops, monkeypatch):
     monkeypatch.setattr(_linalg, "CHUNK_ELEMS", 20)
     rng = np.random.default_rng(8)
     for op in square_ops:
-        _assert_q_terms(op, *_q_inputs(rng, op.shape[0], 5))
+        _assert_q_terms(op, *_q_inputs(rng, op, 5))
 
 
 @settings(max_examples=30, deadline=None)
@@ -181,12 +180,12 @@ def test_patch_rank1_q_terms_any_tiling(bx, by, z_x, z_y, r, seed):
     n_p, n_s = bx * by, bx * z_x * by * z_y
     op = PatchRank1(bx * z_x, by * z_y, z_x, z_y, rng.standard_normal(n_s),
                     rng.standard_normal(n_s), rng.uniform(0.5, 2.0, n_p))
-    _assert_q_terms(op, *_q_inputs(rng, op.shape[0], r))
+    _assert_q_terms(op, *_q_inputs(rng, op, min(r, n_s)))
 
 
 def test_sparse_whole_block_matches_dense_and_row_path(ops, monkeypatch):
-    # gram_pair and q_terms form M P in row chunks of the matrix, op_gram and
-    # the R update form H P whole: the two must agree bit for bit
+    # apply_block, the flow solver's whole product, against the dense
+    # product and, bit for bit, the chunk-by-chunk product over row slices
     monkeypatch.setattr(_linalg, "CHUNK_ELEMS", 20)
     rng = np.random.default_rng(6)
     for op in _block_ops(ops):
@@ -201,15 +200,25 @@ def test_sparse_whole_block_matches_dense_and_row_path(ops, monkeypatch):
 
 
 def test_shape_validation(ops):
+    rng = np.random.default_rng(10)
     for op in ops:
         with pytest.raises(ConfigError):
             op.apply(np.zeros(op.shape[1] + 1))
         if op.shape[0] == op.shape[1]:
-            bad = np.zeros((op.shape[1] + 2, 3))
-            with pytest.raises(ConfigError):
-                op.gram_pair(bad, np.ones(bad.shape[0]), lambda: np.eye(3))
-            with pytest.raises(ConfigError):
-                op.q_terms(bad, np.eye(3), np.eye(3), lambda psi: None)
+            # a basis on another grid: one more row, or (for PatchRank1)
+            # the same pixel count with the axes swapped
+            n_x, n_y = _grid(op)
+            for grid in ((n_x + 1, n_y), (n_y, n_x)):
+                if grid[0] * grid[1] == op.shape[0] and not isinstance(op, PatchRank1):
+                    continue
+                bad = random_basis(*grid, 3, rng)
+                w = np.ones(op.shape[0])
+                with pytest.raises(ConfigError):
+                    op.gram_pair(bad, w)
+                with pytest.raises(ConfigError):
+                    op.gram_mp(bad, w)
+                with pytest.raises(ConfigError):
+                    op.q_terms(bad, np.eye(3), np.eye(3))
     for op in _block_ops(ops):
         with pytest.raises(ConfigError):
             op.apply_block(np.zeros((op.shape[1] + 2, 3)))
@@ -228,12 +237,15 @@ def test_operator_without_row_kernel_raises():
             return y.copy()
 
     op = NoRowKernel()
+    basis = random_basis(3, 1, 2, np.random.default_rng(0))
     with pytest.raises(NotImplementedError):
-        op_gram(op, np.eye(3))
+        op.apply_block(np.eye(3))
     with pytest.raises(NotImplementedError):
-        op.gram_pair(np.eye(3), np.ones(3), lambda: np.eye(3))
+        op.gram_pair(basis, np.ones(3))
     with pytest.raises(NotImplementedError):
-        op.q_terms(np.eye(3), np.eye(3), np.eye(3), lambda psi: None)
+        op.gram_mp(basis, np.ones(3))
+    with pytest.raises(NotImplementedError):
+        op.q_terms(basis, np.eye(2), np.eye(2))
 
 
 def test_to_dense_guard():

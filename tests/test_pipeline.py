@@ -198,7 +198,10 @@ def test_m3_charges_its_motion_vectors_once(monkeypatch):
         assert payload_nbytes(op) == op.denoms.nbytes == 4 * 8  # 2 x 2 patches
     m_t = max(op.shape[0] for op in prob["h_ops"][1:])
     box_a, box_b = prob["basis"].box
-    scratch = 4 * CHUNK_ELEMS + 8 * n_s + m_t * r + (box_a * box_b) ** 2
+    regroup = max(3 * op.matrix.nnz + 2 * op.shape[0] * prob["geom"].n_x
+                  for op in prob["h_ops"])
+    scratch = (4 * CHUNK_ELEMS + 8 * n_s + m_t * r + regroup
+               + (box_a * box_b) ** 2)
     noise = sum(n_s + op.shape[0] for op in prob["h_ops"][1:])
     traj = (T + 1) * n_s
     want = scratch + 2 * noise + 2 * T * 4 + n_s + 3 * traj
@@ -288,6 +291,18 @@ def test_operator_count_validated_up_front():
     method = parse_method("IRKFS", n_iter=1)
     with pytest.raises(ConfigError, match="operator per frame"):
         run_emirkfs(prob["sino"], prob["h_ops"][:-1], prob["basis"], method)
+
+
+def test_basis_grid_must_match_the_geometry():
+    # an 8 x 16 basis has the 16 x 8 geometry's pixel count but not its
+    # grid: the basis products reshape by (n_x, n_y), so it is rejected
+    prob = build_problem(n_x=16, n_y=8, n_steps=2, sigma=0.02)
+    flipped = build_projection(8, 16, prob["basis"].config)
+    assert flipped.n_s == prob["n_s"]
+    for bad in (flipped, build_projection(16, 9, prob["basis"].config)):
+        with pytest.raises(ConfigError, match="basis grid"):
+            run_emirkfs(prob["sino"], prob["h_ops"], bad,
+                        parse_method("IRKFS", n_iter=1))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

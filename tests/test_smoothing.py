@@ -13,8 +13,9 @@ from dynct.metrics import rre
 from dynct.smoothing import run_smoother, smooth_step
 from helpers import (build_problem, count_calls, dense_noise, psi_of, rel_err,
                      smoothed_moments, transition_motions)
-from oracles import (dense, dense_cross_covariances, dense_kalman_filter,
-                     dense_rts_smoother, projected_posterior_cov)
+from oracles import (dense, dense_basis, dense_cross_covariances,
+                     dense_kalman_filter, dense_rts_smoother,
+                     projected_posterior_cov)
 
 
 def _motions(prob, kind="Identity"):
@@ -33,7 +34,7 @@ def _dense(prob, motions=None):
     motions = _motions(prob) if motions is None else motions
     q_covs, r_covs = dense_noise(prob)
     mats = [dense(m) for m in motions]
-    P = prob["basis"].P
+    P = dense_basis(prob["basis"])
     c0 = P @ P.T  # Psi_0 = I
     kf = dense_kalman_filter(prob["x0"], c0, mats, q_covs,
                              prob["h_dense"], r_covs, prob["sino"].sinograms)
@@ -47,7 +48,7 @@ def _assert_means_match(prob, x_sm, sm_means):
 
 
 def _assert_covariances_match(prob, sm, sm_covs):
-    P = prob["basis"].P
+    P = dense_basis(prob["basis"])
     for i in range(prob["n_steps"] + 1):
         full = projected_posterior_cov(P, sm.psi_sm[i])
         assert rel_err(full, sm_covs[i]) <= 1e-8, f"step {i}"
@@ -55,7 +56,7 @@ def _assert_covariances_match(prob, sm, sm_covs):
 
 def _assert_cross_covariances_match(prob, sm, sm_covs, gains):
     want = dense_cross_covariances(sm_covs, gains)
-    P = prob["basis"].P
+    P = dense_basis(prob["basis"])
     for i in range(1, prob["n_steps"] + 1):
         got = P @ sm.omegas[i - 1] @ P.T
         assert rel_err(got, want[i - 1]) <= 1e-9, f"step {i}"
@@ -97,24 +98,28 @@ def test_moving_motion_matches_dense_rts(prob, kind):
 def test_smoother_works_from_the_filter_handover(prob, monkeypatch, kind):
     # the filter hands over U_i = L_i^{-1} A_{i-1}^T: the sweep forms no
     # capacitance, Cholesky or triangular solve, the mean-only sweep no
-    # Gramian, and the covariance sweep one gram_pair (for G_MP) per step
+    # Gramian, and the covariance sweep one gram_mp (G_MP alone) per step
+    # and no gram_pair, so no G_MM
     motions = _motions(prob, kind)
     calls = {name: count_calls(monkeypatch, owner, name) for owner, name in (
         (_linalg, "capacitance_factor"), (sla, "cho_factor"),
         (sla, "cho_solve"), (sla, "solve_triangular"),
-        (type(motions[0]), "gram_pair"))}
+        (type(motions[0]), "gram_pair"), (type(motions[0]), "gram_mp"))}
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
                       prob["noise"], prob["basis"], prob["x0"])
-    # the counts do see the filter's capacitance, Cholesky, solve and Gramians
-    assert {name for name, seen in calls.items() if seen} == {
-        "capacitance_factor", "cho_factor", "solve_triangular", "gram_pair"}
+    # the counts do see the filter's capacitance, Cholesky, solve and
+    # Gramian pair (an Identity's pair is its G_MP, twice)
+    want = {"capacitance_factor", "cho_factor", "solve_triangular", "gram_pair"}
+    if kind == "Identity":
+        want.add("gram_mp")
+    assert {name for name, seen in calls.items() if seen} == want
     for seen in calls.values():
         seen.clear()
     run_smoother(filt, motions, prob["noise"], prob["basis"])
     assert all(seen == [] for seen in calls.values())
     run_smoother(filt, motions, prob["noise"], prob["basis"],
                  with_covariance=True)
-    assert len(calls.pop("gram_pair")) == prob["n_steps"]
+    assert len(calls.pop("gram_mp")) == prob["n_steps"]
     assert all(seen == [] for seen in calls.values())
 
 
@@ -155,7 +160,7 @@ def test_large_q_decouples_cross_covariance():
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
                       noise, prob["basis"], prob["x0"])
     sm = smoothed_moments(filt, motions, noise, prob["basis"])
-    P = prob["basis"].P
+    P = dense_basis(prob["basis"])
     for i in range(1, prob["n_steps"] + 1):
         cross = P @ sm.omegas[i - 1] @ P.T
         c_sm = projected_posterior_cov(P, sm.psi_sm[i])
