@@ -8,25 +8,20 @@ and the M2 fit as its one-patch case (the whole image as a single patch).
 Every operator keeps its vectors in image order (row-major over the
 (n_x, n_y) grid); ``PatchRank1`` reaches its patches through reshaped views.
 
-The operator protocol is the products the filter, smoother and M-step
-make. Every operator implements the first two; the others exist only
-where a caller makes them:
+The operator protocol is the products the filter, smoother, M-step and
+flow solver make. Every operator implements the first two; the others exist
+only where a caller makes them:
 
 - ``apply(x)``: forward product ``op @ x``.
 - ``apply_transpose(y)``: exact adjoint of the same coefficients.
-- ``apply_block(X)``: the whole product ``op @ X``. Only ``SparseCSR``
-  defines it, for the flow solver's operands. It stores one CSC matrix,
-  whose transpose view is the CSR matrix of the adjoint, so the product is
-  one column-order pass that reads each row of X once. (The observations'
-  H P is the basis' ``premultiply``.)
 - ``gram_pair(basis, w)``: the weighted Gramians G_MM = (M P)^T diag(w)
   (M P) and G_MP = (M P)^T diag(w) P that the filter needs for a motion
   operator M, and ``gram_mp(basis, w)``, G_MP alone, which is all the
   smoother needs. ``Identity``, whose Gramians are the basis Gram, asks
   ``basis.gram``; ``SparseCSR`` folds row chunks of ``M P`` into them, each
-  the chunk's rows of the matrix against ``basis.rows`` over the column
-  band they reference; ``PatchRank1`` uses closed forms in its per-patch
-  coefficients, which ``basis.tile_sums`` forms.
+  the chunk's rows of the matrix against ``basis.rows`` of the distinct
+  columns they reference; ``PatchRank1`` uses closed forms in its
+  per-patch coefficients, which ``basis.tile_sums`` forms.
 - ``q_terms(basis, psi_prev, omega)``: the two motion terms of the
   M-step's diag(Q_i), diag(MP psi_prev (MP)^T) and diag(P omega (MP)^T), as
   n_s-vectors. ``Identity`` asks ``basis.quad_diag`` for both;
@@ -35,11 +30,12 @@ where a caller makes them:
   ``gram_pair`` and ``basis.tile_apply``, so it never forms an n_s x r
   product.
 
+The observations' H P is the basis' ``premultiply`` of ``SparseCSR.matrix``.
 The basis is a ``prior.ProjectionBasis`` on the operator's image grid
 (ConfigError otherwise). There is no column-loop fallback: an operator
-without one of the last four raises ``NotImplementedError``.
+without one of the last three raises ``NotImplementedError``.
 
-All vectors are 1-D float64 arrays; blocks are (n, k) float64 arrays.
+All vectors are 1-D float64 arrays.
 """
 
 from __future__ import annotations
@@ -58,16 +54,9 @@ def _as_vector(x, n, name="x"):
     return x
 
 
-def _as_block(X, n):
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != n:
-        raise ConfigError(f"block must have shape ({n}, k), got shape {X.shape}")
-    return X
-
-
 class LinearOperator:
     """Base class: shape (m, n), the two methods every operator implements
-    and stubs for the three that only some define."""
+    and stubs for the three that only motion operators define."""
 
     shape: tuple[int, int]
 
@@ -76,10 +65,6 @@ class LinearOperator:
 
     def apply_transpose(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def apply_block(self, X: np.ndarray) -> np.ndarray:
-        """The whole product ``op @ X``."""
-        raise NotImplementedError(f"{type(self).__name__} has no block product")
 
     def gram_pair(self, basis, w: np.ndarray):
         """(G_MM, G_MP) of a square operator M = op, basis P and weights w:
@@ -104,21 +89,24 @@ def _check_basis(op: LinearOperator, basis) -> None:
 
 
 class SparseCSR(LinearOperator):
-    """Sparse operator over one stored matrix.
+    """Sparse operator over one owned matrix.
 
-    The matrix is kept once, in canonical CSC form (sorted indices, no
-    duplicates, no stored zeros, float64 data). The adjoint runs on its
-    transpose, a CSR view of the same arrays made once here (making it per
-    call costs more than the product at 32 x 32), so no second copy is held.
-    Every product sums the terms of each output entry in ascending index
-    order.
+    The matrix is copied once, into canonical CSR form (sorted indices, no
+    duplicates, no stored zeros, float64 data), so a later change to the
+    caller's matrix cannot reach the operator; a non-finite entry raises
+    ConfigError. The adjoint runs on its transpose, a CSC view of the same
+    arrays made once here (making it per call costs more than the product
+    at 32 x 32), so no second copy is held. Every product sums the terms of
+    each output entry in ascending index order.
     """
 
     def __init__(self, matrix):
-        m = sp.csc_matrix(matrix, dtype=np.float64)
+        m = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
         m.sum_duplicates()
         m.eliminate_zeros()
         m.sort_indices()
+        if not np.all(np.isfinite(m.data)):
+            raise ConfigError("sparse operator entries must be finite")
         self.matrix = m
         self._adjoint = m.T
         self.shape = m.shape
@@ -131,43 +119,28 @@ class SparseCSR(LinearOperator):
         y = _as_vector(y, self.shape[0], "y")
         return self._adjoint @ y
 
-    def apply_block(self, X):
-        """One column-order pass, which reads each row of X once in place of
-        once per nonzero of its column."""
-        return np.asarray(self.matrix @ _as_block(X, self.shape[1]))
-
     def _chunks(self, basis):
         """Yield (rows, M P rows, P rows) over row chunks of M P, so no
-        n_s x r product is formed. The chunk's rows of the matrix (a slice
-        of its CSR form) multiply ``basis.rows`` over the span of the
-        columns they reference and of the chunk itself, in pieces of twice
-        the chunk's length, skipping pieces they reference nothing in. A
-        banded matrix such as the flow warp (about 2 n_y columns past the
-        chunk) takes one piece, whose rows also give the chunk's rows of P;
-        each output row then sums its terms in ascending column order, as a
-        product with a stored P would."""
+        n_s x r product is formed. Each chunk forms ``basis.rows`` once,
+        over the chunk's own rows and the distinct columns its rows of the
+        matrix reference, in ascending order: the chunk's rows of P are a
+        contiguous slice of that block, and each row of M P sums its terms
+        in ascending column order, as a product with a stored P would. A
+        bilinear warp (at most 4 nonzeros a row) forms at most 5 chunks of
+        P rows, whatever its displacement."""
         _check_basis(self, basis)
-        csr = self.matrix.tocsr()
+        csr = self.matrix
         for rows in row_chunks(self.shape[0], basis.rank):
+            k = rows.stop - rows.start
             p0, p1 = csr.indptr[rows.start], csr.indptr[rows.stop]
-            cols = csr.indices[p0:p1]
-            lo = cols.min(initial=rows.start)
-            hi = cols.max(initial=rows.stop - 1) + 1
-            sub = sp.csr_matrix((csr.data[p0:p1], cols - lo,
+            cols, local = np.unique(np.concatenate(
+                [np.arange(rows.start, rows.stop), csr.indices[p0:p1]]),
+                return_inverse=True)
+            p = basis.rows(cols)
+            sub = sp.csr_matrix((csr.data[p0:p1], local[k:],
                                  csr.indptr[rows.start:rows.stop + 1] - p0),
-                                shape=(rows.stop - rows.start, hi - lo))
-            width = 2 * (rows.stop - rows.start)
-            if hi - lo <= width:
-                p = basis.rows(slice(lo, hi))
-                yield rows, sub @ p, p[rows.start - lo:rows.stop - lo]
-                continue
-            sub = sub.tocsc()
-            mp = np.zeros((rows.stop - rows.start, basis.rank))
-            for start in range(lo, hi, width):
-                stop = min(start + width, hi)
-                if sub.indptr[stop - lo] > sub.indptr[start - lo]:
-                    mp += sub[:, start - lo:stop - lo] @ basis.rows(slice(start, stop))
-            yield rows, mp, basis.rows(rows)
+                                shape=(k, cols.size))
+            yield rows, sub @ p, p[local[0]:local[0] + k]
 
     def gram_pair(self, basis, w):
         """Row chunks of M P fold into the pair."""

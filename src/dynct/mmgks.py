@@ -187,8 +187,8 @@ def mmgks_solve(a_op: LinearOperator, theta_op: LinearOperator, b: np.ndarray,
                            n_iters=0, converged=True, basis_size=0)
 
     W, _, _ = gkb_seed(a_op, b, cfg.seed_vectors)
-    AW = a_op.apply_block(W)
-    TW = theta_op.apply_block(W)
+    AW = np.column_stack([a_op.apply(w) for w in W.T])
+    TW = np.column_stack([theta_op.apply(w) for w in W.T])
 
     # Unit-weight pilot solve fixes the smoothing width and, if requested,
     # the balance parameter.

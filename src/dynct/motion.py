@@ -43,6 +43,8 @@ class VelocityField:
         n_s = self.n_x * self.n_y
         if self.s_x.shape != (n_s,) or self.s_y.shape != (n_s,):
             raise ConfigError("VelocityField: components must be flat length n_x*n_y")
+        if not (np.all(np.isfinite(self.s_x)) and np.all(np.isfinite(self.s_y))):
+            raise ConfigError("VelocityField: components must be finite")
 
 
 def ofc_system(x_prev: np.ndarray, x_next: np.ndarray, n_x: int, n_y: int):
@@ -66,11 +68,8 @@ def ofc_system(x_prev: np.ndarray, x_next: np.ndarray, n_x: int, n_y: int):
 
 def _forward_diff(n: int) -> sp.csr_matrix:
     # last row zero keeps the matrix square
-    d = sp.lil_matrix((n, n))
-    for i in range(n - 1):
-        d[i, i] = -1.0
-        d[i, i + 1] = 1.0
-    return d.tocsr()
+    return sp.diags([np.append(-np.ones(n - 1), 0.0), np.ones(n - 1)], [0, 1],
+                    shape=(n, n), format="csr")
 
 
 def flow_regularizer(n_x: int, n_y: int) -> SparseCSR:

@@ -20,9 +20,9 @@ MemoryTracker; the filter, smoother and M-step allocate, compute and
 return. What it charges:
 
 - Full space (budgeted), for the whole run: the scratch allowance for
-  chunk transients, one whole m_t x r observation product H P, the
-  regrouped copy of the largest H that ``basis.premultiply`` forms it from
-  and, when the run has an M-step (the only source of non-uniform Q), the
+  chunk transients, one whole m_t x r observation product H P, the index
+  arrays by which ``basis.premultiply`` regroups the largest H and, when
+  the run has an M-step (the only source of non-uniform Q), the
   A^2 x B^2 intermediate of the basis' non-uniform Gram and
   diag(P Psi P^T) ((A, B) = ``basis.box``); the noise diagonals, what the
   motion operators own (M2/M3 hold rows of x_sm as u and v) and the
@@ -223,12 +223,13 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
     # inside the Gramian loops and the basis products, a handful of
     # state-length vectors, the whole H P that the filter and
     # update_r_diag form, premultiply's regrouping of the largest H (its
-    # CSR copy, column indices and (ray, x) keys, 3 nnz doubles, and two
-    # (ray, x) pointer arrays) and, under EM, the basis' A^2 x B^2
+    # column indices split into x and y and its (ray, x) keys, 2 nnz
+    # doubles, and two (ray, x) pointer arrays; it reads the operator's CSR
+    # arrays without copying them) and, under EM, the basis' A^2 x B^2
     # Kronecker intermediate.
     box_a, box_b = basis.box
     kron_elems = (box_a * box_b) ** 2 if method.em else 0
-    regroup = max(3 * op.matrix.nnz + 2 * op.shape[0] * n_x for op in h_ops)
+    regroup = max(2 * op.matrix.nnz + 2 * op.shape[0] * n_x for op in h_ops)
     scratch = (4 * CHUNK_ELEMS + 8 * n_s + m_t * basis.rank + regroup
                + kron_elems) * 8
     tracker.add(scratch)

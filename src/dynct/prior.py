@@ -27,8 +27,8 @@ the filter, smoother, motion operators and M-step make:
 - ``tile_sums``/``tile_apply``, the same two products restricted to each
   tile of a non-overlapping image tiling (PatchRank1's per-patch sums),
   as batched GEMMs on the tiles' slices of U_x and U_y;
-- ``rows(sl)``, a slice of P's rows formed on demand (the M1 warp's row
-  chunks);
+- ``rows(idx)``, P's rows at an integer index array, formed on demand
+  (the M1 warp's row chunks);
 - ``premultiply(S)``, S P for a sparse S (the observations' H P), from a
   regrouping of S's nonzeros by (ray, x), one sparse product with U_y and
   one batched GEMM with U_x per chunk of rays;
@@ -214,18 +214,15 @@ class ProjectionBasis:
         sqrt(lambda_k), with X the n_x x n_y image of x."""
         return self.tile_sums(x, (1, self.n_x, 1, self.n_y))[0]
 
-    def rows(self, sl: slice) -> np.ndarray:
-        """Rows sl (a unit-step slice) of P, (len, r), formed on demand: row
-        i of P is sqrt(lambda_k) U_x[i // n_y, a_k] U_y[i % n_y, b_k]. The
-        rows of whole image rows x0..x1 are formed in one array by
-        broadcasting, and sl is a view into it."""
-        lo, hi, _ = sl.indices(self.n_s)
-        x0, x1 = lo // self.n_y, -(-hi // self.n_y)
-        out = np.empty((x1 - x0, self.n_y, self.rank))
-        out[...] = self._cols_y
-        out *= self._cols_x[x0:x1, None, :]
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        """Rows idx (an integer array, any order, repeats allowed) of P,
+        (len(idx), r), formed on demand: entry k of row i of P is
+        (U_y[i % n_y, b_k] U_x[i // n_y, a_k]) sqrt(lambda_k)."""
+        x, y = np.divmod(idx, self.n_y)
+        out = self._cols_y[y]
+        out *= self._cols_x[x]
         out *= self._scale
-        return out.reshape(-1, self.rank)[lo - x0 * self.n_y:hi - x0 * self.n_y]
+        return out
 
     def premultiply(self, S) -> np.ndarray:
         """S P, (m, r), for a scipy sparse S with n_s columns.

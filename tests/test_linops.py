@@ -1,4 +1,4 @@
-"""Operator abstraction: dense agreement, adjointness, block products."""
+"""Operator abstraction: dense agreement, adjointness, motion Gramians."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynct import _linalg
-from dynct._linalg import row_chunks
 from dynct.errors import ConfigError
 from dynct.linops import (Identity, LinearOperator, PatchRank1, SparseCSR,
                           payload_nbytes)
+from dynct.motion import VelocityField, build_warp
 from helpers import random_basis
 from oracles import DENSE_LIMIT, dense, dense_basis
 
@@ -49,6 +49,12 @@ def square_ops(ops):
     square = [op for op in ops if op.shape[0] == op.shape[1]]
     square.append(SparseCSR(sp.random(12, 12, density=0.3,
                                       random_state=np.random.RandomState(9))))
+    # an M1 warp on the 4 x 3 grid with displacements up to the grid size:
+    # each row chunk references rows of P far outside it
+    rng = np.random.default_rng(11)
+    square.append(build_warp(VelocityField(s_x=rng.uniform(-4, 4, 12),
+                                           s_y=rng.uniform(-4, 4, 12),
+                                           n_x=4, n_y=3)))
     assert {type(op).__name__ for op in square} == {
         "Identity", "SparseCSR", "PatchRank1"}
     assert {op.denoms.shape for op in square if isinstance(op, PatchRank1)} == {
@@ -95,20 +101,6 @@ def test_adjoint_identity(ops):
             rhs = float(x @ op.apply_transpose(y))
             scale = np.linalg.norm(op.apply(x)) * np.linalg.norm(y)
             assert abs(lhs - rhs) <= 1e-12 * max(scale, 1e-300)
-
-
-def _block_ops(ops):
-    block = [op for op in ops if isinstance(op, SparseCSR)]
-    assert len(block) == 2
-    return block
-
-
-def test_apply_block_matches_columnwise_apply(ops):
-    rng = np.random.default_rng(4)
-    for op in _block_ops(ops):
-        X = rng.standard_normal((op.shape[1], 4))
-        full = np.column_stack([op.apply(x) for x in X.T])
-        np.testing.assert_allclose(op.apply_block(X), full, atol=1e-12)
 
 
 def _grid(op):
@@ -183,22 +175,6 @@ def test_patch_rank1_q_terms_any_tiling(bx, by, z_x, z_y, r, seed):
     _assert_q_terms(op, *_q_inputs(rng, op, min(r, n_s)))
 
 
-def test_sparse_whole_block_matches_dense_and_row_path(ops, monkeypatch):
-    # apply_block, the flow solver's whole product, against the dense
-    # product and, bit for bit, the chunk-by-chunk product over row slices
-    monkeypatch.setattr(_linalg, "CHUNK_ELEMS", 20)
-    rng = np.random.default_rng(6)
-    for op in _block_ops(ops):
-        X = rng.standard_normal((op.shape[1], 7))
-        got = op.apply_block(X)
-        np.testing.assert_allclose(got, op.matrix.toarray() @ X, rtol=1e-12,
-                                   atol=1e-12 * np.abs(X).max())
-        chunks = [np.asarray(op.matrix[rows] @ X)
-                  for rows in row_chunks(op.shape[0], X.shape[1])]
-        assert len(chunks) > 1
-        np.testing.assert_array_equal(got, np.vstack(chunks))
-
-
 def test_shape_validation(ops):
     rng = np.random.default_rng(10)
     for op in ops:
@@ -219,11 +195,6 @@ def test_shape_validation(ops):
                     op.gram_mp(bad, w)
                 with pytest.raises(ConfigError):
                     op.q_terms(bad, np.eye(3), np.eye(3))
-    for op in _block_ops(ops):
-        with pytest.raises(ConfigError):
-            op.apply_block(np.zeros((op.shape[1] + 2, 3)))
-        with pytest.raises(ConfigError):
-            op.apply_block(np.zeros(op.shape[1]))
 
 
 def test_operator_without_row_kernel_raises():
@@ -238,8 +209,6 @@ def test_operator_without_row_kernel_raises():
 
     op = NoRowKernel()
     basis = random_basis(3, 1, 2, np.random.default_rng(0))
-    with pytest.raises(NotImplementedError):
-        op.apply_block(np.eye(3))
     with pytest.raises(NotImplementedError):
         op.gram_pair(basis, np.ones(3))
     with pytest.raises(NotImplementedError):
@@ -262,6 +231,39 @@ def test_sparse_csr_canonicalizes_duplicates():
     m = sp.coo_matrix((vals, (rows, cols)), shape=(2, 2))
     op = SparseCSR(m)
     np.testing.assert_allclose(dense(op), [[0.0, 5.0], [1.0, 0.0]])
+    # a CSR input with unsorted columns and an explicit zero: the operator
+    # holds its own canonical CSR copy and leaves the input as it was
+    data, indices, indptr = [0.0, 4.0, 2.0, 1.0], [2, 1, 0, 1], [0, 3, 4]
+    a = sp.csr_matrix((np.array(data), np.array(indices), np.array(indptr)),
+                      shape=(2, 3))
+    op = SparseCSR(a)
+    mat = op.matrix
+    assert mat.format == "csr" and mat.dtype == np.float64
+    assert mat.has_canonical_format and mat.has_sorted_indices
+    np.testing.assert_array_equal(mat.indices, [0, 1, 1])
+    np.testing.assert_array_equal(mat.data, [2.0, 4.0, 1.0])
+    np.testing.assert_array_equal(a.data, data)
+    np.testing.assert_array_equal(a.indices, indices)
+    np.testing.assert_array_equal(a.indptr, indptr)
+    for ours in (mat.data, mat.indices, mat.indptr):
+        for theirs in (a.data, a.indices, a.indptr):
+            assert not np.shares_memory(ours, theirs)
+    # a later write to the input does not reach the operator
+    a.data[1] = 7.0
+    np.testing.assert_array_equal(op.apply(np.ones(3)), [6.0, 1.0])
+    # the adjoint is a CSC view of the same arrays
+    adj = op._adjoint
+    assert adj.format == "csc" and adj.shape == (3, 2)
+    for ours, theirs in ((adj.data, mat.data), (adj.indices, mat.indices),
+                         (adj.indptr, mat.indptr)):
+        assert np.shares_memory(ours, theirs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sparse_csr_rejects_non_finite_entries(bad):
+    m = sp.csr_matrix(np.array([[1.0, 0.0], [bad, 2.0]]))
+    with pytest.raises(ConfigError, match="finite"):
+        SparseCSR(m)
 
 
 def test_rank1_denominator_guard():

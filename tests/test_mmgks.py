@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dynct.errors import ConfigError, NumericError
-from dynct.linops import Identity, SparseCSR
+from dynct.linops import Identity, LinearOperator, SparseCSR
 from dynct.mmgks import (MMGKSConfig, _SingularProjected, expand_basis,
                          gkb_seed, majorant_value, mmgks_solve,
                          penalty_weights, solve_projected)
@@ -81,6 +82,38 @@ def test_matches_dense_irls_fixed_point():
     res = mmgks_solve(SparseCSR(a), theta, b, cfg)
     want = dense_irls(a, dense(theta), b, lam, eps)
     assert rel_err(res.s, want) <= 1e-5
+
+
+class _MatVecOnly(LinearOperator):
+    """An operator with the two products every operator has, and no other."""
+
+    def __init__(self, matrix):
+        self._matrix = matrix
+        self.shape = matrix.shape
+
+    def apply(self, x):
+        return self._matrix @ x
+
+    def apply_transpose(self, y):
+        return self._matrix.T @ y
+
+
+def test_solver_needs_only_forward_and_adjoint_products():
+    # the solver's operands need apply and apply_transpose alone; over the
+    # same CSR arrays the run is bitwise that of SparseCSR operands
+    rng = np.random.default_rng(12)
+    a = sp.random(40, 30, density=0.3, random_state=np.random.RandomState(4),
+                  format="csr") + sp.eye(40, 30, format="csr")
+    b = rng.standard_normal(40)
+    a_op, theta_op = SparseCSR(a), _first_difference(30)
+    cfg = MMGKSConfig(seed_vectors=5, max_iters=12, tol=1e-12)
+    want = mmgks_solve(a_op, theta_op, b, cfg)
+    got = mmgks_solve(_MatVecOnly(a_op.matrix), _MatVecOnly(theta_op.matrix),
+                      b, cfg)
+    np.testing.assert_array_equal(got.s, want.s)
+    assert (got.lam, got.eps, got.n_iters, got.basis_size) == (
+        want.lam, want.eps, want.n_iters, want.basis_size)
+    assert got.objectives == want.objectives
 
 
 def test_zero_rhs_returns_zero():

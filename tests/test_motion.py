@@ -130,6 +130,16 @@ def test_warp_rows_stochastic_even_with_wild_velocities():
     np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("component", ["s_x", "s_y"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_velocity_field_rejects_non_finite_components(component, bad):
+    n = 4
+    comps = {"s_x": np.zeros(n * n), "s_y": np.zeros(n * n)}
+    comps[component][5] = bad
+    with pytest.raises(ConfigError, match="finite"):
+        build_warp(VelocityField(**comps, n_x=n, n_y=n))
+
+
 # -- rank-1 and patchwise DMD -------------------------------------------------
 
 def _m2(prev, nxt, zeta, n_x=5, n_y=6, **kw):

@@ -198,7 +198,7 @@ def test_m3_charges_its_motion_vectors_once(monkeypatch):
         assert payload_nbytes(op) == op.denoms.nbytes == 4 * 8  # 2 x 2 patches
     m_t = max(op.shape[0] for op in prob["h_ops"][1:])
     box_a, box_b = prob["basis"].box
-    regroup = max(3 * op.matrix.nnz + 2 * op.shape[0] * prob["geom"].n_x
+    regroup = max(2 * op.matrix.nnz + 2 * op.shape[0] * prob["geom"].n_x
                   for op in prob["h_ops"])
     scratch = (4 * CHUNK_ELEMS + 8 * n_s + m_t * r + regroup
                + (box_a * box_b) ** 2)

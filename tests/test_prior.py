@@ -231,8 +231,16 @@ def test_assembly_matches_column_loop_bitwise(n_x, n_y, ell, rank):
     want = dense_basis(basis)
     n_s = n_x * n_y
     for rows in row_chunks(n_s, 7 * rank):
-        np.testing.assert_array_equal(basis.rows(rows), want[rows])
-    np.testing.assert_array_equal(basis.rows(slice(None)), want)
+        idx = np.arange(rows.start, rows.stop)
+        np.testing.assert_array_equal(basis.rows(idx), want[rows])
+    np.testing.assert_array_equal(basis.rows(np.arange(n_s)), want)
+    # any index array: unsorted, repeated, empty
+    rng = np.random.default_rng(n_s)
+    for idx in (rng.permutation(n_s)[:n_s // 2], rng.integers(0, n_s, 3 * n_s),
+                np.array([n_s - 1, 0, n_s - 1, 0]), np.empty(0, dtype=np.int64)):
+        got = basis.rows(idx)
+        assert got.shape == (idx.size, rank)
+        np.testing.assert_array_equal(got, want[idx])
 
 
 @pytest.mark.parametrize("n_x, n_y, ell, rank", [(12, 8, 1.1, 96), (9, 7, 1.3, 23)])
@@ -291,9 +299,9 @@ def _tile_of_pixel(tiles):
     return (ix // z_x) * g_y + iy // z_y
 
 
-def _warp(n_x, n_y, rng):
-    field = VelocityField(s_x=rng.uniform(-1.5, 1.5, n_x * n_y),
-                          s_y=rng.uniform(-1.5, 1.5, n_x * n_y), n_x=n_x, n_y=n_y)
+def _warp(n_x, n_y, rng, amp=1.5):
+    field = VelocityField(s_x=rng.uniform(-amp, amp, n_x * n_y),
+                          s_y=rng.uniform(-amp, amp, n_x * n_y), n_x=n_x, n_y=n_y)
     return build_warp(field).matrix
 
 
@@ -319,7 +327,7 @@ def test_basis_products_match_dense_oracle(basis):
     z, x = rng.standard_normal(r), rng.standard_normal(n_s)
     assert rel_err(basis.apply(z), P @ z) <= 1e-13
     assert rel_err(basis.apply_t(x), P.T @ x) <= 1e-13
-    np.testing.assert_array_equal(basis.rows(slice(2, n_s - 1)), P[2:n_s - 1])
+    np.testing.assert_array_equal(basis.rows(np.arange(2, n_s - 1)), P[2:n_s - 1])
     # the sparse left product: a Radon H, an M1 warp and a random S
     geom = make_geometry(n_x, n_y, 4, 1, angle_offset=0.3)
     lefts = [build_operators(geom)[0].matrix, _warp(n_x, n_y, rng),
@@ -363,6 +371,9 @@ def test_basis_products_hold_no_whole_basis():
     x, z = rng.standard_normal(n_s), rng.standard_normal(r)
     h = build_operators(make_geometry(n, n, 5, 1, angle_offset=0.3))[0]
     warp = SparseCSR(_warp(n, n, rng))
+    # displacements up to the grid size: each row chunk references rows of
+    # P from all over the image
+    wild = SparseCSR(_warp(n, n, rng, amp=n))
     # two far bands: each row chunk references columns half the grid away
     far = SparseCSR(sp.eye(n_s) + sp.eye(n_s, k=n_s // 2) + sp.eye(n_s, k=-n_s // 2))
     m3 = dmd_patchwise(rng.uniform(0.5, 1.5, n_s), rng.uniform(0.5, 1.5, n_s),
@@ -373,7 +384,7 @@ def test_basis_products_hold_no_whole_basis():
     products = {
         "apply": lambda: basis.apply(z),
         "apply_t": lambda: basis.apply_t(x),
-        "rows": lambda: basis.rows(slice(0, _linalg.CHUNK_ELEMS // r)),
+        "rows": lambda: basis.rows(np.arange(_linalg.CHUNK_ELEMS // r)),
         "premultiply": lambda: basis.premultiply(h.matrix),
         "tile_sums": lambda: basis.tile_sums(x, tiles),
         "tile_apply": lambda: basis.tile_apply(np.ones((256, r)), tiles),
@@ -382,6 +393,7 @@ def test_basis_products_hold_no_whole_basis():
         "SparseCSR.gram_pair": lambda: warp.gram_pair(basis, w),
         "SparseCSR.q_terms": lambda: warp.q_terms(basis, psi, psi),
         "SparseCSR.gram_pair, far bands": lambda: far.gram_pair(basis, w),
+        "SparseCSR.gram_pair, wild warp": lambda: wild.gram_pair(basis, w),
         "PatchRank1.gram_pair": lambda: m3.gram_pair(basis, w),
         "PatchRank1.q_terms": lambda: m3.q_terms(basis, psi, psi),
     }

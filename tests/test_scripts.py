@@ -1,0 +1,25 @@
+"""Smoke test of the scripts the README points users to."""
+
+import csv
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def test_desk_comparison_quick_run(tmp_path):
+    methods = ["IRKFS", "EMIRKFS", "EMIRKFS-M1", "EMIRKFS-M2", "EMIRKFS-M3"]
+    out = tmp_path / "comparison.csv"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "desk_comparison.py"), "--quick",
+         "--frames", "4", "--methods", *methods, "--out", str(out)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    with out.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    # one row per method and pass (two passes by default)
+    assert [(row["method"], row["iteration"]) for row in rows] == [
+        (m, str(j)) for m in methods for j in (1, 2)]
+    assert all(math.isfinite(float(row["mean_rre"])) for row in rows)
