@@ -1,6 +1,5 @@
-"""Shared dense kernels: the guarded Cholesky, inverse and capacitance
-factors, the PSD guard on formed covariances and the row-chunked
-quadratic-form diagonal.
+"""Shared dense kernels: the guarded Cholesky and inverse factors, the PSD
+guard on formed covariances and the row-chunked quadratic-form diagonal.
 
 ``quad_diag`` and the sparse operators' row-chunked loops form n-vector
 diagonals and r x r projections of n x r products without holding more
@@ -79,19 +78,12 @@ def _cholesky(A: np.ndarray, what: str):
         ) from exc
 
 
-def capacitance_factor(A: np.ndarray, g_mm: np.ndarray, what: str):
-    """Lower Cholesky factor L (upper triangle: leftovers) of the Woodbury
-    capacitance S = A^T G_MM A + I, formed only here; NumericError unless PD."""
-    S = symmetrize(A.T @ g_mm @ A) + np.eye(A.shape[1])
-    return _cholesky(S, what)[0]
-
-
 def inverse_factor(A: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Upper-triangular U with U U^T = A^{-1} for symmetric positive
-    definite A: with A = L L^T, U = L^{-T}, one Cholesky and one triangular
+    """Lower-triangular U with U^T U = A^{-1} for symmetric positive
+    definite A: with A = L L^T, U = L^{-1}, one Cholesky and one triangular
     inverse (LAPACK dtrtri). Raises NumericError when A is not PD."""
     c, _ = _cholesky(A, what)
     l_inv, info = sla.lapack.dtrtri(c, lower=1)
     if info != 0:
         raise NumericError(f"{what}: Cholesky factor is singular")
-    return np.tril(l_inv).T
+    return np.tril(l_inv)

@@ -1,4 +1,4 @@
-"""Dimension-reduced square-root Kalman filter over a fixed projection basis.
+"""Dimension-reduced information-form Kalman filter over a projection basis.
 
 States live in the span of the basis columns P (n_s x r), which the basis
 holds as Kronecker factors and never forms. Every filter quantity that
@@ -23,23 +23,21 @@ Every vector contraction against M P or H P goes through the operator
 adjoint and the basis, e.g. (H P)^T v = P^T (H^T v) = ``apply_t(H^T v)``,
 and every P z is ``apply(z)``.
 
-Reduced covariances are carried as square-root factors: the filter starts
-from Psi_0 = I, keeps A_i with Psi_i = A_i A_i^T, never Psi_i itself, and
-applies Psi only as A (A^T v). Predicted covariances, which are
-C_i^p = B_i B_i^T + Q_i with B_i = M_i P A_{i-1}, thus never exist as
-arrays: with the capacitance S = A^T G_MM A + I = L L^T
-(``capacitance_factor``), U = L^{-1} A^T and V = U G_MP, the Woodbury
-identity gives
+Reduced covariances are carried as information matrices
+Lambda_i = Psi_i^{-1}, from Lambda_0 = Psi_0 = I; neither Psi_i nor the
+predicted covariance C_i^p = M_i P Psi_{i-1} P^T M_i^T + Q_i is formed.
+With the prediction's one Cholesky L L^T = Lambda_{i-1} + G_MM,
+U = L^{-1} (``inverse_factor``) and V = U G_MP, Woodbury and the
+push-through identity give
 
     P^T (C^p)^{-1} P = G_PP - V^T V.
 
-The measurement update is the standard information form on the reduced
-coordinates: Psi_i = (G_H + P^T (C^p)^{-1} P)^{-1}. One Cholesky factor
-J J^T = G_H + P^T (C^p)^{-1} P gives A_i = J^{-T} (one triangular
-inverse), an upper-triangular factor of Psi_i; the Cholesky is also the
-guard, raising NumericError when the information matrix is not positive
-definite. Step i hands the smoother U_i (lower triangular) in place of
-A_{i-1}, so the filter keeps U_1..U_T and A_T.
+``measurement_update`` then forms Lambda_i = G_H + P^T (C^p)^{-1} P and
+moves the mean by one ``cho_solve`` against its Cholesky factor, which is
+also the guard: NumericError unless Lambda_i is positive definite. The
+static initializer is the same update from x = 0, R = I and the prior
+information alpha^{-2} diag(lambda). Step i hands the smoother U_i (lower
+triangular), so the filter keeps U_1..U_T and Lambda_T.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._linalg import _cholesky, capacitance_factor, inverse_factor, symmetrize
+from ._linalg import _cholesky, inverse_factor, symmetrize
 from .errors import ConfigError
 from .linops import Identity, LinearOperator
 from .prior import ProjectionBasis
@@ -100,78 +98,73 @@ def initial_noise(alpha: float, n_s: int, row_counts, q_scale: float = 1.0,
     )
 
 
-def _obs_gram(h_op: LinearOperator, basis: ProjectionBasis,
-              w: np.ndarray | None = None) -> np.ndarray:
-    """(H P)^T diag(w) (H P), from the whole H P the basis forms; one
-    symmetric product."""
+def measurement_update(x_pred, prior_info, h_op: LinearOperator, r_inv, y,
+                       basis: ProjectionBasis, what: str):
+    """Update of the predicted mean x_pred, with reduced prior information
+    prior_info, by data y = H x + noise, diag(R^{-1}) = r_inv; returns
+    (x_est, Lambda = G_H + prior_info). NumericError naming ``what`` unless
+    Lambda is positive definite."""
     hp = basis.premultiply(h_op.matrix)
-    if w is not None:
-        hp *= np.sqrt(w)[:, None]
-    return hp.T @ hp
+    hp *= np.sqrt(r_inv)[:, None]
+    info = symmetrize(hp.T @ hp) + prior_info
+    innov = np.asarray(y, dtype=float) - h_op.apply(x_pred)
+    proj = basis.apply_t(h_op.apply_transpose(r_inv * innov))
+    z = sla.cho_solve(_cholesky(info, what), proj, check_finite=False)
+    return x_pred + basis.apply(z), info
 
 
 def static_init(h0: LinearOperator, basis: ProjectionBasis, y0: np.ndarray):
-    """Regularized least-squares fit of frame 0 in the basis span.
-
-    Solves (G^T G + alpha^{-2} P^T P) z = G^T y0 with G = H_0 P by Cholesky
-    and returns x0 = P z; the filter starts from it with Psi_0 = I. The
-    prior term is the basis Gram, alpha^{-2} diag(lambda).
-    """
-    lhs = _obs_gram(h0, basis) + basis.gram(np.full(basis.n_s, basis.config.alpha ** -2))
-    rhs = basis.apply_t(h0.apply_transpose(np.asarray(y0, dtype=float)))
-    z = sla.cho_solve(_cholesky(lhs, "static init"), rhs, check_finite=False)
-    return basis.apply(z)
+    """Regularized least-squares fit of frame 0 in the basis span: the
+    measurement update from x = 0, R = I and prior information
+    alpha^{-2} P^T P = alpha^{-2} diag(lambda), i.e. x0 = P z with
+    (G^T G + alpha^{-2} diag(lambda)) z = G^T y0, G = H_0 P."""
+    prior_info = basis.gram(np.full(basis.n_s, basis.config.alpha ** -2))
+    return measurement_update(np.zeros(basis.n_s), prior_info, h0,
+                              np.ones(h0.shape[0]), y0, basis, "static init")[0]
 
 
 @dataclass
 class FilterResult:
     x_est: np.ndarray          # (T+1, n_s) filtered means
     u_steps: list              # U_1..U_T (r x r, lower triangular),
-                               # U_i = L_i^{-1} A_{i-1}^T
-    a_last: np.ndarray         # A_T, Psi_T = A_T A_T^T
+                               # U_i^T U_i = (Lambda_{i-1} + G_MM)^{-1}
+    info_last: np.ndarray      # Lambda_T = Psi_T^{-1}
 
 
-def filter_step(x_prev: np.ndarray, a_prev: np.ndarray, motion: LinearOperator,
+def filter_step(x_prev: np.ndarray, info_prev: np.ndarray, motion: LinearOperator,
                 h_op: LinearOperator, q_diag: np.ndarray, r_diag: np.ndarray,
                 y_i: np.ndarray, basis: ProjectionBasis):
-    """One predict/update step from the previous mean and covariance factor
-    (Psi_{i-1} = a_prev a_prev^T); returns (x_est, a_est, U)."""
+    """One predict/update step from the previous mean and information
+    matrix (Lambda_{i-1} = Psi_{i-1}^{-1}); returns (x_est, Lambda_i, U_i)."""
     q_inv = 1.0 / np.asarray(q_diag, dtype=float)
     r_inv = 1.0 / np.asarray(r_diag, dtype=float)
-
-    x_pred = motion.apply(x_prev)
 
     g_mm, g_mp = motion.gram_pair(basis, q_inv)
     # M P = P: an Identity's G_MP is G_PP, formed once
     g_pp = g_mp if isinstance(motion, Identity) else basis.gram(q_inv)
-    L = capacitance_factor(a_prev, g_mm, "filter capacitance")
-    U = sla.solve_triangular(L, a_prev.T, lower=True, check_finite=False)
+    U = inverse_factor(info_prev + g_mm, "filter prediction")
     V = U @ g_mp
     pcp = symmetrize(g_pp - V.T @ V)
 
-    g_h = _obs_gram(h_op, basis, r_inv)
-    innov = np.asarray(y_i, dtype=float) - h_op.apply(x_pred)
-    proj = basis.apply_t(h_op.apply_transpose(r_inv * innov))
-
-    a_est = inverse_factor(symmetrize(g_h) + pcp, "filter covariance")
-    x_est = x_pred + basis.apply(a_est @ (a_est.T @ proj))
-    return x_est, a_est, U
+    x_est, info = measurement_update(motion.apply(x_prev), pcp, h_op, r_inv,
+                                     y_i, basis, "filter covariance")
+    return x_est, info, U
 
 
 def run_filter(y_frames, h_ops, motions, noise: NoiseModel, basis: ProjectionBasis,
                x0: np.ndarray) -> FilterResult:
-    """Forward pass over frames 1..T from the initial mean x0 and Psi_0 = I."""
+    """Forward pass over frames 1..T from the initial mean x0 and Lambda_0 = I."""
     n_steps = noise.n_steps
     if not (len(y_frames) == len(h_ops) == n_steps + 1 and len(motions) == n_steps):
         raise ConfigError("run_filter: frame/operator/noise counts disagree")
     x_est = np.zeros((n_steps + 1, basis.n_s))
     x_est[0] = x0
-    a_est = np.eye(basis.rank)
+    info = np.eye(basis.rank)
     u_steps = []
 
     for i in range(1, n_steps + 1):
-        x_est[i], a_est, u = filter_step(
-            x_est[i - 1], a_est, motions[i - 1], h_ops[i],
+        x_est[i], info, u = filter_step(
+            x_est[i - 1], info, motions[i - 1], h_ops[i],
             noise.q_diags[i - 1], noise.r_diags[i - 1], y_frames[i], basis)
         u_steps.append(u)
-    return FilterResult(x_est=x_est, u_steps=u_steps, a_last=a_est)
+    return FilterResult(x_est=x_est, u_steps=u_steps, info_last=info)

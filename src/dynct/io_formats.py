@@ -189,6 +189,8 @@ class RunConfig:
 
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ConfigError("config: noise.sigma must be finite and >= 0")
+        if self.noise_seed < 0:
+            raise ConfigError("config: noise.seed must be >= 0")
         if self.method.motion == "m3":
             zx, zy = self.motion.patch
             if self.n_x % zx:

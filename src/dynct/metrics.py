@@ -92,6 +92,10 @@ class MemoryTracker:
         return self._current
 
     @property
+    def current_reduced_bytes(self) -> int:
+        return self._current_reduced
+
+    @property
     def peak_bytes(self) -> int:
         return self._peak
 

@@ -33,14 +33,15 @@ return. What it charges:
   to the end of the pass, and the smoothed means x_sm (x_est's shape) from
   just before the sweep until the run returns inside the RunRecord.
 - Reduced (r x r; reported, not budgeted): the filter's handover U_1..U_T
-  and last factor A_T from its return to the end of the pass, and, while
-  the M-step at step i runs, the one step the smoother holds:
-  Psi_{i-1}^sm, Psi_i^sm and omega_i.
+  and last information matrix Lambda_T from its return to the end of the
+  pass, and, while the M-step at step i runs, the one step the smoother
+  holds: Psi_{i-1}^sm, Psi_i^sm and omega_i.
 
-Every charge is released by the time the run returns; the tracker keeps
-the peaks. The basis is the caller's and is not charged: it holds its 1-D
-factor blocks and their columns per basis column, (n_x + n_y)(r + 1)
-doubles at most, never the n_s x r matrix P.
+Every charge is released by the time the run returns or raises: both of
+the tracker's currents go back to their values at entry, and the tracker
+keeps the peaks. The basis is the caller's and is not charged: it holds
+its 1-D factor blocks and their columns per basis column,
+(n_x + n_y)(r + 1) doubles at most, never the n_s x r matrix P.
 
 Phase timing: the motion and em phases run inside the smoother phase;
 PhaseTimer keeps nested phases exclusive, so the phases of a pass add up to
@@ -232,19 +233,21 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
     regroup = max(2 * op.matrix.nnz + 2 * op.shape[0] * n_x for op in h_ops)
     scratch = (4 * CHUNK_ELEMS + 8 * n_s + m_t * basis.rank + regroup
                + kron_elems) * 8
-    tracker.add(scratch)
 
     alpha = basis.config.alpha
     noise = initial_noise(alpha, n_s, [h_ops[i].shape[0] for i in range(1, n_steps + 1)],
                           q_scale=method.q_scale, r_scale=method.r_scale)
-    tracker.add(noise.nbytes())
     motions = [Identity(n_s) for _ in range(n_steps)]
     motion_bytes = 0
 
-    x0 = static_init(h_ops[0], basis, y_frames[0])
-    tracker.add(x0.nbytes)
-
+    entry_bytes = tracker.current_bytes
+    entry_reduced = tracker.current_reduced_bytes
     try:
+        tracker.add(scratch)
+        tracker.add(noise.nbytes())
+        x0 = static_init(h_ops[0], basis, y_frames[0])
+        tracker.add(x0.nbytes)
+
         for j in range(1, method.n_iter + 1):
             timer = PhaseTimer()
             new_motions = list(motions)
@@ -279,7 +282,7 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
             try:
                 with timer.phase("filter"):
                     filt = run_filter(y_frames, h_ops, motions, noise, basis, x0)
-                history_bytes = sum(a.nbytes for a in filt.u_steps + [filt.a_last])
+                history_bytes = sum(a.nbytes for a in filt.u_steps + [filt.info_last])
                 tracker.add(filt.x_est.nbytes)
                 tracker.add_reduced(history_bytes)
                 tracker.add(filt.x_est.nbytes)  # x_sm, which has x_est's shape
@@ -307,10 +310,8 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
                 record.rre.append(np.array(
                     [rre(x_sm[i], truth[i]) for i in range(n_steps + 1)]))
     finally:
-        tracker.release(scratch + motion_bytes + noise.nbytes())
-        tracker.release(x0.nbytes)
-        for traj in record.trajectories:
-            tracker.release(traj.nbytes)
+        tracker.release(tracker.current_bytes - entry_bytes)
+        tracker.release_reduced(tracker.current_reduced_bytes - entry_reduced)
         record.peak_bytes = tracker.peak_bytes
         record.peak_reduced_bytes = tracker.peak_reduced_bytes
 

@@ -177,6 +177,7 @@ def simulate_sinograms(frames, geom: ScanGeometry, noise_level, seed,
     The noise draw is rescaled after the fact so the realized global noise
     level ||y - Hx|| / ||Hx|| equals ``noise_level`` exactly (all frames
     stacked). A zero clean signal or zero requested level yields y = Hx.
+    A negative seed raises ConfigError.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2 or frames.shape[0] != geom.n_frames:
@@ -185,6 +186,8 @@ def simulate_sinograms(frames, geom: ScanGeometry, noise_level, seed,
         )
     if noise_level < 0:
         raise ConfigError("noise level must be nonnegative")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"noise seed must be nonnegative, got {seed}")
     if operators is None:
         operators = build_operators(geom)
     clean = [operators[t].apply(frames[t]) for t in range(geom.n_frames)]

@@ -1,20 +1,19 @@
-"""Backward (RTS-type) smoother on the reduced square-root filter output.
+"""Backward (RTS-type) smoother on the reduced information-form filter output.
 
-Filter step i hands over the filtered mean and U_i = L_i^{-1} A_{i-1}^T,
-where Psi_{i-1}^est = A_{i-1} A_{i-1}^T and L_i L_i^T = S_i =
-A_{i-1}^T G_MM A_{i-1} + I is that step's Woodbury capacitance. With
-w = P^T M_i^T Q_i^{-1} d and d = x_i^sm - M_i x_{i-1}^est, the textbook
-gain K_i = P^T (C_i^p)^{-1} (M_i P), information term
-N_i = (M_i P)^T (C_i^p)^{-1} (M_i P) and Psi^est = Psi_{i-1}^est cancel
-through three exact identities (A = A_{i-1}):
+Filter step i hands over the filtered mean and U_i = L_i^{-1}, where
+L_i L_i^T = Lambda_{i-1} + G_MM is that step's prediction Cholesky and
+Lambda_{i-1} = (Psi_{i-1}^est)^{-1}. With w = P^T M_i^T Q_i^{-1} d and
+d = x_i^sm - M_i x_{i-1}^est, the textbook gain K_i = P^T (C_i^p)^{-1}
+(M_i P), information term N_i = (M_i P)^T (C_i^p)^{-1} (M_i P) and
+Psi^est = Psi_{i-1}^est cancel through three exact identities:
 
-    Psi^est - Psi^est N_i Psi^est = A S^{-1} A^T = U_i^T U_i,
-    K_i Psi^est = (A^T G_MP)^T S^{-1} A^T = G_MP^T U_i^T U_i,
+    Psi^est - Psi^est N_i Psi^est = (Lambda_{i-1} + G_MM)^{-1} = U_i^T U_i,
+    K_i Psi^est = G_MP^T U_i^T U_i,
     x_{i-1}^sm = x_{i-1}^est + P U_i^T (U_i w).
 
 The mean takes one apply and one adjoint apply of the motion, one
 ``apply_t`` and one ``apply`` of the basis and two r-vector products with
-U_i: no Gramian, capacitance or solve. The covariances (for EM) take the
+U_i: no Gramian, factorization or solve. The covariances (for EM) take the
 motion's G_MP alone (``gram_mp``; G_MM is not formed): with
 Phi = U_i^T U_i and K~ = G_MP^T Phi,
 
@@ -23,7 +22,8 @@ Phi = U_i^T U_i and K~ = G_MP^T Phi,
 two congruences, each PSD when Psi_i^sm is.  The lag-one cross covariance
 is C_{i,i-1}^sm = P omega_i P^T, never assembled densely.  Each
 Psi_{i-1}^sm is checked PSD (eigenvalues only) as it is formed;
-Psi_T^sm = A_T A_T^T is PSD by construction.
+Psi_T^sm = U^T U with U = ``inverse_factor``(Lambda_T), formed once per
+covariance sweep, is PSD by construction.
 
 No covariance history is kept.  Everything that consumes the smoothed
 moments of transition i (motion re-fit, M-step) needs only x_{i-1}^sm,
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import check_psd, symmetrize
+from ._linalg import check_psd, inverse_factor, symmetrize
 from .errors import ConfigError
 from .filtering import FilterResult, NoiseModel
 from .linops import LinearOperator
@@ -46,7 +46,7 @@ from .prior import ProjectionBasis
 def smooth_step(x_est_prev, u_i, x_sm_i, psi_sm_i, motion: LinearOperator,
                 q_diag, basis: ProjectionBasis, with_covariance: bool = False):
     """One backward step from the filtered mean at frame i-1 and filter
-    step i's handover u_i = L_i^{-1} A_{i-1}^T; returns
+    step i's handover u_i = L_i^{-1}; returns
     (x_sm_prev, psi_sm_prev, omega_i).
 
     psi_sm_prev and omega_i are None unless with_covariance is set.
@@ -85,7 +85,10 @@ def run_smoother(filt: FilterResult, motions, noise: NoiseModel,
 
     x_sm = np.zeros_like(filt.x_est)
     x_sm[n_steps] = filt.x_est[n_steps]
-    psi_i = filt.a_last @ filt.a_last.T if with_covariance else None
+    psi_i = None
+    if with_covariance:
+        u_last = inverse_factor(filt.info_last, f"filtered information {n_steps}")
+        psi_i = u_last.T @ u_last
 
     for i in range(n_steps, 0, -1):
         x_sm[i - 1], psi_prev, omega = smooth_step(

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from dynct._linalg import inverse_factor
 from dynct.filtering import (filter_step, initial_noise, run_filter,
                              static_init)
 from dynct.linops import Identity, SparseCSR
@@ -95,21 +96,23 @@ def random_basis(n_x, n_y, rank, rng, box=None):
 
 
 def filter_factors(y_frames, h_ops, motions, noise, basis, x0):
-    """run_filter's result and every filter factor A_0..A_T (A_0 = I, the
-    whitened prior), from stepping ``filter_step`` as run_filter does; the
-    filter itself keeps only A_T. Asserts that the stepped means and last
-    factor equal run_filter's bitwise."""
+    """run_filter's result and every filter information matrix
+    Lambda_0..Lambda_T (Lambda_0 = I, the whitened prior), from stepping
+    ``filter_step`` as run_filter does; the filter itself keeps only
+    Lambda_T. Asserts that the stepped means, handovers and last information
+    matrix equal run_filter's bitwise."""
     filt = run_filter(y_frames, h_ops, motions, noise, basis, x0)
-    x, a = np.asarray(x0, dtype=float), np.eye(basis.rank)
-    a_est = [a]
+    x, info = np.asarray(x0, dtype=float), np.eye(basis.rank)
+    infos = [info]
     for i in range(1, noise.n_steps + 1):
-        x, a, _ = filter_step(x, a, motions[i - 1], h_ops[i],
-                              noise.q_diags[i - 1], noise.r_diags[i - 1],
-                              y_frames[i], basis)
+        x, info, u = filter_step(x, info, motions[i - 1], h_ops[i],
+                                 noise.q_diags[i - 1], noise.r_diags[i - 1],
+                                 y_frames[i], basis)
         np.testing.assert_array_equal(x, filt.x_est[i])
-        a_est.append(a)
-    np.testing.assert_array_equal(a, filt.a_last)
-    return filt, a_est
+        np.testing.assert_array_equal(u, filt.u_steps[i - 1])
+        infos.append(info)
+    np.testing.assert_array_equal(info, filt.info_last)
+    return filt, infos
 
 
 def problem_filter(prob, motions):
@@ -139,9 +142,12 @@ def smoothed_moments(filt, motions, noise, basis):
     return SimpleNamespace(x_sm=x_sm, psi_sm=psi_sm, omegas=omegas)
 
 
-def psi_of(a):
-    """Reduced covariance Psi = A A^T from a filter factor A."""
-    return a @ a.T
+def psi_of(info):
+    """Reduced covariance Psi = Lambda^{-1} = U^T U from a filter
+    information matrix Lambda, with U = ``inverse_factor``(Lambda), as the
+    smoother forms Psi_T^sm."""
+    u = inverse_factor(info)
+    return u.T @ u
 
 
 def dense_noise(problem):

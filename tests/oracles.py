@@ -7,8 +7,9 @@ meaningful. The last section holds reference routines in the package's own
 conventions (an operator's dense matrix, the Woodbury apply, the diagonal
 M-step with its floor and roundoff guard, the expected log-likelihood on
 diagonal or full noise, the Kronecker-form prior covariance and the basis
-P assembled column by column, the Radon operator traced ray by ray); no
-pipeline path calls them, so they live with the tests.
+P assembled column by column, the Radon operator traced ray by ray, the
+static initializer's own normal-equations solve); no pipeline path calls
+them, so they live with the tests.
 """
 
 import math
@@ -256,6 +257,17 @@ def dense_basis(basis) -> np.ndarray:
         P[:, k] = np.sqrt(basis.eigenvalues[k]) * np.outer(
             basis.factor_x[:, a], basis.factor_y[:, b]).reshape(-1)
     return P
+
+
+def static_init_normal_equations(h0, basis, y0) -> np.ndarray:
+    """Frame 0's regularized least-squares fit in the basis span, solved
+    as its own normal equations (G^T G + alpha^{-2} diag(lambda)) z = G^T y0
+    with G = H_0 P, by Cholesky; returns x0 = P z."""
+    hp = basis.premultiply(h0.matrix)
+    lhs = hp.T @ hp + basis.gram(np.full(basis.n_s, basis.config.alpha ** -2))
+    rhs = basis.apply_t(h0.apply_transpose(np.asarray(y0, dtype=float)))
+    z = sla.cho_solve(sla.cho_factor(lhs, lower=True), rhs)
+    return basis.apply(z)
 
 
 def _trace_ray(theta, t, n_x, n_y):

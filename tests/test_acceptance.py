@@ -7,9 +7,8 @@ import time
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
-from dynct._linalg import capacitance_factor
+from dynct._linalg import inverse_factor
 from dynct.em import update_q_diag, update_r_diag
 from dynct.filtering import run_filter
 from dynct.linops import Identity, SparseCSR
@@ -40,7 +39,7 @@ def small():
     t0 = time.perf_counter()
     prob = build_problem(n_x=12, n_y=12, n_steps=4, n_angles=5)
     motions = [Identity(prob["n_s"]) for _ in range(prob["n_steps"])]
-    filt, a_est = problem_filter(prob, motions)
+    filt, infos = problem_filter(prob, motions)
     sm = smoothed_moments(filt, motions, prob["noise"], prob["basis"])
     P = dense_basis(prob["basis"])
     q_covs, r_covs = dense_noise(prob)
@@ -51,7 +50,7 @@ def small():
         list(prob["sino"].sinograms))
     sm_means, sm_covs, gains = dense_rts_smoother(means, covs, pmeans, pcovs,
                                                   dm)
-    return {"prob": prob, "filt": filt, "a_est": a_est, "sm": sm,
+    return {"prob": prob, "filt": filt, "infos": infos, "sm": sm,
             "means": means, "covs": covs, "sm_means": sm_means,
             "sm_covs": sm_covs, "built": time.perf_counter() - t0}
 
@@ -83,7 +82,7 @@ def test_criterion_01_reduced_filter_matches_dense_kalman(small):
     P = dense_basis(small["prob"]["basis"])
     for i in range(small["prob"]["n_steps"] + 1):
         assert rel_err(small["filt"].x_est[i], small["means"][i]) <= 1e-8
-        cov = P @ psi_of(small["a_est"][i]) @ P.T
+        cov = P @ psi_of(small["infos"][i]) @ P.T
         assert rel_err(cov, small["covs"][i]) <= 1e-8
     assert small["built"] + time.perf_counter() - t0 < 10.0
     _ok(1, "reduced filter == dense Kalman filter to 1e-8")
@@ -102,8 +101,8 @@ def test_criterion_02_reduced_smoother_matches_dense_rts(small):
 
 def test_criterion_03_smw_matches_dense_inversion():
     # the filter's Woodbury form P^T (C^p)^{-1} P = G_PP - V^T V, with
-    # C^p = M P A A^T P^T M^T + Q and V = U G_MP, U = L^{-1} A^T from the
-    # shared capacitance factor L, against a dense solve
+    # C^p = M P Lambda^{-1} P^T M^T + Q and V = U G_MP, U = L^{-1} from the
+    # prediction Cholesky L L^T = Lambda + G_MM, against a dense solve
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
     worst = 0.0
@@ -114,13 +113,13 @@ def test_criterion_03_smw_matches_dense_inversion():
         M = rng.standard_normal((n_s, n_s))
         P = rng.standard_normal((n_s, r))
         A = rng.standard_normal((r, r))
+        info = A @ A.T + np.eye(r)
         MP = M @ P
-        L = capacitance_factor(A, MP.T @ (MP / q[:, None]), "criterion 3")
-        U = sla.solve_triangular(L, A.T, lower=True)
+        U = inverse_factor(info + MP.T @ (MP / q[:, None]), "criterion 3")
         V = U @ (MP.T @ (P / q[:, None]))
         got = P.T @ (P / q[:, None]) - V.T @ V
-        B = MP @ A
-        want = P.T @ np.linalg.solve(B @ B.T + np.diag(q), P)
+        cp = MP @ np.linalg.solve(info, MP.T) + np.diag(q)
+        want = P.T @ np.linalg.solve(cp, P)
         worst = max(worst, rel_err(got, want))
     assert worst <= 1e-10, worst
     assert time.perf_counter() - t0 < 5.0

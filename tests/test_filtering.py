@@ -13,7 +13,7 @@ from dynct.prior import PriorConfig, ProjectionBasis, build_projection
 from helpers import (build_problem, dense_noise, filter_factors, kron_basis,
                      problem_filter, psi_of, rel_err, transition_motions)
 from oracles import (dense, dense_basis, dense_kalman_filter,
-                     projected_posterior_cov)
+                     projected_posterior_cov, static_init_normal_equations)
 
 
 @pytest.fixture(scope="module")
@@ -58,11 +58,11 @@ def _assert_means_match(prob, reduced, dense_kf, motions):
 
 
 def _assert_covariances_match(prob, reduced, dense_kf):
-    _, a_est = reduced
+    _, infos = reduced
     _, covs, _, _ = dense_kf
     P = dense_basis(prob["basis"])
     for i in range(prob["n_steps"] + 1):
-        full = projected_posterior_cov(P, psi_of(a_est[i]))
+        full = projected_posterior_cov(P, psi_of(infos[i]))
         assert rel_err(full, covs[i]) <= 1e-8, f"step {i}"
 
 
@@ -84,15 +84,41 @@ def test_moving_motion_matches_dense_oracle(prob, kind):
     _assert_covariances_match(prob, reduced, dense_kf)
 
 
+@pytest.mark.parametrize("kind", ["Identity", "SparseCSR", "PatchRank1"])
+def test_filter_step_carries_the_information_matrix(prob, kind):
+    # Lambda_i is the inverse of the dense filter's reduced posterior
+    # covariance P^{-1} C_i P^{-T} (r = n_s: P is invertible), and the
+    # handover has U_i^T U_i = (Lambda_{i-1} + G_MM)^{-1}, G_MM from the
+    # dense M P
+    motions = transition_motions(kind, prob["geom"].n_x, prob["geom"].n_y,
+                                 prob["n_steps"])
+    _, covs, _, _ = _dense(prob, motions)
+    P = dense_basis(prob["basis"])
+    p_inv = np.linalg.inv(P)
+    noise = prob["noise"]
+    x, info = prob["x0"], np.eye(prob["basis"].rank)
+    for i in range(1, prob["n_steps"] + 1):
+        x, info_next, u = filter_step(
+            x, info, motions[i - 1], prob["h_ops"][i], noise.q_diags[i - 1],
+            noise.r_diags[i - 1], prob["sino"].sinograms[i], prob["basis"])
+        psi = p_inv @ covs[i] @ p_inv.T
+        assert rel_err(info_next @ psi, np.eye(len(psi))) <= 1e-8, f"step {i}"
+        mp = dense(motions[i - 1]) @ P
+        g_mm = mp.T @ (mp / noise.q_diags[i - 1][:, None])
+        assert rel_err(u.T @ u, np.linalg.inv(info + g_mm)) <= 1e-12, f"step {i}"
+        info = info_next
+
+
 def test_psi_symmetric_psd(reduced):
-    filt, a_est = reduced
-    # the handover U_i = L_i^{-1} A_{i-1}^T is lower triangular
+    filt, infos = reduced
+    # the handover U_i = L_i^{-1} is lower triangular
     for u in filt.u_steps:
         np.testing.assert_array_equal(u, np.tril(u))
-    for a in a_est:
-        # the filter's factors are upper triangular (L^{-T}, identity at 0)
-        np.testing.assert_array_equal(a, np.triu(a))
-        psi = psi_of(a)
+    for info in infos:
+        # the information matrices are exactly symmetric and PD
+        np.testing.assert_array_equal(info, info.T)
+        assert np.linalg.eigvalsh(info)[0] > 0.0
+        psi = psi_of(info)
         assert np.max(np.abs(psi - psi.T)) <= 1e-12 * max(np.abs(psi).max(), 1.0)
         vals = np.linalg.eigvalsh(psi)
         assert vals.min() >= -1e-10 * np.linalg.norm(psi)
@@ -104,8 +130,8 @@ def test_inverse_factor_of_spd_and_indefinite():
         B = rng.standard_normal((n, n))
         A = B @ B.T + n * np.eye(n)
         U = inverse_factor(A)
-        np.testing.assert_array_equal(U, np.triu(U))
-        assert rel_err(U @ U.T, np.linalg.inv(A)) <= 1e-12
+        np.testing.assert_array_equal(U, np.tril(U))
+        assert rel_err(U.T @ U, np.linalg.inv(A)) <= 1e-12
     with pytest.raises(NumericError):
         inverse_factor(np.diag([1.0, -1.0]))
 
@@ -113,10 +139,10 @@ def test_inverse_factor_of_spd_and_indefinite():
 def test_zero_innovation_keeps_prediction(prob):
     motion = Identity(prob["n_s"])
     h = prob["h_ops"][1]
-    x_prev, a_prev = prob["x0"], np.eye(prob["basis"].rank)
+    x_prev, info_prev = prob["x0"], np.eye(prob["basis"].rank)
     xp = motion.apply(x_prev)
     y = h.apply(xp)  # exactly consistent data
-    xe, _, _ = filter_step(x_prev, a_prev, motion, h,
+    xe, _, _ = filter_step(x_prev, info_prev, motion, h,
                            prob["noise"].q_diags[0], prob["noise"].r_diags[0],
                            y, prob["basis"])
     np.testing.assert_allclose(xe, xp, atol=1e-10 * np.linalg.norm(xp))
@@ -137,6 +163,15 @@ def test_inflated_q_recovers_static_solve():
     x_static = static_init(prob["h_ops"][1], prob["basis"],
                            prob["sino"].sinograms[1])
     assert rel_err(xe, x_static) <= 1e-6
+
+
+def test_static_init_equals_its_normal_equations_bitwise():
+    # the shared measurement update from x = 0, R = I and the prior
+    # information is the normal-equations solve, bit for bit
+    prob = build_problem(n_x=16, n_y=12, n_angles=7, rank=60)
+    args = (prob["h_ops"][0], prob["basis"], prob["sino"].sinograms[0])
+    np.testing.assert_array_equal(static_init(*args),
+                                  static_init_normal_equations(*args))
 
 
 def test_static_init_zero_data(prob):
@@ -179,12 +214,12 @@ def test_innovation_whiteness_on_true_model():
     noise = NoiseModel(q_diags=[np.full(n_s, q_sd ** 2)] * 30,
                        r_diags=[np.full(m, r_sd ** 2)] * 30)
     motions = [Identity(n_s)] * 30
-    filt, a_est = filter_factors(ys, h_ops, motions, noise, prob["basis"],
+    filt, infos = filter_factors(ys, h_ops, motions, noise, prob["basis"],
                                  xs[0])
     scores = []
     for i in range(1, 31):
         innov = ys[i] - hd @ motions[i - 1].apply(filt.x_est[i - 1])
-        cp = hd @ (P @ psi_of(a_est[i - 1]) @ P.T
+        cp = hd @ (P @ psi_of(infos[i - 1]) @ P.T
                    + np.diag(noise.q_diags[i - 1])) @ hd.T
         s = cp + np.diag(noise.r_diags[i - 1])
         scores.append(innov @ np.linalg.solve(s, innov) / m)
@@ -199,7 +234,7 @@ def test_run_filter_t0_is_initialization(prob):
     assert filt.x_est.shape == (1, prob["n_s"])
     np.testing.assert_array_equal(filt.x_est[0], prob["x0"])
     assert filt.u_steps == []
-    np.testing.assert_array_equal(filt.a_last, np.eye(prob["basis"].rank))
+    np.testing.assert_array_equal(filt.info_last, np.eye(prob["basis"].rank))
 
 
 def test_run_filter_count_validation(prob):
@@ -248,5 +283,5 @@ def test_singular_observation_system_raises():
     basis = kron_basis(np.eye(2, 1), np.eye(2), alpha=1e200)
     np.testing.assert_array_equal(dense_basis(basis), np.eye(4, 2))
     assert basis.config.alpha ** -2 == 0.0
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match="static init"):
         static_init(SparseCSR(sp.csr_matrix((3, 4))), basis, np.ones(3))

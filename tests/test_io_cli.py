@@ -1,7 +1,11 @@
 """Persistence formats, config validation, and the three CLI workflows."""
 
 import configparser
+import csv
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +121,15 @@ def test_config_non_finite_sigma_rejected(tmp_path, bad):
                          **{"noise.sigma": bad})
     with pytest.raises(ConfigError, match="noise.sigma"):
         load_config(path)
+
+
+def test_config_negative_noise_seed_rejected(tmp_path):
+    path = _write_config(tmp_path / "c.cfg", tmp_path / "o",
+                         **{"noise.seed": -1})
+    with pytest.raises(ConfigError, match="noise.seed"):
+        load_config(path)
+    assert load_config(_write_config(tmp_path / "z.cfg", tmp_path / "o",
+                                     **{"noise.seed": 0})).noise_seed == 0
 
 
 def test_config_unknown_key_rejected(tmp_path):
@@ -351,3 +364,46 @@ def test_thread_env_validation(tmp_path, monkeypatch, capsys):
     assert "DYNCT_THREADS" in capsys.readouterr().err
     monkeypatch.setenv("DYNCT_THREADS", "0")
     assert main(["simulate", cfg]) == 2
+
+
+# -- the CLI as a process ------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _dynct(*args, cwd):
+    """Run ``python -m dynct.cli`` with one BLAS thread."""
+    env = dict(os.environ, DYNCT_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "dynct.cli", *args],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_cli_workflow_as_a_process(tmp_path):
+    data = tmp_path / "data"
+    cfg = _write_config(tmp_path / "run.cfg", data,
+                        **{"phantom.n_x": 8, "phantom.n_y": 8,
+                           "phantom.n_frames": 3, "prior.rank": 20,
+                           "method.name": "EMIRKFS-M3"})
+    for args in (("simulate", cfg), ("reconstruct", cfg, str(data))):
+        proc = _dynct(*args, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+    proc = _dynct("evaluate", str(data / "EMIRKFS-M3"), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.DictReader(proc.stdout.splitlines()))
+    # one row per pass (two), sorted by mean RRE
+    assert sorted((row["method"], row["iteration"]) for row in rows) == [
+        ("EMIRKFS-M3", "1"), ("EMIRKFS-M3", "2")]
+    assert all(np.isfinite(float(row["rre"])) for row in rows)
+
+
+def test_cli_process_negative_seed_exits_2(tmp_path):
+    cfg = _write_config(tmp_path / "run.cfg", tmp_path / "data",
+                        **{"noise.seed": -1})
+    proc = _dynct("simulate", cfg, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "data").exists()

@@ -158,10 +158,39 @@ def test_edge_run_shapes_stay_finite(method_name):
 def test_tracker_balances_and_peaks():
     tracker = MemoryTracker()
     _, record = _run("EMIRKFS-M2", n_iter=2, tracker=tracker)
-    assert tracker.current_bytes == 0
+    assert tracker.current_bytes == tracker.current_reduced_bytes == 0
     assert record.peak_bytes == tracker.peak_bytes > 0
     assert record.peak_reduced_bytes == tracker.peak_reduced_bytes > 0
     assert record.budget_bytes > 0
+
+
+@pytest.mark.parametrize("method_name, target, fail_at, where", [
+    ("EMIRKFS-M3", "update_q_diag", 2, "timestep 2"),  # inside the M-step
+    ("IRKFS-M3", "fit_motion", 2, "timestep 2"),       # in the motion re-fit
+    ("EMIRKFS-M3", "run_filter", 2, "outer iteration 2"),
+])
+def test_tracker_returns_to_entry_when_a_run_raises(monkeypatch, method_name,
+                                                    target, fail_at, where):
+    # a caller's tracker with charges of its own: a run that raises leaves
+    # both currents where they were at entry (the sweep meets timestep 2
+    # second, after timestep 3)
+    original = getattr(pipeline, target)
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == fail_at:
+            raise NumericError("injected")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, target, failing)
+    tracker = MemoryTracker()
+    tracker.add(1000)
+    tracker.add_reduced(500)
+    with pytest.raises(NumericError, match=f"{where}: injected"):
+        _run(method_name, n_iter=2, tracker=tracker)
+    assert (tracker.current_bytes, tracker.current_reduced_bytes) == (1000, 500)
+    assert tracker.peak_bytes > 1000 and tracker.peak_reduced_bytes > 500
 
 
 def test_em_reduced_peak_holds_one_smoother_step():

@@ -145,6 +145,13 @@ def test_simulation_deterministic():
     assert not np.array_equal(a.sinograms[1], c.sinograms[1])
 
 
+def test_simulation_rejects_negative_seed():
+    frames = generate_frames(default_blocks_config(12, 12, 2, 0))
+    geom = make_geometry(12, 12, 4, 3)
+    with pytest.raises(ConfigError, match="seed"):
+        simulate_sinograms(frames, geom, 0.02, -1)
+
+
 def test_zero_noise_is_exact_projection():
     frames = generate_frames(default_blocks_config(12, 12, 2, 0))
     geom = make_geometry(12, 12, 4, 3)

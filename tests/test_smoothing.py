@@ -96,20 +96,25 @@ def test_moving_motion_matches_dense_rts(prob, kind):
 
 @pytest.mark.parametrize("kind", ["Identity", "SparseCSR", "PatchRank1"])
 def test_smoother_works_from_the_filter_handover(prob, monkeypatch, kind):
-    # the filter hands over U_i = L_i^{-1} A_{i-1}^T: the sweep forms no
-    # capacitance, Cholesky or triangular solve, the mean-only sweep no
-    # Gramian, and the covariance sweep one gram_mp (G_MP alone) per step
-    # and no gram_pair, so no G_MM
+    # the filter hands over U_i = L_i^{-1}: the sweep forms no Cholesky,
+    # solve or triangular solve per step, the mean-only sweep no Gramian,
+    # and the covariance sweep one gram_mp (G_MP alone) per step and no
+    # gram_pair, so no G_MM; its one factorization is Psi_T^sm from
+    # Lambda_T
     motions = _motions(prob, kind)
     calls = {name: count_calls(monkeypatch, owner, name) for owner, name in (
-        (_linalg, "capacitance_factor"), (sla, "cho_factor"),
+        (_linalg, "inverse_factor"), (sla, "cho_factor"),
         (sla, "cho_solve"), (sla, "solve_triangular"),
         (type(motions[0]), "gram_pair"), (type(motions[0]), "gram_mp"))}
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
                       prob["noise"], prob["basis"], prob["x0"])
-    # the counts do see the filter's capacitance, Cholesky, solve and
-    # Gramian pair (an Identity's pair is its G_MP, twice)
-    want = {"capacitance_factor", "cho_factor", "solve_triangular", "gram_pair"}
+    # the counts do see the filter's two Choleskys per step (the prediction
+    # one inside inverse_factor), its mean solve and its Gramian pair (an
+    # Identity's pair is its G_MP, twice), and no triangular solve
+    T = prob["n_steps"]
+    assert len(calls["inverse_factor"]) == len(calls["cho_solve"]) == T
+    assert len(calls["cho_factor"]) == 2 * T
+    want = {"inverse_factor", "cho_factor", "cho_solve", "gram_pair"}
     if kind == "Identity":
         want.add("gram_mp")
     assert {name for name, seen in calls.items() if seen} == want
@@ -119,7 +124,8 @@ def test_smoother_works_from_the_filter_handover(prob, monkeypatch, kind):
     assert all(seen == [] for seen in calls.values())
     run_smoother(filt, motions, prob["noise"], prob["basis"],
                  with_covariance=True)
-    assert len(calls.pop("gram_mp")) == prob["n_steps"]
+    assert len(calls.pop("gram_mp")) == T
+    assert len(calls.pop("inverse_factor")) == len(calls.pop("cho_factor")) == 1
     assert all(seen == [] for seen in calls.values())
 
 
@@ -127,7 +133,7 @@ def test_terminal_conditions_exact(prob):
     filt, sm = _smoothed(prob)
     T = prob["n_steps"]
     assert np.array_equal(sm.x_sm[T], filt.x_est[T])
-    assert np.array_equal(sm.psi_sm[T], psi_of(filt.a_last))
+    assert np.array_equal(sm.psi_sm[T], psi_of(filt.info_last))
 
 
 def test_cross_covariance_matches_dense_formula():
