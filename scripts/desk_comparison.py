@@ -2,7 +2,8 @@
 """Desk-scale method comparison on the moving-blocks phantom.
 
 Runs the requested method variants on one simulated scan and writes a
-per-iteration summary CSV (mean RRE, phase timings, peak tracked bytes).
+per-iteration summary CSV (mean RRE, phase timings and, on each method's
+last row, its wall time and tracked full and reduced peaks).
 Defaults reproduce the 64x64 ordering experiment; --quick drops to 32x32
 for a fast smoke run. M1 is excluded by default because the per-frame
 flow solves dominate the runtime at 64x64.
@@ -75,9 +76,11 @@ def main():
             })
         rows[-1]["wall_s"] = round(wall, 3)
         rows[-1]["peak_bytes"] = rec.peak_bytes
+        rows[-1]["peak_reduced_bytes"] = rec.peak_reduced_bytes
         print(f"{name:12s} " + "  ".join(
             f"it{j}={rec.mean_rre(j):.4f}" for j in range(1, rec.n_iter + 1))
-            + f"  ({wall:.1f}s, peak {rec.peak_bytes / 1e6:.1f} MB)")
+            + f"  ({wall:.1f}s, peak {rec.peak_bytes / 1e6:.1f} MB, "
+            f"reduced {rec.peak_reduced_bytes / 1e6:.1f} MB)")
 
     fields = sorted({k for r in rows for k in r},
                     key=lambda k: (k not in ("method", "iteration",

@@ -1,5 +1,6 @@
-"""Shared dense kernels: the guarded Cholesky and inverse factors, the PSD
-guard on formed covariances and the row-chunked quadratic-form diagonal.
+"""Shared dense kernels: the guarded Cholesky factor and the inverse formed
+from a factor, the PSD guard on formed covariances and the row-chunked
+quadratic-form diagonal.
 
 ``quad_diag`` and the sparse operators' row-chunked loops form n-vector
 diagonals and r x r projections of n x r products without holding more
@@ -63,27 +64,28 @@ def _cond_estimate(A: np.ndarray) -> float:
         return np.inf
 
 
-def _cholesky(A: np.ndarray, what: str):
-    """Lower Cholesky factor of symmetric positive definite A, in
-    ``cho_factor`` form (the upper triangle holds leftovers of A).
+def _cholesky(A: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor L (zeros above the diagonal) of symmetric
+    positive definite A.
 
     Raises NumericError with a condition estimate when A is not PD.
     """
     try:
-        return sla.cho_factor(A, lower=True, check_finite=False)
+        c, _ = sla.cho_factor(A, lower=True, check_finite=False)
     except (sla.LinAlgError, ValueError) as exc:
         raise NumericError(
             f"{what}: Cholesky factorization failed (condition estimate "
             f"{_cond_estimate(A):.3e})"
         ) from exc
+    np.copyto(c, 0.0, where=~np.tri(len(c), dtype=bool))
+    return c
 
 
-def inverse_factor(A: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Lower-triangular U with U^T U = A^{-1} for symmetric positive
-    definite A: with A = L L^T, U = L^{-1}, one Cholesky and one triangular
-    inverse (LAPACK dtrtri). Raises NumericError when A is not PD."""
-    c, _ = _cholesky(A, what)
-    l_inv, info = sla.lapack.dtrtri(c, lower=1)
+def cho_inverse(L: np.ndarray) -> np.ndarray:
+    """(L L^T)^{-1} for a lower Cholesky factor L, with both triangles
+    filled (exactly symmetric): LAPACK dpotri, which writes the lower
+    one, and its mirror."""
+    inv, info = sla.lapack.dpotri(L, lower=1)
     if info != 0:
-        raise NumericError(f"{what}: Cholesky factor is singular")
-    return np.tril(l_inv)
+        raise NumericError("Cholesky factor is singular")
+    return np.where(np.tri(len(inv), dtype=bool), inv, inv.T)

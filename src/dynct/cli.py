@@ -64,13 +64,10 @@ def cmd_simulate(args) -> int:
                               operators=h_ops)
 
     files = []
-    base = os.path.join(out, _TRUTH)
-    write_array(base, frames)
-    files += [base + ".bin", base + ".txt"]
-    stacked = np.stack(sino.sinograms)
-    base = os.path.join(out, _SINO)
-    write_array(base, stacked)
-    files += [base + ".bin", base + ".txt"]
+    for name, arr in ((_TRUTH, frames), (_SINO, np.stack(sino.sinograms))):
+        base = os.path.join(out, name)
+        write_array(base, arr)
+        files += [base + ".bin", base + ".txt"]
     if cfg.write_pgm:
         for t in range(frames.shape[0]):
             path = os.path.join(out, f"truth_t{t:03d}.pgm")

@@ -1,4 +1,12 @@
-"""Package-wide exception types, mapped to CLI exit codes in cli.py."""
+"""Package-wide exception types, mapped to CLI exit codes in cli.py, and
+the integer check that the settings' validation shares."""
+
+import numbers
+
+
+def is_count(value) -> bool:
+    """Whether value is a (Python or NumPy) integer >= 1."""
+    return isinstance(value, numbers.Integral) and value >= 1
 
 
 class ConfigError(ValueError):

@@ -26,9 +26,9 @@ and every P z is ``apply(z)``.
 Reduced covariances are carried as information matrices
 Lambda_i = Psi_i^{-1}, from Lambda_0 = Psi_0 = I; neither Psi_i nor the
 predicted covariance C_i^p = M_i P Psi_{i-1} P^T M_i^T + Q_i is formed.
-With the prediction's one Cholesky L L^T = Lambda_{i-1} + G_MM,
-U = L^{-1} (``inverse_factor``) and V = U G_MP, Woodbury and the
-push-through identity give
+With the prediction's one Cholesky L L^T = Lambda_{i-1} + G_MM and
+V = L^{-1} G_MP (one triangular solve), Woodbury and the push-through
+identity give
 
     P^T (C^p)^{-1} P = G_PP - V^T V.
 
@@ -36,8 +36,8 @@ push-through identity give
 moves the mean by one ``cho_solve`` against its Cholesky factor, which is
 also the guard: NumericError unless Lambda_i is positive definite. The
 static initializer is the same update from x = 0, R = I and the prior
-information alpha^{-2} diag(lambda). Step i hands the smoother U_i (lower
-triangular), so the filter keeps U_1..U_T and Lambda_T.
+information alpha^{-2} diag(lambda). Step i hands the smoother L_i (lower
+triangular), so the filter keeps L_1..L_T and Lambda_T.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._linalg import _cholesky, inverse_factor, symmetrize
+from ._linalg import _cholesky, symmetrize
 from .errors import ConfigError
 from .linops import Identity, LinearOperator
 from .prior import ProjectionBasis
@@ -109,7 +109,7 @@ def measurement_update(x_pred, prior_info, h_op: LinearOperator, r_inv, y,
     info = symmetrize(hp.T @ hp) + prior_info
     innov = np.asarray(y, dtype=float) - h_op.apply(x_pred)
     proj = basis.apply_t(h_op.apply_transpose(r_inv * innov))
-    z = sla.cho_solve(_cholesky(info, what), proj, check_finite=False)
+    z = sla.cho_solve((_cholesky(info, what), True), proj, check_finite=False)
     return x_pred + basis.apply(z), info
 
 
@@ -126,8 +126,8 @@ def static_init(h0: LinearOperator, basis: ProjectionBasis, y0: np.ndarray):
 @dataclass
 class FilterResult:
     x_est: np.ndarray          # (T+1, n_s) filtered means
-    u_steps: list              # U_1..U_T (r x r, lower triangular),
-                               # U_i^T U_i = (Lambda_{i-1} + G_MM)^{-1}
+    chol_steps: list           # L_1..L_T (r x r, lower triangular),
+                               # L_i L_i^T = Lambda_{i-1} + G_MM
     info_last: np.ndarray      # Lambda_T = Psi_T^{-1}
 
 
@@ -135,20 +135,20 @@ def filter_step(x_prev: np.ndarray, info_prev: np.ndarray, motion: LinearOperato
                 h_op: LinearOperator, q_diag: np.ndarray, r_diag: np.ndarray,
                 y_i: np.ndarray, basis: ProjectionBasis):
     """One predict/update step from the previous mean and information
-    matrix (Lambda_{i-1} = Psi_{i-1}^{-1}); returns (x_est, Lambda_i, U_i)."""
+    matrix (Lambda_{i-1} = Psi_{i-1}^{-1}); returns (x_est, Lambda_i, L_i)."""
     q_inv = 1.0 / np.asarray(q_diag, dtype=float)
     r_inv = 1.0 / np.asarray(r_diag, dtype=float)
 
     g_mm, g_mp = motion.gram_pair(basis, q_inv)
     # M P = P: an Identity's G_MP is G_PP, formed once
     g_pp = g_mp if isinstance(motion, Identity) else basis.gram(q_inv)
-    U = inverse_factor(info_prev + g_mm, "filter prediction")
-    V = U @ g_mp
+    L = _cholesky(info_prev + g_mm, "filter prediction")
+    V = sla.solve_triangular(L, g_mp, lower=True, check_finite=False)
     pcp = symmetrize(g_pp - V.T @ V)
 
     x_est, info = measurement_update(motion.apply(x_prev), pcp, h_op, r_inv,
                                      y_i, basis, "filter covariance")
-    return x_est, info, U
+    return x_est, info, L
 
 
 def run_filter(y_frames, h_ops, motions, noise: NoiseModel, basis: ProjectionBasis,
@@ -160,11 +160,11 @@ def run_filter(y_frames, h_ops, motions, noise: NoiseModel, basis: ProjectionBas
     x_est = np.zeros((n_steps + 1, basis.n_s))
     x_est[0] = x0
     info = np.eye(basis.rank)
-    u_steps = []
+    chol_steps = []
 
     for i in range(1, n_steps + 1):
-        x_est[i], info, u = filter_step(
+        x_est[i], info, chol = filter_step(
             x_est[i - 1], info, motions[i - 1], h_ops[i],
             noise.q_diags[i - 1], noise.r_diags[i - 1], y_frames[i], basis)
-        u_steps.append(u)
-    return FilterResult(x_est=x_est, u_steps=u_steps, info_last=info)
+        chol_steps.append(chol)
+    return FilterResult(x_est=x_est, chol_steps=chol_steps, info_last=info)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -159,8 +159,7 @@ class MetricsRow:
     bytes: str = ""
 
     def as_list(self) -> list[str]:
-        return [self.method, self.iteration, self.timestep, self.rre,
-                self.phase, self.seconds, self.bytes]
+        return list(astuple(self))
 
 
 def write_metrics_csv(path, rows) -> None:

@@ -32,10 +32,10 @@ return. What it charges:
 - Full space, per pass: the filtered means x_est from the filter's return
   to the end of the pass, and the smoothed means x_sm (x_est's shape) from
   just before the sweep until the run returns inside the RunRecord.
-- Reduced (r x r; reported, not budgeted): the filter's handover U_1..U_T
-  and last information matrix Lambda_T from its return to the end of the
-  pass, and, while the M-step at step i runs, the one step the smoother
-  holds: Psi_{i-1}^sm, Psi_i^sm and omega_i.
+- Reduced (r x r; reported, not budgeted): the filter's prediction
+  factors L_1..L_T and last information matrix Lambda_T from its return
+  to the end of the pass, and, while the M-step at step i runs, the one
+  step the smoother holds: Psi_{i-1}^sm, Psi_i^sm and omega_i.
 
 Every charge is released by the time the run returns or raises: both of
 the tracker's currents go back to their values at entry, and the tracker
@@ -55,7 +55,7 @@ import numpy as np
 
 from ._linalg import CHUNK_ELEMS
 from .em import update_q_diag, update_r_diag
-from .errors import ConfigError, DataIOError, NumericError
+from .errors import ConfigError, DataIOError, NumericError, is_count
 
 _WRAPPED = (ConfigError, DataIOError, NumericError)
 from .filtering import NoiseModel, initial_noise, run_filter, static_init
@@ -84,8 +84,8 @@ class MethodSpec:
     def __post_init__(self):
         if self.motion not in MOTION_KINDS:
             raise ConfigError(f"MethodSpec: motion must be one of {MOTION_KINDS}")
-        if self.n_iter < 1:
-            raise ConfigError("MethodSpec: n_iter must be >= 1")
+        if not is_count(self.n_iter):
+            raise ConfigError("MethodSpec: n_iter must be an integer >= 1")
         if not all(math.isfinite(s) and s > 0 for s in (self.q_scale, self.r_scale)):
             raise ConfigError("MethodSpec: noise scales must be finite and positive")
 
@@ -100,21 +100,11 @@ class MethodSpec:
 def parse_method(name: str, n_iter: int = 1, q_scale: float = 1.0,
                  r_scale: float = 1.0) -> MethodSpec:
     """MethodSpec from a variant name like 'EMIRKFS-M3' (case-insensitive)."""
-    tag = name.strip().upper()
-    head, dash, suffix = tag.partition("-")
-    if head == "EMIRKFS":
-        em = True
-    elif head == "IRKFS":
-        em = False
-    else:
+    head, dash, suffix = name.strip().upper().partition("-")
+    if head not in ("IRKFS", "EMIRKFS") or (dash and suffix not in ("M1", "M2", "M3")):
         raise ConfigError(f"unknown method name {name!r}")
-    if suffix == "" and not dash:
-        motion = "off"
-    elif suffix in ("M1", "M2", "M3"):
-        motion = suffix.lower()
-    else:
-        raise ConfigError(f"unknown method name {name!r}")
-    return MethodSpec(motion=motion, em=em, n_iter=n_iter,
+    return MethodSpec(motion=suffix.lower() if dash else "off",
+                      em=head == "EMIRKFS", n_iter=n_iter,
                       q_scale=q_scale, r_scale=r_scale)
 
 
@@ -133,7 +123,8 @@ class MotionOptions:
     def __post_init__(self):
         if not (math.isfinite(self.zeta) and self.zeta >= 0):
             raise ConfigError("MotionOptions: zeta must be finite and >= 0")
-        if len(self.patch) != 2 or min(self.patch) < 1:
+        if not (isinstance(self.patch, (tuple, list)) and len(self.patch) == 2
+                and all(map(is_count, self.patch))):
             raise ConfigError("MotionOptions: patch must be two positive ints")
 
 
@@ -282,7 +273,7 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
             try:
                 with timer.phase("filter"):
                     filt = run_filter(y_frames, h_ops, motions, noise, basis, x0)
-                history_bytes = sum(a.nbytes for a in filt.u_steps + [filt.info_last])
+                history_bytes = sum(a.nbytes for a in filt.chol_steps + [filt.info_last])
                 tracker.add(filt.x_est.nbytes)
                 tracker.add_reduced(history_bytes)
                 tracker.add(filt.x_est.nbytes)  # x_sm, which has x_est's shape

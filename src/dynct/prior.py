@@ -60,7 +60,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._linalg import row_chunks
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, is_count
 
 # Products below this are numerically meaningless for whitening.
 EIG_UNDERFLOW = 1e-300
@@ -77,8 +77,8 @@ class PriorConfig:
     def __post_init__(self):
         if not all(math.isfinite(v) and v > 0 for v in (self.alpha, self.ell)):
             raise ConfigError("prior alpha and ell must be finite and positive")
-        if self.rank < 1:
-            raise ConfigError("prior rank must be at least 1")
+        if not is_count(self.rank):
+            raise ConfigError("prior rank must be an integer >= 1")
 
 
 def _pair_products(U: np.ndarray) -> np.ndarray:

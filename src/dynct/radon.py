@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, is_count
 from .linops import SparseCSR
 
 _PARALLEL_EPS = 1e-12
@@ -77,8 +77,8 @@ def make_geometry(n_x, n_y, n_angles, n_frames, angle_offset=0.0,
 
     Frame t uses angles (k*pi/n_angles + t*angle_offset) mod pi.
     """
-    if n_angles < 1 or n_frames < 1:
-        raise ConfigError("n_angles and n_frames must be positive")
+    if not (is_count(n_angles) and is_count(n_frames)):
+        raise ConfigError("n_angles and n_frames must be positive integers")
     if detector_count is None:
         detector_count = default_detector_count(n_x, n_y)
     base = np.arange(n_angles) * (math.pi / n_angles)

@@ -1,29 +1,29 @@
 """Backward (RTS-type) smoother on the reduced information-form filter output.
 
-Filter step i hands over the filtered mean and U_i = L_i^{-1}, where
-L_i L_i^T = Lambda_{i-1} + G_MM is that step's prediction Cholesky and
+Filter step i hands over the filtered mean and its prediction Cholesky
+factor L_i, L_i L_i^T = Lambda_{i-1} + G_MM = Phi^{-1}, where
 Lambda_{i-1} = (Psi_{i-1}^est)^{-1}. With w = P^T M_i^T Q_i^{-1} d and
 d = x_i^sm - M_i x_{i-1}^est, the textbook gain K_i = P^T (C_i^p)^{-1}
 (M_i P), information term N_i = (M_i P)^T (C_i^p)^{-1} (M_i P) and
 Psi^est = Psi_{i-1}^est cancel through three exact identities:
 
-    Psi^est - Psi^est N_i Psi^est = (Lambda_{i-1} + G_MM)^{-1} = U_i^T U_i,
-    K_i Psi^est = G_MP^T U_i^T U_i,
-    x_{i-1}^sm = x_{i-1}^est + P U_i^T (U_i w).
+    Psi^est - Psi^est N_i Psi^est = Phi,
+    K_i Psi^est = G_MP^T Phi,
+    x_{i-1}^sm = x_{i-1}^est + P Phi w.
 
 The mean takes one apply and one adjoint apply of the motion, one
-``apply_t`` and one ``apply`` of the basis and two r-vector products with
-U_i: no Gramian, factorization or solve. The covariances (for EM) take the
-motion's G_MP alone (``gram_mp``; G_MM is not formed): with
-Phi = U_i^T U_i and K~ = G_MP^T Phi,
+``apply_t`` and one ``apply`` of the basis and one ``cho_solve`` with L_i:
+no Gramian, factorization or inverse. The covariances (for EM) take the
+motion's G_MP alone (``gram_mp``; G_MM is not formed) and
+Phi = ``cho_inverse``(L_i): with K~ = G_MP^T Phi,
 
     omega_i = Psi_i^sm K~,    Psi_{i-1}^sm = Phi + K~^T omega_i,
 
 two congruences, each PSD when Psi_i^sm is.  The lag-one cross covariance
 is C_{i,i-1}^sm = P omega_i P^T, never assembled densely.  Each
 Psi_{i-1}^sm is checked PSD (eigenvalues only) as it is formed;
-Psi_T^sm = U^T U with U = ``inverse_factor``(Lambda_T), formed once per
-covariance sweep, is PSD by construction.
+Psi_T^sm, ``cho_inverse`` of the Cholesky of Lambda_T (once per covariance
+sweep), is PSD by construction.  Every Psi^sm is exactly symmetric.
 
 No covariance history is kept.  Everything that consumes the smoothed
 moments of transition i (motion re-fit, M-step) needs only x_{i-1}^sm,
@@ -35,18 +35,19 @@ O(r^2) reduced memory however long the sequence is.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as sla
 
-from ._linalg import check_psd, inverse_factor, symmetrize
+from ._linalg import _cholesky, check_psd, cho_inverse, symmetrize
 from .errors import ConfigError
 from .filtering import FilterResult, NoiseModel
 from .linops import LinearOperator
 from .prior import ProjectionBasis
 
 
-def smooth_step(x_est_prev, u_i, x_sm_i, psi_sm_i, motion: LinearOperator,
+def smooth_step(x_est_prev, chol_i, x_sm_i, psi_sm_i, motion: LinearOperator,
                 q_diag, basis: ProjectionBasis, with_covariance: bool = False):
     """One backward step from the filtered mean at frame i-1 and filter
-    step i's handover u_i = L_i^{-1}; returns
+    step i's prediction factor chol_i = L_i; returns
     (x_sm_prev, psi_sm_prev, omega_i).
 
     psi_sm_prev and omega_i are None unless with_covariance is set.
@@ -54,12 +55,13 @@ def smooth_step(x_est_prev, u_i, x_sm_i, psi_sm_i, motion: LinearOperator,
     q_inv = 1.0 / np.asarray(q_diag, dtype=float)
     d = x_sm_i - motion.apply(x_est_prev)
     w = basis.apply_t(motion.apply_transpose(q_inv * d))
-    x_sm_prev = x_est_prev + basis.apply(u_i.T @ (u_i @ w))
+    x_sm_prev = x_est_prev + basis.apply(
+        sla.cho_solve((chol_i, True), w, check_finite=False))
     if not with_covariance:
         return x_sm_prev, None, None
 
     g_mp = motion.gram_mp(basis, q_inv)
-    phi = u_i.T @ u_i
+    phi = cho_inverse(chol_i)
     k_psi = g_mp.T @ phi
     omega = psi_sm_i @ k_psi
     psi_sm_prev = symmetrize(phi + k_psi.T @ omega)
@@ -80,19 +82,19 @@ def run_smoother(filt: FilterResult, motions, noise: NoiseModel,
     its frame.
     """
     n_steps = noise.n_steps
-    if len(motions) != n_steps or len(filt.u_steps) != n_steps:
+    if len(motions) != n_steps or len(filt.chol_steps) != n_steps:
         raise ConfigError("run_smoother: step counts disagree with filter output")
 
     x_sm = np.zeros_like(filt.x_est)
     x_sm[n_steps] = filt.x_est[n_steps]
     psi_i = None
     if with_covariance:
-        u_last = inverse_factor(filt.info_last, f"filtered information {n_steps}")
-        psi_i = u_last.T @ u_last
+        psi_i = cho_inverse(_cholesky(filt.info_last,
+                                      f"filtered information {n_steps}"))
 
     for i in range(n_steps, 0, -1):
         x_sm[i - 1], psi_prev, omega = smooth_step(
-            filt.x_est[i - 1], filt.u_steps[i - 1], x_sm[i], psi_i,
+            filt.x_est[i - 1], filt.chol_steps[i - 1], x_sm[i], psi_i,
             motions[i - 1], noise.q_diags[i - 1], basis, with_covariance)
         if with_covariance:
             check_psd(psi_prev, f"smoothed covariance {i - 1}")

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from dynct._linalg import inverse_factor
+from dynct._linalg import _cholesky, cho_inverse
 from dynct.filtering import (filter_step, initial_noise, run_filter,
                              static_init)
 from dynct.linops import Identity, SparseCSR
@@ -105,11 +105,11 @@ def filter_factors(y_frames, h_ops, motions, noise, basis, x0):
     x, info = np.asarray(x0, dtype=float), np.eye(basis.rank)
     infos = [info]
     for i in range(1, noise.n_steps + 1):
-        x, info, u = filter_step(x, info, motions[i - 1], h_ops[i],
-                                 noise.q_diags[i - 1], noise.r_diags[i - 1],
-                                 y_frames[i], basis)
+        x, info, chol = filter_step(x, info, motions[i - 1], h_ops[i],
+                                    noise.q_diags[i - 1], noise.r_diags[i - 1],
+                                    y_frames[i], basis)
         np.testing.assert_array_equal(x, filt.x_est[i])
-        np.testing.assert_array_equal(u, filt.u_steps[i - 1])
+        np.testing.assert_array_equal(chol, filt.chol_steps[i - 1])
         infos.append(info)
     np.testing.assert_array_equal(info, filt.info_last)
     return filt, infos
@@ -143,11 +143,10 @@ def smoothed_moments(filt, motions, noise, basis):
 
 
 def psi_of(info):
-    """Reduced covariance Psi = Lambda^{-1} = U^T U from a filter
-    information matrix Lambda, with U = ``inverse_factor``(Lambda), as the
+    """Reduced covariance Psi = Lambda^{-1} from a filter information
+    matrix Lambda, by ``cho_inverse`` of its Cholesky factor, as the
     smoother forms Psi_T^sm."""
-    u = inverse_factor(info)
-    return u.T @ u
+    return cho_inverse(_cholesky(info, "information matrix"))
 
 
 def dense_noise(problem):

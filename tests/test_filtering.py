@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dynct._linalg import inverse_factor
+from dynct._linalg import _cholesky, cho_inverse
 from dynct.errors import ConfigError, NumericError
 from dynct.filtering import (NoiseModel, filter_step, initial_noise,
                              run_filter, static_init)
@@ -88,8 +88,8 @@ def test_moving_motion_matches_dense_oracle(prob, kind):
 def test_filter_step_carries_the_information_matrix(prob, kind):
     # Lambda_i is the inverse of the dense filter's reduced posterior
     # covariance P^{-1} C_i P^{-T} (r = n_s: P is invertible), and the
-    # handover has U_i^T U_i = (Lambda_{i-1} + G_MM)^{-1}, G_MM from the
-    # dense M P
+    # handover is the prediction factor, L_i L_i^T = Lambda_{i-1} + G_MM,
+    # G_MM from the dense M P
     motions = transition_motions(kind, prob["geom"].n_x, prob["geom"].n_y,
                                  prob["n_steps"])
     _, covs, _, _ = _dense(prob, motions)
@@ -98,22 +98,22 @@ def test_filter_step_carries_the_information_matrix(prob, kind):
     noise = prob["noise"]
     x, info = prob["x0"], np.eye(prob["basis"].rank)
     for i in range(1, prob["n_steps"] + 1):
-        x, info_next, u = filter_step(
+        x, info_next, chol = filter_step(
             x, info, motions[i - 1], prob["h_ops"][i], noise.q_diags[i - 1],
             noise.r_diags[i - 1], prob["sino"].sinograms[i], prob["basis"])
         psi = p_inv @ covs[i] @ p_inv.T
         assert rel_err(info_next @ psi, np.eye(len(psi))) <= 1e-8, f"step {i}"
         mp = dense(motions[i - 1]) @ P
         g_mm = mp.T @ (mp / noise.q_diags[i - 1][:, None])
-        assert rel_err(u.T @ u, np.linalg.inv(info + g_mm)) <= 1e-12, f"step {i}"
+        assert rel_err(chol @ chol.T, info + g_mm) <= 1e-12, f"step {i}"
         info = info_next
 
 
 def test_psi_symmetric_psd(reduced):
     filt, infos = reduced
-    # the handover U_i = L_i^{-1} is lower triangular
-    for u in filt.u_steps:
-        np.testing.assert_array_equal(u, np.tril(u))
+    # the handover L_i is exactly lower triangular
+    for chol in filt.chol_steps:
+        np.testing.assert_array_equal(chol, np.tril(chol))
     for info in infos:
         # the information matrices are exactly symmetric and PD
         np.testing.assert_array_equal(info, info.T)
@@ -124,16 +124,20 @@ def test_psi_symmetric_psd(reduced):
         assert vals.min() >= -1e-10 * np.linalg.norm(psi)
 
 
-def test_inverse_factor_of_spd_and_indefinite():
+def test_cho_inverse_of_spd_and_indefinite():
+    # the guarded factor is exactly lower triangular, and the inverse from
+    # it fills both triangles (exactly symmetric)
     rng = np.random.default_rng(8)
     for n in (1, 5, 40):
         B = rng.standard_normal((n, n))
         A = B @ B.T + n * np.eye(n)
-        U = inverse_factor(A)
-        np.testing.assert_array_equal(U, np.tril(U))
-        assert rel_err(U.T @ U, np.linalg.inv(A)) <= 1e-12
+        L = _cholesky(A, "test")
+        np.testing.assert_array_equal(L, np.tril(L))
+        inv = cho_inverse(L)
+        np.testing.assert_array_equal(inv, inv.T)
+        assert rel_err(inv, np.linalg.inv(A)) <= 1e-12
     with pytest.raises(NumericError):
-        inverse_factor(np.diag([1.0, -1.0]))
+        cho_inverse(_cholesky(np.diag([1.0, -1.0]), "test"))
 
 
 def test_zero_innovation_keeps_prediction(prob):
@@ -233,7 +237,7 @@ def test_run_filter_t0_is_initialization(prob):
                       noise, prob["basis"], prob["x0"])
     assert filt.x_est.shape == (1, prob["n_s"])
     np.testing.assert_array_equal(filt.x_est[0], prob["x0"])
-    assert filt.u_steps == []
+    assert filt.chol_steps == []
     np.testing.assert_array_equal(filt.info_last, np.eye(prob["basis"].rank))
 
 

@@ -54,8 +54,10 @@ def test_parse_method_rejects_unknown():
 def test_method_spec_validation():
     with pytest.raises(ConfigError):
         MethodSpec(motion="m5", em=False, n_iter=1)
-    with pytest.raises(ConfigError):
-        MethodSpec(motion="off", em=False, n_iter=0)
+    for bad in (0, 1.5, 2.0):
+        with pytest.raises(ConfigError, match="n_iter"):
+            MethodSpec(motion="off", em=False, n_iter=bad)
+    assert MethodSpec(n_iter=np.int64(2)).n_iter == 2
     with pytest.raises(ConfigError):
         MethodSpec(motion="off", em=False, n_iter=1, q_scale=0.0)
     with pytest.raises(ConfigError):
@@ -76,9 +78,11 @@ def test_non_finite_settings_rejected(bad):
 def test_motion_options_validation():
     with pytest.raises(ConfigError):
         MotionOptions(zeta=-0.5)
-    with pytest.raises(ConfigError):
-        MotionOptions(patch=(0, 4))
+    for bad in ((0, 4), (2.5, 4), (4, 4.0), 8, (4,), (4, 4, 4), "44"):
+        with pytest.raises(ConfigError, match="patch"):
+            MotionOptions(patch=bad)
     assert MotionOptions().patch == (8, 8)
+    assert MotionOptions(patch=[np.int64(4), 2]).patch == [4, 2]
 
 
 # -- iteration protocol --------------------------------------------------------
@@ -194,7 +198,7 @@ def test_tracker_returns_to_entry_when_a_run_raises(monkeypatch, method_name,
 
 
 def test_em_reduced_peak_holds_one_smoother_step():
-    # the filter's factor history (T+1, the initial factor its first entry)
+    # the filter's r x r history (T+1: L_1..L_T and Lambda_T)
     # plus one smoother step (3: Psi_i^sm, Psi_{i-1}^sm, omega_i), which the
     # M-step takes as formed; without EM only the history is held
     prob, record = _run("EMIRKFS-M2", n_iter=2)

@@ -115,8 +115,9 @@ def test_rank_validation():
         PriorConfig(alpha=0.0, ell=1.0, rank=4)
     with pytest.raises(ConfigError):
         PriorConfig(alpha=1.0, ell=-1.0, rank=4)
-    with pytest.raises(ConfigError):
-        PriorConfig(alpha=1.0, ell=1.0, rank=0)
+    for bad in (0, 2.5, 4.0):
+        with pytest.raises(ConfigError, match="rank"):
+            PriorConfig(alpha=1.0, ell=1.0, rank=bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -163,10 +163,10 @@ def test_zero_noise_is_exact_projection():
 
 
 def test_geometry_validation():
-    with pytest.raises(ConfigError):
-        make_geometry(8, 8, 0, 2)
-    with pytest.raises(ConfigError):
-        make_geometry(8, 8, 3, 0)
+    for n_angles, n_frames in ((0, 2), (3, 0), (2.5, 2), (3, 2.0)):
+        with pytest.raises(ConfigError):
+            make_geometry(8, 8, n_angles, n_frames)
+    assert make_geometry(8, 8, np.int64(3), 2).n_frames == 2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

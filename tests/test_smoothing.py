@@ -96,36 +96,41 @@ def test_moving_motion_matches_dense_rts(prob, kind):
 
 @pytest.mark.parametrize("kind", ["Identity", "SparseCSR", "PatchRank1"])
 def test_smoother_works_from_the_filter_handover(prob, monkeypatch, kind):
-    # the filter hands over U_i = L_i^{-1}: the sweep forms no Cholesky,
-    # solve or triangular solve per step, the mean-only sweep no Gramian,
-    # and the covariance sweep one gram_mp (G_MP alone) per step and no
-    # gram_pair, so no G_MM; its one factorization is Psi_T^sm from
-    # Lambda_T
+    # the filter hands over its prediction Cholesky L_i and forms no
+    # inverse; the mean-only sweep makes no factorization, inverse or
+    # Gramian (one cho_solve against L_i per step); the covariance sweep
+    # adds one gram_mp (G_MP alone, so no G_MM) and one dpotri (Phi) per
+    # step, and one Cholesky, of Lambda_T, for Psi_T^sm
     motions = _motions(prob, kind)
-    calls = {name: count_calls(monkeypatch, owner, name) for owner, name in (
-        (_linalg, "inverse_factor"), (sla, "cho_factor"),
-        (sla, "cho_solve"), (sla, "solve_triangular"),
-        (type(motions[0]), "gram_pair"), (type(motions[0]), "gram_mp"))}
+    calls = {name: count_calls(monkeypatch, owner, attr) for name, owner, attr in (
+        ("cho_factor", sla, "cho_factor"), ("cho_solve", sla, "cho_solve"),
+        ("solve_triangular", sla, "solve_triangular"),
+        ("dtrtri", sla.lapack, "dtrtri"), ("dpotri", sla.lapack, "dpotri"),
+        ("np.inv", np.linalg, "inv"), ("sla.inv", sla, "inv"),
+        ("gram_pair", type(motions[0]), "gram_pair"),
+        ("gram_mp", type(motions[0]), "gram_mp"))}
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
                       prob["noise"], prob["basis"], prob["x0"])
-    # the counts do see the filter's two Choleskys per step (the prediction
-    # one inside inverse_factor), its mean solve and its Gramian pair (an
-    # Identity's pair is its G_MP, twice), and no triangular solve
+    # the counts do see the filter's two Choleskys per step, its triangular
+    # solve for V, its mean solve and its Gramian pair (an Identity's pair
+    # is its G_MP, twice), and no dtrtri or other inverse
     T = prob["n_steps"]
-    assert len(calls["inverse_factor"]) == len(calls["cho_solve"]) == T
+    assert len(calls["solve_triangular"]) == len(calls["cho_solve"]) == T
     assert len(calls["cho_factor"]) == 2 * T
-    want = {"inverse_factor", "cho_factor", "cho_solve", "gram_pair"}
+    want = {"cho_factor", "cho_solve", "solve_triangular", "gram_pair"}
     if kind == "Identity":
         want.add("gram_mp")
     assert {name for name, seen in calls.items() if seen} == want
     for seen in calls.values():
         seen.clear()
     run_smoother(filt, motions, prob["noise"], prob["basis"])
+    assert len(calls.pop("cho_solve")) == T
     assert all(seen == [] for seen in calls.values())
     run_smoother(filt, motions, prob["noise"], prob["basis"],
                  with_covariance=True)
     assert len(calls.pop("gram_mp")) == T
-    assert len(calls.pop("inverse_factor")) == len(calls.pop("cho_factor")) == 1
+    assert len(calls.pop("dpotri")) == T + 1
+    assert len(calls.pop("cho_factor")) == 1
     assert all(seen == [] for seen in calls.values())
 
 
@@ -147,7 +152,7 @@ def test_cross_covariance_zero_smoothed_cov(prob):
     # omega_i = Psi_i^sm K_i Psi_{i-1}^est vanishes exactly with Psi_i^sm
     filt, _ = _smoothed(prob)
     r = prob["basis"].rank
-    _, _, omega = smooth_step(filt.x_est[0], filt.u_steps[0], filt.x_est[1],
+    _, _, omega = smooth_step(filt.x_est[0], filt.chol_steps[0], filt.x_est[1],
                               np.zeros((r, r)), Identity(prob["n_s"]),
                               prob["noise"].q_diags[0], prob["basis"],
                               with_covariance=True)
@@ -194,7 +199,7 @@ def test_zero_smoothing_innovation_keeps_filter_estimate(prob):
     motions = [Identity(prob["n_s"]) for _ in range(prob["n_steps"])]
     filt, _ = _smoothed(prob)
     x_pred = motions[0].apply(filt.x_est[0])
-    xs, _, _ = smooth_step(filt.x_est[0], filt.u_steps[0], x_pred, None,
+    xs, _, _ = smooth_step(filt.x_est[0], filt.chol_steps[0], x_pred, None,
                            motions[0], prob["noise"].q_diags[0], prob["basis"])
     np.testing.assert_array_equal(xs, filt.x_est[0])
 
@@ -221,9 +226,15 @@ def test_smoother_does_not_worsen_consistent_data():
 
 
 def test_psi_sm_symmetric(prob):
-    _, sm = _smoothed(prob)
-    for psi in sm.psi_sm:
-        assert np.max(np.abs(psi - psi.T)) <= 1e-12 * max(np.abs(psi).max(), 1.0)
+    # exactly: dpotri writes one triangle of Phi and Psi_T^sm, and
+    # check_psd's eigvalsh reads one too, while quad_diag and
+    # psi_sm_i @ k_psi read both; so every Psi^sm the hook sees, Psi_T^sm
+    # included, must have both filled alike
+    for kind in ("Identity", "SparseCSR", "PatchRank1"):
+        _, sm = _smoothed(prob, _motions(prob, kind))
+        assert len(sm.psi_sm) == prob["n_steps"] + 1
+        for psi in sm.psi_sm:
+            assert np.array_equal(psi, psi.T), kind
 
 
 def test_count_validation(prob):
