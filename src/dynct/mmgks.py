@@ -6,11 +6,18 @@ smoothed as phi_eps(z) = sqrt(z^2 + eps^2).  At each outer iteration the
 nonsmooth term is majorized at the current iterate by a weighted quadratic
 lam * ||P Theta s||^2 with diagonal P = diag((z^2 + eps^2)^(-1/4)), and the
 quadratic is minimized over span(W) through its l x l projected normal
-equations, formed directly from the tall products A W and Theta W (l is the
-basis size, at most seed_vectors + max_iters).  The basis W starts from a few
-Golub-Kahan bidiagonalization vectors of (A, b) and is expanded each
-iteration with the reorthogonalized residual of the full normal equations,
-so the subspace adapts to the reweighting.
+equations (l is the basis size, at most seed_vectors + max_iters).  The basis
+W starts from a few Golub-Kahan bidiagonalization vectors of (A, b) and is
+expanded each iteration with the reorthogonalized residual of the full
+normal equations, so the subspace adapts to the reweighting.
+
+W, A W and Theta W live in blocks preallocated at their largest size, one
+basis vector per row, and grow in place.  The data part of the projected
+normal equations, (A W)^T A W and (A W)^T b, does not depend on the weights:
+it is bordered by one row as each vector joins, so an iteration forms only
+the reweighted lam (P Theta W)^T (P Theta W).  The products A W z and
+Theta W z at each minimizer serve the next weights, the expansion residual
+and both majorant values.
 
 Within one weight cycle (weights held fixed) enlarging W can only decrease
 the quadratic majorant; across cycles the usual MM argument applies.
@@ -24,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, is_count
 from .linops import LinearOperator
 
 _BREAKDOWN = 1e-14
@@ -40,8 +47,9 @@ class MMGKSConfig:
                                 # data fit against the weighted penalty at s0
 
     def __post_init__(self):
-        if self.seed_vectors < 1 or self.max_iters < 1:
-            raise ConfigError("MMGKSConfig: seed_vectors and max_iters must be >= 1")
+        if not (is_count(self.seed_vectors) and is_count(self.max_iters)):
+            raise ConfigError(
+                "MMGKSConfig: seed_vectors and max_iters must be integers >= 1")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ConfigError("MMGKSConfig: tol must be finite and positive")
         if self.eps is not None and not (math.isfinite(self.eps) and self.eps > 0):
@@ -115,21 +123,91 @@ class _SingularProjected(Exception):
     pass
 
 
-def solve_projected(AW: np.ndarray, TW: np.ndarray, pdiag: np.ndarray,
-                    lam: float, b: np.ndarray) -> np.ndarray:
-    """Minimize ||AW z - b||^2 + lam ||diag(pdiag) TW z||^2 over z.
+class KrylovBasis:
+    """Orthonormal basis W with its images A W and Theta W and the data part
+    of the projected normal equations, grown in place.
+
+    ``W``, ``AW`` and ``TW`` hold one basis vector (or its image) per row in
+    blocks of ``capacity`` rows, so the first ``size`` rows are contiguous
+    views; ``gram`` and ``atb`` hold (A W)^T A W and (A W)^T b, bordered by
+    one row and entry as each vector joins.
+    """
+
+    def __init__(self, a_op: LinearOperator, theta_op: LinearOperator,
+                 b: np.ndarray, capacity: int):
+        m, n = a_op.shape
+        self._a_op, self._theta_op, self._b = a_op, theta_op, b
+        self.capacity = min(capacity, n)
+        self._w = np.empty((self.capacity, n))
+        self._aw = np.empty((self.capacity, m))
+        self._tw = np.empty((self.capacity, theta_op.shape[0]))
+        self._gram = np.empty((self.capacity, self.capacity))
+        self._atb = np.empty(self.capacity)
+        self.size = 0
+
+    @property
+    def W(self):
+        return self._w[:self.size]
+
+    @property
+    def AW(self):
+        return self._aw[:self.size]
+
+    @property
+    def TW(self):
+        return self._tw[:self.size]
+
+    @property
+    def gram(self):
+        return self._gram[:self.size, :self.size]
+
+    @property
+    def atb(self):
+        return self._atb[:self.size]
+
+    def append(self, w: np.ndarray) -> None:
+        """Add the unit vector w, assumed orthogonal to the basis."""
+        j = self.size
+        self._w[j] = w
+        self._aw[j] = self._a_op.apply(w)
+        self._tw[j] = self._theta_op.apply(w)
+        aw = self._aw[j]
+        row = self._aw[:j + 1] @ aw
+        self._gram[j, :j + 1] = row
+        self._gram[:j, j] = row[:j]
+        self._atb[j] = aw @ self._b
+        self.size = j + 1
+
+    def expand(self, v: np.ndarray) -> bool:
+        """Append v after two reorthogonalization sweeps; False (basis
+        unchanged) when it is full or v vanishes inside span(W)."""
+        n0 = np.linalg.norm(v)
+        if n0 == 0.0 or self.size >= self.capacity:
+            return False
+        W = self.W
+        for _ in range(2):
+            v = v - (W @ v) @ W
+        nv = np.linalg.norm(v)
+        if nv <= 1e-10 * n0:
+            return False
+        self.append(v / nv)
+        return True
+
+
+def solve_projected(gram: np.ndarray, atb: np.ndarray, TW: np.ndarray,
+                    pdiag: np.ndarray, lam: float) -> np.ndarray:
+    """Minimize ||A W z - b||^2 + lam ||diag(pdiag) Theta W z||^2 over z.
 
     Solves the l x l normal equations
-    (AW^T AW + lam (P TW)^T (P TW)) z = AW^T b, P = diag(pdiag), by
-    Cholesky. An economic QR of either tall factor would give this same
-    matrix, at the same conditioning, once R^T R is formed, so none is taken.
+    ((AW)^T AW + lam (P TW)^T (P TW)) z = (AW)^T b, P = diag(pdiag), by
+    Cholesky, given their data part gram = (AW)^T AW and atb = (AW)^T b and
+    the rows TW of (Theta W)^T. Only the reweighted term is formed here.
     """
-    PT = pdiag[:, None] * TW
-    lhs = AW.T @ AW + lam * (PT.T @ PT)
-    rhs = AW.T @ b
+    PT = TW * pdiag
+    lhs = gram + lam * (PT @ PT.T)
     try:
         c = sla.cho_factor(lhs, lower=True, check_finite=False)
-        z = sla.cho_solve(c, rhs, check_finite=False)
+        z = sla.cho_solve(c, atb, check_finite=False)
     except (sla.LinAlgError, ValueError) as exc:
         raise _SingularProjected(str(exc)) from exc
     if not np.all(np.isfinite(z)):
@@ -137,34 +215,12 @@ def solve_projected(AW: np.ndarray, TW: np.ndarray, pdiag: np.ndarray,
     return z
 
 
-def majorant_value(AW, TW, pdiag, lam, b, z) -> float:
-    """Quadratic majorant at fixed weights, evaluated at s = W z."""
-    fit = AW @ z - b
-    pen = pdiag * (TW @ z)
+def majorant_value(fit: np.ndarray, theta_s: np.ndarray, pdiag: np.ndarray,
+                   lam: float) -> float:
+    """Quadratic majorant ||fit||^2 + lam ||pdiag * theta_s||^2 at fixed
+    weights, from fit = A s - b and theta_s = Theta s."""
+    pen = pdiag * theta_s
     return float(fit @ fit + lam * (pen @ pen))
-
-
-def expand_basis(W: np.ndarray, AW: np.ndarray, TW: np.ndarray,
-                 a_op: LinearOperator, theta_op: LinearOperator,
-                 v: np.ndarray):
-    """Append v to the basis after two reorthogonalization sweeps.
-
-    Returns (W, AW, TW, grew); v vanishing inside span(W) leaves the basis
-    unchanged.
-    """
-    n0 = np.linalg.norm(v)
-    if n0 == 0.0 or W.shape[1] >= W.shape[0]:
-        return W, AW, TW, False
-    for _ in range(2):
-        v = v - W @ (W.T @ v)
-    nv = np.linalg.norm(v)
-    if nv <= 1e-10 * n0:
-        return W, AW, TW, False
-    w_new = v / nv
-    W = np.column_stack([W, w_new])
-    AW = np.column_stack([AW, a_op.apply(w_new)])
-    TW = np.column_stack([TW, theta_op.apply(w_new)])
-    return W, AW, TW, True
 
 
 def penalty_weights(theta_s: np.ndarray, eps: float) -> np.ndarray:
@@ -186,18 +242,20 @@ def mmgks_solve(a_op: LinearOperator, theta_op: LinearOperator, b: np.ndarray,
         return MMGKSResult(s=np.zeros(n), lam=cfg.lam or 0.0, eps=cfg.eps or 0.0,
                            n_iters=0, converged=True, basis_size=0)
 
-    W, _, _ = gkb_seed(a_op, b, cfg.seed_vectors)
-    AW = np.column_stack([a_op.apply(w) for w in W.T])
-    TW = np.column_stack([theta_op.apply(w) for w in W.T])
+    basis = KrylovBasis(a_op, theta_op, b, cfg.seed_vectors + cfg.max_iters)
+    for w in gkb_seed(a_op, b, cfg.seed_vectors)[0].T:
+        basis.append(w)
 
     # Unit-weight pilot solve fixes the smoothing width and, if requested,
     # the balance parameter.
     lam = cfg.lam if cfg.lam is not None else 1.0
     try:
-        z = solve_projected(AW, TW, np.ones(TW.shape[0]), lam, b)
+        z = solve_projected(basis.gram, basis.atb, basis.TW,
+                            np.ones(theta_op.shape[0]), lam)
     except _SingularProjected as exc:
         raise NumericError(f"mmgks pilot solve singular: {exc}") from exc
-    theta_s = TW @ z
+    theta_s = z @ basis.TW
+    fit = z @ basis.AW - b
     if cfg.eps is not None:
         eps = cfg.eps
     else:
@@ -205,24 +263,22 @@ def mmgks_solve(a_op: LinearOperator, theta_op: LinearOperator, b: np.ndarray,
         eps = 1e-2 * scale if scale > 0 else 1e-8
     if cfg.lam is None:
         wts = penalty_weights(theta_s, eps)
-        fit = AW @ z - b
         den = float(np.sum((wts * theta_s) ** 2))
         lam = float(fit @ fit) / den if den > 0 else 1.0
         if lam <= 0:
             lam = 1.0
 
-    s = W @ z
+    s = z @ basis.W
     objectives = []
     converged = False
     n_iters = 0
     boosted = False
     for k in range(1, cfg.max_iters + 1):
         n_iters = k
-        s_old = s
-        z_old = z
-        wts = penalty_weights(TW @ z, eps)
+        s_old, fit_old, theta_s_old = s, fit, theta_s
+        wts = penalty_weights(theta_s, eps)
         try:
-            z = solve_projected(AW, TW, wts, lam, b)
+            z = solve_projected(basis.gram, basis.atb, basis.TW, wts, lam)
         except _SingularProjected:
             if boosted:
                 raise NumericError(
@@ -230,21 +286,20 @@ def mmgks_solve(a_op: LinearOperator, theta_op: LinearOperator, b: np.ndarray,
             boosted = True
             lam *= 10.0
             try:
-                z = solve_projected(AW, TW, wts, lam, b)
+                z = solve_projected(basis.gram, basis.atb, basis.TW, wts, lam)
             except _SingularProjected as exc:
                 raise NumericError(
                     f"mmgks: projected system singular at lam={lam:g}") from exc
-        s = W @ z
-        objectives.append((majorant_value(AW, TW, wts, lam, b, z_old),
-                           majorant_value(AW, TW, wts, lam, b, z)))
+        s = z @ basis.W
+        fit = z @ basis.AW - b
+        theta_s = z @ basis.TW
+        objectives.append((majorant_value(fit_old, theta_s_old, wts, lam),
+                           majorant_value(fit, theta_s, wts, lam)))
 
         # Normal-equation residual of the current majorant drives expansion.
-        fit = AW @ z - b
-        pen = wts ** 2 * (TW @ z)
-        resid = a_op.apply_transpose(fit) + lam * theta_op.apply_transpose(pen)
-        W, AW, TW, grew = expand_basis(W, AW, TW, a_op, theta_op, resid)
-        if grew:
-            z = np.append(z, 0.0)
+        resid = (a_op.apply_transpose(fit)
+                 + lam * theta_op.apply_transpose(wts ** 2 * theta_s))
+        basis.expand(resid)
 
         denom = np.linalg.norm(s_old)
         rel = np.linalg.norm(s - s_old) / denom if denom > 0 else np.inf
@@ -255,4 +310,4 @@ def mmgks_solve(a_op: LinearOperator, theta_op: LinearOperator, b: np.ndarray,
             break
     return MMGKSResult(s=s, lam=lam, eps=eps, n_iters=n_iters,
                        converged=converged, objectives=objectives,
-                       basis_size=W.shape[1])
+                       basis_size=basis.size)

@@ -20,6 +20,7 @@ shifts content one column.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,15 +73,24 @@ def _forward_diff(n: int) -> sp.csr_matrix:
                     shape=(n, n), format="csr")
 
 
+@functools.lru_cache(maxsize=4)
 def flow_regularizer(n_x: int, n_y: int) -> SparseCSR:
-    """Discrete gradient of both velocity components (4 n_s x 2 n_s)."""
+    """Discrete gradient of both velocity components (4 n_s x 2 n_s).
+
+    Built once per grid and shared by every call on it, so its arrays are
+    read-only.
+    """
     eye_x = sp.identity(n_x, format="csr")
     eye_y = sp.identity(n_y, format="csr")
     grad = sp.vstack([
         sp.kron(eye_x, _forward_diff(n_y), format="csr"),
         sp.kron(_forward_diff(n_x), eye_y, format="csr"),
     ], format="csr")
-    return SparseCSR(sp.block_diag([grad, grad], format="csr"))
+    op = SparseCSR(sp.block_diag([grad, grad], format="csr"))
+    for mat in (op.matrix, op._adjoint):
+        for arr in (mat.data, mat.indices, mat.indptr):
+            arr.flags.writeable = False
+    return op
 
 
 def estimate_velocity(x_prev, x_next, n_x: int, n_y: int,

@@ -81,6 +81,8 @@ def make_geometry(n_x, n_y, n_angles, n_frames, angle_offset=0.0,
         raise ConfigError("n_angles and n_frames must be positive integers")
     if detector_count is None:
         detector_count = default_detector_count(n_x, n_y)
+    elif not is_count(detector_count):
+        raise ConfigError("detector_count must be a positive integer")
     base = np.arange(n_angles) * (math.pi / n_angles)
     frames = []
     for t in range(n_frames):

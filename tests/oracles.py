@@ -8,8 +8,9 @@ conventions (an operator's dense matrix, the Woodbury apply, the diagonal
 M-step with its floor and roundoff guard, the expected log-likelihood on
 diagonal or full noise, the Kronecker-form prior covariance and the basis
 P assembled column by column, the Radon operator traced ray by ray, the
-static initializer's own normal-equations solve); no pipeline path calls
-them, so they live with the tests.
+static initializer's own normal-equations solve, the MMGKS iteration on
+re-stacked column blocks); no pipeline path calls them, so they live with
+the tests.
 """
 
 import math
@@ -20,6 +21,7 @@ import scipy.sparse as sp
 
 from dynct.em import _apply_floor, _guard_negative
 from dynct.errors import ConfigError, NumericError
+from dynct.mmgks import MMGKSConfig, MMGKSResult, gkb_seed, penalty_weights
 from dynct.prior import se_kernel_1d
 from dynct.radon import _PARALLEL_EPS
 
@@ -321,3 +323,110 @@ def ray_by_ray_operator(geom, t) -> sp.csr_matrix:
     return sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(geom.frame_rows(t), geom.n_x * geom.n_y))
+
+
+class _ReferenceSingular(Exception):
+    pass
+
+
+def _reference_solve_projected(AW, TW, pdiag, lam, b):
+    PT = pdiag[:, None] * TW
+    lhs = AW.T @ AW + lam * (PT.T @ PT)
+    try:
+        c = sla.cho_factor(lhs, lower=True, check_finite=False)
+        z = sla.cho_solve(c, AW.T @ b, check_finite=False)
+    except (sla.LinAlgError, ValueError) as exc:
+        raise _ReferenceSingular(str(exc)) from exc
+    if not np.all(np.isfinite(z)):
+        raise _ReferenceSingular("non-finite projected solution")
+    return z
+
+
+def _reference_majorant(AW, TW, pdiag, lam, b, z) -> float:
+    fit = AW @ z - b
+    pen = pdiag * (TW @ z)
+    return float(fit @ fit + lam * (pen @ pen))
+
+
+def _reference_expand(W, AW, TW, a_op, theta_op, v):
+    n0 = np.linalg.norm(v)
+    if n0 == 0.0 or W.shape[1] >= W.shape[0]:
+        return W, AW, TW, False
+    for _ in range(2):
+        v = v - W @ (W.T @ v)
+    nv = np.linalg.norm(v)
+    if nv <= 1e-10 * n0:
+        return W, AW, TW, False
+    w_new = v / nv
+    W = np.column_stack([W, w_new])
+    AW = np.column_stack([AW, a_op.apply(w_new)])
+    TW = np.column_stack([TW, theta_op.apply(w_new)])
+    return W, AW, TW, True
+
+
+def mmgks_reference(a_op, theta_op, b, config=None):
+    """The MMGKS iteration with W, A W and Theta W as (tall) column stacks,
+    re-stacked as each vector joins, and every projected normal matrix and
+    majorant value formed from them afresh; same seed, pilot solve, weight
+    boost and stopping rule as ``mmgks.mmgks_solve``."""
+    cfg = config or MMGKSConfig()
+    b = np.asarray(b, dtype=np.float64).ravel()
+    n = a_op.shape[1]
+    if np.linalg.norm(b) == 0.0:
+        return MMGKSResult(s=np.zeros(n), lam=cfg.lam or 0.0, eps=cfg.eps or 0.0,
+                           n_iters=0, converged=True, basis_size=0)
+    W, _, _ = gkb_seed(a_op, b, cfg.seed_vectors)
+    AW = np.column_stack([a_op.apply(w) for w in W.T])
+    TW = np.column_stack([theta_op.apply(w) for w in W.T])
+
+    lam = cfg.lam if cfg.lam is not None else 1.0
+    z = _reference_solve_projected(AW, TW, np.ones(TW.shape[0]), lam, b)
+    theta_s = TW @ z
+    if cfg.eps is not None:
+        eps = cfg.eps
+    else:
+        scale = float(np.max(np.abs(theta_s)))
+        eps = 1e-2 * scale if scale > 0 else 1e-8
+    if cfg.lam is None:
+        wts = penalty_weights(theta_s, eps)
+        fit = AW @ z - b
+        den = float(np.sum((wts * theta_s) ** 2))
+        lam = float(fit @ fit) / den if den > 0 else 1.0
+        if lam <= 0:
+            lam = 1.0
+
+    s = W @ z
+    objectives = []
+    converged = False
+    n_iters = 0
+    boosted = False
+    for k in range(1, cfg.max_iters + 1):
+        n_iters = k
+        s_old = s
+        z_old = z
+        wts = penalty_weights(TW @ z, eps)
+        try:
+            z = _reference_solve_projected(AW, TW, wts, lam, b)
+        except _ReferenceSingular:
+            if boosted:
+                raise NumericError("reference: singular after weight boost")
+            boosted = True
+            lam *= 10.0
+            z = _reference_solve_projected(AW, TW, wts, lam, b)
+        s = W @ z
+        objectives.append((_reference_majorant(AW, TW, wts, lam, b, z_old),
+                           _reference_majorant(AW, TW, wts, lam, b, z)))
+        fit = AW @ z - b
+        pen = wts ** 2 * (TW @ z)
+        resid = a_op.apply_transpose(fit) + lam * theta_op.apply_transpose(pen)
+        W, AW, TW, grew = _reference_expand(W, AW, TW, a_op, theta_op, resid)
+        if grew:
+            z = np.append(z, 0.0)
+        denom = np.linalg.norm(s_old)
+        rel = np.linalg.norm(s - s_old) / denom if denom > 0 else np.inf
+        if k > 1 and rel <= cfg.tol:
+            converged = True
+            break
+    return MMGKSResult(s=s, lam=lam, eps=eps, n_iters=n_iters,
+                       converged=converged, objectives=objectives,
+                       basis_size=W.shape[1])

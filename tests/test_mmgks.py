@@ -6,11 +6,13 @@ import scipy.sparse as sp
 
 from dynct.errors import ConfigError, NumericError
 from dynct.linops import Identity, LinearOperator, SparseCSR
-from dynct.mmgks import (MMGKSConfig, _SingularProjected, expand_basis,
+from dynct.mmgks import (KrylovBasis, MMGKSConfig, _SingularProjected,
                          gkb_seed, majorant_value, mmgks_solve,
                          penalty_weights, solve_projected)
+from dynct.motion import flow_regularizer, ofc_system
+from dynct.phantom import default_blocks_config, generate_frames
 from helpers import rel_err
-from oracles import dense, dense_irls
+from oracles import dense, dense_irls, mmgks_reference
 
 
 def _first_difference(n):
@@ -147,9 +149,9 @@ def test_projected_residual_monotone_in_subspace():
     wts = np.ones(TW_full.shape[0])
     vals = []
     for ell in range(1, W.shape[1] + 1):
-        z = solve_projected(AW_full[:, :ell], TW_full[:, :ell], wts, 0.3, b)
-        vals.append(majorant_value(AW_full[:, :ell], TW_full[:, :ell],
-                                   wts, 0.3, b, z))
+        AW, TW = AW_full[:, :ell], TW_full[:, :ell]
+        z = solve_projected(AW.T @ AW, AW.T @ b, TW.T, wts, 0.3)
+        vals.append(majorant_value(AW @ z - b, TW @ z, wts, 0.3))
     assert all(v2 <= v1 * (1 + 1e-10) for v1, v2 in zip(vals, vals[1:]))
 
 
@@ -159,23 +161,41 @@ def test_expand_basis_keeps_orthonormality():
     op = SparseCSR(a)
     theta = _first_difference(9)
     b = rng.standard_normal(15)
-    W, _, _ = gkb_seed(op, b, 3)
-    AW = a @ W
-    TW = dense(theta) @ W
+    basis = KrylovBasis(op, theta, b, 9)
+    for w in gkb_seed(op, b, 3)[0].T:
+        basis.append(w)
     for k in range(4):
         v = rng.standard_normal(9)
-        W, AW, TW, _ = expand_basis(W, AW, TW, op, theta, v)
-        assert np.max(np.abs(W.T @ W - np.eye(W.shape[1]))) <= 1e-10
-        np.testing.assert_allclose(AW, a @ W, atol=1e-12)
+        basis.expand(v)
+        W = basis.W
+        assert np.max(np.abs(W @ W.T - np.eye(basis.size))) <= 1e-10
+        np.testing.assert_allclose(basis.AW, W @ a.T, atol=1e-12)
+        np.testing.assert_allclose(basis.TW, W @ dense(theta).T, atol=1e-12)
+        np.testing.assert_allclose(basis.gram, basis.AW @ basis.AW.T,
+                                   atol=1e-12)
+        np.testing.assert_allclose(basis.atb, basis.AW @ b, atol=1e-12)
     # a vector already in span(W) must be rejected
-    W2, _, _, grew = expand_basis(W, AW, TW, op, theta, W @ rng.standard_normal(W.shape[1]))
-    assert not grew and W2.shape == W.shape
+    size = basis.size
+    assert not basis.expand(rng.standard_normal(size) @ basis.W)
+    assert basis.size == size
+
+
+def test_expand_basis_stops_at_capacity():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((8, 4))
+    op = SparseCSR(a)
+    basis = KrylovBasis(op, _first_difference(4), rng.standard_normal(8), 10)
+    assert basis.capacity == 4
+    for _ in range(6):
+        basis.expand(rng.standard_normal(4))
+    assert basis.size == 4
+    assert not basis.expand(rng.standard_normal(4))
 
 
 def test_solve_projected_singular_raises():
     with pytest.raises(_SingularProjected):
-        solve_projected(np.zeros((3, 1)), np.zeros((3, 1)), np.ones(3), 0.0,
-                        np.ones(3))
+        solve_projected(np.zeros((1, 1)), np.zeros(1), np.zeros((1, 3)),
+                        np.ones(3), 0.0)
 
 
 def test_auto_parameters_are_recorded():
@@ -208,3 +228,51 @@ def test_operand_validation():
         MMGKSConfig(lam=-0.1)
     with pytest.raises(ConfigError):
         MMGKSConfig(seed_vectors=0)
+
+
+@pytest.mark.parametrize("field", ["seed_vectors", "max_iters"])
+def test_non_integer_counts_rejected(field):
+    with pytest.raises(ConfigError, match="integers"):
+        MMGKSConfig(**{field: 2.5})
+    MMGKSConfig(**{field: np.int64(3)})
+
+
+def _flow_problem():
+    frames = generate_frames(default_blocks_config(16, 16, n_steps=1, seed=0))
+    v_op, b = ofc_system(frames[0], frames[1], 16, 16)
+    return v_op, flow_regularizer(16, 16), b, MMGKSConfig()
+
+
+def _criterion_8_problem():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((40, 30))
+    b = a @ rng.standard_normal(30) + 0.1 * rng.standard_normal(40)
+    return (SparseCSR(a), _first_difference(30), b,
+            MMGKSConfig(lam=0.7, eps=1e-2, max_iters=150, tol=1e-12,
+                        seed_vectors=5))
+
+
+def _filled_subspace_problem():
+    # n = 12 < seed_vectors + max_iters: the basis fills all n columns
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((20, 12))
+    return (SparseCSR(a), _first_difference(12), rng.standard_normal(20),
+            MMGKSConfig(seed_vectors=3, max_iters=40, tol=1e-14))
+
+
+@pytest.mark.parametrize("problem", [_flow_problem, _criterion_8_problem,
+                                     _filled_subspace_problem])
+def test_matches_column_stacking_reference(problem):
+    a_op, theta_op, b, cfg = problem()
+    got = mmgks_solve(a_op, theta_op, b, cfg)
+    want = mmgks_reference(a_op, theta_op, b, cfg)
+    assert rel_err(got.s, want.s) <= 1e-10
+    assert (got.n_iters, got.converged, got.basis_size) == (
+        want.n_iters, want.converged, want.basis_size)
+    assert got.lam == pytest.approx(want.lam, rel=1e-12)
+    assert got.eps == pytest.approx(want.eps, rel=1e-12)
+    assert len(got.objectives) == len(want.objectives)
+    for pair, ref in zip(got.objectives, want.objectives):
+        assert pair == pytest.approx(ref, rel=1e-12)
+    if problem is _filled_subspace_problem:
+        assert got.basis_size == a_op.shape[1]

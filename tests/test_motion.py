@@ -88,6 +88,29 @@ def test_flow_regularizer_shape():
     assert theta.shape == (4 * 15, 2 * 15)
 
 
+def test_flow_regularizer_shared_and_read_only():
+    theta = flow_regularizer(4, 6)
+    assert flow_regularizer(4, 6) is theta
+    for arr in (theta.matrix.data, theta.matrix.indices, theta.matrix.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    with pytest.raises(ValueError):
+        theta._adjoint.data[0] = 0.0
+
+
+def test_velocity_same_on_regularizer_cache_miss_and_hit():
+    n = 12
+    prev = _blob(n, 6, 5)
+    nxt = np.roll(prev, 1, axis=1).ravel()
+    flow_regularizer.cache_clear()
+    miss = estimate_velocity(prev.ravel(), nxt, n, n)
+    assert flow_regularizer.cache_info().misses == 1
+    hit = estimate_velocity(prev.ravel(), nxt, n, n)
+    assert flow_regularizer.cache_info().hits == 1
+    np.testing.assert_array_equal(hit.s_x, miss.s_x)
+    np.testing.assert_array_equal(hit.s_y, miss.s_y)
+
+
 # -- warping -----------------------------------------------------------------
 
 def test_warp_zero_velocity_is_identity():

@@ -169,6 +169,13 @@ def test_geometry_validation():
     assert make_geometry(8, 8, np.int64(3), 2).n_frames == 2
 
 
+def test_detector_count_must_be_integer():
+    for bad in (2.5, 0, -3, 12.0):
+        with pytest.raises(ConfigError, match="detector_count"):
+            make_geometry(8, 8, 3, 2, detector_count=bad)
+    assert make_geometry(8, 8, 3, 2, detector_count=np.int64(12)).detector_count == 12
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_sinogram_set_rejects_non_finite(bad):
     geom = make_geometry(8, 8, 3, 2)
