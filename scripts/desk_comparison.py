@@ -3,7 +3,10 @@
 
 Runs the requested method variants on one simulated scan and writes a
 per-iteration summary CSV (mean RRE, phase timings and, on each method's
-last row, its wall time and tracked full and reduced peaks).
+last row, its wall time, tracked full and reduced peaks and measured peak:
+the most tracemalloc saw allocated during the run above what was
+allocated when it started). tracemalloc runs throughout, so wall times
+include its bookkeeping.
 Defaults reproduce the 64x64 ordering experiment; --quick drops to 32x32
 for a fast smoke run. M1 is excluded by default because the per-frame
 flow solves dominate the runtime at 64x64.
@@ -14,6 +17,7 @@ import csv
 import math
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -62,11 +66,16 @@ def main():
     opts = MotionOptions(zeta=args.zeta, patch=patch)
 
     rows = []
+    tracemalloc.start()
     for name in args.methods:
         method = parse_method(name, n_iter=args.n_iter)
+        rec = None  # the previous method's record is not this run's memory
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
         t0 = time.perf_counter()
         rec = run_emirkfs(sino, h_ops, basis, method, opts, truth=frames)
         wall = time.perf_counter() - t0
+        measured = tracemalloc.get_traced_memory()[1] - entry
         for j in range(1, rec.n_iter + 1):
             rows.append({
                 "method": name, "iteration": j,
@@ -77,10 +86,13 @@ def main():
         rows[-1]["wall_s"] = round(wall, 3)
         rows[-1]["peak_bytes"] = rec.peak_bytes
         rows[-1]["peak_reduced_bytes"] = rec.peak_reduced_bytes
+        rows[-1]["tracemalloc_peak_bytes"] = measured
         print(f"{name:12s} " + "  ".join(
             f"it{j}={rec.mean_rre(j):.4f}" for j in range(1, rec.n_iter + 1))
             + f"  ({wall:.1f}s, peak {rec.peak_bytes / 1e6:.1f} MB, "
-            f"reduced {rec.peak_reduced_bytes / 1e6:.1f} MB)")
+            f"reduced {rec.peak_reduced_bytes / 1e6:.1f} MB, "
+            f"measured {measured / 1e6:.1f} MB)")
+    tracemalloc.stop()
 
     fields = sorted({k for r in rows for k in r},
                     key=lambda k: (k not in ("method", "iteration",

@@ -1,5 +1,6 @@
-"""Shared dense kernels: the guarded Cholesky factor and the inverse formed
-from a factor, the PSD guard on formed covariances and the row-chunked
+"""Shared dense kernels: the guarded Cholesky factor, the inverse formed
+from a factor, the symmetric part of a square matrix and the mirror of its
+lower triangle, the PSD guard on formed covariances and the row-chunked
 quadratic-form diagonal.
 
 ``quad_diag`` and the sparse operators' row-chunked loops form n-vector
@@ -40,7 +41,10 @@ def quad_diag(X: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 def symmetrize(A: np.ndarray) -> np.ndarray:
-    return 0.5 * (A + A.T)
+    """0.5 (A + A^T), as one new array."""
+    s = A + A.T
+    s *= 0.5
+    return s
 
 
 def check_psd(A: np.ndarray, what: str) -> None:
@@ -65,8 +69,11 @@ def _cond_estimate(A: np.ndarray) -> float:
 
 
 def _cholesky(A: np.ndarray, what: str) -> np.ndarray:
-    """Lower Cholesky factor L (zeros above the diagonal) of symmetric
-    positive definite A.
+    """Lower Cholesky factor L of symmetric positive definite A, in the
+    lower triangle of a Fortran-ordered array whose strict upper triangle
+    still holds A's entries: every consumer (``solve_triangular`` with
+    lower=True, ``cho_solve``, ``cho_inverse``, packing) reads only the
+    lower one.
 
     Raises NumericError with a condition estimate when A is not PD.
     """
@@ -77,15 +84,19 @@ def _cholesky(A: np.ndarray, what: str) -> np.ndarray:
             f"{what}: Cholesky factorization failed (condition estimate "
             f"{_cond_estimate(A):.3e})"
         ) from exc
-    np.copyto(c, 0.0, where=~np.tri(len(c), dtype=bool))
     return c
 
 
+def mirror_lower(A: np.ndarray) -> np.ndarray:
+    """The exactly symmetric matrix with square A's lower triangle."""
+    return np.where(np.tri(len(A), dtype=bool), A, A.T)
+
+
 def cho_inverse(L: np.ndarray) -> np.ndarray:
-    """(L L^T)^{-1} for a lower Cholesky factor L, with both triangles
-    filled (exactly symmetric): LAPACK dpotri, which writes the lower
-    one, and its mirror."""
+    """(L L^T)^{-1} for a lower Cholesky factor L (only its lower triangle
+    is read), with both triangles filled (exactly symmetric): LAPACK
+    dpotri, which writes the lower one, and its mirror."""
     inv, info = sla.lapack.dpotri(L, lower=1)
     if info != 0:
         raise NumericError("Cholesky factor is singular")
-    return np.where(np.tri(len(inv), dtype=bool), inv, inv.T)
+    return mirror_lower(inv)

@@ -37,7 +37,14 @@ moves the mean by one ``cho_solve`` against its Cholesky factor, which is
 also the guard: NumericError unless Lambda_i is positive definite. The
 static initializer is the same update from x = 0, R = I and the prior
 information alpha^{-2} diag(lambda). Step i hands the smoother L_i (lower
-triangular), so the filter keeps L_1..L_T and Lambda_T.
+triangular), so the filter keeps L_1..L_T and Lambda_T: ``FilterResult``
+holds each as a packed lower triangle, r(r+1)/2 doubles in place of r^2,
+and is the one reader and writer of that format. A step packs L_i as soon
+as V is formed, so the square factor is gone before the measurement
+update, and drops each r x r input once used: G_PP - V^T V is formed in
+the V^T V product, and each symmetrization writes one new array (an
+in-place A += A^T makes numpy copy the overlapping transpose, about 4x
+the time at r = 480).
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._linalg import _cholesky, symmetrize
+from ._linalg import _cholesky, mirror_lower, symmetrize
 from .errors import ConfigError
 from .linops import Identity, LinearOperator
 from .prior import ProjectionBasis
@@ -106,7 +113,10 @@ def measurement_update(x_pred, prior_info, h_op: LinearOperator, r_inv, y,
     Lambda is positive definite."""
     hp = basis.premultiply(h_op.matrix)
     hp *= np.sqrt(r_inv)[:, None]
-    info = symmetrize(hp.T @ hp) + prior_info
+    info = hp.T @ hp
+    del hp
+    info = symmetrize(info)
+    info += prior_info
     innov = np.asarray(y, dtype=float) - h_op.apply(x_pred)
     proj = basis.apply_t(h_op.apply_transpose(r_inv * innov))
     z = sla.cho_solve((_cholesky(info, what), True), proj, check_finite=False)
@@ -125,17 +135,51 @@ def static_init(h0: LinearOperator, basis: ProjectionBasis, y0: np.ndarray):
 
 @dataclass
 class FilterResult:
+    """The filter's output. Its r x r history is held in LAPACK packed lower
+    storage (``dtrttp`` with uplo "L": the lower triangle column by column,
+    r(r+1)/2 doubles), which only this class reads or writes; ``factor``
+    and ``info_last`` give each entry back square."""
+
     x_est: np.ndarray          # (T+1, n_s) filtered means
-    chol_steps: list           # L_1..L_T (r x r, lower triangular),
+    chol_packed: list          # L_1..L_T, packed lower triangles,
                                # L_i L_i^T = Lambda_{i-1} + G_MM
-    info_last: np.ndarray      # Lambda_T = Psi_T^{-1}
+    info_packed: np.ndarray    # Lambda_T = Psi_T^{-1}, packed lower triangle
+    rank: int                  # r
+
+    @staticmethod
+    def pack(A: np.ndarray) -> np.ndarray:
+        """The lower triangle of square A in packed storage; only that
+        triangle is read, and a Fortran-ordered A is not copied."""
+        return sla.lapack.dtrttp(A, uplo="L")[0]
+
+    @staticmethod
+    def unpack(ap: np.ndarray, n: int) -> np.ndarray:
+        """The n x n lower triangular matrix (exact zeros above the diagonal,
+        Fortran-ordered) whose packed lower triangle is ap."""
+        return sla.lapack.dtpttr(n, ap, uplo="L")[0]
+
+    def factor(self, i: int) -> np.ndarray:
+        """Filter step i's prediction factor L_i (i = 1..T), exactly lower
+        triangular."""
+        return self.unpack(self.chol_packed[i - 1], self.rank)
+
+    @property
+    def info_last(self) -> np.ndarray:
+        """Lambda_T as a full (exactly symmetric) matrix."""
+        return mirror_lower(self.unpack(self.info_packed, self.rank))
+
+    @property
+    def history_nbytes(self) -> int:
+        """Bytes of the packed r x r history, L_1..L_T and Lambda_T."""
+        return sum(a.nbytes for a in self.chol_packed) + self.info_packed.nbytes
 
 
 def filter_step(x_prev: np.ndarray, info_prev: np.ndarray, motion: LinearOperator,
                 h_op: LinearOperator, q_diag: np.ndarray, r_diag: np.ndarray,
                 y_i: np.ndarray, basis: ProjectionBasis):
     """One predict/update step from the previous mean and information
-    matrix (Lambda_{i-1} = Psi_{i-1}^{-1}); returns (x_est, Lambda_i, L_i)."""
+    matrix (Lambda_{i-1} = Psi_{i-1}^{-1}); returns (x_est, Lambda_i, L_i),
+    L_i packed (``FilterResult.pack``)."""
     q_inv = 1.0 / np.asarray(q_diag, dtype=float)
     r_inv = 1.0 / np.asarray(r_diag, dtype=float)
 
@@ -143,12 +187,20 @@ def filter_step(x_prev: np.ndarray, info_prev: np.ndarray, motion: LinearOperato
     # M P = P: an Identity's G_MP is G_PP, formed once
     g_pp = g_mp if isinstance(motion, Identity) else basis.gram(q_inv)
     L = _cholesky(info_prev + g_mm, "filter prediction")
+    del g_mm
     V = sla.solve_triangular(L, g_mp, lower=True, check_finite=False)
-    pcp = symmetrize(g_pp - V.T @ V)
+    del g_mp
+    chol = FilterResult.pack(L)
+    del L
+    pcp = V.T @ V
+    del V
+    np.subtract(g_pp, pcp, out=pcp)
+    del g_pp
+    pcp = symmetrize(pcp)
 
     x_est, info = measurement_update(motion.apply(x_prev), pcp, h_op, r_inv,
                                      y_i, basis, "filter covariance")
-    return x_est, info, L
+    return x_est, info, chol
 
 
 def run_filter(y_frames, h_ops, motions, noise: NoiseModel, basis: ProjectionBasis,
@@ -160,11 +212,12 @@ def run_filter(y_frames, h_ops, motions, noise: NoiseModel, basis: ProjectionBas
     x_est = np.zeros((n_steps + 1, basis.n_s))
     x_est[0] = x0
     info = np.eye(basis.rank)
-    chol_steps = []
+    chol_packed = []
 
     for i in range(1, n_steps + 1):
         x_est[i], info, chol = filter_step(
             x_est[i - 1], info, motions[i - 1], h_ops[i],
             noise.q_diags[i - 1], noise.r_diags[i - 1], y_frames[i], basis)
-        chol_steps.append(chol)
-    return FilterResult(x_est=x_est, chol_steps=chol_steps, info_last=info)
+        chol_packed.append(chol)
+    return FilterResult(x_est=x_est, chol_packed=chol_packed,
+                        info_packed=FilterResult.pack(info), rank=basis.rank)

@@ -32,10 +32,15 @@ return. What it charges:
 - Full space, per pass: the filtered means x_est from the filter's return
   to the end of the pass, and the smoothed means x_sm (x_est's shape) from
   just before the sweep until the run returns inside the RunRecord.
-- Reduced (r x r; reported, not budgeted): the filter's prediction
-  factors L_1..L_T and last information matrix Lambda_T from its return
-  to the end of the pass, and, while the M-step at step i runs, the one
-  step the smoother holds: Psi_{i-1}^sm, Psi_i^sm and omega_i.
+- Reduced (r x r; reported, not budgeted): the filter's history, its
+  prediction factors L_1..L_T and last information matrix Lambda_T, each
+  a packed triangle of r(r+1)/2 doubles (``FilterResult.history_nbytes``),
+  from its return to the end of the pass, and, while the M-step at step i
+  runs, the one step the smoother holds: Psi_{i-1}^sm, Psi_i^sm and
+  omega_i, r^2 doubles each. The reduced peak is therefore
+  (T+1) r(r+1)/2 doubles, plus 3 r^2 under EM. The square L_i the
+  smoother unpacks for its step and the r x r products a filter or
+  smoother step forms and drops are transients, not charged.
 
 Every charge is released by the time the run returns or raises: both of
 the tracker's currents go back to their values at entry, and the tracker
@@ -203,6 +208,10 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
             raise ConfigError("run_emirkfs: truth shape disagrees with the run")
         if not np.all(np.isfinite(truth)):
             raise NumericError("run_emirkfs: truth holds non-finite values")
+        zero = np.flatnonzero(np.linalg.norm(truth, axis=1) == 0.0)
+        if zero.size:
+            raise ConfigError(f"run_emirkfs: truth frame {zero[0]} has zero "
+                              "norm, so its RRE is undefined")
 
     m_t = max((op.shape[0] for op in h_ops[1:]), default=0)
     record = RunRecord(
@@ -273,7 +282,7 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
             try:
                 with timer.phase("filter"):
                     filt = run_filter(y_frames, h_ops, motions, noise, basis, x0)
-                history_bytes = sum(a.nbytes for a in filt.chol_steps + [filt.info_last])
+                history_bytes = filt.history_nbytes
                 tracker.add(filt.x_est.nbytes)
                 tracker.add_reduced(history_bytes)
                 tracker.add(filt.x_est.nbytes)  # x_sm, which has x_est's shape

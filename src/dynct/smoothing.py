@@ -12,14 +12,16 @@ Psi^est = Psi_{i-1}^est cancel through three exact identities:
     x_{i-1}^sm = x_{i-1}^est + P Phi w.
 
 The mean takes one apply and one adjoint apply of the motion, one
-``apply_t`` and one ``apply`` of the basis and one ``cho_solve`` with L_i:
-no Gramian, factorization or inverse. The covariances (for EM) take the
-motion's G_MP alone (``gram_mp``; G_MM is not formed) and
+``apply_t`` and one ``apply`` of the basis and one ``cho_solve`` with L_i,
+which ``FilterResult.factor`` unpacks from the filter's packed history
+once per step: no Gramian, factorization or inverse. The covariances (for
+EM) take the motion's G_MP alone (``gram_mp``; G_MM is not formed) and
 Phi = ``cho_inverse``(L_i): with K~ = G_MP^T Phi,
 
     omega_i = Psi_i^sm K~,    Psi_{i-1}^sm = Phi + K~^T omega_i,
 
-two congruences, each PSD when Psi_i^sm is.  The lag-one cross covariance
+two congruences, each PSD when Psi_i^sm is; Psi_{i-1}^sm is summed in the
+K~^T omega_i product before it is symmetrized.  The lag-one cross covariance
 is C_{i,i-1}^sm = P omega_i P^T, never assembled densely.  Each
 Psi_{i-1}^sm is checked PSD (eigenvalues only) as it is formed;
 Psi_T^sm, ``cho_inverse`` of the Cholesky of Lambda_T (once per covariance
@@ -63,8 +65,13 @@ def smooth_step(x_est_prev, chol_i, x_sm_i, psi_sm_i, motion: LinearOperator,
     g_mp = motion.gram_mp(basis, q_inv)
     phi = cho_inverse(chol_i)
     k_psi = g_mp.T @ phi
+    del g_mp
     omega = psi_sm_i @ k_psi
-    psi_sm_prev = symmetrize(phi + k_psi.T @ omega)
+    psi_sm_prev = k_psi.T @ omega
+    del k_psi
+    psi_sm_prev += phi
+    del phi
+    psi_sm_prev = symmetrize(psi_sm_prev)
     return x_sm_prev, psi_sm_prev, omega
 
 
@@ -82,7 +89,7 @@ def run_smoother(filt: FilterResult, motions, noise: NoiseModel,
     its frame.
     """
     n_steps = noise.n_steps
-    if len(motions) != n_steps or len(filt.chol_steps) != n_steps:
+    if len(motions) != n_steps or len(filt.chol_packed) != n_steps:
         raise ConfigError("run_smoother: step counts disagree with filter output")
 
     x_sm = np.zeros_like(filt.x_est)
@@ -94,7 +101,7 @@ def run_smoother(filt: FilterResult, motions, noise: NoiseModel,
 
     for i in range(n_steps, 0, -1):
         x_sm[i - 1], psi_prev, omega = smooth_step(
-            filt.x_est[i - 1], filt.chol_steps[i - 1], x_sm[i], psi_i,
+            filt.x_est[i - 1], filt.factor(i), x_sm[i], psi_i,
             motions[i - 1], noise.q_diags[i - 1], basis, with_covariance)
         if with_covariance:
             check_psd(psi_prev, f"smoothed covariance {i - 1}")

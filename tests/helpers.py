@@ -99,8 +99,8 @@ def filter_factors(y_frames, h_ops, motions, noise, basis, x0):
     """run_filter's result and every filter information matrix
     Lambda_0..Lambda_T (Lambda_0 = I, the whitened prior), from stepping
     ``filter_step`` as run_filter does; the filter itself keeps only
-    Lambda_T. Asserts that the stepped means, handovers and last information
-    matrix equal run_filter's bitwise."""
+    Lambda_T. Asserts that the stepped means, packed handovers and last
+    information matrix equal run_filter's bitwise."""
     filt = run_filter(y_frames, h_ops, motions, noise, basis, x0)
     x, info = np.asarray(x0, dtype=float), np.eye(basis.rank)
     infos = [info]
@@ -109,7 +109,7 @@ def filter_factors(y_frames, h_ops, motions, noise, basis, x0):
                                     noise.q_diags[i - 1], noise.r_diags[i - 1],
                                     y_frames[i], basis)
         np.testing.assert_array_equal(x, filt.x_est[i])
-        np.testing.assert_array_equal(chol, filt.chol_steps[i - 1])
+        np.testing.assert_array_equal(chol, filt.chol_packed[i - 1])
         infos.append(info)
     np.testing.assert_array_equal(info, filt.info_last)
     return filt, infos

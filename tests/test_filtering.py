@@ -6,8 +6,8 @@ import scipy.sparse as sp
 
 from dynct._linalg import _cholesky, cho_inverse
 from dynct.errors import ConfigError, NumericError
-from dynct.filtering import (NoiseModel, filter_step, initial_noise,
-                             run_filter, static_init)
+from dynct.filtering import (FilterResult, NoiseModel, filter_step,
+                             initial_noise, run_filter, static_init)
 from dynct.linops import Identity, SparseCSR
 from dynct.prior import PriorConfig, ProjectionBasis, build_projection
 from helpers import (build_problem, dense_noise, filter_factors, kron_basis,
@@ -101,6 +101,7 @@ def test_filter_step_carries_the_information_matrix(prob, kind):
         x, info_next, chol = filter_step(
             x, info, motions[i - 1], prob["h_ops"][i], noise.q_diags[i - 1],
             noise.r_diags[i - 1], prob["sino"].sinograms[i], prob["basis"])
+        chol = FilterResult.unpack(chol, len(info))
         psi = p_inv @ covs[i] @ p_inv.T
         assert rel_err(info_next @ psi, np.eye(len(psi))) <= 1e-8, f"step {i}"
         mp = dense(motions[i - 1]) @ P
@@ -111,8 +112,14 @@ def test_filter_step_carries_the_information_matrix(prob, kind):
 
 def test_psi_symmetric_psd(reduced):
     filt, infos = reduced
-    # the handover L_i is exactly lower triangular
-    for chol in filt.chol_steps:
+    # each handover L_i is stored as r(r+1)/2 doubles and given back
+    # exactly lower triangular
+    r = filt.rank
+    assert len(filt.chol_packed) == len(infos) - 1
+    assert all(a.shape == (r * (r + 1) // 2,) for a in filt.chol_packed)
+    for i in range(1, len(infos)):
+        chol = filt.factor(i)
+        assert chol.shape == (r, r)
         np.testing.assert_array_equal(chol, np.tril(chol))
     for info in infos:
         # the information matrices are exactly symmetric and PD
@@ -125,15 +132,17 @@ def test_psi_symmetric_psd(reduced):
 
 
 def test_cho_inverse_of_spd_and_indefinite():
-    # the guarded factor is exactly lower triangular, and the inverse from
-    # it fills both triangles (exactly symmetric)
+    # the guarded factor's lower triangle is the Cholesky factor, the
+    # inverse from it reads only that triangle and fills both (exactly
+    # symmetric)
     rng = np.random.default_rng(8)
     for n in (1, 5, 40):
         B = rng.standard_normal((n, n))
         A = B @ B.T + n * np.eye(n)
         L = _cholesky(A, "test")
-        np.testing.assert_array_equal(L, np.tril(L))
+        assert rel_err(np.tril(L) @ np.tril(L).T, A) <= 1e-14
         inv = cho_inverse(L)
+        np.testing.assert_array_equal(inv, cho_inverse(np.tril(L)))
         np.testing.assert_array_equal(inv, inv.T)
         assert rel_err(inv, np.linalg.inv(A)) <= 1e-12
     with pytest.raises(NumericError):
@@ -237,8 +246,30 @@ def test_run_filter_t0_is_initialization(prob):
                       noise, prob["basis"], prob["x0"])
     assert filt.x_est.shape == (1, prob["n_s"])
     np.testing.assert_array_equal(filt.x_est[0], prob["x0"])
-    assert filt.chol_steps == []
-    np.testing.assert_array_equal(filt.info_last, np.eye(prob["basis"].rank))
+    r = prob["basis"].rank
+    assert filt.chol_packed == []
+    np.testing.assert_array_equal(filt.info_last, np.eye(r))
+    assert filt.history_nbytes == r * (r + 1) // 2 * 8
+
+
+def test_packing_round_trips_bitwise():
+    # pack reads the lower triangle only (whatever lies above it), unpack
+    # gives it back with exact zeros above the diagonal, and info_last
+    # mirrors it into the exactly symmetric matrix it came from
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 7, 40):
+        A = np.asfortranarray(rng.standard_normal((n, n)))
+        ap = FilterResult.pack(A)
+        assert ap.shape == (n * (n + 1) // 2,)
+        low = FilterResult.unpack(ap, n)
+        assert low.flags.f_contiguous
+        np.testing.assert_array_equal(low, np.tril(A))
+        np.testing.assert_array_equal(FilterResult.pack(low), ap)
+        S = A.T @ A
+        S = S + S.T  # exactly symmetric
+        filt = FilterResult(x_est=np.zeros((1, 1)), chol_packed=[],
+                            info_packed=FilterResult.pack(S), rank=n)
+        np.testing.assert_array_equal(filt.info_last, S)
 
 
 def test_run_filter_count_validation(prob):

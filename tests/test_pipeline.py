@@ -197,15 +197,28 @@ def test_tracker_returns_to_entry_when_a_run_raises(monkeypatch, method_name,
     assert tracker.peak_bytes > 1000 and tracker.peak_reduced_bytes > 500
 
 
-def test_em_reduced_peak_holds_one_smoother_step():
-    # the filter's r x r history (T+1: L_1..L_T and Lambda_T)
-    # plus one smoother step (3: Psi_i^sm, Psi_{i-1}^sm, omega_i), which the
-    # M-step takes as formed; without EM only the history is held
+def test_em_reduced_peak_holds_one_smoother_step(monkeypatch):
+    # the filter's r x r history (T+1 packed triangles of r(r+1)/2 doubles:
+    # L_1..L_T and Lambda_T) plus one smoother step (3 square r x r:
+    # Psi_i^sm, Psi_{i-1}^sm, omega_i), which the M-step takes as formed;
+    # without EM only the history is held
+    packed = []
+    original = pipeline.run_filter
+
+    def keep(*args, **kwargs):
+        filt = original(*args, **kwargs)
+        packed.extend([*filt.chol_packed, filt.info_packed])
+        return filt
+
+    monkeypatch.setattr(pipeline, "run_filter", keep)
     prob, record = _run("EMIRKFS-M2", n_iter=2)
     T, r = prob["n_steps"], prob["basis"].rank
-    assert record.peak_reduced_bytes == (T + 4) * r * r * 8
+    tri = r * (r + 1) // 2
+    assert len(packed) == 2 * (T + 1)
+    assert all(a.shape == (tri,) and a.dtype == np.float64 for a in packed)
+    assert record.peak_reduced_bytes == (T + 1) * tri * 8 + 3 * r * r * 8
     _, record = _run("IRKFS-M2", n_iter=2, prob=prob)
-    assert record.peak_reduced_bytes == (T + 1) * r * r * 8
+    assert record.peak_reduced_bytes == (T + 1) * tri * 8
 
 
 def test_m3_charges_its_motion_vectors_once(monkeypatch):
@@ -346,6 +359,18 @@ def test_non_finite_truth_raises(bad):
     with pytest.raises(NumericError, match="non-finite"):
         run_emirkfs(prob["sino"], prob["h_ops"], prob["basis"],
                     parse_method("IRKFS", n_iter=1), truth=truth)
+
+
+def test_zero_truth_frame_raises_before_any_pass(monkeypatch):
+    # a zero frame has no RRE; the run names it before it filters anything
+    prob = build_problem(n_x=8, n_y=8, n_steps=3, sigma=0.02)
+    truth = prob["frames"].reshape(prob["n_steps"] + 1, -1).copy()
+    truth[3] = 0.0
+    calls = count_calls(monkeypatch, pipeline, "run_filter")
+    with pytest.raises(ConfigError, match="truth frame 3 has zero norm"):
+        run_emirkfs(prob["sino"], prob["h_ops"], prob["basis"],
+                    parse_method("EMIRKFS-M3", n_iter=2), truth=truth)
+    assert calls == []
 
 
 def test_m3_patch_must_tile():

@@ -23,9 +23,11 @@ def test_desk_comparison_quick_run(tmp_path):
     assert [(row["method"], row["iteration"]) for row in rows] == [
         (m, str(j)) for m in methods for j in (1, 2)]
     assert all(math.isfinite(float(row["mean_rre"])) for row in rows)
-    # each method's last row carries its tracked full and reduced peaks,
-    # and the printed summary names both
+    # each method's last row carries its tracked full and reduced peaks and
+    # its measured (tracemalloc) peak, and the printed summary names all three
     for row in rows[1::2]:
         assert int(row["peak_bytes"]) > 0
         assert int(row["peak_reduced_bytes"]) > 0
+        assert int(row["tracemalloc_peak_bytes"]) > 0
     assert proc.stdout.count("reduced") == len(methods)
+    assert proc.stdout.count("measured") == len(methods)

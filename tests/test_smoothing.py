@@ -152,7 +152,7 @@ def test_cross_covariance_zero_smoothed_cov(prob):
     # omega_i = Psi_i^sm K_i Psi_{i-1}^est vanishes exactly with Psi_i^sm
     filt, _ = _smoothed(prob)
     r = prob["basis"].rank
-    _, _, omega = smooth_step(filt.x_est[0], filt.chol_steps[0], filt.x_est[1],
+    _, _, omega = smooth_step(filt.x_est[0], filt.factor(1), filt.x_est[1],
                               np.zeros((r, r)), Identity(prob["n_s"]),
                               prob["noise"].q_diags[0], prob["basis"],
                               with_covariance=True)
@@ -199,7 +199,7 @@ def test_zero_smoothing_innovation_keeps_filter_estimate(prob):
     motions = [Identity(prob["n_s"]) for _ in range(prob["n_steps"])]
     filt, _ = _smoothed(prob)
     x_pred = motions[0].apply(filt.x_est[0])
-    xs, _, _ = smooth_step(filt.x_est[0], filt.chol_steps[0], x_pred, None,
+    xs, _, _ = smooth_step(filt.x_est[0], filt.factor(1), x_pred, None,
                            motions[0], prob["noise"].q_diags[0], prob["basis"])
     np.testing.assert_array_equal(xs, filt.x_est[0])
 
