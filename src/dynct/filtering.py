@@ -42,14 +42,15 @@ holds each as a packed lower triangle, r(r+1)/2 doubles in place of r^2,
 and is the one reader and writer of that format. A step packs L_i as soon
 as V is formed, so the square factor is gone before the measurement
 update, and drops each r x r input once used: G_PP - V^T V is formed in
-the V^T V product, and each symmetrization writes one new array (an
-in-place A += A^T makes numpy copy the overlapping transpose, about 4x
-the time at r = 480).
+the V^T V product and symmetrized into one new array (a non-uniform
+G_PP is not exactly symmetric; an in-place A += A^T makes numpy copy the
+overlapping transpose, about 4x the time at r = 480). G_H needs no
+symmetrization: numpy forms a product A^T A of one array with one syrk
+and mirrors it, so it is exactly symmetric.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,16 +93,12 @@ class NoiseModel:
             sum(np.asarray(d).nbytes for d in self.r_diags)
 
 
-def initial_noise(alpha: float, n_s: int, row_counts, q_scale: float = 1.0,
-                  r_scale: float = 1.0) -> NoiseModel:
-    """Flat starting covariances: Q_i = q_scale*alpha^2 I, R_i = r_scale*alpha^2 I."""
-    if not all(math.isfinite(s) and s > 0 for s in (q_scale, r_scale)):
-        raise ConfigError("initial_noise: scales must be finite and positive")
-    qv = q_scale * alpha ** 2
-    rv = r_scale * alpha ** 2
+def initial_noise(alpha: float, n_s: int, row_counts) -> NoiseModel:
+    """Flat starting covariances: Q_i = R_i = alpha^2 I."""
+    var = alpha ** 2
     return NoiseModel(
-        q_diags=[np.full(n_s, qv) for _ in row_counts],
-        r_diags=[np.full(int(m), rv) for m in row_counts],
+        q_diags=[np.full(n_s, var) for _ in row_counts],
+        r_diags=[np.full(int(m), var) for m in row_counts],
     )
 
 
@@ -113,9 +110,8 @@ def measurement_update(x_pred, prior_info, h_op: LinearOperator, r_inv, y,
     Lambda is positive definite."""
     hp = basis.premultiply(h_op.matrix)
     hp *= np.sqrt(r_inv)[:, None]
-    info = hp.T @ hp
+    info = hp.T @ hp  # one A^T A product (syrk): exactly symmetric
     del hp
-    info = symmetrize(info)
     info += prior_info
     innov = np.asarray(y, dtype=float) - h_op.apply(x_pred)
     proj = basis.apply_t(h_op.apply_transpose(r_inv * innov))

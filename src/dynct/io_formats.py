@@ -17,9 +17,8 @@ import os
 import numpy as np
 
 from .errors import ConfigError, DataIOError
-from .mmgks import MMGKSConfig
-from .phantom import BlocksConfig, default_blocks_config
-from .pipeline import MethodSpec, MotionOptions, parse_method
+from .phantom import default_blocks_config
+from .pipeline import MotionOptions, parse_method
 from .prior import PriorConfig
 
 _SIDECAR_DTYPE = "float64-le"
@@ -89,13 +88,11 @@ def write_pgm(path, image_2d) -> None:
 # run configuration (INI schema)
 
 _SCHEMA = {
-    "phantom": {"n_x": int, "n_y": int, "n_frames": int, "seed": int},
+    "phantom": {"n_x": int, "n_y": int, "n_frames": int},
     "scan": {"n_angles": int, "detector_count": int, "rotate_per_frame": float},
     "prior": {"alpha": float, "ell": float, "rank": int},
-    "method": {"name": str, "n_iter": int, "q_scale": float, "r_scale": float},
-    "motion": {"zeta": float, "z_x": int, "z_y": int,
-               "flow_seed_vectors": int, "flow_max_iters": int,
-               "flow_tol": float},
+    "method": {"name": str, "n_iter": int},
+    "motion": {"zeta": float, "z_x": int, "z_y": int},
     "noise": {"sigma": float, "seed": int},
     "output": {"directory": str, "pgm": str},
 }
@@ -150,12 +147,10 @@ class RunConfig:
         self.n_x = get("phantom", "n_x")
         self.n_y = get("phantom", "n_y")
         self.n_frames = get("phantom", "n_frames")
-        self.phantom_seed = get("phantom", "seed", 0)
         if self.n_frames < 2:
             raise ConfigError("config: phantom.n_frames must be >= 2")
         self.phantom = default_blocks_config(self.n_x, self.n_y,
-                                             n_steps=self.n_frames - 1,
-                                             seed=self.phantom_seed)
+                                             n_steps=self.n_frames - 1)
 
         self.n_angles = get("scan", "n_angles")
         self.detector_count = get("scan", "detector_count")  # None: derived
@@ -166,21 +161,10 @@ class RunConfig:
                                  rank=get("prior", "rank"))
 
         self.method = parse_method(get("method", "name"),
-                                   n_iter=get("method", "n_iter", 1),
-                                   q_scale=get("method", "q_scale", 1.0),
-                                   r_scale=get("method", "r_scale", 1.0))
-
-        flow = None
-        if any(get("motion", k) is not None
-               for k in ("flow_seed_vectors", "flow_max_iters", "flow_tol")):
-            flow = MMGKSConfig(
-                seed_vectors=get("motion", "flow_seed_vectors", 5),
-                max_iters=get("motion", "flow_max_iters", 30),
-                tol=get("motion", "flow_tol", 1e-4))
+                                   n_iter=get("method", "n_iter", 1))
         self.motion = MotionOptions(
             zeta=get("motion", "zeta", 0.0),
-            patch=(get("motion", "z_x", 8), get("motion", "z_y", 8)),
-            flow=flow)
+            patch=(get("motion", "z_x", 8), get("motion", "z_y", 8)))
 
         self.sigma = get("noise", "sigma", DEFAULT_NOISE_LEVEL)
         self.noise_seed = get("noise", "seed", 1)
@@ -204,18 +188,12 @@ class RunConfig:
         """Every numerics-relevant parameter, for the run manifest."""
         return {
             "n_x": self.n_x, "n_y": self.n_y, "n_frames": self.n_frames,
-            "phantom_seed": self.phantom_seed,
             "n_angles": self.n_angles, "detector_count": self.detector_count,
             "rotate_per_frame": self.rotate_per_frame,
             "alpha": self.prior.alpha, "ell": self.prior.ell,
             "rank": self.prior.rank,
             "method": self.method.name, "n_iter": self.method.n_iter,
-            "q_scale": self.method.q_scale, "r_scale": self.method.r_scale,
             "zeta": self.motion.zeta, "patch": list(self.motion.patch),
-            "flow": None if self.motion.flow is None else {
-                "seed_vectors": self.motion.flow.seed_vectors,
-                "max_iters": self.motion.flow.max_iters,
-                "tol": self.motion.flow.tol},
             "sigma": self.sigma, "noise_seed": self.noise_seed,
         }
 

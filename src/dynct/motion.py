@@ -160,12 +160,12 @@ def dmd_patchwise(x_prev, x_next, n_x: int, n_y: int, patch=(8, 8),
 
 
 def fit_motion(prev, nxt, n_x: int, n_y: int, kind: str, zeta: float = 0.0,
-               patch=(8, 8), flow_config: MMGKSConfig | None = None):
+               patch=(8, 8)):
     """Motion operator for one transition, fitted so M prev ~ nxt."""
     if kind == "off":
         return Identity(n_x * n_y)
     if kind == "m1":
-        return build_warp(estimate_velocity(prev, nxt, n_x, n_y, flow_config))
+        return build_warp(estimate_velocity(prev, nxt, n_x, n_y))
     if kind == "m2":
         return dmd_patchwise(prev, nxt, n_x, n_y, (n_x, n_y), zeta)
     if kind == "m3":

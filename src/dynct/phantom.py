@@ -11,7 +11,7 @@ positions and velocities are (axis-0, axis-1) integer pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -67,7 +67,6 @@ from .filtering import NoiseModel, initial_noise, run_filter, static_init
 from .linops import Identity, payload_nbytes
 from .metrics import (MemoryTracker, MetricsRow, PhaseTimer,
                       memory_budget_bytes, rre)
-from .mmgks import MMGKSConfig
 from .motion import fit_motion
 from .prior import ProjectionBasis
 from .radon import SinogramSet
@@ -78,21 +77,17 @@ MOTION_KINDS = ("off", "m1", "m2", "m3")
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One cell of the ablation lattice plus its initial noise scales."""
+    """One cell of the ablation lattice and its number of passes."""
 
     motion: str = "off"
     em: bool = False
     n_iter: int = 1
-    q_scale: float = 1.0
-    r_scale: float = 1.0
 
     def __post_init__(self):
         if self.motion not in MOTION_KINDS:
             raise ConfigError(f"MethodSpec: motion must be one of {MOTION_KINDS}")
         if not is_count(self.n_iter):
             raise ConfigError("MethodSpec: n_iter must be an integer >= 1")
-        if not all(math.isfinite(s) and s > 0 for s in (self.q_scale, self.r_scale)):
-            raise ConfigError("MethodSpec: noise scales must be finite and positive")
 
     @property
     def name(self) -> str:
@@ -102,15 +97,13 @@ class MethodSpec:
         return base
 
 
-def parse_method(name: str, n_iter: int = 1, q_scale: float = 1.0,
-                 r_scale: float = 1.0) -> MethodSpec:
+def parse_method(name: str, n_iter: int = 1) -> MethodSpec:
     """MethodSpec from a variant name like 'EMIRKFS-M3' (case-insensitive)."""
     head, dash, suffix = name.strip().upper().partition("-")
     if head not in ("IRKFS", "EMIRKFS") or (dash and suffix not in ("M1", "M2", "M3")):
         raise ConfigError(f"unknown method name {name!r}")
     return MethodSpec(motion=suffix.lower() if dash else "off",
-                      em=head == "EMIRKFS", n_iter=n_iter,
-                      q_scale=q_scale, r_scale=r_scale)
+                      em=head == "EMIRKFS", n_iter=n_iter)
 
 
 @dataclass(frozen=True)
@@ -123,7 +116,6 @@ class MotionOptions:
 
     zeta: float = 0.0
     patch: tuple = (8, 8)
-    flow: MMGKSConfig | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.zeta) and self.zeta >= 0):
@@ -153,6 +145,9 @@ class RunRecord:
         """Mean per-frame RRE for a 1-based outer iteration."""
         if self.rre is None:
             raise ConfigError("run had no ground truth; no RRE recorded")
+        if not 1 <= iteration <= self.n_iter:
+            raise ConfigError(f"mean_rre: iteration {iteration} is not in "
+                              f"1..{self.n_iter}")
         return float(np.mean(self.rre[iteration - 1]))
 
 
@@ -235,8 +230,7 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
                + kron_elems) * 8
 
     alpha = basis.config.alpha
-    noise = initial_noise(alpha, n_s, [h_ops[i].shape[0] for i in range(1, n_steps + 1)],
-                          q_scale=method.q_scale, r_scale=method.r_scale)
+    noise = initial_noise(alpha, n_s, [h_ops[i].shape[0] for i in range(1, n_steps + 1)])
     motions = [Identity(n_s) for _ in range(n_steps)]
     motion_bytes = 0
 
@@ -261,8 +255,7 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
                         with timer.phase("motion"):
                             new_motions[i - 1] = fit_motion(
                                 x_sm[i - 1], x_sm[i], n_x, n_y, method.motion,
-                                zeta=motion_opts.zeta, patch=motion_opts.patch,
-                                flow_config=motion_opts.flow)
+                                zeta=motion_opts.zeta, patch=motion_opts.patch)
                         tracker.add(payload_nbytes(new_motions[i - 1]))
                     if method.em:
                         step_bytes = (psi_sm_prev.nbytes + psi_sm_i.nbytes

@@ -19,7 +19,7 @@ from oracles import dense
 
 def build_problem(n_x=12, n_y=12, n_steps=4, n_angles=5, sigma=0.05,
                   alpha=1.0, ell=0.7, rank=None, seed=0, angle_offset=0.2,
-                  q_scale=1.0, r_scale=1.0, detector_count=None):
+                  detector_count=None):
     """Small end-to-end problem with everything the oracles need.
 
     rank=None keeps every mode (r = n_s), which makes the reduced
@@ -35,8 +35,7 @@ def build_problem(n_x=12, n_y=12, n_steps=4, n_angles=5, sigma=0.05,
     sino = simulate_sinograms(frames, geom, sigma, seed + 1)
     basis = build_projection(n_x, n_y, PriorConfig(alpha=alpha, ell=ell,
                                                    rank=rank))
-    noise = initial_noise(alpha, n_s, [op.shape[0] for op in h_ops[1:]],
-                          q_scale=q_scale, r_scale=r_scale)
+    noise = initial_noise(alpha, n_s, [op.shape[0] for op in h_ops[1:]])
     x0 = static_init(h_ops[0], basis, sino.sinograms[0])
     return {
         "frames": frames, "geom": geom, "h_ops": h_ops, "sino": sino,

@@ -279,11 +279,12 @@ def test_run_filter_count_validation(prob):
                    prob["basis"], prob["x0"])
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_initial_noise_rejects_non_finite_scales(bad):
-    for field in ("q_scale", "r_scale"):
-        with pytest.raises(ConfigError, match="finite"):
-            initial_noise(1.0, 4, [3], **{field: bad})
+def test_initial_noise_is_flat_alpha_squared():
+    noise = initial_noise(0.5, 4, [3, 2])
+    assert noise.n_steps == 2
+    for q, r, m in zip(noise.q_diags, noise.r_diags, (3, 2)):
+        np.testing.assert_array_equal(q, np.full(4, 0.25))
+        np.testing.assert_array_equal(r, np.full(m, 0.25))
 
 
 def test_noise_model_validation():

@@ -3,6 +3,7 @@
 import configparser
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,16 +14,17 @@ import pytest
 from dynct import cli, radon
 from dynct.cli import main
 from dynct.errors import ConfigError, DataIOError
-from dynct.io_formats import (DEFAULT_NOISE_LEVEL, content_hash, load_config,
-                              read_array, read_manifest, write_array,
-                              write_manifest, write_pgm)
+from dynct.io_formats import (_REQUIRED, _SCHEMA, DEFAULT_NOISE_LEVEL,
+                              content_hash, load_config, read_array,
+                              read_manifest, write_array, write_manifest,
+                              write_pgm)
 from dynct.metrics import read_metrics_csv
 from helpers import count_calls
 
 
 def _write_config(path, out_dir, **overrides):
     sections = {
-        "phantom": {"n_x": 16, "n_y": 16, "n_frames": 4, "seed": 1},
+        "phantom": {"n_x": 16, "n_y": 16, "n_frames": 4},
         "scan": {"n_angles": 5},
         "prior": {"alpha": 1.0, "ell": 2.0, "rank": 40},
         "method": {"name": "IRKFS", "n_iter": 2},
@@ -132,11 +134,18 @@ def test_config_negative_noise_seed_rejected(tmp_path):
                                      **{"noise.seed": 0})).noise_seed == 0
 
 
+# keys a config once took; each now names itself as unknown
+_REMOVED_KEYS = {"phantom.seed": 1, "method.q_scale": 2.0,
+                 "method.r_scale": 0.5, "motion.flow_seed_vectors": 6,
+                 "motion.flow_max_iters": 40, "motion.flow_tol": 1e-5}
+
+
 def test_config_unknown_key_rejected(tmp_path):
-    path = _write_config(tmp_path / "c.cfg", tmp_path / "o",
-                         **{"phantom.n_z": 4})
-    with pytest.raises(ConfigError, match="n_z"):
-        load_config(path)
+    for dotted, value in {"phantom.n_z": 4, **_REMOVED_KEYS}.items():
+        path = _write_config(tmp_path / "c.cfg", tmp_path / "o",
+                             **{dotted: value})
+        with pytest.raises(ConfigError, match=f"unknown key {dotted}$"):
+            load_config(path)
 
 
 def test_config_unknown_section_rejected(tmp_path):
@@ -170,6 +179,36 @@ def test_config_patch_divisibility_named(tmp_path):
 def test_config_missing_file_is_io_error(tmp_path):
     with pytest.raises(DataIOError):
         load_config(str(tmp_path / "absent.cfg"))
+
+
+# -- the README's config section -------------------------------------------------
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_example_loads(tmp_path):
+    text = _README.read_text()
+    example = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "run.cfg").write_text(example)
+    cfg = load_config(str(tmp_path / "run.cfg"))
+    assert cfg.method.name == "EMIRKFS-M3"
+
+
+def test_readme_names_exactly_the_optional_keys():
+    # the sentence names each key in backticks, as `[section] key` or, for
+    # a further key of the same section, as `key`
+    text = " ".join(_README.read_text().split())
+    sentence = text.split("Optional sections/keys:", 1)[1].split(
+        "Unknown sections", 1)[0]
+    named, section = set(), None
+    for token in re.findall(r"`([^`]*)`", sentence):
+        head = re.fullmatch(r"\[(\w+)\] (\w+)", token)
+        if head:
+            section, token = head.groups()
+        named.add((section, token))
+    optional = {(sect, key) for sect, keys in _SCHEMA.items() for key in keys
+                if key not in _REQUIRED.get(sect, ())}
+    assert named == optional
 
 
 # -- manifests -------------------------------------------------------------------
@@ -226,11 +265,13 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys):
     assert "z_x" in capsys.readouterr().err
 
 
-def test_non_finite_q_scale_exits_2(tmp_path, capsys):
-    cfg = _write_config(tmp_path / "c.cfg", tmp_path / "d",
-                        **{"method.name": "EMIRKFS", "method.q_scale": "nan"})
-    assert main(["simulate", cfg]) == 2
-    assert "noise scales must be finite" in capsys.readouterr().err
+def test_removed_key_exits_2(tmp_path, capsys):
+    for dotted, value in _REMOVED_KEYS.items():
+        cfg = _write_config(tmp_path / "c.cfg", tmp_path / "d",
+                            **{dotted: value})
+        assert main(["simulate", cfg]) == 2
+        assert f"unknown key {dotted}" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_simulate_pgm_export(tmp_path):
