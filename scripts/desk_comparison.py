@@ -53,8 +53,7 @@ def main():
 
     n = args.n
     frames = generate_frames(default_blocks_config(n, n,
-                                                   n_steps=args.frames - 1,
-                                                   seed=0))
+                                                   n_steps=args.frames - 1))
     geom = make_geometry(n, n, args.angles, args.frames,
                          angle_offset=args.rotate)
     h_ops = build_operators(geom)

@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError, DataIOError
+from .errors import ConfigError, DataIOError, NumericError
 from .phantom import default_blocks_config
 from .pipeline import MotionOptions, parse_method
 from .prior import PriorConfig
@@ -45,7 +45,8 @@ def write_array(path_base, arr) -> None:
 
 
 def read_array(path_base) -> np.ndarray:
-    """Read an array written by write_array; validates the sidecar."""
+    """Read an array written by write_array; validates the sidecar and
+    rejects non-finite values (NumericError)."""
     meta = {}
     try:
         with open(path_base + ".txt") as fh:
@@ -62,9 +63,13 @@ def read_array(path_base) -> np.ndarray:
         shape = tuple(int(tok) for tok in meta.get("shape", "").split())
     except ValueError as exc:
         raise DataIOError(f"{path_base}: bad shape line") from exc
+    if any(d < 0 for d in shape):
+        raise DataIOError(f"{path_base}: negative dimension in shape {shape}")
     if int(np.prod(shape)) != raw.size:
         raise DataIOError(f"{path_base}: sidecar shape {shape} does not match "
                           f"{raw.size} values")
+    if not np.isfinite(raw).all():
+        raise NumericError(f"{path_base}: holds non-finite values")
     return raw.reshape(shape)
 
 
@@ -241,10 +246,17 @@ def write_manifest(path, params: dict, files) -> None:
 
 
 def read_manifest(path) -> dict:
+    """Read a manifest written by write_manifest: a JSON object whose
+    ``params`` is an object."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            manifest = json.load(fh)
     except OSError as exc:
         raise DataIOError(f"cannot read manifest {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataIOError(f"manifest {path} is not valid JSON: {exc}") from exc
+    if not (isinstance(manifest, dict)
+            and isinstance(manifest.get("params"), dict)):
+        raise DataIOError(
+            f"manifest {path} is not an object with a 'params' object")
+    return manifest

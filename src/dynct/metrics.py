@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import time
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -121,31 +122,22 @@ class PhaseTimer:
         self.seconds: dict[str, float] = {}
         self._open: list[str] = []
 
-    def phase(self, name: str) -> "_TimedPhase":
-        return _TimedPhase(self, name)
+    @contextmanager
+    def phase(self, name: str):
+        """Time the body as phase ``name``, also when it raises."""
+        self._open.append(name)
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            elapsed = time.perf_counter() - t0
+            self._open.pop()
+            self.record(name, elapsed)
+            if self._open:
+                self.record(self._open[-1], -elapsed)
 
     def record(self, name: str, seconds: float) -> None:
         self.seconds[name] = self.seconds.get(name, 0.0) + float(seconds)
-
-
-class _TimedPhase:
-    def __init__(self, timer: PhaseTimer, name: str):
-        self._timer = timer
-        self._name = name
-
-    def __enter__(self):
-        self._timer._open.append(self._name)
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        elapsed = time.perf_counter() - self._t0
-        open_phases = self._timer._open
-        open_phases.pop()
-        self._timer.record(self._name, elapsed)
-        if open_phases:
-            self._timer.record(open_phases[-1], -elapsed)
-        return False
 
 
 @dataclass

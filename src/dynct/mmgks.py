@@ -7,9 +7,11 @@ nonsmooth term is majorized at the current iterate by a weighted quadratic
 lam * ||P Theta s||^2 with diagonal P = diag((z^2 + eps^2)^(-1/4)), and the
 quadratic is minimized over span(W) through its l x l projected normal
 equations (l is the basis size, at most seed_vectors + max_iters).  The basis
-W starts from a few Golub-Kahan bidiagonalization vectors of (A, b) and is
+W starts from a few Lanczos vectors of A^T A started at A^T b (in exact
+arithmetic the right Golub-Kahan bidiagonalization vectors of (A, b)) and is
 expanded each iteration with the reorthogonalized residual of the full
-normal equations, so the subspace adapts to the reweighting.
+normal equations, so the subspace adapts to the reweighting.  Seed and
+expansion vectors join W by the same step, KrylovBasis.expand.
 
 W, A W and Theta W live in blocks preallocated at their largest size, one
 basis vector per row, and grow in place.  The data part of the projected
@@ -34,12 +36,10 @@ import scipy.linalg as sla
 from .errors import ConfigError, NumericError, is_count
 from .linops import LinearOperator
 
-_BREAKDOWN = 1e-14
-
 
 @dataclass(frozen=True)
 class MMGKSConfig:
-    seed_vectors: int = 5       # initial bidiagonalization basis size
+    seed_vectors: int = 5       # initial Krylov basis size (Lanczos on A^T A)
     max_iters: int = 30
     tol: float = 1e-4           # relative change of the iterate
     eps: float | None = None    # smoothing width; None picks 1e-2 * max|Theta s0|
@@ -69,58 +69,6 @@ class MMGKSResult:
     # both under that cycle's weights. The second never exceeds the first.
     objectives: list = field(default_factory=list)
     basis_size: int = 0
-
-
-def gkb_seed(a_op: LinearOperator, b: np.ndarray, n_vectors: int):
-    """Lower Golub-Kahan bidiagonalization of a_op started at u1 = b/||b||.
-
-    Returns (W, U, B) with W (n, l) and U (m, l+1) orthonormal (full
-    reorthogonalization) and B the (l+1, l) lower bidiagonal coupling,
-    A W = U B.  Stops early on breakdown; l <= n_vectors.
-    """
-    b = np.asarray(b, dtype=np.float64).ravel()
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        raise NumericError("gkb_seed: zero right-hand side")
-    m, n = a_op.shape
-    n_vectors = min(int(n_vectors), n)
-    U = [b / nb]
-    W: list[np.ndarray] = []
-    alphas: list[float] = []
-    betas: list[float] = []
-    for _ in range(n_vectors):
-        w = a_op.apply_transpose(U[-1])
-        for _ in range(2):
-            for wj in W:
-                w -= (wj @ w) * wj
-        alpha = np.linalg.norm(w)
-        if alpha < _BREAKDOWN * nb:
-            break
-        W.append(w / alpha)
-        alphas.append(alpha)
-        u = a_op.apply(W[-1])
-        for _ in range(2):
-            for uj in U:
-                u -= (uj @ u) * uj
-        beta = np.linalg.norm(u)
-        if beta < _BREAKDOWN * nb:
-            betas.append(0.0)
-            break
-        betas.append(beta)
-        U.append(u / beta)
-    if not W:
-        raise NumericError("gkb_seed: immediate breakdown, A^T b is zero")
-    ell = len(W)
-    B = np.zeros((len(U), ell))
-    for j in range(ell):
-        B[j, j] = alphas[j]
-        if j < len(betas) and betas[j] > 0.0:
-            B[j + 1, j] = betas[j]
-    return np.column_stack(W), np.column_stack(U), B
-
-
-class _SingularProjected(Exception):
-    pass
 
 
 class KrylovBasis:
@@ -165,19 +113,6 @@ class KrylovBasis:
     def atb(self):
         return self._atb[:self.size]
 
-    def append(self, w: np.ndarray) -> None:
-        """Add the unit vector w, assumed orthogonal to the basis."""
-        j = self.size
-        self._w[j] = w
-        self._aw[j] = self._a_op.apply(w)
-        self._tw[j] = self._theta_op.apply(w)
-        aw = self._aw[j]
-        row = self._aw[:j + 1] @ aw
-        self._gram[j, :j + 1] = row
-        self._gram[:j, j] = row[:j]
-        self._atb[j] = aw @ self._b
-        self.size = j + 1
-
     def expand(self, v: np.ndarray) -> bool:
         """Append v after two reorthogonalization sweeps; False (basis
         unchanged) when it is full or v vanishes inside span(W)."""
@@ -190,8 +125,30 @@ class KrylovBasis:
         nv = np.linalg.norm(v)
         if nv <= 1e-10 * n0:
             return False
-        self.append(v / nv)
+        j = self.size
+        w = v / nv
+        self._w[j] = w
+        self._aw[j] = self._a_op.apply(w)
+        self._tw[j] = self._theta_op.apply(w)
+        aw = self._aw[j]
+        row = self._aw[:j + 1] @ aw
+        self._gram[j, :j + 1] = row
+        self._gram[:j, j] = row[:j]
+        self._atb[j] = aw @ self._b
+        self.size = j + 1
         return True
+
+    def seed(self, n_vectors: int) -> None:
+        """Grow to at most n_vectors Lanczos vectors of A^T A started at
+        A^T b (in exact arithmetic the right Golub-Kahan bidiagonalization
+        vectors of (A, b)); each next vector is A^T applied to the last row
+        of A W. Stops early when the Krylov space closes; raises
+        NumericError if A^T b is zero."""
+        v = self._a_op.apply_transpose(self._b)
+        while self.size < n_vectors and self.expand(v):
+            v = self._a_op.apply_transpose(self._aw[self.size - 1])
+        if self.size == 0:
+            raise NumericError("mmgks: A^T b is zero, the basis cannot start")
 
 
 def solve_projected(gram: np.ndarray, atb: np.ndarray, TW: np.ndarray,
@@ -202,6 +159,7 @@ def solve_projected(gram: np.ndarray, atb: np.ndarray, TW: np.ndarray,
     ((AW)^T AW + lam (P TW)^T (P TW)) z = (AW)^T b, P = diag(pdiag), by
     Cholesky, given their data part gram = (AW)^T AW and atb = (AW)^T b and
     the rows TW of (Theta W)^T. Only the reweighted term is formed here.
+    Raises NumericError when the system is singular or z is not finite.
     """
     PT = TW * pdiag
     lhs = gram + lam * (PT @ PT.T)
@@ -209,9 +167,11 @@ def solve_projected(gram: np.ndarray, atb: np.ndarray, TW: np.ndarray,
         c = sla.cho_factor(lhs, lower=True, check_finite=False)
         z = sla.cho_solve(c, atb, check_finite=False)
     except (sla.LinAlgError, ValueError) as exc:
-        raise _SingularProjected(str(exc)) from exc
+        raise NumericError(
+            f"mmgks: projected system singular at lam={lam:g}: {exc}") from exc
     if not np.all(np.isfinite(z)):
-        raise _SingularProjected("non-finite projected solution")
+        raise NumericError(
+            f"mmgks: non-finite projected solution at lam={lam:g}")
     return z
 
 
@@ -243,17 +203,13 @@ def mmgks_solve(a_op: LinearOperator, theta_op: LinearOperator, b: np.ndarray,
                            n_iters=0, converged=True, basis_size=0)
 
     basis = KrylovBasis(a_op, theta_op, b, cfg.seed_vectors + cfg.max_iters)
-    for w in gkb_seed(a_op, b, cfg.seed_vectors)[0].T:
-        basis.append(w)
+    basis.seed(cfg.seed_vectors)
 
     # Unit-weight pilot solve fixes the smoothing width and, if requested,
     # the balance parameter.
     lam = cfg.lam if cfg.lam is not None else 1.0
-    try:
-        z = solve_projected(basis.gram, basis.atb, basis.TW,
-                            np.ones(theta_op.shape[0]), lam)
-    except _SingularProjected as exc:
-        raise NumericError(f"mmgks pilot solve singular: {exc}") from exc
+    z = solve_projected(basis.gram, basis.atb, basis.TW,
+                        np.ones(theta_op.shape[0]), lam)
     theta_s = z @ basis.TW
     fit = z @ basis.AW - b
     if cfg.eps is not None:
@@ -279,17 +235,12 @@ def mmgks_solve(a_op: LinearOperator, theta_op: LinearOperator, b: np.ndarray,
         wts = penalty_weights(theta_s, eps)
         try:
             z = solve_projected(basis.gram, basis.atb, basis.TW, wts, lam)
-        except _SingularProjected:
+        except NumericError:
             if boosted:
-                raise NumericError(
-                    "mmgks: projected system singular after weight boost")
+                raise
             boosted = True
             lam *= 10.0
-            try:
-                z = solve_projected(basis.gram, basis.atb, basis.TW, wts, lam)
-            except _SingularProjected as exc:
-                raise NumericError(
-                    f"mmgks: projected system singular at lam={lam:g}") from exc
+            z = solve_projected(basis.gram, basis.atb, basis.TW, wts, lam)
         s = z @ basis.W
         fit = z @ basis.AW - b
         theta_s = z @ basis.TW

@@ -27,7 +27,7 @@ def build_problem(n_x=12, n_y=12, n_steps=4, n_angles=5, sigma=0.05,
     """
     n_s = n_x * n_y
     rank = n_s if rank is None else rank
-    frames = generate_frames(default_blocks_config(n_x, n_y, n_steps, seed))
+    frames = generate_frames(default_blocks_config(n_x, n_y, n_steps))
     geom = make_geometry(n_x, n_y, n_angles, n_steps + 1,
                          angle_offset=angle_offset,
                          detector_count=detector_count)

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from dynct.em import _apply_floor, _guard_negative
 from dynct.errors import ConfigError, NumericError
-from dynct.mmgks import MMGKSConfig, MMGKSResult, gkb_seed, penalty_weights
+from dynct.mmgks import MMGKSConfig, MMGKSResult, penalty_weights
 from dynct.prior import se_kernel_1d
 from dynct.radon import _PARALLEL_EPS
 
@@ -371,13 +371,22 @@ def mmgks_reference(a_op, theta_op, b, config=None):
     boost and stopping rule as ``mmgks.mmgks_solve``."""
     cfg = config or MMGKSConfig()
     b = np.asarray(b, dtype=np.float64).ravel()
-    n = a_op.shape[1]
+    m, n = a_op.shape
     if np.linalg.norm(b) == 0.0:
         return MMGKSResult(s=np.zeros(n), lam=cfg.lam or 0.0, eps=cfg.eps or 0.0,
                            n_iters=0, converged=True, basis_size=0)
-    W, _, _ = gkb_seed(a_op, b, cfg.seed_vectors)
-    AW = np.column_stack([a_op.apply(w) for w in W.T])
-    TW = np.column_stack([theta_op.apply(w) for w in W.T])
+    # Lanczos on A^T A from A^T b: each next vector is A^T applied to the
+    # last column of A W
+    W, AW = np.empty((n, 0)), np.empty((m, 0))
+    TW = np.empty((theta_op.shape[0], 0))
+    v = a_op.apply_transpose(b)
+    while W.shape[1] < cfg.seed_vectors:
+        W, AW, TW, grew = _reference_expand(W, AW, TW, a_op, theta_op, v)
+        if not grew:
+            break
+        v = a_op.apply_transpose(AW[:, -1])
+    if W.shape[1] == 0:
+        raise NumericError("reference: A^T b is zero")
 
     lam = cfg.lam if cfg.lam is not None else 1.0
     z = _reference_solve_projected(AW, TW, np.ones(TW.shape[0]), lam, b)

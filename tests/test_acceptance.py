@@ -60,8 +60,7 @@ def small():
 def desk():
     """Criteria 9 and 11 share one instrumented 64x64 run pair."""
     t0 = time.perf_counter()
-    frames = generate_frames(default_blocks_config(64, 64, n_steps=10,
-                                                   seed=0))
+    frames = generate_frames(default_blocks_config(64, 64, n_steps=10))
     geom = make_geometry(64, 64, 5, n_frames=11, angle_offset=math.pi / 25)
     h_ops = build_operators(geom)
     sino = simulate_sinograms(frames, geom, 0.01, seed=1)
@@ -226,7 +225,7 @@ def test_criterion_05_radon_adjoint_identity():
 
 def test_criterion_06_noise_level_exact():
     t0 = time.perf_counter()
-    frames = generate_frames(default_blocks_config(16, 16, n_steps=3, seed=2))
+    frames = generate_frames(default_blocks_config(16, 16, n_steps=3))
     geom = make_geometry(16, 16, 5, 4, angle_offset=0.1)
     h_ops = build_operators(geom)
     sino = simulate_sinograms(frames, geom, 0.01, seed=3)

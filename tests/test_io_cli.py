@@ -13,7 +13,7 @@ import pytest
 
 from dynct import cli, radon
 from dynct.cli import main
-from dynct.errors import ConfigError, DataIOError
+from dynct.errors import ConfigError, DataIOError, NumericError
 from dynct.io_formats import (_REQUIRED, _SCHEMA, DEFAULT_NOISE_LEVEL,
                               content_hash, load_config, read_array,
                               read_manifest, write_array, write_manifest,
@@ -85,6 +85,24 @@ def test_read_array_rejects_size_mismatch(tmp_path):
     with open(base + ".bin", "ab") as fh:
         fh.write(b"\x00" * 8)
     with pytest.raises(DataIOError):
+        read_array(base)
+
+
+def test_read_array_rejects_negative_dimension(tmp_path):
+    # (-2) * (-2) matches the 4 values, but no array has that shape
+    base = str(tmp_path / "a")
+    write_array(base, np.zeros(4))
+    text = open(base + ".txt").read().replace("shape: 4", "shape: -2 -2")
+    open(base + ".txt", "w").write(text)
+    with pytest.raises(DataIOError, match="negative dimension"):
+        read_array(base)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_read_array_rejects_non_finite(tmp_path, bad):
+    base = str(tmp_path / "a")
+    write_array(base, np.array([[0.0, 1.0], [bad, 2.0]]))
+    with pytest.raises(NumericError, match="non-finite"):
         read_array(base)
 
 
@@ -394,6 +412,15 @@ def test_evaluate_differing_frames_exits_2(tmp_path, capsys):
         runs.append(os.path.join(str(data), "IRKFS"))
     assert main(["evaluate", *runs]) == 2
     assert "differs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{}", "[]", '{"params": []}'])
+def test_evaluate_malformed_manifest_exits_3(tmp_path, capsys, text):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "manifest.json").write_text(text)
+    assert main(["evaluate", str(run)]) == 3
+    assert "params" in capsys.readouterr().err
 
 
 # -- environment -----------------------------------------------------------------

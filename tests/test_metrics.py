@@ -48,7 +48,7 @@ def test_noise_level_trivials():
 
 
 def test_noise_level_matches_requested_sigma():
-    frames = generate_frames(default_blocks_config(16, 16, n_steps=3, seed=2))
+    frames = generate_frames(default_blocks_config(16, 16, n_steps=3))
     geom = make_geometry(16, 16, 5, n_frames=4, angle_offset=0.1)
     ops = build_operators(geom)
     sino = simulate_sinograms(frames, geom, 0.01, seed=3)
@@ -110,6 +110,23 @@ def test_phase_timer_nested_phases_are_exclusive():
     assert timer.seconds["inner"] >= 0.04
     assert 0.0 <= timer.seconds["outer"] < timer.seconds["inner"]
     assert sum(timer.seconds.values()) <= wall
+
+
+def test_phase_timer_raising_phase_is_recorded_and_closed():
+    # a phase left by an exception keeps its seconds and leaves the stack,
+    # so the sibling after it is charged to itself alone
+    timer = PhaseTimer()
+    with timer.phase("outer"):
+        with pytest.raises(RuntimeError):
+            with timer.phase("failing"):
+                time.sleep(0.02)
+                raise RuntimeError("boom")
+        with timer.phase("sibling"):
+            time.sleep(0.02)
+    assert timer.seconds["failing"] >= 0.02
+    assert timer.seconds["sibling"] >= 0.02
+    assert 0.0 <= timer.seconds["outer"] < 0.02
+    assert timer._open == []
 
 
 def test_metrics_csv_round_trip(tmp_path):

@@ -6,9 +6,8 @@ import scipy.sparse as sp
 
 from dynct.errors import ConfigError, NumericError
 from dynct.linops import Identity, LinearOperator, SparseCSR
-from dynct.mmgks import (KrylovBasis, MMGKSConfig, _SingularProjected,
-                         gkb_seed, majorant_value, mmgks_solve,
-                         penalty_weights, solve_projected)
+from dynct.mmgks import (KrylovBasis, MMGKSConfig, majorant_value,
+                         mmgks_solve, penalty_weights, solve_projected)
 from dynct.motion import flow_regularizer, ofc_system
 from dynct.phantom import default_blocks_config, generate_frames
 from helpers import rel_err
@@ -23,34 +22,40 @@ def _first_difference(n):
     return SparseCSR(d)
 
 
-def test_gkb_identity_single_vector():
-    W, U, B = gkb_seed(Identity(4), np.array([1.0, 0, 0, 0]), 1)
-    np.testing.assert_allclose(W, np.array([[1.0], [0], [0], [0]]), atol=1e-15)
-    np.testing.assert_allclose(U[:, 0], np.array([1.0, 0, 0, 0]), atol=1e-15)
+def _seeded_basis(op, b, n_vectors):
+    basis = KrylovBasis(op, Identity(op.shape[1]), b, n_vectors)
+    basis.seed(n_vectors)
+    return basis
 
 
-def test_gkb_coupling_residual():
+def test_seed_is_orthonormalized_krylov_matrix():
+    # the seed spans [A^T b, (A^T A) A^T b, ...] in order: a dense QR of
+    # that Krylov matrix gives the same columns up to sign
     rng = np.random.default_rng(0)
     a = rng.standard_normal((30, 20))
-    op = SparseCSR(a)
     b = rng.standard_normal(30)
-    W, U, B = gkb_seed(op, b, 8)
-    assert np.linalg.norm(a @ W - U @ B) <= 1e-10 * np.linalg.norm(a)
-    assert np.max(np.abs(W.T @ W - np.eye(W.shape[1]))) <= 1e-12
-    assert np.max(np.abs(U.T @ U - np.eye(U.shape[1]))) <= 1e-12
+    basis = _seeded_basis(SparseCSR(a), b, 5)
+    assert basis.size == 5
+    krylov = [a.T @ b]
+    for _ in range(4):
+        krylov.append(a.T @ (a @ krylov[-1]))
+    q, _ = np.linalg.qr(np.column_stack(krylov))
+    signs = np.sign(np.sum(q * basis.W.T, axis=0))
+    np.testing.assert_allclose(basis.W.T, q * signs, rtol=0, atol=1e-12)
 
 
-def test_gkb_breakdown_in_invariant_subspace():
+def test_seed_stops_in_invariant_subspace():
     # b spanned by two singular directions: the Krylov space closes at l=2
     a = SparseCSR(np.diag([3.0, 1.0, 2.0, 5.0]))
-    b = np.array([1.0, 1.0, 0.0, 0.0])
-    W, _, _ = gkb_seed(a, b, 4)
-    assert W.shape[1] == 2
+    basis = _seeded_basis(a, np.array([1.0, 1.0, 0.0, 0.0]), 4)
+    assert basis.size == 2
 
 
-def test_gkb_zero_matrix_raises():
-    with pytest.raises(NumericError):
-        gkb_seed(SparseCSR(np.zeros((3, 3))), np.ones(3), 2)
+def test_zero_normal_rhs_raises():
+    # b != 0 but A^T b = 0: the basis has no first vector
+    with pytest.raises(NumericError, match="A\\^T b is zero"):
+        mmgks_solve(SparseCSR(np.zeros((3, 3))), _first_difference(3),
+                    np.ones(3))
 
 
 def test_penalty_weights_values():
@@ -143,7 +148,7 @@ def test_projected_residual_monotone_in_subspace():
     op = SparseCSR(a)
     theta = _first_difference(10)
     b = rng.standard_normal(20)
-    W, _, _ = gkb_seed(op, b, 6)
+    W = _seeded_basis(op, b, 6).W.T
     AW_full = a @ W
     TW_full = dense(theta) @ W
     wts = np.ones(TW_full.shape[0])
@@ -162,8 +167,7 @@ def test_expand_basis_keeps_orthonormality():
     theta = _first_difference(9)
     b = rng.standard_normal(15)
     basis = KrylovBasis(op, theta, b, 9)
-    for w in gkb_seed(op, b, 3)[0].T:
-        basis.append(w)
+    basis.seed(3)
     for k in range(4):
         v = rng.standard_normal(9)
         basis.expand(v)
@@ -193,7 +197,7 @@ def test_expand_basis_stops_at_capacity():
 
 
 def test_solve_projected_singular_raises():
-    with pytest.raises(_SingularProjected):
+    with pytest.raises(NumericError, match="singular"):
         solve_projected(np.zeros((1, 1)), np.zeros(1), np.zeros((1, 3)),
                         np.ones(3), 0.0)
 
@@ -238,7 +242,7 @@ def test_non_integer_counts_rejected(field):
 
 
 def _flow_problem():
-    frames = generate_frames(default_blocks_config(16, 16, n_steps=1, seed=0))
+    frames = generate_frames(default_blocks_config(16, 16, n_steps=1))
     v_op, b = ofc_system(frames[0], frames[1], 16, 16)
     return v_op, flow_regularizer(16, 16), b, MMGKSConfig()
 

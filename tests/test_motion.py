@@ -268,7 +268,7 @@ def test_update_motions_off_gives_identity():
 
 
 def test_update_motions_m2_exact_on_phantom():
-    frames = generate_frames(default_blocks_config(16, 16, n_steps=3, seed=0))
+    frames = generate_frames(default_blocks_config(16, 16, n_steps=3))
     flat = frames.reshape(4, -1)
     for i in range(1, 4):
         op = fit_motion(flat[i - 1], flat[i], 16, 16, "m2", zeta=0.0)

@@ -11,26 +11,26 @@ from dynct.phantom import (Block, BlocksConfig, _REF_BLOCKS,
 
 
 def test_reference_layout_reproduced_at_64():
-    cfg = default_blocks_config(64, 64, 10, 0)
+    cfg = default_blocks_config(64, 64, 10)
     assert cfg.blocks == _REF_BLOCKS
 
 
 def test_total_intensity_conserved():
-    cfg = default_blocks_config(64, 64, 10, 0)
+    cfg = default_blocks_config(64, 64, 10)
     frames = generate_frames(cfg)
     expected = sum(b.size ** 2 * b.intensity for b in cfg.blocks)
     np.testing.assert_allclose(frames.sum(axis=1), expected, rtol=1e-12)
 
 
 def test_frames_shape_and_range():
-    cfg = default_blocks_config(16, 16, 3, 0)
+    cfg = default_blocks_config(16, 16, 3)
     frames = generate_frames(cfg)
     assert frames.shape == (4, 256)
     assert frames.min() >= 0.0
 
 
 def test_determinism():
-    cfg = default_blocks_config(32, 32, 5, 0)
+    cfg = default_blocks_config(32, 32, 5)
     a = generate_frames(cfg)
     b = generate_frames(cfg)
     assert np.array_equal(a, b)
@@ -70,7 +70,7 @@ def test_validation_errors():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(12, 48), st.integers(12, 48), st.integers(1, 8))
 def test_default_config_valid_on_any_grid(n_x, n_y, n_steps):
-    cfg = default_blocks_config(n_x, n_y, n_steps, 0)
+    cfg = default_blocks_config(n_x, n_y, n_steps)
     frames = generate_frames(cfg)
     assert frames.shape == (n_steps + 1, n_x * n_y)
     sums = frames.sum(axis=1)

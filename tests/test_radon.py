@@ -127,7 +127,7 @@ def test_rows_are_angle_major():
 
 
 def test_simulated_noise_level_exact():
-    frames = generate_frames(default_blocks_config(16, 16, 3, 0))
+    frames = generate_frames(default_blocks_config(16, 16, 3))
     geom = make_geometry(16, 16, 5, 4, angle_offset=0.17)
     sino = simulate_sinograms(frames, geom, 0.01, 42)
     realized = noise_level(sino.sinograms, build_operators(geom), frames)
@@ -135,7 +135,7 @@ def test_simulated_noise_level_exact():
 
 
 def test_simulation_deterministic():
-    frames = generate_frames(default_blocks_config(12, 12, 2, 0))
+    frames = generate_frames(default_blocks_config(12, 12, 2))
     geom = make_geometry(12, 12, 4, 3)
     a = simulate_sinograms(frames, geom, 0.02, 7)
     b = simulate_sinograms(frames, geom, 0.02, 7)
@@ -146,14 +146,14 @@ def test_simulation_deterministic():
 
 
 def test_simulation_rejects_negative_seed():
-    frames = generate_frames(default_blocks_config(12, 12, 2, 0))
+    frames = generate_frames(default_blocks_config(12, 12, 2))
     geom = make_geometry(12, 12, 4, 3)
     with pytest.raises(ConfigError, match="seed"):
         simulate_sinograms(frames, geom, 0.02, -1)
 
 
 def test_zero_noise_is_exact_projection():
-    frames = generate_frames(default_blocks_config(12, 12, 2, 0))
+    frames = generate_frames(default_blocks_config(12, 12, 2))
     geom = make_geometry(12, 12, 4, 3)
     sino = simulate_sinograms(frames, geom, 0.0, 7)
     ops = build_operators(geom)
