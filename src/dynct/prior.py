@@ -30,8 +30,9 @@ the filter, smoother, motion operators and M-step make:
 - ``rows(idx)``, P's rows at an integer index array, formed on demand
   (the M1 warp's row chunks);
 - ``premultiply(S)``, S P for a sparse S (the observations' H P), from a
-  regrouping of S's nonzeros by (ray, x), one sparse product with U_y and
-  one batched GEMM with U_x per chunk of rays;
+  regrouping of S's nonzeros by (ray, x), one sparse product with U_y
+  (into one reused buffer) and one batched GEMM with U_x per chunk of
+  rays;
 - ``gram(w)``, the basis Gram P^T diag(w) P: diag(w_0 lambda) whenever w is
   uniform (every IRKFS step, and every first pass), else a gather of
   X^T W Y scaled by sqrt(lambda_k lambda_l), with W the weights as an
@@ -58,8 +59,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvecs
 
-from ._linalg import row_chunks
+from ._linalg import chunk_rows, row_chunks
 from .errors import ConfigError, NumericError, is_count
 
 # Products below this are numerically meaningless for whitening.
@@ -228,14 +230,17 @@ class ProjectionBasis:
         """S P, (m, r), for a scipy sparse S with n_s columns.
 
         The nonzeros of S, ray-major with columns ascending (its CSR form),
-        are regrouped without sorting into a CSR matrix K with rows
-        (ray, x) and columns y (row pointers by ``bincount``). Over chunks
-        of rays, each a slice of K's row pointers, W = K U_y holds
+        are regrouped without sorting into the CSR arrays of a matrix K with
+        rows (ray, x) and columns y (row pointers by ``bincount``). Over
+        chunks of rays, each a slice of K's row pointers, W = K U_y holds
         sum_y S[ray, (x, y)] U_y[y, :] as a (rays, n_x, B) block; one
         batched GEMM with U_x^T contracts x, and the A x B result is
         gathered at (a_k, b_k) and scaled by sqrt(lambda_k). That costs
-        O(nnz B + m n_x A B) against the O(nnz r) of a product with P; the
-        chunk's W stays within CHUNK_ELEMS elements.
+        O(nnz B + m n_x A B) against the O(nnz r) of a product with P.
+        Every chunk's W is written into one buffer of at most CHUNK_ELEMS
+        elements, allocated once per call, by SciPy's CSR kernel
+        ``csr_matvecs`` (the one ``csr_matrix @ dense`` runs), so no chunk
+        builds a sparse matrix or a fresh W.
         """
         csr = sp.csr_matrix(S, dtype=np.float64)
         if csr.shape[1] != self.n_s:
@@ -252,15 +257,17 @@ class ProjectionBasis:
         ptr = np.zeros(m * n_x + 1, dtype=csr.indptr.dtype)
         np.cumsum(np.bincount(key, minlength=m * n_x), out=ptr[1:])
         del key
-        u_xt = self.factor_x.T
+        u_xt, u_y = self.factor_x.T, self.factor_y.ravel()
         flat = self.index_pairs[:, 0] * n_b + self.index_pairs[:, 1]
         out = np.empty((m, self.rank))
+        buf = np.empty(min(m, chunk_rows(n_x * n_b)) * n_x * n_b)
         for rays in row_chunks(m, n_x * n_b):
             row_lo, row_hi = rays.start * n_x, rays.stop * n_x
-            lo, hi = ptr[row_lo], ptr[row_hi]
-            k = sp.csr_matrix((csr.data[lo:hi], y[lo:hi], ptr[row_lo:row_hi + 1] - lo),
-                              shape=(row_hi - row_lo, self.n_y))
-            w = (k @ self.factor_y).reshape(-1, n_x, n_b)
+            w = buf[:(row_hi - row_lo) * n_b]
+            w.fill(0.0)   # the kernel accumulates W += K U_y
+            csr_matvecs(row_hi - row_lo, self.n_y, n_b, ptr[row_lo:row_hi + 1],
+                        y, csr.data, u_y, w)
+            w = w.reshape(-1, n_x, n_b)
             full = (u_xt @ w).reshape(len(w), -1)
             np.take(full, flat, axis=1, out=out[rays])
         out *= self._scale

@@ -23,7 +23,8 @@ Phi = ``cho_inverse``(L_i): with K~ = G_MP^T Phi,
 two congruences, each PSD when Psi_i^sm is; Psi_{i-1}^sm is summed in the
 K~^T omega_i product before it is symmetrized.  The lag-one cross covariance
 is C_{i,i-1}^sm = P omega_i P^T, never assembled densely.  Each
-Psi_{i-1}^sm is checked PSD (eigenvalues only) as it is formed;
+Psi_{i-1}^sm is checked PSD as it is formed (a shifted Cholesky;
+eigenvalues only when that fails);
 Psi_T^sm, ``cho_inverse`` of the Cholesky of Lambda_T (once per covariance
 sweep), is PSD by construction.  Every Psi^sm is exactly symmetric.
 

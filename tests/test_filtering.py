@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dynct._linalg import _cholesky, cho_inverse
+from dynct._linalg import _cholesky, cho_inverse, mirror_lower
 from dynct.errors import ConfigError, NumericError
 from dynct.filtering import (FilterResult, NoiseModel, filter_step,
                              initial_noise, run_filter, static_init)
@@ -147,6 +147,18 @@ def test_cho_inverse_of_spd_and_indefinite():
         assert rel_err(inv, np.linalg.inv(A)) <= 1e-12
     with pytest.raises(NumericError):
         cho_inverse(_cholesky(np.diag([1.0, -1.0]), "test"))
+
+
+def test_mirror_lower_fills_upper_triangle_in_place():
+    # in strips of 64 rows: sizes inside one strip, at its edge and across
+    # several, in both memory orders
+    rng = np.random.default_rng(4)
+    for n in (1, 5, 63, 64, 65, 150):
+        for order in ("C", "F"):
+            A = np.array(rng.standard_normal((n, n)), order=order)
+            want = np.where(np.tri(n, dtype=bool), A, A.T)
+            assert mirror_lower(A) is A
+            np.testing.assert_array_equal(A, want)
 
 
 def test_zero_innovation_keeps_prediction(prob):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dynct import pipeline
-from dynct._linalg import CHUNK_ELEMS
+from dynct._linalg import CHUNK_ELEMS, check_psd
 from dynct.errors import ConfigError, NumericError
 from dynct.linops import payload_nbytes
 from dynct.metrics import MemoryTracker, PhaseTimer
@@ -371,12 +371,19 @@ def test_m3_patch_must_tile():
 
 def test_em_variants_make_no_eigh_call(monkeypatch):
     # the M-step takes the smoothed covariances as formed and the smoother
-    # guards them with eigenvalues only: no eigendecomposition in the run
+    # guards them with a shifted Cholesky: no eigendecomposition and no
+    # eigenvalues in the run
     prob = build_problem(n_x=8, n_y=8, n_steps=3, sigma=0.02)
     calls = count_calls(monkeypatch, np.linalg, "eigh")
+    vals = count_calls(monkeypatch, np.linalg, "eigvalsh")
     for name in ("EMIRKFS-M3", "EMIRKFS"):
         _run(name, n_iter=2, prob=prob)
         assert calls == [], name
-    # the count does see eigh: the prior basis is built with it
+        assert vals == [], name
+    # the counts do see both: the prior basis is built with eigh, and the
+    # guard falls back to eigvalsh when its Cholesky fails
     build_projection(4, 4, PriorConfig(alpha=1.0, ell=0.7, rank=4))
     assert calls
+    with pytest.raises(NumericError):
+        check_psd(np.diag([1.0, -1.0]), "psi")
+    assert vals

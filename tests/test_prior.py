@@ -359,6 +359,41 @@ def test_basis_products_match_dense_oracle(basis):
         basis.premultiply(sp.csr_matrix((3, n_s + 1)))
 
 
+def _premultiply_public(basis, S):
+    """S P through SciPy's public ``csr_matrix @ dense``: S reshaped to rows
+    (ray, x) and columns y, times U_y, then U_x^T, the gather at (a_k, b_k)
+    and the sqrt(lambda_k) scale."""
+    csr = sp.csr_matrix(S, dtype=np.float64)
+    m, n_b = csr.shape[0], basis.box[1]
+    k = sp.csr_matrix(csr.reshape((m * basis.n_x, basis.n_y)))
+    w = (k @ basis.factor_y).reshape(m, basis.n_x, n_b)
+    full = (basis.factor_x.T @ w).reshape(m, -1)
+    flat = basis.index_pairs[:, 0] * n_b + basis.index_pairs[:, 1]
+    return full[:, flat] * np.sqrt(basis.eigenvalues)
+
+
+@pytest.mark.parametrize("n_x, n_y, r", [(8, 8, 20), (7, 5, 12), (6, 9, 30)])
+def test_premultiply_pins_public_sparse_product(n_x, n_y, r):
+    # premultiply calls SciPy's private CSR kernel into a reused buffer: it
+    # must give the public product bitwise, at every chunking, for a CSC
+    # input and for a Radon H whose extra detectors leave rays empty
+    basis = build_projection(n_x, n_y, PriorConfig(alpha=1.0, ell=1.3, rank=r))
+    geom = make_geometry(n_x, n_y, 3, 1, angle_offset=0.3,
+                         detector_count=2 * (n_x + n_y))
+    h = build_operators(geom)[0].matrix
+    assert (np.diff(h.indptr) == 0).any()
+    lefts = [h, h.tocsc(),
+             sp.random(11, basis.n_s, density=0.3,
+                       random_state=np.random.RandomState(1), format="csc")]
+    width = n_x * basis.box[1]
+    for chunk in (_linalg.CHUNK_ELEMS, 1, 2 * width, 5 * width - 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_linalg, "CHUNK_ELEMS", chunk)
+            for S in lefts:
+                np.testing.assert_array_equal(basis.premultiply(S),
+                                              _premultiply_public(basis, S))
+
+
 def test_basis_products_hold_no_whole_basis():
     # at 128 x 128, r = 300 a whole P is n_s r 8 = 39 MB: every product
     # with the basis, and every motion Gramian built on them, stays below a

@@ -227,9 +227,9 @@ def test_smoother_does_not_worsen_consistent_data():
 
 def test_psi_sm_symmetric(prob):
     # exactly: dpotri writes one triangle of Phi and Psi_T^sm, and
-    # check_psd's eigvalsh reads one too, while quad_diag and
-    # psi_sm_i @ k_psi read both; so every Psi^sm the hook sees, Psi_T^sm
-    # included, must have both filled alike
+    # check_psd's Cholesky (and its eigenvalue fallback) reads one too,
+    # while quad_diag and psi_sm_i @ k_psi read both; so every Psi^sm the
+    # hook sees, Psi_T^sm included, must have both filled alike
     for kind in ("Identity", "SparseCSR", "PatchRank1"):
         _, sm = _smoothed(prob, _motions(prob, kind))
         assert len(sm.psi_sm) == prob["n_steps"] + 1
@@ -249,6 +249,30 @@ def test_check_psd_rejects_only_beyond_roundoff():
     check_psd(np.diag([2.0, -0.5e-8 * 2.0]), "psi")
     with pytest.raises(NumericError, match="psi: covariance not PSD"):
         check_psd(np.diag([2.0, -2e-8 * 2.0]), "psi")
+
+
+def _rotated(lam_max, lam_min):
+    """diag(lam_max, lam_min) rotated by 45 degrees: both diagonal entries
+    are (lam_max + lam_min) / 2, about half of lam_max."""
+    mean, half = (lam_max + lam_min) / 2, (lam_max - lam_min) / 2
+    return np.array([[mean, half], [half, mean]])
+
+
+def test_check_psd_falls_back_to_eigenvalues(monkeypatch):
+    # the shifted Cholesky uses max diag A <= lambda_max: when the two
+    # differ, it can fail on a matrix within roundoff of PSD, and the
+    # eigenvalues then decide
+    calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    check_psd(np.diag([2.0, -0.5e-8 * 2.0]), "psi")
+    check_psd(_rotated(2.0, 1e-3), "psi")
+    assert calls == []
+    # -1.5e-8 is beyond -1e-8 * max diag (about 1) but within
+    # -1e-8 * lambda_max (2): the fast path fails and the verdict accepts
+    check_psd(_rotated(2.0, -1.5e-8), "psi")
+    assert len(calls) == 1
+    with pytest.raises(NumericError, match="psi: covariance not PSD"):
+        check_psd(_rotated(2.0, -2.5e-8), "psi")
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
