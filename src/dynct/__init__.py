@@ -22,8 +22,7 @@ from .linops import Identity, LinearOperator, PatchRank1, SparseCSR
 from .metrics import (MemoryTracker, PhaseTimer, memory_budget_bytes,
                       noise_level, read_metrics_csv, rre, write_metrics_csv)
 from .mmgks import MMGKSConfig, MMGKSResult, mmgks_solve
-from .motion import (VelocityField, build_warp, dmd_patchwise,
-                     estimate_velocity, fit_motion)
+from .motion import VelocityField, build_warp, estimate_velocity, fit_motion
 from .phantom import BlocksConfig, default_blocks_config, generate_frames
 from .pipeline import (MethodSpec, MotionOptions, RunRecord, parse_method,
                        record_rows, run_emirkfs)
@@ -42,8 +41,8 @@ __all__ = [
     "ProjectionBasis", "RunRecord", "ScanGeometry",
     "SinogramSet", "SparseCSR", "VelocityField",
     "build_operator", "build_operators", "build_projection", "build_warp",
-    "default_blocks_config", "dmd_patchwise",
-    "estimate_velocity", "fit_motion", "generate_frames", "initial_noise", "make_geometry",
+    "default_blocks_config", "estimate_velocity", "fit_motion",
+    "generate_frames", "initial_noise", "make_geometry",
     "memory_budget_bytes", "mmgks_solve", "noise_level", "parse_method",
     "read_metrics_csv", "record_rows", "rre", "run_emirkfs", "run_filter",
     "run_smoother", "simulate_sinograms", "static_init",

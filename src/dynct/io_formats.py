@@ -17,6 +17,7 @@ import os
 import numpy as np
 
 from .errors import ConfigError, DataIOError, NumericError
+from .linops import check_tiling
 from .phantom import default_blocks_config
 from .pipeline import MotionOptions, parse_method
 from .prior import PriorConfig
@@ -181,13 +182,7 @@ class RunConfig:
         if self.noise_seed < 0:
             raise ConfigError("config: noise.seed must be >= 0")
         if self.method.motion == "m3":
-            zx, zy = self.motion.patch
-            if self.n_x % zx:
-                raise ConfigError(f"config: motion.z_x={zx} does not divide "
-                                  f"n_x={self.n_x}")
-            if self.n_y % zy:
-                raise ConfigError(f"config: motion.z_y={zy} does not divide "
-                                  f"n_y={self.n_y}")
+            check_tiling(self.n_x, self.n_y, *self.motion.patch)
 
     def manifest_params(self) -> dict:
         """Every numerics-relevant parameter, for the run manifest."""

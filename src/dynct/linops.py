@@ -9,8 +9,8 @@ Every operator keeps its vectors in image order (row-major over the
 (n_x, n_y) grid); ``PatchRank1`` reaches its patches through reshaped views.
 
 The operator protocol is the products the filter, smoother, M-step and
-flow solver make. Every operator implements the first two; the others exist
-only where a caller makes them:
+flow solver make; every kind implements all five, and the flow solver
+needs only the first two:
 
 - ``apply(x)``: forward product ``op @ x``.
 - ``apply_transpose(y)``: exact adjoint of the same coefficients.
@@ -32,8 +32,7 @@ only where a caller makes them:
 
 The observations' H P is the basis' ``premultiply`` of ``SparseCSR.matrix``.
 The basis is a ``prior.ProjectionBasis`` on the operator's image grid
-(ConfigError otherwise). There is no column-loop fallback: an operator
-without one of the last three raises ``NotImplementedError``.
+(ConfigError otherwise). There is no column-loop fallback.
 
 All vectors are 1-D float64 arrays.
 """
@@ -44,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._linalg import row_chunks
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 
 
 def _as_vector(x, n, name="x"):
@@ -54,9 +53,18 @@ def _as_vector(x, n, name="x"):
     return x
 
 
+def check_tiling(n_x: int, n_y: int, z_x: int, z_y: int) -> tuple:
+    """The ``tiles`` view (n_x // z_x, z_x, n_y // z_y, z_y) of (z_x, z_y)
+    patches on an (n_x, n_y) image; ConfigError unless they tile it
+    exactly."""
+    if z_x < 1 or z_y < 1 or n_x % z_x or n_y % z_y:
+        raise ConfigError(f"patch (z_x, z_y) = ({z_x}, {z_y}) does not tile "
+                          f"the {n_x} x {n_y} image exactly")
+    return (n_x // z_x, z_x, n_y // z_y, z_y)
+
+
 class LinearOperator:
-    """Base class: shape (m, n), the two methods every operator implements
-    and stubs for the three that only motion operators define."""
+    """Base class: shape (m, n) and the protocol of the module docstring."""
 
     shape: tuple[int, int]
 
@@ -65,21 +73,6 @@ class LinearOperator:
 
     def apply_transpose(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def gram_pair(self, basis, w: np.ndarray):
-        """(G_MM, G_MP) of a square operator M = op, basis P and weights w:
-        G_MM = (MP)^T diag(w) (MP) and G_MP = (MP)^T diag(w) P."""
-        raise NotImplementedError(f"{type(self).__name__} has no Gram pair")
-
-    def gram_mp(self, basis, w: np.ndarray) -> np.ndarray:
-        """G_MP = (MP)^T diag(w) P alone."""
-        raise NotImplementedError(f"{type(self).__name__} has no Gram pair")
-
-    def q_terms(self, basis, psi_prev: np.ndarray, omega: np.ndarray):
-        """(diag(MP psi_prev (MP)^T), diag(P omega (MP)^T)) of a square
-        operator M = op and basis P, the two motion terms of the Q-update
-        diagonal."""
-        raise NotImplementedError(f"{type(self).__name__} has no Q-update terms")
 
 
 def _check_basis(op: LinearOperator, basis) -> None:
@@ -200,34 +193,35 @@ class Identity(LinearOperator):
 
 
 class PatchRank1(LinearOperator):
-    """Block-diagonal rank-1 action on non-overlapping image patches.
+    """Block-diagonal rank-1 action on non-overlapping image patches: the
+    M2/M3 fit u v^T / (||v||^2 + zeta) on each patch.
 
-    The image grid (n_x, n_y) is tiled by (z_x, z_y) patches (z_x | n_x,
-    z_y | n_y). The operator holds (does not copy) image-order vectors u, v
-    and keeps one positive, finite denominator d_j per patch on the
-    (n_x // z_x, n_y // z_y) patch grid (``denoms``); it maps x to
-    u_i (v_j . x_j) / d_j at each pixel i of patch j, x_j being x on patch j.
-    With one patch (z_x, z_y) = (n_x, n_y) it is the plain rank-1 map
-    u v^T / d. Per-patch sums contract over the ``tiles`` view
-    (n_x // z_x, z_x, n_y // z_y, z_y) of their image-order operands, and
-    per-patch values spread back by broadcasting over it; the per-patch
-    sums against the basis are ``basis.tile_sums`` over the same tiling.
+    The image grid (n_x, n_y) is tiled by (z_x, z_y) patches
+    (``check_tiling``). The operator holds (does not copy) image-order
+    vectors u, v and keeps one denominator d_j = ||v_j||^2 + zeta per patch
+    on the (n_x // z_x, n_y // z_y) patch grid (``denoms``), v_j being v on
+    patch j; it maps x to u_i (v_j . x_j) / d_j at each pixel i of patch j.
+    With one patch it is the plain rank-1 map u v^T / d. A negative or
+    non-finite zeta raises ConfigError; a d_j that is not positive and
+    finite (an all-zero patch at zeta = 0, or an overflow) NumericError.
+    Per-patch sums contract over the ``tiles`` view of their image-order
+    operands, and per-patch values spread back by broadcasting over it;
+    the per-patch sums against the basis are ``basis.tile_sums`` over the
+    same tiling.
     """
 
-    def __init__(self, n_x, n_y, z_x, z_y, u, v, denoms):
-        if z_x < 1 or z_y < 1 or n_x % z_x or n_y % z_y:
-            raise ConfigError(f"patch ({z_x},{z_y}) must tile image ({n_x},{n_y}) exactly")
-        self.tiles = (n_x // z_x, z_x, n_y // z_y, z_y)
+    def __init__(self, n_x, n_y, z_x, z_y, u, v, zeta):
+        self.tiles = check_tiling(n_x, n_y, z_x, z_y)
         n_s = n_x * n_y
         self.shape = (n_s, n_s)
         self.u = _as_vector(u, n_s, "u")
         self.v = _as_vector(v, n_s, "v")
-        denoms = np.asarray(denoms, dtype=np.float64)
-        if denoms.size != self.tiles[0] * self.tiles[2]:
-            raise ConfigError("one denominator per patch required")
-        self.denoms = denoms.reshape(self.tiles[0], self.tiles[2])
+        if not (np.isfinite(zeta) and zeta >= 0):
+            raise ConfigError(f"zeta must be finite and >= 0, got {zeta}")
+        self.denoms = self._dots(self.v, self.v) + zeta
         if not np.all(np.isfinite(self.denoms) & (self.denoms > 0)):
-            raise ConfigError("patch denominators must be positive and finite")
+            raise NumericError("patch denominators ||v_j||^2 + zeta must "
+                               "be positive and finite")
 
     def _dots(self, a, b):
         """The patch-grid sums sum_{i in j} a_i b_i of two image-order

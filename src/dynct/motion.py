@@ -7,10 +7,11 @@ Three estimators, all producing operators M with M x_prev ~ x_next:
   penalty (mmgks), then turned into a backward-warping interpolation
   matrix, a ``SparseCSR``;
 * patchwise rank-1 (M3): M = x_next x_prev^T / (||x_prev||^2 + zeta)
-  independently on non-overlapping image patches, a ``PatchRank1`` that
-  holds x_next and x_prev in image order as they come;
-* rank-1 (M2): the same closed form over the whole image, which is the
-  patchwise fit with one patch.
+  independently on non-overlapping image patches, the ``PatchRank1`` with
+  u = x_next and v = x_prev, held in image order as they come; the
+  operator forms its own denominators;
+* rank-1 (M2): the same ``PatchRank1`` with the whole image as its one
+  patch.
 
 Axis convention for flow: images are (n_x, n_y) arrays flattened row-major;
 s_x displaces along the second array axis (columns), s_y along the first
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, NumericError
-from .linops import Identity, PatchRank1, SparseCSR
+from .errors import ConfigError
+from .linops import PatchRank1, SparseCSR
 from .mmgks import MMGKSConfig, mmgks_solve
 
 
@@ -48,12 +49,21 @@ class VelocityField:
             raise ConfigError("VelocityField: components must be finite")
 
 
+def check_flow_grid(n_x: int, n_y: int) -> None:
+    """ConfigError unless the grid has at least two pixels along each axis,
+    which the flow's one-sided border differences need."""
+    if n_x < 2 or n_y < 2:
+        raise ConfigError(f"optical flow (M1) needs an image of at least "
+                          f"2 x 2 pixels, got {n_x} x {n_y}")
+
+
 def ofc_system(x_prev: np.ndarray, x_next: np.ndarray, n_x: int, n_y: int):
     """Brightness-constancy system (V, b) with V s ~ b, b = -(x_next - x_prev).
 
     V = [diag(d/d_col x_prev), diag(d/d_row x_prev)] (n_s x 2 n_s); central
-    differences inside, one-sided at the borders.
+    differences inside, one-sided at the borders (``check_flow_grid``).
     """
+    check_flow_grid(n_x, n_y)
     n_s = n_x * n_y
     x_prev = np.asarray(x_prev, dtype=float).ravel()
     x_next = np.asarray(x_next, dtype=float).ravel()
@@ -138,36 +148,13 @@ def build_warp(field: VelocityField) -> SparseCSR:
     return SparseCSR(mat)
 
 
-def dmd_patchwise(x_prev, x_next, n_x: int, n_y: int, patch=(8, 8),
-                  zeta: float = 0.0) -> PatchRank1:
-    """Per-patch rank-1 transition fit on a non-overlapping tiling: u = x_next
-    and v = x_prev in image order, d_j = ||x_prev on patch j||^2 + zeta.
-    Raises NumericError when a source patch is all zero and zeta = 0."""
-    z_x, z_y = int(patch[0]), int(patch[1])
-    if z_x < 1 or z_y < 1 or n_x % z_x or n_y % z_y:
-        raise ConfigError(f"dmd_patchwise: patch ({z_x},{z_y}) must tile ({n_x},{n_y})")
-    if zeta < 0:
-        raise ConfigError("dmd_patchwise: zeta must be nonnegative")
-    x_prev = np.asarray(x_prev, dtype=float).ravel()
-    x_next = np.asarray(x_next, dtype=float).ravel()
-    if x_prev.size != n_x * n_y or x_next.size != n_x * n_y:
-        raise ConfigError("dmd_patchwise: frames must have length n_x*n_y")
-    view = x_prev.reshape(n_x // z_x, z_x, n_y // z_y, z_y)
-    denoms = np.einsum("acbd,acbd->ab", view, view) + zeta
-    if np.any(denoms <= 0.0):
-        raise NumericError("dmd_patchwise: empty source patch with zeta = 0")
-    return PatchRank1(n_x, n_y, z_x, z_y, x_next, x_prev, denoms)
-
-
 def fit_motion(prev, nxt, n_x: int, n_y: int, kind: str, zeta: float = 0.0,
                patch=(8, 8)):
-    """Motion operator for one transition, fitted so M prev ~ nxt."""
-    if kind == "off":
-        return Identity(n_x * n_y)
+    """Motion operator for one transition, fitted so M prev ~ nxt: the M1
+    flow warp, or the M2/M3 ``PatchRank1`` (M2 ignores ``patch``)."""
     if kind == "m1":
         return build_warp(estimate_velocity(prev, nxt, n_x, n_y))
-    if kind == "m2":
-        return dmd_patchwise(prev, nxt, n_x, n_y, (n_x, n_y), zeta)
-    if kind == "m3":
-        return dmd_patchwise(prev, nxt, n_x, n_y, patch, zeta)
+    if kind in ("m2", "m3"):
+        z_x, z_y = (n_x, n_y) if kind == "m2" else patch
+        return PatchRank1(n_x, n_y, z_x, z_y, nxt, prev, zeta)
     raise ConfigError(f"fit_motion: unknown motion kind {kind!r}")

@@ -64,10 +64,10 @@ from .errors import ConfigError, DataIOError, NumericError, is_count
 
 _WRAPPED = (ConfigError, DataIOError, NumericError)
 from .filtering import NoiseModel, initial_noise, run_filter, static_init
-from .linops import Identity, payload_nbytes
+from .linops import Identity, check_tiling, payload_nbytes
 from .metrics import (MemoryTracker, MetricsRow, PhaseTimer,
                       memory_budget_bytes, rre)
-from .motion import fit_motion
+from .motion import check_flow_grid, fit_motion
 from .prior import ProjectionBasis
 from .radon import SinogramSet
 from .smoothing import run_smoother
@@ -110,8 +110,10 @@ def parse_method(name: str, n_iter: int = 1) -> MethodSpec:
 class MotionOptions:
     """Knobs for the motion estimators; ignored when motion is off.
 
-    ``patch`` is the M3 tiling; M2 ignores it and fits the whole image as
-    one patch.
+    ``zeta`` is the regularizer of the M2/M3 fit ``PatchRank1``. ``patch``
+    is the M3 tiling, which ``run_emirkfs`` checks (``check_tiling``)
+    before its first pass; M2 ignores it and fits the whole image as one
+    patch.
     """
 
     zeta: float = 0.0
@@ -194,6 +196,15 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
     y_frames = data.sinograms
     if len(h_ops) != n_steps + 1:
         raise ConfigError("run_emirkfs: one forward operator per frame required")
+    for t, op in enumerate(h_ops):
+        if op.shape != (geom.frame_rows(t), n_s):
+            raise ConfigError(f"run_emirkfs: forward operator {t} has shape "
+                              f"{op.shape}, the geometry gives "
+                              f"{(geom.frame_rows(t), n_s)}")
+    if method.motion == "m1":
+        check_flow_grid(n_x, n_y)
+    if method.motion == "m3":
+        check_tiling(n_x, n_y, *motion_opts.patch)
     if (basis.n_x, basis.n_y) != (n_x, n_y):
         raise ConfigError(f"run_emirkfs: basis grid {basis.n_x} x {basis.n_y} "
                           f"disagrees with the {n_x} x {n_y} image grid")

@@ -9,7 +9,7 @@ from dynct._linalg import _cholesky, cho_inverse
 from dynct.filtering import (filter_step, initial_noise, run_filter,
                              static_init)
 from dynct.linops import Identity, SparseCSR
-from dynct.motion import dmd_patchwise
+from dynct.motion import fit_motion
 from dynct.phantom import default_blocks_config, generate_frames
 from dynct.prior import PriorConfig, ProjectionBasis, build_projection
 from dynct.radon import build_operators, make_geometry, simulate_sinograms
@@ -48,7 +48,7 @@ def build_problem(n_x=12, n_y=12, n_steps=4, n_angles=5, sigma=0.05,
 def transition_motions(kind, n_x, n_y, n_steps, seed=0):
     """One transition operator of the given kind per step: Identity, a
     SparseCSR 0.9 I + 0.05 superdiagonal, or a PatchRank1 on 2 x 2 patches
-    fitted by ``dmd_patchwise`` to seeded positive frames (n_x, n_y even).
+    fitted by ``fit_motion`` (M3) to seeded positive frames (n_x, n_y even).
     Only the last two have G_MM != G_MP."""
     n_s = n_x * n_y
     if kind == "Identity":
@@ -57,8 +57,8 @@ def transition_motions(kind, n_x, n_y, n_steps, seed=0):
         mat = 0.9 * np.eye(n_s) + 0.05 * np.eye(n_s, k=1)
         return [SparseCSR(mat) for _ in range(n_steps)]
     rng = np.random.default_rng(seed)
-    return [dmd_patchwise(rng.uniform(0.5, 1.5, n_s), rng.uniform(0.5, 1.5, n_s),
-                          n_x, n_y, patch=(2, 2), zeta=0.1)
+    return [fit_motion(rng.uniform(0.5, 1.5, n_s), rng.uniform(0.5, 1.5, n_s),
+                       n_x, n_y, "m3", zeta=0.1, patch=(2, 2))
             for _ in range(n_steps)]
 
 

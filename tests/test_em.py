@@ -28,10 +28,9 @@ def _motion(kind, n_x, n_y, rng):
                          + 0.05 * (rng.random((n_s, n_s)) < 0.15))
     if kind == "PatchRank1-whole":
         return PatchRank1(n_x, n_y, n_x, n_y, rng.uniform(0.5, 1.5, n_s),
-                          rng.uniform(0.5, 1.5, n_s), np.array([float(n_s)]))
-    n_p = (n_x // 2) * (n_y // 2)
+                          rng.uniform(0.5, 1.5, n_s), 0.5)
     return PatchRank1(n_x, n_y, 2, 2, rng.uniform(0.5, 1.5, n_s),
-                      rng.uniform(0.5, 1.5, n_s), np.full(n_p, 4.0))
+                      rng.uniform(0.5, 1.5, n_s), 0.5)
 
 
 def _smoothed_problem(kind="SparseCSR", **kw):

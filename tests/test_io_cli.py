@@ -347,6 +347,19 @@ def test_reconstruct_basis_grid_mismatch_exits_2(tmp_path, monkeypatch,
     assert "basis grid 8 x 16" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_x, n_y", [(8, 1), (1, 8)])
+def test_reconstruct_m1_on_a_thin_grid_exits_2(tmp_path, capsys, n_x, n_y):
+    # the optical flow needs two pixels along each axis: a config error
+    # before the first pass, not numpy's gradient error from inside it
+    data = tmp_path / "data"
+    cfg = _write_config(tmp_path / "run.cfg", data,
+                        **{"phantom.n_x": n_x, "phantom.n_y": n_y,
+                           "prior.rank": 4, "method.name": "EMIRKFS-M1"})
+    assert main(["simulate", cfg]) == 0
+    assert main(["reconstruct", cfg, str(data)]) == 2
+    assert f"at least 2 x 2 pixels, got {n_x} x {n_y}" in capsys.readouterr().err
+
+
 def test_reconstruct_non_finite_sinogram_exits_4(sim_run, capsys):
     cfg, data = sim_run
     base = os.path.join(data, "sinograms")

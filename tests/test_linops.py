@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynct import _linalg
-from dynct.errors import ConfigError
-from dynct.linops import (Identity, LinearOperator, PatchRank1, SparseCSR,
-                          payload_nbytes)
+from dynct.errors import ConfigError, NumericError
+from dynct.linops import Identity, PatchRank1, SparseCSR, payload_nbytes
 from dynct.motion import VelocityField, build_warp
 from helpers import random_basis
 from oracles import DENSE_LIMIT, dense, dense_basis
@@ -23,13 +22,13 @@ def _sample_ops(rng):
         Identity(12),
         # one patch over the whole 4 x 3 image: the M2 rank-1 map u v^T / d
         PatchRank1(4, 3, 4, 3, rng.standard_normal(12), rng.standard_normal(12),
-                   np.array([1.7])),
+                   1.7),
         PatchRank1(4, 3, 2, 3, rng.standard_normal(12), rng.standard_normal(12),
-                   np.array([1.3, 0.4])),
+                   0.4),
         # 2 x 2 grid of non-square 3 x 2 patches: rows of one patch are not
         # contiguous in the state vector, and slices cut through patches
         PatchRank1(6, 4, 3, 2, rng.standard_normal(24), rng.standard_normal(24),
-                   np.array([1.3, 0.4, 2.1, 0.9])),
+                   0.9),
     ]
     warp_mat = sp.random(12, 12, density=0.4,
                          random_state=np.random.RandomState(3), format="csr")
@@ -169,9 +168,9 @@ def test_q_terms_match_dense(square_ops, monkeypatch):
 def test_patch_rank1_q_terms_any_tiling(bx, by, z_x, z_y, r, seed):
     # non-square grids and patches, one patch, one-pixel patches
     rng = np.random.default_rng(seed)
-    n_p, n_s = bx * by, bx * z_x * by * z_y
+    n_s = bx * z_x * by * z_y
     op = PatchRank1(bx * z_x, by * z_y, z_x, z_y, rng.standard_normal(n_s),
-                    rng.standard_normal(n_s), rng.uniform(0.5, 2.0, n_p))
+                    rng.standard_normal(n_s), rng.uniform(0.5, 2.0))
     _assert_q_terms(op, *_q_inputs(rng, op, min(r, n_s)))
 
 
@@ -195,26 +194,6 @@ def test_shape_validation(ops):
                     op.gram_mp(bad, w)
                 with pytest.raises(ConfigError):
                     op.q_terms(bad, np.eye(3), np.eye(3))
-
-
-def test_operator_without_row_kernel_raises():
-    class NoRowKernel(LinearOperator):
-        shape = (3, 3)
-
-        def apply(self, x):
-            return x.copy()
-
-        def apply_transpose(self, y):
-            return y.copy()
-
-    op = NoRowKernel()
-    basis = random_basis(3, 1, 2, np.random.default_rng(0))
-    with pytest.raises(NotImplementedError):
-        op.gram_pair(basis, np.ones(3))
-    with pytest.raises(NotImplementedError):
-        op.gram_mp(basis, np.ones(3))
-    with pytest.raises(NotImplementedError):
-        op.q_terms(basis, np.eye(2), np.eye(2))
 
 
 def test_to_dense_guard():
@@ -267,18 +246,24 @@ def test_sparse_csr_rejects_non_finite_entries(bad):
 
 
 def test_rank1_denominator_guard():
-    # one whole-image patch, as M2 builds it
-    for denom in (0.0, -1.0, np.nan, np.inf):
-        with pytest.raises(ConfigError):
-            PatchRank1(3, 1, 3, 1, np.ones(3), np.ones(3), np.array([denom]))
+    # one whole-image patch, as M2 builds it; d = ||v||^2 + zeta
+    for zeta in (-1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="zeta"):
+            PatchRank1(3, 1, 3, 1, np.ones(3), np.ones(3), zeta)
+    # an all-zero source patch at zeta = 0 has no fit
+    with pytest.raises(NumericError, match="positive and finite"):
+        PatchRank1(4, 2, 2, 2, np.ones(8), np.r_[np.ones(4), np.zeros(4)], 0.0)
+    # ||v||^2 overflows to inf
+    with pytest.raises(NumericError, match="positive and finite"):
+        PatchRank1(3, 1, 3, 1, np.ones(3), np.full(3, 1e200), 0.0)
 
 
 def test_patch_rank1_tiling_guard():
     # a patch that does not tile the image, and patch sizes below one
     for n_x, n_y, z_x, z_y in ((5, 3, 2, 3), (4, 4, 0, 2), (4, 4, 2, 0)):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=rf"\({z_x}, {z_y}\) does not tile"):
             PatchRank1(n_x, n_y, z_x, z_y, np.zeros(n_x * n_y),
-                       np.zeros(n_x * n_y), np.ones(2))
+                       np.zeros(n_x * n_y), 1.0)
 
 
 def test_payload_nbytes(ops):

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from dynct.errors import ConfigError, NumericError
-from dynct.linops import Identity
 from dynct.mmgks import MMGKSConfig
-from dynct.motion import (VelocityField, build_warp, dmd_patchwise,
-                          estimate_velocity, fit_motion, flow_regularizer,
-                          ofc_system)
+from dynct.motion import (VelocityField, build_warp, estimate_velocity,
+                          fit_motion, flow_regularizer, ofc_system)
 from dynct.phantom import default_blocks_config, generate_frames
 from helpers import rel_err
 from oracles import dense
@@ -26,6 +24,12 @@ def test_ofc_constant_image():
     V, b = ofc_system(x, x + 1.0, 3, 4)
     assert not dense(V).any()
     np.testing.assert_array_equal(b, -np.ones(12))
+
+
+@pytest.mark.parametrize("n_x, n_y", [(8, 1), (1, 8)])
+def test_ofc_needs_two_pixels_per_axis(n_x, n_y):
+    with pytest.raises(ConfigError, match="at least 2 x 2"):
+        ofc_system(np.ones(8), np.ones(8), n_x, n_y)
 
 
 def test_ofc_equal_frames_zero_rhs():
@@ -210,7 +214,7 @@ def test_dmd_rank1_degenerate_input():
 def test_patchwise_single_patch_reduces_to_rank1():
     rng = np.random.default_rng(5)
     prev, nxt = rng.random(24), rng.random(24)
-    m3 = dmd_patchwise(prev, nxt, 4, 6, patch=(4, 6), zeta=0.2)
+    m3 = fit_motion(prev, nxt, 4, 6, "m3", zeta=0.2, patch=(4, 6))
     m2 = np.outer(nxt, prev) / (prev @ prev + 0.2)
     x = rng.random(24)
     np.testing.assert_allclose(m3.apply(x), m2 @ x, atol=1e-14)
@@ -221,7 +225,7 @@ def test_patchwise_zero_patch_maps_to_zero():
     prev = np.zeros((4, 4))
     prev[:2, :2] = 1.0  # only the first 2x2 patch is active
     nxt = np.ones((4, 4))
-    m = dmd_patchwise(prev.ravel(), nxt.ravel(), 4, 4, patch=(2, 2), zeta=0.5)
+    m = fit_motion(prev.ravel(), nxt.ravel(), 4, 4, "m3", zeta=0.5, patch=(2, 2))
     out = m.apply(np.ones(16)).reshape(4, 4)
     assert out[:2, :2].any()
     assert not out[2:, :].any() and not out[:2, 2:].any()
@@ -233,7 +237,7 @@ def test_patchwise_matches_dense_summation_oracle():
     z = 2
     prev, nxt = rng.random(16), rng.random(16)
     zeta = 0.1
-    m = dmd_patchwise(prev, nxt, n_x, n_y, patch=(z, z), zeta=zeta)
+    m = fit_motion(prev, nxt, n_x, n_y, "m3", zeta=zeta, patch=(z, z))
     want = np.zeros((16, 16))
     for bi in range(2):
         for bj in range(2):
@@ -246,26 +250,20 @@ def test_patchwise_matches_dense_summation_oracle():
 
 def test_patchwise_validation():
     with pytest.raises(ConfigError):
-        dmd_patchwise(np.ones(16), np.ones(16), 4, 4, patch=(3, 2))
+        fit_motion(np.ones(16), np.ones(16), 4, 4, "m3", patch=(3, 2))
     with pytest.raises(NumericError):
-        dmd_patchwise(np.zeros(16), np.ones(16), 4, 4, patch=(2, 2), zeta=0.0)
+        fit_motion(np.zeros(16), np.ones(16), 4, 4, "m3", zeta=0.0, patch=(2, 2))
     # M2 with zeta = 0 has no fit from an all-zero source frame
     with pytest.raises(NumericError):
         fit_motion(np.zeros(16), np.ones(16), 4, 4, "m2", zeta=0.0)
     # a frame that is not n_x * n_y long, either one, for M2 and M3
     for kind in ("m2", "m3"):
         for prev, nxt in ((np.ones(63), np.ones(64)), (np.ones(64), np.ones(63))):
-            with pytest.raises(ConfigError, match="length n_x\\*n_y"):
+            with pytest.raises(ConfigError, match="of length 64"):
                 fit_motion(prev, nxt, 8, 8, kind, patch=(4, 4))
 
 
 # -- trajectory-level construction -------------------------------------------
-
-def test_update_motions_off_gives_identity():
-    op = fit_motion(np.zeros(9), np.ones(9), 3, 3, "off")
-    assert isinstance(op, Identity)
-    assert op.shape == (9, 9)
-
 
 def test_update_motions_m2_exact_on_phantom():
     frames = generate_frames(default_blocks_config(16, 16, n_steps=3))
@@ -286,5 +284,7 @@ def test_update_motions_m1_tracks_shift_phantom():
 
 
 def test_update_motions_unknown_kind():
-    with pytest.raises(ConfigError):
-        fit_motion(np.zeros(4), np.zeros(4), 2, 2, "m9")
+    # "off" fits nothing: a run without motion keeps its Identity operators
+    for kind in ("m9", "off"):
+        with pytest.raises(ConfigError, match="unknown motion kind"):
+            fit_motion(np.zeros(4), np.zeros(4), 2, 2, kind)

@@ -13,6 +13,7 @@ from dynct.metrics import MemoryTracker, PhaseTimer
 from dynct.pipeline import (MethodSpec, MotionOptions, parse_method,
                             record_rows, run_emirkfs)
 from dynct.prior import PriorConfig, ProjectionBasis, build_projection
+from dynct.radon import build_operators, make_geometry
 from helpers import build_problem, count_calls
 
 
@@ -364,9 +365,40 @@ def test_zero_truth_frame_raises_before_any_pass(monkeypatch):
     assert calls == []
 
 
-def test_m3_patch_must_tile():
-    with pytest.raises(ConfigError, match="outer iteration 1"):
+def test_m3_patch_must_tile(monkeypatch):
+    # the tiling is checked before the first pass, not by the first refit
+    calls = count_calls(monkeypatch, pipeline, "run_filter")
+    with pytest.raises(ConfigError,
+                       match=r"patch \(z_x, z_y\) = \(3, 8\) does not tile"):
         _run("IRKFS-M3", n_iter=1, motion_opts=MotionOptions(patch=(3, 8)))
+    assert calls == []
+
+
+@pytest.mark.parametrize("n_x, n_y", [(8, 1), (1, 8)])
+def test_m1_grid_needs_two_pixels_per_axis(monkeypatch, n_x, n_y):
+    prob = build_problem(n_x=n_x, n_y=n_y, n_steps=3, sigma=0.02)
+    calls = count_calls(monkeypatch, pipeline, "run_filter")
+    with pytest.raises(ConfigError, match=f"at least 2 x 2 pixels, got {n_x} x {n_y}"):
+        _run("EMIRKFS-M1", n_iter=1, prob=prob)
+    assert calls == []
+    # the same grid runs without the flow
+    _run("EMIRKFS-M3", n_iter=1, prob=prob,
+         motion_opts=MotionOptions(patch=(n_x, n_y)))
+
+
+def test_operator_shape_must_match_geometry(monkeypatch):
+    # a 3-angle H against 5-angle sinograms, at frame 0 or a later frame, is
+    # named before the first pass, not left to a broadcast inside it
+    prob = build_problem(n_x=8, n_y=8, n_steps=3, sigma=0.02)
+    three = build_operators(make_geometry(8, 8, 3, 4, angle_offset=0.2))
+    calls = count_calls(monkeypatch, pipeline, "run_filter")
+    for t in (0, 2):
+        h_ops = list(prob["h_ops"])
+        h_ops[t] = three[t]
+        with pytest.raises(ConfigError, match=f"forward operator {t} has shape"):
+            run_emirkfs(prob["sino"], h_ops, prob["basis"],
+                        parse_method("EMIRKFS", n_iter=1))
+    assert calls == []
 
 
 def test_em_variants_make_no_eigh_call(monkeypatch):

@@ -12,7 +12,7 @@ from dynct import _linalg
 from dynct._linalg import row_chunks
 from dynct.errors import ConfigError, NumericError
 from dynct.linops import SparseCSR
-from dynct.motion import VelocityField, build_warp, dmd_patchwise
+from dynct.motion import VelocityField, build_warp, fit_motion
 from dynct.prior import (PriorConfig, ProjectionBasis, _eigh_descending,
                          build_projection, se_kernel_1d)
 from dynct.radon import build_operators, make_geometry
@@ -412,8 +412,8 @@ def test_basis_products_hold_no_whole_basis():
     wild = SparseCSR(_warp(n, n, rng, amp=n))
     # two far bands: each row chunk references columns half the grid away
     far = SparseCSR(sp.eye(n_s) + sp.eye(n_s, k=n_s // 2) + sp.eye(n_s, k=-n_s // 2))
-    m3 = dmd_patchwise(rng.uniform(0.5, 1.5, n_s), rng.uniform(0.5, 1.5, n_s),
-                       n, n, patch=(8, 8), zeta=0.1)
+    m3 = fit_motion(rng.uniform(0.5, 1.5, n_s), rng.uniform(0.5, 1.5, n_s),
+                    n, n, "m3", zeta=0.1, patch=(8, 8))
     tiles = m3.tiles
     w = rng.uniform(0.5, 2.0, n_s)
     psi = np.eye(r)

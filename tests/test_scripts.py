@@ -31,3 +31,21 @@ def test_desk_comparison_quick_run(tmp_path):
         assert int(row["tracemalloc_peak_bytes"]) > 0
     assert proc.stdout.count("reduced") == len(methods)
     assert proc.stdout.count("measured") == len(methods)
+
+
+def test_run_digest_repeats_bitwise(tmp_path):
+    # two runs of one workload print the same line: the same trajectories
+    # hash, final RRE repr and tracked peaks
+    lines = []
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPTS / "run_digest.py"), "flow-m1"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines.append(proc.stdout)
+    fields = lines[0].split()
+    assert fields[:3] == ["flow-m1", "EMIRKFS-M1", "seed=0"]
+    assert [f.split("=")[0] for f in fields[3:]] == [
+        "sha256", "final_rre", "peak_bytes", "peak_reduced_bytes"]
+    assert lines[0].count("\n") == 1
+    assert lines[1] == lines[0]
