@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DataIOError, NumericError
 from .linops import check_tiling
+from .motion import check_flow_grid
 from .phantom import default_blocks_config
 from .pipeline import MotionOptions, parse_method
 from .prior import PriorConfig
@@ -181,8 +182,15 @@ class RunConfig:
             raise ConfigError("config: noise.sigma must be finite and >= 0")
         if self.noise_seed < 0:
             raise ConfigError("config: noise.seed must be >= 0")
-        if self.method.motion == "m3":
-            check_tiling(self.n_x, self.n_y, *self.motion.patch)
+        try:
+            if self.method.motion == "m3":
+                where = "motion.z_x/z_y"
+                check_tiling(self.n_x, self.n_y, *self.motion.patch)
+            elif self.method.motion == "m1":
+                where = "phantom.n_x/n_y"
+                check_flow_grid(self.n_x, self.n_y)
+        except ConfigError as exc:
+            raise ConfigError(f"config: {where}: {exc}") from exc
 
     def manifest_params(self) -> dict:
         """Every numerics-relevant parameter, for the run manifest."""

@@ -194,6 +194,17 @@ def test_config_patch_divisibility_named(tmp_path):
         load_config(path)
 
 
+def test_config_motion_errors_name_their_keys(tmp_path):
+    m3 = _write_config(tmp_path / "m3.cfg", tmp_path / "o",
+                       **{"method.name": "IRKFS-M3", "motion.z_y": 3})
+    with pytest.raises(ConfigError, match=r"^config: motion\.z_x/z_y: patch"):
+        load_config(m3)
+    m1 = _write_config(tmp_path / "m1.cfg", tmp_path / "o",
+                       **{"method.name": "IRKFS-M1", "phantom.n_y": 1})
+    with pytest.raises(ConfigError, match=r"^config: phantom\.n_x/n_y: optical"):
+        load_config(m1)
+
+
 def test_config_missing_file_is_io_error(tmp_path):
     with pytest.raises(DataIOError):
         load_config(str(tmp_path / "absent.cfg"))
@@ -348,16 +359,20 @@ def test_reconstruct_basis_grid_mismatch_exits_2(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("n_x, n_y", [(8, 1), (1, 8)])
-def test_reconstruct_m1_on_a_thin_grid_exits_2(tmp_path, capsys, n_x, n_y):
-    # the optical flow needs two pixels along each axis: a config error
-    # before the first pass, not numpy's gradient error from inside it
+def test_m1_config_on_a_thin_grid_exits_2(tmp_path, capsys, n_x, n_y):
+    # the optical flow needs two pixels along each axis: the config is
+    # rejected when it loads, before simulate writes a data set, and
+    # reconstruct never reaches numpy's gradient error
     data = tmp_path / "data"
     cfg = _write_config(tmp_path / "run.cfg", data,
                         **{"phantom.n_x": n_x, "phantom.n_y": n_y,
                            "prior.rank": 4, "method.name": "EMIRKFS-M1"})
-    assert main(["simulate", cfg]) == 0
-    assert main(["reconstruct", cfg, str(data)]) == 2
-    assert f"at least 2 x 2 pixels, got {n_x} x {n_y}" in capsys.readouterr().err
+    for argv in (["simulate", cfg], ["reconstruct", cfg, str(data)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config: phantom.n_x/n_y" in err
+        assert f"at least 2 x 2 pixels, got {n_x} x {n_y}" in err
+    assert not data.exists()
 
 
 def test_reconstruct_non_finite_sinogram_exits_4(sim_run, capsys):
