@@ -17,9 +17,18 @@ W, A W and Theta W live in blocks preallocated at their largest size, one
 basis vector per row, and grow in place.  The data part of the projected
 normal equations, (A W)^T A W and (A W)^T b, does not depend on the weights:
 it is bordered by one row as each vector joins, so an iteration forms only
-the reweighted lam (P Theta W)^T (P Theta W).  The products A W z and
-Theta W z at each minimizer serve the next weights, the expansion residual
-and both majorant values.
+the reweighted lam (P Theta W)^T (P Theta W), with P Theta W in one more
+preallocated block, and factors and solves the l x l system with LAPACK's
+dpotrf and dpotrs, called directly.  The products A W z and Theta W z at
+each minimizer serve the next weights, the expansion residual and both
+majorant values.
+
+The blocks belong to a ``KrylovStorage``, sized for the operands' shapes
+and the basis capacity.  A solve that is given one reuses it, so a run that
+solves many problems on one grid (the M1 flow refits) allocates and
+first-touches its blocks once; a solve that is not given one makes its own.
+Every block entry a solve reads it has written first, so a solve's result
+does not depend on what the storage held before.
 
 Within one weight cycle (weights held fixed) enlarging W can only decrease
 the quadratic majorant; across cycles the usual MM argument applies.
@@ -71,26 +80,57 @@ class MMGKSResult:
     basis_size: int = 0
 
 
+class KrylovStorage:
+    """The blocks a ``KrylovBasis`` grows in, for operands A (m x n) and
+    Theta (t x n) and at most ``capacity`` basis vectors (n at most): W,
+    A W, Theta W, the data Gram and (A W)^T b, plus the P Theta W of the
+    projected solve. One row per basis vector; ``nbytes`` is their total.
+    """
+
+    def __init__(self, m: int, n: int, t: int, capacity: int):
+        self.shape = (m, n, t)
+        self.capacity = c = min(capacity, n)
+        self.w = np.empty((c, n))
+        self.aw = np.empty((c, m))
+        self.tw = np.empty((c, t))
+        self.gram = np.empty((c, c))
+        self.atb = np.empty(c)
+        self.pt = np.empty((c, t))
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.w, self.aw, self.tw, self.gram,
+                                      self.atb, self.pt))
+
+
 class KrylovBasis:
     """Orthonormal basis W with its images A W and Theta W and the data part
     of the projected normal equations, grown in place.
 
     ``W``, ``AW`` and ``TW`` hold one basis vector (or its image) per row in
-    blocks of ``capacity`` rows, so the first ``size`` rows are contiguous
-    views; ``gram`` and ``atb`` hold (A W)^T A W and (A W)^T b, bordered by
-    one row and entry as each vector joins.
+    the blocks of a ``KrylovStorage`` (``storage``, or a new one sized for
+    the operands), so the first ``size`` rows are contiguous views; ``gram``
+    and ``atb`` hold (A W)^T A W and (A W)^T b, bordered by one row and
+    entry as each vector joins. Storage for other operand shapes or a
+    smaller capacity raises ConfigError.
     """
 
     def __init__(self, a_op: LinearOperator, theta_op: LinearOperator,
-                 b: np.ndarray, capacity: int):
+                 b: np.ndarray, capacity: int,
+                 storage: KrylovStorage | None = None):
         m, n = a_op.shape
+        shape = (m, n, theta_op.shape[0])
         self._a_op, self._theta_op, self._b = a_op, theta_op, b
         self.capacity = min(capacity, n)
-        self._w = np.empty((self.capacity, n))
-        self._aw = np.empty((self.capacity, m))
-        self._tw = np.empty((self.capacity, theta_op.shape[0]))
-        self._gram = np.empty((self.capacity, self.capacity))
-        self._atb = np.empty(self.capacity)
+        if storage is None:
+            storage = KrylovStorage(*shape, self.capacity)
+        elif storage.shape != shape or storage.capacity < self.capacity:
+            raise ConfigError(
+                f"mmgks: storage for (m, n, t) = {storage.shape} and "
+                f"{storage.capacity} vectors cannot hold a basis for "
+                f"{shape} and {self.capacity} vectors")
+        self._w, self._aw, self._tw = storage.w, storage.aw, storage.tw
+        self._gram, self._atb, self._pt = storage.gram, storage.atb, storage.pt
         self.size = 0
 
     @property
@@ -150,25 +190,39 @@ class KrylovBasis:
         if self.size == 0:
             raise NumericError("mmgks: A^T b is zero, the basis cannot start")
 
+    def solve(self, pdiag: np.ndarray, lam: float) -> np.ndarray:
+        """``solve_projected`` over the current basis, with P Theta W
+        formed in the storage's block."""
+        return solve_projected(self.gram, self.atb, self.TW, pdiag, lam,
+                               pt=self._pt[:self.size])
+
 
 def solve_projected(gram: np.ndarray, atb: np.ndarray, TW: np.ndarray,
-                    pdiag: np.ndarray, lam: float) -> np.ndarray:
+                    pdiag: np.ndarray, lam: float,
+                    pt: np.ndarray | None = None) -> np.ndarray:
     """Minimize ||A W z - b||^2 + lam ||diag(pdiag) Theta W z||^2 over z.
 
     Solves the l x l normal equations
     ((AW)^T AW + lam (P TW)^T (P TW)) z = (AW)^T b, P = diag(pdiag), by
     Cholesky, given their data part gram = (AW)^T AW and atb = (AW)^T b and
-    the rows TW of (Theta W)^T. Only the reweighted term is formed here.
-    Raises NumericError when the system is singular or z is not finite.
+    the rows TW of (Theta W)^T. Only the reweighted term is formed here:
+    P TW in ``pt`` (TW's shape) when given, and the system in place in the
+    one new l x l product, read as the Fortran-ordered array that LAPACK
+    dpotrf factors where it lies (the product is symmetric, so that is the
+    same matrix). Raises NumericError when the system is singular or z is
+    not finite.
     """
-    PT = TW * pdiag
-    lhs = gram + lam * (PT @ PT.T)
-    try:
-        c = sla.cho_factor(lhs, lower=True, check_finite=False)
-        z = sla.cho_solve(c, atb, check_finite=False)
-    except (sla.LinAlgError, ValueError) as exc:
+    PT = np.multiply(TW, pdiag, out=pt)
+    lhs = (PT @ PT.T).T
+    lhs *= lam
+    lhs += gram
+    c, info = sla.lapack.dpotrf(lhs, lower=1, clean=0, overwrite_a=1)
+    if info == 0:
+        z, info = sla.lapack.dpotrs(c, atb, lower=1)
+    if info != 0:
         raise NumericError(
-            f"mmgks: projected system singular at lam={lam:g}: {exc}") from exc
+            f"mmgks: projected system singular at lam={lam:g} "
+            f"(LAPACK info {info})")
     if not np.all(np.isfinite(z)):
         raise NumericError(
             f"mmgks: non-finite projected solution at lam={lam:g}")
@@ -189,8 +243,11 @@ def penalty_weights(theta_s: np.ndarray, eps: float) -> np.ndarray:
 
 
 def mmgks_solve(a_op: LinearOperator, theta_op: LinearOperator, b: np.ndarray,
-                config: MMGKSConfig | None = None) -> MMGKSResult:
-    """Run the MM iteration; see the module docstring."""
+                config: MMGKSConfig | None = None,
+                storage: KrylovStorage | None = None) -> MMGKSResult:
+    """Run the MM iteration; see the module docstring. ``storage``, when
+    given, holds the basis (``KrylovBasis``); its contents on entry do not
+    matter."""
     cfg = config or MMGKSConfig()
     b = np.asarray(b, dtype=np.float64).ravel()
     m, n = a_op.shape
@@ -202,14 +259,14 @@ def mmgks_solve(a_op: LinearOperator, theta_op: LinearOperator, b: np.ndarray,
         return MMGKSResult(s=np.zeros(n), lam=cfg.lam or 0.0, eps=cfg.eps or 0.0,
                            n_iters=0, converged=True, basis_size=0)
 
-    basis = KrylovBasis(a_op, theta_op, b, cfg.seed_vectors + cfg.max_iters)
+    basis = KrylovBasis(a_op, theta_op, b, cfg.seed_vectors + cfg.max_iters,
+                        storage)
     basis.seed(cfg.seed_vectors)
 
     # Unit-weight pilot solve fixes the smoothing width and, if requested,
     # the balance parameter.
     lam = cfg.lam if cfg.lam is not None else 1.0
-    z = solve_projected(basis.gram, basis.atb, basis.TW,
-                        np.ones(theta_op.shape[0]), lam)
+    z = basis.solve(np.ones(theta_op.shape[0]), lam)
     theta_s = z @ basis.TW
     fit = z @ basis.AW - b
     if cfg.eps is not None:
@@ -234,13 +291,13 @@ def mmgks_solve(a_op: LinearOperator, theta_op: LinearOperator, b: np.ndarray,
         s_old, fit_old, theta_s_old = s, fit, theta_s
         wts = penalty_weights(theta_s, eps)
         try:
-            z = solve_projected(basis.gram, basis.atb, basis.TW, wts, lam)
+            z = basis.solve(wts, lam)
         except NumericError:
             if boosted:
                 raise
             boosted = True
             lam *= 10.0
-            z = solve_projected(basis.gram, basis.atb, basis.TW, wts, lam)
+            z = basis.solve(wts, lam)
         s = z @ basis.W
         fit = z @ basis.AW - b
         theta_s = z @ basis.TW

@@ -29,7 +29,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError
 from .linops import PatchRank1, SparseCSR
-from .mmgks import MMGKSConfig, mmgks_solve
+from .mmgks import KrylovStorage, MMGKSConfig, mmgks_solve
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,9 @@ def ofc_system(x_prev: np.ndarray, x_next: np.ndarray, n_x: int, n_y: int):
 
     V = [diag(d/d_col x_prev), diag(d/d_row x_prev)] (n_s x 2 n_s); central
     differences inside, one-sided at the borders (``check_flow_grid``).
+    V's CSR arrays are built directly: row i holds d/d_col x_prev at column
+    i and d/d_row x_prev at column n_s + i, and ``SparseCSR`` drops the
+    zero gradients of flat regions.
     """
     check_flow_grid(n_x, n_y)
     n_s = n_x * n_y
@@ -72,7 +75,10 @@ def ofc_system(x_prev: np.ndarray, x_next: np.ndarray, n_x: int, n_y: int):
     img = x_prev.reshape(n_x, n_y)
     g_col = np.gradient(img, axis=1).reshape(-1)
     g_row = np.gradient(img, axis=0).reshape(-1)
-    V = sp.hstack([sp.diags(g_col), sp.diags(g_row)], format="csr")
+    cols = np.arange(n_s)
+    V = sp.csr_matrix((np.column_stack([g_col, g_row]).reshape(-1),
+                       np.column_stack([cols, cols + n_s]).reshape(-1),
+                       np.arange(0, 2 * n_s + 1, 2)), shape=(n_s, 2 * n_s))
     b = -(x_next - x_prev)
     return SparseCSR(V), b
 
@@ -97,18 +103,31 @@ def flow_regularizer(n_x: int, n_y: int) -> SparseCSR:
         sp.kron(_forward_diff(n_x), eye_y, format="csr"),
     ], format="csr")
     op = SparseCSR(sp.block_diag([grad, grad], format="csr"))
-    for mat in (op.matrix, op._adjoint):
-        for arr in (mat.data, mat.indices, mat.indptr):
-            arr.flags.writeable = False
+    for arr in (op.matrix.data, op.matrix.indices, op.matrix.indptr):
+        arr.flags.writeable = False
     return op
 
 
+def flow_storage(n_x: int, n_y: int,
+                 config: MMGKSConfig | None = None) -> KrylovStorage:
+    """Krylov storage for the flow solves on an (n_x, n_y) grid, which
+    every ``estimate_velocity`` call on that grid and config can reuse:
+    11 n_s doubles per basis vector (W, V W, Theta W and P Theta W) and
+    the l x l data Gram."""
+    cfg = config or MMGKSConfig()
+    n_s = n_x * n_y
+    return KrylovStorage(n_s, 2 * n_s, 4 * n_s,
+                         cfg.seed_vectors + cfg.max_iters)
+
+
 def estimate_velocity(x_prev, x_next, n_x: int, n_y: int,
-                      config: MMGKSConfig | None = None) -> VelocityField:
-    """Edge-regularized optical flow between consecutive frames."""
+                      config: MMGKSConfig | None = None,
+                      storage: KrylovStorage | None = None) -> VelocityField:
+    """Edge-regularized optical flow between consecutive frames; the solve
+    grows its basis in ``storage`` (``flow_storage``) when given."""
     v_op, b = ofc_system(x_prev, x_next, n_x, n_y)
     theta = flow_regularizer(n_x, n_y)
-    res = mmgks_solve(v_op, theta, b, config)
+    res = mmgks_solve(v_op, theta, b, config, storage=storage)
     n_s = n_x * n_y
     return VelocityField(s_x=res.s[:n_s], s_y=res.s[n_s:], n_x=n_x, n_y=n_y)
 
@@ -149,11 +168,13 @@ def build_warp(field: VelocityField) -> SparseCSR:
 
 
 def fit_motion(prev, nxt, n_x: int, n_y: int, kind: str, zeta: float = 0.0,
-               patch=(8, 8)):
+               patch=(8, 8), storage: KrylovStorage | None = None):
     """Motion operator for one transition, fitted so M prev ~ nxt: the M1
-    flow warp, or the M2/M3 ``PatchRank1`` (M2 ignores ``patch``)."""
+    flow warp, its solve in ``storage`` when given, or the M2/M3
+    ``PatchRank1`` (M2 ignores ``patch``, M2/M3 ignore ``storage``)."""
     if kind == "m1":
-        return build_warp(estimate_velocity(prev, nxt, n_x, n_y))
+        return build_warp(estimate_velocity(prev, nxt, n_x, n_y,
+                                            storage=storage))
     if kind in ("m2", "m3"):
         z_x, z_y = (n_x, n_y) if kind == "m2" else patch
         return PatchRank1(n_x, n_y, z_x, z_y, nxt, prev, zeta)

@@ -24,11 +24,14 @@ return. What it charges:
   arrays by which ``basis.premultiply`` regroups the largest H and, when
   the run has an M-step (the only source of non-uniform Q), the
   A^2 x B^2 intermediate of the basis' non-uniform Gram and
-  diag(P Psi P^T) ((A, B) = ``basis.box``); the noise diagonals, what the
-  motion operators own (M2/M3 hold rows of x_sm as u and v) and the
-  initial mean x_0. New motion operators and noise diagonals are charged
-  as each backward step makes them, next to the previous set, which is
-  released when the sweep ends.
+  diag(P Psi P^T) ((A, B) = ``basis.box``); under M1, the one Krylov
+  storage every flow solve of the run grows its basis in
+  (``motion.flow_storage``: 11 n_s doubles per basis vector, for
+  seed_vectors + max_iters vectors, and the l x l data Gram); the noise
+  diagonals, what the motion operators own (M2/M3 hold rows of x_sm as u
+  and v) and the initial mean x_0. New motion operators and noise
+  diagonals are charged as each backward step makes them, next to the
+  previous set, which is released when the sweep ends.
 - Full space, per pass: the filtered means x_est from the filter's return
   to the end of the pass, and the smoothed means x_sm (x_est's shape) from
   just before the sweep until the run returns inside the RunRecord.
@@ -67,7 +70,7 @@ from .filtering import NoiseModel, initial_noise, run_filter, static_init
 from .linops import Identity, check_tiling, payload_nbytes
 from .metrics import (MemoryTracker, MetricsRow, PhaseTimer,
                       memory_budget_bytes, rre)
-from .motion import check_flow_grid, fit_motion
+from .motion import check_flow_grid, fit_motion, flow_storage
 from .prior import ProjectionBasis
 from .radon import SinogramSet
 from .smoothing import run_smoother
@@ -244,12 +247,15 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
     noise = initial_noise(alpha, n_s, [h_ops[i].shape[0] for i in range(1, n_steps + 1)])
     motions = [Identity(n_s) for _ in range(n_steps)]
     motion_bytes = 0
+    storage = flow_storage(n_x, n_y) if method.motion == "m1" else None
 
     entry_bytes = tracker.current_bytes
     entry_reduced = tracker.current_reduced_bytes
     try:
         tracker.add(scratch)
         tracker.add(noise.nbytes())
+        if storage is not None:
+            tracker.add(storage.nbytes)
         x0 = static_init(h_ops[0], basis, y_frames[0])
         tracker.add(x0.nbytes)
 
@@ -266,7 +272,8 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
                         with timer.phase("motion"):
                             new_motions[i - 1] = fit_motion(
                                 x_sm[i - 1], x_sm[i], n_x, n_y, method.motion,
-                                zeta=motion_opts.zeta, patch=motion_opts.patch)
+                                zeta=motion_opts.zeta, patch=motion_opts.patch,
+                                storage=storage)
                         tracker.add(payload_nbytes(new_motions[i - 1]))
                     if method.em:
                         step_bytes = (psi_sm_prev.nbytes + psi_sm_i.nbytes

@@ -230,12 +230,48 @@ def test_sparse_csr_canonicalizes_duplicates():
     # a later write to the input does not reach the operator
     a.data[1] = 7.0
     np.testing.assert_array_equal(op.apply(np.ones(3)), [6.0, 1.0])
-    # the adjoint is a CSC view of the same arrays
-    adj = op._adjoint
-    assert adj.format == "csc" and adj.shape == (3, 2)
-    for ours, theirs in ((adj.data, mat.data), (adj.indices, mat.indices),
-                         (adj.indptr, mat.indptr)):
-        assert np.shares_memory(ours, theirs)
+
+
+def _kernel_cases():
+    """A non-square matrix with empty rows and columns, and an all-zero
+    one."""
+    mat = sp.random(9, 6, density=0.4, random_state=np.random.RandomState(5),
+                    format="csr")
+    mat = sp.csr_matrix(mat.toarray() * (np.arange(9) % 3 != 1)[:, None]
+                        * (np.arange(6) != 2))
+    assert (np.diff(mat.indptr) == 0).any()
+    assert 2 not in mat.indices
+    return [mat, sp.csr_matrix((4, 7))]
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("mat", _kernel_cases())
+def test_sparse_csr_kernels_match_public_products(mat, dtype):
+    # apply/apply_transpose call SciPy's CSR kernels directly: bitwise the
+    # products matrix @ x and matrix.T @ y, on the owned arrays, each a new
+    # array, also for strided (non-contiguous) input. SciPy keeps int64
+    # indices only where int32 cannot hold them, so they are set here.
+    op = SparseCSR(mat)
+    assert not hasattr(op, "_adjoint")
+    op.matrix.indices = op.matrix.indices.astype(dtype)
+    op.matrix.indptr = op.matrix.indptr.astype(dtype)
+    mat = op.matrix
+    m, n = mat.shape
+    rng = np.random.default_rng(9)
+    xs = rng.standard_normal(2 * n)
+    ys = rng.standard_normal(2 * m)
+    for x, y in ((xs[:n].copy(), ys[:m].copy()), (xs[::2], ys[::2])):
+        fx, fy = op.apply(x), op.apply_transpose(y)
+        np.testing.assert_array_equal(fx, mat @ x)
+        np.testing.assert_array_equal(fy, mat.T @ y)
+        assert fx.dtype == fy.dtype == np.float64
+        for out in (fx, fy):
+            for arg in (x, y, op.matrix.data):
+                assert not np.shares_memory(out, arg)
+    with pytest.raises(ConfigError, match="length"):
+        op.apply(np.ones(n + 1))
+    with pytest.raises(ConfigError, match="length"):
+        op.apply_transpose(np.ones(n))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -277,7 +313,6 @@ def test_payload_nbytes(ops):
             # its smoothed trajectory
             assert n == op.denoms.nbytes
         if isinstance(op, SparseCSR):
-            # one stored matrix: the adjoint is a view of its arrays
+            # one stored matrix, which both products read
             m = op.matrix
             assert n == m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-            assert np.shares_memory(op._adjoint.data, m.data)

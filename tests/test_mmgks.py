@@ -8,7 +8,7 @@ from dynct.errors import ConfigError, NumericError
 from dynct.linops import Identity, LinearOperator, SparseCSR
 from dynct.mmgks import (KrylovBasis, MMGKSConfig, majorant_value,
                          mmgks_solve, penalty_weights, solve_projected)
-from dynct.motion import flow_regularizer, ofc_system
+from dynct.motion import flow_regularizer, flow_storage, ofc_system
 from dynct.phantom import default_blocks_config, generate_frames
 from helpers import rel_err
 from oracles import dense, dense_irls, mmgks_reference
@@ -194,6 +194,54 @@ def test_expand_basis_stops_at_capacity():
         basis.expand(rng.standard_normal(4))
     assert basis.size == 4
     assert not basis.expand(rng.standard_normal(4))
+
+
+def _flow_pair(n, step, shift):
+    frames = generate_frames(default_blocks_config(n, n, n_steps=step + 1))
+    v_op, b = ofc_system(frames[step], np.roll(frames[step + 1], shift),
+                         n, n)
+    return v_op, b
+
+
+def _same_result(got, want):
+    np.testing.assert_array_equal(got.s, want.s)
+    assert (got.lam, got.eps, got.n_iters, got.converged, got.basis_size) == (
+        want.lam, want.eps, want.n_iters, want.converged, want.basis_size)
+    assert got.objectives == want.objectives
+
+
+def test_storage_reuse_is_bitwise_fresh_storage():
+    # flow problems A, B, A through one storage: each result is bitwise the
+    # solve's with storage of its own, whatever the storage held before
+    n = 12
+    theta = flow_regularizer(n, n)
+    cfg = MMGKSConfig(max_iters=8)
+    problems = [_flow_pair(n, 0, 0), _flow_pair(n, 1, 3)]
+    fresh = [mmgks_solve(v_op, theta, b, cfg) for v_op, b in problems]
+    storage = flow_storage(n, n, cfg)
+    assert storage.capacity == cfg.seed_vectors + cfg.max_iters
+    assert storage.shape == (n * n, 2 * n * n, 4 * n * n)
+    assert not np.array_equal(fresh[0].s, fresh[1].s)
+    for k in (0, 1, 0):
+        v_op, b = problems[k]
+        got = mmgks_solve(v_op, theta, b, cfg, storage=storage)
+        _same_result(got, fresh[k])
+        assert not np.shares_memory(got.s, storage.w)
+
+
+def test_storage_must_fit_the_operands():
+    n = 12
+    v_op, b = _flow_pair(n, 0, 0)
+    theta = flow_regularizer(n, n)
+    cfg = MMGKSConfig(max_iters=8)
+    for storage in (flow_storage(n, n + 2, cfg), flow_storage(n + 1, n, cfg),
+                    flow_storage(n, n, MMGKSConfig(max_iters=7))):
+        with pytest.raises(ConfigError, match="storage"):
+            mmgks_solve(v_op, theta, b, cfg, storage=storage)
+    # a larger capacity holds the basis and changes nothing
+    _same_result(mmgks_solve(v_op, theta, b, cfg,
+                             storage=flow_storage(n, n)),
+                 mmgks_solve(v_op, theta, b, cfg))
 
 
 def test_solve_projected_singular_raises():

@@ -10,6 +10,7 @@ from dynct._linalg import CHUNK_ELEMS, check_psd
 from dynct.errors import ConfigError, NumericError
 from dynct.linops import payload_nbytes
 from dynct.metrics import MemoryTracker, PhaseTimer
+from dynct.mmgks import MMGKSConfig
 from dynct.pipeline import (MethodSpec, MotionOptions, parse_method,
                             record_rows, run_emirkfs)
 from dynct.prior import PriorConfig, ProjectionBasis, build_projection
@@ -251,6 +252,41 @@ def test_m3_charges_its_motion_vectors_once(monkeypatch):
     traj = (T + 1) * n_s
     want = scratch + 2 * noise + 2 * T * 4 + n_s + 3 * traj
     assert record.peak_bytes == want * 8
+
+
+def test_m1_charges_one_krylov_storage(monkeypatch):
+    # every flow solve of an M1 run grows its basis in one storage, charged
+    # once for the run: W (2 n_s), V W (n_s), Theta W and P Theta W
+    # (4 n_s each) per basis vector, the l x l data Gram and V^T b's
+    # projection; the full peak is reached as the last sweep ends, as for
+    # M3, with both passes' warps charged
+    original = pipeline.fit_motion
+    ops, stores = [], []
+
+    def fit(*args, **kwargs):
+        stores.append(kwargs["storage"])
+        ops.append(original(*args, **kwargs))
+        return ops[-1]
+
+    monkeypatch.setattr(pipeline, "fit_motion", fit)
+    prob, record = _run("EMIRKFS-M1", n_iter=2)
+    T, n_s, r = prob["n_steps"], prob["n_s"], prob["basis"].rank
+    assert len(ops) == 2 * T
+    assert all(store is stores[0] for store in stores)
+    cap = MMGKSConfig().seed_vectors + MMGKSConfig().max_iters
+    assert stores[0].capacity == cap < 2 * n_s
+    storage = cap * 11 * n_s + cap * cap + cap
+    assert stores[0].nbytes == storage * 8
+    m_t = max(op.shape[0] for op in prob["h_ops"][1:])
+    box_a, box_b = prob["basis"].box
+    regroup = max(2 * op.matrix.nnz + 2 * op.shape[0] * prob["geom"].n_x
+                  for op in prob["h_ops"])
+    scratch = (4 * CHUNK_ELEMS + 8 * n_s + m_t * r + regroup
+               + (box_a * box_b) ** 2)
+    noise = sum(n_s + op.shape[0] for op in prob["h_ops"][1:])
+    traj = (T + 1) * n_s
+    want = scratch + storage + 2 * noise + n_s + 3 * traj
+    assert record.peak_bytes == want * 8 + sum(map(payload_nbytes, ops))
 
 
 def _count_weighted_grams(monkeypatch, tag=lambda: None):
