@@ -27,8 +27,8 @@ The blocks belong to a ``KrylovStorage``, sized for the operands' shapes
 and the basis capacity.  A solve that is given one reuses it, so a run that
 solves many problems on one grid (the M1 flow refits) allocates and
 first-touches its blocks once; a solve that is not given one makes its own.
-Every block entry a solve reads it has written first, so a solve's result
-does not depend on what the storage held before.
+A solve writes every block entry before it reads it, so its result does not
+depend on what the storage held before.
 
 Within one weight cycle (weights held fixed) enlarging W can only decrease
 the quadratic majorant; across cycles the usual MM argument applies.
