@@ -10,11 +10,12 @@ are never materialized and H_i P (m_t x r) only as the basis'
 
 come from two places. The basis forms G_PP once per step
 (``ProjectionBasis.gram``): because P^T P = diag(lambda), it is
-diag(lambda)/q with no n_s x r^2 product whenever Q = q I, as in every
-IRKFS step and every first pass, and otherwise a gather over products of
-its 1-D factor blocks. The motion operator forms the other two
-(``gram_pair``): Identity returns G_PP for both (the filter then takes
-G_PP from it), PatchRank1 (M2 is its one-patch case) uses closed forms in
+diag(d), d = lambda/q, with no n_s x r^2 product whenever Q = q I, as in
+every IRKFS step and every first pass (``gram_diagonal`` decides that),
+and otherwise a gather over products of its 1-D factor blocks. The motion
+operator forms the other two (``gram_pair``): Identity returns G_PP for
+both (the filter then takes G_PP from it; under a uniform Q it forms
+none, below), PatchRank1 (M2 is its one-patch case) uses closed forms in
 its per-patch coefficients, which the basis sums tile by tile from its
 factor blocks, and SparseCSR (the M1 warp) accumulates them over row chunks
 of M P, each formed by the chunk's rows of the matrix against the basis
@@ -32,6 +33,16 @@ identity give
 
     P^T (C^p)^{-1} P = G_PP - V^T V.
 
+An Identity motion under a uniform Q (``identity_gram_diagonal``) has
+G_MM = G_MP = G_PP = diag(d), and the same quantity is
+
+    P^T (C^p)^{-1} P = diag(d) - Phi o (d d^T),  Phi = (L L^T)^{-1},
+
+from one ``cho_inverse`` of L (LAPACK dpotri, 2r^3/3 flops, in place of
+the r^3 of the triangular solve and the r^3 of V^T V; Higham, *Accuracy
+and Stability of Numerical Algorithms*, 2002, ch. 14): no Gramian, V or
+solve. Phi is exactly symmetric and so is d d^T, so the result is too.
+
 ``measurement_update`` then forms Lambda_i = G_H + P^T (C^p)^{-1} P and
 moves the mean by one ``cho_solve`` against its Cholesky factor, which is
 also the guard: NumericError unless Lambda_i is positive definite. The
@@ -40,8 +51,9 @@ information alpha^{-2} diag(lambda). Step i hands the smoother L_i (lower
 triangular), so the filter keeps L_1..L_T and Lambda_T: ``FilterResult``
 holds each as a packed lower triangle, r(r+1)/2 doubles in place of r^2,
 and is the one reader and writer of that format. A step packs L_i as soon
-as V is formed, so the square factor is gone before the measurement
-update, and drops each r x r input once used: G_PP - V^T V is formed in
+as V (or Phi) is formed, so the square factor is gone before the
+measurement update, and drops each r x r input once used; it adds d to a
+copy of Lambda_{i-1}, which it never changes. G_PP - V^T V is formed in
 the V^T V product and symmetrized into one new array (a non-uniform
 G_PP is not exactly symmetric; an in-place A += A^T makes numpy copy the
 overlapping transpose, about 4x the time at r = 480). G_H needs no
@@ -56,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._linalg import _cholesky, mirror_lower, symmetrize
+from ._linalg import _cholesky, cho_inverse, mirror_lower, symmetrize
 from .errors import ConfigError
 from .linops import Identity, LinearOperator
 from .prior import ProjectionBasis
@@ -170,6 +182,15 @@ class FilterResult:
         return sum(a.nbytes for a in self.chol_packed) + self.info_packed.nbytes
 
 
+def identity_gram_diagonal(motion: LinearOperator, basis: ProjectionBasis,
+                           q_inv: np.ndarray):
+    """d with G_MM = G_MP = G_PP = diag(d) when motion is Identity and Q is
+    uniform (``ProjectionBasis.gram_diagonal``), else None."""
+    if not isinstance(motion, Identity):
+        return None
+    return basis.gram_diagonal(q_inv)
+
+
 def filter_step(x_prev: np.ndarray, info_prev: np.ndarray, motion: LinearOperator,
                 h_op: LinearOperator, q_diag: np.ndarray, r_diag: np.ndarray,
                 y_i: np.ndarray, basis: ProjectionBasis):
@@ -179,20 +200,35 @@ def filter_step(x_prev: np.ndarray, info_prev: np.ndarray, motion: LinearOperato
     q_inv = 1.0 / np.asarray(q_diag, dtype=float)
     r_inv = 1.0 / np.asarray(r_diag, dtype=float)
 
-    g_mm, g_mp = motion.gram_pair(basis, q_inv)
-    # M P = P: an Identity's G_MP is G_PP, formed once
-    g_pp = g_mp if isinstance(motion, Identity) else basis.gram(q_inv)
-    L = _cholesky(info_prev + g_mm, "filter prediction")
-    del g_mm
-    V = sla.solve_triangular(L, g_mp, lower=True, check_finite=False)
-    del g_mp
-    chol = FilterResult.pack(L)
-    del L
-    pcp = V.T @ V
-    del V
-    np.subtract(g_pp, pcp, out=pcp)
-    del g_pp
-    pcp = symmetrize(pcp)
+    d = identity_gram_diagonal(motion, basis, q_inv)
+    if d is not None:
+        # G_MM = G_MP = G_PP = diag(d): pcp = diag(d) - Phi o (d d^T), with
+        # Phi = (Lambda_{i-1} + diag(d))^{-1} from L
+        shifted = np.array(info_prev, dtype=np.float64)
+        shifted.flat[::len(d) + 1] += d
+        L = _cholesky(shifted, "filter prediction")
+        del shifted
+        chol = FilterResult.pack(L)
+        pcp = cho_inverse(L)
+        del L
+        pcp *= np.outer(d, d)
+        np.negative(pcp, out=pcp)
+        pcp.flat[::len(d) + 1] += d
+    else:
+        g_mm, g_mp = motion.gram_pair(basis, q_inv)
+        # M P = P: an Identity's G_MP is G_PP, formed once
+        g_pp = g_mp if isinstance(motion, Identity) else basis.gram(q_inv)
+        L = _cholesky(info_prev + g_mm, "filter prediction")
+        del g_mm
+        V = sla.solve_triangular(L, g_mp, lower=True, check_finite=False)
+        del g_mp
+        chol = FilterResult.pack(L)
+        del L
+        pcp = V.T @ V
+        del V
+        np.subtract(g_pp, pcp, out=pcp)
+        del g_pp
+        pcp = symmetrize(pcp)
 
     x_est, info = measurement_update(motion.apply(x_prev), pcp, h_op, r_inv,
                                      y_i, basis, "filter covariance")

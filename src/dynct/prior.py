@@ -32,9 +32,10 @@ the filter, smoother, motion operators and M-step make:
 - ``premultiply(S)``, S P for a sparse S (the observations' H P), from a
   regrouping of S's nonzeros by (ray, x), one sparse product with U_y
   (into one reused buffer) and one batched GEMM with U_x per chunk of
-  rays;
+  rays, both over only the x-span the chunk's rays cross;
 - ``gram(w)``, the basis Gram P^T diag(w) P: diag(w_0 lambda) whenever w is
-  uniform (every IRKFS step, and every first pass), else a gather of
+  uniform (every IRKFS step, and every first pass; ``gram_diagonal`` is
+  that rule, and gives the diagonal alone), else a gather of
   X^T W Y scaled by sqrt(lambda_k lambda_l), with W the weights as an
   n_x x n_y image, X[i, (a, a')] = u_a(i) u_a'(i) (n_x x A^2) and Y the
   same over the y axis (n_y x B^2);
@@ -240,7 +241,11 @@ class ProjectionBasis:
         Every chunk's W is written into one buffer of at most CHUNK_ELEMS
         elements, allocated once per call, by SciPy's CSR kernel
         ``csr_matvecs`` (the one ``csr_matrix @ dense`` runs), so no chunk
-        builds a sparse matrix or a fresh W.
+        builds a sparse matrix or a fresh W. A chunk zero-fills, accumulates
+        and contracts only the x-span [lo, hi) its rays cross, from each
+        ray's first and last nonzero (x ascends along a ray): every other
+        term of the product is an exact zero, and the result is bitwise the
+        whole-range one. A chunk of empty rays gives zero rows.
         """
         csr = sp.csr_matrix(S, dtype=np.float64)
         if csr.shape[1] != self.n_s:
@@ -251,38 +256,63 @@ class ProjectionBasis:
         m, n_x = csr.shape[0], self.n_x
         n_b = self.box[1]
         x, y = np.divmod(csr.indices, self.n_y)
-        key = np.repeat(np.arange(m, dtype=np.int64) * n_x, np.diff(csr.indptr))
+        counts = np.diff(csr.indptr)
+        key = np.repeat(np.arange(m, dtype=np.int64) * n_x, counts)
         key += x
-        del x
         ptr = np.zeros(m * n_x + 1, dtype=csr.indptr.dtype)
         np.cumsum(np.bincount(key, minlength=m * n_x), out=ptr[1:])
         del key
+        # each chunk's x-span [lo, hi): x ascends along a ray, so a ray's
+        # span runs from its first nonzero's x to its last's; an empty ray
+        # spans nothing (lo = n_x, hi = 0)
+        step = chunk_rows(n_x * n_b)
+        full_rays = counts > 0
+        ray_lo = np.full(m, n_x, dtype=np.int64)
+        ray_hi = np.zeros(m, dtype=np.int64)
+        ray_lo[full_rays] = x[csr.indptr[:-1][full_rays]]
+        ray_hi[full_rays] = x[csr.indptr[1:][full_rays] - 1] + 1
+        del x
+        starts = np.arange(0, m, step)
+        spans = zip(np.minimum.reduceat(ray_lo, starts),
+                    np.maximum.reduceat(ray_hi, starts))
         u_xt, u_y = self.factor_x.T, self.factor_y.ravel()
         flat = self.index_pairs[:, 0] * n_b + self.index_pairs[:, 1]
         out = np.empty((m, self.rank))
-        buf = np.empty(min(m, chunk_rows(n_x * n_b)) * n_x * n_b)
-        for rays in row_chunks(m, n_x * n_b):
+        buf = np.empty(min(m, step) * n_x * n_b)
+        for rays, (lo, hi) in zip(row_chunks(m, n_x * n_b), spans):
+            if hi <= lo:
+                out[rays] = 0.0
+                continue
             row_lo, row_hi = rays.start * n_x, rays.stop * n_x
-            w = buf[:(row_hi - row_lo) * n_b]
-            w.fill(0.0)   # the kernel accumulates W += K U_y
+            w = buf[:(row_hi - row_lo) * n_b].reshape(-1, n_x, n_b)
+            # the kernel accumulates W += K U_y, into the span's columns
+            # only: every other column of W is an exact zero of the product
+            w[:, lo:hi] = 0.0
             csr_matvecs(row_hi - row_lo, self.n_y, n_b, ptr[row_lo:row_hi + 1],
                         y, csr.data, u_y, w)
-            w = w.reshape(-1, n_x, n_b)
-            full = (u_xt @ w).reshape(len(w), -1)
+            full = (u_xt[:, lo:hi] @ w[:, lo:hi]).reshape(len(w), -1)
             np.take(full, flat, axis=1, out=out[rays])
         out *= self._scale
         return out
 
-    def gram(self, w: np.ndarray) -> np.ndarray:
-        """P^T diag(w) P: diag(w_0 eigenvalues) when w is uniform, else the
-        gather of X^T W Y at ((a_k, a_l), (b_k, b_l)), scaled by
-        sqrt(lambda_k lambda_l)."""
+    def gram_diagonal(self, w: np.ndarray):
+        """The diagonal w_0 eigenvalues of P^T diag(w) P when w is uniform
+        (P^T P = diag(lambda)), else None: the one place that decides the
+        basis Gram is diagonal."""
         w = np.asarray(w, dtype=np.float64)
         if w.shape != (self.n_s,):
             raise ConfigError(f"basis Gram weights must have shape "
                               f"({self.n_s},), got {w.shape}")
-        if w.min() == w.max():
-            return np.diag(w[0] * self.eigenvalues)
+        return w[0] * self.eigenvalues if w.min() == w.max() else None
+
+    def gram(self, w: np.ndarray) -> np.ndarray:
+        """P^T diag(w) P: diag(``gram_diagonal``(w)) when w is uniform, else
+        the gather of X^T W Y at ((a_k, a_l), (b_k, b_l)), scaled by
+        sqrt(lambda_k lambda_l)."""
+        diag = self.gram_diagonal(w)
+        if diag is not None:
+            return np.diag(diag)
+        w = np.asarray(w, dtype=np.float64)
         n_a, n_b = self.box
         wy = w.reshape(self.n_x, self.n_y) @ _pair_products(self.factor_y)
         full = (_pair_products(self.factor_x).T @ wy).reshape(n_a, n_a, n_b, n_b)

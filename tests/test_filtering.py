@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from dynct._linalg import _cholesky, cho_inverse, mirror_lower
@@ -10,8 +11,9 @@ from dynct.filtering import (FilterResult, NoiseModel, filter_step,
                              initial_noise, run_filter, static_init)
 from dynct.linops import Identity, SparseCSR
 from dynct.prior import PriorConfig, ProjectionBasis, build_projection
-from helpers import (build_problem, dense_noise, filter_factors, kron_basis,
-                     problem_filter, psi_of, rel_err, transition_motions)
+from helpers import (build_problem, count_calls, dense_noise, filter_factors,
+                     kron_basis, problem_filter, psi_of, rel_err,
+                     transition_motions)
 from oracles import (dense, dense_basis, dense_kalman_filter,
                      projected_posterior_cov, static_init_normal_equations)
 
@@ -108,6 +110,47 @@ def test_filter_step_carries_the_information_matrix(prob, kind):
         g_mm = mp.T @ (mp / noise.q_diags[i - 1][:, None])
         assert rel_err(chol @ chol.T, info + g_mm) <= 1e-12, f"step {i}"
         info = info_next
+
+
+def test_uniform_q_identity_step_matches_the_general_path(prob):
+    # Identity under uniform Q predicts from one inverse of
+    # Lambda_{i-1} + diag(d); SparseCSR(I) is the same transition through
+    # gram_pair and the triangular solve. They agree to roundoff, the
+    # diagonal path's Lambda_i is exactly symmetric, and Lambda_{i-1} is
+    # left as it was
+    n_s, noise, basis = prob["n_s"], prob["noise"], prob["basis"]
+    assert all(q.min() == q.max() for q in noise.q_diags)
+    ident, general = Identity(n_s), SparseCSR(sp.identity(n_s, format="csr"))
+    x, info = prob["x0"], np.eye(basis.rank)
+    for i in range(1, prob["n_steps"] + 1):
+        rest = (prob["h_ops"][i], noise.q_diags[i - 1], noise.r_diags[i - 1],
+                prob["sino"].sinograms[i], basis)
+        kept = info.copy()
+        x_d, info_d, chol_d = filter_step(x, info, ident, *rest)
+        np.testing.assert_array_equal(info, kept)
+        x_g, info_g, chol_g = filter_step(x, info, general, *rest)
+        assert rel_err(x_d, x_g) <= 1e-12, f"step {i}"
+        assert rel_err(info_d, info_g) <= 1e-12, f"step {i}"
+        assert rel_err(chol_d, chol_g) <= 1e-12, f"step {i}"
+        np.testing.assert_array_equal(info_d, info_d.T)
+        x, info = x_d, info_d
+
+
+def test_non_uniform_q_identity_step_takes_the_general_path(prob, monkeypatch):
+    # a non-uniform Q makes G_PP non-diagonal: one triangular solve per step
+    # and no inverse, as for any other motion
+    calls = {name: count_calls(monkeypatch, owner, attr) for name, owner, attr in (
+        ("solve_triangular", sla, "solve_triangular"),
+        ("dpotri", sla.lapack, "dpotri"))}
+    n_s, noise = prob["n_s"], prob["noise"]
+    q = np.linspace(0.5, 2.0, n_s) * noise.q_diags[0]
+    x, info = prob["x0"], np.eye(prob["basis"].rank)
+    for i in range(1, prob["n_steps"] + 1):
+        x, info, _ = filter_step(x, info, Identity(n_s), prob["h_ops"][i], q,
+                                 noise.r_diags[i - 1], prob["sino"].sinograms[i],
+                                 prob["basis"])
+        assert len(calls["solve_triangular"]) == i, f"step {i}"
+    assert calls["dpotri"] == []
 
 
 def test_psi_symmetric_psd(reduced):

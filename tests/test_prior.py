@@ -374,17 +374,25 @@ def _premultiply_public(basis, S):
 
 @pytest.mark.parametrize("n_x, n_y, r", [(8, 8, 20), (7, 5, 12), (6, 9, 30)])
 def test_premultiply_pins_public_sparse_product(n_x, n_y, r):
-    # premultiply calls SciPy's private CSR kernel into a reused buffer: it
-    # must give the public product bitwise, at every chunking, for a CSC
-    # input and for a Radon H whose extra detectors leave rays empty
+    # premultiply calls SciPy's private CSR kernel into a reused buffer and
+    # contracts only each chunk's x-span: it must give the public product
+    # bitwise, at every chunking, for a CSC input, for a Radon H whose extra
+    # detectors leave rays empty, for rays at 0 and pi/2 (spanning every
+    # x-column, or one), and for chunks made only of empty rays
     basis = build_projection(n_x, n_y, PriorConfig(alpha=1.0, ell=1.3, rank=r))
     geom = make_geometry(n_x, n_y, 3, 1, angle_offset=0.3,
                          detector_count=2 * (n_x + n_y))
     h = build_operators(geom)[0].matrix
     assert (np.diff(h.indptr) == 0).any()
-    lefts = [h, h.tocsc(),
-             sp.random(11, basis.n_s, density=0.3,
-                       random_state=np.random.RandomState(1), format="csc")]
+    square = build_operators(make_geometry(n_x, n_y, 2, 1))[0].matrix
+    spans = {(x.min(), x.max()) for x in (
+        square.indices[lo:hi] // n_y
+        for lo, hi in zip(square.indptr[:-1], square.indptr[1:]) if hi > lo)}
+    assert (0, n_x - 1) in spans and any(lo == hi for lo, hi in spans)
+    gap = sp.csr_matrix((9, basis.n_s))
+    lefts = [h, h.tocsc(), square, sp.vstack([h, gap, square], format="csr"),
+             gap, sp.random(11, basis.n_s, density=0.3,
+                            random_state=np.random.RandomState(1), format="csc")]
     width = n_x * basis.box[1]
     for chunk in (_linalg.CHUNK_ELEMS, 1, 2 * width, 5 * width - 1):
         with pytest.MonkeyPatch.context() as mp:

@@ -1,10 +1,13 @@
 """Smoke test of the scripts the README points users to."""
 
 import csv
+import importlib.util
 import math
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -49,3 +52,36 @@ def test_run_digest_repeats_bitwise(tmp_path):
         "sha256", "final_rre", "peak_bytes", "peak_reduced_bytes"]
     assert lines[0].count("\n") == 1
     assert lines[1] == lines[0]
+
+
+def _ab_pairs():
+    spec = importlib.util.spec_from_file_location("ab_pairs",
+                                                  SCRIPTS / "ab_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ab_pairs_summary_on_fixed_samples():
+    ab = _ab_pairs()
+    parent = [0.160, 0.157, 0.168, 0.158, 0.163]
+    child = [0.132, 0.127, 0.138, 0.161, 0.130]
+    s = ab.summarize(parent, child, "lower")
+    # quartiles interpolate linearly; the child wins the pairs it is
+    # strictly better in; the gap is positive when the child is better
+    assert s["parent"] == pytest.approx((0.158, 0.160, 0.163))
+    assert s["child"] == pytest.approx((0.130, 0.132, 0.138))
+    assert (s["wins"], s["pairs"]) == (4, 5)
+    assert s["gap"] == pytest.approx(0.028)
+    assert s["parent_iqr"] == pytest.approx(0.005)
+    line = ab.format_summary("recon_s", "s", s)
+    assert line.startswith("recon_s [s]: parent 0.16 (0.158-0.163) child 0.132")
+    assert "wins 4/5" in line and "exceeds parent IQR" in line
+    # a higher-is-better metric counts the other way; a tie is no win
+    up = ab.summarize([1.0, 1.0, 0.9], [1.0, 0.9, 1.0], "higher")
+    assert (up["wins"], up["gap"]) == (1, 0.0)
+    assert "within parent IQR" in ab.format_summary("success_frac", "", up)
+    with pytest.raises(ValueError):
+        ab.summarize([1.0], [1.0, 2.0], "lower")
+    with pytest.raises(ValueError):
+        ab.summarize([1.0], [1.0], "sideways")

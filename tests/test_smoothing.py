@@ -8,7 +8,7 @@ from dynct import _linalg, smoothing
 from dynct._linalg import check_psd
 from dynct.errors import ConfigError, NumericError
 from dynct.filtering import NoiseModel, run_filter, static_init
-from dynct.linops import Identity
+from dynct.linops import Identity, LinearOperator
 from dynct.metrics import rre
 from dynct.smoothing import run_smoother, smooth_step
 from helpers import (build_problem, count_calls, dense_noise, psi_of, rel_err,
@@ -96,11 +96,14 @@ def test_moving_motion_matches_dense_rts(prob, kind):
 
 @pytest.mark.parametrize("kind", ["Identity", "SparseCSR", "PatchRank1"])
 def test_smoother_works_from_the_filter_handover(prob, monkeypatch, kind):
-    # the filter hands over its prediction Cholesky L_i and forms no
-    # inverse; the mean-only sweep makes no factorization, inverse or
-    # Gramian (one cho_solve against L_i per step); the covariance sweep
-    # adds one gram_mp (G_MP alone, so no G_MM) and one dpotri (Phi) per
-    # step, and one Cholesky, of Lambda_T, for Psi_T^sm
+    # the filter hands over its prediction Cholesky L_i; the mean-only sweep
+    # makes no factorization, inverse or Gramian (one cho_solve against L_i
+    # per step); the covariance sweep adds one dpotri (Phi) per step, and
+    # one Cholesky, of Lambda_T, for Psi_T^sm. An Identity under uniform Q
+    # (prob's noise) has G_MM = G_MP = G_PP = diag(d), so neither sweep
+    # forms a Gramian: its filter step inverts L_i (one dpotri) in place of
+    # the triangular solve for V, and its smoother step scales Phi by d in
+    # place of the gram_mp (G_MP alone, so no G_MM) the other kinds make
     motions = _motions(prob, kind)
     calls = {name: count_calls(monkeypatch, owner, attr) for name, owner, attr in (
         ("cho_factor", sla, "cho_factor"), ("cho_solve", sla, "cho_solve"),
@@ -109,29 +112,66 @@ def test_smoother_works_from_the_filter_handover(prob, monkeypatch, kind):
         ("np.inv", np.linalg, "inv"), ("sla.inv", sla, "inv"),
         ("gram_pair", type(motions[0]), "gram_pair"),
         ("gram_mp", type(motions[0]), "gram_mp"))}
+
+    def taken():
+        counts = {name: len(seen) for name, seen in calls.items() if seen}
+        for seen in calls.values():
+            seen.clear()
+        return counts
+
     filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
                       prob["noise"], prob["basis"], prob["x0"])
-    # the counts do see the filter's two Choleskys per step, its triangular
-    # solve for V, its mean solve and its Gramian pair (an Identity's pair
-    # is its G_MP, twice), and no dtrtri or other inverse
+    # the counts do see the filter's two Choleskys per step and its mean
+    # solve; then either Identity's one inverse, or the other kinds'
+    # Gramian pair and triangular solve for V, and no dtrtri or other inverse
     T = prob["n_steps"]
-    assert len(calls["solve_triangular"]) == len(calls["cho_solve"]) == T
-    assert len(calls["cho_factor"]) == 2 * T
-    want = {"cho_factor", "cho_solve", "solve_triangular", "gram_pair"}
     if kind == "Identity":
-        want.add("gram_mp")
-    assert {name for name, seen in calls.items() if seen} == want
-    for seen in calls.values():
-        seen.clear()
+        assert taken() == {"cho_factor": 2 * T, "cho_solve": T, "dpotri": T}
+    else:
+        assert taken() == {"cho_factor": 2 * T, "cho_solve": T,
+                           "solve_triangular": T, "gram_pair": T}
     run_smoother(filt, motions, prob["noise"], prob["basis"])
-    assert len(calls.pop("cho_solve")) == T
-    assert all(seen == [] for seen in calls.values())
+    assert taken() == {"cho_solve": T}
     run_smoother(filt, motions, prob["noise"], prob["basis"],
                  with_covariance=True)
-    assert len(calls.pop("gram_mp")) == T
-    assert len(calls.pop("dpotri")) == T + 1
-    assert len(calls.pop("cho_factor")) == 1
-    assert all(seen == [] for seen in calls.values())
+    sweep = {"cho_factor": 1, "cho_solve": T, "dpotri": T + 1}
+    if kind != "Identity":
+        sweep["gram_mp"] = T
+    assert taken() == sweep
+
+
+class _DiagonalGramMP(LinearOperator):
+    """The identity map, whose G_MP is the basis' dense diag(d): it takes
+    smooth_step's general path, G_MP^T Phi by GEMM."""
+
+    def __init__(self, n):
+        self.shape = (n, n)
+
+    def apply(self, x):
+        return np.array(x, dtype=float)
+
+    apply_transpose = apply
+
+    def gram_mp(self, basis, w):
+        return basis.gram(w)
+
+
+def test_uniform_q_identity_smooth_step_is_the_dense_gramian_step(prob):
+    # under uniform Q an Identity's K~ = d[:, None] * Phi, with no gram_mp:
+    # bitwise the general path's np.diag(d).T @ Phi
+    filt, _ = _smoothed(prob)
+    noise, basis, T = prob["noise"], prob["basis"], prob["n_steps"]
+    ident, general = Identity(prob["n_s"]), _DiagonalGramMP(prob["n_s"])
+    x_sm = filt.x_est[T]
+    psi = _linalg.cho_inverse(_linalg._cholesky(filt.info_last, "Lambda_T"))
+    for i in range(T, 0, -1):
+        got, want = (smooth_step(filt.x_est[i - 1], filt.factor(i), x_sm, psi,
+                                 motion, noise.q_diags[i - 1], basis,
+                                 with_covariance=True)
+                     for motion in (ident, general))
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        x_sm, psi, _ = got
 
 
 def test_terminal_conditions_exact(prob):
