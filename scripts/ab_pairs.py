@@ -57,12 +57,10 @@ def format_summary(name: str, unit: str, s: dict) -> str:
             f"gap {s['gap']:+.6g} {cleared} parent IQR {s['parent_iqr']:.6g}")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One untraced perfbench run in the checkout; its metric values."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: perfbench failed:\n{proc.stderr}")
@@ -80,8 +78,6 @@ def main(argv=None) -> int:
     ap.add_argument("workload")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float,
-                    help="seconds per run (default: perfbench's own)")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -92,7 +88,7 @@ def main(argv=None) -> int:
     for k in range(args.pairs):
         order = ("parent", "child") if k % 2 == 0 else ("child", "parent")
         for side in order:
-            values = run_once(sides[side], args.workload, args.seed, args.seconds)
+            values = run_once(sides[side], args.workload, args.seed)
             for m in metrics:
                 samples[side][m["name"]].append(values[m["name"]])
             print(f"pair {k + 1} {side}: " + " ".join(

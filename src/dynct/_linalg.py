@@ -40,14 +40,10 @@ def row_chunks(n_rows: int, width: int):
 
 
 def quad_diag(X: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """diag(X psi X^T), the row sums of (X psi) o X, over row chunks of X;
-    every chunk's X psi is written into one buffer, allocated once."""
-    n, width = X.shape
-    out = np.empty(n)
-    buf = np.empty((min(n, chunk_rows(width)), psi.shape[1]))
-    for rows in row_chunks(n, width):
-        xp = np.matmul(X[rows], psi, out=buf[:rows.stop - rows.start])
-        np.einsum("ij,ij->i", xp, X[rows], out=out[rows])
+    """diag(X psi X^T), the row sums of (X psi) o X, over row chunks of X."""
+    out = np.empty(X.shape[0])
+    for rows in row_chunks(*X.shape):
+        out[rows] = np.einsum("ij,ij->i", X[rows] @ psi, X[rows])
     return out
 
 

@@ -33,8 +33,8 @@ identity give
 
     P^T (C^p)^{-1} P = G_PP - V^T V.
 
-An Identity motion under a uniform Q (``identity_gram_diagonal``) has
-G_MM = G_MP = G_PP = diag(d), and the same quantity is
+An Identity motion under a uniform Q (``ProjectionBasis.gram_diagonal``)
+has G_MM = G_MP = G_PP = diag(d), and the same quantity is
 
     P^T (C^p)^{-1} P = diag(d) - Phi o (d d^T),  Phi = (L L^T)^{-1},
 
@@ -182,15 +182,6 @@ class FilterResult:
         return sum(a.nbytes for a in self.chol_packed) + self.info_packed.nbytes
 
 
-def identity_gram_diagonal(motion: LinearOperator, basis: ProjectionBasis,
-                           q_inv: np.ndarray):
-    """d with G_MM = G_MP = G_PP = diag(d) when motion is Identity and Q is
-    uniform (``ProjectionBasis.gram_diagonal``), else None."""
-    if not isinstance(motion, Identity):
-        return None
-    return basis.gram_diagonal(q_inv)
-
-
 def filter_step(x_prev: np.ndarray, info_prev: np.ndarray, motion: LinearOperator,
                 h_op: LinearOperator, q_diag: np.ndarray, r_diag: np.ndarray,
                 y_i: np.ndarray, basis: ProjectionBasis):
@@ -200,7 +191,7 @@ def filter_step(x_prev: np.ndarray, info_prev: np.ndarray, motion: LinearOperato
     q_inv = 1.0 / np.asarray(q_diag, dtype=float)
     r_inv = 1.0 / np.asarray(r_diag, dtype=float)
 
-    d = identity_gram_diagonal(motion, basis, q_inv)
+    d = basis.gram_diagonal(q_inv) if isinstance(motion, Identity) else None
     if d is not None:
         # G_MM = G_MP = G_PP = diag(d): pcp = diag(d) - Phi o (d d^T), with
         # Phi = (Lambda_{i-1} + diag(d))^{-1} from L

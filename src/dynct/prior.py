@@ -264,7 +264,8 @@ class ProjectionBasis:
         del key
         # each chunk's x-span [lo, hi): x ascends along a ray, so a ray's
         # span runs from its first nonzero's x to its last's; an empty ray
-        # spans nothing (lo = n_x, hi = 0)
+        # spans nothing (lo = n_x, hi = 0), and a chunk of empty rays
+        # contracts over no columns, to zero rows
         step = chunk_rows(n_x * n_b)
         full_rays = counts > 0
         ray_lo = np.full(m, n_x, dtype=np.int64)
@@ -280,9 +281,6 @@ class ProjectionBasis:
         out = np.empty((m, self.rank))
         buf = np.empty(min(m, step) * n_x * n_b)
         for rays, (lo, hi) in zip(row_chunks(m, n_x * n_b), spans):
-            if hi <= lo:
-                out[rays] = 0.0
-                continue
             row_lo, row_hi = rays.start * n_x, rays.stop * n_x
             w = buf[:(row_hi - row_lo) * n_b].reshape(-1, n_x, n_b)
             # the kernel accumulates W += K U_y, into the span's columns

@@ -16,9 +16,7 @@ The mean takes one apply and one adjoint apply of the motion, one
 which ``FilterResult.factor`` unpacks from the filter's packed history
 once per step: no Gramian, factorization or inverse. The covariances (for
 EM) take the motion's G_MP alone (``gram_mp``; G_MM is not formed) and
-Phi = ``cho_inverse``(L_i): with K~ = G_MP^T Phi (d[:, None] Phi, with no
-``gram_mp`` or GEMM, for an Identity under a uniform Q, whose G_MP is
-diag(d): ``filtering.identity_gram_diagonal``; bitwise the GEMM's result),
+Phi = ``cho_inverse``(L_i): with K~ = G_MP^T Phi,
 
     omega_i = Psi_i^sm K~,    Psi_{i-1}^sm = Phi + K~^T omega_i,
 
@@ -44,7 +42,7 @@ import scipy.linalg as sla
 
 from ._linalg import _cholesky, check_psd, cho_inverse, symmetrize
 from .errors import ConfigError
-from .filtering import FilterResult, NoiseModel, identity_gram_diagonal
+from .filtering import FilterResult, NoiseModel
 from .linops import LinearOperator
 from .prior import ProjectionBasis
 
@@ -65,14 +63,10 @@ def smooth_step(x_est_prev, chol_i, x_sm_i, psi_sm_i, motion: LinearOperator,
     if not with_covariance:
         return x_sm_prev, None, None
 
+    g_mp = motion.gram_mp(basis, q_inv)
     phi = cho_inverse(chol_i)
-    d = identity_gram_diagonal(motion, basis, q_inv)
-    if d is not None:
-        k_psi = d[:, None] * phi   # G_MP = diag(d)
-    else:
-        g_mp = motion.gram_mp(basis, q_inv)
-        k_psi = g_mp.T @ phi
-        del g_mp
+    k_psi = g_mp.T @ phi
+    del g_mp
     omega = psi_sm_i @ k_psi
     psi_sm_prev = k_psi.T @ omega
     del k_psi

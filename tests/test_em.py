@@ -4,7 +4,6 @@ expected complete-data log-likelihood diagnostics."""
 import numpy as np
 import pytest
 
-from dynct import _linalg
 from dynct.em import FLOOR_ABS, update_q_diag, update_r_diag
 from dynct.errors import ConfigError, NumericError
 from dynct.filtering import run_filter
@@ -279,20 +278,3 @@ def test_outputs_respect_floor():
     q_diag = _q_update(sm, 1, motions[0], prob["basis"])
     assert (r_diag >= 1e-8 * r_diag.mean() - 1e-30).all()
     assert (q_diag > 0).all()
-
-
-@pytest.mark.parametrize("chunk", [_linalg.CHUNK_ELEMS, 1, 2 * 9, 5 * 9 - 1])
-def test_quad_diag_reuses_one_buffer_bitwise(monkeypatch, chunk):
-    # the R update's diag(X psi X^T) writes every chunk's X psi into one
-    # buffer: bitwise the fresh per-chunk products, at every chunking, and
-    # the dense diagonal to roundoff
-    rng = np.random.default_rng(4)
-    X = rng.standard_normal((41, 9))
-    psi = rng.standard_normal((9, 9))
-    psi += psi.T
-    monkeypatch.setattr(_linalg, "CHUNK_ELEMS", chunk)
-    want = np.concatenate([np.einsum("ij,ij->i", X[rows] @ psi, X[rows])
-                           for rows in _linalg.row_chunks(*X.shape)])
-    got = _linalg.quad_diag(X, psi)
-    np.testing.assert_array_equal(got, want)
-    assert rel_err(got, np.diag(X @ psi @ X.T)) <= 1e-13

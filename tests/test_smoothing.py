@@ -8,7 +8,7 @@ from dynct import _linalg, smoothing
 from dynct._linalg import check_psd
 from dynct.errors import ConfigError, NumericError
 from dynct.filtering import NoiseModel, run_filter, static_init
-from dynct.linops import Identity, LinearOperator
+from dynct.linops import Identity
 from dynct.metrics import rre
 from dynct.smoothing import run_smoother, smooth_step
 from helpers import (build_problem, count_calls, dense_noise, psi_of, rel_err,
@@ -98,12 +98,11 @@ def test_moving_motion_matches_dense_rts(prob, kind):
 def test_smoother_works_from_the_filter_handover(prob, monkeypatch, kind):
     # the filter hands over its prediction Cholesky L_i; the mean-only sweep
     # makes no factorization, inverse or Gramian (one cho_solve against L_i
-    # per step); the covariance sweep adds one dpotri (Phi) per step, and
-    # one Cholesky, of Lambda_T, for Psi_T^sm. An Identity under uniform Q
-    # (prob's noise) has G_MM = G_MP = G_PP = diag(d), so neither sweep
-    # forms a Gramian: its filter step inverts L_i (one dpotri) in place of
-    # the triangular solve for V, and its smoother step scales Phi by d in
-    # place of the gram_mp (G_MP alone, so no G_MM) the other kinds make
+    # per step); the covariance sweep adds one gram_mp (G_MP alone, so no
+    # G_MM) and one dpotri (Phi) per step, and one Cholesky, of Lambda_T,
+    # for Psi_T^sm. An Identity under uniform Q (prob's noise) has
+    # G_MM = G_MP = G_PP = diag(d), so its filter step forms no Gramian: it
+    # inverts L_i (one dpotri) in place of the triangular solve for V
     motions = _motions(prob, kind)
     calls = {name: count_calls(monkeypatch, owner, attr) for name, owner, attr in (
         ("cho_factor", sla, "cho_factor"), ("cho_solve", sla, "cho_solve"),
@@ -134,44 +133,8 @@ def test_smoother_works_from_the_filter_handover(prob, monkeypatch, kind):
     assert taken() == {"cho_solve": T}
     run_smoother(filt, motions, prob["noise"], prob["basis"],
                  with_covariance=True)
-    sweep = {"cho_factor": 1, "cho_solve": T, "dpotri": T + 1}
-    if kind != "Identity":
-        sweep["gram_mp"] = T
-    assert taken() == sweep
-
-
-class _DiagonalGramMP(LinearOperator):
-    """The identity map, whose G_MP is the basis' dense diag(d): it takes
-    smooth_step's general path, G_MP^T Phi by GEMM."""
-
-    def __init__(self, n):
-        self.shape = (n, n)
-
-    def apply(self, x):
-        return np.array(x, dtype=float)
-
-    apply_transpose = apply
-
-    def gram_mp(self, basis, w):
-        return basis.gram(w)
-
-
-def test_uniform_q_identity_smooth_step_is_the_dense_gramian_step(prob):
-    # under uniform Q an Identity's K~ = d[:, None] * Phi, with no gram_mp:
-    # bitwise the general path's np.diag(d).T @ Phi
-    filt, _ = _smoothed(prob)
-    noise, basis, T = prob["noise"], prob["basis"], prob["n_steps"]
-    ident, general = Identity(prob["n_s"]), _DiagonalGramMP(prob["n_s"])
-    x_sm = filt.x_est[T]
-    psi = _linalg.cho_inverse(_linalg._cholesky(filt.info_last, "Lambda_T"))
-    for i in range(T, 0, -1):
-        got, want = (smooth_step(filt.x_est[i - 1], filt.factor(i), x_sm, psi,
-                                 motion, noise.q_diags[i - 1], basis,
-                                 with_covariance=True)
-                     for motion in (ident, general))
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
-        x_sm, psi, _ = got
+    assert taken() == {"cho_factor": 1, "cho_solve": T, "dpotri": T + 1,
+                       "gram_mp": T}
 
 
 def test_terminal_conditions_exact(prob):
