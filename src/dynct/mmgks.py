@@ -1,31 +1,40 @@
 """Edge-preserving regularized least squares by majorize-minimize iteration
-on a growing Krylov-type subspace.
+on a generalized Krylov subspace, restarted at a fixed size.
 
 Solves min_s ||A s - b||_2^2 + lam * ||Theta s||_1-like, with the l1 term
 smoothed as phi_eps(z) = sqrt(z^2 + eps^2).  At each outer iteration the
 nonsmooth term is majorized at the current iterate by a weighted quadratic
 lam * ||P Theta s||^2 with diagonal P = diag((z^2 + eps^2)^(-1/4)), and the
 quadratic is minimized over span(W) through its l x l projected normal
-equations (l is the basis size, at most seed_vectors + max_iters).  The basis
-W starts from a few Lanczos vectors of A^T A started at A^T b (in exact
-arithmetic the right Golub-Kahan bidiagonalization vectors of (A, b)) and is
-expanded each iteration with the reorthogonalized residual of the full
-normal equations, so the subspace adapts to the reweighting.  Seed and
-expansion vectors join W by the same step, KrylovBasis.expand.
+equations (l is the basis size, at most K_MAX).  The basis W starts from a
+few Lanczos vectors of A^T A started at A^T b (in exact arithmetic the right
+Golub-Kahan bidiagonalization vectors of (A, b)) and is expanded each
+iteration with the reorthogonalized residual of the full normal equations,
+so the subspace adapts to the reweighting.  Seed and expansion vectors join
+W by the same step, KrylovBasis.expand.
+
+Once W holds K_MAX vectors the basis restarts (Buccini & Reichel, Adv.
+Comput. Math. 49, 2023): it is compressed to the normalized current iterate
+s and then expanded with that iteration's residual, as any other iteration
+is.  The iterate lies in the restarted span, so the next minimizer still
+cannot raise the majorant; and the storage and the cost of an iteration
+are bounded by K_MAX, whatever max_iters is.  A basis that spans the whole
+space (n <= K_MAX) never restarts.
 
 W, A W and Theta W live in blocks preallocated at their largest size, one
 basis vector per row, and grow in place.  The data part of the projected
 normal equations, (A W)^T A W and (A W)^T b, does not depend on the weights:
-it is bordered by one row as each vector joins, so an iteration forms only
-the reweighted lam (P Theta W)^T (P Theta W), with P Theta W in one more
-preallocated block, and factors and solves the l x l system with LAPACK's
-dpotrf and dpotrs, called directly.  The products A W z and Theta W z at
-each minimizer serve the next weights, the expansion residual and both
-majorant values.
+it is bordered by one row as each vector joins (a restart rebuilds it the
+same way from its first vector), so an iteration forms only the reweighted
+lam (P Theta W)^T (P Theta W), with P Theta W in one more preallocated
+block, and factors and solves the l x l system with LAPACK's dpotrf and
+dpotrs, called directly.  The products A W z and Theta W z at each
+minimizer serve the next weights, the expansion residual and both majorant
+values.
 
 The blocks belong to a ``KrylovStorage``, sized for the operands' shapes
-and the basis capacity.  A solve that is given one reuses it, so a run that
-solves many problems on one grid (the M1 flow refits) allocates and
+and K_MAX basis vectors.  A solve that is given one reuses it, so a run
+that solves many problems on one grid (the M1 flow refits) allocates and
 first-touches its blocks once; a solve that is not given one makes its own.
 A solve writes every block entry before it reads it, so its result does not
 depend on what the storage held before.
@@ -45,6 +54,11 @@ import scipy.linalg as sla
 from .errors import ConfigError, NumericError, is_count
 from .linops import LinearOperator
 
+# Basis size at which the solver restarts; it bounds the storage (about
+# 11 n_s doubles per vector for a flow solve) and each iteration's l x l
+# projected system.
+K_MAX = 10
+
 
 @dataclass(frozen=True)
 class MMGKSConfig:
@@ -59,6 +73,10 @@ class MMGKSConfig:
         if not (is_count(self.seed_vectors) and is_count(self.max_iters)):
             raise ConfigError(
                 "MMGKSConfig: seed_vectors and max_iters must be integers >= 1")
+        if self.seed_vectors >= K_MAX:
+            raise ConfigError(
+                f"MMGKSConfig: seed_vectors must be below the restart size "
+                f"K_MAX = {K_MAX}, which they would fill")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ConfigError("MMGKSConfig: tol must be finite and positive")
         if self.eps is not None and not (math.isfinite(self.eps) and self.eps > 0):
@@ -85,6 +103,8 @@ class KrylovStorage:
     Theta (t x n) and at most ``capacity`` basis vectors (n at most): W,
     A W, Theta W, the data Gram and (A W)^T b, plus the P Theta W of the
     projected solve. One row per basis vector; ``nbytes`` is their total.
+    ``mmgks_solve`` restarts its basis at K_MAX vectors, so a capacity of
+    K_MAX holds any solve, whatever its max_iters.
     """
 
     def __init__(self, m: int, n: int, t: int, capacity: int):
@@ -178,6 +198,12 @@ class KrylovBasis:
         self.size = j + 1
         return True
 
+    def restart(self, s: np.ndarray) -> None:
+        """Compress the basis to the one vector s / ||s|| (s nonzero), with
+        its images, data Gram and A^T b rebuilt by ``expand``."""
+        self.size = 0
+        self.expand(s)
+
     def seed(self, n_vectors: int) -> None:
         """Grow to at most n_vectors Lanczos vectors of A^T A started at
         A^T b (in exact arithmetic the right Golub-Kahan bidiagonalization
@@ -246,8 +272,8 @@ def mmgks_solve(a_op: LinearOperator, theta_op: LinearOperator, b: np.ndarray,
                 config: MMGKSConfig | None = None,
                 storage: KrylovStorage | None = None) -> MMGKSResult:
     """Run the MM iteration; see the module docstring. ``storage``, when
-    given, holds the basis (``KrylovBasis``); its contents on entry do not
-    matter."""
+    given, holds the basis (``KrylovBasis``, capacity K_MAX); its contents
+    on entry do not matter."""
     cfg = config or MMGKSConfig()
     b = np.asarray(b, dtype=np.float64).ravel()
     m, n = a_op.shape
@@ -259,8 +285,7 @@ def mmgks_solve(a_op: LinearOperator, theta_op: LinearOperator, b: np.ndarray,
         return MMGKSResult(s=np.zeros(n), lam=cfg.lam or 0.0, eps=cfg.eps or 0.0,
                            n_iters=0, converged=True, basis_size=0)
 
-    basis = KrylovBasis(a_op, theta_op, b, cfg.seed_vectors + cfg.max_iters,
-                        storage)
+    basis = KrylovBasis(a_op, theta_op, b, K_MAX, storage)
     basis.seed(cfg.seed_vectors)
 
     # Unit-weight pilot solve fixes the smoothing width and, if requested,
@@ -307,6 +332,8 @@ def mmgks_solve(a_op: LinearOperator, theta_op: LinearOperator, b: np.ndarray,
         # Normal-equation residual of the current majorant drives expansion.
         resid = (a_op.apply_transpose(fit)
                  + lam * theta_op.apply_transpose(wts ** 2 * theta_s))
+        if basis.size == basis.capacity < n:
+            basis.restart(s)
         basis.expand(resid)
 
         denom = np.linalg.norm(s_old)

@@ -29,7 +29,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError
 from .linops import PatchRank1, SparseCSR
-from .mmgks import KrylovStorage, MMGKSConfig, mmgks_solve
+from .mmgks import K_MAX, KrylovStorage, MMGKSConfig, mmgks_solve
 
 
 @dataclass(frozen=True)
@@ -108,16 +108,14 @@ def flow_regularizer(n_x: int, n_y: int) -> SparseCSR:
     return op
 
 
-def flow_storage(n_x: int, n_y: int,
-                 config: MMGKSConfig | None = None) -> KrylovStorage:
+def flow_storage(n_x: int, n_y: int) -> KrylovStorage:
     """Krylov storage for the flow solves on an (n_x, n_y) grid, which
-    every ``estimate_velocity`` call on that grid and config can reuse:
-    11 n_s doubles per basis vector (W, V W, Theta W and P Theta W) and
-    the l x l data Gram."""
-    cfg = config or MMGKSConfig()
+    every ``estimate_velocity`` call on that grid can reuse, whatever its
+    config: 11 n_s doubles per basis vector (W, V W, Theta W and P Theta W)
+    for the K_MAX vectors at which ``mmgks_solve`` restarts, and the
+    K_MAX x K_MAX data Gram."""
     n_s = n_x * n_y
-    return KrylovStorage(n_s, 2 * n_s, 4 * n_s,
-                         cfg.seed_vectors + cfg.max_iters)
+    return KrylovStorage(n_s, 2 * n_s, 4 * n_s, K_MAX)
 
 
 def estimate_velocity(x_prev, x_next, n_x: int, n_y: int,

@@ -26,12 +26,13 @@ return. What it charges:
   A^2 x B^2 intermediate of the basis' non-uniform Gram and
   diag(P Psi P^T) ((A, B) = ``basis.box``); under M1, the one Krylov
   storage every flow solve of the run grows its basis in
-  (``motion.flow_storage``: 11 n_s doubles per basis vector, for
-  seed_vectors + max_iters vectors, and the l x l data Gram); the noise
-  diagonals, what the motion operators own (M2/M3 hold rows of x_sm as u
-  and v) and the initial mean x_0. New motion operators and noise
-  diagonals are charged as each backward step makes them, next to the
-  previous set, which is released when the sweep ends.
+  (``motion.flow_storage``: 11 n_s doubles per basis vector for the
+  K_MAX vectors at which the solver restarts, and the K_MAX x K_MAX data
+  Gram and projection: about 11 n_s K_MAX doubles, whatever max_iters
+  is); the noise diagonals, what the motion operators own (M2/M3 hold
+  rows of x_sm as u and v) and the initial mean x_0. New motion
+  operators and noise diagonals are charged as each backward step makes
+  them, next to the previous set, which is released when the sweep ends.
 - Full space, per pass: the filtered means x_est from the filter's return
   to the end of the pass, and the smoothed means x_sm (x_est's shape) from
   just before the sweep until the run returns inside the RunRecord.

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from dynct.em import _apply_floor, _guard_negative
 from dynct.errors import ConfigError, NumericError
-from dynct.mmgks import MMGKSConfig, MMGKSResult, penalty_weights
+from dynct.mmgks import K_MAX, MMGKSConfig, MMGKSResult, penalty_weights
 from dynct.prior import se_kernel_1d
 from dynct.radon import _PARALLEL_EPS
 
@@ -368,7 +368,8 @@ def mmgks_reference(a_op, theta_op, b, config=None):
     """The MMGKS iteration with W, A W and Theta W as (tall) column stacks,
     re-stacked as each vector joins, and every projected normal matrix and
     majorant value formed from them afresh; same seed, pilot solve, weight
-    boost and stopping rule as ``mmgks.mmgks_solve``."""
+    boost, restart at K_MAX vectors and stopping rule as
+    ``mmgks.mmgks_solve``."""
     cfg = config or MMGKSConfig()
     b = np.asarray(b, dtype=np.float64).ravel()
     m, n = a_op.shape
@@ -428,6 +429,11 @@ def mmgks_reference(a_op, theta_op, b, config=None):
         fit = AW @ z - b
         pen = wts ** 2 * (TW @ z)
         resid = a_op.apply_transpose(fit) + lam * theta_op.apply_transpose(pen)
+        if W.shape[1] >= K_MAX and K_MAX < n:
+            # restart: s / ||s|| alone, then the residual as usual
+            W, AW, TW, _ = _reference_expand(
+                W[:, :0], AW[:, :0], TW[:, :0], a_op, theta_op, s)
+            z = np.array([np.linalg.norm(s)])
         W, AW, TW, grew = _reference_expand(W, AW, TW, a_op, theta_op, resid)
         if grew:
             z = np.append(z, 0.0)

@@ -6,8 +6,9 @@ import scipy.sparse as sp
 
 from dynct.errors import ConfigError, NumericError
 from dynct.linops import Identity, LinearOperator, SparseCSR
-from dynct.mmgks import (KrylovBasis, MMGKSConfig, majorant_value,
-                         mmgks_solve, penalty_weights, solve_projected)
+from dynct.mmgks import (K_MAX, KrylovBasis, KrylovStorage, MMGKSConfig,
+                         majorant_value, mmgks_solve, penalty_weights,
+                         solve_projected)
 from dynct.motion import flow_regularizer, flow_storage, ofc_system
 from dynct.phantom import default_blocks_config, generate_frames
 from helpers import rel_err
@@ -210,6 +211,38 @@ def _same_result(got, want):
     assert got.objectives == want.objectives
 
 
+def test_restarts_keep_the_majorant_monotone_and_the_fixed_point(
+        monkeypatch):
+    # criterion 8's problem runs far past K_MAX: the basis restarts again
+    # and again, never outgrows K_MAX, every weight cycle still lowers its
+    # majorant and the solve still reaches the dense IRLS fixed point
+    restarts = []
+    restart = KrylovBasis.restart
+
+    def counted(basis, s):
+        restarts.append(basis.size)
+        restart(basis, s)
+
+    monkeypatch.setattr(KrylovBasis, "restart", counted)
+    a_op, theta_op, b, cfg = _criterion_8_problem()
+    res = mmgks_solve(a_op, theta_op, b, cfg)
+    assert len(restarts) >= 2 and set(restarts) == {K_MAX}
+    assert res.basis_size <= K_MAX
+    for before, after in res.objectives:
+        assert after <= before * (1 + 1e-10) + 1e-15
+    want = dense_irls(a_op.matrix.toarray(), dense(theta_op), b, cfg.lam,
+                      cfg.eps)
+    assert rel_err(res.s, want) <= 1e-5
+    # one flow storage serves a solve of any length
+    n = 12
+    storage = flow_storage(n, n)
+    v_op, b = _flow_pair(n, 0, 0)
+    for max_iters in (30, 300):
+        mmgks_solve(v_op, flow_regularizer(n, n), b,
+                    MMGKSConfig(max_iters=max_iters), storage=storage)
+        assert storage.nbytes == (11 * n * n * K_MAX + K_MAX ** 2 + K_MAX) * 8
+
+
 def test_storage_reuse_is_bitwise_fresh_storage():
     # flow problems A, B, A through one storage: each result is bitwise the
     # solve's with storage of its own, whatever the storage held before
@@ -218,8 +251,8 @@ def test_storage_reuse_is_bitwise_fresh_storage():
     cfg = MMGKSConfig(max_iters=8)
     problems = [_flow_pair(n, 0, 0), _flow_pair(n, 1, 3)]
     fresh = [mmgks_solve(v_op, theta, b, cfg) for v_op, b in problems]
-    storage = flow_storage(n, n, cfg)
-    assert storage.capacity == cfg.seed_vectors + cfg.max_iters
+    storage = flow_storage(n, n)
+    assert storage.capacity == K_MAX < cfg.seed_vectors + cfg.max_iters
     assert storage.shape == (n * n, 2 * n * n, 4 * n * n)
     assert not np.array_equal(fresh[0].s, fresh[1].s)
     for k in (0, 1, 0):
@@ -234,13 +267,16 @@ def test_storage_must_fit_the_operands():
     v_op, b = _flow_pair(n, 0, 0)
     theta = flow_regularizer(n, n)
     cfg = MMGKSConfig(max_iters=8)
-    for storage in (flow_storage(n, n + 2, cfg), flow_storage(n + 1, n, cfg),
-                    flow_storage(n, n, MMGKSConfig(max_iters=7))):
+    n_s = n * n
+    for storage in (flow_storage(n, n + 2), flow_storage(n + 1, n),
+                    KrylovStorage(n_s, 2 * n_s, 4 * n_s, K_MAX - 1)):
         with pytest.raises(ConfigError, match="storage"):
             mmgks_solve(v_op, theta, b, cfg, storage=storage)
-    # a larger capacity holds the basis and changes nothing
+    # a larger capacity holds the basis and changes nothing: the solve
+    # still restarts at K_MAX vectors
     _same_result(mmgks_solve(v_op, theta, b, cfg,
-                             storage=flow_storage(n, n)),
+                             storage=KrylovStorage(n_s, 2 * n_s, 4 * n_s,
+                                                   K_MAX + 5)),
                  mmgks_solve(v_op, theta, b, cfg))
 
 
@@ -282,6 +318,14 @@ def test_operand_validation():
         MMGKSConfig(seed_vectors=0)
 
 
+def test_seed_that_fills_the_basis_rejected():
+    # a seed of K_MAX vectors would restart before the first expansion and
+    # drop all but the iterate's direction
+    with pytest.raises(ConfigError, match="seed_vectors"):
+        MMGKSConfig(seed_vectors=K_MAX)
+    MMGKSConfig(seed_vectors=K_MAX - 1)
+
+
 @pytest.mark.parametrize("field", ["seed_vectors", "max_iters"])
 def test_non_integer_counts_rejected(field):
     with pytest.raises(ConfigError, match="integers"):
@@ -305,11 +349,11 @@ def _criterion_8_problem():
 
 
 def _filled_subspace_problem():
-    # n = 12 < seed_vectors + max_iters: the basis fills all n columns
+    # n = 8 < K_MAX: the basis fills all n columns and never restarts
     rng = np.random.default_rng(8)
-    a = rng.standard_normal((20, 12))
-    return (SparseCSR(a), _first_difference(12), rng.standard_normal(20),
-            MMGKSConfig(seed_vectors=3, max_iters=40, tol=1e-14))
+    a = rng.standard_normal((20, 8))
+    return (SparseCSR(a), _first_difference(8), rng.standard_normal(20),
+            MMGKSConfig(seed_vectors=3, max_iters=40, tol=1e-12))
 
 
 @pytest.mark.parametrize("problem", [_flow_problem, _criterion_8_problem,

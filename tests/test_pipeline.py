@@ -10,7 +10,7 @@ from dynct._linalg import CHUNK_ELEMS, check_psd
 from dynct.errors import ConfigError, NumericError
 from dynct.linops import payload_nbytes
 from dynct.metrics import MemoryTracker, PhaseTimer
-from dynct.mmgks import MMGKSConfig
+from dynct.mmgks import K_MAX
 from dynct.pipeline import (MethodSpec, MotionOptions, parse_method,
                             record_rows, run_emirkfs)
 from dynct.prior import PriorConfig, ProjectionBasis, build_projection
@@ -257,8 +257,9 @@ def test_m3_charges_its_motion_vectors_once(monkeypatch):
 def test_m1_charges_one_krylov_storage(monkeypatch):
     # every flow solve of an M1 run grows its basis in one storage, charged
     # once for the run: W (2 n_s), V W (n_s), Theta W and P Theta W
-    # (4 n_s each) per basis vector, the l x l data Gram and V^T b's
-    # projection; the full peak is reached as the last sweep ends, as for
+    # (4 n_s each) per basis vector, for the K_MAX vectors at which every
+    # solve restarts, the K_MAX x K_MAX data Gram and V^T b's projection;
+    # the full peak is reached as the last sweep ends, as for
     # M3, with both passes' warps charged
     original = pipeline.fit_motion
     ops, stores = [], []
@@ -273,9 +274,8 @@ def test_m1_charges_one_krylov_storage(monkeypatch):
     T, n_s, r = prob["n_steps"], prob["n_s"], prob["basis"].rank
     assert len(ops) == 2 * T
     assert all(store is stores[0] for store in stores)
-    cap = MMGKSConfig().seed_vectors + MMGKSConfig().max_iters
-    assert stores[0].capacity == cap < 2 * n_s
-    storage = cap * 11 * n_s + cap * cap + cap
+    assert stores[0].capacity == K_MAX < 2 * n_s
+    storage = K_MAX * 11 * n_s + K_MAX * K_MAX + K_MAX
     assert stores[0].nbytes == storage * 8
     m_t = max(op.shape[0] for op in prob["h_ops"][1:])
     box_a, box_b = prob["basis"].box

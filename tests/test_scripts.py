@@ -85,3 +85,29 @@ def test_ab_pairs_summary_on_fixed_samples():
         ab.summarize([1.0], [1.0, 2.0], "lower")
     with pytest.raises(ValueError):
         ab.summarize([1.0], [1.0], "sideways")
+
+
+def test_flow_restart_quick_run(tmp_path):
+    # 16 x 16: flow-m1's 20 flow problems at each restart size and
+    # unrestarted, at two iteration counts; a restarted storage does not
+    # depend on max_iters, the unrestarted one grows with it
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "flow_restart.py"), "--n", "16"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    head, *lines = proc.stdout.splitlines()
+    assert head == "flow-m1 problems: 20 on 16x16, seed=0"
+    labels = ["10", "15", "20", "unrestarted"]
+    assert [line.split(":")[0] for line in lines] == [
+        f"max_iters={m} tol=0.0001 k_max={k}" for m in (30, 300)
+        for k in labels]
+    n_s = 16 * 16
+
+    def storage(k):
+        return (11 * n_s * k + k * k + k) * 8
+
+    for line, k in zip(lines, [10, 15, 20, 35, 10, 15, 20, 305]):
+        assert line.endswith(f", storage {storage(k)} B")
+        assert "converged" in line and "ms/solve" in line
+    for line in (lines[3], lines[7]):
+        assert "J/J_unrestarted median 1.000000 max 1.000000" in line
