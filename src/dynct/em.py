@@ -37,7 +37,7 @@ import numpy as np
 
 from ._linalg import NEG_TOL_REL, quad_diag
 from .errors import NumericError
-from .linops import LinearOperator
+from .linops import LinearOperator, SparseCSR
 from .prior import ProjectionBasis
 
 FLOOR_REL = 1e-8
@@ -68,13 +68,13 @@ def _guard_negative(diag: np.ndarray, what: str, scale: float) -> np.ndarray:
     return np.clip(diag, 0.0, None)
 
 
-def update_r_diag(y_i, h_op: LinearOperator, x_sm_i, psi_sm_i,
+def update_r_diag(y_i, h_op: SparseCSR, x_sm_i, psi_sm_i,
                   basis: ProjectionBasis) -> np.ndarray:
     """diag(R_i) from the smoothed state and reduced covariance Psi_i^sm
     at frame i."""
     resid = np.asarray(y_i, dtype=float) - h_op.apply(x_sm_i)
     diag = resid ** 2
-    diag += quad_diag(basis.premultiply(h_op.matrix), psi_sm_i)
+    diag += quad_diag(basis.premultiply(h_op), psi_sm_i)
     return _apply_floor(diag)
 
 

@@ -44,21 +44,21 @@ and Stability of Numerical Algorithms*, 2002, ch. 14): no Gramian, V or
 solve. Phi is exactly symmetric and so is d d^T, so the result is too.
 
 ``measurement_update`` then forms Lambda_i = G_H + P^T (C^p)^{-1} P and
-moves the mean by one ``cho_solve`` against its Cholesky factor, which is
-also the guard: NumericError unless Lambda_i is positive definite. The
-static initializer is the same update from x = 0, R = I and the prior
-information alpha^{-2} diag(lambda). Step i hands the smoother L_i (lower
-triangular), so the filter keeps L_1..L_T and Lambda_T: ``FilterResult``
-holds each as a packed lower triangle, r(r+1)/2 doubles in place of r^2,
-and is the one reader and writer of that format. A step packs L_i as soon
-as V (or Phi) is formed, so the square factor is gone before the
-measurement update, and drops each r x r input once used; it adds d to a
-copy of Lambda_{i-1}, which it never changes. G_PP - V^T V is formed in
-the V^T V product and symmetrized into one new array (a non-uniform
-G_PP is not exactly symmetric; an in-place A += A^T makes numpy copy the
-overlapping transpose, about 4x the time at r = 480). G_H needs no
-symmetrization: numpy forms a product A^T A of one array with one syrk
-and mirrors it, so it is exactly symmetric.
+its Cholesky factor F_i, which is also the guard (NumericError unless
+Lambda_i is positive definite), moves the mean by one ``cho_solve``
+against F_i and returns F_i. The static initializer is the same update
+from x = 0, R = I and the prior information alpha^{-2} diag(lambda). The
+filter keeps, for the smoother, L_1..L_T and F_T (F_0 = I when T = 0), but
+no earlier F_i: ``FilterResult`` holds each as a packed lower triangle,
+r(r+1)/2 doubles in place of r^2, and is the one reader and writer of that
+format. A step packs L_i as soon as V (or Phi) is formed, so the square
+factor is gone before the measurement update, and drops each r x r input
+once used; it adds d to a copy of Lambda_{i-1}, which it never changes.
+G_PP - V^T V is formed in the V^T V product and symmetrized into one new
+array (a non-uniform G_PP is not exactly symmetric; an in-place A += A^T
+makes numpy copy the overlapping transpose, about 4x the time at r = 480).
+G_H needs no symmetrization: numpy forms a product A^T A of one array with
+one syrk and mirrors it, so it is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -68,9 +68,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._linalg import _cholesky, cho_inverse, mirror_lower, symmetrize
+from ._linalg import _cholesky, cho_inverse, symmetrize
 from .errors import ConfigError
-from .linops import Identity, LinearOperator
+from .linops import Identity, LinearOperator, SparseCSR
 from .prior import ProjectionBasis
 
 
@@ -114,24 +114,25 @@ def initial_noise(alpha: float, n_s: int, row_counts) -> NoiseModel:
     )
 
 
-def measurement_update(x_pred, prior_info, h_op: LinearOperator, r_inv, y,
+def measurement_update(x_pred, prior_info, h_op: SparseCSR, r_inv, y,
                        basis: ProjectionBasis, what: str):
     """Update of the predicted mean x_pred, with reduced prior information
     prior_info, by data y = H x + noise, diag(R^{-1}) = r_inv; returns
-    (x_est, Lambda = G_H + prior_info). NumericError naming ``what`` unless
-    Lambda is positive definite."""
-    hp = basis.premultiply(h_op.matrix)
+    (x_est, Lambda = G_H + prior_info, its Cholesky factor F). NumericError
+    naming ``what`` unless Lambda is positive definite."""
+    hp = basis.premultiply(h_op)
     hp *= np.sqrt(r_inv)[:, None]
     info = hp.T @ hp  # one A^T A product (syrk): exactly symmetric
     del hp
     info += prior_info
     innov = np.asarray(y, dtype=float) - h_op.apply(x_pred)
     proj = basis.apply_t(h_op.apply_transpose(r_inv * innov))
-    z = sla.cho_solve((_cholesky(info, what), True), proj, check_finite=False)
-    return x_pred + basis.apply(z), info
+    factor = _cholesky(info, what)
+    z = sla.cho_solve((factor, True), proj, check_finite=False)
+    return x_pred + basis.apply(z), info, factor
 
 
-def static_init(h0: LinearOperator, basis: ProjectionBasis, y0: np.ndarray):
+def static_init(h0: SparseCSR, basis: ProjectionBasis, y0: np.ndarray):
     """Regularized least-squares fit of frame 0 in the basis span: the
     measurement update from x = 0, R = I and prior information
     alpha^{-2} P^T P = alpha^{-2} diag(lambda), i.e. x0 = P z with
@@ -143,16 +144,15 @@ def static_init(h0: LinearOperator, basis: ProjectionBasis, y0: np.ndarray):
 
 @dataclass
 class FilterResult:
-    """The filter's output. Its r x r history is held in LAPACK packed lower
-    storage (``dtrttp`` with uplo "L": the lower triangle column by column,
-    r(r+1)/2 doubles), which only this class reads or writes; ``factor``
-    and ``info_last`` give each entry back square."""
+    """The filter's output. Its r x r history, lower Cholesky factors only,
+    is held in LAPACK packed lower storage (``dtrttp`` with uplo "L": the
+    lower triangle column by column, r(r+1)/2 doubles), which only this
+    class reads or writes; ``factor`` and ``info_factor`` unpack it."""
 
-    x_est: np.ndarray          # (T+1, n_s) filtered means
-    chol_packed: list          # L_1..L_T, packed lower triangles,
-                               # L_i L_i^T = Lambda_{i-1} + G_MM
-    info_packed: np.ndarray    # Lambda_T = Psi_T^{-1}, packed lower triangle
-    rank: int                  # r
+    x_est: np.ndarray  # (T+1, n_s) filtered means
+    chol_packed: list  # packed L_1..L_T, L_i L_i^T = Lambda_{i-1} + G_MM
+    info_chol_packed: np.ndarray  # packed F_T, F_T F_T^T = Lambda_T
+    rank: int  # r
 
     @staticmethod
     def pack(A: np.ndarray) -> np.ndarray:
@@ -171,23 +171,22 @@ class FilterResult:
         triangular."""
         return self.unpack(self.chol_packed[i - 1], self.rank)
 
-    @property
-    def info_last(self) -> np.ndarray:
-        """Lambda_T as a full (exactly symmetric) matrix."""
-        return mirror_lower(self.unpack(self.info_packed, self.rank))
+    def info_factor(self) -> np.ndarray:
+        """F_T, the Cholesky factor of Lambda_T, exactly lower triangular."""
+        return self.unpack(self.info_chol_packed, self.rank)
 
     @property
     def history_nbytes(self) -> int:
-        """Bytes of the packed r x r history, L_1..L_T and Lambda_T."""
-        return sum(a.nbytes for a in self.chol_packed) + self.info_packed.nbytes
+        """Bytes of the packed r x r history, L_1..L_T and F_T."""
+        return sum(a.nbytes for a in (*self.chol_packed, self.info_chol_packed))
 
 
 def filter_step(x_prev: np.ndarray, info_prev: np.ndarray, motion: LinearOperator,
-                h_op: LinearOperator, q_diag: np.ndarray, r_diag: np.ndarray,
+                h_op: SparseCSR, q_diag: np.ndarray, r_diag: np.ndarray,
                 y_i: np.ndarray, basis: ProjectionBasis):
     """One predict/update step from the previous mean and information
-    matrix (Lambda_{i-1} = Psi_{i-1}^{-1}); returns (x_est, Lambda_i, L_i),
-    L_i packed (``FilterResult.pack``)."""
+    matrix (Lambda_{i-1} = Psi_{i-1}^{-1}); returns (x_est, Lambda_i, L_i,
+    F_i), L_i packed (``FilterResult.pack``), F_i from the update."""
     q_inv = 1.0 / np.asarray(q_diag, dtype=float)
     r_inv = 1.0 / np.asarray(r_diag, dtype=float)
 
@@ -221,9 +220,10 @@ def filter_step(x_prev: np.ndarray, info_prev: np.ndarray, motion: LinearOperato
         del g_pp
         pcp = symmetrize(pcp)
 
-    x_est, info = measurement_update(motion.apply(x_prev), pcp, h_op, r_inv,
-                                     y_i, basis, "filter covariance")
-    return x_est, info, chol
+    x_est, info, factor = measurement_update(motion.apply(x_prev), pcp, h_op,
+                                             r_inv, y_i, basis,
+                                             "filter covariance")
+    return x_est, info, chol, factor
 
 
 def run_filter(y_frames, h_ops, motions, noise: NoiseModel, basis: ProjectionBasis,
@@ -234,13 +234,15 @@ def run_filter(y_frames, h_ops, motions, noise: NoiseModel, basis: ProjectionBas
         raise ConfigError("run_filter: frame/operator/noise counts disagree")
     x_est = np.zeros((n_steps + 1, basis.n_s))
     x_est[0] = x0
-    info = np.eye(basis.rank)
+    info = factor = np.eye(basis.rank)
     chol_packed = []
 
     for i in range(1, n_steps + 1):
-        x_est[i], info, chol = filter_step(
+        del factor  # only the last step's F_i is kept
+        x_est[i], info, chol, factor = filter_step(
             x_est[i - 1], info, motions[i - 1], h_ops[i],
             noise.q_diags[i - 1], noise.r_diags[i - 1], y_frames[i], basis)
         chol_packed.append(chol)
     return FilterResult(x_est=x_est, chol_packed=chol_packed,
-                        info_packed=FilterResult.pack(info), rank=basis.rank)
+                        info_chol_packed=FilterResult.pack(factor),
+                        rank=basis.rank)

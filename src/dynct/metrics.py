@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import time
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -23,9 +23,6 @@ from .errors import ConfigError, DataIOError
 
 # Headroom of the run memory budget over its n_s (r + T) + T m_t doubles.
 BUDGET_SLACK = 0.5
-
-CSV_FIELDS = ["method", "iteration", "timestep", "rre", "phase", "seconds", "bytes"]
-
 
 def rre(x_hat: np.ndarray, x_ref: np.ndarray) -> float:
     """Relative reconstruction error ||x_hat - x_ref|| / ||x_ref||."""
@@ -152,6 +149,9 @@ class MetricsRow:
 
     def as_list(self) -> list[str]:
         return list(astuple(self))
+
+
+CSV_FIELDS = [f.name for f in fields(MetricsRow)]
 
 
 def write_metrics_csv(path, rows) -> None:

@@ -37,14 +37,14 @@ return. What it charges:
   to the end of the pass, and the smoothed means x_sm (x_est's shape) from
   just before the sweep until the run returns inside the RunRecord.
 - Reduced (r x r; reported, not budgeted): the filter's history, its
-  prediction factors L_1..L_T and last information matrix Lambda_T, each
-  a packed triangle of r(r+1)/2 doubles (``FilterResult.history_nbytes``),
-  from its return to the end of the pass, and, while the M-step at step i
-  runs, the one step the smoother holds: Psi_{i-1}^sm, Psi_i^sm and
-  omega_i, r^2 doubles each. The reduced peak is therefore
-  (T+1) r(r+1)/2 doubles, plus 3 r^2 under EM. The square L_i the
-  smoother unpacks for its step and the r x r products a filter or
-  smoother step forms and drops are transients, not charged.
+  prediction factors L_1..L_T and the Cholesky factor F_T of the last
+  information matrix Lambda_T, each a packed triangle of r(r+1)/2 doubles
+  (``FilterResult.history_nbytes``), from its return to the end of the
+  pass, and, while the M-step at step i runs, the one step the smoother
+  holds: Psi_{i-1}^sm, Psi_i^sm and omega_i, r^2 doubles each. The
+  reduced peak is therefore (T+1) r(r+1)/2 doubles, plus 3 r^2 under EM.
+  The square L_i and F_T the smoother unpacks and the r x r products a
+  filter or smoother step forms and drops are transients, not charged.
 
 Every charge is released by the time the run returns or raises: both of
 the tracker's currents go back to their values at entry, and the tracker

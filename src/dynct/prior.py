@@ -29,8 +29,8 @@ the filter, smoother, motion operators and M-step make:
   as batched GEMMs on the tiles' slices of U_x and U_y;
 - ``rows(idx)``, P's rows at an integer index array, formed on demand
   (the M1 warp's row chunks);
-- ``premultiply(S)``, S P for a sparse S (the observations' H P), from a
-  regrouping of S's nonzeros by (ray, x), one sparse product with U_y
+- ``premultiply(S)``, S P for a ``SparseCSR`` S (the observations' H P),
+  from a regrouping of S's nonzeros by (ray, x), one sparse product with U_y
   (into one reused buffer) and one batched GEMM with U_x per chunk of
   rays, both over only the x-span the chunk's rays cross;
 - ``gram(w)``, the basis Gram P^T diag(w) P: diag(w_0 lambda) whenever w is
@@ -59,11 +59,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvecs
 
 from ._linalg import chunk_rows, row_chunks
 from .errors import ConfigError, NumericError, is_count
+from .linops import SparseCSR
 
 # Products below this are numerically meaningless for whitening.
 EIG_UNDERFLOW = 1e-300
@@ -227,8 +227,8 @@ class ProjectionBasis:
         out *= self._scale
         return out
 
-    def premultiply(self, S) -> np.ndarray:
-        """S P, (m, r), for a scipy sparse S with n_s columns.
+    def premultiply(self, S: SparseCSR) -> np.ndarray:
+        """S P, (m, r), for a sparse operator S with n_s columns.
 
         The nonzeros of S, ray-major with columns ascending (its CSR form),
         are regrouped without sorting into the CSR arrays of a matrix K with
@@ -247,12 +247,10 @@ class ProjectionBasis:
         term of the product is an exact zero, and the result is bitwise the
         whole-range one. A chunk of empty rays gives zero rows.
         """
-        csr = sp.csr_matrix(S, dtype=np.float64)
+        csr = S.matrix
         if csr.shape[1] != self.n_s:
             raise ConfigError(f"left factor must have {self.n_s} columns, "
                               f"got shape {csr.shape}")
-        if not csr.has_sorted_indices:
-            csr = csr.sorted_indices()
         m, n_x = csr.shape[0], self.n_x
         n_b = self.box[1]
         x, y = np.divmod(csr.indices, self.n_y)

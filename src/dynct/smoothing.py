@@ -24,9 +24,11 @@ two congruences, each PSD when Psi_i^sm is; Psi_{i-1}^sm is summed in the
 K~^T omega_i product before it is symmetrized.  The lag-one cross covariance
 is C_{i,i-1}^sm = P omega_i P^T, never assembled densely.  Each
 Psi_{i-1}^sm is checked PSD as it is formed (a shifted Cholesky;
-eigenvalues only when that fails);
-Psi_T^sm, ``cho_inverse`` of the Cholesky of Lambda_T (once per covariance
-sweep), is PSD by construction.  Every Psi^sm is exactly symmetric.
+eigenvalues only when that fails); Psi_T^sm, ``cho_inverse`` of the
+Cholesky factor F_T of Lambda_T that the filter's last update formed
+(``FilterResult.info_factor``; once per covariance sweep), is PSD by
+construction, so the PSD guard makes the sweep's only factorization.
+Every Psi^sm is exactly symmetric.
 
 No covariance history is kept.  Everything that consumes the smoothed
 moments of transition i (motion re-fit, M-step) needs only x_{i-1}^sm,
@@ -40,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from ._linalg import _cholesky, check_psd, cho_inverse, symmetrize
+from ._linalg import check_psd, cho_inverse, symmetrize
 from .errors import ConfigError
 from .filtering import FilterResult, NoiseModel
 from .linops import LinearOperator
@@ -95,10 +97,7 @@ def run_smoother(filt: FilterResult, motions, noise: NoiseModel,
 
     x_sm = np.zeros_like(filt.x_est)
     x_sm[n_steps] = filt.x_est[n_steps]
-    psi_i = None
-    if with_covariance:
-        psi_i = cho_inverse(_cholesky(filt.info_last,
-                                      f"filtered information {n_steps}"))
+    psi_i = cho_inverse(filt.info_factor()) if with_covariance else None
 
     for i in range(n_steps, 0, -1):
         x_sm[i - 1], psi_prev, omega = smooth_step(

@@ -6,8 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from dynct._linalg import _cholesky, cho_inverse
-from dynct.filtering import (filter_step, initial_noise, run_filter,
-                             static_init)
+from dynct.filtering import (FilterResult, filter_step, initial_noise,
+                             run_filter, static_init)
 from dynct.linops import Identity, SparseCSR
 from dynct.motion import fit_motion
 from dynct.phantom import default_blocks_config, generate_frames
@@ -97,20 +97,22 @@ def random_basis(n_x, n_y, rank, rng, box=None):
 def filter_factors(y_frames, h_ops, motions, noise, basis, x0):
     """run_filter's result and every filter information matrix
     Lambda_0..Lambda_T (Lambda_0 = I, the whitened prior), from stepping
-    ``filter_step`` as run_filter does; the filter itself keeps only
-    Lambda_T. Asserts that the stepped means, packed handovers and last
-    information matrix equal run_filter's bitwise."""
+    ``filter_step`` as run_filter does; the filter itself keeps only the
+    Cholesky factor F_T of Lambda_T. Asserts that the stepped means,
+    packed handovers and last factor equal run_filter's bitwise."""
     filt = run_filter(y_frames, h_ops, motions, noise, basis, x0)
-    x, info = np.asarray(x0, dtype=float), np.eye(basis.rank)
+    x = np.asarray(x0, dtype=float)
+    info = factor = np.eye(basis.rank)
     infos = [info]
     for i in range(1, noise.n_steps + 1):
-        x, info, chol = filter_step(x, info, motions[i - 1], h_ops[i],
-                                    noise.q_diags[i - 1], noise.r_diags[i - 1],
-                                    y_frames[i], basis)
+        x, info, chol, factor = filter_step(
+            x, info, motions[i - 1], h_ops[i], noise.q_diags[i - 1],
+            noise.r_diags[i - 1], y_frames[i], basis)
         np.testing.assert_array_equal(x, filt.x_est[i])
         np.testing.assert_array_equal(chol, filt.chol_packed[i - 1])
         infos.append(info)
-    np.testing.assert_array_equal(info, filt.info_last)
+    np.testing.assert_array_equal(FilterResult.pack(factor),
+                                  filt.info_chol_packed)
     return filt, infos
 
 

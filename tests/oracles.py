@@ -265,7 +265,7 @@ def static_init_normal_equations(h0, basis, y0) -> np.ndarray:
     """Frame 0's regularized least-squares fit in the basis span, solved
     as its own normal equations (G^T G + alpha^{-2} diag(lambda)) z = G^T y0
     with G = H_0 P, by Cholesky; returns x0 = P z."""
-    hp = basis.premultiply(h0.matrix)
+    hp = basis.premultiply(h0)
     lhs = hp.T @ hp + basis.gram(np.full(basis.n_s, basis.config.alpha ** -2))
     rhs = basis.apply_t(h0.apply_transpose(np.asarray(y0, dtype=float)))
     z = sla.cho_solve(sla.cho_factor(lhs, lower=True), rhs)

@@ -100,7 +100,7 @@ def test_filter_step_carries_the_information_matrix(prob, kind):
     noise = prob["noise"]
     x, info = prob["x0"], np.eye(prob["basis"].rank)
     for i in range(1, prob["n_steps"] + 1):
-        x, info_next, chol = filter_step(
+        x, info_next, chol, _ = filter_step(
             x, info, motions[i - 1], prob["h_ops"][i], noise.q_diags[i - 1],
             noise.r_diags[i - 1], prob["sino"].sinograms[i], prob["basis"])
         chol = FilterResult.unpack(chol, len(info))
@@ -110,6 +110,31 @@ def test_filter_step_carries_the_information_matrix(prob, kind):
         g_mm = mp.T @ (mp / noise.q_diags[i - 1][:, None])
         assert rel_err(chol @ chol.T, info + g_mm) <= 1e-12, f"step {i}"
         info = info_next
+
+
+@pytest.mark.parametrize("kind", ["Identity", "SparseCSR"])
+def test_filter_hands_over_the_cholesky_of_its_information_matrix(prob, kind):
+    # each step's F_i is bitwise the Cholesky factor of the Lambda_i it
+    # returns; run_filter over the first t steps keeps F_t, and
+    # F_t F_t^T is the step chain's Lambda_t (t = 0: F_0 = Lambda_0 = I)
+    motions = transition_motions(kind, prob["geom"].n_x, prob["geom"].n_y,
+                                 prob["n_steps"])
+    noise, basis = prob["noise"], prob["basis"]
+    ys, h_ops = prob["sino"].sinograms, prob["h_ops"]
+    x, info = prob["x0"], np.eye(basis.rank)
+    for t in range(prob["n_steps"] + 1):
+        if t:
+            x, info, _, factor = filter_step(
+                x, info, motions[t - 1], h_ops[t], noise.q_diags[t - 1],
+                noise.r_diags[t - 1], ys[t], basis)
+            np.testing.assert_array_equal(factor, _cholesky(info, "Lambda"))
+        filt = run_filter(ys[:t + 1], h_ops[:t + 1], motions[:t],
+                          NoiseModel(noise.q_diags[:t], noise.r_diags[:t]),
+                          basis, prob["x0"])
+        f_t = filt.info_factor()
+        if t == 0:
+            np.testing.assert_array_equal(f_t, np.eye(basis.rank))
+        assert rel_err(f_t @ f_t.T, info) <= 1e-12, f"step {t}"
 
 
 def test_uniform_q_identity_step_matches_the_general_path(prob):
@@ -126,9 +151,9 @@ def test_uniform_q_identity_step_matches_the_general_path(prob):
         rest = (prob["h_ops"][i], noise.q_diags[i - 1], noise.r_diags[i - 1],
                 prob["sino"].sinograms[i], basis)
         kept = info.copy()
-        x_d, info_d, chol_d = filter_step(x, info, ident, *rest)
+        x_d, info_d, chol_d, _ = filter_step(x, info, ident, *rest)
         np.testing.assert_array_equal(info, kept)
-        x_g, info_g, chol_g = filter_step(x, info, general, *rest)
+        x_g, info_g, chol_g, _ = filter_step(x, info, general, *rest)
         assert rel_err(x_d, x_g) <= 1e-12, f"step {i}"
         assert rel_err(info_d, info_g) <= 1e-12, f"step {i}"
         assert rel_err(chol_d, chol_g) <= 1e-12, f"step {i}"
@@ -146,9 +171,9 @@ def test_non_uniform_q_identity_step_takes_the_general_path(prob, monkeypatch):
     q = np.linspace(0.5, 2.0, n_s) * noise.q_diags[0]
     x, info = prob["x0"], np.eye(prob["basis"].rank)
     for i in range(1, prob["n_steps"] + 1):
-        x, info, _ = filter_step(x, info, Identity(n_s), prob["h_ops"][i], q,
-                                 noise.r_diags[i - 1], prob["sino"].sinograms[i],
-                                 prob["basis"])
+        x, info, _, _ = filter_step(x, info, Identity(n_s), prob["h_ops"][i],
+                                    q, noise.r_diags[i - 1],
+                                    prob["sino"].sinograms[i], prob["basis"])
         assert len(calls["solve_triangular"]) == i, f"step {i}"
     assert calls["dpotri"] == []
 
@@ -210,9 +235,9 @@ def test_zero_innovation_keeps_prediction(prob):
     x_prev, info_prev = prob["x0"], np.eye(prob["basis"].rank)
     xp = motion.apply(x_prev)
     y = h.apply(xp)  # exactly consistent data
-    xe, _, _ = filter_step(x_prev, info_prev, motion, h,
-                           prob["noise"].q_diags[0], prob["noise"].r_diags[0],
-                           y, prob["basis"])
+    xe, _, _, _ = filter_step(x_prev, info_prev, motion, h,
+                              prob["noise"].q_diags[0], prob["noise"].r_diags[0],
+                              y, prob["basis"])
     np.testing.assert_allclose(xe, xp, atol=1e-10 * np.linalg.norm(xp))
 
 
@@ -225,9 +250,9 @@ def test_inflated_q_recovers_static_solve():
     n_s = prob["n_s"]
     q = np.full(n_s, 1e16)
     r = np.ones(prob["h_ops"][1].shape[0])
-    xe, _, _ = filter_step(prob["x0"], np.eye(n_s), Identity(n_s),
-                           prob["h_ops"][1], q, r, prob["sino"].sinograms[1],
-                           prob["basis"])
+    xe, _, _, _ = filter_step(prob["x0"], np.eye(n_s), Identity(n_s),
+                              prob["h_ops"][1], q, r, prob["sino"].sinograms[1],
+                              prob["basis"])
     x_static = static_init(prob["h_ops"][1], prob["basis"],
                            prob["sino"].sinograms[1])
     assert rel_err(xe, x_static) <= 1e-6
@@ -303,14 +328,14 @@ def test_run_filter_t0_is_initialization(prob):
     np.testing.assert_array_equal(filt.x_est[0], prob["x0"])
     r = prob["basis"].rank
     assert filt.chol_packed == []
-    np.testing.assert_array_equal(filt.info_last, np.eye(r))
+    np.testing.assert_array_equal(filt.info_factor(), np.eye(r))
     assert filt.history_nbytes == r * (r + 1) // 2 * 8
 
 
 def test_packing_round_trips_bitwise():
-    # pack reads the lower triangle only (whatever lies above it), unpack
-    # gives it back with exact zeros above the diagonal, and info_last
-    # mirrors it into the exactly symmetric matrix it came from
+    # pack reads the lower triangle only (whatever lies above it), and
+    # unpack, factor and info_factor give it back with exact zeros above
+    # the diagonal
     rng = np.random.default_rng(3)
     for n in (1, 2, 7, 40):
         A = np.asfortranarray(rng.standard_normal((n, n)))
@@ -320,11 +345,10 @@ def test_packing_round_trips_bitwise():
         assert low.flags.f_contiguous
         np.testing.assert_array_equal(low, np.tril(A))
         np.testing.assert_array_equal(FilterResult.pack(low), ap)
-        S = A.T @ A
-        S = S + S.T  # exactly symmetric
-        filt = FilterResult(x_est=np.zeros((1, 1)), chol_packed=[],
-                            info_packed=FilterResult.pack(S), rank=n)
-        np.testing.assert_array_equal(filt.info_last, S)
+        filt = FilterResult(x_est=np.zeros((1, 1)), chol_packed=[ap],
+                            info_chol_packed=ap, rank=n)
+        np.testing.assert_array_equal(filt.factor(1), np.tril(A))
+        np.testing.assert_array_equal(filt.info_factor(), np.tril(A))
 
 
 def test_run_filter_count_validation(prob):

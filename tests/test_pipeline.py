@@ -199,15 +199,15 @@ def test_tracker_returns_to_entry_when_a_run_raises(monkeypatch, method_name,
 
 def test_em_reduced_peak_holds_one_smoother_step(monkeypatch):
     # the filter's r x r history (T+1 packed triangles of r(r+1)/2 doubles:
-    # L_1..L_T and Lambda_T) plus one smoother step (3 square r x r:
-    # Psi_i^sm, Psi_{i-1}^sm, omega_i), which the M-step takes as formed;
-    # without EM only the history is held
+    # L_1..L_T and F_T, the Cholesky factor of Lambda_T) plus one smoother
+    # step (3 square r x r: Psi_i^sm, Psi_{i-1}^sm, omega_i), which the
+    # M-step takes as formed; without EM only the history is held
     packed = []
     original = pipeline.run_filter
 
     def keep(*args, **kwargs):
         filt = original(*args, **kwargs)
-        packed.extend([*filt.chol_packed, filt.info_packed])
+        packed.extend([*filt.chol_packed, filt.info_chol_packed])
         return filt
 
     monkeypatch.setattr(pipeline, "run_filter", keep)

@@ -331,17 +331,17 @@ def test_basis_products_match_dense_oracle(basis):
     np.testing.assert_array_equal(basis.rows(np.arange(2, n_s - 1)), P[2:n_s - 1])
     # the sparse left product: a Radon H, an M1 warp and a random S
     geom = make_geometry(n_x, n_y, 4, 1, angle_offset=0.3)
-    lefts = [build_operators(geom)[0].matrix, _warp(n_x, n_y, rng),
-             sp.random(17, n_s, density=0.2, random_state=np.random.RandomState(3),
-                       format="csc")]
+    lefts = [build_operators(geom)[0], SparseCSR(_warp(n_x, n_y, rng)),
+             SparseCSR(sp.random(17, n_s, density=0.2, format="csc",
+                                 random_state=np.random.RandomState(3)))]
     for S in lefts:
-        want = S @ P
+        want = S.matrix @ P
         assert rel_err(basis.premultiply(S), want) <= 1e-13
     # several chunks of rays, so the chunk loop stitches its rows
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_linalg, "CHUNK_ELEMS", 3 * n_x * basis.box[1])
         for S in lefts:
-            assert rel_err(basis.premultiply(S), S @ P) <= 1e-13
+            assert rel_err(basis.premultiply(S), S.matrix @ P) <= 1e-13
     # per-tile sums and their adjoint, for every tiling of the grid
     for z_x in (d for d in range(1, n_x + 1) if n_x % d == 0):
         for z_y in (d for d in range(1, n_y + 1) if n_y % d == 0):
@@ -356,7 +356,7 @@ def test_basis_products_match_dense_oracle(basis):
     with pytest.raises(ConfigError, match="tiling"):
         basis.tile_sums(x, (1, n_x, 2, n_y // 2 + 1))
     with pytest.raises(ConfigError, match="columns"):
-        basis.premultiply(sp.csr_matrix((3, n_s + 1)))
+        basis.premultiply(SparseCSR(sp.csr_matrix((3, n_s + 1))))
 
 
 def _premultiply_public(basis, S):
@@ -376,9 +376,9 @@ def _premultiply_public(basis, S):
 def test_premultiply_pins_public_sparse_product(n_x, n_y, r):
     # premultiply calls SciPy's private CSR kernel into a reused buffer and
     # contracts only each chunk's x-span: it must give the public product
-    # bitwise, at every chunking, for a CSC input, for a Radon H whose extra
-    # detectors leave rays empty, for rays at 0 and pi/2 (spanning every
-    # x-column, or one), and for chunks made only of empty rays
+    # bitwise, at every chunking, for a Radon H whose extra detectors leave
+    # rays empty, for rays at 0 and pi/2 (spanning every x-column, or one),
+    # for chunks made only of empty rays and for a random matrix
     basis = build_projection(n_x, n_y, PriorConfig(alpha=1.0, ell=1.3, rank=r))
     geom = make_geometry(n_x, n_y, 3, 1, angle_offset=0.3,
                          detector_count=2 * (n_x + n_y))
@@ -390,16 +390,17 @@ def test_premultiply_pins_public_sparse_product(n_x, n_y, r):
         for lo, hi in zip(square.indptr[:-1], square.indptr[1:]) if hi > lo)}
     assert (0, n_x - 1) in spans and any(lo == hi for lo, hi in spans)
     gap = sp.csr_matrix((9, basis.n_s))
-    lefts = [h, h.tocsc(), square, sp.vstack([h, gap, square], format="csr"),
-             gap, sp.random(11, basis.n_s, density=0.3,
-                            random_state=np.random.RandomState(1), format="csc")]
+    lefts = [SparseCSR(S) for S in (
+        h, square, sp.vstack([h, gap, square], format="csr"), gap,
+        sp.random(11, basis.n_s, density=0.3,
+                  random_state=np.random.RandomState(1), format="csc"))]
     width = n_x * basis.box[1]
     for chunk in (_linalg.CHUNK_ELEMS, 1, 2 * width, 5 * width - 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_linalg, "CHUNK_ELEMS", chunk)
             for S in lefts:
-                np.testing.assert_array_equal(basis.premultiply(S),
-                                              _premultiply_public(basis, S))
+                np.testing.assert_array_equal(
+                    basis.premultiply(S), _premultiply_public(basis, S.matrix))
 
 
 def test_basis_products_hold_no_whole_basis():
@@ -429,7 +430,7 @@ def test_basis_products_hold_no_whole_basis():
         "apply": lambda: basis.apply(z),
         "apply_t": lambda: basis.apply_t(x),
         "rows": lambda: basis.rows(np.arange(_linalg.CHUNK_ELEMS // r)),
-        "premultiply": lambda: basis.premultiply(h.matrix),
+        "premultiply": lambda: basis.premultiply(h),
         "tile_sums": lambda: basis.tile_sums(x, tiles),
         "tile_apply": lambda: basis.tile_apply(np.ones((256, r)), tiles),
         "gram": lambda: basis.gram(w),

@@ -11,8 +11,8 @@ from dynct.filtering import NoiseModel, run_filter, static_init
 from dynct.linops import Identity
 from dynct.metrics import rre
 from dynct.smoothing import run_smoother, smooth_step
-from helpers import (build_problem, count_calls, dense_noise, psi_of, rel_err,
-                     smoothed_moments, transition_motions)
+from helpers import (build_problem, count_calls, dense_noise, problem_filter,
+                     psi_of, rel_err, smoothed_moments, transition_motions)
 from oracles import (dense, dense_basis, dense_cross_covariances,
                      dense_kalman_filter, dense_rts_smoother,
                      projected_posterior_cov)
@@ -96,11 +96,12 @@ def test_moving_motion_matches_dense_rts(prob, kind):
 
 @pytest.mark.parametrize("kind", ["Identity", "SparseCSR", "PatchRank1"])
 def test_smoother_works_from_the_filter_handover(prob, monkeypatch, kind):
-    # the filter hands over its prediction Cholesky L_i; the mean-only sweep
-    # makes no factorization, inverse or Gramian (one cho_solve against L_i
-    # per step); the covariance sweep adds one gram_mp (G_MP alone, so no
-    # G_MM) and one dpotri (Phi) per step, and one Cholesky, of Lambda_T,
-    # for Psi_T^sm. An Identity under uniform Q (prob's noise) has
+    # the filter hands over its prediction Cholesky L_i and the factor F_T
+    # of Lambda_T; the mean-only sweep makes no factorization, inverse or
+    # Gramian (one cho_solve against L_i per step); the covariance sweep
+    # adds one gram_mp (G_MP alone, so no G_MM) and one dpotri (Phi) per
+    # step, and one dpotri of F_T for Psi_T^sm, and no factorization (its
+    # PSD guard calls dpotrf directly). An Identity under uniform Q (prob's noise) has
     # G_MM = G_MP = G_PP = diag(d), so its filter step forms no Gramian: it
     # inverts L_i (one dpotri) in place of the triangular solve for V
     motions = _motions(prob, kind)
@@ -133,15 +134,16 @@ def test_smoother_works_from_the_filter_handover(prob, monkeypatch, kind):
     assert taken() == {"cho_solve": T}
     run_smoother(filt, motions, prob["noise"], prob["basis"],
                  with_covariance=True)
-    assert taken() == {"cho_factor": 1, "cho_solve": T, "dpotri": T + 1,
-                       "gram_mp": T}
+    assert taken() == {"cho_solve": T, "dpotri": T + 1, "gram_mp": T}
 
 
 def test_terminal_conditions_exact(prob):
-    filt, sm = _smoothed(prob)
+    motions = _motions(prob)
+    filt, infos = problem_filter(prob, motions)
+    sm = smoothed_moments(filt, motions, prob["noise"], prob["basis"])
     T = prob["n_steps"]
     assert np.array_equal(sm.x_sm[T], filt.x_est[T])
-    assert np.array_equal(sm.psi_sm[T], psi_of(filt.info_last))
+    assert np.array_equal(sm.psi_sm[T], psi_of(infos[T]))
 
 
 def test_cross_covariance_matches_dense_formula():
