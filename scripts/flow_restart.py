@@ -11,10 +11,10 @@ reconstruction (perfbench's inputs and settings, seed 0, one BLAS thread):
 10 transitions in each of 2 passes. Each problem is solved with the basis
 restarted at k_max = 10, 15 and 20 vectors and unrestarted (k_max =
 seed_vectors + max_iters), first with the default ``MMGKSConfig`` and then
-with max_iters=300, tol=1e-4. Each setting reuses one Krylov storage for
-all its solves, as an M1 run does. Per setting one line gives:
+with max_iters=300, tol=1e-4. Per setting one line gives:
 
-- ms per solve (wall time, storage allocated beforehand);
+- ms per solve (wall time, including the allocation of the solve's own
+  Krylov blocks, which each solve of an M1 run pays too);
 - the objective J = ||V s - b||^2 + 2 lam sum phi_eps(Theta s) over the
   unrestarted solver's J at the same iteration count (median and max; lam
   and eps are the unrestarted solve's). J is what the iteration descends:
@@ -24,7 +24,7 @@ all its solves, as an M1 run does. Per setting one line gives:
 - the distance ||s - s*|| / ||s*|| to the converged solve s*, the fixed
   point of sparse-direct IRLS on the full space at the same lam and eps
   (median and max);
-- the storage's bytes.
+- the bytes of a solve's Krylov blocks (``mmgks.basis_nbytes``).
 """
 
 import argparse
@@ -93,20 +93,19 @@ def converged_solve(a_op, theta_op, b, lam, eps, tol=1e-10, max_iters=2000):
 def run_setting(mmgks, problems, k_max: int, cfg) -> dict:
     """Every problem solved with the basis restarted at k_max vectors."""
     m, n = problems[0][0].shape
-    storage = mmgks.KrylovStorage(m, n, problems[0][1].shape[0], k_max)
+    t = problems[0][1].shape[0]
     saved = mmgks.K_MAX
     mmgks.K_MAX = k_max
     try:
         results, seconds = [], 0.0
         for a_op, theta_op, b in problems:
             t0 = time.perf_counter()
-            results.append(mmgks.mmgks_solve(a_op, theta_op, b, cfg,
-                                             storage=storage))
+            results.append(mmgks.mmgks_solve(a_op, theta_op, b, cfg))
             seconds += time.perf_counter() - t0
     finally:
         mmgks.K_MAX = saved
     return {"results": results, "ms": 1e3 * seconds / len(problems),
-            "nbytes": storage.nbytes}
+            "nbytes": mmgks.basis_nbytes(m, n, t, k_max)}
 
 
 def main(argv=None) -> int:
@@ -147,7 +146,7 @@ def main(argv=None) -> int:
                   f"converged {done}/{len(problems)}, "
                   f"distance to converged median {np.median(dist):.3g} "
                   f"max {np.max(dist):.3g}, "
-                  f"storage {out['nbytes']} B", flush=True)
+                  f"blocks {out['nbytes']} B", flush=True)
     return 0
 
 

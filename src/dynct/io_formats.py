@@ -94,6 +94,17 @@ def write_pgm(path, image_2d) -> None:
 # ---------------------------------------------------------------------------
 # run configuration (INI schema)
 
+_BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False,
+                "yes": True, "no": False}
+
+
+def _parse_bool(raw: str) -> bool:
+    val = _BOOL_VALUES.get(raw.strip().lower())
+    if val is None:
+        raise ValueError(f"expected a boolean, got {raw!r}")
+    return val
+
+
 _SCHEMA = {
     "phantom": {"n_x": int, "n_y": int, "n_frames": int},
     "scan": {"n_angles": int, "detector_count": int, "rotate_per_frame": float},
@@ -101,7 +112,7 @@ _SCHEMA = {
     "method": {"name": str, "n_iter": int},
     "motion": {"zeta": float, "z_x": int, "z_y": int},
     "noise": {"sigma": float, "seed": int},
-    "output": {"directory": str, "pgm": str},
+    "output": {"directory": str, "pgm": _parse_bool},
 }
 
 _REQUIRED = {
@@ -111,17 +122,6 @@ _REQUIRED = {
     "method": ("name",),
     "output": ("directory",),
 }
-
-_BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False,
-                "yes": True, "no": False}
-
-
-def _parse_bool(raw: str, where: str) -> bool:
-    val = _BOOL_VALUES.get(raw.strip().lower())
-    if val is None:
-        raise ConfigError(f"{where}: expected a boolean, got {raw!r}")
-    return val
-
 
 class RunConfig:
     """Validated run parameters; the README's CLI section documents the
@@ -143,8 +143,6 @@ class RunConfig:
             raw = sections.get(sect, {}).get(key)
             if raw is None:
                 return default
-            if key == "pgm":
-                return _parse_bool(raw, f"{sect}.{key}")
             conv = _SCHEMA[sect][key]
             try:
                 return conv(raw)

@@ -13,13 +13,14 @@ its inputs.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, DataIOError
+from .errors import ConfigError, DataIOError, NumericError
 
 # Headroom of the run memory budget over its n_s (r + T) + T m_t doubles.
 BUDGET_SLACK = 0.5
@@ -167,12 +168,37 @@ def write_metrics_csv(path, rows) -> None:
 
 
 def read_metrics_csv(path) -> list[dict[str, str]]:
+    """Rows of a metrics CSV as dicts keyed by CSV_FIELDS (blank lines
+    skipped). A foreign header raises ConfigError; a row of the wrong
+    length, or an rre, seconds or bytes that does not parse, raises
+    DataIOError, and a non-finite one NumericError, each naming the file
+    and line."""
     try:
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != CSV_FIELDS:
-                raise ConfigError(
-                    f"metrics csv {path}: unexpected header {reader.fieldnames}")
-            return [dict(row) for row in reader]
-    except OSError as exc:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            lines = [(reader.line_num, cells) for cells in reader if cells]
+    except (OSError, csv.Error, UnicodeDecodeError) as exc:
         raise DataIOError(f"cannot read metrics csv {path}: {exc}") from exc
+    if header != CSV_FIELDS:
+        raise ConfigError(f"metrics csv {path}: unexpected header {header}")
+    rows = []
+    for line, cells in lines:
+        where = f"metrics csv {path}, line {line}"
+        if len(cells) != len(CSV_FIELDS):
+            raise DataIOError(f"{where}: {len(cells)} fields, expected "
+                              f"{len(CSV_FIELDS)}")
+        row = dict(zip(CSV_FIELDS, cells))
+        for key, parse in (("rre", float), ("seconds", float), ("bytes", int)):
+            if not row[key]:
+                continue
+            try:
+                value = parse(row[key])
+            except ValueError:
+                raise DataIOError(f"{where}: {key} {row[key]!r} is not "
+                                  "a number") from None
+            if not math.isfinite(value):
+                raise NumericError(f"{where}: {key} {row[key]!r} is not "
+                                   "finite")
+        rows.append(row)
+    return rows

@@ -17,27 +17,20 @@ Once W holds K_MAX vectors the basis restarts (Buccini & Reichel, Adv.
 Comput. Math. 49, 2023): it is compressed to the normalized current iterate
 s and then expanded with that iteration's residual, as any other iteration
 is.  The iterate lies in the restarted span, so the next minimizer still
-cannot raise the majorant; and the storage and the cost of an iteration
+cannot raise the majorant; and the memory and the cost of an iteration
 are bounded by K_MAX, whatever max_iters is.  A basis that spans the whole
 space (n <= K_MAX) never restarts.
 
-W, A W and Theta W live in blocks preallocated at their largest size, one
-basis vector per row, and grow in place.  The data part of the projected
-normal equations, (A W)^T A W and (A W)^T b, does not depend on the weights:
-it is bordered by one row as each vector joins (a restart rebuilds it the
-same way from its first vector), so an iteration forms only the reweighted
-lam (P Theta W)^T (P Theta W), with P Theta W in one more preallocated
-block, and factors and solves the l x l system with LAPACK's dpotrf and
-dpotrs, called directly.  The products A W z and Theta W z at each
-minimizer serve the next weights, the expansion residual and both majorant
-values.
-
-The blocks belong to a ``KrylovStorage``, sized for the operands' shapes
-and K_MAX basis vectors.  A solve that is given one reuses it, so a run
-that solves many problems on one grid (the M1 flow refits) allocates and
-first-touches its blocks once; a solve that is not given one makes its own.
-A solve writes every block entry before it reads it, so its result does not
-depend on what the storage held before.
+W, A W and Theta W live in blocks each solve allocates at their largest
+size (``basis_nbytes``), one basis vector per row, and grow in place.  The
+data part of the projected normal equations, (A W)^T A W and (A W)^T b,
+does not depend on the weights: it is bordered by one row as each vector
+joins (a restart rebuilds it the same way from its first vector), so an
+iteration forms only the reweighted lam (P Theta W)^T (P Theta W), with
+P Theta W in one more preallocated block, and factors and solves the
+l x l system with LAPACK's dpotrf and dpotrs, called directly.  The
+products A W z and Theta W z at each minimizer serve the next weights,
+the expansion residual and both majorant values.
 
 Within one weight cycle (weights held fixed) enlarging W can only decrease
 the quadratic majorant; across cycles the usual MM argument applies.
@@ -54,7 +47,7 @@ import scipy.linalg as sla
 from .errors import ConfigError, NumericError, is_count
 from .linops import LinearOperator
 
-# Basis size at which the solver restarts; it bounds the storage (about
+# Basis size at which the solver restarts; it bounds a solve's blocks (about
 # 11 n_s doubles per vector for a flow solve) and each iteration's l x l
 # projected system.
 K_MAX = 10
@@ -98,29 +91,14 @@ class MMGKSResult:
     basis_size: int = 0
 
 
-class KrylovStorage:
-    """The blocks a ``KrylovBasis`` grows in, for operands A (m x n) and
-    Theta (t x n) and at most ``capacity`` basis vectors (n at most): W,
-    A W, Theta W, the data Gram and (A W)^T b, plus the P Theta W of the
-    projected solve. One row per basis vector; ``nbytes`` is their total.
-    ``mmgks_solve`` restarts its basis at K_MAX vectors, so a capacity of
-    K_MAX holds any solve, whatever its max_iters.
-    """
-
-    def __init__(self, m: int, n: int, t: int, capacity: int):
-        self.shape = (m, n, t)
-        self.capacity = c = min(capacity, n)
-        self.w = np.empty((c, n))
-        self.aw = np.empty((c, m))
-        self.tw = np.empty((c, t))
-        self.gram = np.empty((c, c))
-        self.atb = np.empty(c)
-        self.pt = np.empty((c, t))
-
-    @property
-    def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.w, self.aw, self.tw, self.gram,
-                                      self.atb, self.pt))
+def basis_nbytes(m: int, n: int, t: int, capacity: int) -> int:
+    """Bytes of the blocks a ``KrylovBasis`` allocates for operands A
+    (m x n) and Theta (t x n) and at most ``capacity`` basis vectors (n at
+    most): W, A W, Theta W and P Theta W, one row per vector, the data Gram
+    and (A W)^T b. ``mmgks_solve`` restarts its basis at K_MAX vectors, so
+    a capacity of K_MAX bounds any solve, whatever its max_iters."""
+    c = min(capacity, n)
+    return (c * (n + m + 2 * t) + c * c + c) * 8
 
 
 class KrylovBasis:
@@ -128,29 +106,24 @@ class KrylovBasis:
     of the projected normal equations, grown in place.
 
     ``W``, ``AW`` and ``TW`` hold one basis vector (or its image) per row in
-    the blocks of a ``KrylovStorage`` (``storage``, or a new one sized for
-    the operands), so the first ``size`` rows are contiguous views; ``gram``
-    and ``atb`` hold (A W)^T A W and (A W)^T b, bordered by one row and
-    entry as each vector joins. Storage for other operand shapes or a
-    smaller capacity raises ConfigError.
+    blocks allocated for ``capacity`` vectors (``basis_nbytes``), so the
+    first ``size`` rows are contiguous views; ``gram`` and ``atb`` hold
+    (A W)^T A W and (A W)^T b, bordered by one row and entry as each vector
+    joins.
     """
 
     def __init__(self, a_op: LinearOperator, theta_op: LinearOperator,
-                 b: np.ndarray, capacity: int,
-                 storage: KrylovStorage | None = None):
+                 b: np.ndarray, capacity: int):
         m, n = a_op.shape
-        shape = (m, n, theta_op.shape[0])
+        t = theta_op.shape[0]
         self._a_op, self._theta_op, self._b = a_op, theta_op, b
-        self.capacity = min(capacity, n)
-        if storage is None:
-            storage = KrylovStorage(*shape, self.capacity)
-        elif storage.shape != shape or storage.capacity < self.capacity:
-            raise ConfigError(
-                f"mmgks: storage for (m, n, t) = {storage.shape} and "
-                f"{storage.capacity} vectors cannot hold a basis for "
-                f"{shape} and {self.capacity} vectors")
-        self._w, self._aw, self._tw = storage.w, storage.aw, storage.tw
-        self._gram, self._atb, self._pt = storage.gram, storage.atb, storage.pt
+        self.capacity = c = min(capacity, n)
+        self._w = np.empty((c, n))
+        self._aw = np.empty((c, m))
+        self._tw = np.empty((c, t))
+        self._gram = np.empty((c, c))
+        self._atb = np.empty(c)
+        self._pt = np.empty((c, t))
         self.size = 0
 
     @property
@@ -218,7 +191,7 @@ class KrylovBasis:
 
     def solve(self, pdiag: np.ndarray, lam: float) -> np.ndarray:
         """``solve_projected`` over the current basis, with P Theta W
-        formed in the storage's block."""
+        formed in its preallocated block."""
         return solve_projected(self.gram, self.atb, self.TW, pdiag, lam,
                                pt=self._pt[:self.size])
 
@@ -269,11 +242,8 @@ def penalty_weights(theta_s: np.ndarray, eps: float) -> np.ndarray:
 
 
 def mmgks_solve(a_op: LinearOperator, theta_op: LinearOperator, b: np.ndarray,
-                config: MMGKSConfig | None = None,
-                storage: KrylovStorage | None = None) -> MMGKSResult:
-    """Run the MM iteration; see the module docstring. ``storage``, when
-    given, holds the basis (``KrylovBasis``, capacity K_MAX); its contents
-    on entry do not matter."""
+                config: MMGKSConfig | None = None) -> MMGKSResult:
+    """Run the MM iteration; see the module docstring."""
     cfg = config or MMGKSConfig()
     b = np.asarray(b, dtype=np.float64).ravel()
     m, n = a_op.shape
@@ -285,7 +255,7 @@ def mmgks_solve(a_op: LinearOperator, theta_op: LinearOperator, b: np.ndarray,
         return MMGKSResult(s=np.zeros(n), lam=cfg.lam or 0.0, eps=cfg.eps or 0.0,
                            n_iters=0, converged=True, basis_size=0)
 
-    basis = KrylovBasis(a_op, theta_op, b, K_MAX, storage)
+    basis = KrylovBasis(a_op, theta_op, b, K_MAX)
     basis.seed(cfg.seed_vectors)
 
     # Unit-weight pilot solve fixes the smoothing width and, if requested,

@@ -29,7 +29,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError
 from .linops import PatchRank1, SparseCSR
-from .mmgks import K_MAX, KrylovStorage, MMGKSConfig, mmgks_solve
+from .mmgks import K_MAX, MMGKSConfig, basis_nbytes, mmgks_solve
 
 
 @dataclass(frozen=True)
@@ -108,24 +108,21 @@ def flow_regularizer(n_x: int, n_y: int) -> SparseCSR:
     return op
 
 
-def flow_storage(n_x: int, n_y: int) -> KrylovStorage:
-    """Krylov storage for the flow solves on an (n_x, n_y) grid, which
-    every ``estimate_velocity`` call on that grid can reuse, whatever its
-    config: 11 n_s doubles per basis vector (W, V W, Theta W and P Theta W)
-    for the K_MAX vectors at which ``mmgks_solve`` restarts, and the
-    K_MAX x K_MAX data Gram."""
+def flow_basis_nbytes(n_x: int, n_y: int) -> int:
+    """Bytes of the Krylov blocks a flow solve on an (n_x, n_y) grid
+    allocates, whatever its config: 11 n_s doubles per basis vector (W,
+    V W, Theta W and P Theta W) for the K_MAX vectors at which
+    ``mmgks_solve`` restarts, and the K_MAX x K_MAX data Gram."""
     n_s = n_x * n_y
-    return KrylovStorage(n_s, 2 * n_s, 4 * n_s, K_MAX)
+    return basis_nbytes(n_s, 2 * n_s, 4 * n_s, K_MAX)
 
 
 def estimate_velocity(x_prev, x_next, n_x: int, n_y: int,
-                      config: MMGKSConfig | None = None,
-                      storage: KrylovStorage | None = None) -> VelocityField:
-    """Edge-regularized optical flow between consecutive frames; the solve
-    grows its basis in ``storage`` (``flow_storage``) when given."""
+                      config: MMGKSConfig | None = None) -> VelocityField:
+    """Edge-regularized optical flow between consecutive frames."""
     v_op, b = ofc_system(x_prev, x_next, n_x, n_y)
     theta = flow_regularizer(n_x, n_y)
-    res = mmgks_solve(v_op, theta, b, config, storage=storage)
+    res = mmgks_solve(v_op, theta, b, config)
     n_s = n_x * n_y
     return VelocityField(s_x=res.s[:n_s], s_y=res.s[n_s:], n_x=n_x, n_y=n_y)
 
@@ -166,13 +163,11 @@ def build_warp(field: VelocityField) -> SparseCSR:
 
 
 def fit_motion(prev, nxt, n_x: int, n_y: int, kind: str, zeta: float = 0.0,
-               patch=(8, 8), storage: KrylovStorage | None = None):
+               patch=(8, 8)):
     """Motion operator for one transition, fitted so M prev ~ nxt: the M1
-    flow warp, its solve in ``storage`` when given, or the M2/M3
-    ``PatchRank1`` (M2 ignores ``patch``, M2/M3 ignore ``storage``)."""
+    flow warp or the M2/M3 ``PatchRank1`` (M2 ignores ``patch``)."""
     if kind == "m1":
-        return build_warp(estimate_velocity(prev, nxt, n_x, n_y,
-                                            storage=storage))
+        return build_warp(estimate_velocity(prev, nxt, n_x, n_y))
     if kind in ("m2", "m3"):
         z_x, z_y = (n_x, n_y) if kind == "m2" else patch
         return PatchRank1(n_x, n_y, z_x, z_y, nxt, prev, zeta)

@@ -24,9 +24,9 @@ return. What it charges:
   arrays by which ``basis.premultiply`` regroups the largest H and, when
   the run has an M-step (the only source of non-uniform Q), the
   A^2 x B^2 intermediate of the basis' non-uniform Gram and
-  diag(P Psi P^T) ((A, B) = ``basis.box``); under M1, the one Krylov
-  storage every flow solve of the run grows its basis in
-  (``motion.flow_storage``: 11 n_s doubles per basis vector for the
+  diag(P Psi P^T) ((A, B) = ``basis.box``), and under M1 the Krylov
+  blocks of the one flow solve alive at a time
+  (``motion.flow_basis_nbytes``: 11 n_s doubles per basis vector for the
   K_MAX vectors at which the solver restarts, and the K_MAX x K_MAX data
   Gram and projection: about 11 n_s K_MAX doubles, whatever max_iters
   is); the noise diagonals, what the motion operators own (M2/M3 hold
@@ -71,7 +71,7 @@ from .filtering import NoiseModel, initial_noise, run_filter, static_init
 from .linops import Identity, check_tiling, payload_nbytes
 from .metrics import (MemoryTracker, MetricsRow, PhaseTimer,
                       memory_budget_bytes, rre)
-from .motion import check_flow_grid, fit_motion, flow_storage
+from .motion import check_flow_grid, fit_motion, flow_basis_nbytes
 from .prior import ProjectionBasis
 from .radon import SinogramSet
 from .smoothing import run_smoother
@@ -237,26 +237,25 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
     # column indices split into x and y and its (ray, x) keys, 2 nnz
     # doubles, and two (ray, x) pointer arrays; it reads the operator's CSR
     # arrays without copying them) and, under EM, the basis' A^2 x B^2
-    # Kronecker intermediate.
+    # Kronecker intermediate and, under M1, the Krylov blocks of a flow
+    # solve.
     box_a, box_b = basis.box
     kron_elems = (box_a * box_b) ** 2 if method.em else 0
+    flow_bytes = flow_basis_nbytes(n_x, n_y) if method.motion == "m1" else 0
     regroup = max(2 * op.matrix.nnz + 2 * op.shape[0] * n_x for op in h_ops)
     scratch = (4 * CHUNK_ELEMS + 8 * n_s + m_t * basis.rank + regroup
-               + kron_elems) * 8
+               + kron_elems) * 8 + flow_bytes
 
     alpha = basis.config.alpha
     noise = initial_noise(alpha, n_s, [h_ops[i].shape[0] for i in range(1, n_steps + 1)])
     motions = [Identity(n_s) for _ in range(n_steps)]
     motion_bytes = 0
-    storage = flow_storage(n_x, n_y) if method.motion == "m1" else None
 
     entry_bytes = tracker.current_bytes
     entry_reduced = tracker.current_reduced_bytes
     try:
         tracker.add(scratch)
         tracker.add(noise.nbytes())
-        if storage is not None:
-            tracker.add(storage.nbytes)
         x0 = static_init(h_ops[0], basis, y_frames[0])
         tracker.add(x0.nbytes)
 
@@ -273,8 +272,7 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
                         with timer.phase("motion"):
                             new_motions[i - 1] = fit_motion(
                                 x_sm[i - 1], x_sm[i], n_x, n_y, method.motion,
-                                zeta=motion_opts.zeta, patch=motion_opts.patch,
-                                storage=storage)
+                                zeta=motion_opts.zeta, patch=motion_opts.patch)
                         tracker.add(payload_nbytes(new_motions[i - 1]))
                     if method.em:
                         step_bytes = (psi_sm_prev.nbytes + psi_sm_i.nbytes

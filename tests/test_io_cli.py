@@ -205,6 +205,17 @@ def test_config_motion_errors_name_their_keys(tmp_path):
         load_config(m1)
 
 
+def test_config_bad_boolean_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "c.cfg", tmp_path / "o",
+                        **{"output.pgm": "maybe"})
+    assert main(["simulate", cfg]) == 2
+    assert "output.pgm" in capsys.readouterr().err
+    for raw, want in (("yes", True), ("0", False)):
+        path = _write_config(tmp_path / "c.cfg", tmp_path / "o",
+                             **{"output.pgm": raw})
+        assert load_config(path).write_pgm is want
+
+
 def test_config_missing_file_is_io_error(tmp_path):
     with pytest.raises(DataIOError):
         load_config(str(tmp_path / "absent.cfg"))
@@ -449,6 +460,27 @@ def test_evaluate_malformed_manifest_exits_3(tmp_path, capsys, text):
     (run / "manifest.json").write_text(text)
     assert main(["evaluate", str(run)]) == 3
     assert "params" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, code, message", [
+    ("IRKFS,1,0,abc,,,", 3, "rre 'abc' is not a number"),
+    ("IRKFS,1,,,filter,2s,", 3, "seconds '2s' is not a number"),
+    ("IRKFS,,,,peak_bytes,,1.5", 3, "bytes '1.5' is not a number"),
+    ("IRKFS,1", 3, "2 fields, expected 7"),
+    ("IRKFS,1,0,0.5,,,,", 3, "8 fields, expected 7"),
+    ("IRKFS,1,0,nan,,,", 4, "rre 'nan' is not finite"),
+    ("IRKFS,1,,,filter,-inf,", 4, "seconds '-inf' is not finite"),
+])
+def test_evaluate_malformed_metrics_exits_3_or_4(tmp_path, capsys, row, code,
+                                                 message):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "manifest.json").write_text('{"params": {}}')
+    (run / "metrics.csv").write_text(
+        "method,iteration,timestep,rre,phase,seconds,bytes\n"
+        f"IRKFS,1,0,0.5,,,\n{row}\n")
+    assert main(["evaluate", str(run)]) == code
+    assert f"metrics.csv, line 3: {message}" in capsys.readouterr().err
 
 
 # -- environment -----------------------------------------------------------------

@@ -153,6 +153,13 @@ def test_metrics_csv_missing_file(tmp_path):
         read_metrics_csv(tmp_path / "absent.csv")
 
 
+def test_metrics_csv_undecodable_bytes_are_io_error(tmp_path):
+    p = tmp_path / "binary.csv"
+    p.write_bytes(b"method,iteration\n\xff\xfe\n")
+    with pytest.raises(DataIOError, match="cannot read metrics csv"):
+        read_metrics_csv(p)
+
+
 def test_metrics_csv_header_check(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("a,b,c\n1,2,3\n")

@@ -6,10 +6,10 @@ import scipy.sparse as sp
 
 from dynct.errors import ConfigError, NumericError
 from dynct.linops import Identity, LinearOperator, SparseCSR
-from dynct.mmgks import (K_MAX, KrylovBasis, KrylovStorage, MMGKSConfig,
+from dynct.mmgks import (K_MAX, KrylovBasis, MMGKSConfig, basis_nbytes,
                          majorant_value, mmgks_solve, penalty_weights,
                          solve_projected)
-from dynct.motion import flow_regularizer, flow_storage, ofc_system
+from dynct.motion import flow_basis_nbytes, flow_regularizer, ofc_system
 from dynct.phantom import default_blocks_config, generate_frames
 from helpers import rel_err
 from oracles import dense, dense_irls, mmgks_reference
@@ -197,20 +197,6 @@ def test_expand_basis_stops_at_capacity():
     assert not basis.expand(rng.standard_normal(4))
 
 
-def _flow_pair(n, step, shift):
-    frames = generate_frames(default_blocks_config(n, n, n_steps=step + 1))
-    v_op, b = ofc_system(frames[step], np.roll(frames[step + 1], shift),
-                         n, n)
-    return v_op, b
-
-
-def _same_result(got, want):
-    np.testing.assert_array_equal(got.s, want.s)
-    assert (got.lam, got.eps, got.n_iters, got.converged, got.basis_size) == (
-        want.lam, want.eps, want.n_iters, want.converged, want.basis_size)
-    assert got.objectives == want.objectives
-
-
 def test_restarts_keep_the_majorant_monotone_and_the_fixed_point(
         monkeypatch):
     # criterion 8's problem runs far past K_MAX: the basis restarts again
@@ -233,51 +219,6 @@ def test_restarts_keep_the_majorant_monotone_and_the_fixed_point(
     want = dense_irls(a_op.matrix.toarray(), dense(theta_op), b, cfg.lam,
                       cfg.eps)
     assert rel_err(res.s, want) <= 1e-5
-    # one flow storage serves a solve of any length
-    n = 12
-    storage = flow_storage(n, n)
-    v_op, b = _flow_pair(n, 0, 0)
-    for max_iters in (30, 300):
-        mmgks_solve(v_op, flow_regularizer(n, n), b,
-                    MMGKSConfig(max_iters=max_iters), storage=storage)
-        assert storage.nbytes == (11 * n * n * K_MAX + K_MAX ** 2 + K_MAX) * 8
-
-
-def test_storage_reuse_is_bitwise_fresh_storage():
-    # flow problems A, B, A through one storage: each result is bitwise the
-    # solve's with storage of its own, whatever the storage held before
-    n = 12
-    theta = flow_regularizer(n, n)
-    cfg = MMGKSConfig(max_iters=8)
-    problems = [_flow_pair(n, 0, 0), _flow_pair(n, 1, 3)]
-    fresh = [mmgks_solve(v_op, theta, b, cfg) for v_op, b in problems]
-    storage = flow_storage(n, n)
-    assert storage.capacity == K_MAX < cfg.seed_vectors + cfg.max_iters
-    assert storage.shape == (n * n, 2 * n * n, 4 * n * n)
-    assert not np.array_equal(fresh[0].s, fresh[1].s)
-    for k in (0, 1, 0):
-        v_op, b = problems[k]
-        got = mmgks_solve(v_op, theta, b, cfg, storage=storage)
-        _same_result(got, fresh[k])
-        assert not np.shares_memory(got.s, storage.w)
-
-
-def test_storage_must_fit_the_operands():
-    n = 12
-    v_op, b = _flow_pair(n, 0, 0)
-    theta = flow_regularizer(n, n)
-    cfg = MMGKSConfig(max_iters=8)
-    n_s = n * n
-    for storage in (flow_storage(n, n + 2), flow_storage(n + 1, n),
-                    KrylovStorage(n_s, 2 * n_s, 4 * n_s, K_MAX - 1)):
-        with pytest.raises(ConfigError, match="storage"):
-            mmgks_solve(v_op, theta, b, cfg, storage=storage)
-    # a larger capacity holds the basis and changes nothing: the solve
-    # still restarts at K_MAX vectors
-    _same_result(mmgks_solve(v_op, theta, b, cfg,
-                             storage=KrylovStorage(n_s, 2 * n_s, 4 * n_s,
-                                                   K_MAX + 5)),
-                 mmgks_solve(v_op, theta, b, cfg))
 
 
 def test_solve_projected_singular_raises():
@@ -372,3 +313,22 @@ def test_matches_column_stacking_reference(problem):
         assert pair == pytest.approx(ref, rel=1e-12)
     if problem is _filled_subspace_problem:
         assert got.basis_size == a_op.shape[1]
+
+
+@pytest.mark.parametrize("problem", [_flow_problem, _filled_subspace_problem])
+def test_basis_blocks_total_basis_nbytes(problem):
+    # what an M1 run charges for a flow solve is what the solve's basis
+    # allocates: every array it holds but b, for K_MAX vectors or, on a
+    # space of n < K_MAX, n
+    a_op, theta_op, b, _ = problem()
+    basis = KrylovBasis(a_op, theta_op, b, K_MAX)
+    blocks = [v for v in vars(basis).values()
+              if isinstance(v, np.ndarray) and v is not b]
+    assert len(blocks) == 6
+    assert basis.capacity == min(K_MAX, a_op.shape[1])
+    nbytes = basis_nbytes(*a_op.shape, theta_op.shape[0], K_MAX)
+    assert sum(v.nbytes for v in blocks) == nbytes
+    if problem is _flow_problem:
+        n_s = 16 * 16
+        assert nbytes == flow_basis_nbytes(16, 16) == (
+            11 * n_s * K_MAX + K_MAX ** 2 + K_MAX) * 8

@@ -89,8 +89,8 @@ def test_ab_pairs_summary_on_fixed_samples():
 
 def test_flow_restart_quick_run(tmp_path):
     # 16 x 16: flow-m1's 20 flow problems at each restart size and
-    # unrestarted, at two iteration counts; a restarted storage does not
-    # depend on max_iters, the unrestarted one grows with it
+    # unrestarted, at two iteration counts; a restarted solve's blocks do
+    # not depend on max_iters, the unrestarted one's grow with it
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "flow_restart.py"), "--n", "16"],
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
@@ -103,11 +103,11 @@ def test_flow_restart_quick_run(tmp_path):
         for k in labels]
     n_s = 16 * 16
 
-    def storage(k):
+    def blocks(k):
         return (11 * n_s * k + k * k + k) * 8
 
     for line, k in zip(lines, [10, 15, 20, 35, 10, 15, 20, 305]):
-        assert line.endswith(f", storage {storage(k)} B")
+        assert line.endswith(f", blocks {blocks(k)} B")
         assert "converged" in line and "ms/solve" in line
     for line in (lines[3], lines[7]):
         assert "J/J_unrestarted median 1.000000 max 1.000000" in line
