@@ -24,7 +24,8 @@ with max_iters=300, tol=1e-4. Per setting one line gives:
 - the distance ||s - s*|| / ||s*|| to the converged solve s*, the fixed
   point of sparse-direct IRLS on the full space at the same lam and eps
   (median and max);
-- the bytes of a solve's Krylov blocks (``mmgks.basis_nbytes``).
+- the bytes of a solve's Krylov blocks (``mmgks.basis_nbytes`` while
+  ``mmgks.K_MAX`` is patched to k_max).
 """
 
 import argparse
@@ -102,10 +103,11 @@ def run_setting(mmgks, problems, k_max: int, cfg) -> dict:
             t0 = time.perf_counter()
             results.append(mmgks.mmgks_solve(a_op, theta_op, b, cfg))
             seconds += time.perf_counter() - t0
+        nbytes = mmgks.basis_nbytes(m, n, t)
     finally:
         mmgks.K_MAX = saved
     return {"results": results, "ms": 1e3 * seconds / len(problems),
-            "nbytes": mmgks.basis_nbytes(m, n, t, k_max)}
+            "nbytes": nbytes}
 
 
 def main(argv=None) -> int:

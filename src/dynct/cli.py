@@ -31,8 +31,7 @@ from .metrics import (CSV_FIELDS, MetricsRow, noise_level, read_metrics_csv,
 from .phantom import generate_frames
 from .pipeline import record_rows, run_emirkfs
 from .prior import build_projection
-from .radon import (SinogramSet, build_operators, make_geometry,
-                    simulate_sinograms)
+from .radon import SinogramSet, build_operators, simulate_sinograms
 
 _TRUTH = "truth"
 _SINO = "sinograms"
@@ -47,18 +46,12 @@ def _ensure_dir(path: str) -> None:
         raise DataIOError(f"cannot create directory {path}: {exc}") from exc
 
 
-def _geometry(cfg):
-    return make_geometry(cfg.n_x, cfg.n_y, cfg.n_angles, cfg.n_frames,
-                         angle_offset=cfg.rotate_per_frame,
-                         detector_count=cfg.detector_count)
-
-
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     out = cfg.output_dir
     _ensure_dir(out)
     frames = generate_frames(cfg.phantom)
-    geom = _geometry(cfg)
+    geom = cfg.geometry
     h_ops = build_operators(geom)
     sino = simulate_sinograms(frames, geom, cfg.sigma, cfg.noise_seed,
                               operators=h_ops)
@@ -90,7 +83,7 @@ def cmd_reconstruct(args) -> int:
     sino_stack = read_array(os.path.join(data_dir, _SINO))
     data_manifest = read_manifest(os.path.join(data_dir, _MANIFEST))
 
-    geom = _geometry(cfg)
+    geom = cfg.geometry
     n_s = cfg.n_x * cfg.n_y
     if truth.shape != (cfg.n_frames, n_s):
         raise ConfigError(

@@ -22,6 +22,7 @@ from .motion import check_flow_grid
 from .phantom import default_blocks_config
 from .pipeline import MotionOptions, parse_method
 from .prior import PriorConfig
+from .radon import make_geometry
 
 _SIDECAR_DTYPE = "float64-le"
 _SIDECAR_ORDER = "row-major"
@@ -181,6 +182,11 @@ class RunConfig:
         if self.noise_seed < 0:
             raise ConfigError("config: noise.seed must be >= 0")
         try:
+            where = "scan.n_angles/detector_count"
+            self.geometry = make_geometry(
+                self.n_x, self.n_y, self.n_angles, self.n_frames,
+                angle_offset=self.rotate_per_frame,
+                detector_count=self.detector_count)
             if self.method.motion == "m3":
                 where = "motion.z_x/z_y"
                 check_tiling(self.n_x, self.n_y, *self.motion.patch)
@@ -189,6 +195,10 @@ class RunConfig:
                 check_flow_grid(self.n_x, self.n_y)
         except ConfigError as exc:
             raise ConfigError(f"config: {where}: {exc}") from exc
+        if self.prior.rank > self.n_x * self.n_y:
+            raise ConfigError(
+                f"config: prior.rank: rank {self.prior.rank} exceeds state "
+                f"dimension {self.n_x * self.n_y}")
 
     def manifest_params(self) -> dict:
         """Every numerics-relevant parameter, for the run manifest."""

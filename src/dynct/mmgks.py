@@ -21,16 +21,18 @@ cannot raise the majorant; and the memory and the cost of an iteration
 are bounded by K_MAX, whatever max_iters is.  A basis that spans the whole
 space (n <= K_MAX) never restarts.
 
-W, A W and Theta W live in blocks each solve allocates at their largest
-size (``basis_nbytes``), one basis vector per row, and grow in place.  The
-data part of the projected normal equations, (A W)^T A W and (A W)^T b,
-does not depend on the weights: it is bordered by one row as each vector
-joins (a restart rebuilds it the same way from its first vector), so an
-iteration forms only the reweighted lam (P Theta W)^T (P Theta W), with
-P Theta W in one more preallocated block, and factors and solves the
-l x l system with LAPACK's dpotrf and dpotrs, called directly.  The
-products A W z and Theta W z at each minimizer serve the next weights,
-the expansion residual and both majorant values.
+Each solve owns one KrylovBasis, which holds W, A W and Theta W in blocks
+allocated for K_MAX vectors (``basis_nbytes``), one basis vector per row,
+grown in place, and solves the projected system itself
+(``KrylovBasis.solve``).  The data part of the projected normal equations,
+(A W)^T A W and (A W)^T b, does not depend on the weights: it is bordered
+by one row as each vector joins (a restart rebuilds it the same way from
+its first vector), so an iteration forms only the reweighted
+lam (P Theta W)^T (P Theta W), with P Theta W in one more preallocated
+block, and factors and solves the l x l system with LAPACK's dpotrf and
+dpotrs, called directly.  The products A W z and Theta W z at each
+minimizer serve the next weights, the expansion residual and both
+majorant values.
 
 Within one weight cycle (weights held fixed) enlarging W can only decrease
 the quadratic majorant; across cycles the usual MM argument applies.
@@ -91,33 +93,34 @@ class MMGKSResult:
     basis_size: int = 0
 
 
-def basis_nbytes(m: int, n: int, t: int, capacity: int) -> int:
+def basis_nbytes(m: int, n: int, t: int) -> int:
     """Bytes of the blocks a ``KrylovBasis`` allocates for operands A
-    (m x n) and Theta (t x n) and at most ``capacity`` basis vectors (n at
-    most): W, A W, Theta W and P Theta W, one row per vector, the data Gram
-    and (A W)^T b. ``mmgks_solve`` restarts its basis at K_MAX vectors, so
-    a capacity of K_MAX bounds any solve, whatever its max_iters."""
-    c = min(capacity, n)
+    (m x n) and Theta (t x n): W, A W, Theta W and P Theta W, one row per
+    vector, the data Gram and (A W)^T b, for the K_MAX vectors (n at most)
+    at which ``mmgks_solve`` restarts, so they bound any solve, whatever
+    its max_iters."""
+    c = min(K_MAX, n)
     return (c * (n + m + 2 * t) + c * c + c) * 8
 
 
 class KrylovBasis:
     """Orthonormal basis W with its images A W and Theta W and the data part
-    of the projected normal equations, grown in place.
+    of the projected normal equations, grown in place, and the projected
+    solve over them (``solve``).
 
     ``W``, ``AW`` and ``TW`` hold one basis vector (or its image) per row in
-    blocks allocated for ``capacity`` vectors (``basis_nbytes``), so the
-    first ``size`` rows are contiguous views; ``gram`` and ``atb`` hold
-    (A W)^T A W and (A W)^T b, bordered by one row and entry as each vector
-    joins.
+    blocks allocated for ``capacity`` = min(K_MAX, n) vectors
+    (``basis_nbytes``), so the first ``size`` rows are contiguous views; the
+    data Gram (A W)^T A W and (A W)^T b are bordered by one row and entry as
+    each vector joins.
     """
 
     def __init__(self, a_op: LinearOperator, theta_op: LinearOperator,
-                 b: np.ndarray, capacity: int):
+                 b: np.ndarray):
         m, n = a_op.shape
         t = theta_op.shape[0]
         self._a_op, self._theta_op, self._b = a_op, theta_op, b
-        self.capacity = c = min(capacity, n)
+        self.capacity = c = min(K_MAX, n)
         self._w = np.empty((c, n))
         self._aw = np.empty((c, m))
         self._tw = np.empty((c, t))
@@ -137,14 +140,6 @@ class KrylovBasis:
     @property
     def TW(self):
         return self._tw[:self.size]
-
-    @property
-    def gram(self):
-        return self._gram[:self.size, :self.size]
-
-    @property
-    def atb(self):
-        return self._atb[:self.size]
 
     def expand(self, v: np.ndarray) -> bool:
         """Append v after two reorthogonalization sweeps; False (basis
@@ -190,42 +185,33 @@ class KrylovBasis:
             raise NumericError("mmgks: A^T b is zero, the basis cannot start")
 
     def solve(self, pdiag: np.ndarray, lam: float) -> np.ndarray:
-        """``solve_projected`` over the current basis, with P Theta W
-        formed in its preallocated block."""
-        return solve_projected(self.gram, self.atb, self.TW, pdiag, lam,
-                               pt=self._pt[:self.size])
+        """Minimize ||A W z - b||^2 + lam ||diag(pdiag) Theta W z||^2 over z.
 
-
-def solve_projected(gram: np.ndarray, atb: np.ndarray, TW: np.ndarray,
-                    pdiag: np.ndarray, lam: float,
-                    pt: np.ndarray | None = None) -> np.ndarray:
-    """Minimize ||A W z - b||^2 + lam ||diag(pdiag) Theta W z||^2 over z.
-
-    Solves the l x l normal equations
-    ((AW)^T AW + lam (P TW)^T (P TW)) z = (AW)^T b, P = diag(pdiag), by
-    Cholesky, given their data part gram = (AW)^T AW and atb = (AW)^T b and
-    the rows TW of (Theta W)^T. Only the reweighted term is formed here:
-    P TW in ``pt`` (TW's shape) when given, and the system in place in the
-    one new l x l product, read as the Fortran-ordered array that LAPACK
-    dpotrf factors where it lies (the product is symmetric, so that is the
-    same matrix). Raises NumericError when the system is singular or z is
-    not finite.
-    """
-    PT = np.multiply(TW, pdiag, out=pt)
-    lhs = (PT @ PT.T).T
-    lhs *= lam
-    lhs += gram
-    c, info = sla.lapack.dpotrf(lhs, lower=1, clean=0, overwrite_a=1)
-    if info == 0:
-        z, info = sla.lapack.dpotrs(c, atb, lower=1)
-    if info != 0:
-        raise NumericError(
-            f"mmgks: projected system singular at lam={lam:g} "
-            f"(LAPACK info {info})")
-    if not np.all(np.isfinite(z)):
-        raise NumericError(
-            f"mmgks: non-finite projected solution at lam={lam:g}")
-    return z
+        Solves the l x l normal equations
+        ((AW)^T AW + lam (P TW)^T (P TW)) z = (AW)^T b, P = diag(pdiag), by
+        Cholesky. Only the reweighted term is formed here: P TW in its
+        preallocated block, and the system in place in the one new l x l
+        product, read as the Fortran-ordered array that LAPACK dpotrf
+        factors where it lies (the product is symmetric, so that is the
+        same matrix). Raises NumericError when the system is singular or z
+        is not finite.
+        """
+        size = self.size
+        PT = np.multiply(self.TW, pdiag, out=self._pt[:size])
+        lhs = (PT @ PT.T).T
+        lhs *= lam
+        lhs += self._gram[:size, :size]
+        c, info = sla.lapack.dpotrf(lhs, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            z, info = sla.lapack.dpotrs(c, self._atb[:size], lower=1)
+        if info != 0:
+            raise NumericError(
+                f"mmgks: projected system singular at lam={lam:g} "
+                f"(LAPACK info {info})")
+        if not np.all(np.isfinite(z)):
+            raise NumericError(
+                f"mmgks: non-finite projected solution at lam={lam:g}")
+        return z
 
 
 def majorant_value(fit: np.ndarray, theta_s: np.ndarray, pdiag: np.ndarray,
@@ -255,7 +241,7 @@ def mmgks_solve(a_op: LinearOperator, theta_op: LinearOperator, b: np.ndarray,
         return MMGKSResult(s=np.zeros(n), lam=cfg.lam or 0.0, eps=cfg.eps or 0.0,
                            n_iters=0, converged=True, basis_size=0)
 
-    basis = KrylovBasis(a_op, theta_op, b, K_MAX)
+    basis = KrylovBasis(a_op, theta_op, b)
     basis.seed(cfg.seed_vectors)
 
     # Unit-weight pilot solve fixes the smoothing width and, if requested,

@@ -29,7 +29,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError
 from .linops import PatchRank1, SparseCSR
-from .mmgks import K_MAX, MMGKSConfig, basis_nbytes, mmgks_solve
+from .mmgks import basis_nbytes, mmgks_solve
 
 
 @dataclass(frozen=True)
@@ -110,19 +110,19 @@ def flow_regularizer(n_x: int, n_y: int) -> SparseCSR:
 
 def flow_basis_nbytes(n_x: int, n_y: int) -> int:
     """Bytes of the Krylov blocks a flow solve on an (n_x, n_y) grid
-    allocates, whatever its config: 11 n_s doubles per basis vector (W,
+    allocates (``basis_nbytes``): 11 n_s doubles per basis vector (W,
     V W, Theta W and P Theta W) for the K_MAX vectors at which
     ``mmgks_solve`` restarts, and the K_MAX x K_MAX data Gram."""
     n_s = n_x * n_y
-    return basis_nbytes(n_s, 2 * n_s, 4 * n_s, K_MAX)
+    return basis_nbytes(n_s, 2 * n_s, 4 * n_s)
 
 
-def estimate_velocity(x_prev, x_next, n_x: int, n_y: int,
-                      config: MMGKSConfig | None = None) -> VelocityField:
-    """Edge-regularized optical flow between consecutive frames."""
+def estimate_velocity(x_prev, x_next, n_x: int, n_y: int) -> VelocityField:
+    """Edge-regularized optical flow between consecutive frames, solved by
+    ``mmgks_solve`` with its default config."""
     v_op, b = ofc_system(x_prev, x_next, n_x, n_y)
     theta = flow_regularizer(n_x, n_y)
-    res = mmgks_solve(v_op, theta, b, config)
+    res = mmgks_solve(v_op, theta, b)
     n_s = n_x * n_y
     return VelocityField(s_x=res.s[:n_s], s_y=res.s[n_s:], n_x=n_x, n_y=n_y)
 

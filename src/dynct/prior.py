@@ -242,10 +242,13 @@ class ProjectionBasis:
         elements, allocated once per call, by SciPy's CSR kernel
         ``csr_matvecs`` (the one ``csr_matrix @ dense`` runs), so no chunk
         builds a sparse matrix or a fresh W. A chunk zero-fills, accumulates
-        and contracts only the x-span [lo, hi) its rays cross, from each
-        ray's first and last nonzero (x ascends along a ray): every other
-        term of the product is an exact zero, and the result is bitwise the
-        whole-range one. A chunk of empty rays gives zero rows.
+        and contracts only the x-span [lo, hi) its rays cross, from the
+        least and greatest x of the chunk's nonzeros: every other term of
+        the product is an exact zero, and the result is bitwise the
+        whole-range one. A chunk of empty rays gives zero rows. The x of
+        every nonzero (int32, 4 nnz bytes) lives through the loop, with y
+        and the row pointers; together they stay within the regrouping
+        allowance that ``run_emirkfs`` charges.
         """
         csr = S.matrix
         if csr.shape[1] != self.n_s:
@@ -260,25 +263,15 @@ class ProjectionBasis:
         ptr = np.zeros(m * n_x + 1, dtype=csr.indptr.dtype)
         np.cumsum(np.bincount(key, minlength=m * n_x), out=ptr[1:])
         del key
-        # each chunk's x-span [lo, hi): x ascends along a ray, so a ray's
-        # span runs from its first nonzero's x to its last's; an empty ray
-        # spans nothing (lo = n_x, hi = 0), and a chunk of empty rays
-        # contracts over no columns, to zero rows
-        step = chunk_rows(n_x * n_b)
-        full_rays = counts > 0
-        ray_lo = np.full(m, n_x, dtype=np.int64)
-        ray_hi = np.zeros(m, dtype=np.int64)
-        ray_lo[full_rays] = x[csr.indptr[:-1][full_rays]]
-        ray_hi[full_rays] = x[csr.indptr[1:][full_rays] - 1] + 1
-        del x
-        starts = np.arange(0, m, step)
-        spans = zip(np.minimum.reduceat(ray_lo, starts),
-                    np.maximum.reduceat(ray_hi, starts))
         u_xt, u_y = self.factor_x.T, self.factor_y.ravel()
         flat = self.index_pairs[:, 0] * n_b + self.index_pairs[:, 1]
         out = np.empty((m, self.rank))
-        buf = np.empty(min(m, step) * n_x * n_b)
-        for rays, (lo, hi) in zip(row_chunks(m, n_x * n_b), spans):
+        buf = np.empty(min(m, chunk_rows(n_x * n_b)) * n_x * n_b)
+        for rays in row_chunks(m, n_x * n_b):
+            # the chunk's x-span [lo, hi) off its own nonzeros; a chunk of
+            # empty rays spans nothing and contracts to zero rows
+            xs = x[csr.indptr[rays.start]:csr.indptr[rays.stop]]
+            lo, hi = (xs.min(), xs.max() + 1) if xs.size else (0, 0)
             row_lo, row_hi = rays.start * n_x, rays.stop * n_x
             w = buf[:(row_hi - row_lo) * n_b].reshape(-1, n_x, n_b)
             # the kernel accumulates W += K U_y, into the span's columns

@@ -329,7 +329,7 @@ class _ReferenceSingular(Exception):
     pass
 
 
-def _reference_solve_projected(AW, TW, pdiag, lam, b):
+def _reference_projected_solve(AW, TW, pdiag, lam, b):
     PT = pdiag[:, None] * TW
     lhs = AW.T @ AW + lam * (PT.T @ PT)
     try:
@@ -390,7 +390,7 @@ def mmgks_reference(a_op, theta_op, b, config=None):
         raise NumericError("reference: A^T b is zero")
 
     lam = cfg.lam if cfg.lam is not None else 1.0
-    z = _reference_solve_projected(AW, TW, np.ones(TW.shape[0]), lam, b)
+    z = _reference_projected_solve(AW, TW, np.ones(TW.shape[0]), lam, b)
     theta_s = TW @ z
     if cfg.eps is not None:
         eps = cfg.eps
@@ -416,13 +416,13 @@ def mmgks_reference(a_op, theta_op, b, config=None):
         z_old = z
         wts = penalty_weights(TW @ z, eps)
         try:
-            z = _reference_solve_projected(AW, TW, wts, lam, b)
+            z = _reference_projected_solve(AW, TW, wts, lam, b)
         except _ReferenceSingular:
             if boosted:
                 raise NumericError("reference: singular after weight boost")
             boosted = True
             lam *= 10.0
-            z = _reference_solve_projected(AW, TW, wts, lam, b)
+            z = _reference_projected_solve(AW, TW, wts, lam, b)
         s = W @ z
         objectives.append((_reference_majorant(AW, TW, wts, lam, b, z_old),
                            _reference_majorant(AW, TW, wts, lam, b, z)))

@@ -305,6 +305,22 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys):
     assert "z_x" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dotted, value, named", [
+    ("prior.rank", 257, "prior.rank"),
+    ("scan.n_angles", 0, "n_angles"),
+    ("scan.detector_count", 0, "detector_count"),
+])
+def test_simulate_rejects_what_reconstruct_rejects(tmp_path, capsys, dotted,
+                                                   value, named):
+    # a rank above n_x * n_y = 256 or an empty scan is rejected when the
+    # config loads, before simulate creates its output directory
+    data = tmp_path / "d"
+    cfg = _write_config(tmp_path / "c.cfg", data, **{dotted: value})
+    assert main(["simulate", cfg]) == 2
+    assert named in capsys.readouterr().err
+    assert not data.exists()
+
+
 def test_removed_key_exits_2(tmp_path, capsys):
     for dotted, value in _REMOVED_KEYS.items():
         cfg = _write_config(tmp_path / "c.cfg", tmp_path / "d",

@@ -7,8 +7,7 @@ import scipy.sparse as sp
 from dynct.errors import ConfigError, NumericError
 from dynct.linops import Identity, LinearOperator, SparseCSR
 from dynct.mmgks import (K_MAX, KrylovBasis, MMGKSConfig, basis_nbytes,
-                         majorant_value, mmgks_solve, penalty_weights,
-                         solve_projected)
+                         majorant_value, mmgks_solve, penalty_weights)
 from dynct.motion import flow_basis_nbytes, flow_regularizer, ofc_system
 from dynct.phantom import default_blocks_config, generate_frames
 from helpers import rel_err
@@ -24,7 +23,7 @@ def _first_difference(n):
 
 
 def _seeded_basis(op, b, n_vectors):
-    basis = KrylovBasis(op, Identity(op.shape[1]), b, n_vectors)
+    basis = KrylovBasis(op, Identity(op.shape[1]), b)
     basis.seed(n_vectors)
     return basis
 
@@ -143,21 +142,22 @@ def test_majorant_pairs_non_increasing():
 
 
 def test_projected_residual_monotone_in_subspace():
-    # fixed weights: growing the solve subspace can only lower the majorant
+    # fixed weights: growing the solve subspace can only lower the majorant;
+    # the Lanczos seed is deterministic, so a basis of l vectors spans the
+    # first l of one of l + 1
     rng = np.random.default_rng(4)
     a = rng.standard_normal((20, 10))
     op = SparseCSR(a)
     theta = _first_difference(10)
     b = rng.standard_normal(20)
-    W = _seeded_basis(op, b, 6).W.T
-    AW_full = a @ W
-    TW_full = dense(theta) @ W
-    wts = np.ones(TW_full.shape[0])
+    wts = np.ones(theta.shape[0])
     vals = []
-    for ell in range(1, W.shape[1] + 1):
-        AW, TW = AW_full[:, :ell], TW_full[:, :ell]
-        z = solve_projected(AW.T @ AW, AW.T @ b, TW.T, wts, 0.3)
-        vals.append(majorant_value(AW @ z - b, TW @ z, wts, 0.3))
+    for ell in range(1, 7):
+        basis = KrylovBasis(op, theta, b)
+        basis.seed(ell)
+        assert basis.size == ell
+        z = basis.solve(wts, 0.3)
+        vals.append(majorant_value(z @ basis.AW - b, z @ basis.TW, wts, 0.3))
     assert all(v2 <= v1 * (1 + 1e-10) for v1, v2 in zip(vals, vals[1:]))
 
 
@@ -167,8 +167,9 @@ def test_expand_basis_keeps_orthonormality():
     op = SparseCSR(a)
     theta = _first_difference(9)
     b = rng.standard_normal(15)
-    basis = KrylovBasis(op, theta, b, 9)
+    basis = KrylovBasis(op, theta, b)
     basis.seed(3)
+    pdiag, lam = rng.uniform(0.5, 2.0, theta.shape[0]), 0.3
     for k in range(4):
         v = rng.standard_normal(9)
         basis.expand(v)
@@ -176,9 +177,11 @@ def test_expand_basis_keeps_orthonormality():
         assert np.max(np.abs(W @ W.T - np.eye(basis.size))) <= 1e-10
         np.testing.assert_allclose(basis.AW, W @ a.T, atol=1e-12)
         np.testing.assert_allclose(basis.TW, W @ dense(theta).T, atol=1e-12)
-        np.testing.assert_allclose(basis.gram, basis.AW @ basis.AW.T,
-                                   atol=1e-12)
-        np.testing.assert_allclose(basis.atb, basis.AW @ b, atol=1e-12)
+        # the solve reads the bordered data Gram and (A W)^T b
+        AW, PTW = basis.AW, basis.TW * pdiag
+        want = np.linalg.solve(AW @ AW.T + lam * PTW @ PTW.T, AW @ b)
+        np.testing.assert_allclose(basis.solve(pdiag, lam), want,
+                                   rtol=1e-10, atol=1e-10)
     # a vector already in span(W) must be rejected
     size = basis.size
     assert not basis.expand(rng.standard_normal(size) @ basis.W)
@@ -189,7 +192,7 @@ def test_expand_basis_stops_at_capacity():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((8, 4))
     op = SparseCSR(a)
-    basis = KrylovBasis(op, _first_difference(4), rng.standard_normal(8), 10)
+    basis = KrylovBasis(op, _first_difference(4), rng.standard_normal(8))
     assert basis.capacity == 4
     for _ in range(6):
         basis.expand(rng.standard_normal(4))
@@ -221,10 +224,43 @@ def test_restarts_keep_the_majorant_monotone_and_the_fixed_point(
     assert rel_err(res.s, want) <= 1e-5
 
 
-def test_solve_projected_singular_raises():
+def test_basis_solve_singular_raises():
+    # A = 0: the data Gram of any basis is zero, and at lam = 0 so is the
+    # projected system
+    basis = KrylovBasis(SparseCSR(np.zeros((2, 3))), Identity(3), np.ones(2))
+    assert basis.expand(np.ones(3))
     with pytest.raises(NumericError, match="singular"):
-        solve_projected(np.zeros((1, 1)), np.zeros(1), np.zeros((1, 3)),
-                        np.ones(3), 0.0)
+        basis.solve(np.ones(3), 0.0)
+
+
+def _failing_solve(monkeypatch, fail_at):
+    """Patch KrylovBasis.solve to raise NumericError on the calls numbered
+    in fail_at (1 is the pilot solve); returns the lam of every call."""
+    solve = KrylovBasis.solve
+    lams = []
+
+    def patched(basis, pdiag, lam):
+        lams.append(lam)
+        if len(lams) in fail_at:
+            raise NumericError("mmgks: projected system singular (patched)")
+        return solve(basis, pdiag, lam)
+
+    monkeypatch.setattr(KrylovBasis, "solve", patched)
+    return lams
+
+
+def test_failed_solve_retried_once_at_tenfold_lam(monkeypatch):
+    # the first failure inside the loop is retried with lam boosted ten-fold
+    # for the rest of the solve; a later failure raises
+    a_op, theta_op, b, cfg = _filled_subspace_problem()
+    want = mmgks_solve(a_op, theta_op, b, cfg)
+    lams = _failing_solve(monkeypatch, {2})
+    got = mmgks_solve(a_op, theta_op, b, cfg)
+    assert got.lam == 10.0 * want.lam
+    assert lams[2] == lams[1] * 10.0 == got.lam
+    _failing_solve(monkeypatch, {2, 4})
+    with pytest.raises(NumericError, match="patched"):
+        mmgks_solve(a_op, theta_op, b, cfg)
 
 
 def test_auto_parameters_are_recorded():
@@ -321,12 +357,12 @@ def test_basis_blocks_total_basis_nbytes(problem):
     # allocates: every array it holds but b, for K_MAX vectors or, on a
     # space of n < K_MAX, n
     a_op, theta_op, b, _ = problem()
-    basis = KrylovBasis(a_op, theta_op, b, K_MAX)
+    basis = KrylovBasis(a_op, theta_op, b)
     blocks = [v for v in vars(basis).values()
               if isinstance(v, np.ndarray) and v is not b]
     assert len(blocks) == 6
     assert basis.capacity == min(K_MAX, a_op.shape[1])
-    nbytes = basis_nbytes(*a_op.shape, theta_op.shape[0], K_MAX)
+    nbytes = basis_nbytes(*a_op.shape, theta_op.shape[0])
     assert sum(v.nbytes for v in blocks) == nbytes
     if problem is _flow_problem:
         n_s = 16 * 16
