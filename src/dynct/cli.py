@@ -48,14 +48,15 @@ def _ensure_dir(path: str) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    out = cfg.output_dir
-    _ensure_dir(out)
     frames = generate_frames(cfg.phantom)
-    geom = cfg.geometry
-    h_ops = build_operators(geom)
-    sino = simulate_sinograms(frames, geom, cfg.sigma, cfg.noise_seed,
+    h_ops = build_operators(cfg.geometry)
+    sino = simulate_sinograms(frames, cfg.geometry, cfg.sigma, cfg.noise_seed,
                               operators=h_ops)
+    params = cfg.manifest_params()
+    params["realized_noise_level"] = noise_level(sino.sinograms, h_ops, frames)
 
+    out = cfg.output_dir  # created once the data are formed
+    _ensure_dir(out)
     files = []
     for name, arr in ((_TRUTH, frames), (_SINO, np.stack(sino.sinograms))):
         base = os.path.join(out, name)
@@ -67,8 +68,6 @@ def cmd_simulate(args) -> int:
             write_pgm(path, frames[t].reshape(cfg.n_x, cfg.n_y))
             files.append(path)
 
-    params = cfg.manifest_params()
-    params["realized_noise_level"] = noise_level(sino.sinograms, h_ops, frames)
     write_manifest(os.path.join(out, _MANIFEST), params, files)
     print(f"simulate: wrote {len(files) + 1} files to {out}")
     return 0
@@ -97,10 +96,10 @@ def cmd_reconstruct(args) -> int:
 
     sino = SinogramSet(geometry=geom, sinograms=list(sino_stack))
 
-    out = args.out or os.path.join(data_dir, cfg.method.name)
-    _ensure_dir(out)
     h_ops = build_operators(geom)
     basis = build_projection(cfg.n_x, cfg.n_y, cfg.prior)
+    out = args.out or os.path.join(data_dir, cfg.method.name)
+    _ensure_dir(out)  # created once the operators and basis are built
     record = run_emirkfs(sino, h_ops, basis, cfg.method,
                          motion_opts=cfg.motion, truth=truth)
 

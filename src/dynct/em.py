@@ -26,11 +26,13 @@ product), the basis' ``quad_diag`` for Identity and row chunks
 of M_i P for SparseCSR (the M1 warp). The smoother rejects covariances that
 are not PSD beyond roundoff; here roundoff-negative diagonal entries are
 clamped and larger ones rejected, and a relative floor (1e-8 of the mean)
-keeps the next filter pass well posed.
+keeps the next filter pass well posed. A non-finite entry (overflow, a NaN
+in Psi) raises NumericError, before the clamp and without numpy warnings.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -44,19 +46,25 @@ FLOOR_REL = 1e-8
 FLOOR_ABS = 1e-30
 
 
-def _apply_floor(diag: np.ndarray) -> np.ndarray:
+def _apply_floor(diag: np.ndarray, what: str) -> np.ndarray:
+    """diag floored at FLOOR_REL of its mean; NumericError naming ``what``
+    unless the mean is finite: every entry is, and their sum fits a double."""
     floor = FLOOR_REL * float(np.mean(diag))
-    if not floor > 0.0:
-        floor = FLOOR_ABS
-    return np.maximum(diag, floor)
+    if not math.isfinite(floor):
+        raise NumericError(f"{what}: diagonal has non-finite entries or a "
+                           "mean that overflows")
+    return np.maximum(diag, floor if floor > 0.0 else FLOOR_ABS)
 
 
 def _guard_negative(diag: np.ndarray, what: str, scale: float) -> np.ndarray:
-    """Clamp small negative diagonal entries (roundoff); reject large ones.
+    """Reject non-finite and large negative diagonal entries; clamp small
+    negative ones (roundoff).
 
     scale is the size of the positive terms that were summed; when the whole
     diagonal cancels, the output magnitude says nothing about roundoff.
     """
+    if not np.all(np.isfinite(diag)):
+        raise NumericError(f"{what}: diagonal has non-finite entries")
     low = float(diag.min())
     if low >= 0.0:
         return diag
@@ -68,6 +76,7 @@ def _guard_negative(diag: np.ndarray, what: str, scale: float) -> np.ndarray:
     return np.clip(diag, 0.0, None)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def update_r_diag(y_i, h_op: SparseCSR, x_sm_i, psi_sm_i,
                   basis: ProjectionBasis) -> np.ndarray:
     """diag(R_i) from the smoothed state and reduced covariance Psi_i^sm
@@ -75,9 +84,10 @@ def update_r_diag(y_i, h_op: SparseCSR, x_sm_i, psi_sm_i,
     resid = np.asarray(y_i, dtype=float) - h_op.apply(x_sm_i)
     diag = resid ** 2
     diag += quad_diag(basis.premultiply(h_op), psi_sm_i)
-    return _apply_floor(diag)
+    return _apply_floor(diag, "update_r_diag")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def update_q_diag(x_sm_prev, x_sm_i, psi_sm_prev, psi_sm_i, omega_i,
                   motion: LinearOperator, basis: ProjectionBasis) -> np.ndarray:
     """diag(Q_i) from smoothed moments at frames i-1, i.
@@ -94,4 +104,5 @@ def update_q_diag(x_sm_prev, x_sm_i, psi_sm_prev, psi_sm_i, omega_i,
     # the roundoff scale: the largest row of resid^2 plus both positive terms
     pos_scale = float(np.maximum(diag, diag + pos).max()) if diag.size else 0.0
     diag += pos - 2.0 * cross
-    return _apply_floor(_guard_negative(diag, "update_q_diag", pos_scale))
+    return _apply_floor(_guard_negative(diag, "update_q_diag", pos_scale),
+                        "update_q_diag")

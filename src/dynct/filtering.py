@@ -82,6 +82,11 @@ class NoiseModel:
     r_diags[i-1] is diag(R_i) for the measurement at frame i (length m_i),
     i = 1..T.  Frame 0 has no transition and its measurement enters only
     through the static initializer.
+
+    Entries may share one array (``initial_noise``'s flat start), so no code
+    changes a diagonal in place: the filter and smoother form 1/q as a new
+    array, the M-step returns new diagonals, and ``run_emirkfs`` replaces an
+    entry whole.
     """
 
     q_diags: list
@@ -101,17 +106,17 @@ class NoiseModel:
         return len(self.q_diags)
 
     def nbytes(self) -> int:
-        return sum(np.asarray(d).nbytes for d in self.q_diags) + \
-            sum(np.asarray(d).nbytes for d in self.r_diags)
+        """Bytes of the distinct diagonals; a shared array counts once."""
+        distinct = {id(d): d for d in (*self.q_diags, *self.r_diags)}
+        return sum(np.asarray(d).nbytes for d in distinct.values())
 
 
 def initial_noise(alpha: float, n_s: int, row_counts) -> NoiseModel:
-    """Flat starting covariances: Q_i = R_i = alpha^2 I."""
-    var = alpha ** 2
-    return NoiseModel(
-        q_diags=[np.full(n_s, var) for _ in row_counts],
-        r_diags=[np.full(int(m), var) for m in row_counts],
-    )
+    """Flat starting covariances Q_i = R_i = alpha^2 I, one array per length."""
+    lengths = [int(m) for m in row_counts]
+    flat = {n: np.full(n, alpha ** 2) for n in {n_s, *lengths}}
+    return NoiseModel(q_diags=[flat[n_s]] * len(lengths),
+                      r_diags=[flat[m] for m in lengths])
 
 
 def measurement_update(x_pred, prior_info, h_op: SparseCSR, r_inv, y,

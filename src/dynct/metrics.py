@@ -56,6 +56,7 @@ def noise_level(y, h_ops, x_true) -> float:
     return float(np.linalg.norm(noisy - clean) / denom)
 
 
+@dataclass
 class MemoryTracker:
     """Current and peak bytes in two categories.
 
@@ -66,41 +67,25 @@ class MemoryTracker:
     matching the storage analysis the budget formula comes from.
     """
 
-    def __init__(self):
-        self._current = 0
-        self._peak = 0
-        self._current_reduced = 0
-        self._peak_reduced = 0
+    current_bytes: int = 0
+    peak_bytes: int = 0
+    current_reduced_bytes: int = 0
+    peak_reduced_bytes: int = 0
 
     def add(self, nbytes: int) -> None:
-        self._current += int(nbytes)
-        self._peak = max(self._peak, self._current)
+        self.current_bytes += int(nbytes)
+        self.peak_bytes = max(self.peak_bytes, self.current_bytes)
 
     def release(self, nbytes: int) -> None:
-        self._current -= int(nbytes)
+        self.current_bytes -= int(nbytes)
 
     def add_reduced(self, nbytes: int) -> None:
-        self._current_reduced += int(nbytes)
-        self._peak_reduced = max(self._peak_reduced, self._current_reduced)
+        self.current_reduced_bytes += int(nbytes)
+        self.peak_reduced_bytes = max(self.peak_reduced_bytes,
+                                      self.current_reduced_bytes)
 
     def release_reduced(self, nbytes: int) -> None:
-        self._current_reduced -= int(nbytes)
-
-    @property
-    def current_bytes(self) -> int:
-        return self._current
-
-    @property
-    def current_reduced_bytes(self) -> int:
-        return self._current_reduced
-
-    @property
-    def peak_bytes(self) -> int:
-        return self._peak
-
-    @property
-    def peak_reduced_bytes(self) -> int:
-        return self._peak_reduced
+        self.current_reduced_bytes -= int(nbytes)
 
 
 def memory_budget_bytes(n_s: int, r: int, n_steps: int, m_t: int) -> int:

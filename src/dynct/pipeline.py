@@ -29,13 +29,14 @@ return. What it charges:
   (``motion.flow_basis_nbytes``: 11 n_s doubles per basis vector for the
   K_MAX vectors at which the solver restarts, and the K_MAX x K_MAX data
   Gram and projection: about 11 n_s K_MAX doubles, whatever max_iters
-  is); the noise diagonals, what the motion operators own (M2/M3 hold
-  rows of x_sm as u and v) and the initial mean x_0. New motion
-  operators and noise diagonals are charged as each backward step makes
-  them, next to the previous set, which is released when the sweep ends.
-- Full space, per pass: the filtered means x_est from the filter's return
-  to the end of the pass, and the smoothed means x_sm (x_est's shape) from
-  just before the sweep until the run returns inside the RunRecord.
+  is); the distinct noise diagonals (the flat start is one array per
+  length), what the motion operators own (M2/M3 hold rows of x_sm as u
+  and v) and x_0. Backward step i, past its last read of transition i's
+  motion and noise, replaces them in place, each new operator or diagonal
+  charged before the one it replaces is released: one motion set and one
+  noise set, plus the step being replaced.
+- Full space, per pass: one trajectory, x_est from the filter's return,
+  which the sweep overwrites with x_sm, until the run returns.
 - Reduced (r x r; reported, not budgeted): the filter's history, its
   prediction factors L_1..L_T and the Cholesky factor F_T of the last
   information matrix Lambda_T, each a packed triangle of r(r+1)/2 doubles
@@ -67,7 +68,7 @@ from .em import update_q_diag, update_r_diag
 from .errors import ConfigError, DataIOError, NumericError, is_count
 
 _WRAPPED = (ConfigError, DataIOError, NumericError)
-from .filtering import NoiseModel, initial_noise, run_filter, static_init
+from .filtering import initial_noise, run_filter, static_init
 from .linops import Identity, check_tiling, payload_nbytes
 from .metrics import (MemoryTracker, MetricsRow, PhaseTimer,
                       memory_budget_bytes, rre)
@@ -246,72 +247,61 @@ def run_emirkfs(data: SinogramSet, h_ops, basis: ProjectionBasis,
     scratch = (4 * CHUNK_ELEMS + 8 * n_s + m_t * basis.rank + regroup
                + kron_elems) * 8 + flow_bytes
 
-    alpha = basis.config.alpha
-    noise = initial_noise(alpha, n_s, [h_ops[i].shape[0] for i in range(1, n_steps + 1)])
+    noise = initial_noise(basis.config.alpha, n_s, [op.shape[0] for op in h_ops[1:]])
     motions = [Identity(n_s) for _ in range(n_steps)]
-    motion_bytes = 0
 
     entry_bytes = tracker.current_bytes
     entry_reduced = tracker.current_reduced_bytes
     try:
-        tracker.add(scratch)
-        tracker.add(noise.nbytes())
+        tracker.add(scratch + noise.nbytes())
         x0 = static_init(h_ops[0], basis, y_frames[0])
         tracker.add(x0.nbytes)
 
         for j in range(1, method.n_iter + 1):
             timer = PhaseTimer()
-            new_motions = list(motions)
-            q_new = [None] * n_steps
-            r_new = [None] * n_steps
 
             def refit(i, x_sm, psi_sm_prev, psi_sm_i, omega_i):
-                """Transition i's motion, then its noise, from the step's moments."""
+                """Refit transition i's motion, then its noise, in place."""
                 try:
                     if method.motion != "off":
                         with timer.phase("motion"):
-                            new_motions[i - 1] = fit_motion(
+                            op = fit_motion(
                                 x_sm[i - 1], x_sm[i], n_x, n_y, method.motion,
                                 zeta=motion_opts.zeta, patch=motion_opts.patch)
-                        tracker.add(payload_nbytes(new_motions[i - 1]))
+                        tracker.add(payload_nbytes(op))
+                        tracker.release(payload_nbytes(motions[i - 1]))
+                        motions[i - 1] = op
                     if method.em:
                         step_bytes = (psi_sm_prev.nbytes + psi_sm_i.nbytes
                                       + omega_i.nbytes)
                         tracker.add_reduced(step_bytes)
                         with timer.phase("em"):
-                            r_new[i - 1] = update_r_diag(
+                            r = update_r_diag(
                                 y_frames[i], h_ops[i], x_sm[i], psi_sm_i, basis)
-                            q_new[i - 1] = update_q_diag(
+                            q = update_q_diag(
                                 x_sm[i - 1], x_sm[i], psi_sm_prev, psi_sm_i,
-                                omega_i, new_motions[i - 1], basis)
+                                omega_i, motions[i - 1], basis)
                         tracker.release_reduced(step_bytes)
-                        tracker.add(r_new[i - 1].nbytes + q_new[i - 1].nbytes)
+                        tracker.add(r.nbytes + q.nbytes)
+                        held = noise.nbytes() + r.nbytes + q.nbytes
+                        noise.q_diags[i - 1], noise.r_diags[i - 1] = q, r
+                        tracker.release(held - noise.nbytes())  # old, if unshared
                 except _WRAPPED as exc:
                     raise type(exc)(f"timestep {i}: {exc}") from exc
 
             try:
                 with timer.phase("filter"):
                     filt = run_filter(y_frames, h_ops, motions, noise, basis, x0)
-                history_bytes = filt.history_nbytes
-                tracker.add(filt.x_est.nbytes)
-                tracker.add_reduced(history_bytes)
-                tracker.add(filt.x_est.nbytes)  # x_sm, which has x_est's shape
+                tracker.add(filt.x_est.nbytes)  # becomes x_sm in the sweep
+                tracker.add_reduced(filt.history_nbytes)
                 with timer.phase("smoother"):
                     x_sm = run_smoother(filt, motions, noise, basis,
                                         with_covariance=method.em,
                                         on_step=refit)
-                if method.motion != "off":
-                    tracker.release(motion_bytes)
-                    motion_bytes = sum(payload_nbytes(op) for op in new_motions)
-                    motions = new_motions
-                if method.em:
-                    tracker.release(noise.nbytes())
-                    noise = NoiseModel(q_diags=q_new, r_diags=r_new)
             except _WRAPPED as exc:
                 raise type(exc)(f"outer iteration {j}: {exc}") from exc
 
-            tracker.release(filt.x_est.nbytes)
-            tracker.release_reduced(history_bytes)
+            tracker.release_reduced(filt.history_nbytes)
             del filt  # as charged: the next pass filters without it
             # x_sm stays charged; the record owns it until the run returns.
             record.trajectories.append(x_sm)

@@ -78,8 +78,16 @@ class PriorConfig:
     rank: int
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v > 0 for v in (self.alpha, self.ell)):
-            raise ConfigError("prior alpha and ell must be finite and positive")
+        # alpha, ell and the float64 powers formed of them: a^2, a^-2, ell^2
+        for name, exps in (("alpha", (1, 2, -2)), ("ell", (1, 2))):
+            value = float(getattr(self, name))
+            try:
+                ok = all(0.0 < value ** e < math.inf for e in exps)
+            except (OverflowError, ZeroDivisionError):
+                ok = False
+            if not ok:
+                raise ConfigError(f"prior {name} = {value!r}: {name} ** e for "
+                                  f"e in {exps} must be finite and positive")
         if not is_count(self.rank):
             raise ConfigError("prior rank must be an integer >= 1")
 

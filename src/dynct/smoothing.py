@@ -82,26 +82,27 @@ def run_smoother(filt: FilterResult, motions, noise: NoiseModel,
                  basis: ProjectionBasis, with_covariance: bool = False,
                  on_step=None) -> np.ndarray:
     """Backward pass from the last filtered state; returns the (T+1, n_s)
-    smoothed means.
+    smoothed means as ``filt.x_est`` itself, which the sweep consumes: step
+    i reads x_{i-1}^est for the last time as it writes x_{i-1}^sm over it.
 
     on_step(i, x_sm, psi_sm_prev, psi_sm_i, omega_i), when given, fires at
-    each backward step i = T..1 right after x_sm[i-1] is formed.  The
-    covariance arguments are None unless with_covariance is set; they are
-    dropped once the hook returns, so the hook copies what it keeps.  Each
-    Psi_{i-1}^sm that is not PSD beyond roundoff raises NumericError naming
-    its frame.
+    each backward step i = T..1 right after x_sm[i-1] is formed.  The sweep
+    reads motions[i-1] and noise entry i-1 only before on_step(i), so the
+    hook may replace them.  The covariance arguments are None unless
+    with_covariance is set; they are dropped once the hook returns, so the
+    hook copies what it keeps.  Each Psi_{i-1}^sm that is not PSD beyond
+    roundoff raises NumericError naming its frame.
     """
     n_steps = noise.n_steps
     if len(motions) != n_steps or len(filt.chol_packed) != n_steps:
         raise ConfigError("run_smoother: step counts disagree with filter output")
 
-    x_sm = np.zeros_like(filt.x_est)
-    x_sm[n_steps] = filt.x_est[n_steps]
+    x_sm = filt.x_est  # x_T^sm = x_T^est
     psi_i = cho_inverse(filt.info_factor()) if with_covariance else None
 
     for i in range(n_steps, 0, -1):
         x_sm[i - 1], psi_prev, omega = smooth_step(
-            filt.x_est[i - 1], filt.factor(i), x_sm[i], psi_i,
+            x_sm[i - 1], filt.factor(i), x_sm[i], psi_i,
             motions[i - 1], noise.q_diags[i - 1], basis, with_covariance)
         if with_covariance:
             check_psd(psi_prev, f"smoothed covariance {i - 1}")

@@ -173,7 +173,7 @@ def update_r_dense(y_i, h_dense: np.ndarray, x_sm_i, cov_sm_i) -> np.ndarray:
     _guard_dense(h_dense.shape[1], "update_r_dense")
     resid = np.asarray(y_i, dtype=float) - h_dense @ x_sm_i
     full = np.outer(resid, resid) + h_dense @ cov_sm_i @ h_dense.T
-    return _apply_floor(np.diag(full).copy())
+    return _apply_floor(np.diag(full).copy(), "update_r_dense")
 
 
 def update_q_dense(x_sm_prev, x_sm_i, cov_sm_prev, cov_sm_i, cov_cross_i,
@@ -186,7 +186,7 @@ def update_q_dense(x_sm_prev, x_sm_i, cov_sm_prev, cov_sm_i, cov_cross_i,
     full = (np.outer(resid, resid) + cov_sm_i - cm - cm.T
             + m_dense @ cov_sm_prev @ m_dense.T)
     return _apply_floor(_guard_negative(np.diag(full).copy(), "update_q_dense",
-                                        float(pos.max())))
+                                        float(pos.max())), "update_q_dense")
 
 
 def expected_loglik(y_frames, h_ops, motions, q_covs, r_covs,

@@ -169,6 +169,35 @@ def test_q_roundoff_negative_clamps_with_warning():
     assert (got > 0).all()
 
 
+_NAN_PSI = np.diag([np.nan, 1.0])
+
+
+@pytest.mark.parametrize("y, psi", [(np.ones(2), _NAN_PSI),
+                                    (np.full(2, 1e200), np.eye(2)),
+                                    (np.full(2, 1.2e154), np.eye(2))])
+def test_r_update_rejects_a_non_finite_diagonal(y, psi):
+    # a NaN in Psi, a squared residual that overflows, or finite squares
+    # whose mean (the floor's) overflows is a numerical failure: no NaN or
+    # inf variance reaches the next pass, and no numpy warning escapes (the
+    # suite turns RuntimeWarnings into errors)
+    with pytest.raises(NumericError,
+                       match="update_r_diag: diagonal has non-finite"):
+        update_r_diag(y, SparseCSR(np.eye(2)), np.zeros(2), psi,
+                      kron_basis(np.eye(2), np.ones((1, 1))))
+
+
+@pytest.mark.parametrize("x_i, psi", [(np.ones(2), _NAN_PSI),
+                                      (np.full(2, 1e200), np.eye(2))])
+def test_q_update_rejects_a_non_finite_diagonal(x_i, psi):
+    # checked before the roundoff clamp, which would warn "(min nan)" and
+    # pass the NaN on
+    z = np.zeros((2, 2))
+    with pytest.raises(NumericError,
+                       match="update_q_diag: diagonal has non-finite"):
+        update_q_diag(np.zeros(2), x_i, z, psi, z, Identity(2),
+                      kron_basis(np.eye(2), np.ones((1, 1))))
+
+
 def test_loglik_prior_only_terms():
     n_s = 4
     rng = np.random.default_rng(9)

@@ -35,5 +35,9 @@ def _unused_imports(path):
 
 
 def test_no_unused_imports():
-    src = Path(dynct.__file__).parent
-    assert [u for p in sorted(src.glob("*.py")) for u in _unused_imports(p)] == []
+    # the package, the test suite and the scripts
+    tests = Path(__file__).parent
+    dirs = (Path(dynct.__file__).parent, tests, tests.parent / "scripts")
+    paths = sorted(p for d in dirs for p in d.glob("*.py"))
+    assert all(d.is_dir() for d in dirs)
+    assert [u for p in paths for u in _unused_imports(p)] == []

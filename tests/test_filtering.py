@@ -10,7 +10,7 @@ from dynct.errors import ConfigError, NumericError
 from dynct.filtering import (FilterResult, NoiseModel, filter_step,
                              initial_noise, run_filter, static_init)
 from dynct.linops import Identity, SparseCSR
-from dynct.prior import PriorConfig, ProjectionBasis, build_projection
+from dynct.prior import PriorConfig, ProjectionBasis
 from helpers import (build_problem, count_calls, dense_noise, filter_factors,
                      kron_basis, problem_filter, psi_of, rel_err,
                      transition_motions)
@@ -366,6 +366,20 @@ def test_initial_noise_is_flat_alpha_squared():
         np.testing.assert_array_equal(r, np.full(m, 0.25))
 
 
+def test_initial_noise_shares_one_array_per_length():
+    # every transition holds the same flat array of its length (q and r
+    # too, when a frame has n_s rows), and nbytes() counts it once
+    noise = initial_noise(0.5, 4, [3, 2, 3, 4])
+    assert all(q is noise.q_diags[0] for q in noise.q_diags)
+    assert noise.r_diags[0] is noise.r_diags[2]
+    assert noise.r_diags[3] is noise.q_diags[0]
+    assert noise.r_diags[0] is not noise.r_diags[1]
+    assert noise.nbytes() == (4 + 3 + 2) * 8
+    # a replaced entry counts on its own; the shared array still counts once
+    noise.q_diags[1] = np.full(4, 0.3)
+    assert noise.nbytes() == (4 + 4 + 3 + 2) * 8
+
+
 def test_noise_model_validation():
     with pytest.raises(ConfigError):
         NoiseModel(q_diags=[np.ones(4)], r_diags=[])
@@ -393,10 +407,11 @@ def test_singular_observation_system_raises():
                         n_x=2, n_y=2,
                         config=PriorConfig(alpha=1.0, ell=1.0, rank=2))
     # a consistent basis with a zero-information observation (H = 0) and a
-    # prior weight alpha^-2 that underflows to 0: the reduced system is
-    # exactly singular
-    basis = kron_basis(np.eye(2, 1), np.eye(2), alpha=1e200)
-    np.testing.assert_array_equal(dense_basis(basis), np.eye(4, 2))
-    assert basis.config.alpha ** -2 == 0.0
+    # prior information alpha^-2 lambda that underflows to 0 (PriorConfig
+    # keeps alpha^-2 itself nonzero): the reduced system is exactly singular
+    basis = kron_basis(np.eye(2, 1), np.eye(2), eigenvalues=np.full(2, 1e-100),
+                       alpha=1e150)
+    np.testing.assert_array_equal(dense_basis(basis), 1e-50 * np.eye(4, 2))
+    assert basis.config.alpha ** -2 * 1e-100 == 0.0
     with pytest.raises(NumericError, match="static init"):
         static_init(SparseCSR(sp.csr_matrix((3, 4))), basis, np.ones(3))

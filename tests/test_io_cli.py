@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -422,6 +423,61 @@ def test_reconstruct_non_finite_truth_exits_4(sim_run, capsys):
     assert main(["reconstruct", cfg, data]) == 4
     assert "non-finite" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(data, "IRKFS"))
+
+
+def test_reconstruct_overflowing_m_step_exits_4(tmp_path, capsys):
+    # sigma = 1e155 makes the R update's squared residuals overflow at the
+    # first backward step: a numerical failure naming the step, not a
+    # config error from the noise model, and no warning from the M-step
+    data = tmp_path / "d"
+    cfg = _write_config(tmp_path / "c.cfg", data,
+                        **{"noise.sigma": 1e155, "scan.n_angles": 3,
+                           "method.name": "EMIRKFS"})
+    with warnings.catch_warnings():
+        # simulate's realized noise level overflows in its norm
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["simulate", cfg]) == 0
+    capsys.readouterr()
+    assert main(["reconstruct", cfg, str(data)]) == 4
+    err = capsys.readouterr().err
+    assert "outer iteration 1: timestep 3: update_r_diag" in err
+    assert "non-finite" in err
+
+
+@pytest.mark.parametrize("dotted, value, named", [
+    ("prior.alpha", 1e160, "prior alpha"),
+    ("prior.ell", 1e200, "prior ell"),
+    ("prior.ell", 1e-200, "prior ell"),
+])
+def test_prior_whose_square_overflows_exits_2(tmp_path, capsys, dotted, value,
+                                              named):
+    # alpha^2, alpha^-2 and ell^2 must be finite and nonzero in float64;
+    # both commands reject the config as it loads
+    data = tmp_path / "d"
+    cfg = _write_config(tmp_path / "c.cfg", data, **{dotted: value})
+    for argv in (["simulate", cfg], ["reconstruct", cfg, str(data)]):
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+    assert not data.exists()
+
+
+def test_failed_simulate_leaves_no_directory(tmp_path, capsys):
+    data = tmp_path / "d"
+    cfg = _write_config(tmp_path / "c.cfg", data, **{"noise.sigma": 1e308})
+    assert main(["simulate", cfg]) == 4
+    assert "non-finite" in capsys.readouterr().err
+    assert not data.exists()
+
+
+def test_failed_reconstruct_leaves_no_directory(tmp_path, capsys):
+    # alpha = 1e-152 loads (alpha^2 = 1e-304), but the prior's eigenvalue
+    # products underflow as the basis is built
+    data, out = tmp_path / "d", tmp_path / "out"
+    cfg = _write_config(tmp_path / "c.cfg", data, **{"prior.alpha": 1e-152})
+    assert main(["simulate", cfg]) == 0
+    assert main(["reconstruct", cfg, str(data), "--out", str(out)]) == 4
+    assert "eigenvalue" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reconstruct_custom_out_dir(sim_run, tmp_path):

@@ -7,14 +7,18 @@ import pytest
 
 from dynct import pipeline
 from dynct._linalg import CHUNK_ELEMS, check_psd
+from dynct.em import update_q_diag, update_r_diag
 from dynct.errors import ConfigError, NumericError
-from dynct.linops import payload_nbytes
+from dynct.filtering import NoiseModel, initial_noise, run_filter
+from dynct.linops import Identity, payload_nbytes
 from dynct.metrics import MemoryTracker, PhaseTimer
 from dynct.mmgks import K_MAX
+from dynct.motion import fit_motion
 from dynct.pipeline import (MethodSpec, MotionOptions, parse_method,
                             record_rows, run_emirkfs)
 from dynct.prior import PriorConfig, ProjectionBasis, build_projection
 from dynct.radon import build_operators, make_geometry
+from dynct.smoothing import run_smoother
 from helpers import build_problem, count_calls
 
 
@@ -221,11 +225,30 @@ def test_em_reduced_peak_holds_one_smoother_step(monkeypatch):
     assert record.peak_reduced_bytes == (T + 1) * tri * 8
 
 
+def _held_motions_and_noise(prob, ops):
+    """Doubles of motions and noise charged at the last pass's peak.
+
+    The tracker holds one motion set and one noise set (distinct q and r
+    diagonals); the hook at backward step i charges each new operator or
+    noise pair before it releases the one it replaces. After step i's swap
+    the set holds the last pass's operators for steps i..T and the previous
+    pass's for 1..i-1; the step peaks with the previous pass's operator i
+    (as the new one is charged) or the new noise pair on top of that set.
+    """
+    T, n_s = prob["n_steps"], prob["n_s"]
+    noise = sum(n_s + op.shape[0] for op in prob["h_ops"][1:])
+    pair = max(n_s + op.shape[0] for op in prob["h_ops"][1:])
+    sizes = [payload_nbytes(op) // 8 for op in ops]
+    prev, last = sizes[T - 1::-1], sizes[:T - 1:-1]  # [i - 1]: step i
+    return noise + max(sum(last[i - 1:]) + sum(prev[:i - 1])
+                       + max(prev[i - 1], pair) for i in range(1, T + 1))
+
+
 def test_m3_charges_its_motion_vectors_once(monkeypatch):
     # an M3 operator holds its u and v as rows of the pass's smoothed means,
     # charged until the run returns, and owns only its denominators; the
-    # full peak is reached as the last sweep ends, with both motion and
-    # noise sets, x_0, x_est and both passes' x_sm charged
+    # full peak is reached in the last sweep, with one motion and one noise
+    # set, the pair being replaced, x_0 and one trajectory per pass charged
     original = pipeline.fit_motion
     ops = []
 
@@ -248,9 +271,12 @@ def test_m3_charges_its_motion_vectors_once(monkeypatch):
                   for op in prob["h_ops"])
     scratch = (4 * CHUNK_ELEMS + 8 * n_s + m_t * r + regroup
                + (box_a * box_b) ** 2)
-    noise = sum(n_s + op.shape[0] for op in prob["h_ops"][1:])
     traj = (T + 1) * n_s
-    want = scratch + 2 * noise + 2 * T * 4 + n_s + 3 * traj
+    held = _held_motions_and_noise(prob, ops)
+    pair = n_s + m_t
+    assert held == sum(n_s + op.shape[0] for op in prob["h_ops"][1:]) \
+        + T * 4 + pair
+    want = scratch + held + n_s + 2 * traj
     assert record.peak_bytes == want * 8
 
 
@@ -260,8 +286,8 @@ def test_m1_charges_the_flow_blocks_with_its_scratch(monkeypatch):
     # W (2 n_s), V W (n_s), Theta W and P Theta W (4 n_s each) per basis
     # vector, for the K_MAX vectors at which every solve restarts, the
     # K_MAX x K_MAX data Gram and V^T b's projection; the full peak is
-    # reached as the last sweep ends, as for M3, with both passes' warps
-    # charged
+    # reached in the last sweep, as for M3, with the warps of one motion
+    # set and the one being replaced charged
     original = pipeline.fit_motion
     ops = []
 
@@ -282,10 +308,43 @@ def test_m1_charges_the_flow_blocks_with_its_scratch(monkeypatch):
                   for op in prob["h_ops"])
     scratch = (4 * CHUNK_ELEMS + 8 * n_s + m_t * r + regroup
                + (box_a * box_b) ** 2)
-    noise = sum(n_s + op.shape[0] for op in prob["h_ops"][1:])
     traj = (T + 1) * n_s
-    want = scratch + flow + 2 * noise + n_s + 3 * traj
-    assert record.peak_bytes == want * 8 + sum(map(payload_nbytes, ops))
+    want = (scratch + flow + _held_motions_and_noise(prob, ops) + n_s
+            + 2 * traj)
+    assert record.peak_bytes == want * 8
+
+
+def test_in_place_refit_equals_swapping_after_the_sweep():
+    # the sweep reads transition i's motion and noise only before its hook
+    # replaces them, so refitting in place gives, bitwise, the chain that
+    # keeps the old motions and noise for the whole sweep and swaps the new
+    # ones in after it
+    opts = MotionOptions(patch=(4, 4))
+    prob, record = _run("EMIRKFS-M3", n_iter=2, motion_opts=opts)
+    T, n_s, basis = prob["n_steps"], prob["n_s"], prob["basis"]
+    geom, h_ops, ys = prob["geom"], prob["h_ops"], prob["sino"].sinograms
+    motions = [Identity(n_s) for _ in range(T)]
+    noise = initial_noise(basis.config.alpha, n_s,
+                          [op.shape[0] for op in h_ops[1:]])
+    assert len(record.trajectories) == 2
+    for x_want in record.trajectories:
+        filt = run_filter(ys, h_ops, motions, noise, basis, prob["x0"])
+        new_motions, q_new, r_new = list(motions), [None] * T, [None] * T
+
+        def hook(i, x_sm, psi_prev, psi_i, omega):
+            new_motions[i - 1] = fit_motion(x_sm[i - 1], x_sm[i], geom.n_x,
+                                            geom.n_y, "m3", zeta=opts.zeta,
+                                            patch=opts.patch)
+            r_new[i - 1] = update_r_diag(ys[i], h_ops[i], x_sm[i], psi_i,
+                                         basis)
+            q_new[i - 1] = update_q_diag(x_sm[i - 1], x_sm[i], psi_prev,
+                                         psi_i, omega, new_motions[i - 1],
+                                         basis)
+
+        x_sm = run_smoother(filt, motions, noise, basis, with_covariance=True,
+                            on_step=hook)
+        np.testing.assert_array_equal(x_sm, x_want)
+        motions, noise = new_motions, NoiseModel(q_diags=q_new, r_diags=r_new)
 
 
 def _count_weighted_grams(monkeypatch, tag=lambda: None):

@@ -1,10 +1,12 @@
 """Reduced smoother against the dense RTS oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from dynct import _linalg, smoothing
+from dynct import smoothing
 from dynct._linalg import check_psd
 from dynct.errors import ConfigError, NumericError
 from dynct.filtering import NoiseModel, run_filter, static_init
@@ -23,11 +25,23 @@ def _motions(prob, kind="Identity"):
                               prob["n_steps"])
 
 
-def _smoothed(prob, motions=None):
+def _filtered(prob, motions=None):
     motions = _motions(prob) if motions is None else motions
-    filt = run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
+    return run_filter(prob["sino"].sinograms, prob["h_ops"], motions,
                       prob["noise"], prob["basis"], prob["x0"])
+
+
+def _smoothed(prob, motions=None):
+    """The smoothed moments; their sweep writes x_sm over the filter
+    output's x_est, so only the filter's factors are returned with them."""
+    motions = _motions(prob) if motions is None else motions
+    filt = _filtered(prob, motions)
     return filt, smoothed_moments(filt, motions, prob["noise"], prob["basis"])
+
+
+def _unconsumed(filt):
+    """filt with its own copy of the filtered means, for a second sweep."""
+    return dataclasses.replace(filt, x_est=filt.x_est.copy())
 
 
 def _dense(prob, motions=None):
@@ -84,10 +98,12 @@ def test_covariances_match_dense_rts(prob):
 def test_moving_motion_matches_dense_rts(prob, kind):
     # G_MM != G_MP here, unlike under an Identity motion
     motions = _motions(prob, kind)
-    filt, sm = _smoothed(prob, motions)
+    filt = _filtered(prob, motions)
+    x_sm = run_smoother(_unconsumed(filt), motions, prob["noise"],
+                        prob["basis"])
+    sm = smoothed_moments(filt, motions, prob["noise"], prob["basis"])
     sm_means, sm_covs, gains = _dense(prob, motions)
     # the mean-only sweep and the covariance sweep give the same means
-    x_sm = run_smoother(filt, motions, prob["noise"], prob["basis"])
     np.testing.assert_array_equal(x_sm, sm.x_sm)
     _assert_means_match(prob, x_sm, sm_means)
     _assert_covariances_match(prob, sm, sm_covs)
@@ -130,19 +146,41 @@ def test_smoother_works_from_the_filter_handover(prob, monkeypatch, kind):
     else:
         assert taken() == {"cho_factor": 2 * T, "cho_solve": T,
                            "solve_triangular": T, "gram_pair": T}
-    run_smoother(filt, motions, prob["noise"], prob["basis"])
+    run_smoother(_unconsumed(filt), motions, prob["noise"], prob["basis"])
     assert taken() == {"cho_solve": T}
     run_smoother(filt, motions, prob["noise"], prob["basis"],
                  with_covariance=True)
     assert taken() == {"cho_solve": T, "dpotri": T + 1, "gram_mp": T}
 
 
+@pytest.mark.parametrize("kind", ["Identity", "SparseCSR"])
+def test_sweep_writes_the_smoothed_means_over_the_filtered(prob, kind):
+    # step i reads x_{i-1}^est before it writes x_{i-1}^sm in its row, so
+    # the sweep returns filt.x_est itself, equal bitwise to a sweep that
+    # reads every filtered mean from an untouched copy
+    motions = _motions(prob, kind)
+    filt = _filtered(prob, motions)
+    x_est = filt.x_est.copy()
+    want = x_est.copy()
+    for i in range(prob["n_steps"], 0, -1):
+        want[i - 1] = smooth_step(x_est[i - 1], filt.factor(i), want[i], None,
+                                  motions[i - 1], prob["noise"].q_diags[i - 1],
+                                  prob["basis"])[0]
+    np.testing.assert_array_equal(
+        run_smoother(_unconsumed(filt), motions, prob["noise"], prob["basis"]),
+        want)
+    x_sm = run_smoother(filt, motions, prob["noise"], prob["basis"])
+    assert x_sm is filt.x_est and np.shares_memory(x_sm, filt.x_est)
+    np.testing.assert_array_equal(x_sm, want)
+
+
 def test_terminal_conditions_exact(prob):
     motions = _motions(prob)
     filt, infos = problem_filter(prob, motions)
-    sm = smoothed_moments(filt, motions, prob["noise"], prob["basis"])
     T = prob["n_steps"]
-    assert np.array_equal(sm.x_sm[T], filt.x_est[T])
+    x_est_T = filt.x_est[T].copy()  # the sweep writes x_sm over filt.x_est
+    sm = smoothed_moments(filt, motions, prob["noise"], prob["basis"])
+    assert np.array_equal(sm.x_sm[T], x_est_T)
     assert np.array_equal(sm.psi_sm[T], psi_of(infos[T]))
 
 
@@ -155,7 +193,7 @@ def test_cross_covariance_matches_dense_formula():
 
 def test_cross_covariance_zero_smoothed_cov(prob):
     # omega_i = Psi_i^sm K_i Psi_{i-1}^est vanishes exactly with Psi_i^sm
-    filt, _ = _smoothed(prob)
+    filt = _filtered(prob)
     r = prob["basis"].rank
     _, _, omega = smooth_step(filt.x_est[0], filt.factor(1), filt.x_est[1],
                               np.zeros((r, r)), Identity(prob["n_s"]),
@@ -202,7 +240,7 @@ def test_on_step_fires_backward_after_each_mean(prob):
 
 def test_zero_smoothing_innovation_keeps_filter_estimate(prob):
     motions = [Identity(prob["n_s"]) for _ in range(prob["n_steps"])]
-    filt, _ = _smoothed(prob)
+    filt = _filtered(prob, motions)
     x_pred = motions[0].apply(filt.x_est[0])
     xs, _, _ = smooth_step(filt.x_est[0], filt.factor(1), x_pred, None,
                            motions[0], prob["noise"].q_diags[0], prob["basis"])
@@ -224,8 +262,8 @@ def test_smoother_does_not_worsen_consistent_data():
     motions = [Identity(n_s) for _ in range(T)]
     x0 = static_init(h_ops[0], prob["basis"], ys[0])
     filt = run_filter(ys, h_ops, motions, noise, prob["basis"], x0)
-    x_sm = run_smoother(filt, motions, noise, prob["basis"])
     rre_est = sum(rre(filt.x_est[i], truth) for i in range(T + 1))
+    x_sm = run_smoother(filt, motions, noise, prob["basis"])
     rre_sm = sum(rre(x_sm[i], truth) for i in range(T + 1))
     assert rre_sm <= rre_est + 1e-12
 
@@ -243,7 +281,7 @@ def test_psi_sm_symmetric(prob):
 
 
 def test_count_validation(prob):
-    filt, _ = _smoothed(prob)
+    filt = _filtered(prob)
     with pytest.raises(ConfigError):
         run_smoother(filt, [Identity(prob["n_s"])], prob["noise"],
                      prob["basis"])
